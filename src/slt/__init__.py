@@ -15,6 +15,7 @@ from .errors import (
     DuplicatePoints,
     EmptySurface,
     EpsOutOfRange,
+    MalformedTree,
     SltError,
     Unreachable,
 )
@@ -25,7 +26,6 @@ from .geometry import (
     angle_at_apex,
     dist,
     point_at_arc,
-    rotate_in_span,
 )
 from .mst_path import HamPath, PointCloud, Tree, dfs_hamiltonian, euclidean_mst
 from .breakpoints import BreakpointSet, SubdividedPath, select_breakpoints, subdivide
@@ -38,21 +38,21 @@ from .unfolding import (
     unfold,
     unfold_vertex,
 )
-from .core2d import CoreGraph, CoreInstance, build_core, core_metrics, core_spt
-from .pipeline import SteinerGraph, SurfaceGadget, assemble_slt, build_gadget
+from .core2d import CoreGraph, CoreInstance, build_core, core2d_points, core_metrics, core_spt
+from .pipeline import SteinerGraph, SurfaceGadget, assemble_core2d, assemble_slt, build_gadget
 from .pyramid import (
     GridSpec,
-    Pyramid,
+    assemble_pyramid,
     build_pyramid_core,
     greedy_spanner,
     pyramid_mst_lower_bound,
+    pyramid_points,
     yao_spanner,
 )
 from .metrics import (
     SltReport,
     floyd_warshall,
     kruskal_mst,
-    lightness,
     oracle_spt,
     root_stretch,
 )

@@ -13,13 +13,12 @@ import random
 import sys
 
 from .breakpoints import select_breakpoints, subdivide
-from .core2d import CoreInstance, build_core, core_metrics, core_spt
-from .errors import SltError
-from .geometry import dist
-from .metrics import SltReport, tree_distances
+from .core2d import core2d_points
+from .errors import MalformedTree, SltError
+from .metrics import SltReport, root_stretch
 from .mst_path import PointCloud, Tree, dfs_hamiltonian, euclidean_mst
-from .pipeline import SteinerGraph, assemble_slt, build_gadget
-from .pyramid import GridSpec, build_pyramid_core, grid_points
+from .pipeline import SteinerGraph, assemble_core2d, assemble_slt, build_gadget
+from .pyramid import assemble_pyramid, pyramid_points
 from .unfolding import build_surfaces, unfold_vertex
 
 
@@ -41,7 +40,7 @@ def parse_points(path) -> PointCloud:
     with open(path) as fh:
         data = json.load(fh)
     dim = data["dim"]
-    pts = tuple(tuple(float(c) for c in p) for p in data["points"])
+    pts = tuple(tuple(map(float, p)) for p in data["points"])
     if any(len(p) != dim for p in pts):
         raise SltError("point with wrong dimension")
     return PointCloud(pts, int(data["root"]))
@@ -61,13 +60,56 @@ def write_tree(path, graph: SteinerGraph, tree: Tree):
 
 
 def parse_tree(path):
+    """Coordinates, kinds, edges and root of a tree file that is a tree.
+
+    Raises MalformedTree unless the vertex ids are 0..V-1 and the edges
+    form a spanning tree of the vertices.
+    """
     with open(path) as fh:
         data = json.load(fh)
     verts = sorted(data["vertices"], key=lambda v: v["id"])
-    coords = [tuple(float(c) for c in v["coords"]) for v in verts]
+    n = len(verts)
+    if [v["id"] for v in verts] != list(range(n)):
+        raise MalformedTree(f"vertex ids are not 0..{n - 1}")
+    coords = [tuple(map(float, v["coords"])) for v in verts]
     kinds = [v["kind"] for v in verts]
     edges = [(int(u), int(v)) for u, v in data["edges"]]
-    return coords, kinds, edges, int(data["root"])
+    root = int(data["root"])
+    _check_spanning_tree(n, edges, root)
+    return coords, kinds, edges, root
+
+
+def _check_spanning_tree(n: int, edges, root: int) -> None:
+    if not 0 <= root < n:
+        raise MalformedTree(f"root {root} out of range 0..{n - 1}")
+    # Union-find over plain ints: per-vertex lists or sets here would make
+    # the garbage collector rescan a large build still held by the caller.
+    comp = list(range(n))
+
+    def find(x):
+        while comp[x] != x:
+            comp[x] = x = comp[comp[x]]
+        return x
+
+    closes_cycle = False
+    for i, (u, v) in enumerate(edges):
+        if not (0 <= u < n and 0 <= v < n):
+            raise MalformedTree(f"edge [{u}, {v}] has a vertex id outside 0..{n - 1}")
+        if u == v:
+            raise MalformedTree(f"self-loop at vertex {u}")
+        a, b = find(u), find(v)
+        if a != b:
+            comp[a] = b
+        elif {u, v} in ({x, y} for x, y in edges[:i]):
+            raise MalformedTree(f"duplicate edge [{u}, {v}]")
+        else:
+            closes_cycle = True
+    if len(edges) != n - 1:
+        raise MalformedTree(f"{len(edges)} edges on {n} vertices; a tree has {n - 1}")
+    if closes_cycle:  # n - 1 edges with a cycle leave some vertex cut off
+        r = find(root)
+        cut = next(x for x in range(n) if find(x) != r)
+        raise MalformedTree(f"edges do not span vertex {cut}")
 
 
 # --- generators --------------------------------------------------------------
@@ -83,10 +125,7 @@ def gen_circle(eps: float):
 
 
 def gen_grid(d: int, n: int, eps: float):
-    spec = GridSpec.for_points(n, d)
-    base = grid_points(d, eps, spec)
-    apex = (math.cos(math.sqrt(eps) / 2.0),) + (0.0,) * (d - 1)
-    return (apex,) + base, 0
+    return pyramid_points(d, n, eps), 0
 
 
 def gen_random(n: int, d: int, seed: int):
@@ -96,81 +135,10 @@ def gen_random(n: int, d: int, seed: int):
 
 
 def gen_core(eps: float, n: int):
-    inst = CoreInstance.canonical(eps, n)
-    pts = (inst.apex, inst.base_a, inst.base_b) + inst.base_points
-    return pts, 0
-
-
-# --- build methods ------------------------------------------------------------
-
-
-def _build_core2d(pc: PointCloud, eps: float, lam: float):
-    if pc.dim != 2:
-        raise SltError("core2d method needs 2-dimensional input")
-    apex = pc.points[pc.root]
-    base = [p for i, p in enumerate(pc.points) if i != pc.root]
-    ax = [p[0] for p in base]
-    lo = base[min(range(len(base)), key=lambda i: ax[i])]
-    hi = base[max(range(len(base)), key=lambda i: ax[i])]
-    inst = CoreInstance(apex, lo, hi, tuple(base), eps, lam)
-    g = build_core(inst)
-    tree, dists = core_spt(g)
-    rep = core_metrics(g, tree, dists)
-    graph = SteinerGraph()
-    for i in range(g.n):
-        x, y = g.plane_coords(i)
-        kind = {"root": "input", "apex": "core_apex", "grid": "grid", "input": "input"}[
-            g.kinds[i]
-        ]
-        graph.add_vertex((x, y), kind)
-    for u, v, _ in tree.edges:
-        graph.add_edge(u, v)
-    report = SltReport(
-        n=pc.n,
-        d=2,
-        eps=eps,
-        gamma=1.0,
-        mst_weight=rep.mst_weight,
-        tree_weight=rep.tree_weight,
-        lightness=rep.lightness,
-        per_point_stretch=rep.per_point_stretch,
-        max_stretch=rep.max_stretch,
-        surface_angles=[g.alpha * g.lam**i for i in range(g.k + 1)],
-        phase1_weight=0.0,
-        flags={"levels": g.k, "chain_total": rep.chain_total},
-    )
-    scaled_tree = Tree(
-        graph.n,
-        tuple((u, v, dist(graph.coords[u], graph.coords[v])) for u, v, _ in tree.edges),
-        tree.root,
-    )
-    return graph, scaled_tree, report
-
-
-def _build_pyramid(pc: PointCloud, eps: float, lam: float):
-    d = pc.dim
-    n = pc.n - 1
-    expected, root = gen_grid(d, n, eps)
-    if root != pc.root or len(expected) != pc.n:
-        raise SltError("input is not a pyramid grid instance")
-    scale = max(dist(expected[0], expected[1]), 1.0)
-    for p, q in zip(expected, pc.points):
-        if dist(p, q) > 1e-9 * scale:
-            raise SltError(
-                "input does not match the pyramid grid layout for this eps"
-            )
-    return build_pyramid_core(d, eps, GridSpec.for_points(n, d), lam)
+    return core2d_points(eps, n), 0
 
 
 # --- svg ----------------------------------------------------------------------
-
-
-def _svg_header(width, height):
-    return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width:.0f}" height="{height:.0f}" '
-        f'viewBox="0 0 {width:.0f} {height:.0f}">\n'
-    )
 
 
 class _Canvas:
@@ -179,9 +147,10 @@ class _Canvas:
     The y axis is flipped at render time so larger y draws upward.
     """
 
-    def __init__(self, size=760.0, margin=30.0):
+    margin = 30.0
+
+    def __init__(self, size=760.0):
         self.size = size
-        self.margin = margin
         self.lines: list[tuple] = []
         self.dots: list[tuple] = []
         self.bounds = [math.inf, math.inf, -math.inf, -math.inf]
@@ -214,7 +183,10 @@ class _Canvas:
                 self.margin + (y1 - p[1]) * s,
             )
 
-        out = [_svg_header(self.size, self.size)]
+        out = [
+            f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{self.size:.0f}" '
+            f'height="{self.size:.0f}" viewBox="0 0 {self.size:.0f} {self.size:.0f}">\n'
+        ]
         for p, q, stroke, dashed in self.lines:
             (xa, ya), (xb, yb) = px(p), px(q)
             dash = ' stroke-dasharray="4 3"' if dashed else ""
@@ -259,6 +231,7 @@ def render_surfaces_svg(pc: PointCloud, eps: float, gamma: float, path):
     sub = subdivide(ham, bps)
     s = pc.points[pc.root]
     surfaces = build_surfaces(sub, s)
+    inputs = set(pc.points) - {s}
     cv = _Canvas(size=1200.0)
     offset = 0.0
     for surf in surfaces:
@@ -273,13 +246,7 @@ def render_surfaces_svg(pc: PointCloud, eps: float, gamma: float, path):
         for q in imgs:
             cv.dot(shift(q), fill="black", r=2.0)
         cv.dot(origin, fill="black", r=2.5)
-        input_locals = [
-            j
-            for j in range(len(surf.verts))
-            if any(
-                surf.verts[j] == pc.points[i] for i in range(pc.n) if i != pc.root
-            )
-        ]
+        input_locals = [j for j, v in enumerate(surf.verts) if v in inputs]
         gadget = build_gadget(surf, input_locals, eps_int)
         if not gadget.degenerate:
             cv.line(shift(gadget.ell_a), shift(gadget.ell_b), stroke="#888888")
@@ -323,9 +290,9 @@ def _cmd_build(args) -> int:
             pc, args.eps, gamma=args.gamma, lam=args.lam, chord_shortcut=args.chord_shortcut
         )
     elif args.method == "core2d":
-        graph, tree, report = _build_core2d(pc, args.eps, args.lam)
+        graph, tree, report = assemble_core2d(pc, args.eps, args.lam)
     elif args.method == "pyramid":
-        graph, tree, report = _build_pyramid(pc, args.eps, args.lam)
+        graph, tree, report = assemble_pyramid(pc, args.eps, args.lam)
     else:
         raise SltError(f"unknown method {args.method!r}")
     if args.output:
@@ -337,10 +304,7 @@ def _cmd_build(args) -> int:
 def _cmd_verify(args) -> int:
     pc = parse_points(args.input)
     coords, kinds, edges, root = parse_tree(args.tree)
-    index = {}
-    for i, (c, k) in enumerate(zip(coords, kinds)):
-        if k == "input":
-            index[c] = i
+    index = {c: i for i, (c, k) in enumerate(zip(coords, kinds)) if k == "input"}
     vertex_of = []
     for p in pc.points:
         i = index.get(p)
@@ -351,29 +315,20 @@ def _cmd_verify(args) -> int:
         raise SltError("tree root does not match the input root")
     tree = Tree(
         len(coords),
-        tuple((u, v, dist(coords[u], coords[v])) for u, v in edges),
+        tuple((u, v, math.dist(coords[u], coords[v])) for u, v in edges),
         root,
     )
-    dists = tree_distances(tree, root)
-    s = pc.points[pc.root]
-    per_point = []
-    for i, p in zip(vertex_of, pc.points):
-        if math.isinf(dists[i]):
-            raise SltError("input point disconnected in tree")
-        per_point.append(1.0 if p == s else dists[i] / dist(s, p))
+    per_point = root_stretch(tree, coords, root, vertex_of)
     mst = euclidean_mst(pc)
     report = SltReport(
         n=pc.n,
         d=pc.dim,
         eps=args.eps,
-        gamma=0.0,
         mst_weight=mst.weight,
         tree_weight=tree.weight,
         lightness=tree.weight / mst.weight,
         per_point_stretch=per_point,
         max_stretch=max(per_point),
-        surface_angles=[],
-        phase1_weight=0.0,
         flags={"verified": True},
     )
     out = canonical_dumps(report.as_dict())
@@ -447,6 +402,9 @@ def run_cli(argv=None) -> int:
         return args.func(args)
     except (OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return 2
+    except MalformedTree as exc:
+        print(f"malformed tree file: {exc}", file=sys.stderr)
         return 2
     except (SltError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -77,6 +77,12 @@ class CoreInstance:
         return cls((0.0, h), (-w2, 0.0), (w2, 0.0), pts, eps, lam)
 
 
+def core2d_points(eps: float, n_base: int) -> tuple[PlanePoint, ...]:
+    """Input of the core2d build for ``CoreInstance.canonical``: apex first."""
+    inst = CoreInstance.canonical(eps, n_base)
+    return (inst.apex, inst.base_a, inst.base_b) + inst.base_points
+
+
 def _dist_to_segment(p, a, b):
     ax, ay = a
     bx, by = b
@@ -256,8 +262,9 @@ def build_core(inst: CoreInstance) -> CoreGraph:
     )
 
 
-def core_spt(g: CoreGraph, root: int = 0):
+def core_spt(g: CoreGraph):
     """Shortest-path tree of the core graph from the apex."""
+    root = g.root
     adj: list[list[tuple[int, float]]] = [[] for _ in range(g.n)]
     for u, v, w in g.edges:
         adj[u].append((v, w))
@@ -288,10 +295,6 @@ class CoreReport:
     mst_weight: float
     lightness: float
     lightness_bound: float
-
-    @property
-    def lightness_ok(self) -> bool:
-        return self.lightness <= self.lightness_bound + 1e-9
 
 
 def core_metrics(g: CoreGraph, tree: Tree, dists: list[float]) -> CoreReport:

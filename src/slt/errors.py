@@ -47,3 +47,7 @@ class Unreachable(SltError):
 
 class Disconnected(SltError):
     pass
+
+
+class MalformedTree(SltError):
+    """A tree file whose edges are not a spanning tree of its vertices."""

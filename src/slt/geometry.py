@@ -9,35 +9,13 @@ import math
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .errors import AngleOutOfRange, DegenerateRay, DimensionMismatch
+from .errors import DegenerateRay, DimensionMismatch
 
 Point = tuple[float, ...]
 PlanePoint = tuple[float, float]
 
 #: Two points closer than this in every coordinate are considered coincident.
 COINCIDENT_TOL = 1e-12
-
-
-def sub(p: Point, q: Point) -> Point:
-    if len(p) != len(q):
-        raise DimensionMismatch(f"dimensions {len(p)} and {len(q)} differ")
-    return tuple(a - b for a, b in zip(p, q))
-
-
-def add(p: Point, q: Point) -> Point:
-    return tuple(a + b for a, b in zip(p, q))
-
-
-def scale(p: Point, c: float) -> Point:
-    return tuple(c * a for a in p)
-
-
-def dot(p: Point, q: Point) -> float:
-    return sum(a * b for a, b in zip(p, q))
-
-
-def norm(p: Point) -> float:
-    return math.sqrt(sum(a * a for a in p))
 
 
 def dist(p: Point, q: Point) -> float:
@@ -47,9 +25,9 @@ def dist(p: Point, q: Point) -> float:
     return math.dist(p, q)
 
 
-def points_close(p: Point, q: Point, tol: float = COINCIDENT_TOL) -> bool:
-    """Coincidence test: max coordinate difference below ``tol``."""
-    return len(p) == len(q) and max(abs(a - b) for a, b in zip(p, q)) < tol
+def points_close(p: Point, q: Point) -> bool:
+    """Coincidence test: max coordinate difference below COINCIDENT_TOL."""
+    return len(p) == len(q) and max(abs(a - b) for a, b in zip(p, q)) < COINCIDENT_TOL
 
 
 def angle_at_apex(s: Point, u: Point, v: Point) -> float:
@@ -58,53 +36,20 @@ def angle_at_apex(s: Point, u: Point, v: Point) -> float:
     Uses the half-angle chord form 2*atan2(|a-b|, |a+b|) on the unit
     directions, which stays accurate near both 0 and pi.
     """
-    a = sub(u, s)
-    b = sub(v, s)
-    na = norm(a)
-    nb = norm(b)
+    if not len(s) == len(u) == len(v):
+        raise DimensionMismatch(f"dimensions {len(s)}, {len(u)} and {len(v)} differ")
+    a = tuple(x - y for x, y in zip(u, s))
+    b = tuple(x - y for x, y in zip(v, s))
+    na = math.sqrt(sum(x * x for x in a))
+    nb = math.sqrt(sum(x * x for x in b))
     if na < COINCIDENT_TOL or nb < COINCIDENT_TOL:
         raise DegenerateRay("ray endpoint coincides with apex")
-    a = scale(a, 1.0 / na)
-    b = scale(b, 1.0 / nb)
+    ia, ib = 1.0 / na, 1.0 / nb
+    a = tuple(ia * x for x in a)
+    b = tuple(ib * x for x in b)
     chord = math.dist(a, b)
-    cochord = norm(add(a, b))
+    cochord = math.sqrt(sum((x + y) * (x + y) for x, y in zip(a, b)))
     return 2.0 * math.atan2(chord, cochord)
-
-
-def rotate_in_span(s: Point, u: Point, v: Point, theta: float, r: float) -> Point:
-    """Point at polar coordinates (r, theta) in the 2-plane through s.
-
-    The plane is spanned by the directions u-s and v-s; theta is measured
-    from the ray s->u toward the v side.  Requires 0 <= theta <= angle
-    between the rays and r >= 0.
-    """
-    if r < 0.0:
-        raise ValueError("radius must be nonnegative")
-    a = sub(u, s)
-    na = norm(a)
-    if na < COINCIDENT_TOL:
-        raise DegenerateRay("first ray endpoint coincides with apex")
-    e1 = scale(a, 1.0 / na)
-    b = sub(v, s)
-    nb = norm(b)
-    if nb < COINCIDENT_TOL:
-        raise DegenerateRay("second ray endpoint coincides with apex")
-    w = tuple(bi - dot(b, e1) * e1i for bi, e1i in zip(b, e1))
-    nw = norm(w)
-    if nw < COINCIDENT_TOL * nb:
-        # Collinear rays: the span is a single line.
-        if dot(b, e1) < 0.0:
-            raise DegenerateRay("rays are antiparallel")
-        if not -1e-9 <= theta <= 1e-9:
-            raise AngleOutOfRange(f"theta={theta} outside degenerate cone")
-        return add(s, scale(e1, r))
-    span = angle_at_apex(s, u, v)
-    if not -1e-9 <= theta <= span + 1e-9:
-        raise AngleOutOfRange(f"theta={theta} outside [0, {span}]")
-    e2 = scale(w, 1.0 / nw)
-    c = r * math.cos(theta)
-    d = r * math.sin(theta)
-    return tuple(si + c * e1i + d * e2i for si, e1i, e2i in zip(s, e1, e2))
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,15 @@
-"""Shortest-path and MST oracles plus root-stretch / lightness measurement."""
+"""Shortest-path and MST oracles, root-stretch measurement and the build report."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from heapq import heappop, heappush
 
 import numpy as np
 
 from .errors import Disconnected, Unreachable
 from .geometry import Point, dist
-from .mst_path import PointCloud, Tree, euclidean_mst
+from .mst_path import Tree
 
 
 def dijkstra(n: int, adj: list[list[tuple[int, float]]], source: int):
@@ -134,43 +134,24 @@ def root_stretch(
     return out
 
 
-def lightness(tree_weight: float, input_points: tuple[Point, ...], root: int = 0) -> float:
-    """Tree weight over the MST weight of the input points alone."""
-    if len(input_points) < 2:
-        raise ValueError("need at least two input points")
-    mst = euclidean_mst(PointCloud(input_points, root))
-    return tree_weight / mst.weight
-
-
 @dataclass
 class SltReport:
-    """Measured quantities for one constructed tree."""
+    """Measured quantities for one tree: the values every method reports.
+
+    Method-specific values (folding's gamma, phase-1 weight and surface
+    angles; the per-level apex angles of core2d and pyramid; counters)
+    live in ``flags``.
+    """
 
     n: int
     d: int
     eps: float
-    gamma: float
     mst_weight: float
     tree_weight: float
     lightness: float
     per_point_stretch: list[float]
     max_stretch: float
-    surface_angles: list[float]
-    phase1_weight: float
     flags: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "eps": self.eps,
-            "gamma": self.gamma,
-            "mst_weight": self.mst_weight,
-            "tree_weight": self.tree_weight,
-            "lightness": self.lightness,
-            "per_point_stretch": list(self.per_point_stretch),
-            "max_stretch": self.max_stretch,
-            "surface_angles": list(self.surface_angles),
-            "phase1_weight": self.phase1_weight,
-            "flags": dict(self.flags),
-        }
+        return asdict(self)

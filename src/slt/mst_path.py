@@ -38,7 +38,7 @@ class PointCloud:
             raise ValueError("coordinates must be finite")
         if not 0 <= self.root < len(self.points):
             raise ValueError(f"root index {self.root} out of range")
-        dup = _duplicate_pairs(arr)
+        dup = _duplicate_pairs(arr, self.root)
         if dup:
             raise DuplicatePoints(dup)
 
@@ -51,21 +51,38 @@ class PointCloud:
         return len(self.points[0])
 
 
-def _duplicate_pairs(points, tol=COINCIDENT_TOL):
-    """Index pairs of points that coincide within tol in every coordinate.
+def _moved_near_origin(arr: np.ndarray, root: int) -> np.ndarray:
+    """The points moved by the root, rounded to a power of two >= 2 x extent.
 
-    Squared-distance prefilter via one Gram matrix, exact max-coordinate
-    check only on the few candidate pairs.
+    A cloud far from the origin then lies near it, so the Gram form
+    |x|^2+|y|^2-2x.y does not cancel.  A cloud whose root is within the
+    cloud's extent of the origin is not moved and keeps its exact ties.
+    """
+    _, exp = np.frexp(np.ptp(arr, axis=0).max())
+    unit = np.ldexp(1.0, exp + 1)
+    return arr - np.round(arr[root] / unit) * unit
+
+
+def _duplicate_pairs(points, root):
+    """Index pairs of points that coincide within COINCIDENT_TOL in every coordinate.
+
+    Squared-distance prefilter via one Gram matrix of the points moved
+    near the origin, exact max-coordinate check only on the candidates.
     """
     arr = np.asarray(points, dtype=float)
     n, d = arr.shape
+    tol = COINCIDENT_TOL
     pairs = []
     chunk = max(1, int(4e6 // max(n, 1)))
-    sq = np.einsum("ij,ij->i", arr, arr)
+    shifted = _moved_near_origin(arr, root)
+    sq = np.einsum("ij,ij->i", shifted, shifted)
+    # Shrunk by the Gram form's rounding bound, (2d+4) ulp of |x|^2+|y|^2,
+    # so no pair within tol can fall outside the prefilter.
+    sq *= 1.0 - (2 * d + 4) * np.finfo(float).eps
     thresh = d * tol * tol
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
-        gram2 = arr[lo:hi] @ arr.T
+        gram2 = shifted[lo:hi] @ shifted.T
         gram2 *= 2.0
         d2 = sq[lo:hi, None] + sq[None, :]
         d2 -= gram2
@@ -90,13 +107,6 @@ class Tree:
     def weight(self) -> float:
         # fsum over sorted weights: equal edge multisets sum to equal floats.
         return math.fsum(sorted(w for _, _, w in self.edges))
-
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v, _ in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
 
 
 @dataclass(frozen=True)
@@ -125,8 +135,9 @@ def euclidean_mst(pts: PointCloud) -> Tree:
     root = pts.root
     dist_rows = None
     if n <= 1024:  # full distance matrix: one matmul, cheap row lookups
-        sq = np.einsum("ij,ij->i", coords, coords)
-        gram2 = coords @ coords.T
+        shifted = _moved_near_origin(coords, root)
+        sq = np.einsum("ij,ij->i", shifted, shifted)
+        gram2 = shifted @ shifted.T
         gram2 *= 2.0
         dist_rows = sq[:, None] + sq[None, :]
         dist_rows -= gram2

@@ -6,6 +6,10 @@ a recursive triangle tree feeding them, and connector edges back to the
 path.  All planar pieces are lifted onto the surface, the union over all
 surfaces forms one graph, and the final tree is the union of shortest
 paths from the root to the input points.
+
+``assemble_core2d`` runs the recursive triangle core alone on a 2-d instance
+and returns the same (graph, tree, report) triple as ``assemble_slt``.  It
+lives here, not in ``core2d``, because it needs ``SteinerGraph``.
 """
 from __future__ import annotations
 
@@ -13,8 +17,8 @@ import math
 from dataclasses import dataclass, field
 
 from .breakpoints import select_breakpoints, subdivide
-from .core2d import CoreGraph, CoreInstance, build_core, core_spt
-from .errors import EmptySurface, EpsOutOfRange, Unreachable
+from .core2d import CoreGraph, CoreInstance, build_core, core_metrics, core_spt
+from .errors import EmptySurface, EpsOutOfRange, SltError, Unreachable
 from .geometry import PlanePoint, Point, Polyline, dist
 from .metrics import SltReport, dijkstra
 from .mst_path import PointCloud, Tree, dfs_hamiltonian, euclidean_mst
@@ -73,10 +77,6 @@ class SteinerGraph:
             adj[v].append((u, w))
         return adj
 
-    @property
-    def weight(self) -> float:
-        return math.fsum(sorted(w for _, _, w in self.edges))
-
 
 @dataclass(frozen=True)
 class SecondaryBp:
@@ -113,11 +113,6 @@ def _nearest_steiner(steiner: list[PlanePoint], q: PlanePoint) -> int:
     return min(range(len(steiner)), key=lambda i: (dist(steiner[i], q), i))
 
 
-def _line_hit(radius_dir: float, c: float, phi: float) -> float:
-    """Radius where the ray at angle ``radius_dir`` meets the cross line."""
-    return c / math.cos(radius_dir - phi)
-
-
 def build_gadget(
     surf: FoldedSurface, input_locals: list[int], eps_int: float, lam: float = 1.25
 ) -> SurfaceGadget:
@@ -138,29 +133,6 @@ def build_gadget(
     subpath = Polyline(surf.verts)
     total_len = subpath.total_length
     theta_count = math.ceil(math.sqrt(1.0 / eps_int))
-
-    # Secondary break points at arc q*W/theta for q = 1..theta.
-    secondary: list[SecondaryBp] = []
-    vtol = 1e-12 * max(total_len, 1.0)
-    for q in range(1, theta_count + 1):
-        arc = q * total_len / theta_count
-        pos = subpath.locate(arc)
-        j, t = pos.segment_index, pos.t
-        seg_len = subpath.cum_len[j + 1] - subpath.cum_len[j]
-        at_vertex = -1
-        frac = t / seg_len if seg_len > 0 else 0.0
-        if t <= vtol:
-            at_vertex, frac = j, 0.0
-        elif t >= seg_len - vtol:
-            at_vertex, frac = j + 1, 1.0
-        if at_vertex >= 0:
-            point = surf.verts[at_vertex]
-            plane = imgs[at_vertex]
-        else:
-            point = subpath.point_at(pos)
-            a, b = imgs[j], imgs[j + 1]
-            plane = (a[0] + frac * (b[0] - a[0]), a[1] + frac * (b[1] - a[1]))
-        secondary.append(SecondaryBp(arc, j, frac, point, plane, at_vertex, -1))
 
     r_local = min(input_locals, key=lambda j: (surf.vertex_radius(j), j))
     r_img = imgs[r_local]
@@ -183,28 +155,39 @@ def build_gadget(
             )
             for q in range(theta_count)
         ] if theta_count > 1 else [ell_a]
-        phi_c = (phi, c)
 
     def project(q: PlanePoint) -> PlanePoint:
         # Intersection of line(root, q) with the cross line.
         if total_angle < 1e-9:
             return (r_rad, 0.0)
         ang = math.atan2(q[1], q[0])
-        rr = _line_hit(ang, phi_c[1], phi_c[0])
+        rr = c / math.cos(ang - phi)  # where the ray meets the line
         return (rr * math.cos(ang), rr * math.sin(ang))
 
-    secondary = [
-        SecondaryBp(
-            sb.arc,
-            sb.edge,
-            sb.frac,
-            sb.point,
-            sb.plane,
-            sb.at_vertex,
-            _nearest_steiner(steiner, project(sb.plane)),
-        )
-        for sb in secondary
-    ]
+    # Secondary break points at arc q*W/theta for q = 1..theta.
+    secondary: list[SecondaryBp] = []
+    vtol = 1e-12 * max(total_len, 1.0)
+    for q in range(1, theta_count + 1):
+        arc = q * total_len / theta_count
+        pos = subpath.locate(arc)
+        j, t = pos.segment_index, pos.t
+        seg_len = subpath.cum_len[j + 1] - subpath.cum_len[j]
+        at_vertex = -1
+        frac = t / seg_len if seg_len > 0 else 0.0
+        if t <= vtol:
+            at_vertex, frac = j, 0.0
+        elif t >= seg_len - vtol:
+            at_vertex, frac = j + 1, 1.0
+        if at_vertex >= 0:
+            point = surf.verts[at_vertex]
+            plane = imgs[at_vertex]
+        else:
+            point = subpath.point_at(pos)
+            a, b = imgs[j], imgs[j + 1]
+            plane = (a[0] + frac * (b[0] - a[0]), a[1] + frac * (b[1] - a[1]))
+        steiner_idx = _nearest_steiner(steiner, project(plane))
+        secondary.append(SecondaryBp(arc, j, frac, point, plane, at_vertex, steiner_idx))
+
     assignments = {
         j: (project(imgs[j]), _nearest_steiner(steiner, project(imgs[j])))
         for j in input_locals
@@ -304,15 +287,15 @@ def assemble_slt(
         n=pts.n,
         d=pts.dim,
         eps=eps,
-        gamma=gamma,
         mst_weight=mst.weight,
         tree_weight=tree.weight,
         lightness=tree.weight / mst.weight,
         per_point_stretch=per_point,
         max_stretch=max(per_point),
-        surface_angles=[f.total_angle for f in surfaces],
-        phase1_weight=phase1,
         flags={
+            "gamma": gamma,
+            "phase1_weight": phase1,
+            "surface_angles": [f.total_angle for f in surfaces],
             "truncated_surfaces": sum(1 for f in surfaces if f.truncated),
             "surfaces": len(surfaces),
             "graph_vertices": G.n,
@@ -373,9 +356,7 @@ def _realize(
         plane_ids[q] = vid
         return vid
 
-    def add_planar_edge(q1: PlanePoint, q2: PlanePoint, kind1: str, kind2: str) -> None:
-        u = register(q1, kind1)
-        v = register(q2, kind2)
+    def add_lifted_edge(u: int, v: int, q1: PlanePoint, q2: PlanePoint) -> None:
         if u == v:
             return
         if chord_shortcut:
@@ -388,6 +369,9 @@ def _realize(
         chain.append(v)
         for x, y in zip(chain, chain[1:]):
             G.add_edge(x, y)
+
+    def add_planar_edge(q1: PlanePoint, q2: PlanePoint, kind1: str, kind2: str) -> None:
+        add_lifted_edge(register(q1, kind1), register(q2, kind2), q1, q2)
 
     steiner = gadget.ell_steiner
     if gadget.core is None:
@@ -415,19 +399,7 @@ def _realize(
 
     for sb, vid in zip(gadget.secondary, sec_ids):
         b_prime = steiner[sb.steiner]
-        u = register(b_prime, "ell_steiner")
-        if u == vid:
-            continue
-        if chord_shortcut:
-            G.add_edge(u, vid)
-            continue
-        poly = lift_segment(surf, b_prime, sb.plane)
-        chain = [u]
-        for p in poly.vertices[1:-1]:
-            chain.append(G.add_vertex(p, "bend"))
-        chain.append(vid)
-        for x, y in zip(chain, chain[1:]):
-            G.add_edge(x, y)
+        add_lifted_edge(register(b_prime, "ell_steiner"), vid, b_prime, sb.plane)
 
 
 def _prune(G: SteinerGraph, parent: list[int], targets: list[int], root_id: int):
@@ -456,3 +428,49 @@ def _prune(G: SteinerGraph, parent: list[int], targets: list[int], root_id: int)
         sub.add_edge(u, v)
     tree = Tree(len(used), tuple(edges), old_to_new[root_id])
     return sub, tree, old_to_new
+
+
+_CORE_KINDS = {"root": "input", "apex": "core_apex", "grid": "grid", "input": "input"}
+
+
+def assemble_core2d(pts: PointCloud, eps: float, lam: float = 1.25):
+    """Recursive triangle core over a 2-d instance: returns (graph, tree, report).
+
+    The root is the apex; the other points lie on the base, whose ends are
+    the points with the smallest and largest x.  The report's weights are
+    measured in the core's canonical frame (unit legs).
+    """
+    if pts.dim != 2:
+        raise SltError("core2d method needs 2-dimensional input")
+    base = [p for i, p in enumerate(pts.points) if i != pts.root]
+    lo = min(base, key=lambda p: p[0])
+    hi = max(base, key=lambda p: p[0])
+    g = build_core(CoreInstance(pts.points[pts.root], lo, hi, tuple(base), eps, lam))
+    core_tree, dists = core_spt(g)
+    rep = core_metrics(g, core_tree, dists)
+    graph = SteinerGraph()
+    for i in range(g.n):
+        graph.add_vertex(g.plane_coords(i), _CORE_KINDS[g.kinds[i]])
+    for u, v, _ in core_tree.edges:
+        graph.add_edge(u, v)
+    tree = Tree(
+        graph.n,
+        tuple((u, v, dist(graph.coords[u], graph.coords[v])) for u, v, _ in core_tree.edges),
+        core_tree.root,
+    )
+    report = SltReport(
+        n=pts.n,
+        d=2,
+        eps=eps,
+        mst_weight=rep.mst_weight,
+        tree_weight=rep.tree_weight,
+        lightness=rep.lightness,
+        per_point_stretch=rep.per_point_stretch,
+        max_stretch=rep.max_stretch,
+        flags={
+            "levels": g.k,
+            "chain_total": rep.chain_total,
+            "level_angles": [g.alpha * g.lam**i for i in range(g.k + 1)],
+        },
+    )
+    return graph, tree, report

@@ -19,7 +19,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as sparse_dijkstra
 
 from .core2d import levels_for_eps
-from .errors import AngleOverflow, DimensionTooSmall, EpsOutOfRange
+from .errors import AngleOverflow, DimensionTooSmall, EpsOutOfRange, SltError
 from .geometry import Point, dist
 from .metrics import SltReport
 from .mst_path import PointCloud, Tree, euclidean_mst
@@ -52,42 +52,6 @@ class GridSpec:
         return self.n >= self.regime_min(d, eps)
 
 
-@dataclass(frozen=True)
-class Pyramid:
-    """Right pyramid: apex above the center of a (d-1)-cube base."""
-
-    base_center: Point
-    half_side: float
-    apex: Point
-    apex_angle: float
-    axis: int = 0
-
-    def corners(self):
-        d = len(self.base_center)
-        others = [i for i in range(d) if i != self.axis]
-        for signs in itertools.product((-1.0, 1.0), repeat=len(others)):
-            c = list(self.base_center)
-            for i, sg in zip(others, signs):
-                c[i] += sg * self.half_side
-            yield tuple(c)
-
-    def check(self, tol: float = 1e-9) -> bool:
-        """Apex above the center, equidistant corners, matching apex angle."""
-        corners = list(self.corners())
-        dists = [dist(self.apex, c) for c in corners]
-        if max(dists) - min(dists) > tol * max(dists):
-            return False
-        proj = tuple(
-            self.apex[i] if i != self.axis else self.base_center[i]
-            for i in range(len(self.apex))
-        )
-        if dist(proj, self.base_center) > tol:
-            return False
-        r = self.half_side * math.sqrt(len(self.base_center) - 1)
-        h = abs(self.apex[self.axis] - self.base_center[self.axis])
-        return abs(2.0 * math.atan2(r, h) - self.apex_angle) <= tol
-
-
 def grid_points(d: int, eps: float, grid: GridSpec) -> tuple[Point, ...]:
     """Cell-center grid inside the base cube, lexicographic order."""
     alpha = math.sqrt(eps)
@@ -100,6 +64,34 @@ def grid_points(d: int, eps: float, grid: GridSpec) -> tuple[Point, ...]:
         coords = (0.0,) + tuple(-side / 2.0 + (i + 0.5) * side / m for i in idx)
         pts.append(coords)
     return tuple(pts)
+
+
+def pyramid_points(d: int, n: int, eps: float) -> tuple[Point, ...]:
+    """Input of the pyramid build: the apex, then the n base grid points.
+
+    The apex sits at unit distance from the base corners, above the base
+    centre; ``slt gen grid`` writes this layout and ``assemble_pyramid``
+    accepts only it.
+    """
+    apex = (math.cos(math.sqrt(eps) / 2.0),) + (0.0,) * (d - 1)
+    return (apex,) + grid_points(d, eps, GridSpec.for_points(n, d))
+
+
+def assemble_pyramid(pts: PointCloud, eps: float, lam: float = 1.25):
+    """Pyramid build over a point set: returns (graph, tree, report).
+
+    The points must be ``pyramid_points(d, n - 1, eps)`` with the apex as
+    root, each within 1e-9 (relative) of its place; the build itself
+    regenerates the grid.
+    """
+    d, n = pts.dim, pts.n - 1
+    expected = pyramid_points(d, n, eps)
+    if pts.root != 0 or len(expected) != pts.n:
+        raise SltError("input is not a pyramid grid instance")
+    scale = max(dist(expected[0], expected[1]), 1.0)
+    if any(dist(p, q) > 1e-9 * scale for p, q in zip(expected, pts.points)):
+        raise SltError("input does not match the pyramid grid layout for this eps")
+    return build_pyramid_core(d, eps, GridSpec.for_points(n, d), lam)
 
 
 def pyramid_mst_lower_bound(grid: GridSpec, d: int, eps: float) -> float:
@@ -277,28 +269,18 @@ def yao_spanner(points: np.ndarray) -> list[tuple[int, int, float]]:
     return out
 
 
-def base_spanner(
-    points: list[Point], axis: int, method: str = "auto"
-) -> tuple[list[tuple[int, int, float]], str]:
-    """5/4-spanner over base points; greedy when small, cones at scale."""
-    if method == "auto":
-        method = "greedy" if len(points) <= _GREEDY_LIMIT else "yao"
-    if method == "greedy":
+def base_spanner(points: list[Point]) -> tuple[list[tuple[int, int, float]], str]:
+    """5/4-spanner over base points; greedy when small, cones at scale.
+
+    The points lie in the base hyperplane x_0 = 0; the cone spanner works
+    on their remaining coordinates.  Returns the edges and the method name.
+    """
+    if len(points) <= _GREEDY_LIMIT:
         return greedy_spanner(points, SPANNER_T), "greedy"
-    if method == "yao":
-        arr = np.asarray(points, dtype=float)
-        arr = np.delete(arr, axis, axis=1)
-        return yao_spanner(arr), "yao"
-    raise ValueError(f"unknown spanner method {method!r}")
+    return yao_spanner(np.delete(np.asarray(points, dtype=float), 0, axis=1)), "yao"
 
 
-def build_pyramid_core(
-    d: int,
-    eps: float,
-    grid: GridSpec,
-    lam: float = 1.25,
-    spanner: str = "auto",
-):
+def build_pyramid_core(d: int, eps: float, grid: GridSpec, lam: float = 1.25):
     """Assemble the pyramid graph and its shortest-path tree.
 
     Returns (graph, tree, report).  The tree is the full SPT from the
@@ -387,7 +369,7 @@ def build_pyramid_core(
         G.coords[i] for c, i in corner_ids.items() if i > len(inputs)
     ]
     base_ids = input_ids + [i for c, i in corner_ids.items() if i > len(inputs)]
-    span_edges, span_method = base_spanner(base_points, 0, spanner)
+    span_edges, span_method = base_spanner(base_points)
     for u, v, _ in span_edges:
         G.add_edge(base_ids[u], base_ids[v])
 
@@ -405,16 +387,14 @@ def build_pyramid_core(
         n=grid.n + 1,
         d=d,
         eps=eps,
-        gamma=1.0,
         mst_weight=mst.weight,
         tree_weight=tree.weight,
         lightness=tree.weight / mst.weight,
         per_point_stretch=per_point,
         max_stretch=max(per_point),
-        surface_angles=[alpha * lam**i for i in range(k + 1)],
-        phase1_weight=0.0,
         flags={
             "levels": k,
+            "level_angles": [alpha * lam**i for i in range(k + 1)],
             "spanner": span_method,
             "spanner_edges": len(span_edges),
             "level_edge_totals": level_edge_totals,

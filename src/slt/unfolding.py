@@ -219,13 +219,6 @@ def unfold_vertex(surf: FoldedSurface, j: int) -> PlanePoint:
     return (r * math.cos(theta), r * math.sin(theta))
 
 
-def unfold_on_edge(surf: FoldedSurface, j: int, frac: float) -> PlanePoint:
-    """Planar image of the point at fraction ``frac`` along path edge j."""
-    a = unfold_vertex(surf, j)
-    b = unfold_vertex(surf, j + 1)
-    return (a[0] + frac * (b[0] - a[0]), a[1] + frac * (b[1] - a[1]))
-
-
 def lift(surf: FoldedSurface, q: PlanePoint) -> Point:
     """Map a planar point back onto the surface in R^d."""
     x, y = q

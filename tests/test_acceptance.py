@@ -188,9 +188,9 @@ def test_criterion_6_phase1_weight():
         for eps in (0.16, 0.04, 0.01):
             pc = PointCloud(circle_points(eps))
             _, _, rep = assemble_slt(pc, eps)
-            eps_int = eps / rep.gamma
+            eps_int = eps / rep.flags["gamma"]
             bound = (1.0 + 1.0 / math.sqrt(eps_int)) * 2.0 * rep.mst_weight
-            assert rep.phase1_weight <= bound * (1 + 1e-12)
+            assert rep.flags["phase1_weight"] <= bound * (1 + 1e-12)
 
 
 def test_criterion_6_lightness_slope():

@@ -1,7 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
+
+import slt
 
 from slt.cli import (
     canonical_dumps,
@@ -115,6 +120,49 @@ def test_verify_bad_tree_exit_one(tmp_path, capsys):
     tree_file.write_text(canonical_dumps(tree))
     assert run(["verify", "--input", pts_file, "--tree", tree_file, "--eps", 0.04]) == 1
     capsys.readouterr()
+
+
+SQUARE = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "ids,edges,root,fault",
+    [
+        ([0, 1, 2, 3], [[0, 1], [0, 2], [0, 7]], 0, "outside"),
+        ([0, 1, 2, 3], [[0, 1], [0, 2], [3, 3]], 0, "self-loop"),
+        ([0, 1, 2, 3], [[0, 1], [0, 2], [1, 0]], 0, "duplicate"),
+        ([0, 1, 2, 3], [[0, 1], [0, 2], [0, 3], [1, 3]], 0, "edges on 4 vertices"),
+        ([0, 1, 2, 3], [[0, 1], [1, 2], [2, 0]], 0, "do not span"),
+        ([0, 1, 2, 3], [[0, 1], [0, 2], [0, 3]], 4, "root"),
+        ([0, 1, 2, 5], [[0, 1], [0, 2], [0, 3]], 0, "vertex ids"),
+    ],
+    ids=["out-of-range", "self-loop", "duplicate", "edge-count", "cycle", "root", "ids"],
+)
+def test_verify_rejects_non_tree_exit_two(tmp_path, capsys, ids, edges, root, fault):
+    pts_file, tree_file = tmp_path / "pts.json", tmp_path / "tree.json"
+    write_points(pts_file, SQUARE, 0)
+    tree = {
+        "vertices": [{"id": i, "coords": list(p), "kind": "input"} for i, p in zip(ids, SQUARE)],
+        "edges": edges,
+        "root": root,
+    }
+    tree_file.write_text(canonical_dumps(tree))
+    assert run(["verify", "--input", pts_file, "--tree", tree_file, "--eps", 0.04]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert fault in captured.err
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(slt.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = tmp_path / "pts.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "slt", "gen", "circle", "--eps", "0.04", "--output", str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(out.read_text())["points"]) == 5
 
 
 def test_build_deterministic_bytes(tmp_path, capsys):

@@ -4,14 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slt.breakpoints import SubdividedPath
 from slt.errors import AngleOutOfRange, DegenerateRay, DimensionMismatch
 from slt.geometry import (
     Polyline,
     angle_at_apex,
     dist,
     point_at_arc,
-    rotate_in_span,
 )
+from slt.unfolding import FoldedSurface, build_surfaces, lift
 
 coord = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False)
 
@@ -68,8 +69,19 @@ def test_angle_tiny_is_accurate():
     assert got == pytest.approx(t, rel=1e-6)
 
 
+def in_span(s, u, v, theta, r):
+    """Point at polar (r, theta) in the 2-plane of the rays s->u and s->v.
+
+    theta is measured from s->u toward v.  The construction maps such
+    points with ``lift`` on a surface of one cone, as here.
+    """
+    ang = angle_at_apex(s, u, v)
+    surf = FoldedSurface(1, s, (u, v), (ang,), (0.0, ang), False)
+    return lift(surf, (r * math.cos(theta), r * math.sin(theta)))
+
+
 def test_rotate_zero_angle():
-    assert rotate_in_span((0.0,) * 3, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), 0.0, 2.0) == (
+    assert in_span((0.0,) * 3, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), 0.0, 2.0) == (
         2.0,
         0.0,
         0.0,
@@ -77,25 +89,27 @@ def test_rotate_zero_angle():
 
 
 def test_rotate_to_second_ray():
-    got = rotate_in_span((0.0,) * 3, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), math.pi / 2, 1.0)
+    got = in_span((0.0,) * 3, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), math.pi / 2, 1.0)
     assert dist(got, (0.0, 1.0, 0.0)) < 1e-15
 
 
 def test_rotate_pi_over_8():
     # expected value from an independent Gram-Schmidt of span{(1,0,0),(1,1,0)}
-    got = rotate_in_span((0.0,) * 3, (1.0, 0.0, 0.0), (1.0, 1.0, 0.0), math.pi / 8, 1.0)
+    got = in_span((0.0,) * 3, (1.0, 0.0, 0.0), (1.0, 1.0, 0.0), math.pi / 8, 1.0)
     want = (math.cos(math.pi / 8), math.sin(math.pi / 8), 0.0)
     assert dist(got, want) < 1e-15
 
 
 def test_rotate_angle_out_of_range():
     with pytest.raises(AngleOutOfRange):
-        rotate_in_span((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), 2.0, 1.0)
+        in_span((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), 2.0, 1.0)
 
 
 def test_rotate_antiparallel_rejected():
+    # A path edge from (1, 0) to (-1, 0) spans antiparallel rays at the root.
+    path = Polyline(((0.0, 0.0), (1.0, 0.0), (-1.0, 0.0)))
     with pytest.raises(DegenerateRay):
-        rotate_in_span((0.0, 0.0), (1.0, 0.0), (-1.0, 0.0), 0.0, 1.0)
+        build_surfaces(SubdividedPath(path, (0, 2), (0, 1, 2), False), (0.0, 0.0))
 
 
 def test_point_at_arc_straight():
@@ -136,7 +150,7 @@ def test_rotate_full_angle_reaches_second_ray(points):
     ang = angle_at_apex(s, u, v)
     if ang < 1e-9 or ang > math.pi - 1e-6:
         return
-    got = rotate_in_span(s, u, v, ang, dist(s, v))
+    got = in_span(s, u, v, ang, dist(s, v))
     assert dist(got, v) <= 1e-9 * max(1.0, dist(s, v))
 
 
@@ -160,5 +174,5 @@ def test_rotate_radius_preserved():
     u = (3.0, 0.0, 1.0, 3.5)
     v = (2.0, 1.0, 0.0, 2.0)
     for theta in (0.0, 0.3, 0.7):
-        got = rotate_in_span(s, u, v, theta, 2.5)
+        got = in_span(s, u, v, theta, 2.5)
         assert dist(got, s) == pytest.approx(2.5, rel=1e-12)

@@ -1,14 +1,15 @@
+import json
 import math
 import random
 
 import numpy as np
 import pytest
 
+from slt.cli import canonical_dumps, run_cli, write_points
 from slt.errors import Disconnected
 from slt.metrics import (
     floyd_warshall,
     kruskal_mst,
-    lightness,
     oracle_spt,
     root_stretch,
 )
@@ -64,11 +65,21 @@ def test_root_stretch_star_is_one():
     assert root_stretch(tree, coords, 0, list(range(10))) == [1.0] * 10
 
 
-def test_lightness_of_mst_is_one():
+def test_lightness_of_mst_is_one(tmp_path, capsys):
+    # slt verify measures lightness as tree weight over MST weight.
     rng = random.Random(11)
     pts = tuple((rng.random(), rng.random(), rng.random()) for _ in range(20))
     mst = euclidean_mst(PointCloud(pts))
-    assert lightness(mst.weight, pts) == 1.0
+    write_points(tmp_path / "pts.json", pts, 0)
+    tree = {
+        "vertices": [{"id": i, "coords": list(p), "kind": "input"} for i, p in enumerate(pts)],
+        "edges": [[u, v] for u, v, _ in mst.edges],
+        "root": 0,
+    }
+    (tmp_path / "tree.json").write_text(canonical_dumps(tree))
+    run_cli(["verify", "--input", str(tmp_path / "pts.json"),
+             "--tree", str(tmp_path / "tree.json"), "--eps", "0.04"])
+    assert json.loads(capsys.readouterr().out)["lightness"] == 1.0
 
 
 def test_kruskal_small():

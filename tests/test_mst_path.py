@@ -15,6 +15,35 @@ def random_cloud(n, d, seed):
     return PointCloud(tuple(tuple(rng.random() for _ in range(d)) for _ in range(n)))
 
 
+def shifted_cloud(seed, offset=0.0, scale=1.0, n=60, d=3):
+    rng = random.Random(seed)
+    return [tuple(offset + scale * rng.random() for _ in range(d)) for _ in range(n)]
+
+
+def edge_set(tree):
+    return {(min(u, v), max(u, v)) for u, v, _ in tree.edges}
+
+
+@pytest.mark.parametrize("offset", [1e8, 1e9])
+def test_prim_matches_kruskal_far_from_origin(offset):
+    # The Gram form |x|^2+|y|^2-2x.y cancels unless centred on the cloud.
+    for seed in range(10):
+        pts = tuple(shifted_cloud(seed, offset))
+        prim, kruskal = euclidean_mst(PointCloud(pts)), kruskal_mst(pts)
+        assert edge_set(prim) == edge_set(kruskal)
+        assert prim.weight == kruskal.weight
+
+
+@pytest.mark.parametrize("offset,scale", [(1e9, 1.0), (0.0, 1e6)])
+def test_exact_duplicates_found_at_any_scale(offset, scale):
+    # The duplicate prefilter must allow for the Gram form's rounding.
+    for seed in range(50):
+        pts = shifted_cloud(seed, offset, scale)
+        pts.append(pts[seed])
+        with pytest.raises(DuplicatePoints):
+            PointCloud(tuple(pts))
+
+
 def test_two_points():
     t = euclidean_mst(PointCloud(((0.0, 0.0), (3.0, 4.0))))
     assert len(t.edges) == 1

@@ -232,7 +232,7 @@ def test_phase1_weight_bound():
         _, _, rep = assemble_slt(pc, 0.09)
         eps_int = 0.09 / 8.0
         bound = (1 + 1 / math.sqrt(eps_int)) * 2 * rep.mst_weight
-        assert rep.phase1_weight <= bound * (1 + 1e-12)
+        assert rep.flags["phase1_weight"] <= bound * (1 + 1e-12)
 
 
 def test_spt_distances_match_all_pairs_oracle():

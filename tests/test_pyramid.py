@@ -10,7 +10,6 @@ from slt.geometry import dist
 from slt.metrics import oracle_spt
 from slt.pyramid import (
     GridSpec,
-    Pyramid,
     _cone_axes,
     build_pyramid_core,
     greedy_spanner,
@@ -79,14 +78,22 @@ def test_cone_covering_radius_verified():
 
 
 def test_pyramid_type_invariants():
-    alpha = math.sqrt(0.04)
-    r = math.sin(alpha / 2) * 1.0
-    d = 4
-    half_side = r / math.sqrt(d - 1)
-    apex = (math.cos(alpha / 2), 0.0, 0.0, 0.0)
-    p = Pyramid((0.0,) * d, half_side, apex, alpha)
-    assert p.check()
-    assert len(list(p.corners())) == 2 ** (d - 1)
+    # The top pyramid: apex above the base centre, at unit distance from
+    # the 2^(d-1) base corners, with apex angle sqrt(eps) over a diagonal.
+    d, eps = 4, 0.25
+    G, tree, _ = build_pyramid_core(d, eps, GridSpec.for_points(8, d))
+    apex = G.coords[tree.root]
+    half_side = math.sin(math.sqrt(eps) / 2) / math.sqrt(d - 1)
+    corners = [
+        c for c in G.coords
+        if c[0] == 0.0 and all(abs(abs(x) - half_side) < 1e-15 for x in c[1:])
+    ]
+    assert len(corners) == 2 ** (d - 1)
+    assert apex[1:] == (0.0,) * (d - 1)
+    for c in corners:
+        assert dist(apex, c) == pytest.approx(1.0, rel=1e-12)
+    r = half_side * math.sqrt(d - 1)
+    assert 2.0 * math.atan2(r, apex[0]) == pytest.approx(math.sqrt(eps), rel=1e-12)
 
 
 def test_grid_spec_regime():
