@@ -15,6 +15,7 @@ from .errors import (
     DuplicatePoints,
     EmptySurface,
     EpsOutOfRange,
+    MalformedFile,
     MalformedTree,
     SltError,
     Unreachable,

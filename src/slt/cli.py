@@ -14,7 +14,7 @@ import sys
 
 from .breakpoints import select_breakpoints, subdivide
 from .core2d import core2d_points
-from .errors import MalformedTree, SltError
+from .errors import MalformedFile, MalformedTree, SltError
 from .metrics import SltReport, root_stretch
 from .mst_path import PointCloud, Tree, dfs_hamiltonian, euclidean_mst
 from .pipeline import SteinerGraph, assemble_core2d, assemble_slt, build_gadget
@@ -40,7 +40,7 @@ def parse_points(path) -> PointCloud:
     with open(path) as fh:
         data = json.load(fh)
     dim = data["dim"]
-    pts = tuple(tuple(map(float, p)) for p in data["points"])
+    pts = tuple(_float_rows(data["points"], "points file: point"))
     if any(len(p) != dim for p in pts):
         raise SltError("point with wrong dimension")
     return PointCloud(pts, int(data["root"]))
@@ -63,7 +63,8 @@ def parse_tree(path):
     """Coordinates, kinds, edges and root of a tree file that is a tree.
 
     Raises MalformedTree unless the vertex ids are 0..V-1 and the edges
-    form a spanning tree of the vertices.
+    form a spanning tree of the vertices, MalformedFile on a coordinate
+    that is not a number.
     """
     with open(path) as fh:
         data = json.load(fh)
@@ -71,12 +72,23 @@ def parse_tree(path):
     n = len(verts)
     if [v["id"] for v in verts] != list(range(n)):
         raise MalformedTree(f"vertex ids are not 0..{n - 1}")
-    coords = [tuple(map(float, v["coords"])) for v in verts]
+    coords = _float_rows((v["coords"] for v in verts), "tree file: vertex")
     kinds = [v["kind"] for v in verts]
     edges = [(int(u), int(v)) for u, v in data["edges"]]
     root = int(data["root"])
     _check_spanning_tree(n, edges, root)
     return coords, kinds, edges, root
+
+
+def _float_rows(rows, what: str) -> list[tuple[float, ...]]:
+    """Each row as a tuple of floats; MalformedFile names the first bad row."""
+    out = []
+    for i, row in enumerate(rows):
+        try:
+            out.append(tuple(map(float, row)))
+        except (TypeError, ValueError):
+            raise MalformedFile(f"{what} {i} is not a list of numbers: {row!r}") from None
+    return out
 
 
 def _check_spanning_tree(n: int, edges, root: int) -> None:
@@ -403,8 +415,8 @@ def run_cli(argv=None) -> int:
     except (OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
-    except MalformedTree as exc:
-        print(f"malformed tree file: {exc}", file=sys.stderr)
+    except MalformedFile as exc:
+        print(f"malformed file: {exc}", file=sys.stderr)
         return 2
     except (SltError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .errors import AngleOverflow, Disconnected, EpsOutOfRange
 from .geometry import PlanePoint, angle_at_apex, dist
-from .metrics import dijkstra
+from .metrics import adjacency, dijkstra
 from .mst_path import PointCloud, Tree, euclidean_mst
 
 _ISO_TOL = 1e-9
@@ -265,11 +265,7 @@ def build_core(inst: CoreInstance) -> CoreGraph:
 def core_spt(g: CoreGraph):
     """Shortest-path tree of the core graph from the apex."""
     root = g.root
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(g.n)]
-    for u, v, w in g.edges:
-        adj[u].append((v, w))
-        adj[v].append((u, w))
-    dists, parent = dijkstra(g.n, adj, root)
+    dists, parent = dijkstra(g.n, adjacency(g.n, g.edges), root)
     if any(math.isinf(d) for d in dists):
         raise Disconnected("core graph is not connected")
     tree_edges = tuple(

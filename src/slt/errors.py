@@ -49,5 +49,9 @@ class Disconnected(SltError):
     pass
 
 
-class MalformedTree(SltError):
+class MalformedFile(SltError):
+    """A points or tree file that breaks its format (the CLI exits 2)."""
+
+
+class MalformedTree(MalformedFile):
     """A tree file whose edges are not a spanning tree of its vertices."""

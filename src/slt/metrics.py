@@ -12,6 +12,15 @@ from .geometry import Point, dist
 from .mst_path import Tree
 
 
+def adjacency(n: int, edges) -> list[list[tuple[int, float]]]:
+    """Neighbour lists ``(vertex, weight)`` of an undirected edge list, in edge order."""
+    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for u, v, w in edges:
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    return adj
+
+
 def dijkstra(n: int, adj: list[list[tuple[int, float]]], source: int):
     """Nonnegative-weight shortest paths; ties broken by vertex index.
 
@@ -38,11 +47,7 @@ def dijkstra(n: int, adj: list[list[tuple[int, float]]], source: int):
 
 def oracle_spt(n: int, edges, source: int):
     """Dijkstra SPT over an undirected weighted edge list."""
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for u, v, w in edges:
-        adj[u].append((v, w))
-        adj[v].append((u, w))
-    dist_arr, parent = dijkstra(n, adj, source)
+    dist_arr, parent = dijkstra(n, adjacency(n, edges), source)
     if any(math.isinf(d) for d in dist_arr):
         raise Disconnected("graph is not connected")
     return dist_arr, parent
@@ -99,10 +104,7 @@ def kruskal_mst(points: tuple[Point, ...], root: int = 0) -> Tree:
 
 def tree_distances(tree: Tree, source: int):
     """Exact path lengths from ``source`` within a tree."""
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(tree.n)]
-    for u, v, w in tree.edges:
-        adj[u].append((v, w))
-        adj[v].append((u, w))
+    adj = adjacency(tree.n, tree.edges)
     dist_arr = [math.inf] * tree.n
     dist_arr[source] = 0.0
     stack = [source]

@@ -20,7 +20,7 @@ from .breakpoints import select_breakpoints, subdivide
 from .core2d import CoreGraph, CoreInstance, build_core, core_metrics, core_spt
 from .errors import EmptySurface, EpsOutOfRange, SltError, Unreachable
 from .geometry import PlanePoint, Point, Polyline, dist
-from .metrics import SltReport, dijkstra
+from .metrics import SltReport, adjacency, dijkstra, root_stretch
 from .mst_path import PointCloud, Tree, dfs_hamiltonian, euclidean_mst
 from .unfolding import FoldedSurface, build_surfaces, lift, lift_segment, unfold_vertex
 
@@ -69,13 +69,6 @@ class SteinerGraph:
             return
         self._edge_set.add(key)
         self.edges.append((u, v, dist(self.coords[u], self.coords[v])))
-
-    def adjacency(self) -> list[list[tuple[int, float]]]:
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
-        for u, v, w in self.edges:
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-        return adj
 
 
 @dataclass(frozen=True)
@@ -267,8 +260,7 @@ def assemble_slt(
         )
         _realize(G, gadget, vids, root_id, chord_shortcut)
 
-    adj = G.adjacency()
-    dists, parent = dijkstra(G.n, adj, root_id)
+    dists, parent = dijkstra(G.n, adjacency(G.n, G.edges), root_id)
     for i in input_ids:
         if math.isinf(dists[i]):
             raise Unreachable(f"input point {i} not reachable")
@@ -437,8 +429,9 @@ def assemble_core2d(pts: PointCloud, eps: float, lam: float = 1.25):
     """Recursive triangle core over a 2-d instance: returns (graph, tree, report).
 
     The root is the apex; the other points lie on the base, whose ends are
-    the points with the smallest and largest x.  The report's weights are
-    measured in the core's canonical frame (unit legs).
+    the points with the smallest and largest x.  The report measures the
+    returned tree against the input, as ``slt verify`` does; only the
+    ``chain_total`` flag is in the core's canonical frame (unit legs).
     """
     if pts.dim != 2:
         raise SltError("core2d method needs 2-dimensional input")
@@ -447,7 +440,6 @@ def assemble_core2d(pts: PointCloud, eps: float, lam: float = 1.25):
     hi = max(base, key=lambda p: p[0])
     g = build_core(CoreInstance(pts.points[pts.root], lo, hi, tuple(base), eps, lam))
     core_tree, dists = core_spt(g)
-    rep = core_metrics(g, core_tree, dists)
     graph = SteinerGraph()
     for i in range(g.n):
         graph.add_vertex(g.plane_coords(i), _CORE_KINDS[g.kinds[i]])
@@ -458,18 +450,23 @@ def assemble_core2d(pts: PointCloud, eps: float, lam: float = 1.25):
         tuple((u, v, dist(graph.coords[u], graph.coords[v])) for u, v, _ in core_tree.edges),
         core_tree.root,
     )
+    # The core numbers the root first and the base points in input order.
+    base_ids = iter(g.input_ids)
+    vertex_of = [g.root if i == pts.root else next(base_ids) for i in range(pts.n)]
+    per_point = root_stretch(tree, graph.coords, tree.root, vertex_of)
+    mst = euclidean_mst(pts)
     report = SltReport(
         n=pts.n,
         d=2,
         eps=eps,
-        mst_weight=rep.mst_weight,
-        tree_weight=rep.tree_weight,
-        lightness=rep.lightness,
-        per_point_stretch=rep.per_point_stretch,
-        max_stretch=rep.max_stretch,
+        mst_weight=mst.weight,
+        tree_weight=tree.weight,
+        lightness=tree.weight / mst.weight,
+        per_point_stretch=per_point,
+        max_stretch=max(per_point),
         flags={
             "levels": g.k,
-            "chain_total": rep.chain_total,
+            "chain_total": core_metrics(g, core_tree, dists).chain_total,
             "level_angles": [g.alpha * g.lam**i for i in range(g.k + 1)],
         },
     )

@@ -153,16 +153,28 @@ def test_verify_rejects_non_tree_exit_two(tmp_path, capsys, ids, edges, root, fa
     assert fault in captured.err
 
 
-def test_python_dash_m_runs_the_cli(tmp_path):
+def run_python(args):
+    """A fresh interpreter that imports this checkout's slt."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(slt.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = tmp_path / "pts.json"
-    proc = subprocess.run(
-        [sys.executable, "-m", "slt", "gen", "circle", "--eps", "0.04", "--output", str(out)],
-        env=env, capture_output=True, text=True, timeout=60,
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
     )
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    out = tmp_path / "pts.json"
+    proc = run_python(["-m", "slt", "gen", "circle", "--eps", "0.04", "--output", str(out)])
     assert proc.returncode == 0, proc.stderr
     assert len(json.loads(out.read_text())["points"]) == 5
+
+
+def test_import_leaves_scipy_spatial_unloaded():
+    # scipy.spatial costs about 0.1 s to import; only the 3-d cone axes of
+    # the pyramid's base spanner use it, so it must stay out of start-up.
+    proc = run_python(["-c", "import sys, slt, slt.cli; print('scipy.spatial' in sys.modules)"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_build_deterministic_bytes(tmp_path, capsys):
@@ -187,6 +199,25 @@ def test_build_core2d_method(tmp_path, capsys):
     assert report["max_stretch"] <= 1.04
     assert run(["verify", "--input", pts, "--tree", tree, "--eps", 0.04]) == 0
     capsys.readouterr()
+
+
+def test_core2d_build_report_matches_verify(tmp_path, capsys):
+    # Scaled by 2, so a report in the core's unit-leg frame would differ.
+    pts = tmp_path / "core.json"
+    tree = tmp_path / "tree.json"
+    assert run(["gen", "core", "--eps", 0.04, "--n", 12, "--output", pts]) == 0
+    pc = parse_points(pts)
+    write_points(pts, [tuple(2.0 * x for x in p) for p in pc.points], pc.root)
+    assert run(["build", "--method", "core2d", "--eps", 0.04,
+                "--input", pts, "--output", tree]) == 0
+    built = json.loads(capsys.readouterr().out)
+    assert run(["verify", "--input", pts, "--tree", tree, "--eps", 0.04]) == 0
+    verified = json.loads(capsys.readouterr().out)
+    assert built["n"] == verified["n"] == 15
+    for key in ("mst_weight", "tree_weight", "lightness", "max_stretch"):
+        assert built[key] == pytest.approx(verified[key], rel=1e-12), key
+    assert len(built["per_point_stretch"]) == 15
+    assert built["per_point_stretch"] == pytest.approx(verified["per_point_stretch"], rel=1e-12)
 
 
 def test_build_pyramid_method(tmp_path, capsys):
@@ -220,6 +251,27 @@ def test_malformed_json_exit_two(tmp_path, capsys):
 def test_missing_file_exit_two(tmp_path, capsys):
     assert run(["build", "--eps", 0.04, "--input", tmp_path / "nope.json"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", ["x", None], ids=["string", "null"])
+@pytest.mark.parametrize("which,fault", [("points", "point 2"), ("tree", "vertex 2")],
+                         ids=["points", "tree"])
+def test_non_numeric_coordinate_exit_two(tmp_path, capsys, which, fault, value):
+    pts_file, tree_file = tmp_path / "pts.json", tmp_path / "tree.json"
+    write_points(pts_file, SQUARE, 0)
+    vertices = [{"id": i, "coords": list(p), "kind": "input"} for i, p in enumerate(SQUARE)]
+    tree_file.write_text(canonical_dumps(
+        {"vertices": vertices, "edges": [[0, 1], [0, 2], [0, 3]], "root": 0}
+    ))
+    bad = pts_file if which == "points" else tree_file
+    data = json.loads(bad.read_text())
+    rows = data["points"] if which == "points" else [v["coords"] for v in data["vertices"]]
+    rows[2][1] = value
+    bad.write_text(canonical_dumps(data))
+    assert run(["verify", "--input", pts_file, "--tree", tree_file, "--eps", 0.04]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{fault} is not a list of numbers" in captured.err
 
 
 def test_duplicate_points_exit_one(tmp_path, capsys):

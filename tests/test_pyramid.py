@@ -11,6 +11,7 @@ from slt.metrics import oracle_spt
 from slt.pyramid import (
     GridSpec,
     _cone_axes,
+    _fibonacci_sphere,
     build_pyramid_core,
     greedy_spanner,
     grid_points,
@@ -75,6 +76,25 @@ def test_cone_covering_radius_verified():
         assert t_implied <= T
         norms = np.linalg.norm(axes, axis=1)
         assert np.allclose(norms, 1.0, rtol=1e-12)
+
+
+def test_cone_covering_radius_is_exact():
+    from scipy.spatial import ConvexHull
+
+    axes, radius = _cone_axes(3)
+    # Brute force: every hull facet's circumcentre, against every axis.
+    hull = ConvexHull(axes)
+    a, b, c = (axes[hull.simplices[:, i]] for i in range(3))
+    centres = np.cross(b - a, c - a)
+    centres /= np.linalg.norm(centres, axis=1, keepdims=True)
+    centres *= np.sign(np.einsum("ij,ij->i", centres, a))[:, None]
+    nearest = np.clip((centres @ axes.T).max(axis=1), -1.0, 1.0)
+    assert radius == pytest.approx(float(np.arccos(nearest).max()), abs=1e-12)
+    # No sampled direction lies farther than the radius from every axis.
+    sample = _fibonacci_sphere(200_000)
+    for lo in range(0, len(sample), 20_000):
+        cos = np.clip((sample[lo : lo + 20_000] @ axes.T).max(axis=1), -1.0, 1.0)
+        assert np.arccos(cos).max() <= radius + 1e-12
 
 
 def test_pyramid_type_invariants():
