@@ -215,7 +215,7 @@ def _bisect_on_segment(s, p0, dp, a, sq, t0, seg_len):
             lo = mid
         else:
             hi, q = mid, qm
-        if hi - lo <= 1e-16 * max(seg_len, 1.0):
+        if hi - lo <= 1e-16 * seg_len:
             break
     # q is the point at hi unless hi is still seg_len, where the caller
     # takes the segment's end vertex instead.

@@ -40,10 +40,10 @@ def parse_points(path) -> PointCloud:
     with open(path) as fh:
         data = json.load(fh)
     dim = data["dim"]
-    pts = tuple(_float_rows(data["points"], "points file: point"))
+    pts = tuple(_float_rows(_list(data["points"], "points file: points"), "points file: point"))
     if any(len(p) != dim for p in pts):
         raise SltError("point with wrong dimension")
-    return PointCloud(pts, int(data["root"]))
+    return PointCloud(pts, _integer(data["root"], "points file: root"))
 
 
 def write_tree(path, graph: SteinerGraph, tree: Tree):
@@ -64,20 +64,44 @@ def parse_tree(path):
 
     Raises MalformedTree unless the vertex ids are 0..V-1 and the edges
     form a spanning tree of the vertices, MalformedFile on a coordinate
-    that is not a number.
+    that is not a number or an id that is not an integer.
     """
     with open(path) as fh:
         data = json.load(fh)
-    verts = sorted(data["vertices"], key=lambda v: v["id"])
+    verts = _list(data["vertices"], "tree file: vertices")
+    ids = [v["id"] for v in verts]
+    if not all(type(i) is int for i in ids):  # bool is an int subclass, not an id
+        bad = next(i for i in ids if type(i) is not int)
+        raise MalformedFile(f"tree file: vertex id {bad!r} is not an integer")
+    verts.sort(key=lambda v: v["id"])
     n = len(verts)
     if [v["id"] for v in verts] != list(range(n)):
         raise MalformedTree(f"vertex ids are not 0..{n - 1}")
     coords = _float_rows((v["coords"] for v in verts), "tree file: vertex")
     kinds = [v["kind"] for v in verts]
-    edges = [(int(u), int(v)) for u, v in data["edges"]]
-    root = int(data["root"])
+    rows = _list(data["edges"], "tree file: edges")
+    try:
+        edges = [(u, v) for u, v in rows]
+    except (TypeError, ValueError):
+        edges = None
+    if edges is None or not all(type(u) is int and type(v) is int for u, v in edges):
+        bad = next(e for e in rows if type(e) is not list or [type(x) for x in e] != [int, int])
+        raise MalformedFile(f"tree file: edge {bad!r} is not a pair of integer vertex ids")
+    root = _integer(data["root"], "tree file: root")
     _check_spanning_tree(n, edges, root)
     return coords, kinds, edges, root
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise MalformedFile(f"{what} is not a list: {value!r}")
+    return value
+
+
+def _integer(value, what: str) -> int:
+    if type(value) is not int:  # bool is an int subclass, not an id
+        raise MalformedFile(f"{what} is not an integer: {value!r}")
+    return value
 
 
 def _float_rows(rows, what: str) -> list[tuple[float, ...]]:

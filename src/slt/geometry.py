@@ -82,8 +82,13 @@ class Polyline:
         return self.cum_len[-1]
 
     def locate(self, arc: float) -> ArcPosition:
-        """ArcPosition of arc-length ``arc`` along the polyline."""
-        if not -1e-12 <= arc <= self.total_length + 1e-12:
+        """ArcPosition of arc-length ``arc`` along the polyline.
+
+        ``arc`` may stray outside [0, length] by 1e-12 of the length and is
+        clamped.
+        """
+        slack = 1e-12 * self.total_length
+        if not -slack <= arc <= self.total_length + slack:
             raise ValueError(f"arc length {arc} outside [0, {self.total_length}]")
         arc = min(max(arc, 0.0), self.total_length)
         lo, hi = 0, len(self.cum_len) - 1

@@ -121,28 +121,43 @@ class HamPath:
         return self.geometry.total_length
 
 
+#: Relative difference within which candidate edge weights count as equal.
+_TIE = 1e-12
+
+
 def euclidean_mst(pts: PointCloud) -> Tree:
     """Minimum spanning tree of the complete Euclidean graph (Prim).
 
-    Ties between equal-weight candidate edges are broken toward the
-    lexicographically smallest (min index, max index) pair, so the edge
-    set is deterministic.
+    Each outside vertex is a candidate through its nearest tree vertex
+    (equal distances: the smaller edge pair).  The next edge is the
+    lexicographically smallest (min index, max index) pair among the
+    candidates within a relative ``_TIE`` of the lightest, so edges of
+    equal length are chosen by index, not by the rounding of their lengths.
     """
     n = pts.n
     if n == 1:
         return Tree(1, (), pts.root)
     coords = np.asarray(pts.points, dtype=float)
     root = pts.root
+    # Distances come from coordinate differences, never from the Gram form
+    # |x|^2+|y|^2-2x.y, which cancels for a cluster far from the origin or
+    # from the root.
     dist_rows = None
-    if n <= 1024:  # full distance matrix: one matmul, cheap row lookups
-        shifted = _moved_near_origin(coords, root)
-        sq = np.einsum("ij,ij->i", shifted, shifted)
-        gram2 = shifted @ shifted.T
-        gram2 *= 2.0
-        dist_rows = sq[:, None] + sq[None, :]
-        dist_rows -= gram2
-        np.maximum(dist_rows, 0.0, out=dist_rows)
-        np.sqrt(dist_rows, out=dist_rows)
+    if n <= 1024:  # full matrix, for cheap row lookups
+        dist_rows = np.empty((n, n))
+        columns = np.ascontiguousarray(coords.T)
+        for lo in range(0, n, 64):
+            # Rows lo..lo+63 against columns lo..n-1, one coordinate at a
+            # time; the block below the diagonal is the mirror image.
+            block = np.zeros((min(64, n - lo), n - lo))
+            diff = np.empty_like(block)
+            for x in columns:
+                np.subtract.outer(x[lo : lo + 64], x[lo:], out=diff)
+                diff *= diff
+                block += diff
+            np.sqrt(block, out=block)
+            dist_rows[lo : lo + 64, lo:] = block
+            dist_rows[lo:, lo : lo + 64] = block.T
     # 0 off the tree, NaN on it: added to a distance row it hides the tree
     # vertices, since NaN never compares closer or equal to a candidate.
     tree_nan = np.zeros(n)
@@ -165,15 +180,12 @@ def euclidean_mst(pts: PointCloud) -> Tree:
     for _ in range(n - 1):
         v = int(best.argmin())
         w = best[v]
-        ties = (best == w).nonzero()[0]
-        if len(ties) > 1:
-            v = min(
-                ties.tolist(),
-                key=lambda t: (min(t, best_from[t]), max(t, best_from[t])),
-            )
+        ties = (best <= w + _TIE * w).nonzero()[0]
+        if len(ties) > 1:  # grids tie by the hundred: the pair order, vectorized
+            src = best_from[ties]
+            v = int(ties[(np.minimum(ties, src) * n + np.maximum(ties, src)).argmin()])
         u = int(best_from[v])
-        # Store the canonical weight; the selection matrix may carry
-        # matmul rounding that must not leak into the tree.
+        # Store the canonical weight, not the row's rounding of it.
         edges.append((u, v, math.dist(points[u], points[v])))
         best[v] = np.inf
         d = row(v)

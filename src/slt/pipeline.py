@@ -1,11 +1,16 @@
 """End-to-end assembly of the Steiner shallow-light tree in R^d.
 
 Per surface: secondary break points along the sub-path, a cross line
-through the input point closest to the root, Steiner points on that line,
-a recursive triangle tree feeding them, and connector edges back to the
-path.  All planar pieces are lifted onto the surface, the union over all
-surfaces forms one graph, and the final tree is the union of shortest
-paths from the root to the input points.
+through the input point r closest to the root, Steiner points on that
+line, a recursive triangle tree feeding them (split at r where it runs
+past r's image, so r joins the line), and connector edges back to the
+path.  The union over all surfaces is solved in the plane:
+input points, break points, secondary break points and the root keep
+their R^d coordinates, while every gadget vertex is a planar point of its
+surface and every gadget edge weighs its planar length (unfolding is
+isometric, so that is the length of its lift).  The tree is the union of
+shortest paths from the root to the input points; only its gadget
+vertices and edges are lifted onto their surfaces, bends included.
 
 ``assemble_core2d`` runs the recursive triangle core alone on a 2-d instance
 and returns the same (graph, tree, report) triple as ``assemble_slt``.  It
@@ -69,6 +74,63 @@ class SteinerGraph:
             return
         self._edge_set.add(key)
         self.edges.append((u, v, dist(self.coords[u], self.coords[v])))
+
+
+class FoldingGraph(SteinerGraph):
+    """The folding graph before lifting.
+
+    Shared vertices (input points, break points, secondary break points)
+    hold R^d coordinates and are found by them, as in ``SteinerGraph``.  A
+    gadget vertex holds a planar point of the surface in ``surface``.
+    ``planar`` maps the key (lo, hi) of a gadget edge to its surface and
+    the planar points of lo and hi; every other edge is straight in R^d.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.surface: dict[int, FoldedSurface] = {}
+        self.planar: dict[tuple[int, int], tuple[FoldedSurface, PlanePoint, PlanePoint]] = {}
+        self._lifted: dict[int, Point] = {}
+
+    def add_planar(self, surf: FoldedSurface, q: PlanePoint, kind: str) -> int:
+        i = len(self.coords)
+        self.coords.append(q)
+        self.kinds.append(kind)
+        self.surface[i] = surf
+        return i
+
+    def add_gadget_edge(
+        self, surf: FoldedSurface, u: int, qu: PlanePoint, v: int, qv: PlanePoint, chord: bool
+    ) -> None:
+        """Edge between the planar points qu, qv of u, v on ``surf``.
+
+        Weighted by its planar length, or with ``chord`` by the chord
+        between the lifted endpoints, which then is the edge.
+        """
+        if u == v:
+            return
+        if u > v:
+            u, v, qu, qv = v, u, qv, qu
+        key = (u, v)
+        if key in self._edge_set:
+            return
+        self._edge_set.add(key)
+        if chord:
+            w = dist(self.point(u), self.point(v))
+        else:
+            w = math.dist(qu, qv)
+            self.planar[key] = (surf, qu, qv)
+        self.edges.append((u, v, w))
+
+    def point(self, v: int) -> Point:
+        """R^d coordinates of vertex v; a gadget vertex is lifted once."""
+        surf = self.surface.get(v)
+        if surf is None:
+            return self.coords[v]
+        p = self._lifted.get(v)
+        if p is None:
+            p = self._lifted[v] = lift(surf, self.coords[v])
+        return p
 
 
 @dataclass(frozen=True)
@@ -159,9 +221,10 @@ def build_gadget(
 
     # Secondary break points at arc q*W/theta for q = 1..theta.
     secondary: list[SecondaryBp] = []
-    vtol = 1e-12 * max(total_len, 1.0)
+    vtol = 1e-12 * total_len
     for q in range(1, theta_count + 1):
-        arc = q * total_len / theta_count
+        # q*W/theta may round past W at q == theta
+        arc = q * total_len / theta_count if q < theta_count else total_len
         pos = subpath.locate(arc)
         j, t = pos.segment_index, pos.t
         seg_len = subpath.cum_len[j + 1] - subpath.cum_len[j]
@@ -205,7 +268,7 @@ def build_gadget(
 def _attach_core(gadget: SurfaceGadget, eps_int: float, lam: float) -> None:
     """Build the recursive triangle tree over the cross line."""
     a, b = gadget.ell_a, gadget.ell_b
-    if dist(a, b) < 1e-12 * max(1.0, a[0]):
+    if dist(a, b) < 1e-12 * a[0]:
         return  # zero-width triangle; realized as a single spoke edge
     total = gadget.surface.total_angle
     eps_core = max(eps_int, total * total)
@@ -245,7 +308,7 @@ def assemble_slt(
     s = pts.points[pts.root]
     surfaces = build_surfaces(sub, s)
 
-    G = SteinerGraph()
+    G = FoldingGraph()
     input_ids = [G.add_vertex(p, "input") for p in pts.points]
     root_id = input_ids[pts.root]
 
@@ -265,7 +328,7 @@ def assemble_slt(
         if math.isinf(dists[i]):
             raise Unreachable(f"input point {i} not reachable")
 
-    tree_graph, tree, old_to_new = _prune(G, parent, input_ids, root_id)
+    tree_graph, tree = _prune(G, dists, parent, input_ids, root_id)
 
     per_point = []
     for i, p in enumerate(pts.points):
@@ -300,13 +363,13 @@ def assemble_slt(
 
 
 def _realize(
-    G: SteinerGraph,
+    G: FoldingGraph,
     gadget: SurfaceGadget,
     vids: list[int],
     root_id: int,
     chord_shortcut: bool,
 ) -> None:
-    """Lift the gadget into R^d and add its edges to the graph."""
+    """Add the surface's sub-path and its planar gadget to the graph."""
     surf = gadget.surface
 
     # Sub-path edges, with secondary break points inserted as vertices.
@@ -331,39 +394,32 @@ def _realize(
             G.add_edge(root_id, vids[0])  # phase-1 spoke
         return
 
-    plane_ids: dict[PlanePoint, int] = {}
+    # Planar point -> (vertex, its planar point); shared vertices first.
+    plane_ids: dict[PlanePoint, tuple[int, PlanePoint]] = {}
     for img, vid in zip(gadget.vertex_images, vids):
-        plane_ids.setdefault(img, vid)
+        plane_ids.setdefault(img, (vid, img))
     for sb, vid in zip(gadget.secondary, sec_ids):
-        plane_ids.setdefault(sb.plane, vid)
+        plane_ids.setdefault(sb.plane, (vid, sb.plane))
+    r_img = gadget.vertex_images[gadget.r_local]
+    r_vertex = (vids[gadget.r_local], r_img)
+    root_vertex = (root_id, (0.0, 0.0))
+    near = 1e-12 * math.hypot(*r_img)  # coincidence, relative to the gadget
 
-    def register(q: PlanePoint, kind: str) -> int:
+    def register(q: PlanePoint, kind: str) -> tuple[int, PlanePoint]:
         known = plane_ids.get(q)
-        if known is not None:
-            return known
-        if math.hypot(q[0], q[1]) < 1e-15:
-            vid = root_id
-        else:
-            vid = G.add_vertex(lift(surf, q), kind)
-        plane_ids[q] = vid
-        return vid
-
-    def add_lifted_edge(u: int, v: int, q1: PlanePoint, q2: PlanePoint) -> None:
-        if u == v:
-            return
-        if chord_shortcut:
-            G.add_edge(u, v)
-            return
-        poly = lift_segment(surf, q1, q2)
-        chain = [u]
-        for p in poly.vertices[1:-1]:
-            chain.append(G.add_vertex(p, "bend"))
-        chain.append(v)
-        for x, y in zip(chain, chain[1:]):
-            G.add_edge(x, y)
+        if known is None:
+            if math.hypot(*q) <= near:
+                known = root_vertex
+            elif math.hypot(q[0] - r_img[0], q[1] - r_img[1]) <= near:
+                known = r_vertex
+            else:
+                known = (G.add_planar(surf, q, kind), q)
+            plane_ids[q] = known
+        return known
 
     def add_planar_edge(q1: PlanePoint, q2: PlanePoint, kind1: str, kind2: str) -> None:
-        add_lifted_edge(register(q1, kind1), register(q2, kind2), q1, q2)
+        (u, qu), (v, qv) = register(q1, kind1), register(q2, kind2)
+        G.add_gadget_edge(surf, u, qu, v, qv, chord_shortcut)
 
     steiner = gadget.ell_steiner
     if gadget.core is None:
@@ -371,7 +427,6 @@ def _realize(
         add_planar_edge((0.0, 0.0), steiner[0], "bend", "ell_steiner")
     else:
         core = gadget.core
-        plane_of_core = [core.plane_coords(i) for i in range(core.n)]
         # The core root is the surface apex; its input vertices are the
         # Steiner points on the cross line, registered with their original
         # planar coordinates so shared vertices deduplicate exactly.
@@ -384,18 +439,40 @@ def _realize(
             "grid": "ell_steiner",
             "input": "ell_steiner",
         }
+        # r lies on the cross line: a base edge running past its image is
+        # split there, which joins r to the line.
+        dx, dy = gadget.ell_b[0] - gadget.ell_a[0], gadget.ell_b[1] - gadget.ell_a[1]
+
+        def beyond_r(q: PlanePoint) -> float:  # sign tells the side of r
+            return (q[0] - r_img[0]) * dx + (q[1] - r_img[1]) * dy
+
         for u, v, _ in gadget.core_tree.edges:
-            qu = overrides.get(u, plane_of_core[u])
-            qv = overrides.get(v, plane_of_core[v])
-            add_planar_edge(qu, qv, kinds[core.kinds[u]], kinds[core.kinds[v]])
+            qu = overrides.get(u) or core.plane_coords(u)
+            qv = overrides.get(v) or core.plane_coords(v)
+            ku, kv = kinds[core.kinds[u]], kinds[core.kinds[v]]
+            # levels < 0: base vertices, which lie on the cross line
+            if core.levels[u] < 0 and core.levels[v] < 0 and beyond_r(qu) * beyond_r(qv) < 0.0:
+                add_planar_edge(qu, r_img, ku, "input")
+                add_planar_edge(r_img, qv, "input", kv)
+            else:
+                add_planar_edge(qu, qv, ku, kv)
 
     for sb, vid in zip(gadget.secondary, sec_ids):
-        b_prime = steiner[sb.steiner]
-        add_lifted_edge(register(b_prime, "ell_steiner"), vid, b_prime, sb.plane)
+        u, qu = register(steiner[sb.steiner], "ell_steiner")
+        G.add_gadget_edge(surf, u, qu, vid, sb.plane, chord_shortcut)
 
 
-def _prune(G: SteinerGraph, parent: list[int], targets: list[int], root_id: int):
-    """Union of root paths to the targets, compacted to a fresh graph."""
+def _prune(
+    G: FoldingGraph, dists: list[float], parent: list[int], targets: list[int], root_id: int
+):
+    """Union of root paths to the targets, lifted into a fresh SteinerGraph.
+
+    Kept gadget vertices are lifted onto their surfaces, and each kept
+    gadget edge becomes the polyline through its bends.  Lifted points that
+    coincide exactly share one vertex, so paths are added in order of root
+    distance and an edge that would close a cycle is left out: the result
+    stays a spanning tree.
+    """
     used: list[int] = []
     seen = [False] * G.n
     for t in targets:
@@ -405,21 +482,37 @@ def _prune(G: SteinerGraph, parent: list[int], targets: list[int], root_id: int)
             used.append(v)
             v = parent[v]
     used.sort()
-    old_to_new = {old: new for new, old in enumerate(used)}
     sub = SteinerGraph()
-    for old in used:
-        sub.add_vertex(G.coords[old], G.kinds[old])
-    edges = []
+    new = {old: sub.add_vertex(G.point(old), G.kinds[old]) for old in used}
+    comp = list(range(sub.n))  # union-find over sub's vertices
+
+    def find(x: int) -> int:
+        while comp[x] != x:
+            comp[x] = x = comp[comp[x]]
+        return x
+
+    used.sort(key=lambda v: (dists[v], v))
     for old in used:
         p = parent[old]
-        if old == root_id or p == -1:
+        if p == -1:
             continue
-        u, v = old_to_new[p], old_to_new[old]
-        w = dist(G.coords[p], G.coords[old])
-        edges.append((u, v, w))
-        sub.add_edge(u, v)
-    tree = Tree(len(used), tuple(edges), old_to_new[root_id])
-    return sub, tree, old_to_new
+        chain = [new[p]]
+        planar = G.planar.get((p, old) if p < old else (old, p))
+        if planar is not None:
+            surf, qa, qb = planar
+            if p > old:
+                qa, qb = qb, qa
+            for bend in lift_segment(surf, qa, qb).vertices[1:-1]:
+                chain.append(sub.add_vertex(bend, "bend"))
+            comp.extend(range(len(comp), sub.n))
+        chain.append(new[old])
+        for a, b in zip(chain, chain[1:]):
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                comp[ra] = rb
+                sub.add_edge(a, b)
+    tree = Tree(sub.n, tuple(sub.edges), new[root_id])
+    return sub, tree
 
 
 _CORE_KINDS = {"root": "input", "apex": "core_apex", "grid": "grid", "input": "input"}

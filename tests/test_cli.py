@@ -274,6 +274,36 @@ def test_non_numeric_coordinate_exit_two(tmp_path, capsys, which, fault, value):
     assert f"{fault} is not a list of numbers" in captured.err
 
 
+@pytest.mark.parametrize(
+    "which,field,value,fault",
+    [
+        ("points", "root", None, "points file: root is not an integer"),
+        ("points", "points", 5, "points file: points is not a list"),
+        ("tree", "edges", [[0, 1], [0, 2], [0, 3.5]], "tree file: edge [0, 3.5] is not a pair"),
+        ("tree", "vertices", "id", "tree file: vertex id '2' is not an integer"),
+    ],
+    ids=["null-root", "points-not-a-list", "edge-id", "vertex-id"],
+)
+def test_malformed_structure_exit_two(tmp_path, capsys, which, field, value, fault):
+    pts_file, tree_file = tmp_path / "pts.json", tmp_path / "tree.json"
+    write_points(pts_file, SQUARE, 0)
+    vertices = [{"id": i, "coords": list(p), "kind": "input"} for i, p in enumerate(SQUARE)]
+    tree_file.write_text(canonical_dumps(
+        {"vertices": vertices, "edges": [[0, 1], [0, 2], [0, 3]], "root": 0}
+    ))
+    bad = pts_file if which == "points" else tree_file
+    data = json.loads(bad.read_text())
+    if field == "vertices":
+        data["vertices"][2]["id"] = "2"
+    else:
+        data[field] = value
+    bad.write_text(canonical_dumps(data))
+    assert run(["verify", "--input", pts_file, "--tree", tree_file, "--eps", 0.04]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert fault in captured.err
+
+
 def test_duplicate_points_exit_one(tmp_path, capsys):
     f = tmp_path / "dup.json"
     f.write_text(

@@ -34,6 +34,17 @@ def test_prim_matches_kruskal_far_from_origin(offset):
         assert prim.weight == kruskal.weight
 
 
+@pytest.mark.parametrize("offset", [1e6, 1e8])
+def test_prim_matches_kruskal_far_from_root(offset):
+    # Root at the origin, the other 59 points in a unit cube near offset:
+    # moving the cloud by the root cannot bring the cluster near the origin.
+    for seed in range(10):
+        pts = ((0.0, 0.0, 0.0),) + tuple(shifted_cloud(seed, offset, n=59))
+        prim, kruskal = euclidean_mst(PointCloud(pts)), kruskal_mst(pts)
+        assert edge_set(prim) == edge_set(kruskal)
+        assert prim.weight == kruskal.weight
+
+
 @pytest.mark.parametrize("offset,scale", [(1e9, 1.0), (0.0, 1e6)])
 def test_exact_duplicates_found_at_any_scale(offset, scale):
     # The duplicate prefilter must allow for the Gram form's rounding.

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from slt.breakpoints import select_breakpoints, subdivide
+from slt.cli import run_cli, write_points, write_tree
 from slt.errors import EpsOutOfRange
 from slt.geometry import dist
-from slt.metrics import oracle_spt
+from slt.metrics import adjacency, dijkstra, oracle_spt, tree_distances
 from slt.mst_path import PointCloud, dfs_hamiltonian, euclidean_mst
-from slt.pipeline import assemble_slt, build_gadget
-from slt.unfolding import build_surfaces, lift_segment, unfold_vertex
+from slt.pipeline import FoldingGraph, _prune, _realize, assemble_slt, build_gadget
+from slt.unfolding import build_surfaces, lift, lift_segment, unfold_vertex
 
 
 def circle_cloud(eps, dim=2, seed=None):
@@ -70,12 +71,10 @@ def test_empty_surface_spoke_in_full_graph():
     # a surface without inputs contributes its sub-path plus one direct
     # spoke from the root to its first break point
     pc = random_cloud(12, 3, 3)
-    from slt.pipeline import SteinerGraph, _realize
-
     surfs, sub = surfaces_and_sub(pc, 0.04)
     inputs_of = _input_locals(pc, surfs)
     empty = next(f for f in surfs if not inputs_of[f.index] and f.index >= 2)
-    G = SteinerGraph()
+    G = FoldingGraph()
     root_id = G.add_vertex(pc.points[0], "input")
     vids = [G.add_vertex(v, "break") for v in empty.verts]
     gadget = build_gadget(empty, [], 0.04)
@@ -240,8 +239,6 @@ def test_spt_distances_match_all_pairs_oracle():
     g, tree, rep = assemble_slt(pc, 0.25)
     # recompute on the pruned graph with the plain oracle
     dists, _ = oracle_spt(g.n, g.edges, tree.root)
-    from slt.metrics import tree_distances
-
     td = tree_distances(tree, tree.root)
     for v in range(g.n):
         assert td[v] == pytest.approx(dists[v], rel=1e-12, abs=1e-15)
@@ -277,3 +274,119 @@ def test_gamma_controls_stretch():
     assert results[8.0][0] <= 1.25 + 1e-12
     # stretch should not degrade as gamma grows on this instance
     assert results[8.0][0] <= results[1.0][0] + 1e-9
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_lifted_tree_matches_reported_stretch(tmp_path, d):
+    # Shortest paths run on planar lengths; the returned tree is lifted.
+    # Unfolding is isometric, so the lifted root distances are the planar ones.
+    pc = random_cloud(40, d, 70 + d)
+    g, tree, rep = assemble_slt(pc, 0.04)
+    assert len(tree.edges) == g.n - 1
+    td = tree_distances(tree, tree.root)
+    s = pc.points[pc.root]
+    for i, p in enumerate(pc.points):
+        if i != pc.root:
+            lifted = td[g.coords.index(p)] / dist(s, p)
+            assert lifted == pytest.approx(rep.per_point_stretch[i], rel=1e-12, abs=0.0)
+    pts_file, tree_file = tmp_path / "pts.json", tmp_path / "tree.json"
+    write_points(pts_file, pc.points, pc.root)
+    write_tree(tree_file, g, tree)
+    args = ["verify", "--input", pts_file, "--tree", tree_file, "--eps", "0.04"]
+    assert run_cli([str(a) for a in args]) == 0
+
+
+def test_r_joins_the_cross_line_where_a_base_edge_passes_it():
+    # r, the input closest to the root, lies on the cross line.  A core
+    # base edge running past its image is split there, so r's vertex gets a
+    # planar edge to each end; a surface whose core tree leaves r's image
+    # uncovered gets none.
+    pc = random_cloud(30, 3, 2)
+    surfs, _ = surfaces_and_sub(pc, 0.04 / 8)
+    inputs_of = _input_locals(pc, surfs)
+    joined = 0
+    for f in surfs:
+        if f.index < 2 or not inputs_of[f.index]:
+            continue
+        g = build_gadget(f, inputs_of[f.index], 0.04 / 8)
+        if g.core is None:
+            continue
+        core, r_img = g.core, g.vertex_images[g.r_local]
+        ax, ay = g.ell_a
+        dx, dy = g.ell_b[0] - ax, g.ell_b[1] - ay
+
+        def along(q):
+            return (q[0] - ax) * dx + (q[1] - ay) * dy
+
+        def plane(i):
+            return dict(zip(core.input_ids, g.ell_steiner)).get(i) or core.plane_coords(i)
+
+        passes = [
+            (plane(u), plane(v)) for u, v, _ in g.core_tree.edges
+            if core.levels[u] < 0 and core.levels[v] < 0
+            and (along(plane(u)) - along(r_img)) * (along(plane(v)) - along(r_img)) < 0
+        ]
+        G = FoldingGraph()
+        G.add_vertex(pc.points[pc.root], "input")
+        vids = [G.add_vertex(v, "break") for v in f.verts]
+        _realize(G, g, vids, 0, False)
+        r_id = vids[g.r_local]
+        ends = {
+            G.coords[b if a == r_id else a]
+            for a, b in G.planar
+            if r_id in (a, b) and G.kinds[b if a == r_id else a] == "ell_steiner"
+        }
+        assert ends == {q for edge in passes for q in edge}
+        joined += bool(passes)
+    assert joined > 0
+
+
+def test_coinciding_lifts_still_give_a_spanning_tree():
+    # Gadget vertices a and b sit at one planar point, so their lifts share
+    # one returned vertex x.  a hangs off the root and b off c, which closes
+    # the cycle root-x-c once lifted; one edge of it must be left out.
+    pc = random_cloud(12, 3, 3)
+    surfs, _ = surfaces_and_sub(pc, 0.04)
+    f = next(f for f in surfs if f.index >= 2 and f.total_angle > 1e-6)
+    img0, img1 = unfold_vertex(f, 0), unfold_vertex(f, 1)
+    q = (0.5 * img0[0], 0.5 * img0[1])
+    qc = (0.5 * img1[0], 0.5 * img1[1])
+    G = FoldingGraph()
+    root = G.add_vertex(pc.points[pc.root], "input")
+    far = [G.add_vertex(v, "break") for v in f.verts[:2]]
+    a = G.add_planar(f, q, "ell_steiner")
+    b = G.add_planar(f, q, "ell_steiner")
+    c = G.add_planar(f, qc, "core_apex")
+    G.add_gadget_edge(f, root, (0.0, 0.0), a, q, False)
+    G.add_gadget_edge(f, a, q, far[0], img0, False)
+    G.add_gadget_edge(f, root, (0.0, 0.0), c, qc, False)
+    G.add_gadget_edge(f, c, qc, b, q, False)
+    G.add_gadget_edge(f, b, q, far[1], img1, False)
+    dists, parent = dijkstra(G.n, adjacency(G.n, G.edges), root)
+    assert (parent[a], parent[b], parent[far[1]]) == (root, c, b)
+    sub, tree = _prune(G, dists, parent, far, root)
+    assert sub.coords.count(lift(f, q)) == 1
+    assert len(tree.edges) == sub.n - 1 == len(G.edges) - 1
+    assert not any(math.isinf(x) for x in tree_distances(tree, tree.root))
+
+
+def _scaled(points, scale):
+    return PointCloud(tuple(tuple(c * scale for c in p) for p in points))
+
+
+def test_scale_invariance():
+    # Powers of two scale every float exactly, so any disagreement there
+    # comes from an absolute tolerance.  Decimal scales also round every
+    # coordinate by an ulp, which the break point recurrence amplifies: a
+    # one-ulp nudge of every coordinate moves max_stretch by 4e-10 on the
+    # d=2 seed 4 cloud, and scaling it by 1e6 by 4.1e-9.
+    for d in (2, 3, 5):
+        for seed in range(12):
+            rng = random.Random(seed)
+            base = [tuple(rng.random() for _ in range(d)) for _ in range(30)]
+            _, _, ref = assemble_slt(_scaled(base, 1.0), 0.09)
+            for scale, rel in ((2.0**-20, 1e-12), (2.0**20, 1e-12), (1e-6, 1e-8), (1e6, 1e-8)):
+                _, _, rep = assemble_slt(_scaled(base, scale), 0.09)
+                assert rep.max_stretch <= 1.09 + 1e-12
+                assert rep.max_stretch == pytest.approx(ref.max_stretch, rel=rel), (d, seed, scale)
+                assert rep.lightness == pytest.approx(ref.lightness, rel=rel), (d, seed, scale)
