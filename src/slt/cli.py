@@ -17,7 +17,7 @@ from .core2d import core2d_points
 from .errors import MalformedFile, MalformedTree, SltError
 from .metrics import SltReport, root_stretch
 from .mst_path import PointCloud, Tree, dfs_hamiltonian, euclidean_mst
-from .pipeline import SteinerGraph, assemble_core2d, assemble_slt, build_gadget
+from .pipeline import SteinerGraph, assemble_core2d, assemble_slt, build_gadget, gadget_inputs
 from .pyramid import assemble_pyramid, pyramid_points
 from .unfolding import build_surfaces, unfold_vertex
 
@@ -121,6 +121,7 @@ def _check_spanning_tree(n: int, edges, root: int) -> None:
     # Union-find over plain ints: per-vertex lists or sets here would make
     # the garbage collector rescan a large build still held by the caller.
     comp = list(range(n))
+    seen: set[tuple[int, int]] = set()  # each edge as a sorted pair
 
     def find(x):
         while comp[x] != x:
@@ -128,18 +129,20 @@ def _check_spanning_tree(n: int, edges, root: int) -> None:
         return x
 
     closes_cycle = False
-    for i, (u, v) in enumerate(edges):
+    for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise MalformedTree(f"edge [{u}, {v}] has a vertex id outside 0..{n - 1}")
         if u == v:
             raise MalformedTree(f"self-loop at vertex {u}")
+        pair = (u, v) if u < v else (v, u)
         a, b = find(u), find(v)
         if a != b:
             comp[a] = b
-        elif {u, v} in ({x, y} for x, y in edges[:i]):
+        elif pair in seen:
             raise MalformedTree(f"duplicate edge [{u}, {v}]")
         else:
             closes_cycle = True
+        seen.add(pair)
     if len(edges) != n - 1:
         raise MalformedTree(f"{len(edges)} edges on {n} vertices; a tree has {n - 1}")
     if closes_cycle:  # n - 1 edges with a cycle leave some vertex cut off
@@ -265,9 +268,7 @@ def render_surfaces_svg(pc: PointCloud, eps: float, gamma: float, path):
     ham = dfs_hamiltonian(mst, pc)
     bps = select_breakpoints(ham, eps_int)
     sub = subdivide(ham, bps)
-    s = pc.points[pc.root]
-    surfaces = build_surfaces(sub, s)
-    inputs = set(pc.points) - {s}
+    surfaces = build_surfaces(sub, pc.points[pc.root])
     cv = _Canvas(size=1200.0)
     offset = 0.0
     for surf in surfaces:
@@ -282,8 +283,7 @@ def render_surfaces_svg(pc: PointCloud, eps: float, gamma: float, path):
         for q in imgs:
             cv.dot(shift(q), fill="black", r=2.0)
         cv.dot(origin, fill="black", r=2.5)
-        input_locals = [j for j, v in enumerate(surf.verts) if v in inputs]
-        gadget = build_gadget(surf, input_locals, eps_int)
+        gadget = build_gadget(surf, gadget_inputs(surf, sub, pc.root), eps_int)
         if not gadget.degenerate:
             cv.line(shift(gadget.ell_a), shift(gadget.ell_b), stroke="#888888")
             for q in gadget.ell_steiner:

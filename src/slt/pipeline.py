@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .breakpoints import select_breakpoints, subdivide
+from .breakpoints import SubdividedPath, select_breakpoints, subdivide
 from .core2d import CoreGraph, CoreInstance, build_core, core_metrics, core_spt
 from .errors import EmptySurface, EpsOutOfRange, SltError, Unreachable
 from .geometry import PlanePoint, Point, Polyline, dist
@@ -29,50 +29,30 @@ from .metrics import SltReport, adjacency, dijkstra, root_stretch
 from .mst_path import PointCloud, Tree, dfs_hamiltonian, euclidean_mst
 from .unfolding import FoldedSurface, build_surfaces, lift, lift_segment, unfold_vertex
 
-_KIND_RANK = {
-    "input": 0,
-    "break": 1,
-    "secondary_break": 2,
-    "ell_steiner": 3,
-    "grid": 4,
-    "core_apex": 5,
-    "bend": 6,
-}
-
 
 class SteinerGraph:
-    """Weighted geometric graph over input and Steiner vertices."""
+    """Weighted geometric graph over input and Steiner vertices.
+
+    A vertex is its position in ``coords`` and ``kinds``: every build
+    numbers its vertices as it makes them, and two vertices may share a
+    point.
+    """
 
     def __init__(self):
         self.coords: list[Point] = []
         self.kinds: list[str] = []
         self.edges: list[tuple[int, int, float]] = []
-        self._index: dict[Point, int] = {}
-        self._edge_set: set[tuple[int, int]] = set()
 
     @property
     def n(self) -> int:
         return len(self.coords)
 
     def add_vertex(self, p: Point, kind: str) -> int:
-        i = self._index.get(p)
-        if i is not None:
-            if _KIND_RANK[kind] < _KIND_RANK[self.kinds[i]]:
-                self.kinds[i] = kind
-            return i
-        i = len(self.coords)
         self.coords.append(p)
         self.kinds.append(kind)
-        self._index[p] = i
-        return i
+        return len(self.coords) - 1
 
     def add_edge(self, u: int, v: int) -> None:
-        if u == v:
-            return
-        key = (u, v) if u < v else (v, u)
-        if key in self._edge_set:
-            return
-        self._edge_set.add(key)
         self.edges.append((u, v, dist(self.coords[u], self.coords[v])))
 
 
@@ -80,10 +60,12 @@ class FoldingGraph(SteinerGraph):
     """The folding graph before lifting.
 
     Shared vertices (input points, break points, secondary break points)
-    hold R^d coordinates and are found by them, as in ``SteinerGraph``.  A
-    gadget vertex holds a planar point of the surface in ``surface``.
-    ``planar`` maps the key (lo, hi) of a gadget edge to its surface and
-    the planar points of lo and hi; every other edge is straight in R^d.
+    hold R^d coordinates.  A gadget vertex holds a planar point of the
+    surface in ``surface``.  ``planar`` maps the key (lo, hi) of a gadget
+    edge to its surface and the planar points of lo and hi; every other
+    edge is straight in R^d.  Two vertices get at most one edge, and a
+    vertex none to itself: on a surface along one ray, r's vertex is the
+    one Steiner point, and its connectors repeat sub-path edges.
     """
 
     def __init__(self):
@@ -91,11 +73,22 @@ class FoldingGraph(SteinerGraph):
         self.surface: dict[int, FoldedSurface] = {}
         self.planar: dict[tuple[int, int], tuple[FoldedSurface, PlanePoint, PlanePoint]] = {}
         self._lifted: dict[int, Point] = {}
+        self._edge_set: set[tuple[int, int]] = set()
+
+    def _new_edge(self, u: int, v: int) -> tuple[int, int] | None:
+        """The key (lo, hi) of a new edge; None for a loop or an edge made before."""
+        key = (u, v) if u < v else (v, u)
+        if u == v or key in self._edge_set:
+            return None
+        self._edge_set.add(key)
+        return key
+
+    def add_edge(self, u: int, v: int) -> None:
+        if self._new_edge(u, v):
+            super().add_edge(u, v)
 
     def add_planar(self, surf: FoldedSurface, q: PlanePoint, kind: str) -> int:
-        i = len(self.coords)
-        self.coords.append(q)
-        self.kinds.append(kind)
+        i = self.add_vertex(q, kind)
         self.surface[i] = surf
         return i
 
@@ -107,14 +100,11 @@ class FoldingGraph(SteinerGraph):
         Weighted by its planar length, or with ``chord`` by the chord
         between the lifted endpoints, which then is the edge.
         """
-        if u == v:
+        key = self._new_edge(u, v)
+        if key is None:
             return
         if u > v:
             u, v, qu, qv = v, u, qv, qu
-        key = (u, v)
-        if key in self._edge_set:
-            return
-        self._edge_set.add(key)
         if chord:
             w = dist(self.point(u), self.point(v))
         else:
@@ -152,20 +142,29 @@ class SurfaceGadget:
 
     surface: FoldedSurface
     degenerate: bool
-    input_locals: list[int] = field(default_factory=list)
     vertex_images: list[PlanePoint] = field(default_factory=list)
     secondary: list[SecondaryBp] = field(default_factory=list)
     ell_a: PlanePoint | None = None
     ell_b: PlanePoint | None = None
     ell_steiner: list[PlanePoint] = field(default_factory=list)
     r_local: int = -1
-    assignments: dict[int, tuple[PlanePoint, int]] = field(default_factory=dict)
     core: CoreGraph | None = None
     core_tree: Tree | None = None
 
 
 def _nearest_steiner(steiner: list[PlanePoint], q: PlanePoint) -> int:
-    return min(range(len(steiner)), key=lambda i: (dist(steiner[i], q), i))
+    """Index of the Steiner point nearest q, the lower index on a tie.
+
+    The points are equally spaced on one line and q lies on it, so the
+    nearest is one of the two around q's parameter along the line.
+    """
+    if len(steiner) == 1:
+        return 0
+    (ax, ay), (bx, by) = steiner[0], steiner[-1]
+    dx, dy = bx - ax, by - ay
+    t = ((q[0] - ax) * dx + (q[1] - ay) * dy) / (dx * dx + dy * dy) * (len(steiner) - 1)
+    lo = min(max(math.floor(t), 0), len(steiner) - 2)
+    return min((lo, lo + 1), key=lambda i: (dist(steiner[i], q), i))
 
 
 def build_gadget(
@@ -183,7 +182,7 @@ def build_gadget(
         raise EpsOutOfRange(f"eps_int={eps_int} outside (0, 1/4]")
     imgs = [unfold_vertex(surf, j) for j in range(len(surf.verts))]
     if not input_locals:
-        return SurfaceGadget(surf, True, [], imgs)
+        return SurfaceGadget(surf, True, imgs)
 
     subpath = Polyline(surf.verts)
     total_len = subpath.total_length
@@ -244,25 +243,16 @@ def build_gadget(
         steiner_idx = _nearest_steiner(steiner, project(plane))
         secondary.append(SecondaryBp(arc, j, frac, point, plane, at_vertex, steiner_idx))
 
-    assignments = {
-        j: (project(imgs[j]), _nearest_steiner(steiner, project(imgs[j])))
-        for j in input_locals
-    }
-
-    gadget = SurfaceGadget(
-        surf,
-        False,
-        list(input_locals),
-        imgs,
-        secondary,
-        ell_a,
-        ell_b,
-        steiner,
-        r_local,
-        assignments,
-    )
+    gadget = SurfaceGadget(surf, False, imgs, secondary, ell_a, ell_b, steiner, r_local)
     _attach_core(gadget, eps_int, lam)
     return gadget
+
+
+# Vertex kinds of a folding gadget by core vertex kind; its root is the
+# graph's root, and its inputs are the Steiner points on the cross line.
+_GADGET_KINDS = {
+    "root": "bend", "apex": "core_apex", "grid": "ell_steiner", "input": "ell_steiner"
+}
 
 
 def _attach_core(gadget: SurfaceGadget, eps_int: float, lam: float) -> None:
@@ -277,6 +267,14 @@ def _attach_core(gadget: SurfaceGadget, eps_int: float, lam: float) -> None:
     tree, _ = core_spt(core)
     gadget.core = core
     gadget.core_tree = tree
+
+
+def gadget_inputs(surf: FoldedSurface, sub: SubdividedPath, root: int) -> list[int]:
+    """Local indices of the surface's inputs but the root; none on the root surface."""
+    index = [sub.input_index[h] for h in surf.hstar]
+    if index[0] == root:
+        return []
+    return [j for j, i in enumerate(index) if i >= 0 and i != root]
 
 
 def assemble_slt(
@@ -308,19 +306,19 @@ def assemble_slt(
     s = pts.points[pts.root]
     surfaces = build_surfaces(sub, s)
 
+    # Input i is vertex i; a break point between inputs gets its id on first use.
     G = FoldingGraph()
     input_ids = [G.add_vertex(p, "input") for p in pts.points]
-    root_id = input_ids[pts.root]
+    root_id = pts.root
+    vertex_of = list(sub.input_index)
+    hverts = sub.hstar.vertices
 
     for surf in surfaces:
-        vids = [G.add_vertex(v, "break") for v in surf.verts]
-        input_locals = [
-            j for j, vid in enumerate(vids) if vid < pts.n and vid != root_id
-        ]
-        is_root_surface = vids[0] == root_id
-        gadget = build_gadget(
-            surf, [] if is_root_surface else input_locals, eps_int, lam
-        )
+        for h in surf.hstar:
+            if vertex_of[h] < 0:
+                vertex_of[h] = G.add_vertex(hverts[h], "break")
+        vids = [vertex_of[h] for h in surf.hstar]
+        gadget = build_gadget(surf, gadget_inputs(surf, sub, pts.root), eps_int, lam)
         _realize(G, gadget, vids, root_id, chord_shortcut)
 
     dists, parent = dijkstra(G.n, adjacency(G.n, G.edges), root_id)
@@ -330,14 +328,10 @@ def assemble_slt(
 
     tree_graph, tree = _prune(G, dists, parent, input_ids, root_id)
 
-    per_point = []
-    for i, p in enumerate(pts.points):
-        if i == pts.root:
-            per_point.append(1.0)
-        else:
-            per_point.append(dists[input_ids[i]] / dist(s, p))
-    hw = sub.hstar.total_length
-    phase1 = hw + math.fsum(dist(s, q) for q in bps.points[1:])
+    per_point = [
+        1.0 if i == pts.root else dists[i] / dist(s, p) for i, p in enumerate(pts.points)
+    ]
+    phase1 = sub.hstar.total_length + math.fsum(dist(s, q) for q in bps.points[1:])
     report = SltReport(
         n=pts.n,
         d=pts.dim,
@@ -394,72 +388,65 @@ def _realize(
             G.add_edge(root_id, vids[0])  # phase-1 spoke
         return
 
-    # Planar point -> (vertex, its planar point); shared vertices first.
-    plane_ids: dict[PlanePoint, tuple[int, PlanePoint]] = {}
-    for img, vid in zip(gadget.vertex_images, vids):
-        plane_ids.setdefault(img, (vid, img))
-    for sb, vid in zip(gadget.secondary, sec_ids):
-        plane_ids.setdefault(sb.plane, (vid, sb.plane))
-    r_img = gadget.vertex_images[gadget.r_local]
-    r_vertex = (vids[gadget.r_local], r_img)
-    root_vertex = (root_id, (0.0, 0.0))
+    # The gadget is a tree over local vertices, each with a planar point, a
+    # kind and a graph id, the id made on first use.  Its root is the
+    # graph's root, and a Steiner point at r's image is r's vertex.
+    r_id, r_img = vids[gadget.r_local], gadget.vertex_images[gadget.r_local]
     near = 1e-12 * math.hypot(*r_img)  # coincidence, relative to the gadget
-
-    def register(q: PlanePoint, kind: str) -> tuple[int, PlanePoint]:
-        known = plane_ids.get(q)
-        if known is None:
-            if math.hypot(*q) <= near:
-                known = root_vertex
-            elif math.hypot(q[0] - r_img[0], q[1] - r_img[1]) <= near:
-                known = r_vertex
-            else:
-                known = (G.add_planar(surf, q, kind), q)
-            plane_ids[q] = known
-        return known
-
-    def add_planar_edge(q1: PlanePoint, q2: PlanePoint, kind1: str, kind2: str) -> None:
-        (u, qu), (v, qv) = register(q1, kind1), register(q2, kind2)
-        G.add_gadget_edge(surf, u, qu, v, qv, chord_shortcut)
-
     steiner = gadget.ell_steiner
-    if gadget.core is None:
+    core = gadget.core
+    if core is None:
         # Zero-width triangle: single spoke from the root to the line point.
-        add_planar_edge((0.0, 0.0), steiner[0], "bend", "ell_steiner")
+        plane, kinds, root = [(0.0, 0.0), steiner[0]], ["bend", "ell_steiner"], 0
+        at_steiner, edges = [1], [(0, 1)]
     else:
-        core = gadget.core
-        # The core root is the surface apex; its input vertices are the
-        # Steiner points on the cross line, registered with their original
-        # planar coordinates so shared vertices deduplicate exactly.
-        overrides: dict[int, PlanePoint] = {core.root: (0.0, 0.0)}
-        for cid, q in zip(core.input_ids, steiner):
-            overrides[cid] = q
-        kinds = {
-            "root": "bend",
-            "apex": "core_apex",
-            "grid": "ell_steiner",
-            "input": "ell_steiner",
-        }
+        plane = [core.plane_coords(x) for x in range(core.n)]
+        kinds = [_GADGET_KINDS[k] for k in core.kinds]
+        root, at_steiner = core.root, core.input_ids
+        plane[root] = (0.0, 0.0)
+        for x, q in zip(at_steiner, steiner):
+            plane[x] = q
+        edges = [(u, v) for u, v, _ in gadget.core_tree.edges]
+    ids = [-1] * len(plane)
+    ids[root] = root_id
+    for x in at_steiner:
+        if math.hypot(plane[x][0] - r_img[0], plane[x][1] - r_img[1]) <= near:
+            ids[x], plane[x] = r_id, r_img
+    if core is not None:
         # r lies on the cross line: a base edge running past its image is
         # split there, which joins r to the line.
+        r_local = len(plane)
+        plane.append(r_img)
+        ids.append(r_id)
         dx, dy = gadget.ell_b[0] - gadget.ell_a[0], gadget.ell_b[1] - gadget.ell_a[1]
 
-        def beyond_r(q: PlanePoint) -> float:  # sign tells the side of r
-            return (q[0] - r_img[0]) * dx + (q[1] - r_img[1]) * dy
+        def side(x: int) -> float:  # its sign tells the side of r
+            return (plane[x][0] - r_img[0]) * dx + (plane[x][1] - r_img[1]) * dy
 
-        for u, v, _ in gadget.core_tree.edges:
-            qu = overrides.get(u) or core.plane_coords(u)
-            qv = overrides.get(v) or core.plane_coords(v)
-            ku, kv = kinds[core.kinds[u]], kinds[core.kinds[v]]
+        split = []
+        for u, v in edges:
             # levels < 0: base vertices, which lie on the cross line
-            if core.levels[u] < 0 and core.levels[v] < 0 and beyond_r(qu) * beyond_r(qv) < 0.0:
-                add_planar_edge(qu, r_img, ku, "input")
-                add_planar_edge(r_img, qv, "input", kv)
+            if core.levels[u] < 0 and core.levels[v] < 0 and side(u) * side(v) < 0.0:
+                split += [(u, r_local), (r_local, v)]
             else:
-                add_planar_edge(qu, qv, ku, kv)
+                split.append((u, v))
+        edges = split
 
+    def vertex(x: int) -> int:
+        if ids[x] < 0:
+            ids[x] = G.add_planar(surf, plane[x], kinds[x])
+        return ids[x]
+
+    for u, v in edges:
+        G.add_gadget_edge(surf, vertex(u), plane[u], vertex(v), plane[v], chord_shortcut)
     for sb, vid in zip(gadget.secondary, sec_ids):
-        u, qu = register(steiner[sb.steiner], "ell_steiner")
-        G.add_gadget_edge(surf, u, qu, vid, sb.plane, chord_shortcut)
+        x = at_steiner[sb.steiner]
+        G.add_gadget_edge(surf, vertex(x), plane[x], vid, sb.plane, chord_shortcut)
+
+
+# Where lifted points coincide, the vertex keeps the kind listed first.
+_KINDS = ("input", "break", "secondary_break", "ell_steiner", "grid", "core_apex", "bend")
+_KIND_RANK = {kind: rank for rank, kind in enumerate(_KINDS)}
 
 
 def _prune(
@@ -483,7 +470,17 @@ def _prune(
             v = parent[v]
     used.sort()
     sub = SteinerGraph()
-    new = {old: sub.add_vertex(G.point(old), G.kinds[old]) for old in used}
+    at: dict[Point, int] = {}  # lifted point -> its vertex in sub
+
+    def add(p: Point, kind: str) -> int:
+        i = at.get(p)
+        if i is None:
+            i = at[p] = sub.add_vertex(p, kind)
+        elif _KIND_RANK[kind] < _KIND_RANK[sub.kinds[i]]:
+            sub.kinds[i] = kind
+        return i
+
+    new = {old: add(G.point(old), G.kinds[old]) for old in used}
     comp = list(range(sub.n))  # union-find over sub's vertices
 
     def find(x: int) -> int:
@@ -503,7 +500,7 @@ def _prune(
             if p > old:
                 qa, qb = qb, qa
             for bend in lift_segment(surf, qa, qb).vertices[1:-1]:
-                chain.append(sub.add_vertex(bend, "bend"))
+                chain.append(add(bend, "bend"))
             comp.extend(range(len(comp), sub.n))
         chain.append(new[old])
         for a, b in zip(chain, chain[1:]):
@@ -538,11 +535,7 @@ def assemble_core2d(pts: PointCloud, eps: float, lam: float = 1.25):
         graph.add_vertex(g.plane_coords(i), _CORE_KINDS[g.kinds[i]])
     for u, v, _ in core_tree.edges:
         graph.add_edge(u, v)
-    tree = Tree(
-        graph.n,
-        tuple((u, v, dist(graph.coords[u], graph.coords[v])) for u, v, _ in core_tree.edges),
-        core_tree.root,
-    )
+    tree = Tree(graph.n, tuple(graph.edges), core_tree.root)
     # The core numbers the root first and the base points in input order.
     base_ids = iter(g.input_ids)
     vertex_of = [g.root if i == pts.root else next(base_ids) for i in range(pts.n)]

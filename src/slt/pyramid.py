@@ -263,8 +263,10 @@ def base_spanner(points: list[Point]) -> tuple[list[tuple[int, int, float]], str
 def build_pyramid_core(d: int, eps: float, grid: GridSpec, lam: float = 1.25):
     """Assemble the pyramid graph and its shortest-path tree.
 
-    Returns (graph, tree, report).  The tree is the full SPT from the
-    apex; stretch is measured over the grid points.
+    Returns (graph, tree, report).  The tree is the full SPT from the apex
+    over the search graph (apex tree, apex-corner edges and base spanner),
+    and the graph holds its vertices and edges; stretch is measured over
+    the grid points.
     """
     if d < 3:
         raise DimensionTooSmall("pyramid construction needs d >= 3")
@@ -289,77 +291,79 @@ def build_pyramid_core(d: int, eps: float, grid: GridSpec, lam: float = 1.25):
     apex_id = G.add_vertex(apex, "input")
     input_ids = [G.add_vertex(p, "input") for p in inputs]
 
-    # Corner lattice of the level-k subdivision (the base Steiner grid);
-    # integer congruences decide coincidences with grid cell centers.
+    # Corner lattice of the level-k subdivision (the base Steiner grid), as
+    # vertex ids by corner index; integer congruences decide coincidences
+    # with grid cell centers.
     m = grid.per_axis
     two_k = 1 << k
     corner_coord = [-side / 2.0 + c * side / two_k for c in range(two_k + 1)]
-    center_of = {}
-    for j, p in enumerate(inputs):
-        center_of[tuple(round((x + side / 2.0) / (side / m) - 0.5) for x in p[1:])] = j
-
-    corner_ids: dict[tuple[int, ...], int] = {}
+    # grid_points makes the cell centres in this order, the first grid.n of them.
+    center_of = dict(zip(itertools.product(range(m), repeat=dim), input_ids))
+    corner = np.empty((two_k + 1,) * dim, dtype=int)
     for cvec in itertools.product(range(two_k + 1), repeat=dim):
         # Coincidence with a cell center: c/2^k == (i+0.5)/m for all axes.
-        center_idx = []
-        for c in cvec:
-            num = 2 * c * m - two_k
-            den = 2 * two_k
-            if num >= 0 and num % den == 0:
-                center_idx.append(num // den)
-            else:
-                center_idx = None
-                break
-        if center_idx is not None:
-            j = center_of.get(tuple(center_idx))
-            if j is not None:
-                corner_ids[cvec] = input_ids[j]
-                continue
-        p = (0.0,) + tuple(corner_coord[c] for c in cvec)
-        corner_ids[cvec] = G.add_vertex(p, "grid")
+        nums = [2 * c * m - two_k for c in cvec]
+        cell = tuple(x // (2 * two_k) if x >= 0 and x % (2 * two_k) == 0 else -1 for x in nums)
+        if cell in center_of:
+            corner[cvec] = center_of[cell]
+        else:
+            corner[cvec] = G.add_vertex((0.0,) + tuple(corner_coord[c] for c in cvec), "grid")
 
-    # Apices per level and the binary (2^(d-1)-ary) tree between them.
-    level_ids: list[dict[tuple[int, ...], int]] = [{(0,) * dim: apex_id}]
-    chain = [0.0] * (k + 1)
-    level_edge_totals = [0.0] * (k + 1)
-    offsets = list(itertools.product((0, 1), repeat=dim))
+    # Apices per level, as vertex ids by cell index: cell j's parent is cell
+    # j // 2, and each level-k apex joins the corners of its cell.  Each
+    # entry of ``joins`` pairs the upper with the lower ends of one level.
+    level = np.full((1,) * dim, apex_id)
+    joins = []
     for i in range(1, k + 1):
-        ids: dict[tuple[int, ...], int] = {}
         cells = 1 << i
         csize = side / cells
+        first = G.n
         for jvec in itertools.product(range(cells), repeat=dim):
             center = tuple(-side / 2.0 + (j + 0.5) * csize for j in jvec)
-            ids[jvec] = G.add_vertex((heights[i],) + center, "core_apex")
-        level_ids.append(ids)
-        for jvec, child in ids.items():
-            parent = level_ids[i - 1][tuple(j // 2 for j in jvec)]
-            G.add_edge(parent, child)
-            w = G.edges[-1][2]
-            chain[i - 1] = max(chain[i - 1], w)
-            level_edge_totals[i - 1] += w
-    for jvec, aid in level_ids[k].items():
-        for off in offsets:
-            cid = corner_ids[tuple(j + o for j, o in zip(jvec, off))]
-            G.add_edge(aid, cid)
-            w = G.edges[-1][2]
-            chain[k] = max(chain[k], w)
-            level_edge_totals[k] += w
+            G.add_vertex((heights[i],) + center, "core_apex")
+        children = np.arange(first, G.n).reshape((cells,) * dim)
+        joins.append((level[np.ix_(*[np.arange(cells) // 2] * dim)], children))
+        level = children
+    offsets = itertools.product((0, 1), repeat=dim)
+    shifted = [corner[tuple(slice(o, o + two_k) for o in off)] for off in offsets]
+    cell_corners = np.stack(shifted, axis=-1)
+    joins.append((np.broadcast_to(level[..., None], cell_corners.shape), cell_corners))
 
-    base_points = list(inputs) + [
-        G.coords[i] for c, i in corner_ids.items() if i > len(inputs)
-    ]
-    base_ids = input_ids + [i for c, i in corner_ids.items() if i > len(inputs)]
+    # The search graph's edges, as the columns of one sparse matrix.
+    us: list[int] = []
+    vs: list[int] = []
+    ws: list[float] = []
+    chain: list[float] = []
+    level_edge_totals: list[float] = []
+    for upper, lower in joins:
+        level_us, level_vs = upper.ravel().tolist(), lower.ravel().tolist()
+        level_ws = [dist(G.coords[u], G.coords[v]) for u, v in zip(level_us, level_vs)]
+        total = 0.0
+        for w in level_ws:  # in edge order; sum() may round differently
+            total += w
+        us += level_us
+        vs += level_vs
+        ws += level_ws
+        chain.append(max(level_ws))
+        level_edge_totals.append(total)
+
+    base_ids = np.array(input_ids + [i for i in corner.ravel().tolist() if i > len(inputs)])
+    base_points = [G.coords[i] for i in base_ids.tolist()]
     span_edges, span_method = base_spanner(base_points)
-    for u, v, _ in span_edges:
-        G.add_edge(base_ids[u], base_ids[v])
-
-    dists, parents = _sparse_spt(G, apex_id)
-    tree_edges = tuple(
-        (int(parents[v]), v, dist(G.coords[int(parents[v])], G.coords[v]))
-        for v in range(G.n)
-        if v != apex_id
+    count = len(span_edges)
+    src = np.concatenate([us, base_ids[np.fromiter((e[0] for e in span_edges), int, count)]])
+    dst = np.concatenate([vs, base_ids[np.fromiter((e[1] for e in span_edges), int, count)]])
+    span_w = (math.dist(base_points[u], base_points[v]) for u, v, _ in span_edges)
+    weight = np.concatenate([ws, np.fromiter(span_w, float, count)])
+    rows, cols = np.concatenate([src, dst]), np.concatenate([dst, src])
+    search = csr_matrix((np.concatenate([weight, weight]), (rows, cols)), shape=(G.n, G.n))
+    dists, parents = sparse_dijkstra(
+        search, directed=False, indices=apex_id, return_predecessors=True
     )
-    tree = Tree(G.n, tree_edges, apex_id)
+    for v, p in enumerate(parents.tolist()):
+        if v != apex_id:
+            G.add_edge(p, v)
+    tree = Tree(G.n, tuple(G.edges), apex_id)
 
     per_point = [dists[i] / dist(apex, p) for i, p in zip(input_ids, inputs)]
     mst = euclidean_mst(PointCloud((apex,) + inputs, 0))
@@ -380,22 +384,7 @@ def build_pyramid_core(d: int, eps: float, grid: GridSpec, lam: float = 1.25):
             "level_edge_totals": level_edge_totals,
             "chain": chain,
             "regime": grid.satisfies_regime(d, eps),
-            "corner_count": len(corner_ids),
+            "corner_count": corner.size,
         },
     )
     return G, tree, report
-
-
-def _sparse_spt(G: SteinerGraph, source: int):
-    n = G.n
-    us = np.fromiter((e[0] for e in G.edges), dtype=np.int32, count=len(G.edges))
-    vs = np.fromiter((e[1] for e in G.edges), dtype=np.int32, count=len(G.edges))
-    ws = np.fromiter((e[2] for e in G.edges), dtype=np.float64, count=len(G.edges))
-    mat = csr_matrix(
-        (np.concatenate([ws, ws]), (np.concatenate([us, vs]), np.concatenate([vs, us]))),
-        shape=(n, n),
-    )
-    dists, parents = sparse_dijkstra(
-        mat, directed=False, indices=source, return_predecessors=True
-    )
-    return dists, parents

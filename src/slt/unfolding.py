@@ -56,6 +56,7 @@ class FoldedSurface:
     angles: tuple[float, ...]  # per-cone angle
     cum_angle: tuple[float, ...]
     truncated: bool
+    hstar: tuple[int, ...] = ()  # hstar vertex index of each of verts
     _cones: tuple[Cone, ...] | None = dataclasses_field(default=None, compare=False, repr=False)
     _frames: dict | None = dataclasses_field(default=None, compare=False, repr=False)
 
@@ -124,26 +125,25 @@ def build_surfaces(sub: SubdividedPath, s: Point) -> list[FoldedSurface]:
     last_seg = len(bp) - 2
     surfaces: list[FoldedSurface] = []
     for i, (vstart, vend) in enumerate(zip(bp, bp[1:])):
-        # The vertex run covered by the segment's cones, and their angles.
-        run: list[Point] = []
+        # The hstar vertices covered by the segment's cones, and their angles.
+        run: list[int] = []
         angles: list[float] = []
         for j in range(vstart, vend):
-            a, b = hverts[j], hverts[j + 1]
             if j == 0 and root_edge:
-                run = [a, b]
+                run = [j, j + 1]
                 angles.append(0.0)
                 continue
-            if a == b:
+            if hverts[j] == hverts[j + 1]:
                 continue  # zero-length edge contributes nothing
             ang = edge_angles[j]
             if ang > math.pi - 1e-9:
                 raise DegenerateRay("path edge passes through the root")
             if not run:
-                run.append(a)
-            run.append(b)
+                run.append(j)
+            run.append(j + 1)
             angles.append(ang)
         if not angles:
-            run = [hverts[vend]] * 2
+            run = [vend] * 2
             angles = [0.0]
         truncated = sub.truncated and i == last_seg
         cum = tuple(accumulate(angles, initial=0.0))
@@ -156,10 +156,12 @@ def build_surfaces(sub: SubdividedPath, s: Point) -> list[FoldedSurface]:
             ]
         # Numbered as assembled, so surface numbers stay consecutive
         # across split pieces.
-        for verts, piece_angles, piece_cum in pieces:
+        for idx, piece_angles, piece_cum in pieces:
+            verts = tuple(hverts[j] for j in idx)
+            number = len(surfaces) + 1
             surfaces.append(
                 FoldedSurface(
-                    len(surfaces) + 1, s, tuple(verts), tuple(piece_angles), piece_cum, truncated
+                    number, s, verts, tuple(piece_angles), piece_cum, truncated, tuple(idx)
                 )
             )
     return surfaces

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -354,3 +356,65 @@ def test_canonical_json_sorted_keys():
     s = canonical_dumps({"b": 1, "a": [2.5, 1e-9]})
     assert s.index('"a"') < s.index('"b"')
     assert json.loads(s) == {"b": 1, "a": [2.5, 1e-9]}
+
+
+def test_render_surfaces_draws_the_gadgets_the_build_makes(tmp_path, capsys, monkeypatch):
+    import slt.pipeline
+
+    pts, svg = tmp_path / "pts.json", tmp_path / "surf.svg"
+    run(["gen", "random", "--n", 20, "--dim", 3, "--seed", 5, "--output", pts])
+    built = []
+    real = slt.pipeline.build_gadget
+
+    def recording(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(slt.pipeline, "build_gadget", recording)
+    slt.pipeline.assemble_slt(parse_points(pts), 0.04)
+    monkeypatch.undo()
+    assert run(["render", "--input", pts, "--surfaces", "--eps", 0.04, "--output", svg]) == 0
+    capsys.readouterr()
+    cross_lines = svg.read_text().count('stroke="#888888"')
+    assert cross_lines == sum(not g.degenerate for g in built) > 0
+
+
+def test_verify_rejects_many_triangles_in_linear_time(tmp_path, capsys):
+    # Every third edge closes a cycle; each must be told from a duplicate
+    # without rescanning the edges before it.
+    pts_file, tree_file = tmp_path / "pts.json", tmp_path / "tree.json"
+    write_points(pts_file, SQUARE, 0)
+    n = 60_000
+    tree = {
+        "vertices": [{"id": i, "coords": [float(i), 0.0], "kind": "input"} for i in range(n)],
+        "edges": [[t + a, t + b] for t in range(0, n, 3) for a, b in ((0, 1), (1, 2), (2, 0))],
+        "root": 0,
+    }
+    tree_file.write_text(canonical_dumps(tree))
+    t0 = time.perf_counter()
+    code = run(["verify", "--input", pts_file, "--tree", tree_file, "--eps", 0.04])
+    elapsed = time.perf_counter() - t0
+    assert code == 2
+    assert "a tree has 59999" in capsys.readouterr().err
+    assert elapsed < 10.0, f"took {elapsed:.2f} s"
+
+
+# sha256 of the tree file each method writes for one small instance.  A
+# change to any of them changes the trees themselves, not just the metrics.
+GOLDEN_TREES = [
+    (["random", "--n", 30, "--dim", 3, "--seed", 1], ["--eps", 0.09],
+     "46066bd36f6a8f66e9e3745a00952f2b9bc82fefe2a9798e805844fdcd8c2c18"),
+    (["core", "--eps", 0.04, "--n", 12], ["--method", "core2d", "--eps", 0.04],
+     "cceb266c37735e3572ea88374df2d92d0cf2db9c305acfff79a9bd2a7adbb040"),
+    (["grid", "--dim", 3, "--n", 64, "--eps", 0.04], ["--method", "pyramid", "--eps", 0.04],
+     "7f02b6bac206bb9b49f19e7a19b4e24aba215135759fc09c3faa62784da3b94c"),
+]
+
+
+@pytest.mark.parametrize("gen,build,sha", GOLDEN_TREES, ids=["folding", "core2d", "pyramid"])
+def test_build_writes_the_golden_tree(tmp_path, capsys, gen, build, sha):
+    pts, tree = tmp_path / "pts.json", tmp_path / "tree.json"
+    assert run(["gen", *gen, "--output", pts]) == 0
+    assert run(["build", *build, "--input", pts, "--output", tree]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(tree.read_bytes()).hexdigest() == sha

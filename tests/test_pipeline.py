@@ -7,11 +7,11 @@ import pytest
 from slt.breakpoints import select_breakpoints, subdivide
 from slt.cli import run_cli, write_points, write_tree
 from slt.errors import EpsOutOfRange
-from slt.geometry import dist
+from slt.geometry import angle_at_apex, dist
 from slt.metrics import adjacency, dijkstra, oracle_spt, tree_distances
 from slt.mst_path import PointCloud, dfs_hamiltonian, euclidean_mst
 from slt.pipeline import FoldingGraph, _prune, _realize, assemble_slt, build_gadget
-from slt.unfolding import build_surfaces, lift, lift_segment, unfold_vertex
+from slt.unfolding import FoldedSurface, build_surfaces, lift, lift_segment, unfold_vertex
 
 
 def circle_cloud(eps, dim=2, seed=None):
@@ -151,9 +151,18 @@ def test_single_input_direct_path_bound():
     inputs_of = _input_locals(pc, surfs)
     f = next(f for f in surfs if inputs_of[f.index] and f.index >= 2)
     g = build_gadget(f, inputs_of[f.index], 0.04)
+    # the cross line meets the ray through v where its normal component is r's
+    phi = f.total_angle / 2
+    r_img = g.vertex_images[g.r_local]
+    c = r_img[0] * math.cos(phi) + r_img[1] * math.sin(phi)
     for j in inputs_of[f.index]:
         v_img = g.vertex_images[j]
-        v_tilde, steiner_idx = g.assignments[j]
+        ang = math.atan2(v_img[1], v_img[0])
+        rr = c / math.cos(ang - phi)
+        v_tilde = (rr * math.cos(ang), rr * math.sin(ang))
+        steiner_idx = min(
+            range(len(g.ell_steiner)), key=lambda i: (dist(g.ell_steiner[i], v_tilde), i)
+        )
         v_prime = g.ell_steiner[steiner_idx]
         route = math.hypot(*v_prime) + dist(v_prime, v_img)
         direct = math.hypot(*v_img)
@@ -339,6 +348,30 @@ def test_r_joins_the_cross_line_where_a_base_edge_passes_it():
         assert ends == {q for edge in passes for q in edge}
         joined += bool(passes)
     assert joined > 0
+
+
+@pytest.mark.parametrize("r_first", [True, False], ids=["first", "last"])
+def test_r_at_an_end_of_the_cross_line_takes_the_steiner_point(r_first):
+    # r on the first (last) boundary ray: the cross line starts (ends) at r's
+    # image, so the end Steiner point is r's own vertex and no gadget
+    # vertex of its own sits there.
+    s, r = (0.0, 0.0), (1.0, 0.0)
+    verts = (r, (1.2, 0.1), (1.4, 0.25))
+    if not r_first:
+        verts = verts[::-1]
+    angles = tuple(angle_at_apex(s, a, b) for a, b in zip(verts, verts[1:]))
+    surf = FoldedSurface(2, s, verts, angles, (0.0, angles[0], angles[0] + angles[1]), False)
+    g = build_gadget(surf, [0, 2], 0.04)
+    assert g.r_local == (0 if r_first else 2) and g.core is not None
+    G = FoldingGraph()
+    root = G.add_vertex(s, "input")
+    vids = [G.add_vertex(v, "input" if j != 1 else "break") for j, v in enumerate(verts)]
+    _realize(G, g, vids, root, False)
+    r_id, r_img = vids[g.r_local], g.vertex_images[g.r_local]
+    assert not any(dist(G.coords[v], r_img) <= 1e-9 for v in G.surface)
+    assert len(G.surface) == g.core.n - 2  # all core vertices but the root and that end
+    r_neighbours = {b if a == r_id else a for a, b in G.planar if r_id in (a, b)}
+    assert any(G.kinds[v] == "core_apex" for v in r_neighbours)
 
 
 def test_coinciding_lifts_still_give_a_spanning_tree():
