@@ -13,7 +13,7 @@ import random
 import sys
 
 from .breakpoints import select_breakpoints, subdivide
-from .core2d import core2d_points
+from .core2d import build_core, core2d_points, core_spt
 from .errors import MalformedFile, MalformedTree, SltError
 from .metrics import SltReport, root_stretch
 from .mst_path import PointCloud, Tree, dfs_hamiltonian, euclidean_mst
@@ -288,13 +288,12 @@ def render_surfaces_svg(pc: PointCloud, eps: float, gamma: float, path):
             cv.line(shift(gadget.ell_a), shift(gadget.ell_b), stroke="#888888")
             for q in gadget.ell_steiner:
                 cv.dot(shift(q), fill="#777777", r=1.5)
-            if gadget.core_tree is not None:
-                for u, v, _ in gadget.core_tree.edges:
-                    cv.line(
-                        shift(gadget.core.plane_coords(u)),
-                        shift(gadget.core.plane_coords(v)),
-                        stroke="#aaaaaa",
-                    )
+            inst = gadget.core_instance()
+            if inst is not None:
+                core = build_core(inst)
+                for u, v, _ in core_spt(core)[0].edges:
+                    a, b = core.plane_coords(u), core.plane_coords(v)
+                    cv.line(shift(a), shift(b), stroke="#aaaaaa")
         offset += 1.25 * rmax
     with open(path, "w") as fh:
         fh.write(cv.render())

@@ -161,55 +161,43 @@ def _make_frame(inst: CoreInstance) -> Frame:
     return Frame(o, ex, ey, 1.0 / dist(inst.apex, inst.base_a))
 
 
+def core_layout(inst: CoreInstance):
+    """Canonical frame and points of the core, placed as ``build_core`` places them.
+
+    Returns the frame, the apices per level (level 0 holds the root), the
+    grid, the base points and the grid vertex each sits on (-1 if none).
+    """
+    frame = _make_frame(inst)
+    alpha, lam, k = inst.apex_angle, inst.lam, inst.k
+    if alpha * lam**k >= math.pi / 2.0:
+        raise AngleOverflow(f"final apex angle {alpha * lam**k:.4f} reaches pi/2 at level {k}")
+    xa, xb = frame.to_canonical(inst.base_a)[0], frame.to_canonical(inst.base_b)[0]
+    xs = [[xa * (1.0 - f) + xb * f for f in (j / (1 << i) for j in range((1 << i) + 1))]
+          for i in range(k + 1)]  # grid x of each level
+    apices = [[frame.to_canonical(inst.apex)]]
+    for i in range(1, k + 1):
+        h = (xb - xa) / (1 << (i + 1)) / math.tan(alpha * lam**i / 2.0)
+        apices.append([(0.5 * (x0 + x1), h) for x0, x1 in zip(xs[i], xs[i][1:])])
+    base = [frame.to_canonical(p) for p in inst.base_points]
+    xtol = 1e-12 * max(abs(xa), abs(xb), 1.0)
+    nearest = [round((q[0] - xa) / (xb - xa) * (1 << k)) if xb > xa else 0 for q in base]
+    on = [j if 0 <= j <= (1 << k) and abs(q[0] - xs[k][j]) <= xtol and abs(q[1]) <= xtol
+          else -1 for q, j in zip(base, nearest)]
+    return frame, apices, [(x, 0.0) for x in xs[k]], base, on
+
+
 def build_core(inst: CoreInstance) -> CoreGraph:
     """Erect the level apices, wire the binary tree and the base path."""
-    frame = _make_frame(inst)
-    alpha = inst.apex_angle
-    lam = inst.lam
-    k = inst.k
-    if alpha * lam**k >= math.pi / 2.0:
-        raise AngleOverflow(
-            f"final apex angle {alpha * lam ** k:.4f} reaches pi/2 at level {k}"
-        )
-
-    s = frame.to_canonical(inst.apex)
-    a = frame.to_canonical(inst.base_a)
-    b = frame.to_canonical(inst.base_b)
-    xa, xb = a[0], b[0]
-
-    def grid_x(i: int, j: int) -> float:
-        f = j / (1 << i)
-        return xa * (1.0 - f) + xb * f
-
-    coords: list[PlanePoint] = [s]
-    kinds = ["root"]
-    levels = [0]
-    apex_id: dict[tuple[int, int], int] = {(0, 0): 0}
-    for i in range(1, k + 1):
-        theta = alpha * lam**i
-        half = (xb - xa) / (1 << (i + 1))
-        h = half / math.tan(theta / 2.0)
-        for j in range(1 << i):
-            mid = 0.5 * (grid_x(i, j) + grid_x(i, j + 1))
-            apex_id[(i, j)] = len(coords)
-            coords.append((mid, h))
-            kinds.append("apex")
-            levels.append(i)
-
-    grid_ids = []
-    for j in range((1 << k) + 1):
-        grid_ids.append(len(coords))
-        coords.append((grid_x(k, j), 0.0))
-        kinds.append("grid")
-        levels.append(-1)
+    frame, apices, grid, base, on = core_layout(inst)
+    k = len(apices) - 1
+    coords = [q for level in apices for q in level] + grid
+    kinds = ["root"] + ["apex"] * (len(coords) - len(grid) - 1) + ["grid"] * len(grid)
+    levels = [i for i, level in enumerate(apices) for _ in level] + [-1] * len(grid)
+    grid_ids = list(range(len(coords) - len(grid), len(coords)))
 
     input_ids = []
-    grid_xs = [coords[g][0] for g in grid_ids]
-    xtol = 1e-12 * max(abs(xa), abs(xb), 1.0)
-    for p in inst.base_points:
-        q = frame.to_canonical(p)
-        j = round((q[0] - xa) / (xb - xa) * (1 << k)) if xb > xa else 0
-        if 0 <= j <= (1 << k) and abs(q[0] - grid_xs[j]) <= xtol and abs(q[1]) <= xtol:
+    for q, j in zip(base, on):
+        if j >= 0:
             kinds[grid_ids[j]] = "input"  # coincides with a grid vertex
             input_ids.append(grid_ids[j])
             continue
@@ -226,12 +214,12 @@ def build_core(inst: CoreInstance) -> CoreGraph:
     chain = [0.0] * (k + 1)
     for i in range(k):
         for j in range(1 << i):
-            parent = apex_id[(i, j)]
-            for child in (apex_id[(i + 1, 2 * j)], apex_id[(i + 1, 2 * j + 1)]):
+            parent = (1 << i) - 1 + j  # apex j of level i
+            for child in ((1 << (i + 1)) - 1 + 2 * j, (1 << (i + 1)) + 2 * j):
                 connect(parent, child)
                 chain[i] = max(chain[i], dist(coords[parent], coords[child]))
     for j in range(1 << k):
-        apex = apex_id[(k, j)]
+        apex = (1 << k) - 1 + j
         for g in (grid_ids[j], grid_ids[j + 1]):
             connect(apex, g)
             chain[k] = max(chain[k], dist(coords[apex], coords[g]))
@@ -245,21 +233,8 @@ def build_core(inst: CoreInstance) -> CoreGraph:
         connect(u, v)
         base_path_weight += edges[-1][2]
 
-    return CoreGraph(
-        coords,
-        kinds,
-        levels,
-        edges,
-        frame,
-        alpha,
-        lam,
-        k,
-        chain,
-        base_path_weight,
-        0,
-        input_ids,
-        grid_ids,
-    )
+    return CoreGraph(coords, kinds, levels, edges, frame, inst.apex_angle, inst.lam, k,
+                     chain, base_path_weight, 0, input_ids, grid_ids)
 
 
 def core_spt(g: CoreGraph):
@@ -274,6 +249,40 @@ def core_spt(g: CoreGraph):
         if v != root
     )
     return Tree(g.n, tree_edges, root), dists
+
+
+def layout_spt(apices, grid, base, on):
+    """``core_spt``'s tree over the base of ``core_layout``, without the graph.
+
+    Root distances are summed as Dijkstra sums them and compared as it
+    does, a tie going to the lower core index.  Returns, per base point,
+    the base vertex its path comes through: a base point, or -1 - j for
+    grid vertex j; and, per grid vertex, the last-level apex that feeds it.
+    """
+    m, d = len(grid) - 1, [0.0]
+    for up, level in zip(apices, apices[1:]):
+        d = [d[j >> 1] + math.dist(up[j >> 1], q) for j, q in enumerate(level)]
+    best = [min((d[a] + math.dist(apices[-1][a], g), a) for a in (j - 1, j) if 0 <= a < m)
+            for j, g in enumerate(grid)]
+    holder = {j: x for x, j in enumerate(on) if j >= 0}
+    # The base path in the core's order: by x, then grid (0, j) before off-grid (1, x).
+    order = sorted([(g[0], (0, j)) for j, g in enumerate(grid)]
+                   + [(q[0], (1, x)) for x, q in enumerate(base) if on[x] < 0])
+
+    def sweep(order) -> dict[int, tuple]:
+        # (distance, core index order, via) of each off-grid point from the sweep's side
+        out, last = {}, (math.inf, (0, -1), 0, (0.0, 0.0))  # no grid vertex yet
+        for _, (off, i) in order:
+            if off:
+                out[i] = (last[0] + math.dist(last[3], base[i]), *last[1:3])
+                last = (out[i][0], (1, i), i, base[i])
+            else:
+                last = (best[i][0], (0, i), holder.get(i, -1 - i), grid[i])
+        return out
+
+    left, right = sweep(order), sweep(order[::-1])
+    via = [min(left[x], right[x])[2] if j < 0 else -1 - j for x, j in enumerate(on)]
+    return via, [a for _, a in best]
 
 
 @dataclass

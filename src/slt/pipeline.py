@@ -2,15 +2,18 @@
 
 Per surface: secondary break points along the sub-path, a cross line
 through the input point r closest to the root, Steiner points on that
-line, a recursive triangle tree feeding them (split at r where it runs
-past r's image, so r joins the line), and connector edges back to the
-path.  The union over all surfaces is solved in the plane:
-input points, break points, secondary break points and the root keep
-their R^d coordinates, while every gadget vertex is a planar point of its
-surface and every gadget edge weighs its planar length (unfolding is
-isometric, so that is the length of its lift).  The tree is the union of
-shortest paths from the root to the input points; only its gadget
-vertices and edges are lifted onto their surfaces, bends included.
+line, a recursive triangle core feeding them, and connector edges back to
+the path.  The core is contracted to its portals, the Steiner points and
+r: each hangs off the root by one edge weighing its closed-form core path,
+or off the portal that path runs through (r joins the line where a base
+edge of the core tree runs past its image).  The union over all surfaces
+is solved in the plane: input points, break points, secondary break points
+and the root keep their R^d coordinates, while every gadget vertex is a
+planar point of its surface and every gadget edge weighs its planar length
+(unfolding is isometric, so that is the length of its lift).  The tree is
+the union of shortest paths from the root to the input points; only its
+gadget vertices and edges, the kept core paths expanded into their apices
+and grid vertices, are lifted onto their surfaces, bends included.
 
 ``assemble_core2d`` runs the recursive triangle core alone on a 2-d instance
 and returns the same (graph, tree, report) triple as ``assemble_slt``.  It
@@ -22,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 from .breakpoints import SubdividedPath, select_breakpoints, subdivide
-from .core2d import CoreGraph, CoreInstance, build_core, core_metrics, core_spt
+from .core2d import CoreInstance, build_core, core_layout, core_metrics, core_spt, layout_spt
 from .errors import EmptySurface, EpsOutOfRange, SltError, Unreachable
 from .geometry import PlanePoint, Point, Polyline, dist
 from .metrics import SltReport, adjacency, dijkstra, root_stretch
@@ -64,14 +67,16 @@ class FoldingGraph(SteinerGraph):
     surface in ``surface``.  ``planar`` maps the key (lo, hi) of a gadget
     edge to its surface and the planar points of lo and hi; every other
     edge is straight in R^d.  Two vertices get at most one edge, and a
-    vertex none to itself: on a surface along one ray, r's vertex is the
-    one Steiner point, and its connectors repeat sub-path edges.
+    vertex none to itself (on a surface along one ray, r's vertex is the
+    one Steiner point, and its connectors repeat sub-path edges), but for
+    the root's edges in ``core_paths``: each stands for its own core path.
     """
 
     def __init__(self):
         super().__init__()
         self.surface: dict[int, FoldedSurface] = {}
         self.planar: dict[tuple[int, int], tuple[FoldedSurface, PlanePoint, PlanePoint]] = {}
+        self.core_paths: dict[tuple[int, int], list[tuple[float, tuple]]] = {}
         self._lifted: dict[int, Point] = {}
         self._edge_set: set[tuple[int, int]] = set()
 
@@ -112,6 +117,11 @@ class FoldingGraph(SteinerGraph):
             self.planar[key] = (surf, qu, qv)
         self.edges.append((u, v, w))
 
+    def add_core_path(self, u: int, v: int, w: float, path: tuple) -> None:
+        """Edge u-v, maybe parallel to another, for a path through an unbuilt core."""
+        self.edges.append((u, v, w))
+        self.core_paths.setdefault((u, v), []).append((w, path))
+
     def point(self, v: int) -> Point:
         """R^d coordinates of vertex v; a gadget vertex is lifted once."""
         surf = self.surface.get(v)
@@ -148,8 +158,16 @@ class SurfaceGadget:
     ell_b: PlanePoint | None = None
     ell_steiner: list[PlanePoint] = field(default_factory=list)
     r_local: int = -1
-    core: CoreGraph | None = None
-    core_tree: Tree | None = None
+    eps_int: float = 0.25
+    lam: float = 1.25
+
+    def core_instance(self) -> CoreInstance | None:
+        """The recursive triangle over the cross line; None if it has zero width."""
+        a, b = self.ell_a, self.ell_b
+        if self.degenerate or dist(a, b) < 1e-12 * a[0]:
+            return None
+        eps_core = max(self.eps_int, self.surface.total_angle**2)
+        return CoreInstance((0.0, 0.0), a, b, tuple(self.ell_steiner), eps_core, self.lam)
 
 
 def _nearest_steiner(steiner: list[PlanePoint], q: PlanePoint) -> int:
@@ -243,30 +261,8 @@ def build_gadget(
         steiner_idx = _nearest_steiner(steiner, project(plane))
         secondary.append(SecondaryBp(arc, j, frac, point, plane, at_vertex, steiner_idx))
 
-    gadget = SurfaceGadget(surf, False, imgs, secondary, ell_a, ell_b, steiner, r_local)
-    _attach_core(gadget, eps_int, lam)
-    return gadget
-
-
-# Vertex kinds of a folding gadget by core vertex kind; its root is the
-# graph's root, and its inputs are the Steiner points on the cross line.
-_GADGET_KINDS = {
-    "root": "bend", "apex": "core_apex", "grid": "ell_steiner", "input": "ell_steiner"
-}
-
-
-def _attach_core(gadget: SurfaceGadget, eps_int: float, lam: float) -> None:
-    """Build the recursive triangle tree over the cross line."""
-    a, b = gadget.ell_a, gadget.ell_b
-    if dist(a, b) < 1e-12 * a[0]:
-        return  # zero-width triangle; realized as a single spoke edge
-    total = gadget.surface.total_angle
-    eps_core = max(eps_int, total * total)
-    inst = CoreInstance((0.0, 0.0), a, b, tuple(gadget.ell_steiner), eps_core, lam)
-    core = build_core(inst)
-    tree, _ = core_spt(core)
-    gadget.core = core
-    gadget.core_tree = tree
+    return SurfaceGadget(surf, False, imgs, secondary, ell_a, ell_b, steiner, r_local,
+                         eps_int, lam)
 
 
 def gadget_inputs(surf: FoldedSurface, sub: SubdividedPath, root: int) -> list[int]:
@@ -312,6 +308,7 @@ def assemble_slt(
     root_id = pts.root
     vertex_of = list(sub.input_index)
     hverts = sub.hstar.vertices
+    cores = zero_width = 0
 
     for surf in surfaces:
         for h in surf.hstar:
@@ -319,7 +316,9 @@ def assemble_slt(
                 vertex_of[h] = G.add_vertex(hverts[h], "break")
         vids = [vertex_of[h] for h in surf.hstar]
         gadget = build_gadget(surf, gadget_inputs(surf, sub, pts.root), eps_int, lam)
-        _realize(G, gadget, vids, root_id, chord_shortcut)
+        core = _realize(G, gadget, vids, root_id, chord_shortcut)
+        cores += core is not None
+        zero_width += core is None and not gadget.degenerate
 
     dists, parent = dijkstra(G.n, adjacency(G.n, G.edges), root_id)
     for i in input_ids:
@@ -347,6 +346,8 @@ def assemble_slt(
             "surface_angles": [f.total_angle for f in surfaces],
             "truncated_surfaces": sum(1 for f in surfaces if f.truncated),
             "surfaces": len(surfaces),
+            "cores": cores,
+            "zero_width_cores": zero_width,
             "graph_vertices": G.n,
             "graph_edges": len(G.edges),
             "pruned_vertices": G.n - tree_graph.n,
@@ -362,8 +363,8 @@ def _realize(
     vids: list[int],
     root_id: int,
     chord_shortcut: bool,
-) -> None:
-    """Add the surface's sub-path and its planar gadget to the graph."""
+) -> CoreInstance | None:
+    """Add the surface's sub-path and its planar gadget to the graph; return its core."""
     surf = gadget.surface
 
     # Sub-path edges, with secondary break points inserted as vertices.
@@ -386,62 +387,64 @@ def _realize(
     if gadget.degenerate:
         if vids[0] != root_id:
             G.add_edge(root_id, vids[0])  # phase-1 spoke
-        return
+        return None
 
-    # The gadget is a tree over local vertices, each with a planar point, a
-    # kind and a graph id, the id made on first use.  Its root is the
-    # graph's root, and a Steiner point at r's image is r's vertex.
+    # The portals: a vertex per Steiner point, r's own at r's image.
     r_id, r_img = vids[gadget.r_local], gadget.vertex_images[gadget.r_local]
     near = 1e-12 * math.hypot(*r_img)  # coincidence, relative to the gadget
-    steiner = gadget.ell_steiner
-    core = gadget.core
-    if core is None:
+    ids, plane = [], []
+    for q in gadget.ell_steiner:
+        at_r = math.hypot(q[0] - r_img[0], q[1] - r_img[1]) <= near
+        ids.append(r_id if at_r else G.add_planar(surf, q, "ell_steiner"))
+        plane.append(r_img if at_r else q)
+    inst = gadget.core_instance()
+    if inst is None:
         # Zero-width triangle: single spoke from the root to the line point.
-        plane, kinds, root = [(0.0, 0.0), steiner[0]], ["bend", "ell_steiner"], 0
-        at_steiner, edges = [1], [(0, 1)]
+        G.add_gadget_edge(surf, root_id, (0.0, 0.0), ids[0], plane[0], chord_shortcut)
     else:
-        plane = [core.plane_coords(x) for x in range(core.n)]
-        kinds = [_GADGET_KINDS[k] for k in core.kinds]
-        root, at_steiner = core.root, core.input_ids
-        plane[root] = (0.0, 0.0)
-        for x, q in zip(at_steiner, steiner):
-            plane[x] = q
-        edges = [(u, v) for u, v, _ in gadget.core_tree.edges]
-    ids = [-1] * len(plane)
-    ids[root] = root_id
-    for x in at_steiner:
-        if math.hypot(plane[x][0] - r_img[0], plane[x][1] - r_img[1]) <= near:
-            ids[x], plane[x] = r_id, r_img
-    if core is not None:
-        # r lies on the cross line: a base edge running past its image is
-        # split there, which joins r to the line.
-        r_local = len(plane)
-        plane.append(r_img)
-        ids.append(r_id)
+        frame, apices, grid, base, on = core_layout(inst)
+        via, feed = layout_spt(apices, grid, base, on)
+        # A stop of a core path is an apex (level, index) or a grid vertex
+        # (-1, index), placed, lifted (with chords) and weighed once: key ->
+        # keys from the root's down to it, planar point, lifted point, root distance.
+        stops = {(0, 0): ((), (0.0, 0.0), G.coords[root_id], 0.0)}
+
+        def dist_to(s: tuple, q: PlanePoint, p: Point | None) -> float:  # one step past s
+            return s[3] + (dist(s[2], p) if chord_shortcut else math.dist(s[1], q))
+
+        def stop(key: tuple[int, int]) -> tuple:
+            s = stops.get(key)
+            if s is None:
+                i, j = key
+                above = stop((len(apices) - 1, feed[j]) if i < 0 else (i - 1, j >> 1))
+                q = frame.to_plane(grid[j] if i < 0 else apices[i][j])
+                p = lift(surf, q) if chord_shortcut else None
+                s = stops[key] = (above[0] + (key,), q, p, dist_to(above, q, p))
+            return s
+
         dx, dy = gadget.ell_b[0] - gadget.ell_a[0], gadget.ell_b[1] - gadget.ell_a[1]
 
-        def side(x: int) -> float:  # its sign tells the side of r
-            return (plane[x][0] - r_img[0]) * dx + (plane[x][1] - r_img[1]) * dy
+        def side(q: PlanePoint) -> float:  # its sign tells the side of r
+            return (q[0] - r_img[0]) * dx + (q[1] - r_img[1]) * dy
 
-        split = []
-        for u, v in edges:
-            # levels < 0: base vertices, which lie on the cross line
-            if core.levels[u] < 0 and core.levels[v] < 0 and side(u) * side(v) < 0.0:
-                split += [(u, r_local), (r_local, v)]
+        for x, u in enumerate(via):  # x comes through u: a portal, or -1 - j for grid vertex j
+            # x's core path ends at grid vertex j, or at the apex above x if x sits on it
+            key = (len(apices) - 1, feed[on[x]]) if on[x] >= 0 else (-1, -1 - u)
+            v, qv, qu = ids[x], plane[x], plane[u] if u >= 0 else stop(key)[1]
+            if on[x] < 0 and side(qu) * side(qv) < 0.0:
+                # r lies on the cross line: a base edge running past its
+                # image is split there, which joins r to the line.
+                G.add_gadget_edge(surf, r_id, r_img, v, qv, chord_shortcut)
+                v, qv = r_id, r_img
+            if u >= 0:
+                G.add_gadget_edge(surf, ids[u], qu, v, qv, chord_shortcut)
             else:
-                split.append((u, v))
-        edges = split
-
-    def vertex(x: int) -> int:
-        if ids[x] < 0:
-            ids[x] = G.add_planar(surf, plane[x], kinds[x])
-        return ids[x]
-
-    for u, v in edges:
-        G.add_gadget_edge(surf, vertex(u), plane[u], vertex(v), plane[v], chord_shortcut)
+                w = dist_to(stop(key), qv, G.point(v) if chord_shortcut else None)
+                G.add_core_path(root_id, v, w, (surf, stops, key, qv))
     for sb, vid in zip(gadget.secondary, sec_ids):
-        x = at_steiner[sb.steiner]
-        G.add_gadget_edge(surf, vertex(x), plane[x], vid, sb.plane, chord_shortcut)
+        x = sb.steiner
+        G.add_gadget_edge(surf, ids[x], plane[x], vid, sb.plane, chord_shortcut)
+    return inst
 
 
 # Where lifted points coincide, the vertex keeps the kind listed first.
@@ -454,8 +457,9 @@ def _prune(
 ):
     """Union of root paths to the targets, lifted into a fresh SteinerGraph.
 
-    Kept gadget vertices are lifted onto their surfaces, and each kept
-    gadget edge becomes the polyline through its bends.  Lifted points that
+    Kept gadget vertices are lifted onto their surfaces, a kept core path
+    is expanded into its apices and grid vertex, and each gadget edge
+    becomes the polyline through its bends.  Lifted points that
     coincide exactly share one vertex, so paths are added in order of root
     distance and an edge that would close a cycle is left out: the result
     stays a spanning tree.
@@ -481,6 +485,32 @@ def _prune(
         return i
 
     new = {old: add(G.point(old), G.kinds[old]) for old in used}
+    # Each kept vertex hangs off its parent by an edge, planar or straight,
+    # or by a core path, whose stops are added once per (surface, key).
+    steps = []  # (root distance, order, parent in sub, vertex in sub, planar segment)
+    made = {}  # (surface index, key) -> vertex in sub
+    for old in used:
+        p = parent[old]
+        if p == -1:
+            continue
+        a, seg = new[p], G.planar.get((p, old) if p < old else (old, p))
+        if seg is not None and p > old:
+            seg = (seg[0], seg[2], seg[1])
+        path = next((c for w, c in G.core_paths.get((p, old), ()) if w == dists[old]), None)
+        if path is not None:
+            surf, stops, last, q_end = path
+            qa = (0.0, 0.0)
+            for key in stops[last][0]:
+                _, q, lifted, d = stops[key]
+                b = made.get((surf.index, key))
+                if b is None:
+                    kind = "ell_steiner" if key[0] < 0 else "core_apex"
+                    b = made[(surf.index, key)] = add(lifted or lift(surf, q), kind)
+                    steps.append((d, G.n + len(made), a, b, None if lifted else (surf, qa, q)))
+                a, qa = b, q
+            seg = None if lifted else (surf, qa, q_end)
+        steps.append((dists[old], old, a, new[old], seg))
+    steps.sort(key=lambda step: step[:2])
     comp = list(range(sub.n))  # union-find over sub's vertices
 
     def find(x: int) -> int:
@@ -488,26 +518,18 @@ def _prune(
             comp[x] = x = comp[comp[x]]
         return x
 
-    used.sort(key=lambda v: (dists[v], v))
-    for old in used:
-        p = parent[old]
-        if p == -1:
-            continue
-        chain = [new[p]]
-        planar = G.planar.get((p, old) if p < old else (old, p))
-        if planar is not None:
-            surf, qa, qb = planar
-            if p > old:
-                qa, qb = qb, qa
-            for bend in lift_segment(surf, qa, qb).vertices[1:-1]:
+    for _, _, a, b, seg in steps:
+        chain = [a]
+        if seg is not None:
+            for bend in lift_segment(*seg).vertices[1:-1]:
                 chain.append(add(bend, "bend"))
             comp.extend(range(len(comp), sub.n))
-        chain.append(new[old])
-        for a, b in zip(chain, chain[1:]):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                comp[ra] = rb
-                sub.add_edge(a, b)
+        chain.append(b)
+        for u, v in zip(chain, chain[1:]):
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                comp[ru] = rv
+                sub.add_edge(u, v)
     tree = Tree(sub.n, tuple(sub.edges), new[root_id])
     return sub, tree
 

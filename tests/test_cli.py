@@ -7,6 +7,7 @@ import sys
 import time
 
 import pytest
+from fingerprint import tree_fingerprint
 
 import slt
 
@@ -399,11 +400,12 @@ def test_verify_rejects_many_triangles_in_linear_time(tmp_path, capsys):
     assert elapsed < 10.0, f"took {elapsed:.2f} s"
 
 
-# sha256 of the tree file each method writes for one small instance.  A
-# change to any of them changes the trees themselves, not just the metrics.
+# sha256 of the tree file each method writes for one small instance: a change
+# to the trees or to how their vertices are numbered changes it.  The folding
+# tree is pinned apart from its numbering by the fingerprint test below.
 GOLDEN_TREES = [
     (["random", "--n", 30, "--dim", 3, "--seed", 1], ["--eps", 0.09],
-     "46066bd36f6a8f66e9e3745a00952f2b9bc82fefe2a9798e805844fdcd8c2c18"),
+     "dcb41cd94c84ff0ec76b4080cca6fc4cc8676661816b62b16d2ff78c69fa893c"),
     (["core", "--eps", 0.04, "--n", 12], ["--method", "core2d", "--eps", 0.04],
      "cceb266c37735e3572ea88374df2d92d0cf2db9c305acfff79a9bd2a7adbb040"),
     (["grid", "--dim", 3, "--n", 64, "--eps", 0.04], ["--method", "pyramid", "--eps", 0.04],
@@ -418,3 +420,15 @@ def test_build_writes_the_golden_tree(tmp_path, capsys, gen, build, sha):
     assert run(["build", *build, "--input", pts, "--output", tree]) == 0
     capsys.readouterr()
     assert hashlib.sha256(tree.read_bytes()).hexdigest() == sha
+
+
+def test_folding_golden_tree_whatever_its_vertex_numbering(tmp_path, capsys):
+    # The golden folding tree as a set of edges between (coordinates, kind)
+    # vertices: it holds when only the numbering of the vertices changes.
+    pts, tree = tmp_path / "pts.json", tmp_path / "tree.json"
+    assert run(["gen", "random", "--n", 30, "--dim", 3, "--seed", 1, "--output", pts]) == 0
+    assert run(["build", "--eps", 0.09, "--input", pts, "--output", tree]) == 0
+    capsys.readouterr()
+    assert tree_fingerprint(tree) == (
+        "5312403ee20ee55f3fa071311a059219d87bfc3bf22bec3f047d8b4c92c4af14"
+    )

@@ -5,9 +5,11 @@ import pytest
 from slt.core2d import (
     CoreInstance,
     build_core,
+    core_layout,
     core_metrics,
     core_spt,
     levels_for_eps,
+    layout_spt,
 )
 from slt.errors import AngleOverflow, EpsOutOfRange
 from slt.geometry import angle_at_apex, dist
@@ -176,3 +178,23 @@ def test_rescaled_instance_matches_canonical():
     assert r2.max_stretch == pytest.approx(r1.max_stretch, rel=1e-9)
     assert r2.lightness == pytest.approx(r1.lightness, rel=1e-9)
     assert r2.chain_total == pytest.approx(r1.chain_total, rel=1e-9)
+
+
+@pytest.mark.parametrize("eps", [0.25, 0.09, 0.04, 0.01])
+@pytest.mark.parametrize("n_base", [1, 2, 7, 31, 63])
+def test_layout_spt_is_the_core_spt(eps, n_base):
+    # Symmetric instances put base points on grid vertices and halfway
+    # between them, where both ways along the base can tie.
+    inst = CoreInstance.canonical(eps, n_base)
+    g = build_core(inst)
+    parent = {v: u for u, v, _ in core_spt(g)[0].edges}
+    _, apices, grid, base, on = core_layout(inst)
+    via, feed = layout_spt(apices, grid, base, on)
+    first_apex = (1 << g.k) - 1  # core index of apex 0 of the last level
+    for j, v in enumerate(g.grid_ids):
+        assert parent[v] == first_apex + feed[j]
+    for x, v in enumerate(g.input_ids):
+        assert (v == g.grid_ids[on[x]]) if on[x] >= 0 else (v not in g.grid_ids)
+        if on[x] < 0:
+            u = via[x]
+            assert parent[v] == (g.input_ids[u] if u >= 0 else g.grid_ids[-1 - u])

@@ -1,16 +1,21 @@
+import dataclasses
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from slt.breakpoints import select_breakpoints, subdivide
 from slt.cli import run_cli, write_points, write_tree
+from slt.core2d import build_core, core_spt, levels_for_eps
 from slt.errors import EpsOutOfRange
 from slt.geometry import angle_at_apex, dist
 from slt.metrics import adjacency, dijkstra, oracle_spt, tree_distances
 from slt.mst_path import PointCloud, dfs_hamiltonian, euclidean_mst
-from slt.pipeline import FoldingGraph, _prune, _realize, assemble_slt, build_gadget
+from slt.pipeline import (
+    FoldingGraph, _prune, _realize, assemble_slt, build_gadget, gadget_inputs
+)
 from slt.unfolding import FoldedSurface, build_surfaces, lift, lift_segment, unfold_vertex
 
 
@@ -305,11 +310,38 @@ def test_lifted_tree_matches_reported_stretch(tmp_path, d):
     assert run_cli([str(a) for a in args]) == 0
 
 
+def _alone(pc, f, g):
+    """Surface f's sub-path and gadget g in a graph of their own, rooted at 0."""
+    G = FoldingGraph()
+    G.add_vertex(pc.points[pc.root], "input")
+    vids = [G.add_vertex(v, "break") for v in f.verts]
+    _realize(G, g, vids, 0, False)
+    return G, vids
+
+
+def _full_core(g):
+    """Gadget g's core built whole and solved.
+
+    Returns the core, its SPT distances, its tree parents and a function
+    giving the planar point of a core vertex.
+    """
+    core = build_core(g.core_instance())
+    tree, dists = core_spt(core)
+    parent = {v: u for u, v, _ in tree.edges}
+    steiner = dict(zip(core.input_ids, g.ell_steiner))
+
+    def plane(v):
+        return steiner.get(v) or core.plane_coords(v)
+
+    return core, dists, parent, plane
+
+
 def test_r_joins_the_cross_line_where_a_base_edge_passes_it():
-    # r, the input closest to the root, lies on the cross line.  A core
-    # base edge running past its image is split there, so r's vertex gets a
-    # planar edge to each end; a surface whose core tree leaves r's image
-    # uncovered gets none.
+    # r, the input closest to the root, lies on the cross line.  Where an
+    # edge of the core tree's base path runs past r's image, r is put between
+    # its ends: r hangs off the portal at one end, or off the root by the core
+    # path through the grid vertex there, and the other end hangs off r.  A
+    # surface whose core tree leaves r's image uncovered gives r neither.
     pc = random_cloud(30, 3, 2)
     surfs, _ = surfaces_and_sub(pc, 0.04 / 8)
     inputs_of = _input_locals(pc, surfs)
@@ -318,32 +350,31 @@ def test_r_joins_the_cross_line_where_a_base_edge_passes_it():
         if f.index < 2 or not inputs_of[f.index]:
             continue
         g = build_gadget(f, inputs_of[f.index], 0.04 / 8)
-        if g.core is None:
+        if g.core_instance() is None:
             continue
-        core, r_img = g.core, g.vertex_images[g.r_local]
+        core, _, parent, plane = _full_core(g)
+        r_img = g.vertex_images[g.r_local]
         ax, ay = g.ell_a
         dx, dy = g.ell_b[0] - ax, g.ell_b[1] - ay
 
         def along(q):
             return (q[0] - ax) * dx + (q[1] - ay) * dy
 
-        def plane(i):
-            return dict(zip(core.input_ids, g.ell_steiner)).get(i) or core.plane_coords(i)
-
         passes = [
-            (plane(u), plane(v)) for u, v, _ in g.core_tree.edges
+            (plane(u), plane(v)) for v, u in parent.items()
             if core.levels[u] < 0 and core.levels[v] < 0
             and (along(plane(u)) - along(r_img)) * (along(plane(v)) - along(r_img)) < 0
         ]
-        G = FoldingGraph()
-        G.add_vertex(pc.points[pc.root], "input")
-        vids = [G.add_vertex(v, "break") for v in f.verts]
-        _realize(G, g, vids, 0, False)
+        G, vids = _alone(pc, f, g)
         r_id = vids[g.r_local]
         ends = {
             G.coords[b if a == r_id else a]
             for a, b in G.planar
             if r_id in (a, b) and G.kinds[b if a == r_id else a] == "ell_steiner"
+        }
+        ends |= {  # the grid vertex at the end of r's core path
+            stops[key][1]
+            for _, (_, stops, key, _) in G.core_paths.get((0, r_id), ()) if key[0] < 0
         }
         assert ends == {q for edge in passes for q in edge}
         joined += bool(passes)
@@ -353,8 +384,9 @@ def test_r_joins_the_cross_line_where_a_base_edge_passes_it():
 @pytest.mark.parametrize("r_first", [True, False], ids=["first", "last"])
 def test_r_at_an_end_of_the_cross_line_takes_the_steiner_point(r_first):
     # r on the first (last) boundary ray: the cross line starts (ends) at r's
-    # image, so the end Steiner point is r's own vertex and no gadget
-    # vertex of its own sits there.
+    # image, so the end Steiner point is r's own vertex and no portal of its
+    # own sits there.  That point is the core's end grid vertex, so r hangs
+    # off the root by the apex chain above it.
     s, r = (0.0, 0.0), (1.0, 0.0)
     verts = (r, (1.2, 0.1), (1.4, 0.25))
     if not r_first:
@@ -362,16 +394,84 @@ def test_r_at_an_end_of_the_cross_line_takes_the_steiner_point(r_first):
     angles = tuple(angle_at_apex(s, a, b) for a, b in zip(verts, verts[1:]))
     surf = FoldedSurface(2, s, verts, angles, (0.0, angles[0], angles[0] + angles[1]), False)
     g = build_gadget(surf, [0, 2], 0.04)
-    assert g.r_local == (0 if r_first else 2) and g.core is not None
+    assert g.r_local == (0 if r_first else 2) and g.core_instance() is not None
     G = FoldingGraph()
     root = G.add_vertex(s, "input")
     vids = [G.add_vertex(v, "input" if j != 1 else "break") for j, v in enumerate(verts)]
     _realize(G, g, vids, root, False)
     r_id, r_img = vids[g.r_local], g.vertex_images[g.r_local]
     assert not any(dist(G.coords[v], r_img) <= 1e-9 for v in G.surface)
-    assert len(G.surface) == g.core.n - 2  # all core vertices but the root and that end
-    r_neighbours = {b if a == r_id else a for a, b in G.planar if r_id in (a, b)}
-    assert any(G.kinds[v] == "core_apex" for v in r_neighbours)
+    assert len(G.surface) == len(g.ell_steiner) - 1  # every portal but the one at r
+    [(_, (_, _, key, q_end))] = G.core_paths[(root, r_id)]
+    k = g.core_instance().k
+    assert key == (k, 0 if r_first else (1 << k) - 1) and q_end == r_img
+
+
+def _wide_and_flat_surfaces():
+    # A surface of 0.54 rad, so eps_core = total_angle^2 > eps_int, and one
+    # along a single ray, whose core has zero width.
+    s = (0.0, 0.0)
+    for verts in (((1.0, 0.0), (1.2, 0.3), (1.0, 0.6)), ((1.0, 0.0), (1.5, 0.0), (2.0, 0.0))):
+        angles = tuple(angle_at_apex(s, a, b) for a, b in zip(verts, verts[1:]))
+        cum = (0.0, angles[0], angles[0] + angles[1])
+        surf = FoldedSurface(2, s, verts, angles, cum, False)
+        yield PointCloud((s,) + verts), surf, [0, 1, 2]
+
+
+def _random_surfaces():
+    for d in (2, 3, 5, 8):
+        for eps in (0.25, 0.09, 0.04):
+            for seed in range(2):
+                pc = random_cloud(30, d, 100 * d + seed)
+                surfs, sub = surfaces_and_sub(pc, eps / 8)
+                for f in surfs:
+                    yield pc, f, gadget_inputs(f, sub, pc.root), eps / 8
+
+
+def test_contracted_cores_keep_the_core_shortest_paths():
+    # Every portal is as far from the root through its contracted core as
+    # through the core built whole, and each core path it hangs off runs
+    # through the points of that core's tree path.
+    seen = Counter()
+    cases = [(pc, f, inputs, 0.04) for pc, f, inputs in _wide_and_flat_surfaces()]
+    for pc, f, inputs, eps_int in cases + list(_random_surfaces()):
+        g = build_gadget(f, inputs, eps_int)
+        if g.degenerate:
+            continue
+        # without connectors and sub-path edges, only the gadget's core is left
+        G, vids = _alone(pc, f, dataclasses.replace(g, secondary=[]))
+        edges = [(u, v, w) for u, v, w in G.edges if not {u, v} <= set(vids)]
+        dists, _ = dijkstra(G.n, adjacency(G.n, edges), 0)
+        r_id, r_img = vids[g.r_local], g.vertex_images[g.r_local]
+        portal = {G.coords[v]: v for v in G.surface}
+        ids = [portal.get(q, r_id) for q in g.ell_steiner]  # r's vertex at r's image
+        if g.core_instance() is None:
+            seen["zero width"] += 1
+            assert ids == [r_id] and dists[r_id] == math.hypot(*g.ell_steiner[0])
+            continue
+        core, core_dists, parent, plane = _full_core(g)
+        seen["wide"] += core.k < levels_for_eps(eps_int)
+        seen["r at an end"] += r_id in (ids[0], ids[-1])
+        seen["on the grid"] += len(set(core.input_ids) & set(core.grid_ids))
+        for v, cv in zip(ids, core.input_ids):
+            assert dists[v] == pytest.approx(core_dists[cv] / core.frame.scale, rel=1e-12)
+        for (_, v), paths in G.core_paths.items():
+            for _, (_, stops, key, q_end) in paths:
+                level, j = key
+                c = core.grid_ids[j] if level < 0 else (1 << level) - 1 + j
+                path, x = [], c
+                while x != core.root:
+                    path.append(plane(x))
+                    x = parent[x]
+                assert [stops[s][1] for s in stops[key][0]] == path[::-1]
+                if v in ids:  # a portal on the tree, one step below c
+                    assert parent[core.input_ids[ids.index(v)]] == c
+                else:  # r, on the base edge from c that runs past its image
+                    seen["r inside"] += 1
+                    assert v == r_id and q_end == r_img
+                    assert any(parent[y] == c and core.levels[y] < 0 for y in parent)
+    wanted = ("zero width", "wide", "r at an end", "on the grid", "r inside")
+    assert all(seen[case] > 0 for case in wanted), seen
 
 
 def test_coinciding_lifts_still_give_a_spanning_tree():
