@@ -180,6 +180,14 @@ def test_import_leaves_scipy_spatial_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_import_builds_no_cone_table():
+    # The cone axes and direction tables are built on first use, per dimension.
+    code = "import slt.cli, slt.pyramid as p; print(p._cone_axes.cache_info().currsize, p._cone_lookup.cache_info().currsize)"
+    proc = run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
+
+
 def test_build_deterministic_bytes(tmp_path, capsys):
     pts = tmp_path / "pts.json"
     run(["gen", "random", "--n", 15, "--dim", 3, "--seed", 2, "--output", pts])
@@ -409,7 +417,7 @@ GOLDEN_TREES = [
     (["core", "--eps", 0.04, "--n", 12], ["--method", "core2d", "--eps", 0.04],
      "cceb266c37735e3572ea88374df2d92d0cf2db9c305acfff79a9bd2a7adbb040"),
     (["grid", "--dim", 3, "--n", 64, "--eps", 0.04], ["--method", "pyramid", "--eps", 0.04],
-     "7f02b6bac206bb9b49f19e7a19b4e24aba215135759fc09c3faa62784da3b94c"),
+     "cc52fa7b16c47b51ff814d206ac084bf87b9d9859bfcbb2821788793d60f6f58"),
 ]
 
 
@@ -431,4 +439,19 @@ def test_folding_golden_tree_whatever_its_vertex_numbering(tmp_path, capsys):
     capsys.readouterr()
     assert tree_fingerprint(tree) == (
         "5312403ee20ee55f3fa071311a059219d87bfc3bf22bec3f047d8b4c92c4af14"
+    )
+
+
+def test_pyramid_golden_tree_is_the_full_tree_cut_to_its_input_paths(tmp_path, capsys):
+    # The fingerprint of the full shortest-path tree this instance had
+    # (tree file sha256 7f02b6bac206bb9b49f19e7a19b4e24aba215135759fc09c3faa62784da3b94c,
+    # 630 vertices) after removing every vertex off the root's paths to the
+    # inputs: 213 vertices are left.
+    pts, tree = tmp_path / "pts.json", tmp_path / "tree.json"
+    assert run(["gen", "grid", "--dim", 3, "--n", 64, "--eps", 0.04, "--output", pts]) == 0
+    assert run(["build", "--method", "pyramid", "--eps", 0.04, "--input", pts, "--output", tree]) == 0
+    capsys.readouterr()
+    assert len(json.loads(tree.read_text())["vertices"]) == 213
+    assert tree_fingerprint(tree) == (
+        "d6e1e4356ec2825635ca8ed0ef12faa111f946342d004c6845edfcb90cceb149"
     )

@@ -1,9 +1,12 @@
+import hashlib
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
 
+import slt.pyramid
 from slt.core2d import CoreInstance, build_core
 from slt.errors import DimensionTooSmall
 from slt.geometry import dist
@@ -11,6 +14,8 @@ from slt.metrics import oracle_spt
 from slt.pyramid import (
     GridSpec,
     _cone_axes,
+    _cone_lookup,
+    _cone_of,
     _fibonacci_sphere,
     build_pyramid_core,
     greedy_spanner,
@@ -20,6 +25,73 @@ from slt.pyramid import (
 )
 
 T = 1.25
+
+
+def yao_oracle(points: np.ndarray) -> np.ndarray:
+    """The Yao graph by a scan per point, as ``yao_spanner`` once computed it.
+
+    Each point sorts the others by distance (stably) and keeps the first
+    one in each cone, a direction's cone being the axis the float32 product
+    with all cone axes picks.  Returns the edges as sorted (lo, hi) rows.
+    """
+    n, dim = points.shape
+    axes, _ = _cone_axes(dim)
+    axes32 = np.ascontiguousarray(axes.T, dtype=np.float32)
+    ncones = len(axes)
+    pts = np.ascontiguousarray(points, dtype=np.float64)
+    src_chunks: list[np.ndarray] = []
+    dst_chunks: list[np.ndarray] = []
+    chunk = 4096
+    for u in range(n):
+        diff = pts - pts[u]
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        order = np.argsort(d2, kind="stable")[1:]  # drop u itself
+        filled = np.zeros(ncones, dtype=bool)
+        remaining = ncones
+        picks = []
+        for lo in range(0, n - 1, chunk):
+            cand = order[lo : lo + chunk]
+            cells = np.argmax(diff[cand].astype(np.float32) @ axes32, axis=1)
+            fresh = ~filled[cells]
+            if fresh.any():
+                sub_cells = cells[fresh]
+                sub_cand = cand[fresh]
+                firsts = np.unique(sub_cells, return_index=True)[1]
+                picks.append(sub_cand[firsts])
+                filled[sub_cells[firsts]] = True
+                remaining -= len(firsts)
+            if remaining == 0:
+                break
+        if picks:
+            vs = np.concatenate(picks)
+            src_chunks.append(np.full(len(vs), u, dtype=np.int64))
+            dst_chunks.append(vs.astype(np.int64))
+    us = np.concatenate(src_chunks)
+    vs = np.concatenate(dst_chunks)
+    lo = np.minimum(us, vs)
+    hi = np.maximum(us, vs)
+    return np.column_stack(np.divmod(np.unique(lo * n + hi), n))
+
+
+def weighted(pts, edges):
+    return [(i, j, dist(tuple(pts[i]), tuple(pts[j]))) for i, j in edges.tolist()]
+
+
+def regime_base(d, eps):
+    """Base points (without their x_0 = 0) and spanner edges of a regime grid build."""
+    seen = {}
+    real = slt.pyramid.base_spanner
+
+    def record(points):
+        seen["points"] = np.delete(np.asarray(points), 0, axis=1)
+        seen["edges"], _ = result = real(points)
+        return result
+
+    m = math.ceil(GridSpec.regime_min(d, eps) ** (1.0 / (d - 1)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(slt.pyramid, "base_spanner", record)
+        build_pyramid_core(d, eps, GridSpec.for_points(m ** (d - 1), d))
+    return seen["points"], seen["edges"]
 
 
 def all_pairs_ratio(pts, edges):
@@ -57,15 +129,110 @@ def test_greedy_is_spanner_small(seed):
 def test_yao_2d_is_spanner():
     rng = np.random.default_rng(1)
     pts = rng.random((60, 2))
-    edges = yao_spanner(pts)
+    edges = weighted(pts, yao_spanner(pts))
     assert all_pairs_ratio(pts, edges) <= T + 1e-12
 
 
 def test_yao_3d_is_spanner():
     rng = np.random.default_rng(2)
     pts = rng.random((50, 3))
-    edges = yao_spanner(pts)
+    edges = weighted(pts, yao_spanner(pts))
     assert all_pairs_ratio(pts, edges) <= T + 1e-12
+
+
+def boundary_directions(dim):
+    """Directions on, and within 1e-7 rad of, the boundary between neighbouring axes."""
+    axes, _ = _cone_axes(dim)
+    if dim == 2:
+        pairs = [(i, (i + 1) % len(axes)) for i in range(len(axes))]
+        corners = np.empty((0, 2))
+    else:
+        from scipy.spatial import ConvexHull
+
+        hull = ConvexHull(axes)
+        pairs = {tuple(sorted((int(f[i]), int(f[(i + 1) % 3])))) for f in hull.simplices for i in range(3)}
+        corners = hull.equations[:, :3]  # equally far from three axes
+    a, b = axes[[p[0] for p in pairs]], axes[[p[1] for p in pairs]]
+    mid = (a + b) / np.linalg.norm(a + b, axis=1, keepdims=True)
+    # Unit tangent at the bisector, pointing from b's side to a's side.
+    towards = a - b - mid * np.einsum("ij,ij->i", a - b, mid)[:, None]
+    towards /= np.linalg.norm(towards, axis=1, keepdims=True)
+    out = [corners]
+    for step in (0.0, 1e-9, -1e-9, 1e-8, -1e-8, 3e-8, -3e-8, 1e-7, -1e-7):
+        out.append(mid * math.cos(step) + towards * math.sin(step))
+    return np.concatenate(out)
+
+
+def lattice_directions(dim, reach=12):
+    grid = np.indices((2 * reach + 1,) * dim).reshape(dim, -1).T - reach
+    return grid[np.any(grid != 0, axis=1)].astype(float)
+
+
+def base_differences(dim):
+    pts, _ = regime_base(3, 0.09)
+    diff = (pts[None, :, :] - pts[:, None, :]).reshape(-1, 2)
+    diff = diff[np.any(diff != 0, axis=1)]
+    return np.pad(diff, ((0, 0), (0, dim - 2)))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("directions", [boundary_directions, lattice_directions, base_differences])
+def test_cone_lookup_matches_the_float32_product(dim, directions):
+    x = directions(dim)
+    lookup = _cone_lookup(dim)
+    for scale in (1.0, 0.013, 317.0):
+        x32 = (x * scale).astype(np.float32)
+        d2 = np.einsum("ij,ij->i", x * scale, x * scale)
+        want = np.concatenate([
+            np.argmax(x32[lo : lo + 100_000] @ lookup.axes32, axis=1)
+            for lo in range(0, len(x32), 100_000)
+        ])
+        assert np.array_equal(_cone_of(x32, d2, lookup), want)
+
+
+def test_cone_tables_are_cached_and_read_only():
+    assert _cone_axes(3) is _cone_axes(3)
+    assert _cone_lookup(3) is _cone_lookup(3)
+    assert not _cone_axes(3)[0].flags.writeable
+    assert not _cone_lookup(3).axis.flags.writeable
+
+
+def lattice_cloud(rng, n, dim):
+    """n distinct points of a small integer grid: many repeated directions and distances."""
+    side = math.ceil((2 * n) ** (1.0 / dim)) + 1
+    cells = rng.choice(side**dim, size=n, replace=False)
+    return np.stack(np.unravel_index(cells, (side,) * dim), axis=1).astype(float)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 41, 400, 1500])
+@pytest.mark.parametrize("cloud", ["uniform", "lattice"])
+def test_yao_matches_the_per_point_scan(dim, n, cloud):
+    rng = np.random.default_rng([dim, n])
+    pts = rng.random((n, dim)) if cloud == "uniform" else lattice_cloud(rng, n, dim)
+    edges = yao_spanner(pts)
+    assert edges.dtype == np.int64 and edges.shape[1] == 2
+    assert np.array_equal(edges, yao_oracle(pts))
+
+
+def test_yao_matches_the_per_point_scan_on_the_d3_regime_base():
+    pts, edges = regime_base(3, 0.09)
+    assert np.array_equal(edges, yao_oracle(pts))
+
+
+def test_yao_edges_of_the_d4_regime_base():
+    # Edge count and sha256 of the edge array as the per-point scan gave
+    # them; the scan takes several seconds on these 2,059 points.
+    _, edges = regime_base(4, 0.09)
+    assert len(edges) == 531_585
+    assert hashlib.sha256(np.ascontiguousarray(edges, dtype=np.int64).tobytes()).hexdigest() == (
+        "1dc3d4bc2238ce34c727a2d699b009de000a342d65312da97a8938b982f18008"
+    )
+
+
+def test_yao_rejects_repeated_points():
+    with pytest.raises(ValueError):
+        yao_spanner(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]))
 
 
 def test_cone_covering_radius_verified():
@@ -100,15 +267,14 @@ def test_cone_covering_radius_is_exact():
 def test_pyramid_type_invariants():
     # The top pyramid: apex above the base centre, at unit distance from
     # the 2^(d-1) base corners, with apex angle sqrt(eps) over a diagonal.
+    # The tree holds no corner (none is on a path to a grid point), so the
+    # corners come from the cube, and every vertex lies over it.
     d, eps = 4, 0.25
     G, tree, _ = build_pyramid_core(d, eps, GridSpec.for_points(8, d))
     apex = G.coords[tree.root]
     half_side = math.sin(math.sqrt(eps) / 2) / math.sqrt(d - 1)
-    corners = [
-        c for c in G.coords
-        if c[0] == 0.0 and all(abs(abs(x) - half_side) < 1e-15 for x in c[1:])
-    ]
-    assert len(corners) == 2 ** (d - 1)
+    corners = [(0.0,) + c for c in itertools.product((-half_side, half_side), repeat=d - 1)]
+    assert all(abs(x) <= half_side + 1e-15 for c in G.coords for x in c[1:])
     assert apex[1:] == (0.0,) * (d - 1)
     for c in corners:
         assert dist(apex, c) == pytest.approx(1.0, rel=1e-12)
@@ -203,3 +369,19 @@ def test_base_points_within_cube():
     for p in pts:
         assert p[0] == 0.0
         assert all(abs(x) <= side / 2 for x in p[1:])
+
+
+@pytest.mark.parametrize("d,eps,n,vertices", [(4, 0.09, 200, 665), (3, 0.04, 64, 213), (4, 0.25, 8, 25)])
+def test_tree_keeps_only_the_paths_to_the_grid_points(d, eps, n, vertices):
+    # Off the regime most of the corner lattice is on no such path: the
+    # full shortest-path trees held 1,506, 630 and 198 vertices here.
+    G, tree, rep = build_pyramid_core(d, eps, GridSpec.for_points(n, d))
+    assert G.n == tree.n == len(tree.edges) + 1 == vertices
+    assert G.kinds[: n + 1] == ["input"] * (n + 1)
+    degree = [0] * G.n
+    for u, v, _ in tree.edges:
+        degree[u] += 1
+        degree[v] += 1
+    leaves = [v for v in range(G.n) if degree[v] == 1 and v != tree.root]
+    assert all(G.kinds[v] == "input" for v in leaves)
+    assert rep.max_stretch <= 1 + eps + 1e-12
