@@ -54,7 +54,9 @@ from .metrics import (
     SltReport,
     floyd_warshall,
     kruskal_mst,
+    measure,
     oracle_spt,
+    root_paths,
     root_stretch,
 )
 

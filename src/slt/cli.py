@@ -15,7 +15,7 @@ import sys
 from .breakpoints import select_breakpoints, subdivide
 from .core2d import build_core, core2d_points, core_spt
 from .errors import MalformedFile, MalformedTree, SltError
-from .metrics import SltReport, root_stretch
+from .metrics import measure
 from .mst_path import PointCloud, Tree, dfs_hamiltonian, euclidean_mst
 from .pipeline import SteinerGraph, assemble_core2d, assemble_slt, build_gadget, gadget_inputs
 from .pyramid import assemble_pyramid, pyramid_points
@@ -36,10 +36,17 @@ def write_points(path, points, root):
         fh.write(canonical_dumps(data))
 
 
-def parse_points(path) -> PointCloud:
+def _load_object(path, what: str) -> dict:
     with open(path) as fh:
         data = json.load(fh)
-    dim = data["dim"]
+    if not isinstance(data, dict):
+        raise MalformedFile(f"{what} is not a JSON object: it holds a {type(data).__name__}")
+    return data
+
+
+def parse_points(path) -> PointCloud:
+    data = _load_object(path, "points file")
+    dim = _integer(data["dim"], "points file: dim")
     pts = tuple(_float_rows(_list(data["points"], "points file: points"), "points file: point"))
     if any(len(p) != dim for p in pts):
         raise SltError("point with wrong dimension")
@@ -66,9 +73,11 @@ def parse_tree(path):
     form a spanning tree of the vertices, MalformedFile on a coordinate
     that is not a number or an id that is not an integer.
     """
-    with open(path) as fh:
-        data = json.load(fh)
+    data = _load_object(path, "tree file")
     verts = _list(data["vertices"], "tree file: vertices")
+    for i, v in enumerate(verts):
+        if not isinstance(v, dict):
+            raise MalformedFile(f"tree file: vertex entry {i} is not an object: {v!r}")
     ids = [v["id"] for v in verts]
     if not all(type(i) is int for i in ids):  # bool is an int subclass, not an id
         bad = next(i for i in ids if type(i) is not int)
@@ -321,9 +330,7 @@ def _cmd_gen(args) -> int:
 def _cmd_build(args) -> int:
     pc = parse_points(args.input)
     if args.method == "folding":
-        graph, tree, report = assemble_slt(
-            pc, args.eps, gamma=args.gamma, lam=args.lam, chord_shortcut=args.chord_shortcut
-        )
+        graph, tree, report = assemble_slt(pc, args.eps, gamma=args.gamma, lam=args.lam)
     elif args.method == "core2d":
         graph, tree, report = assemble_core2d(pc, args.eps, args.lam)
     elif args.method == "pyramid":
@@ -341,11 +348,11 @@ def _cmd_verify(args) -> int:
     coords, kinds, edges, root = parse_tree(args.tree)
     index = {c: i for i, (c, k) in enumerate(zip(coords, kinds)) if k == "input"}
     vertex_of = []
-    for p in pc.points:
-        i = index.get(p)
-        if i is None:
-            raise SltError(f"tree does not contain input point {p}")
-        vertex_of.append(i)
+    for i, p in enumerate(pc.points):
+        v = index.get(p)
+        if v is None:
+            raise SltError(f"tree does not contain input point {i} at {p}")
+        vertex_of.append(v)
     if vertex_of[pc.root] != root:
         raise SltError("tree root does not match the input root")
     tree = Tree(
@@ -353,26 +360,22 @@ def _cmd_verify(args) -> int:
         tuple((u, v, math.dist(coords[u], coords[v])) for u, v in edges),
         root,
     )
-    per_point = root_stretch(tree, coords, root, vertex_of)
-    mst = euclidean_mst(pc)
-    report = SltReport(
-        n=pc.n,
-        d=pc.dim,
-        eps=args.eps,
-        mst_weight=mst.weight,
-        tree_weight=tree.weight,
-        lightness=tree.weight / mst.weight,
-        per_point_stretch=per_point,
-        max_stretch=max(per_point),
-        flags={"verified": True},
-    )
+    report = measure(tree, coords, vertex_of, args.eps, euclidean_mst(pc).weight,
+                     {"verified": True})
     out = canonical_dumps(report.as_dict())
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(out)
     else:
         sys.stdout.write(out)
-    return 0 if report.max_stretch <= 1.0 + args.eps + 1e-12 else 1
+    bound = 1.0 + args.eps
+    if report.max_stretch <= bound + 1e-12:
+        return 0
+    stretch = report.per_point_stretch
+    worst = stretch.index(report.max_stretch)
+    print(f"stretch violation: input point {worst} at {pc.points[worst]} has stretch "
+          f"{stretch[worst]!r} > bound {bound!r}", file=sys.stderr)
+    return 1
 
 
 def _cmd_render(args) -> int:
@@ -407,7 +410,6 @@ def make_parser() -> argparse.ArgumentParser:
     b.add_argument("--eps", type=float, required=True)
     b.add_argument("--gamma", type=float, default=8.0)
     b.add_argument("--lambda", dest="lam", type=float, default=1.25)
-    b.add_argument("--chord-shortcut", action="store_true")
     b.add_argument("--input", required=True)
     b.add_argument("--output")
     b.set_defaults(func=_cmd_build)

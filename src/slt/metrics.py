@@ -117,6 +117,24 @@ def tree_distances(tree: Tree, source: int):
     return dist_arr
 
 
+def root_paths(parent, root: int, targets) -> list[int]:
+    """Ids of the vertices on the root's paths to the targets, ascending.
+
+    ``parent`` holds each vertex's parent in a shortest-path tree from
+    ``root``; a target whose path ends elsewhere raises Unreachable.
+    """
+    on_path = [False] * len(parent)
+    on_path[root] = True
+    for t in targets:
+        v = t
+        while not on_path[v]:
+            on_path[v] = True
+            v = parent[v]
+            if v < 0:
+                raise Unreachable(f"vertex {t} not reachable from the root")
+    return [v for v in range(len(parent)) if on_path[v]]
+
+
 def root_stretch(
     tree: Tree,
     coords: list[Point],
@@ -140,6 +158,7 @@ def root_stretch(
 class SltReport:
     """Measured quantities for one tree: the values every method reports.
 
+    Every build and ``slt verify`` make it with ``measure``.
     Method-specific values (folding's gamma, phase-1 weight and surface
     angles; the per-level apex angles of core2d and pyramid; counters)
     live in ``flags``.
@@ -157,3 +176,28 @@ class SltReport:
 
     def as_dict(self) -> dict:
         return asdict(self)
+
+
+def measure(
+    tree: Tree, coords: list[Point], vertex_of: list[int], eps: float, mst_weight: float,
+    flags: dict,
+) -> SltReport:
+    """The report of a returned tree, as ``slt verify`` measures it.
+
+    Input i is tree vertex ``vertex_of[i]`` and the root input is
+    ``tree.root``: one stretch per input, in input order, from tree
+    distances (the root's is 1.0), and the tree's weight against the MST's.
+    """
+    per_point = root_stretch(tree, coords, tree.root, vertex_of)
+    weight = tree.weight
+    return SltReport(
+        n=len(vertex_of),
+        d=len(coords[tree.root]),
+        eps=eps,
+        mst_weight=mst_weight,
+        tree_weight=weight,
+        lightness=weight / mst_weight,
+        per_point_stretch=per_point,
+        max_stretch=max(per_point),
+        flags=flags,
+    )

@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 
 from .breakpoints import SubdividedPath, select_breakpoints, subdivide
 from .core2d import CoreInstance, build_core, core_layout, core_metrics, core_spt, layout_spt
-from .errors import EmptySurface, EpsOutOfRange, SltError, Unreachable
+from .errors import EmptySurface, EpsOutOfRange, SltError
 from .geometry import PlanePoint, Point, Polyline, dist
-from .metrics import SltReport, adjacency, dijkstra, root_stretch
+from .metrics import adjacency, dijkstra, measure, root_paths
 from .mst_path import PointCloud, Tree, dfs_hamiltonian, euclidean_mst
 from .unfolding import FoldedSurface, build_surfaces, lift, lift_segment, unfold_vertex
 
@@ -77,7 +77,6 @@ class FoldingGraph(SteinerGraph):
         self.surface: dict[int, FoldedSurface] = {}
         self.planar: dict[tuple[int, int], tuple[FoldedSurface, PlanePoint, PlanePoint]] = {}
         self.core_paths: dict[tuple[int, int], list[tuple[float, tuple]]] = {}
-        self._lifted: dict[int, Point] = {}
         self._edge_set: set[tuple[int, int]] = set()
 
     def _new_edge(self, u: int, v: int) -> tuple[int, int] | None:
@@ -98,24 +97,16 @@ class FoldingGraph(SteinerGraph):
         return i
 
     def add_gadget_edge(
-        self, surf: FoldedSurface, u: int, qu: PlanePoint, v: int, qv: PlanePoint, chord: bool
+        self, surf: FoldedSurface, u: int, qu: PlanePoint, v: int, qv: PlanePoint
     ) -> None:
-        """Edge between the planar points qu, qv of u, v on ``surf``.
-
-        Weighted by its planar length, or with ``chord`` by the chord
-        between the lifted endpoints, which then is the edge.
-        """
+        """Edge between the planar points qu, qv of u, v on ``surf``, weighed in the plane."""
         key = self._new_edge(u, v)
         if key is None:
             return
         if u > v:
             u, v, qu, qv = v, u, qv, qu
-        if chord:
-            w = dist(self.point(u), self.point(v))
-        else:
-            w = math.dist(qu, qv)
-            self.planar[key] = (surf, qu, qv)
-        self.edges.append((u, v, w))
+        self.planar[key] = (surf, qu, qv)
+        self.edges.append((u, v, math.dist(qu, qv)))
 
     def add_core_path(self, u: int, v: int, w: float, path: tuple) -> None:
         """Edge u-v, maybe parallel to another, for a path through an unbuilt core."""
@@ -123,14 +114,9 @@ class FoldingGraph(SteinerGraph):
         self.core_paths.setdefault((u, v), []).append((w, path))
 
     def point(self, v: int) -> Point:
-        """R^d coordinates of vertex v; a gadget vertex is lifted once."""
+        """R^d coordinates of vertex v; a gadget vertex is lifted onto its surface."""
         surf = self.surface.get(v)
-        if surf is None:
-            return self.coords[v]
-        p = self._lifted.get(v)
-        if p is None:
-            p = self._lifted[v] = lift(surf, self.coords[v])
-        return p
+        return self.coords[v] if surf is None else lift(surf, self.coords[v])
 
 
 @dataclass(frozen=True)
@@ -278,14 +264,14 @@ def assemble_slt(
     eps: float,
     gamma: float = 8.0,
     lam: float = 1.25,
-    chord_shortcut: bool = False,
 ):
     """Build the Steiner SLT: returns (graph, tree, report).
 
     The tree is the union of shortest paths from the root to the input
     points inside the assembled graph; unused Steiner vertices are
     pruned.  Stretch is controlled by running the folding machinery at
-    the internal parameter eps/gamma.
+    the internal parameter eps/gamma.  The report measures the returned
+    tree (see ``measure``).
     """
     if pts.n < 2:
         raise ValueError("need at least two points")
@@ -316,31 +302,17 @@ def assemble_slt(
                 vertex_of[h] = G.add_vertex(hverts[h], "break")
         vids = [vertex_of[h] for h in surf.hstar]
         gadget = build_gadget(surf, gadget_inputs(surf, sub, pts.root), eps_int, lam)
-        core = _realize(G, gadget, vids, root_id, chord_shortcut)
+        core = _realize(G, gadget, vids, root_id)
         cores += core is not None
         zero_width += core is None and not gadget.degenerate
 
     dists, parent = dijkstra(G.n, adjacency(G.n, G.edges), root_id)
-    for i in input_ids:
-        if math.isinf(dists[i]):
-            raise Unreachable(f"input point {i} not reachable")
+    tree_graph, tree, input_vertices = _prune(G, dists, parent, input_ids, root_id)
 
-    tree_graph, tree = _prune(G, dists, parent, input_ids, root_id)
-
-    per_point = [
-        1.0 if i == pts.root else dists[i] / dist(s, p) for i, p in enumerate(pts.points)
-    ]
     phase1 = sub.hstar.total_length + math.fsum(dist(s, q) for q in bps.points[1:])
-    report = SltReport(
-        n=pts.n,
-        d=pts.dim,
-        eps=eps,
-        mst_weight=mst.weight,
-        tree_weight=tree.weight,
-        lightness=tree.weight / mst.weight,
-        per_point_stretch=per_point,
-        max_stretch=max(per_point),
-        flags={
+    report = measure(
+        tree, tree_graph.coords, input_vertices, eps, mst.weight,
+        {
             "gamma": gamma,
             "phase1_weight": phase1,
             "surface_angles": [f.total_angle for f in surfaces],
@@ -351,7 +323,6 @@ def assemble_slt(
             "graph_vertices": G.n,
             "graph_edges": len(G.edges),
             "pruned_vertices": G.n - tree_graph.n,
-            "chord_shortcut": chord_shortcut,
         },
     )
     return tree_graph, tree, report
@@ -362,7 +333,6 @@ def _realize(
     gadget: SurfaceGadget,
     vids: list[int],
     root_id: int,
-    chord_shortcut: bool,
 ) -> CoreInstance | None:
     """Add the surface's sub-path and its planar gadget to the graph; return its core."""
     surf = gadget.surface
@@ -400,17 +370,14 @@ def _realize(
     inst = gadget.core_instance()
     if inst is None:
         # Zero-width triangle: single spoke from the root to the line point.
-        G.add_gadget_edge(surf, root_id, (0.0, 0.0), ids[0], plane[0], chord_shortcut)
+        G.add_gadget_edge(surf, root_id, (0.0, 0.0), ids[0], plane[0])
     else:
         frame, apices, grid, base, on = core_layout(inst)
         via, feed = layout_spt(apices, grid, base, on)
         # A stop of a core path is an apex (level, index) or a grid vertex
-        # (-1, index), placed, lifted (with chords) and weighed once: key ->
-        # keys from the root's down to it, planar point, lifted point, root distance.
-        stops = {(0, 0): ((), (0.0, 0.0), G.coords[root_id], 0.0)}
-
-        def dist_to(s: tuple, q: PlanePoint, p: Point | None) -> float:  # one step past s
-            return s[3] + (dist(s[2], p) if chord_shortcut else math.dist(s[1], q))
+        # (-1, index), placed and weighed once: key -> keys from the root's
+        # down to it, planar point, root distance.
+        stops = {(0, 0): ((), (0.0, 0.0), 0.0)}
 
         def stop(key: tuple[int, int]) -> tuple:
             s = stops.get(key)
@@ -418,8 +385,7 @@ def _realize(
                 i, j = key
                 above = stop((len(apices) - 1, feed[j]) if i < 0 else (i - 1, j >> 1))
                 q = frame.to_plane(grid[j] if i < 0 else apices[i][j])
-                p = lift(surf, q) if chord_shortcut else None
-                s = stops[key] = (above[0] + (key,), q, p, dist_to(above, q, p))
+                s = stops[key] = (above[0] + (key,), q, above[2] + math.dist(above[1], q))
             return s
 
         dx, dy = gadget.ell_b[0] - gadget.ell_a[0], gadget.ell_b[1] - gadget.ell_a[1]
@@ -434,16 +400,16 @@ def _realize(
             if on[x] < 0 and side(qu) * side(qv) < 0.0:
                 # r lies on the cross line: a base edge running past its
                 # image is split there, which joins r to the line.
-                G.add_gadget_edge(surf, r_id, r_img, v, qv, chord_shortcut)
+                G.add_gadget_edge(surf, r_id, r_img, v, qv)
                 v, qv = r_id, r_img
             if u >= 0:
-                G.add_gadget_edge(surf, ids[u], qu, v, qv, chord_shortcut)
+                G.add_gadget_edge(surf, ids[u], qu, v, qv)
             else:
-                w = dist_to(stop(key), qv, G.point(v) if chord_shortcut else None)
-                G.add_core_path(root_id, v, w, (surf, stops, key, qv))
+                _, q_end, d = stop(key)
+                G.add_core_path(root_id, v, d + math.dist(q_end, qv), (surf, stops, key, qv))
     for sb, vid in zip(gadget.secondary, sec_ids):
         x = sb.steiner
-        G.add_gadget_edge(surf, ids[x], plane[x], vid, sb.plane, chord_shortcut)
+        G.add_gadget_edge(surf, ids[x], plane[x], vid, sb.plane)
     return inst
 
 
@@ -462,17 +428,9 @@ def _prune(
     becomes the polyline through its bends.  Lifted points that
     coincide exactly share one vertex, so paths are added in order of root
     distance and an edge that would close a cycle is left out: the result
-    stays a spanning tree.
+    stays a spanning tree.  Returns it with each target's vertex in it.
     """
-    used: list[int] = []
-    seen = [False] * G.n
-    for t in targets:
-        v = t
-        while v != -1 and not seen[v]:
-            seen[v] = True
-            used.append(v)
-            v = parent[v]
-    used.sort()
+    used = root_paths(parent, root_id, targets)
     sub = SteinerGraph()
     at: dict[Point, int] = {}  # lifted point -> its vertex in sub
 
@@ -501,14 +459,14 @@ def _prune(
             surf, stops, last, q_end = path
             qa = (0.0, 0.0)
             for key in stops[last][0]:
-                _, q, lifted, d = stops[key]
+                _, q, d = stops[key]
                 b = made.get((surf.index, key))
                 if b is None:
                     kind = "ell_steiner" if key[0] < 0 else "core_apex"
-                    b = made[(surf.index, key)] = add(lifted or lift(surf, q), kind)
-                    steps.append((d, G.n + len(made), a, b, None if lifted else (surf, qa, q)))
+                    b = made[(surf.index, key)] = add(lift(surf, q), kind)
+                    steps.append((d, G.n + len(made), a, b, (surf, qa, q)))
                 a, qa = b, q
-            seg = None if lifted else (surf, qa, q_end)
+            seg = (surf, qa, q_end)
         steps.append((dists[old], old, a, new[old], seg))
     steps.sort(key=lambda step: step[:2])
     comp = list(range(sub.n))  # union-find over sub's vertices
@@ -531,7 +489,7 @@ def _prune(
                 comp[ru] = rv
                 sub.add_edge(u, v)
     tree = Tree(sub.n, tuple(sub.edges), new[root_id])
-    return sub, tree
+    return sub, tree, [new[t] for t in targets]
 
 
 _CORE_KINDS = {"root": "input", "apex": "core_apex", "grid": "grid", "input": "input"}
@@ -561,18 +519,10 @@ def assemble_core2d(pts: PointCloud, eps: float, lam: float = 1.25):
     # The core numbers the root first and the base points in input order.
     base_ids = iter(g.input_ids)
     vertex_of = [g.root if i == pts.root else next(base_ids) for i in range(pts.n)]
-    per_point = root_stretch(tree, graph.coords, tree.root, vertex_of)
     mst = euclidean_mst(pts)
-    report = SltReport(
-        n=pts.n,
-        d=2,
-        eps=eps,
-        mst_weight=mst.weight,
-        tree_weight=tree.weight,
-        lightness=tree.weight / mst.weight,
-        per_point_stretch=per_point,
-        max_stretch=max(per_point),
-        flags={
+    report = measure(
+        tree, graph.coords, vertex_of, eps, mst.weight,
+        {
             "levels": g.k,
             "chain_total": core_metrics(g, core_tree, dists).chain_total,
             "level_angles": [g.alpha * g.lam**i for i in range(g.k + 1)],

@@ -22,7 +22,7 @@ from scipy.sparse.csgraph import dijkstra as sparse_dijkstra
 from .core2d import levels_for_eps
 from .errors import AngleOverflow, DimensionTooSmall, EpsOutOfRange, SltError
 from .geometry import Point, dist
-from .metrics import SltReport
+from .metrics import measure, root_paths
 from .mst_path import PointCloud, Tree, euclidean_mst
 from .pipeline import SteinerGraph
 
@@ -67,14 +67,24 @@ def grid_points(d: int, eps: float, grid: GridSpec) -> tuple[Point, ...]:
     return tuple(pts)
 
 
+def _apex_height(alpha: float, lam: float, i: int) -> float:
+    """Height above the base of a level-i apex, for top apex angle alpha.
+
+    Half a level-i cell's body diagonal over the tangent of half its apex
+    angle alpha * lam^i; the top apex (i = 0) is at unit distance from the
+    base corners.
+    """
+    return (math.sin(alpha / 2.0) / (1 << i)) / math.tan(alpha * lam**i / 2.0)
+
+
 def pyramid_points(d: int, n: int, eps: float) -> tuple[Point, ...]:
     """Input of the pyramid build: the apex, then the n base grid points.
 
     The apex sits at unit distance from the base corners, above the base
-    centre; ``slt gen grid`` writes this layout and ``assemble_pyramid``
-    accepts only it.
+    centre, where ``build_pyramid_core`` puts it; ``slt gen grid`` writes
+    this layout and ``assemble_pyramid`` accepts only it.
     """
-    apex = (math.cos(math.sqrt(eps) / 2.0),) + (0.0,) * (d - 1)
+    apex = (_apex_height(math.sqrt(eps), 1.0, 0),) + (0.0,) * (d - 1)
     return (apex,) + grid_points(d, eps, GridSpec.for_points(n, d))
 
 
@@ -452,7 +462,8 @@ def build_pyramid_core(d: int, eps: float, grid: GridSpec, lam: float = 1.25):
     Returns (graph, tree, report).  The tree is the SPT from the apex over
     the search graph (apex tree, apex-corner edges and base spanner), cut
     down to the apex's paths to the grid points, and the graph holds its
-    vertices and edges; stretch is measured over the grid points.
+    vertices and edges.  The report measures the tree over the apex, then
+    the grid points (see ``measure``).
     """
     if d < 3:
         raise DimensionTooSmall("pyramid construction needs d >= 3")
@@ -465,10 +476,7 @@ def build_pyramid_core(d: int, eps: float, grid: GridSpec, lam: float = 1.25):
 
     side = 2.0 * math.sin(alpha / 2.0) / math.sqrt(d - 1)
     dim = d - 1
-    heights = [
-        (math.sin(alpha / 2.0) / (1 << i)) / math.tan(alpha * lam**i / 2.0)
-        for i in range(k + 1)
-    ]
+    heights = [_apex_height(alpha, lam, i) for i in range(k + 1)]
 
     inputs = grid_points(d, eps, grid)
     apex = (heights[0],) + (0.0,) * dim
@@ -544,19 +552,13 @@ def build_pyramid_core(d: int, eps: float, grid: GridSpec, lam: float = 1.25):
     weight = np.concatenate([ws, np.fromiter(span_w, float, len(span_edges))])
     rows, cols = np.concatenate([src, dst]), np.concatenate([dst, src])
     search = csr_matrix((np.concatenate([weight, weight]), (rows, cols)), shape=(G.n, G.n))
-    dists, parents = sparse_dijkstra(
+    _, parents = sparse_dijkstra(
         search, directed=False, indices=apex_id, return_predecessors=True
     )
     # The tree keeps the vertices on the apex's paths to the grid points,
     # in their order: the apex and the grid points keep their ids.
     parent = parents.tolist()
-    on_path = [False] * G.n
-    on_path[apex_id] = True
-    for v in input_ids:
-        while not on_path[v]:
-            on_path[v] = True
-            v = parent[v]
-    kept = [v for v in range(G.n) if on_path[v]]
+    kept = root_paths(parent, apex_id, input_ids)
     graph = SteinerGraph()
     new_id = {v: graph.add_vertex(G.coords[v], G.kinds[v]) for v in kept}
     for v in kept:
@@ -564,18 +566,10 @@ def build_pyramid_core(d: int, eps: float, grid: GridSpec, lam: float = 1.25):
             graph.add_edge(new_id[parent[v]], new_id[v])
     tree = Tree(graph.n, tuple(graph.edges), apex_id)
 
-    per_point = [dists[i] / dist(apex, p) for i, p in zip(input_ids, inputs)]
     mst = euclidean_mst(PointCloud((apex,) + inputs, 0))
-    report = SltReport(
-        n=grid.n + 1,
-        d=d,
-        eps=eps,
-        mst_weight=mst.weight,
-        tree_weight=tree.weight,
-        lightness=tree.weight / mst.weight,
-        per_point_stretch=per_point,
-        max_stretch=max(per_point),
-        flags={
+    report = measure(
+        tree, graph.coords, [apex_id] + input_ids, eps, mst.weight,
+        {
             "levels": k,
             "level_angles": [alpha * lam**i for i in range(k + 1)],
             "spanner": span_method,

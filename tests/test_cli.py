@@ -121,8 +121,34 @@ def test_verify_bad_tree_exit_one(tmp_path, capsys):
         "root": 0,
     }
     tree_file.write_text(canonical_dumps(tree))
+    args = ["verify", "--input", pts_file, "--tree", tree_file, "--eps", 0.04]
+    assert run(args) == 1
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["per_point_stretch"] == [1.0, 1.0, 2.0 / math.dist(pts[0], pts[2])]
+    # stderr names the worst input; the report is printed as on success
+    worst = f"input point 2 at (1.0, 1.0) has stretch {report['max_stretch']!r} > bound 1.04"
+    assert worst in captured.err
+    out = tmp_path / "report.json"
+    assert run([*args, "--output", out]) == 1
+    assert out.read_text() == captured.out
+    assert worst in capsys.readouterr().err
+
+
+def test_verify_names_the_index_of_a_missing_input(tmp_path, capsys):
+    pts_file, tree_file = tmp_path / "pts.json", tmp_path / "tree.json"
+    write_points(pts_file, ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)), 0)
+    tree = {
+        "vertices": [{"id": i, "coords": list(p), "kind": "input"}
+                     for i, p in enumerate(((0.0, 0.0), (1.0, 0.0), (0.0, 2.0)))],
+        "edges": [[0, 1], [0, 2]],
+        "root": 0,
+    }
+    tree_file.write_text(canonical_dumps(tree))
     assert run(["verify", "--input", pts_file, "--tree", tree_file, "--eps", 0.04]) == 1
-    capsys.readouterr()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tree does not contain input point 2 at (0.0, 1.0)" in captured.err
 
 
 SQUARE = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
@@ -212,25 +238,6 @@ def test_build_core2d_method(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_core2d_build_report_matches_verify(tmp_path, capsys):
-    # Scaled by 2, so a report in the core's unit-leg frame would differ.
-    pts = tmp_path / "core.json"
-    tree = tmp_path / "tree.json"
-    assert run(["gen", "core", "--eps", 0.04, "--n", 12, "--output", pts]) == 0
-    pc = parse_points(pts)
-    write_points(pts, [tuple(2.0 * x for x in p) for p in pc.points], pc.root)
-    assert run(["build", "--method", "core2d", "--eps", 0.04,
-                "--input", pts, "--output", tree]) == 0
-    built = json.loads(capsys.readouterr().out)
-    assert run(["verify", "--input", pts, "--tree", tree, "--eps", 0.04]) == 0
-    verified = json.loads(capsys.readouterr().out)
-    assert built["n"] == verified["n"] == 15
-    for key in ("mst_weight", "tree_weight", "lightness", "max_stretch"):
-        assert built[key] == pytest.approx(verified[key], rel=1e-12), key
-    assert len(built["per_point_stretch"]) == 15
-    assert built["per_point_stretch"] == pytest.approx(verified["per_point_stretch"], rel=1e-12)
-
-
 def test_build_pyramid_method(tmp_path, capsys):
     pts = tmp_path / "grid.json"
     tree = tmp_path / "tree.json"
@@ -292,8 +299,13 @@ def test_non_numeric_coordinate_exit_two(tmp_path, capsys, which, fault, value):
         ("points", "points", 5, "points file: points is not a list"),
         ("tree", "edges", [[0, 1], [0, 2], [0, 3.5]], "tree file: edge [0, 3.5] is not a pair"),
         ("tree", "vertices", "id", "tree file: vertex id '2' is not an integer"),
+        ("points", None, [1, 2], "points file is not a JSON object"),
+        ("tree", None, [1, 2], "tree file is not a JSON object"),
+        ("tree", "vertices", [1], "tree file: vertex entry 0 is not an object"),
+        ("points", "dim", "2", "points file: dim is not an integer"),
     ],
-    ids=["null-root", "points-not-a-list", "edge-id", "vertex-id"],
+    ids=["null-root", "points-not-a-list", "edge-id", "vertex-id", "points-top-level",
+         "tree-top-level", "vertex-entry", "string-dim"],
 )
 def test_malformed_structure_exit_two(tmp_path, capsys, which, field, value, fault):
     pts_file, tree_file = tmp_path / "pts.json", tmp_path / "tree.json"
@@ -304,7 +316,9 @@ def test_malformed_structure_exit_two(tmp_path, capsys, which, field, value, fau
     ))
     bad = pts_file if which == "points" else tree_file
     data = json.loads(bad.read_text())
-    if field == "vertices":
+    if field is None:
+        data = value
+    elif field == "vertices" and value == "id":
         data["vertices"][2]["id"] = "2"
     else:
         data[field] = value
@@ -428,6 +442,36 @@ def test_build_writes_the_golden_tree(tmp_path, capsys, gen, build, sha):
     assert run(["build", *build, "--input", pts, "--output", tree]) == 0
     capsys.readouterr()
     assert hashlib.sha256(tree.read_bytes()).hexdigest() == sha
+
+
+def _scaled_core(pts):
+    # Scaled by 2, so a report in the core's unit-leg frame would differ.
+    pc = parse_points(pts)
+    write_points(pts, [tuple(2.0 * x for x in p) for p in pc.points], pc.root)
+
+
+REPORT_CASES = [(gen, build, None) for gen, build, _ in GOLDEN_TREES] + [
+    (GOLDEN_TREES[1][0], GOLDEN_TREES[1][1], _scaled_core)
+]
+
+
+@pytest.mark.parametrize("gen,build,edit", REPORT_CASES,
+                         ids=["folding", "core2d", "pyramid", "core2d-scaled"])
+def test_build_report_equals_verify(tmp_path, capsys, gen, build, edit):
+    # Every method measures the tree it returns as verify measures the file.
+    pts, tree = tmp_path / "pts.json", tmp_path / "tree.json"
+    assert run(["gen", *gen, "--output", pts]) == 0
+    if edit is not None:
+        edit(pts)
+    assert run(["build", *build, "--input", pts, "--output", tree]) == 0
+    built = json.loads(capsys.readouterr().out)
+    eps = build[build.index("--eps") + 1]
+    assert run(["verify", "--input", pts, "--tree", tree, "--eps", eps]) == 0
+    verified = json.loads(capsys.readouterr().out)
+    assert len(built["per_point_stretch"]) == built["n"] == len(parse_points(pts).points)
+    for key in ("n", "d", "eps", "mst_weight", "tree_weight", "lightness",
+                "per_point_stretch", "max_stretch"):
+        assert built[key] == verified[key], key
 
 
 def test_folding_golden_tree_whatever_its_vertex_numbering(tmp_path, capsys):

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from slt.cli import canonical_dumps, run_cli, write_points
-from slt.errors import Disconnected
+from slt.errors import Disconnected, Unreachable
 from slt.metrics import (
     floyd_warshall,
     kruskal_mst,
     oracle_spt,
+    root_paths,
     root_stretch,
 )
 from slt.mst_path import PointCloud, Tree, euclidean_mst
@@ -49,6 +50,21 @@ def test_dijkstra_matches_floyd_warshall(seed):
     for src in range(0, n, max(1, n // 5)):
         dists, _ = oracle_spt(n, edges, src)
         assert np.allclose(dists, fw[src], rtol=1e-12, atol=0)
+
+
+def test_root_paths_keeps_the_walks_to_the_targets_in_ascending_order():
+    #       0 (root)
+    #      / \
+    #     3   1      5 is cut off; 6's walk ends at 5
+    #    / \   \
+    #   2   4   7
+    parent = [-1, 0, 3, 0, 3, -1, 5, 1]
+    assert root_paths(parent, 0, [7, 2]) == [0, 1, 2, 3, 7]
+    assert root_paths(parent, 0, [4, 2, 4]) == [0, 2, 3, 4]
+    assert root_paths(parent, 0, []) == [0]
+    assert root_paths(parent, 0, [0]) == [0]
+    with pytest.raises(Unreachable):
+        root_paths(parent, 0, [1, 6])
 
 
 def test_root_stretch_two_points():

@@ -83,7 +83,7 @@ def test_empty_surface_spoke_in_full_graph():
     root_id = G.add_vertex(pc.points[0], "input")
     vids = [G.add_vertex(v, "break") for v in empty.verts]
     gadget = build_gadget(empty, [], 0.04)
-    _realize(G, gadget, vids, root_id, False)
+    _realize(G, gadget, vids, root_id)
     assert any(
         (u == root_id and v == vids[0]) or (v == root_id and u == vids[0])
         for u, v, _ in G.edges
@@ -258,17 +258,6 @@ def test_spt_distances_match_all_pairs_oracle():
         assert td[v] == pytest.approx(dists[v], rel=1e-12, abs=1e-15)
 
 
-def test_chord_shortcut_never_worse():
-    # Chords shorten every lifted edge, so all shortest-path distances and
-    # the stretch can only improve.  The union-of-paths weight may still
-    # wobble slightly when cheaper routes shift which edges are shared.
-    pc = random_cloud(30, 3, 9)
-    _, _, rep = assemble_slt(pc, 0.09)
-    _, _, rep_c = assemble_slt(pc, 0.09, chord_shortcut=True)
-    assert rep_c.max_stretch <= rep.max_stretch + 1e-12
-    assert rep_c.tree_weight <= rep.tree_weight * 1.01
-
-
 def test_deterministic_rebuild():
     pc = random_cloud(25, 3, 14)
     g1, t1, r1 = assemble_slt(pc, 0.09)
@@ -315,7 +304,7 @@ def _alone(pc, f, g):
     G = FoldingGraph()
     G.add_vertex(pc.points[pc.root], "input")
     vids = [G.add_vertex(v, "break") for v in f.verts]
-    _realize(G, g, vids, 0, False)
+    _realize(G, g, vids, 0)
     return G, vids
 
 
@@ -398,7 +387,7 @@ def test_r_at_an_end_of_the_cross_line_takes_the_steiner_point(r_first):
     G = FoldingGraph()
     root = G.add_vertex(s, "input")
     vids = [G.add_vertex(v, "input" if j != 1 else "break") for j, v in enumerate(verts)]
-    _realize(G, g, vids, root, False)
+    _realize(G, g, vids, root)
     r_id, r_img = vids[g.r_local], g.vertex_images[g.r_local]
     assert not any(dist(G.coords[v], r_img) <= 1e-9 for v in G.surface)
     assert len(G.surface) == len(g.ell_steiner) - 1  # every portal but the one at r
@@ -490,14 +479,14 @@ def test_coinciding_lifts_still_give_a_spanning_tree():
     a = G.add_planar(f, q, "ell_steiner")
     b = G.add_planar(f, q, "ell_steiner")
     c = G.add_planar(f, qc, "core_apex")
-    G.add_gadget_edge(f, root, (0.0, 0.0), a, q, False)
-    G.add_gadget_edge(f, a, q, far[0], img0, False)
-    G.add_gadget_edge(f, root, (0.0, 0.0), c, qc, False)
-    G.add_gadget_edge(f, c, qc, b, q, False)
-    G.add_gadget_edge(f, b, q, far[1], img1, False)
+    G.add_gadget_edge(f, root, (0.0, 0.0), a, q)
+    G.add_gadget_edge(f, a, q, far[0], img0)
+    G.add_gadget_edge(f, root, (0.0, 0.0), c, qc)
+    G.add_gadget_edge(f, c, qc, b, q)
+    G.add_gadget_edge(f, b, q, far[1], img1)
     dists, parent = dijkstra(G.n, adjacency(G.n, G.edges), root)
     assert (parent[a], parent[b], parent[far[1]]) == (root, c, b)
-    sub, tree = _prune(G, dists, parent, far, root)
+    sub, tree, _ = _prune(G, dists, parent, far, root)
     assert sub.coords.count(lift(f, q)) == 1
     assert len(tree.edges) == sub.n - 1 == len(G.edges) - 1
     assert not any(math.isinf(x) for x in tree_distances(tree, tree.root))

@@ -21,6 +21,7 @@ from slt.pyramid import (
     greedy_spanner,
     grid_points,
     pyramid_mst_lower_bound,
+    pyramid_points,
     yao_spanner,
 )
 
@@ -385,3 +386,13 @@ def test_tree_keeps_only_the_paths_to_the_grid_points(d, eps, n, vertices):
     leaves = [v for v in range(G.n) if degree[v] == 1 and v != tree.root]
     assert all(G.kinds[v] == "input" for v in leaves)
     assert rep.max_stretch <= 1 + eps + 1e-12
+
+
+@pytest.mark.parametrize("d,eps,n", [(3, 0.04, 64), (3, 0.09, 64), (4, 0.09, 216), (3, 0.25, 9)])
+def test_points_and_build_put_the_apex_in_one_place(d, eps, n):
+    # slt verify finds the inputs by their exact coordinates.
+    G, tree, rep = build_pyramid_core(d, eps, GridSpec.for_points(n, d))
+    assert tuple(G.coords[: n + 1]) == pyramid_points(d, n, eps)
+    assert tree.root == 0
+    assert len(rep.per_point_stretch) == rep.n == n + 1
+    assert rep.per_point_stretch[0] == 1.0
