@@ -5,6 +5,8 @@ stay within a 1+eps factor of Euclidean distance while the total weight
 stays within O(sqrt(1/eps)) of the minimum spanning tree.
 """
 
+import importlib
+
 from .errors import (
     AngleOutOfRange,
     AngleOverflow,
@@ -41,15 +43,6 @@ from .unfolding import (
 )
 from .core2d import CoreGraph, CoreInstance, build_core, core2d_points, core_metrics, core_spt
 from .pipeline import SteinerGraph, SurfaceGadget, assemble_core2d, assemble_slt, build_gadget
-from .pyramid import (
-    GridSpec,
-    assemble_pyramid,
-    build_pyramid_core,
-    greedy_spanner,
-    pyramid_mst_lower_bound,
-    pyramid_points,
-    yao_spanner,
-)
 from .metrics import (
     SltReport,
     floyd_warshall,
@@ -61,3 +54,22 @@ from .metrics import (
 )
 
 __version__ = "0.1.0"
+
+# The pyramid imports scipy, which takes longer to load than the rest of
+# the package: its names are resolved on first use.
+_PYRAMID_NAMES = frozenset({
+    "GridSpec",
+    "assemble_pyramid",
+    "build_pyramid_core",
+    "greedy_spanner",
+    "pyramid_mst_lower_bound",
+    "pyramid_points",
+    "yao_spanner",
+})
+
+
+def __getattr__(name: str):
+    if name == "pyramid" or name in _PYRAMID_NAMES:
+        pyramid = importlib.import_module(".pyramid", __name__)
+        return pyramid if name == "pyramid" else getattr(pyramid, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

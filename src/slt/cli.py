@@ -15,10 +15,9 @@ import sys
 from .breakpoints import select_breakpoints, subdivide
 from .core2d import build_core, core2d_points, core_spt
 from .errors import MalformedFile, MalformedTree, SltError
-from .metrics import measure
+from .metrics import collector_paused, measure
 from .mst_path import PointCloud, Tree, dfs_hamiltonian, euclidean_mst
 from .pipeline import SteinerGraph, assemble_core2d, assemble_slt, build_gadget, gadget_inputs
-from .pyramid import assemble_pyramid, pyramid_points
 from .unfolding import build_surfaces, unfold_vertex
 
 
@@ -48,8 +47,10 @@ def parse_points(path) -> PointCloud:
     data = _load_object(path, "points file")
     dim = _integer(data["dim"], "points file: dim")
     pts = tuple(_float_rows(_list(data["points"], "points file: points"), "points file: point"))
-    if any(len(p) != dim for p in pts):
-        raise SltError("point with wrong dimension")
+    bad = next((i for i, p in enumerate(pts) if len(p) != dim), None)
+    if bad is not None:
+        raise MalformedFile(f"points file: point {bad} has {len(pts[bad])} coordinates, "
+                            f"not dim {dim}")
     return PointCloud(pts, _integer(data["root"], "points file: root"))
 
 
@@ -71,7 +72,8 @@ def parse_tree(path):
 
     Raises MalformedTree unless the vertex ids are 0..V-1 and the edges
     form a spanning tree of the vertices, MalformedFile on a coordinate
-    that is not a number or an id that is not an integer.
+    that is not a number, a vertex whose dimension differs from vertex 0's
+    or an id that is not an integer.
     """
     data = _load_object(path, "tree file")
     verts = _list(data["vertices"], "tree file: vertices")
@@ -87,6 +89,10 @@ def parse_tree(path):
     if [v["id"] for v in verts] != list(range(n)):
         raise MalformedTree(f"vertex ids are not 0..{n - 1}")
     coords = _float_rows((v["coords"] for v in verts), "tree file: vertex")
+    bad = next((i for i, c in enumerate(coords) if len(c) != len(coords[0])), None)
+    if bad is not None:
+        raise MalformedFile(f"tree file: vertex {bad} has {len(coords[bad])} coordinates, "
+                            f"vertex 0 has {len(coords[0])}")
     kinds = [v["kind"] for v in verts]
     rows = _list(data["edges"], "tree file: edges")
     try:
@@ -127,8 +133,8 @@ def _float_rows(rows, what: str) -> list[tuple[float, ...]]:
 def _check_spanning_tree(n: int, edges, root: int) -> None:
     if not 0 <= root < n:
         raise MalformedTree(f"root {root} out of range 0..{n - 1}")
-    # Union-find over plain ints: per-vertex lists or sets here would make
-    # the garbage collector rescan a large build still held by the caller.
+    # Union-find over plain ints: one pass over the edges finds every
+    # duplicate and tells whether some edge closes a cycle.
     comp = list(range(n))
     seen: set[tuple[int, int]] = set()  # each edge as a sorted pair
 
@@ -173,6 +179,8 @@ def gen_circle(eps: float):
 
 
 def gen_grid(d: int, n: int, eps: float):
+    from .pyramid import pyramid_points  # loads scipy, so only when asked for
+
     return pyramid_points(d, n, eps), 0
 
 
@@ -334,6 +342,8 @@ def _cmd_build(args) -> int:
     elif args.method == "core2d":
         graph, tree, report = assemble_core2d(pc, args.eps, args.lam)
     elif args.method == "pyramid":
+        from .pyramid import assemble_pyramid  # loads scipy, so only when asked for
+
         graph, tree, report = assemble_pyramid(pc, args.eps, args.lam)
     else:
         raise SltError(f"unknown method {args.method!r}")
@@ -343,7 +353,9 @@ def _cmd_build(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
+@collector_paused
+def _verified_report(args):
+    """The points and the report of the tree file measured against them."""
     pc = parse_points(args.input)
     coords, kinds, edges, root = parse_tree(args.tree)
     index = {c: i for i, (c, k) in enumerate(zip(coords, kinds)) if k == "input"}
@@ -362,6 +374,11 @@ def _cmd_verify(args) -> int:
     )
     report = measure(tree, coords, vertex_of, args.eps, euclidean_mst(pc).weight,
                      {"verified": True})
+    return pc, report
+
+
+def _cmd_verify(args) -> int:
+    pc, report = _verified_report(args)
     out = canonical_dumps(report.as_dict())
     if args.output:
         with open(args.output, "w") as fh:

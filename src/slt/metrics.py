@@ -1,6 +1,9 @@
-"""Shortest-path and MST oracles, root-stretch measurement and the build report."""
+"""Shortest-path and MST oracles, root-stretch measurement, the build report
+and the collector pause every build runs under."""
 from __future__ import annotations
 
+import functools
+import gc
 import math
 from dataclasses import asdict, dataclass, field
 from heapq import heappop, heappush
@@ -10,6 +13,28 @@ import numpy as np
 from .errors import Disconnected, Unreachable
 from .geometry import Point, dist
 from .mst_path import Tree
+
+
+def collector_paused(build):
+    """``build`` run with Python's cyclic garbage collector paused.
+
+    A build makes many small containers that live until it returns, and no
+    reference cycles, so the collector would scan them again and again and
+    free nothing.  The collector is turned back on
+    afterwards, also when ``build`` raises, but only if it was on before.
+    """
+
+    @functools.wraps(build)
+    def paused(*args, **kwargs):
+        was_on = gc.isenabled()
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            if was_on:
+                gc.enable()
+
+    return paused
 
 
 def adjacency(n: int, edges) -> list[list[tuple[int, float]]]:

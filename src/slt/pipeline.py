@@ -28,7 +28,7 @@ from .breakpoints import SubdividedPath, select_breakpoints, subdivide
 from .core2d import CoreInstance, build_core, core_layout, core_metrics, core_spt, layout_spt
 from .errors import EmptySurface, EpsOutOfRange, SltError
 from .geometry import PlanePoint, Point, Polyline, dist
-from .metrics import adjacency, dijkstra, measure, root_paths
+from .metrics import adjacency, collector_paused, dijkstra, measure, root_paths
 from .mst_path import PointCloud, Tree, dfs_hamiltonian, euclidean_mst
 from .unfolding import FoldedSurface, build_surfaces, lift, lift_segment, unfold_vertex
 
@@ -259,6 +259,7 @@ def gadget_inputs(surf: FoldedSurface, sub: SubdividedPath, root: int) -> list[i
     return [j for j, i in enumerate(index) if i >= 0 and i != root]
 
 
+@collector_paused
 def assemble_slt(
     pts: PointCloud,
     eps: float,
@@ -378,16 +379,6 @@ def _realize(
         # (-1, index), placed and weighed once: key -> keys from the root's
         # down to it, planar point, root distance.
         stops = {(0, 0): ((), (0.0, 0.0), 0.0)}
-
-        def stop(key: tuple[int, int]) -> tuple:
-            s = stops.get(key)
-            if s is None:
-                i, j = key
-                above = stop((len(apices) - 1, feed[j]) if i < 0 else (i - 1, j >> 1))
-                q = frame.to_plane(grid[j] if i < 0 else apices[i][j])
-                s = stops[key] = (above[0] + (key,), q, above[2] + math.dist(above[1], q))
-            return s
-
         dx, dy = gadget.ell_b[0] - gadget.ell_a[0], gadget.ell_b[1] - gadget.ell_a[1]
 
         def side(q: PlanePoint) -> float:  # its sign tells the side of r
@@ -396,7 +387,11 @@ def _realize(
         for x, u in enumerate(via):  # x comes through u: a portal, or -1 - j for grid vertex j
             # x's core path ends at grid vertex j, or at the apex above x if x sits on it
             key = (len(apices) - 1, feed[on[x]]) if on[x] >= 0 else (-1, -1 - u)
-            v, qv, qu = ids[x], plane[x], plane[u] if u >= 0 else stop(key)[1]
+            v, qv = ids[x], plane[x]
+            if u >= 0:
+                qu = plane[u]
+            else:
+                _, qu, d = _core_stop(stops, key, frame, apices, grid, feed)
             if on[x] < 0 and side(qu) * side(qv) < 0.0:
                 # r lies on the cross line: a base edge running past its
                 # image is split there, which joins r to the line.
@@ -405,12 +400,31 @@ def _realize(
             if u >= 0:
                 G.add_gadget_edge(surf, ids[u], qu, v, qv)
             else:
-                _, q_end, d = stop(key)
-                G.add_core_path(root_id, v, d + math.dist(q_end, qv), (surf, stops, key, qv))
+                G.add_core_path(root_id, v, d + math.dist(qu, qv), (surf, stops, key, qv))
     for sb, vid in zip(gadget.secondary, sec_ids):
         x = sb.steiner
         G.add_gadget_edge(surf, ids[x], plane[x], vid, sb.plane)
     return inst
+
+
+def _core_stop(stops: dict, key: tuple[int, int], frame, apices, grid, feed) -> tuple:
+    """The stop at ``key``, placing and weighing the missing stops above it first.
+
+    A loop up the apex chain and back down, not a closure that calls
+    itself: builds run with the cyclic garbage collector paused, so they
+    must make no reference cycles.
+    """
+    chain = []
+    while key not in stops:
+        chain.append(key)
+        i, j = key
+        key = (len(apices) - 1, feed[j]) if i < 0 else (i - 1, j >> 1)
+    above = stops[key]
+    for key in reversed(chain):
+        i, j = key
+        q = frame.to_plane(grid[j] if i < 0 else apices[i][j])
+        above = stops[key] = (above[0] + (key,), q, above[2] + math.dist(above[1], q))
+    return above
 
 
 # Where lifted points coincide, the vertex keeps the kind listed first.
@@ -495,6 +509,7 @@ def _prune(
 _CORE_KINDS = {"root": "input", "apex": "core_apex", "grid": "grid", "input": "input"}
 
 
+@collector_paused
 def assemble_core2d(pts: PointCloud, eps: float, lam: float = 1.25):
     """Recursive triangle core over a 2-d instance: returns (graph, tree, report).
 

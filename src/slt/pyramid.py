@@ -22,7 +22,7 @@ from scipy.sparse.csgraph import dijkstra as sparse_dijkstra
 from .core2d import levels_for_eps
 from .errors import AngleOverflow, DimensionTooSmall, EpsOutOfRange, SltError
 from .geometry import Point, dist
-from .metrics import measure, root_paths
+from .metrics import collector_paused, measure, root_paths
 from .mst_path import PointCloud, Tree, euclidean_mst
 from .pipeline import SteinerGraph
 
@@ -456,6 +456,7 @@ def base_spanner(points: list[Point]) -> tuple[np.ndarray, str]:
     return yao_spanner(np.delete(np.asarray(points, dtype=float), 0, axis=1)), "yao"
 
 
+@collector_paused
 def build_pyramid_core(d: int, eps: float, grid: GridSpec, lam: float = 1.25):
     """Assemble the pyramid graph and its shortest-path tree.
 
