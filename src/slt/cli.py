@@ -6,6 +6,7 @@ repeated runs with the same seed produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -409,7 +410,14 @@ def _cmd_render(args) -> int:
     return 0
 
 
-def make_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then shared.
+
+    An argparse parser refers to itself through its actions and help
+    formatters, so each parser dropped is garbage only the cyclic
+    collector frees.
+    """
     ap = argparse.ArgumentParser(prog="slt", description="Steiner shallow-light trees")
     sp = ap.add_subparsers(dest="cmd", required=True)
 
@@ -450,8 +458,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def run_cli(argv=None) -> int:
-    ap = make_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, json.JSONDecodeError, KeyError) as exc:

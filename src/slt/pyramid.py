@@ -4,8 +4,10 @@ The base cube sits in the hyperplane orthogonal to axis 0, scaled so the
 apex is at unit distance from all base corners.  Each level subdivides
 every base cube into 2^(d-1) congruent cubes and erects child pyramids
 whose apex angles (measured over a base body diagonal) grow by a factor
-lambda.  A 5/4-spanner over the input grid and the finest corner lattice
-connects everything along the base.
+lambda.  Along the base, a cone spanner over the input grid and the
+finest corner lattice gives a 5/4-path for every pair within R, 5/4 of
+half a finest cell's body diagonal: a local spanner, as no shortest path
+from the apex uses a longer base edge (see ``build_pyramid_core``).
 """
 from __future__ import annotations
 
@@ -27,7 +29,6 @@ from .mst_path import PointCloud, Tree, euclidean_mst
 from .pipeline import SteinerGraph
 
 SPANNER_T = 1.25
-_GREEDY_LIMIT = 150
 
 
 @dataclass(frozen=True)
@@ -214,246 +215,56 @@ def _covering_radius(axes: np.ndarray) -> float:
     return float(np.arctan2(sin, np.einsum("ij,ij->i", normals, corner)).max())
 
 
-def _angle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Angle between unit vectors along the last axis, accurate near zero."""
-    return 2.0 * np.arcsin(np.minimum(np.linalg.norm(a - b, axis=-1) / 2.0, 1.0))
-
-
-def _cube_cells(dim: int, res: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The cube-map cells in lookup order: centre directions, angular radii, indices.
-
-    A direction x lies on face 2f + (x_f < 0), f an axis of largest |x_f|;
-    its other coordinates, in axis order, divided by |x_f| fall in
-    [-1, 1], and cell i_j of that face axis holds [-1 + 2 i_j / res,
-    -1 + 2 (i_j + 1) / res].  The radius is the largest angle from the
-    centre direction to a corner direction, which bounds the angle to any
-    direction in the cell (a cone's section by the face plane is convex),
-    and is the same on every face.  The indices are the rows
-    (face, i_1, ..., i_{dim-1}).
-    """
-    idx = np.indices((res,) * (dim - 1)).reshape(dim - 1, -1).T
-    step = 2.0 / res
-    low = idx * step - 1.0
-
-    def unit(u, axis=0, value=1.0):
-        p = np.insert(u, axis, value, axis=1)
-        return p / np.linalg.norm(p, axis=1, keepdims=True)
-
-    mid = low + step / 2.0
-    corners = itertools.product((0.0, step), repeat=dim - 1)
-    radius = np.max([_angle(unit(mid), unit(low + np.array(c))) for c in corners], axis=0)
-    faces = range(2 * dim)
-    centres = np.concatenate([unit(mid, f // 2, -1.0 if f % 2 else 1.0) for f in faces])
-    index = np.column_stack([np.repeat(faces, len(idx)), np.tile(idx, (2 * dim, 1))])
-    return centres, np.tile(radius, 2 * dim), index
-
-
-def _possible_axes(centres, radii, units, pool, slack) -> np.ndarray:
-    """Per cell, the axes of ``pool`` that may be picked somewhere in it.
-
-    ``pool`` lists axis indices per cell, ascending, then -1 pads, and so
-    does the result.  An axis may be picked in the cell only if, at the
-    centre, it lies within 2 * radius + slack of the nearest axis of the
-    pool; a cell with one axis in its pool keeps it.  Angles come from
-    arccos of float64 dot products, within 2e-8 rad.
-    """
-    several = np.flatnonzero(pool[:, 1] >= 0) if pool.shape[1] > 1 else np.empty(0, int)
-    sub = pool[several]
-    # Dot products by coordinate, the -1 pads reading an appended zero.
-    cos = sum(np.append(u, 0.0)[sub] * c[several, None] for u, c in zip(units.T, centres.T))
-    theta = np.arccos(np.minimum(cos, 1.0))
-    theta[sub < 0] = np.inf
-    reach = functools.reduce(np.minimum, theta.T) + 2.0 * radii[several] + slack
-    keep = theta <= reach[:, None]
-    count = keep.sum(axis=1)
-    out = np.full((len(pool), int(count.max(initial=1))), -1)
-    out[:, 0] = pool[:, 0]
-    out[np.repeat(several, count), (np.cumsum(keep, axis=1) - 1)[keep]] = sub[keep]
-    return out
-
-
-@dataclass(frozen=True)
-class _ConeLookup:
-    """Direction table of a base dimension: which cone axes a direction may get.
-
-    ``yao_spanner`` assigns the direction x (a float32 row) to the axis
-    ``np.argmax(x @ axes32, axis=1)`` picks.  Each cube-map cell (see
-    ``_cube_cells``) lists every axis that product may pick for a direction
-    in the cell: in ``axis`` when it is the only one, else in its row
-    ``row`` of ``cands``.
-
-    Slack.  The float32 product rounds x.a, for a float32 row x and a
-    float32 axis a of length within 1 +- nu, by at most gamma |x| (1 + nu),
-    gamma = dim u / (1 - dim u), u = 2^-24.  So two products keep the
-    order of their exact values once these differ by more than
-    2 gamma (1 + nu) |x|; table and certificate ask for four times that,
-    gap = 8 gamma (1 + nu).  If the angle from x to an axis b exceeds the
-    angle to its nearest axis a by s, then
-    x.a - x.b >= |x| (2 sin((theta_a + theta_b)/2) sin(s/2) - 2 nu), and
-    theta_a + theta_b is at least the least angle delta between two axes;
-    so b cannot win once s > slack = (gap + 2 nu) / sin(delta / 2).  That
-    is 2.7e-5 rad for the 768 axes of a 3-d base (delta = 0.112: near a
-    Voronoi boundary, both axes lie about 0.056 rad away) and 2.0e-5 rad
-    for the 64 axes of a 2-d base.  In a cell of radius rho around the
-    centre c, the nearest axis lies within theta_min(c) + rho of any of its
-    directions, so only an axis b with theta_b(c) <= theta_min(c) + 2 rho
-    + slack can win there: those are the listed axes.  rho grows by 1e-6
-    rad, more than the float32 rounding of the face coordinates that pick
-    the cell, and the table's angles are good to 2e-8 rad.
-
-    A pair in a cell with one axis gets it.  In any other cell the pair
-    takes the float64 products of its float32 row with the listed axes,
-    exact to 1e-15 |x|: when the best beats the second by more than
-    gap |x|, it beats every listed axis, and so every unlisted one, in the
-    float32 product too.  The pairs left, near-ties, go through the float32
-    product itself.
-    """
-
-    axes32: np.ndarray  # (dim, cones): the product's right operand
-    axes64: np.ndarray  # (cones + 1, dim): its columns in float64, then a zero row for the -1 pad
-    res: int  # cells per face axis
-    axis: np.ndarray  # per cell: its only possible axis, or -1
-    row: np.ndarray  # per cell: its row in ``cands``, or -1
-    cands: np.ndarray  # possible axes of the cells with several, -1 padded
-    gap: float  # the certified lead of the best listed axis, per unit |x|
-
-
-#: Cells per face axis of the direction table (the last), and of the
-#: coarser tables that narrow down its candidates.  At d = 4 (768 axes)
-#: 86% of the pairs land in a cell with a single axis.
-_LOOKUP_RES = (4, 16, 64, 256)
-#: Pairs handled at once by ``yao_spanner``, which bounds its working memory.
-_BLOCK_PAIRS = 1 << 16
-
-
-@functools.cache
-def _cone_lookup(dim: int) -> _ConeLookup:
-    """The direction table of a base dimension, built on first use."""
-    axes, _ = _cone_axes(dim)
-    axes32 = np.ascontiguousarray(axes.T, dtype=np.float32)
-    exact = axes32.T.astype(np.float64)
-    length = np.linalg.norm(exact, axis=1)
-    units = exact / length[:, None]
-    u = 2.0**-24
-    nu = float(np.abs(length - 1.0).max())
-    gap = 8.0 * dim * u / (1.0 - dim * u) * (1.0 + nu)
-    gram = units @ units.T
-    np.fill_diagonal(gram, -1.0)
-    delta = _angle(units, units[gram.argmax(axis=1)]).min()
-    slack = (gap + 2.0 * nu) / math.sin(delta / 2.0)
-
-    pool = np.broadcast_to(np.arange(len(units)), (2 * dim, len(units)))
-    res = 1  # one cell per face
-    for fine in _LOOKUP_RES:
-        centres, radii, index = _cube_cells(dim, fine)
-        parent = index[:, 0]
-        for j in range(1, dim):
-            parent = parent * res + index[:, j] // (fine // res)
-        pool = _possible_axes(centres, radii + 1e-6, units, pool[parent], slack)
-        res = fine
-    several = (pool >= 0).sum(axis=1) > 1
-    axis = np.where(several, -1, pool[:, 0])
-    row = np.full(len(pool), -1)
-    row[several] = np.arange(several.sum())
-    lookup = _ConeLookup(
-        axes32, np.vstack([exact, np.zeros((1, dim))]), res, axis, row, pool[several], gap
-    )
-    for table in (lookup.axes32, lookup.axes64, lookup.axis, lookup.row, lookup.cands):
-        table.setflags(write=False)
-    return lookup
-
-
-def _cone_of(x32: np.ndarray, d2: np.ndarray, lookup: _ConeLookup) -> np.ndarray:
-    """Per row of ``x32``, the axis ``np.argmax(x32 @ lookup.axes32, axis=1)`` picks.
-
-    ``d2`` holds the squared lengths of the rows, in float64.
-    """
-    cols = list(x32.T)
-    face = np.zeros(len(x32), dtype=np.int64)
-    top, on_face = np.abs(cols[0]), cols[0]
-    for j, col in enumerate(cols[1:], 1):
-        mag = np.abs(col)
-        up = mag > top
-        face[up] = j
-        top = np.where(up, mag, top)
-        on_face = np.where(up, col, on_face)
-    cell = 2 * face + (on_face < 0)
-    for j in range(len(cols) - 1):
-        coord = np.where(face <= j, cols[j + 1], cols[j]) / top
-        cell = cell * lookup.res + np.minimum(
-            ((coord + 1.0) * (lookup.res / 2)).astype(np.int64), lookup.res - 1
-        )
-    axis = lookup.axis[cell]
-    several = np.flatnonzero(axis < 0)
-    cand = lookup.cands[lookup.row[cell[several]]]
-    rows = x32[several].T.astype(np.float64)
-    dots = sum(a[cand] * x[:, None] for a, x in zip(lookup.axes64.T, rows))
-    dots[cand < 0] = -np.inf
-    at = np.arange(len(several))
-    best = dots.argmax(axis=1)
-    top_dot = dots[at, best]
-    dots[at, best] = -np.inf
-    sure = top_dot - functools.reduce(np.maximum, dots.T) > lookup.gap * np.sqrt(d2[several])
-    axis[several[sure]] = cand[at[sure], best[sure]]
-    near = several[~sure]
-    axis[near] = np.argmax(x32[near] @ lookup.axes32, axis=1)
-    return axis
-
-
-def yao_spanner(points: np.ndarray) -> np.ndarray:
-    """Nearest-in-cone 5/4-spanner over distinct points in a hyperplane slice.
+def yao_spanner(points: np.ndarray, reach: float) -> np.ndarray:
+    """Nearest-in-cone spanner over the pairs of distinct points within ``reach``.
 
     ``points`` must already be reduced to their base-hyperplane coordinates
     (shape (n, 2) or (n, 3)).  Every point keeps an edge to the nearest
-    other point in each cone, the lower index among equally near ones; a
-    direction x belongs to the cone whose axis the float32 product
-    ``np.argmax(x @ axes32)`` picks, which the direction table of
-    ``_ConeLookup`` gives without that product for all but near-ties.
-    Returns the edges as an (m, 2) index array, each row (lo, hi), sorted.
+    other point within ``reach`` in each cone, the lower index among
+    equally near ones; a direction x belongs to the cone whose axis the
+    float32 product ``np.argmax(x @ axes32)`` picks.  These are the edges
+    of the full Yao graph no longer than ``reach`` (a nearer point in the
+    same cone is within reach too), and they hold a t-path, t =
+    ``SPANNER_T``, for every pair within ``reach``: the standard stretch
+    induction for a pair uses only edges no longer than the pair.  A reach
+    past the diameter gives the full Yao graph, a 5/4-spanner.  Returns the
+    edges as an (m, 2) index array, each row (lo, hi), sorted.
     """
+    # Imported here, as ConvexHull is: ``import slt`` leaves scipy unloaded.
+    from scipy.spatial import cKDTree
+
     pts = np.ascontiguousarray(points, dtype=np.float64)
     n, dim = pts.shape
-    lookup = _cone_lookup(dim)
-    cones = lookup.axes32.shape[1]
-    block = max(1, _BLOCK_PAIRS // max(n, 1))
-    us, vs = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    for lo in range(0, n, block):
-        src = np.arange(lo, min(lo + block, n))
-        diff = (pts[None, :, :] - pts[src, None, :]).reshape(-1, dim)
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        own = np.arange(len(src)) * (n + 1) + lo  # the rows (u, u)
-        if np.count_nonzero(d2 == 0.0) > len(src):
-            raise ValueError("yao_spanner needs distinct points")
-        x32 = diff.astype(np.float32)
-        x32[own] = 1.0  # any direction: these rows go to the spare slot below
-        slot = np.repeat(np.arange(len(src)) * cones, n) + _cone_of(x32, d2, lookup)
-        slot[own] = len(src) * cones
-        nearest = np.full(len(src) * cones + 1, np.inf)
-        np.minimum.at(nearest, slot, d2)
-        hit = np.flatnonzero(d2 == nearest[slot])
-        pick = np.full(len(src) * cones + 1, n)
-        np.minimum.at(pick, slot[hit], hit % n)
-        kept = np.flatnonzero(pick[:-1] < n)
-        us.append(src[kept // cones])
-        vs.append(pick[kept])
-    us, vs = np.concatenate(us), np.concatenate(vs)
-    # Sorted, then deduplicated: np.unique hashes first, 20x slower here.
-    key = np.sort(np.minimum(us, vs) * n + np.maximum(us, vs))
-    key = key[np.flatnonzero(np.diff(key, prepend=-1))]
+    axes, _ = _cone_axes(dim)
+    pairs = cKDTree(pts).query_pairs(reach, output_type="ndarray")
+    src, dst = np.concatenate([pairs, pairs[:, ::-1]]).T
+    diff = pts[dst] - pts[src]
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    if np.any(d2 == 0.0):
+        raise ValueError("yao_spanner needs distinct points")
+    axes32 = np.ascontiguousarray(axes.T, dtype=np.float32)
+    cone = np.argmax(diff.astype(np.float32) @ axes32, axis=1)
+    slot = src * len(axes) + cone
+    # Per (source, cone): the least d2, then the least index.
+    order = np.lexsort((dst, d2, slot))
+    first = order[np.flatnonzero(np.diff(slot[order], prepend=-1))]
+    us, vs = src[first], dst[first]
+    key = np.unique(np.minimum(us, vs) * n + np.maximum(us, vs))
     return np.column_stack(np.divmod(key, n))
 
 
-def base_spanner(points: list[Point]) -> tuple[np.ndarray, str]:
-    """5/4-spanner over base points; greedy when small, cones at scale.
+def base_spanner(points: list[Point], reach: float) -> tuple[np.ndarray, list[float]]:
+    """Cone spanner over base points, for the pairs within ``reach``.
 
-    The points lie in the base hyperplane x_0 = 0; the cone spanner works
-    on their remaining coordinates.  Returns the edges as an (m, 2) index
-    array and the method name.
+    The points lie in the base hyperplane x_0 = 0; ``yao_spanner`` works on
+    their remaining coordinates, and every pair within ``reach`` has a
+    path of at most ``SPANNER_T`` times its length.  Returns the edges as
+    an (m, 2) index array and their lengths, in edge order.
     """
-    if len(points) <= _GREEDY_LIMIT:
-        edges = greedy_spanner(points, SPANNER_T)
-        return np.array([e[:2] for e in edges], dtype=np.int64).reshape(-1, 2), "greedy"
-    return yao_spanner(np.delete(np.asarray(points, dtype=float), 0, axis=1)), "yao"
+    edges = yao_spanner(np.delete(np.asarray(points, dtype=float), 0, axis=1), reach)
+    at = points.__getitem__
+    lengths = list(map(math.dist, map(at, edges[:, 0].tolist()), map(at, edges[:, 1].tolist())))
+    return edges, lengths
 
 
 @collector_paused
@@ -465,6 +276,19 @@ def build_pyramid_core(d: int, eps: float, grid: GridSpec, lam: float = 1.25):
     down to the apex's paths to the grid points, and the graph holds its
     vertices and edges.  The report measures the tree over the apex, then
     the grid points (see ``measure``).
+
+    The base spanner takes only the pairs within R = t h, t = ``SPANNER_T``
+    and h = side sqrt(d - 1) / 2^(k+1), half the body diagonal of a
+    level-k cell.  The apex tree meets the base only at the level-k
+    corners, each the same distance D from the apex (every level's edges
+    are equally long), so every path from the apex to a base vertex costs
+    at least D before its first base edge.  Every base vertex lies within
+    h of a corner, and the spanner joins the two by a path of at most t h,
+    so the vertex is at most D + t h from the apex: a base edge longer
+    than t h is on no shortest path.  The reach is R (1 + 1e-6).  The
+    margin covers the rounding spread of the corners' apex distances:
+    each is a sum of k + 1 edge lengths, about 1 in all, so they differ
+    by a few ulps of 1, while 1e-6 R > 9e-8 eps (2^k < 4 / sqrt(eps)).
     """
     if d < 3:
         raise DimensionTooSmall("pyramid construction needs d >= 3")
@@ -544,13 +368,12 @@ def build_pyramid_core(d: int, eps: float, grid: GridSpec, lam: float = 1.25):
 
     base_ids = np.array(input_ids + [i for i in corner.ravel().tolist() if i > len(inputs)])
     base_points = [G.coords[i] for i in base_ids.tolist()]
-    span_edges, span_method = base_spanner(base_points)
+    reach = SPANNER_T * side * math.sqrt(dim) / (2 * two_k) * (1.0 + 1e-6)
+    span_edges, span_w = base_spanner(base_points, reach)
     ends = base_ids[span_edges]
     src = np.concatenate([us, ends[:, 0]])
     dst = np.concatenate([vs, ends[:, 1]])
-    at = base_points.__getitem__
-    span_w = map(math.dist, map(at, span_edges[:, 0].tolist()), map(at, span_edges[:, 1].tolist()))
-    weight = np.concatenate([ws, np.fromiter(span_w, float, len(span_edges))])
+    weight = np.concatenate([ws, span_w])
     rows, cols = np.concatenate([src, dst]), np.concatenate([dst, src])
     search = csr_matrix((np.concatenate([weight, weight]), (rows, cols)), shape=(G.n, G.n))
     _, parents = sparse_dijkstra(
@@ -573,7 +396,6 @@ def build_pyramid_core(d: int, eps: float, grid: GridSpec, lam: float = 1.25):
         {
             "levels": k,
             "level_angles": [alpha * lam**i for i in range(k + 1)],
-            "spanner": span_method,
             "spanner_edges": len(span_edges),
             "level_edge_totals": level_edge_totals,
             "chain": chain,

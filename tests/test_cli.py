@@ -210,11 +210,11 @@ def test_import_leaves_scipy_unloaded():
 
 
 def test_import_builds_no_cone_table():
-    # The cone axes and direction tables are built on first use, per dimension.
-    code = "import slt.cli, slt.pyramid as p; print(p._cone_axes.cache_info().currsize, p._cone_lookup.cache_info().currsize)"
+    # The cone axes are built on first use, per dimension.
+    code = "import slt.cli, slt.pyramid as p; print(p._cone_axes.cache_info().currsize)"
     proc = run_python(["-c", code])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "0"]
+    assert proc.stdout.split() == ["0"]
 
 
 def test_build_deterministic_bytes(tmp_path, capsys):

@@ -12,7 +12,7 @@ from slt import (
     assemble_slt,
     core2d_points,
 )
-from slt.cli import gen_random
+from slt.cli import gen_random, run_cli
 from slt.pyramid import GridSpec, build_pyramid_core
 
 
@@ -52,6 +52,17 @@ def test_builds_make_no_cyclic_garbage(name):
     if name.startswith("folding"):
         assert report.flags["cores"] > 0  # the core paths are what once made cycles
     assert garbage == Counter()
+
+
+def test_verify_makes_no_cyclic_garbage(tmp_path, capsys):
+    pts, tree = tmp_path / "pts.json", tmp_path / "tree.json"
+    assert run_cli(["gen", "random", "--n", "50", "--dim", "3", "--seed", "1", "--output", str(pts)]) == 0
+    assert run_cli(["build", "--eps", "0.09", "--input", str(pts), "--output", str(tree)]) == 0
+    verify = ["verify", "--input", str(pts), "--tree", str(tree), "--eps", "0.09"]
+    garbage, code = _cyclic_garbage(lambda: run_cli(verify))
+    assert code == 0
+    assert garbage == Counter()
+    capsys.readouterr()
 
 
 @pytest.fixture

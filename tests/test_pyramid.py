@@ -10,12 +10,10 @@ import slt.pyramid
 from slt.core2d import CoreInstance, build_core
 from slt.errors import DimensionTooSmall
 from slt.geometry import dist
-from slt.metrics import oracle_spt
+from slt.metrics import adjacency, dijkstra, oracle_spt
 from slt.pyramid import (
     GridSpec,
     _cone_axes,
-    _cone_lookup,
-    _cone_of,
     _fibonacci_sphere,
     build_pyramid_core,
     greedy_spanner,
@@ -78,21 +76,39 @@ def weighted(pts, edges):
     return [(i, j, dist(tuple(pts[i]), tuple(pts[j]))) for i, j in edges.tolist()]
 
 
+def within(pts, edges, reach):
+    """The rows of ``edges`` no longer than ``reach``."""
+    diff = pts[edges[:, 0]] - pts[edges[:, 1]]
+    return edges[np.einsum("ij,ij->i", diff, diff) <= reach**2]
+
+
+def past_diameter(pts):
+    return math.sqrt(pts.shape[1]) * np.ptp(pts) + 1.0
+
+
 def regime_base(d, eps):
-    """Base points (without their x_0 = 0) and spanner edges of a regime grid build."""
+    """A regime grid build: its base points (without their x_0 = 0), spanner
+    edges and reach, and the returned graph."""
     seen = {}
     real = slt.pyramid.base_spanner
 
-    def record(points):
+    def record(points, reach):
         seen["points"] = np.delete(np.asarray(points), 0, axis=1)
-        seen["edges"], _ = result = real(points)
+        seen["reach"] = reach
+        seen["edges"], _ = result = real(points, reach)
         return result
 
     m = math.ceil(GridSpec.regime_min(d, eps) ** (1.0 / (d - 1)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(slt.pyramid, "base_spanner", record)
-        build_pyramid_core(d, eps, GridSpec.for_points(m ** (d - 1), d))
-    return seen["points"], seen["edges"]
+        G, _, _ = build_pyramid_core(d, eps, GridSpec.for_points(m ** (d - 1), d))
+    return seen["points"], seen["edges"], seen["reach"], G
+
+
+def assert_no_long_base_edge(G, reach):
+    # The base is x_0 = 0; every other vertex is an apex above it.
+    base = [w for u, v, w in G.edges if G.coords[u][0] == G.coords[v][0] == 0.0]
+    assert base and max(base) <= reach
 
 
 def all_pairs_ratio(pts, edges):
@@ -127,75 +143,46 @@ def test_greedy_is_spanner_small(seed):
     assert all_pairs_ratio(pts, edges) <= T + 1e-12
 
 
+def local_ratio(pts, edges, reach):
+    """Worst path-to-distance ratio over the pairs within ``reach``.
+
+    The graph may be disconnected: pairs farther apart need no path.
+    """
+    n = len(pts)
+    adj = adjacency(n, edges)
+    worst = 0.0
+    for src in range(n):
+        dists, _ = dijkstra(n, adj, src)
+        for v in range(src + 1, n):
+            d = dist(tuple(pts[src]), tuple(pts[v]))
+            if d <= reach:
+                worst = max(worst, dists[v] / d)
+    return worst
+
+
 def test_yao_2d_is_spanner():
     rng = np.random.default_rng(1)
     pts = rng.random((60, 2))
-    edges = weighted(pts, yao_spanner(pts))
+    edges = weighted(pts, yao_spanner(pts, past_diameter(pts)))
     assert all_pairs_ratio(pts, edges) <= T + 1e-12
+    local = weighted(pts, yao_spanner(pts, 0.2))
+    assert len(local) < len(edges)
+    assert local_ratio(pts, local, 0.2) <= T + 1e-12
 
 
 def test_yao_3d_is_spanner():
     rng = np.random.default_rng(2)
     pts = rng.random((50, 3))
-    edges = weighted(pts, yao_spanner(pts))
+    edges = weighted(pts, yao_spanner(pts, past_diameter(pts)))
     assert all_pairs_ratio(pts, edges) <= T + 1e-12
-
-
-def boundary_directions(dim):
-    """Directions on, and within 1e-7 rad of, the boundary between neighbouring axes."""
-    axes, _ = _cone_axes(dim)
-    if dim == 2:
-        pairs = [(i, (i + 1) % len(axes)) for i in range(len(axes))]
-        corners = np.empty((0, 2))
-    else:
-        from scipy.spatial import ConvexHull
-
-        hull = ConvexHull(axes)
-        pairs = {tuple(sorted((int(f[i]), int(f[(i + 1) % 3])))) for f in hull.simplices for i in range(3)}
-        corners = hull.equations[:, :3]  # equally far from three axes
-    a, b = axes[[p[0] for p in pairs]], axes[[p[1] for p in pairs]]
-    mid = (a + b) / np.linalg.norm(a + b, axis=1, keepdims=True)
-    # Unit tangent at the bisector, pointing from b's side to a's side.
-    towards = a - b - mid * np.einsum("ij,ij->i", a - b, mid)[:, None]
-    towards /= np.linalg.norm(towards, axis=1, keepdims=True)
-    out = [corners]
-    for step in (0.0, 1e-9, -1e-9, 1e-8, -1e-8, 3e-8, -3e-8, 1e-7, -1e-7):
-        out.append(mid * math.cos(step) + towards * math.sin(step))
-    return np.concatenate(out)
-
-
-def lattice_directions(dim, reach=12):
-    grid = np.indices((2 * reach + 1,) * dim).reshape(dim, -1).T - reach
-    return grid[np.any(grid != 0, axis=1)].astype(float)
-
-
-def base_differences(dim):
-    pts, _ = regime_base(3, 0.09)
-    diff = (pts[None, :, :] - pts[:, None, :]).reshape(-1, 2)
-    diff = diff[np.any(diff != 0, axis=1)]
-    return np.pad(diff, ((0, 0), (0, dim - 2)))
-
-
-@pytest.mark.parametrize("dim", [2, 3])
-@pytest.mark.parametrize("directions", [boundary_directions, lattice_directions, base_differences])
-def test_cone_lookup_matches_the_float32_product(dim, directions):
-    x = directions(dim)
-    lookup = _cone_lookup(dim)
-    for scale in (1.0, 0.013, 317.0):
-        x32 = (x * scale).astype(np.float32)
-        d2 = np.einsum("ij,ij->i", x * scale, x * scale)
-        want = np.concatenate([
-            np.argmax(x32[lo : lo + 100_000] @ lookup.axes32, axis=1)
-            for lo in range(0, len(x32), 100_000)
-        ])
-        assert np.array_equal(_cone_of(x32, d2, lookup), want)
+    local = weighted(pts, yao_spanner(pts, 0.3))
+    assert len(local) < len(edges)
+    assert local_ratio(pts, local, 0.3) <= T + 1e-12
 
 
 def test_cone_tables_are_cached_and_read_only():
     assert _cone_axes(3) is _cone_axes(3)
-    assert _cone_lookup(3) is _cone_lookup(3)
     assert not _cone_axes(3)[0].flags.writeable
-    assert not _cone_lookup(3).axis.flags.writeable
 
 
 def lattice_cloud(rng, n, dim):
@@ -209,31 +196,49 @@ def lattice_cloud(rng, n, dim):
 @pytest.mark.parametrize("n", [2, 3, 41, 400, 1500])
 @pytest.mark.parametrize("cloud", ["uniform", "lattice"])
 def test_yao_matches_the_per_point_scan(dim, n, cloud):
+    # The full graph up to n = 41; beyond, the pairs within a fifth of the
+    # extent (all pairs at n = 1500, dim 3 would take a 6.9 GB product).
     rng = np.random.default_rng([dim, n])
     pts = rng.random((n, dim)) if cloud == "uniform" else lattice_cloud(rng, n, dim)
-    edges = yao_spanner(pts)
+    reach = past_diameter(pts) if n <= 41 else 0.2 * np.ptp(pts) * (1.0 + 1e-9)
+    edges = yao_spanner(pts, reach)
     assert edges.dtype == np.int64 and edges.shape[1] == 2
-    assert np.array_equal(edges, yao_oracle(pts))
+    full = yao_oracle(pts)
+    assert np.array_equal(edges, within(pts, full, reach))
+    assert (len(edges) == len(full)) == (n <= 41)
 
 
 def test_yao_matches_the_per_point_scan_on_the_d3_regime_base():
-    pts, edges = regime_base(3, 0.09)
-    assert np.array_equal(edges, yao_oracle(pts))
+    # The build's spanner is the full Yao graph cut to its reach, and no
+    # base edge of the returned tree is longer.
+    for eps in (0.09, 0.04):
+        pts, edges, reach, G = regime_base(3, eps)
+        assert np.array_equal(edges, within(pts, yao_oracle(pts), reach))
+        assert_no_long_base_edge(G, reach)
+
+
+# Edge count and sha256 of the full Yao graph's edge array cut to the
+# build's reach.  The full graphs, 531,585 and 3,854,800 edges on 2,059
+# and 10,737 base points, came from an all-pairs cone assignment equal to
+# the float32 product; the per-point scan is too slow for the test suite.
+D4_REGIME_EDGES = {
+    0.09: (19_133, "729dfa80965508b7c7e1eb92e597e5975fb2e25daa57fb7e2a19b287b9ba83b6"),
+    0.04: (61_040, "4d29ea031f75c9915744b5e3d7feadfc877180d2d6acfff66a69546c5fa65ec1"),
+}
 
 
 def test_yao_edges_of_the_d4_regime_base():
-    # Edge count and sha256 of the edge array as the per-point scan gave
-    # them; the scan takes several seconds on these 2,059 points.
-    _, edges = regime_base(4, 0.09)
-    assert len(edges) == 531_585
-    assert hashlib.sha256(np.ascontiguousarray(edges, dtype=np.int64).tobytes()).hexdigest() == (
-        "1dc3d4bc2238ce34c727a2d699b009de000a342d65312da97a8938b982f18008"
-    )
+    for eps, (count, sha) in D4_REGIME_EDGES.items():
+        _, edges, reach, G = regime_base(4, eps)
+        assert len(edges) == count
+        digest = hashlib.sha256(np.ascontiguousarray(edges, dtype=np.int64).tobytes()).hexdigest()
+        assert digest == sha
+        assert_no_long_base_edge(G, reach)
 
 
 def test_yao_rejects_repeated_points():
     with pytest.raises(ValueError):
-        yao_spanner(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]))
+        yao_spanner(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]), 2.0)
 
 
 def test_cone_covering_radius_verified():
