@@ -63,17 +63,23 @@ def _moved_near_origin(arr: np.ndarray, root: int) -> np.ndarray:
     return arr - np.round(arr[root] / unit) * unit
 
 
+#: Elements per Gram block of the duplicate prefilter: 2 MB per float64 array.
+_GRAM_BLOCK = 1 << 18
+
+
 def _duplicate_pairs(points, root):
     """Index pairs of points that coincide within COINCIDENT_TOL in every coordinate.
 
-    Squared-distance prefilter via one Gram matrix of the points moved
-    near the origin, exact max-coordinate check only on the candidates.
+    Squared-distance prefilter via the Gram form of the points moved near
+    the origin, in blocks of whole rows of at most ``_GRAM_BLOCK`` elements
+    (one row if a row is longer), exact max-coordinate check only on the
+    candidates.  The pairs come out in row order whatever the block size.
     """
     arr = np.asarray(points, dtype=float)
     n, d = arr.shape
     tol = COINCIDENT_TOL
     pairs = []
-    chunk = max(1, int(4e6 // max(n, 1)))
+    chunk = max(1, _GRAM_BLOCK // n)
     shifted = _moved_near_origin(arr, root)
     sq = np.einsum("ij,ij->i", shifted, shifted)
     # Shrunk by the Gram form's rounding bound, (2d+4) ulp of |x|^2+|y|^2,
@@ -124,6 +130,9 @@ class HamPath:
 #: Relative difference within which candidate edge weights count as equal.
 _TIE = 1e-12
 
+#: Largest n for which ``euclidean_mst`` holds the full distance matrix (8 MB).
+_FULL_MATRIX_MAX = 1024
+
 
 def euclidean_mst(pts: PointCloud) -> Tree:
     """Minimum spanning tree of the complete Euclidean graph (Prim).
@@ -133,6 +142,12 @@ def euclidean_mst(pts: PointCloud) -> Tree:
     lexicographically smallest (min index, max index) pair among the
     candidates within a relative ``_TIE`` of the lightest, so edges of
     equal length are chosen by index, not by the rounding of their lengths.
+
+    Up to ``_FULL_MATRIX_MAX`` points the distances come from one full
+    matrix, built in blocks of 64 rows; beyond, each row is computed when
+    its vertex joins the tree, in O(n) memory.  Both paths subtract,
+    square and add one coordinate at a time, in the same order, then take
+    the square root, so they give the same floats and the same tree.
     """
     n = pts.n
     if n == 1:
@@ -142,10 +157,10 @@ def euclidean_mst(pts: PointCloud) -> Tree:
     # Distances come from coordinate differences, never from the Gram form
     # |x|^2+|y|^2-2x.y, which cancels for a cluster far from the origin or
     # from the root.
+    columns = np.ascontiguousarray(coords.T)
     dist_rows = None
-    if n <= 1024:  # full matrix, for cheap row lookups
+    if n <= _FULL_MATRIX_MAX:  # full matrix, for cheap row lookups
         dist_rows = np.empty((n, n))
-        columns = np.ascontiguousarray(coords.T)
         for lo in range(0, n, 64):
             # Rows lo..lo+63 against columns lo..n-1, one coordinate at a
             # time; the block below the diagonal is the mirror image.
@@ -166,7 +181,13 @@ def euclidean_mst(pts: PointCloud) -> Tree:
         tree_nan[v] = np.nan
         if dist_rows is not None:
             return dist_rows[v] + tree_nan
-        d = np.linalg.norm(coords - coords[v], axis=1)
+        d = np.zeros(n)
+        diff = np.empty(n)
+        for x in columns:  # as the full matrix is built; squares drop the sign
+            np.subtract(x, x[v], out=diff)
+            diff *= diff
+            d += diff
+        np.sqrt(d, out=d)
         d += tree_nan
         return d
 

@@ -215,6 +215,10 @@ def _covering_radius(axes: np.ndarray) -> float:
     return float(np.arctan2(sin, np.einsum("ij,ij->i", normals, corner)).max())
 
 
+#: Directions per block of the cone product: 1,024 x 768 float32 is 3 MB.
+_CONE_BLOCK = 1024
+
+
 def yao_spanner(points: np.ndarray, reach: float) -> np.ndarray:
     """Nearest-in-cone spanner over the pairs of distinct points within ``reach``.
 
@@ -229,6 +233,10 @@ def yao_spanner(points: np.ndarray, reach: float) -> np.ndarray:
     induction for a pair uses only edges no longer than the pair.  A reach
     past the diameter gives the full Yao graph, a 5/4-spanner.  Returns the
     edges as an (m, 2) index array, each row (lo, hi), sorted.
+
+    Memory is O(pairs + block x cones): the directions meet the axes
+    ``_CONE_BLOCK`` at a time, and each row's product is the same in any
+    block, so the cones do not depend on the block size.
     """
     # Imported here, as ConvexHull is: ``import slt`` leaves scipy unloaded.
     from scipy.spatial import cKDTree
@@ -243,7 +251,11 @@ def yao_spanner(points: np.ndarray, reach: float) -> np.ndarray:
     if np.any(d2 == 0.0):
         raise ValueError("yao_spanner needs distinct points")
     axes32 = np.ascontiguousarray(axes.T, dtype=np.float32)
-    cone = np.argmax(diff.astype(np.float32) @ axes32, axis=1)
+    d32 = diff.astype(np.float32)
+    cone = np.empty(len(d32), dtype=np.intp)
+    for lo in range(0, len(d32), _CONE_BLOCK):
+        hi = lo + _CONE_BLOCK
+        np.argmax(d32[lo:hi] @ axes32, axis=1, out=cone[lo:hi])
     slot = src * len(axes) + cone
     # Per (source, cone): the least d2, then the least index.
     order = np.lexsort((dst, d2, slot))

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import slt.mst_path
 from slt.errors import DuplicatePoints
 from slt.metrics import kruskal_mst
 from slt.mst_path import PointCloud, dfs_hamiltonian, euclidean_mst
@@ -153,3 +154,15 @@ def test_root_respected():
     ham = dfs_hamiltonian(euclidean_mst(pc2), pc2)
     assert ham.order[0] == 7
     assert sorted(ham.order) == list(range(20))
+
+
+def test_duplicates_found_in_any_block(monkeypatch):
+    # One row per Gram block finds the same pairs, in the same order.
+    pts = shifted_cloud(0, n=61)
+    pts += [pts[3], pts[40], pts[3]]
+    with pytest.raises(DuplicatePoints) as whole:
+        PointCloud(tuple(pts))
+    monkeypatch.setattr(slt.mst_path, "_GRAM_BLOCK", 1)
+    with pytest.raises(DuplicatePoints) as rows:
+        PointCloud(tuple(pts))
+    assert rows.value.pairs == whole.value.pairs == [(3, 61), (3, 63), (40, 62), (61, 63)]

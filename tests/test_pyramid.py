@@ -2,15 +2,18 @@ import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import slt.mst_path
 import slt.pyramid
 from slt.core2d import CoreInstance, build_core
 from slt.errors import DimensionTooSmall
 from slt.geometry import dist
 from slt.metrics import adjacency, dijkstra, oracle_spt
+from slt.mst_path import PointCloud, euclidean_mst
 from slt.pyramid import (
     GridSpec,
     _cone_axes,
@@ -86,6 +89,11 @@ def past_diameter(pts):
     return math.sqrt(pts.shape[1]) * np.ptp(pts) + 1.0
 
 
+def regime_grid(d, eps):
+    m = math.ceil(GridSpec.regime_min(d, eps) ** (1.0 / (d - 1)))
+    return GridSpec.for_points(m ** (d - 1), d)
+
+
 def regime_base(d, eps):
     """A regime grid build: its base points (without their x_0 = 0), spanner
     edges and reach, and the returned graph."""
@@ -98,10 +106,9 @@ def regime_base(d, eps):
         seen["edges"], _ = result = real(points, reach)
         return result
 
-    m = math.ceil(GridSpec.regime_min(d, eps) ** (1.0 / (d - 1)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(slt.pyramid, "base_spanner", record)
-        G, _, _ = build_pyramid_core(d, eps, GridSpec.for_points(m ** (d - 1), d))
+        G, _, _ = build_pyramid_core(d, eps, regime_grid(d, eps))
     return seen["points"], seen["edges"], seen["reach"], G
 
 
@@ -196,16 +203,17 @@ def lattice_cloud(rng, n, dim):
 @pytest.mark.parametrize("n", [2, 3, 41, 400, 1500])
 @pytest.mark.parametrize("cloud", ["uniform", "lattice"])
 def test_yao_matches_the_per_point_scan(dim, n, cloud):
-    # The full graph up to n = 41; beyond, the pairs within a fifth of the
-    # extent (all pairs at n = 1500, dim 3 would take a 6.9 GB product).
+    # The full graph up to n = 400, whose 159,600 directed pairs meet the
+    # cone axes in many blocks; at n = 1500 the pairs within a fifth of the
+    # extent, as all 2.2 million would take the test seconds longer.
     rng = np.random.default_rng([dim, n])
     pts = rng.random((n, dim)) if cloud == "uniform" else lattice_cloud(rng, n, dim)
-    reach = past_diameter(pts) if n <= 41 else 0.2 * np.ptp(pts) * (1.0 + 1e-9)
+    reach = past_diameter(pts) if n <= 400 else 0.2 * np.ptp(pts) * (1.0 + 1e-9)
     edges = yao_spanner(pts, reach)
     assert edges.dtype == np.int64 and edges.shape[1] == 2
     full = yao_oracle(pts)
     assert np.array_equal(edges, within(pts, full, reach))
-    assert (len(edges) == len(full)) == (n <= 41)
+    assert (len(edges) == len(full)) == (n <= 400)
 
 
 def test_yao_matches_the_per_point_scan_on_the_d3_regime_base():
@@ -234,6 +242,47 @@ def test_yao_edges_of_the_d4_regime_base():
         digest = hashlib.sha256(np.ascontiguousarray(edges, dtype=np.int64).tobytes()).hexdigest()
         assert digest == sha
         assert_no_long_base_edge(G, reach)
+
+
+def traced_peak(call) -> float:
+    """Peak of the memory traced while ``call()`` runs, in MB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_pyramid_temporaries_are_bounded():
+    # Unblocked, these peaks were 120, 96 and 122 MB: the cone product of
+    # every directed pair at once, the duplicate prefilter's 4e6-element
+    # Gram blocks and, in the build, the cone product again.
+    pts, _, reach, _ = regime_base(4, 0.09)
+    assert traced_peak(lambda: yao_spanner(pts, reach)) < 16
+    cloud = pyramid_points(4, 5832, 0.04)
+    assert traced_peak(lambda: PointCloud(cloud, 0)) < 16
+    grid = regime_grid(4, 0.09)
+    assert traced_peak(lambda: build_pyramid_core(4, 0.09, grid)) < 32
+
+
+def mst_clouds():
+    for dim in (2, 4, 8):
+        rng = np.random.default_rng([dim, 200])
+        yield rng.random((200, dim))
+        yield lattice_cloud(rng, 200, dim)
+    yield np.array(pyramid_points(4, regime_grid(4, 0.09).n, 0.09))
+
+
+def test_mst_rows_do_not_depend_on_the_path(monkeypatch):
+    # The full matrix and the row-at-a-time path compute the same floats,
+    # so Prim breaks every tie the same way on both.
+    for arr in mst_clouds():
+        cloud = PointCloud(tuple(map(tuple, arr.tolist())), 0)
+        monkeypatch.setattr(slt.mst_path, "_FULL_MATRIX_MAX", cloud.n)
+        full = euclidean_mst(cloud)
+        monkeypatch.setattr(slt.mst_path, "_FULL_MATRIX_MAX", 0)
+        assert euclidean_mst(cloud).edges == full.edges
 
 
 def test_yao_rejects_repeated_points():
