@@ -13,6 +13,7 @@ the caller's plane on demand.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -161,29 +162,102 @@ def _make_frame(inst: CoreInstance) -> Frame:
     return Frame(o, ex, ey, 1.0 / dist(inst.apex, inst.base_a))
 
 
+def _levels(inst: CoreInstance):
+    """Frame, canonical x of base_a and base_b, k, and apex height per level (0: the root)."""
+    frame = _make_frame(inst)
+    alpha, lam, k = inst.apex_angle, inst.lam, inst.k
+    if alpha * lam**k >= math.pi / 2.0:
+        raise AngleOverflow(f"final apex angle {alpha * lam**k:.4f} reaches pi/2 at level {k}")
+    xa, xb = frame.to_canonical(inst.base_a)[0], frame.to_canonical(inst.base_b)[0]
+    heights = [frame.to_canonical(inst.apex)[1]] + [
+        (xb - xa) / (1 << (i + 1)) / math.tan(alpha * lam**i / 2.0) for i in range(1, k + 1)]
+    return frame, xa, xb, k, heights
+
+
+def _grid_x(xa: float, xb: float, i: int, j: int) -> float:
+    """Canonical x of the j-th of the 2^i + 1 equally spaced points from xa to xb."""
+    f = j / (1 << i)
+    return xa * (1.0 - f) + xb * f
+
+
 def core_layout(inst: CoreInstance):
     """Canonical frame and points of the core, placed as ``build_core`` places them.
 
     Returns the frame, the apices per level (level 0 holds the root), the
     grid, the base points and the grid vertex each sits on (-1 if none).
     """
-    frame = _make_frame(inst)
-    alpha, lam, k = inst.apex_angle, inst.lam, inst.k
-    if alpha * lam**k >= math.pi / 2.0:
-        raise AngleOverflow(f"final apex angle {alpha * lam**k:.4f} reaches pi/2 at level {k}")
-    xa, xb = frame.to_canonical(inst.base_a)[0], frame.to_canonical(inst.base_b)[0]
-    xs = [[xa * (1.0 - f) + xb * f for f in (j / (1 << i) for j in range((1 << i) + 1))]
-          for i in range(k + 1)]  # grid x of each level
-    apices = [[frame.to_canonical(inst.apex)]]
-    for i in range(1, k + 1):
-        h = (xb - xa) / (1 << (i + 1)) / math.tan(alpha * lam**i / 2.0)
-        apices.append([(0.5 * (x0 + x1), h) for x0, x1 in zip(xs[i], xs[i][1:])])
+    frame, xa, xb, k, heights = _levels(inst)
+    xs = [[_grid_x(xa, xb, i, j) for j in range((1 << i) + 1)] for i in range(k + 1)]
+    apices = [[frame.to_canonical(inst.apex)]] + [
+        [(0.5 * (x0 + x1), h) for x0, x1 in zip(xi, xi[1:])] for xi, h in zip(xs[1:], heights[1:])]
     base = [frame.to_canonical(p) for p in inst.base_points]
     xtol = 1e-12 * max(abs(xa), abs(xb), 1.0)
     nearest = [round((q[0] - xa) / (xb - xa) * (1 << k)) if xb > xa else 0 for q in base]
     on = [j if 0 <= j <= (1 << k) and abs(q[0] - xs[k][j]) <= xtol and abs(q[1]) <= xtol
           else -1 for q, j in zip(base, nearest)]
     return frame, apices, [(x, 0.0) for x in xs[k]], base, on
+
+
+def portal_grid(x: int, m: int, k: int) -> tuple[int, int]:
+    """Where base point x of m + 1 equally spaced from base_a to base_b meets the grid.
+
+    Point x sits at x * 2^k / m grid units.  Off the grid, its shortest
+    path comes along the base from the nearer grid vertex j (the lower at
+    the exact half), through the next base point if that is not past j.
+    Returns (j if x is on grid vertex j else -1, next base point or -1 - j).
+    """
+    j, rem = divmod(x << k, m)
+    if rem == 0:
+        return j, -1 - j
+    j, y = (j + 1, x + 1) if 2 * rem > m else (j, x - 1)
+    return -1, (y if (y - x) * ((y << k) - j * m) <= 0 else -1 - j)  # y not past j
+
+
+@dataclass(frozen=True)
+class CoreChain:
+    """A core's shortest paths from its apex in closed form, without its graph.
+
+    The apices of a level share one height, and they and the grid are
+    equally spaced, so every path from the root to a level is equally
+    long.  A key names an apex (level, index) or grid vertex j as (-1, j);
+    ``point`` places it where ``core_layout`` does.
+    """
+
+    frame: Frame
+    xa: float
+    xb: float
+    k: int
+    dists: tuple[float, ...]  # root distance in the plane per level; k + 1 is the grid
+    heights: tuple[float, ...]  # canonical height of the apices per level
+
+    @classmethod
+    def of(cls, inst: CoreInstance) -> "CoreChain":
+        frame, xa, xb, k, heights = _levels(inst)
+        dx = [(xb - xa) / (1 << (i + 2)) for i in range(k)] + [(xb - xa) / (1 << (k + 1))]
+        legs = map(math.hypot, dx, [hi - lo for hi, lo in zip(heights, heights[1:] + [0.0])])
+        dists = [0.0] + [d / frame.scale for d in itertools.accumulate(legs)]
+        return cls(frame, xa, xb, k, tuple(dists), tuple(heights))
+
+    def point(self, key: tuple[int, int]) -> PlanePoint:
+        i, j = key
+        if i < 0:
+            return self.frame.to_plane((_grid_x(self.xa, self.xb, self.k, j), 0.0))
+        x = 0.5 * (_grid_x(self.xa, self.xb, i, j) + _grid_x(self.xa, self.xb, i, j + 1))
+        return self.frame.to_plane((x, self.heights[i]))
+
+    def path(self, j: int, placed) -> list[tuple[int, int]]:
+        """Keys of the apices on a shortest path from the root to grid vertex j.
+
+        The tie rule: apices j - 1 and j are equally far from the root and
+        from grid vertex j.  Take the one whose chain has the deepest apex
+        in ``placed``, else the higher index.  Paths taken by ascending grid
+        vertex then share what they can: j + 1 takes apex j from j's path.
+        """
+        k = self.k
+        depth = {a: next((i for i in range(k, 0, -1) if (i, a >> (k - i)) in placed), 0)
+                 for a in (j - 1, j) if 0 <= a < 1 << k}
+        a = max(depth, key=lambda a: (depth[a], a))
+        return [(i, a >> (k - i)) for i in range(1, k + 1)]
 
 
 def build_core(inst: CoreInstance) -> CoreGraph:
@@ -249,40 +323,6 @@ def core_spt(g: CoreGraph):
         if v != root
     )
     return Tree(g.n, tree_edges, root), dists
-
-
-def layout_spt(apices, grid, base, on):
-    """``core_spt``'s tree over the base of ``core_layout``, without the graph.
-
-    Root distances are summed as Dijkstra sums them and compared as it
-    does, a tie going to the lower core index.  Returns, per base point,
-    the base vertex its path comes through: a base point, or -1 - j for
-    grid vertex j; and, per grid vertex, the last-level apex that feeds it.
-    """
-    m, d = len(grid) - 1, [0.0]
-    for up, level in zip(apices, apices[1:]):
-        d = [d[j >> 1] + math.dist(up[j >> 1], q) for j, q in enumerate(level)]
-    best = [min((d[a] + math.dist(apices[-1][a], g), a) for a in (j - 1, j) if 0 <= a < m)
-            for j, g in enumerate(grid)]
-    holder = {j: x for x, j in enumerate(on) if j >= 0}
-    # The base path in the core's order: by x, then grid (0, j) before off-grid (1, x).
-    order = sorted([(g[0], (0, j)) for j, g in enumerate(grid)]
-                   + [(q[0], (1, x)) for x, q in enumerate(base) if on[x] < 0])
-
-    def sweep(order) -> dict[int, tuple]:
-        # (distance, core index order, via) of each off-grid point from the sweep's side
-        out, last = {}, (math.inf, (0, -1), 0, (0.0, 0.0))  # no grid vertex yet
-        for _, (off, i) in order:
-            if off:
-                out[i] = (last[0] + math.dist(last[3], base[i]), *last[1:3])
-                last = (out[i][0], (1, i), i, base[i])
-            else:
-                last = (best[i][0], (0, i), holder.get(i, -1 - i), grid[i])
-        return out
-
-    left, right = sweep(order), sweep(order[::-1])
-    via = [min(left[x], right[x])[2] if j < 0 else -1 - j for x, j in enumerate(on)]
-    return via, [a for _, a in best]
 
 
 @dataclass

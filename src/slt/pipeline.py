@@ -4,16 +4,18 @@ Per surface: secondary break points along the sub-path, a cross line
 through the input point r closest to the root, Steiner points on that
 line, a recursive triangle core feeding them, and connector edges back to
 the path.  The core is contracted to its portals, the Steiner points and
-r: each hangs off the root by one edge weighing its closed-form core path,
-or off the portal that path runs through (r joins the line where a base
-edge of the core tree runs past its image).  The union over all surfaces
-is solved in the plane: input points, break points, secondary break points
-and the root keep their R^d coordinates, while every gadget vertex is a
-planar point of its surface and every gadget edge weighs its planar length
-(unfolding is isometric, so that is the length of its lift).  The tree is
-the union of shortest paths from the root to the input points; only its
-gadget vertices and edges, the kept core paths expanded into their apices
-and grid vertices, are lifted onto their surfaces, bends included.
+r.  Where a portal meets the core's grid is integer arithmetic, and every
+grid vertex is equally far from the root, so each portal hangs off the
+root by one edge weighing that distance plus its step along the base, or
+off the portal next to it (r joins the line where a base edge of the core
+tree runs past its image).  The union over all surfaces is solved in the
+plane: input points, break points, secondary break points and the root
+keep their R^d coordinates, while every gadget vertex is a planar point of
+its surface and every gadget edge weighs its planar length (unfolding is
+isometric, so that is the length of its lift).  The tree is the union of
+shortest paths from the root to the input points.  Only its gadget
+vertices and edges are lifted, bends included; a kept core path gets its
+apices (``CoreChain.path``) and grid vertex only then.
 
 ``assemble_core2d`` runs the recursive triangle core alone on a 2-d instance
 and returns the same (graph, tree, report) triple as ``assemble_slt``.  It
@@ -25,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 
 from .breakpoints import SubdividedPath, select_breakpoints, subdivide
-from .core2d import CoreInstance, build_core, core_layout, core_metrics, core_spt, layout_spt
+from .core2d import CoreChain, CoreInstance, build_core, core_metrics, core_spt, portal_grid
 from .errors import EmptySurface, EpsOutOfRange, SltError
 from .geometry import PlanePoint, Point, Polyline, dist
 from .metrics import adjacency, collector_paused, dijkstra, measure, root_paths
@@ -69,7 +71,8 @@ class FoldingGraph(SteinerGraph):
     edge is straight in R^d.  Two vertices get at most one edge, and a
     vertex none to itself (on a surface along one ray, r's vertex is the
     one Steiner point, and its connectors repeat sub-path edges), but for
-    the root's edges in ``core_paths``: each stands for its own core path.
+    the root's edges in ``core_paths``, each its own core path: (surface,
+    CoreChain, grid vertex, whether the portal is on it, portal point).
     """
 
     def __init__(self):
@@ -178,15 +181,16 @@ def build_gadget(
 
     ``input_locals`` lists the sub-path vertex indices holding input
     points (the root excluded).  Without any the gadget degenerates to
-    the direct spoke plus the sub-path, mirroring the phase-1 graph.
+    the direct spoke plus the sub-path, mirroring the phase-1 graph, and
+    its vertices are not unfolded.
     """
     if len(surf.verts) < 2:
         raise EmptySurface(f"surface {surf.index} has no edges")
     if not 0.0 < eps_int <= 0.25:
         raise EpsOutOfRange(f"eps_int={eps_int} outside (0, 1/4]")
-    imgs = [unfold_vertex(surf, j) for j in range(len(surf.verts))]
     if not input_locals:
-        return SurfaceGadget(surf, True, imgs)
+        return SurfaceGadget(surf, True)
+    imgs = [unfold_vertex(surf, j) for j in range(len(surf.verts))]
 
     subpath = Polyline(surf.verts)
     total_len = subpath.total_length
@@ -373,26 +377,16 @@ def _realize(
         # Zero-width triangle: single spoke from the root to the line point.
         G.add_gadget_edge(surf, root_id, (0.0, 0.0), ids[0], plane[0])
     else:
-        frame, apices, grid, base, on = core_layout(inst)
-        via, feed = layout_spt(apices, grid, base, on)
-        # A stop of a core path is an apex (level, index) or a grid vertex
-        # (-1, index), placed and weighed once: key -> keys from the root's
-        # down to it, planar point, root distance.
-        stops = {(0, 0): ((), (0.0, 0.0), 0.0)}
+        core = CoreChain.of(inst)
         dx, dy = gadget.ell_b[0] - gadget.ell_a[0], gadget.ell_b[1] - gadget.ell_a[1]
 
         def side(q: PlanePoint) -> float:  # its sign tells the side of r
             return (q[0] - r_img[0]) * dx + (q[1] - r_img[1]) * dy
 
-        for x, u in enumerate(via):  # x comes through u: a portal, or -1 - j for grid vertex j
-            # x's core path ends at grid vertex j, or at the apex above x if x sits on it
-            key = (len(apices) - 1, feed[on[x]]) if on[x] >= 0 else (-1, -1 - u)
-            v, qv = ids[x], plane[x]
-            if u >= 0:
-                qu = plane[u]
-            else:
-                _, qu, d = _core_stop(stops, key, frame, apices, grid, feed)
-            if on[x] < 0 and side(qu) * side(qv) < 0.0:
+        for x, v in enumerate(ids):
+            (on, u), qv = portal_grid(x, len(ids) - 1, core.k), plane[x]
+            qu = plane[u] if u >= 0 else core.point((-1, -1 - u))
+            if on < 0 and side(qu) * side(qv) < 0.0:
                 # r lies on the cross line: a base edge running past its
                 # image is split there, which joins r to the line.
                 G.add_gadget_edge(surf, r_id, r_img, v, qv)
@@ -400,31 +394,12 @@ def _realize(
             if u >= 0:
                 G.add_gadget_edge(surf, ids[u], qu, v, qv)
             else:
-                G.add_core_path(root_id, v, d + math.dist(qu, qv), (surf, stops, key, qv))
+                w = core.dists[-1] + math.dist(qu, qv)
+                G.add_core_path(root_id, v, w, (surf, core, -1 - u, on >= 0, qv))
     for sb, vid in zip(gadget.secondary, sec_ids):
         x = sb.steiner
         G.add_gadget_edge(surf, ids[x], plane[x], vid, sb.plane)
     return inst
-
-
-def _core_stop(stops: dict, key: tuple[int, int], frame, apices, grid, feed) -> tuple:
-    """The stop at ``key``, placing and weighing the missing stops above it first.
-
-    A loop up the apex chain and back down, not a closure that calls
-    itself: builds run with the cyclic garbage collector paused, so they
-    must make no reference cycles.
-    """
-    chain = []
-    while key not in stops:
-        chain.append(key)
-        i, j = key
-        key = (len(apices) - 1, feed[j]) if i < 0 else (i - 1, j >> 1)
-    above = stops[key]
-    for key in reversed(chain):
-        i, j = key
-        q = frame.to_plane(grid[j] if i < 0 else apices[i][j])
-        above = stops[key] = (above[0] + (key,), q, above[2] + math.dist(above[1], q))
-    return above
 
 
 # Where lifted points coincide, the vertex keeps the kind listed first.
@@ -458,30 +433,35 @@ def _prune(
 
     new = {old: add(G.point(old), G.kinds[old]) for old in used}
     # Each kept vertex hangs off its parent by an edge, planar or straight,
-    # or by a core path, whose stops are added once per (surface, key).
+    # or by a core path, whose stops are placed once per (surface, key).
     steps = []  # (root distance, order, parent in sub, vertex in sub, planar segment)
-    made = {}  # (surface index, key) -> vertex in sub
+    paths = []  # (surface index, grid vertex, vertex, core path) per kept core path
     for old in used:
         p = parent[old]
         if p == -1:
             continue
-        a, seg = new[p], G.planar.get((p, old) if p < old else (old, p))
-        if seg is not None and p > old:
-            seg = (seg[0], seg[2], seg[1])
         path = next((c for w, c in G.core_paths.get((p, old), ()) if w == dists[old]), None)
         if path is not None:
-            surf, stops, last, q_end = path
-            qa = (0.0, 0.0)
-            for key in stops[last][0]:
-                _, q, d = stops[key]
-                b = made.get((surf.index, key))
-                if b is None:
-                    kind = "ell_steiner" if key[0] < 0 else "core_apex"
-                    b = made[(surf.index, key)] = add(lift(surf, q), kind)
-                    steps.append((d, G.n + len(made), a, b, (surf, qa, q)))
-                a, qa = b, q
-            seg = (surf, qa, q_end)
-        steps.append((dists[old], old, a, new[old], seg))
+            paths.append((path[0].index, path[2], old, path))
+            continue
+        seg = G.planar.get((p, old) if p < old else (old, p))
+        if seg is not None and p > old:
+            seg = (seg[0], seg[2], seg[1])
+        steps.append((dists[old], old, new[p], new[old], seg))
+    # By surface and ascending grid vertex: the order in which the tie rule
+    # of ``CoreChain.path`` shares apices, whatever the vertex numbering.
+    made = {}  # surface index -> {key: (vertex in sub, planar point)}
+    for index, j, old, (surf, core, _, on_grid, q_end) in sorted(paths, key=lambda c: c[:3]):
+        placed = made.setdefault(index, {})
+        a, qa = new[root_id], (0.0, 0.0)
+        for key in core.path(j, placed) + ([] if on_grid else [(-1, j)]):
+            if key not in placed:
+                q = core.point(key)
+                b = add(lift(surf, q), "ell_steiner" if key[0] < 0 else "core_apex")
+                steps.append((core.dists[key[0]], G.n + len(steps), a, b, (surf, qa, q)))
+                placed[key] = b, q
+            a, qa = placed[key]
+        steps.append((dists[old], old, a, new[old], (surf, qa, q_end)))
     steps.sort(key=lambda step: step[:2])
     comp = list(range(sub.n))  # union-find over sub's vertices
 

@@ -435,7 +435,7 @@ def test_verify_rejects_many_triangles_in_linear_time(tmp_path, capsys):
 # tree is pinned apart from its numbering by the fingerprint test below.
 GOLDEN_TREES = [
     (["random", "--n", 30, "--dim", 3, "--seed", 1], ["--eps", 0.09],
-     "dcb41cd94c84ff0ec76b4080cca6fc4cc8676661816b62b16d2ff78c69fa893c"),
+     "3feaab7381c693149f26e1ddae6638f9b4f4dfc333ccb675c6fb31fd2f13b403"),
     (["core", "--eps", 0.04, "--n", 12], ["--method", "core2d", "--eps", 0.04],
      "cceb266c37735e3572ea88374df2d92d0cf2db9c305acfff79a9bd2a7adbb040"),
     (["grid", "--dim", 3, "--n", 64, "--eps", 0.04], ["--method", "pyramid", "--eps", 0.04],
@@ -490,7 +490,7 @@ def test_folding_golden_tree_whatever_its_vertex_numbering(tmp_path, capsys):
     assert run(["build", "--eps", 0.09, "--input", pts, "--output", tree]) == 0
     capsys.readouterr()
     assert tree_fingerprint(tree) == (
-        "5312403ee20ee55f3fa071311a059219d87bfc3bf22bec3f047d8b4c92c4af14"
+        "724dbe6757bfa10fc5866d8c8a1e39c254f805bd0303b116f067123d42f5f332"
     )
 
 

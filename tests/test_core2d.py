@@ -3,13 +3,14 @@ import math
 import pytest
 
 from slt.core2d import (
+    CoreChain,
     CoreInstance,
     build_core,
     core_layout,
     core_metrics,
     core_spt,
     levels_for_eps,
-    layout_spt,
+    portal_grid,
 )
 from slt.errors import AngleOverflow, EpsOutOfRange
 from slt.geometry import angle_at_apex, dist
@@ -183,18 +184,42 @@ def test_rescaled_instance_matches_canonical():
 @pytest.mark.parametrize("eps", [0.25, 0.09, 0.04, 0.01])
 @pytest.mark.parametrize("n_base", [1, 2, 7, 31, 63])
 def test_layout_spt_is_the_core_spt(eps, n_base):
-    # Symmetric instances put base points on grid vertices and halfway
-    # between them, where both ways along the base can tie.
+    # The shortest-path tree read off the closed-form layout, CoreChain and
+    # portal_grid, against core_spt.  Symmetric instances put base points on
+    # grid vertices and halfway between them, where both ways along the base
+    # tie.  The base points are points 1..n of n + 2 equally spaced from
+    # base_a to base_b.
     inst = CoreInstance.canonical(eps, n_base)
     g = build_core(inst)
-    parent = {v: u for u, v, _ in core_spt(g)[0].edges}
-    _, apices, grid, base, on = core_layout(inst)
-    via, feed = layout_spt(apices, grid, base, on)
-    first_apex = (1 << g.k) - 1  # core index of apex 0 of the last level
+    _, dists = core_spt(g)
+    edges = {frozenset((u, v)) for u, v, _ in g.edges}
+    chain, on = CoreChain.of(inst), core_layout(inst)[4]
+    k, m = g.k, n_base + 1
+
+    def stop_id(key):
+        i, j = key
+        return g.grid_ids[j] if i < 0 else (1 << i) - 1 + j
+
     for j, v in enumerate(g.grid_ids):
-        assert parent[v] == first_apex + feed[j]
-    for x, v in enumerate(g.input_ids):
-        assert (v == g.grid_ids[on[x]]) if on[x] >= 0 else (v not in g.grid_ids)
-        if on[x] < 0:
-            u = via[x]
-            assert parent[v] == (g.input_ids[u] if u >= 0 else g.grid_ids[-1 - u])
+        path = [(0, 0)] + chain.path(j, set()) + [(-1, j)]
+        assert path[-2] == (k, min(j, (1 << k) - 1))  # the higher apex on a tie
+        assert all(frozenset(map(stop_id, e)) in edges for e in zip(path, path[1:]))
+        assert all(chain.point(key) == g.plane_coords(stop_id(key)) for key in path[1:])
+        length = sum(dist(*map(chain.point, e)) for e in zip(path[1:], path[2:]))
+        assert length + chain.dists[1] == pytest.approx(dists[v], rel=1e-12)
+        assert chain.dists[-1] == pytest.approx(dists[v], rel=1e-12)
+    point = [g.grid_ids[0]] + g.input_ids + [g.grid_ids[-1]]  # the ends are grid vertices
+    for x in range(1, m):
+        v = point[x]
+        at, via = portal_grid(x, m, k)
+        assert at == on[x - 1]
+        assert (v == g.grid_ids[at]) if at >= 0 else (v not in g.grid_ids)
+        d, y = 0.0, x
+        while via >= 0:  # along the base through the next base point
+            assert frozenset((point[y], point[via])) in edges
+            d += dist(g.coords[point[y]], g.coords[point[via]])
+            y, via = via, portal_grid(via, m, k)[1]
+        grid = g.grid_ids[-1 - via]
+        assert point[y] == grid or frozenset((point[y], grid)) in edges
+        d += dist(g.coords[point[y]], g.coords[grid])
+        assert chain.dists[-1] + d == pytest.approx(dists[v], rel=1e-12)

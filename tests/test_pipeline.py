@@ -8,8 +8,8 @@ import pytest
 
 from slt.breakpoints import select_breakpoints, subdivide
 from slt.cli import run_cli, write_points, write_tree
-from slt.core2d import build_core, core_spt, levels_for_eps
-from slt.errors import EpsOutOfRange
+from slt.core2d import CoreChain, build_core, core_layout, core_spt, levels_for_eps, portal_grid
+from slt.errors import EmptySurface, EpsOutOfRange
 from slt.geometry import angle_at_apex, dist
 from slt.metrics import adjacency, dijkstra, oracle_spt, tree_distances
 from slt.mst_path import PointCloud, dfs_hamiltonian, euclidean_mst
@@ -70,6 +70,20 @@ def test_gadget_empty_surface_is_degenerate():
     g = build_gadget(empties[0], [], 0.04)
     assert g.degenerate
     assert g.ell_steiner == []
+
+
+def test_degenerate_gadget_still_checks_its_surface_and_eps():
+    # A gadget without inputs returns before unfolding, after both checks.
+    pc = random_cloud(12, 3, 3)
+    surfs, _ = surfaces_and_sub(pc, 0.04)
+    inputs_of = _input_locals(pc, surfs)
+    empty = next(f for f in surfs if not inputs_of[f.index] and f.index >= 2)
+    assert build_gadget(empty, [], 0.04).vertex_images == []
+    with pytest.raises(EpsOutOfRange):
+        build_gadget(empty, [], 0.3)
+    point = FoldedSurface(empty.index, empty.apex, empty.verts[:1], (), (0.0,), False)
+    with pytest.raises(EmptySurface):
+        build_gadget(point, [], 0.04)
 
 
 def test_empty_surface_spoke_in_full_graph():
@@ -362,8 +376,8 @@ def test_r_joins_the_cross_line_where_a_base_edge_passes_it():
             if r_id in (a, b) and G.kinds[b if a == r_id else a] == "ell_steiner"
         }
         ends |= {  # the grid vertex at the end of r's core path
-            stops[key][1]
-            for _, (_, stops, key, _) in G.core_paths.get((0, r_id), ()) if key[0] < 0
+            core.point((-1, j))
+            for _, (_, core, j, on_grid, _) in G.core_paths.get((0, r_id), ()) if not on_grid
         }
         assert ends == {q for edge in passes for q in edge}
         joined += bool(passes)
@@ -391,9 +405,10 @@ def test_r_at_an_end_of_the_cross_line_takes_the_steiner_point(r_first):
     r_id, r_img = vids[g.r_local], g.vertex_images[g.r_local]
     assert not any(dist(G.coords[v], r_img) <= 1e-9 for v in G.surface)
     assert len(G.surface) == len(g.ell_steiner) - 1  # every portal but the one at r
-    [(_, (_, _, key, q_end))] = G.core_paths[(root, r_id)]
-    k = g.core_instance().k
-    assert key == (k, 0 if r_first else (1 << k) - 1) and q_end == r_img
+    [(_, (_, core, j, on_grid, q_end))] = G.core_paths[(root, r_id)]
+    k = core.k
+    assert on_grid and j == (0 if r_first else 1 << k) and q_end == r_img
+    assert core.path(j, set())[-1] == (k, 0 if r_first else (1 << k) - 1)
 
 
 def _wide_and_flat_surfaces():
@@ -417,12 +432,54 @@ def _random_surfaces():
                     yield pc, f, gadget_inputs(f, sub, pc.root), eps / 8
 
 
+def test_portals_meet_the_grid_by_integers():
+    # portal_grid puts each portal on the grid vertex core_layout finds by
+    # coordinates.  On the wide surface at a small eps_int the portals are
+    # denser than the grid, and some portal hangs off its neighbour.
+    wide = [(pc, f, inputs, e) for pc, f, inputs in _wide_and_flat_surfaces() for e in (0.04, 0.005)]
+    hung = 0
+    for pc, f, inputs, eps_int in wide + list(_random_surfaces()):
+        g = build_gadget(f, inputs, eps_int)
+        inst = None if g.degenerate else g.core_instance()
+        if inst is None:
+            continue
+        m = len(g.ell_steiner) - 1
+        feeds = [portal_grid(x, m, inst.k) for x in range(m + 1)]
+        assert [on for on, _ in feeds] == core_layout(inst)[4]
+        hung += f is wide[0][1] and any(via >= 0 for _, via in feeds)
+    assert hung > 0
+
+
+@pytest.mark.parametrize("j", [1, 2])
+@pytest.mark.parametrize("first", ["j", "j+1"])
+def test_core_paths_into_adjacent_grid_vertices_share_an_apex(j, first):
+    # Kept core paths into grid vertices j and j + 1 both run through the
+    # last level's apex j, whichever portal vertex is numbered, and so
+    # expanded, first.
+    s, verts = (0.0, 0.0), ((1.0, 0.0), (1.2, 0.1), (1.4, 0.25))
+    angles = tuple(angle_at_apex(s, a, b) for a, b in zip(verts, verts[1:]))
+    surf = FoldedSurface(2, s, verts, angles, (0.0, angles[0], angles[0] + angles[1]), False)
+    core = CoreChain.of(build_gadget(surf, [0, 2], 0.04).core_instance())
+    k = core.k
+    G = FoldingGraph()
+    root = G.add_vertex(s, "input")
+    for grid in (j, j + 1) if first == "j" else (j + 1, j):
+        q = core.point((-1, grid))
+        v = G.add_planar(surf, q, "ell_steiner")
+        G.add_core_path(root, v, core.dists[-1], (surf, core, grid, True, q))
+    dists, parent = dijkstra(G.n, adjacency(G.n, G.edges), root)
+    sub, tree, _ = _prune(G, dists, parent, [1, 2], root)
+    apices = {sub.coords[v] for v in range(sub.n) if sub.kinds[v] == "core_apex"}
+    assert apices == {lift(surf, core.point((i, j >> (k - i)))) for i in range(1, k + 1)}
+    assert len(tree.edges) == sub.n - 1
+
+
 def test_contracted_cores_keep_the_core_shortest_paths():
     # Every portal is as far from the root through its contracted core as
     # through the core built whole, and each core path it hangs off runs
     # through the points of that core's tree path.
     seen = Counter()
-    cases = [(pc, f, inputs, 0.04) for pc, f, inputs in _wide_and_flat_surfaces()]
+    cases = [(pc, f, inputs, e) for pc, f, inputs in _wide_and_flat_surfaces() for e in (0.04, 0.005)]
     for pc, f, inputs, eps_int in cases + list(_random_surfaces()):
         g = build_gadget(f, inputs, eps_int)
         if g.degenerate:
@@ -442,24 +499,30 @@ def test_contracted_cores_keep_the_core_shortest_paths():
         seen["wide"] += core.k < levels_for_eps(eps_int)
         seen["r at an end"] += r_id in (ids[0], ids[-1])
         seen["on the grid"] += len(set(core.input_ids) & set(core.grid_ids))
+        seen["off a neighbour"] += len(core.grid_ids) < len(ids)
         for v, cv in zip(ids, core.input_ids):
             assert dists[v] == pytest.approx(core_dists[cv] / core.frame.scale, rel=1e-12)
+        edges = {frozenset((u, v)) for u, v, _ in core.edges}
         for (_, v), paths in G.core_paths.items():
-            for _, (_, stops, key, q_end) in paths:
-                level, j = key
-                c = core.grid_ids[j] if level < 0 else (1 << level) - 1 + j
-                path, x = [], c
-                while x != core.root:
-                    path.append(plane(x))
-                    x = parent[x]
-                assert [stops[s][1] for s in stops[key][0]] == path[::-1]
-                if v in ids:  # a portal on the tree, one step below c
-                    assert parent[core.input_ids[ids.index(v)]] == c
+            for _, (_, chain, j, on_grid, q_end) in paths:
+                # the root's path to grid vertex j: edges of the core, as
+                # long as the core's SPT path, its apex by the tie rule
+                keys = chain.path(j, set())
+                c = core.grid_ids[j]
+                path = [core.root] + [(1 << i) - 1 + a for i, a in keys] + [c]
+                assert all(frozenset(e) in edges for e in zip(path, path[1:]))
+                assert keys[-1] == (core.k, min(j, (1 << core.k) - 1))
+                length = sum(dist(plane(a), plane(b)) for a, b in zip(path, path[1:]))
+                assert length == pytest.approx(core_dists[c] / core.frame.scale, rel=1e-12)
+                assert all(chain.point(key) == plane(u) for key, u in zip(keys, path[1:]))
+                if v in ids:  # a portal on the tree, on c or one base edge from it
+                    x = core.input_ids[ids.index(v)]
+                    assert (x == c) if on_grid else frozenset((x, c)) in edges
                 else:  # r, on the base edge from c that runs past its image
                     seen["r inside"] += 1
-                    assert v == r_id and q_end == r_img
+                    assert v == r_id and q_end == r_img and not on_grid
                     assert any(parent[y] == c and core.levels[y] < 0 for y in parent)
-    wanted = ("zero width", "wide", "r at an end", "on the grid", "r inside")
+    wanted = ("zero width", "wide", "r at an end", "on the grid", "r inside", "off a neighbour")
     assert all(seen[case] > 0 for case in wanted), seen
 
 
