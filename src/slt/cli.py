@@ -301,8 +301,9 @@ def render_surfaces_svg(pc: PointCloud, eps: float, gamma: float, path):
         for q in imgs:
             cv.dot(shift(q), fill="black", r=2.0)
         cv.dot(origin, fill="black", r=2.5)
-        gadget = build_gadget(surf, gadget_inputs(surf, sub, pc.root), eps_int)
-        if not gadget.degenerate:
+        inputs = gadget_inputs(surf, sub, pc.root)
+        if inputs:
+            gadget = build_gadget(surf, inputs, eps_int)
             cv.line(shift(gadget.ell_a), shift(gadget.ell_b), stroke="#888888")
             for q in gadget.ell_steiner:
                 cv.dot(shift(q), fill="#777777", r=1.5)

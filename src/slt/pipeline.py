@@ -1,21 +1,22 @@
 """End-to-end assembly of the Steiner shallow-light tree in R^d.
 
-Per surface: secondary break points along the sub-path, a cross line
-through the input point r closest to the root, Steiner points on that
-line, a recursive triangle core feeding them, and connector edges back to
-the path.  The core is contracted to its portals, the Steiner points and
-r.  Where a portal meets the core's grid is integer arithmetic, and every
-grid vertex is equally far from the root, so each portal hangs off the
-root by one edge weighing that distance plus its step along the base, or
-off the portal next to it (r joins the line where a base edge of the core
-tree runs past its image).  The union over all surfaces is solved in the
+Per surface that holds an input (any other adds only its sub-path and
+spoke): secondary break points along the sub-path, a cross line through
+the input r closest to the root, Steiner points on that line, a recursive
+triangle core feeding them, and connector edges back to the path.  The
+core is contracted to its portals, the Steiner points and r.  Where a
+portal meets the core's grid is integer arithmetic, and every grid vertex
+is equally far from the root, so each portal hangs off the root by one
+edge weighing that distance plus its step along the base, or off the
+portal next to it (r joins the line where a base edge of the core tree
+runs past its image).  The union over all surfaces is solved in the
 plane: input points, break points, secondary break points and the root
 keep their R^d coordinates, while every gadget vertex is a planar point of
 its surface and every gadget edge weighs its planar length (unfolding is
 isometric, so that is the length of its lift).  The tree is the union of
 shortest paths from the root to the input points.  Only its gadget
-vertices and edges are lifted, bends included; a kept core path gets its
-apices (``CoreChain.path``) and grid vertex only then.
+vertices and the bends of its gadget edges are lifted, each once; a kept
+core path gets its apices (``CoreChain.path``) and grid vertex only then.
 
 ``assemble_core2d`` runs the recursive triangle core alone on a 2-d instance
 and returns the same (graph, tree, report) triple as ``assemble_slt``.  It
@@ -24,7 +25,7 @@ lives here, not in ``core2d``, because it needs ``SteinerGraph``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .breakpoints import SubdividedPath, select_breakpoints, subdivide
 from .core2d import CoreChain, CoreInstance, build_core, core_metrics, core_spt, portal_grid
@@ -32,7 +33,8 @@ from .errors import EmptySurface, EpsOutOfRange, SltError
 from .geometry import PlanePoint, Point, Polyline, dist
 from .metrics import adjacency, collector_paused, dijkstra, measure, root_paths
 from .mst_path import PointCloud, Tree, dfs_hamiltonian, euclidean_mst
-from .unfolding import FoldedSurface, build_surfaces, lift, lift_segment, unfold_vertex
+from .unfolding import FoldedSurface, build_surfaces, lift, ray_crossings, unfold_vertex
+from .unfolding import lift_segment  # noqa: F401  not called; perfbench's layer trace wraps it
 
 
 class SteinerGraph:
@@ -58,7 +60,7 @@ class SteinerGraph:
         return len(self.coords) - 1
 
     def add_edge(self, u: int, v: int) -> None:
-        self.edges.append((u, v, dist(self.coords[u], self.coords[v])))
+        self.edges.append((u, v, math.dist(self.coords[u], self.coords[v])))
 
 
 class FoldingGraph(SteinerGraph):
@@ -82,17 +84,11 @@ class FoldingGraph(SteinerGraph):
         self.core_paths: dict[tuple[int, int], list[tuple[float, tuple]]] = {}
         self._edge_set: set[tuple[int, int]] = set()
 
-    def _new_edge(self, u: int, v: int) -> tuple[int, int] | None:
-        """The key (lo, hi) of a new edge; None for a loop or an edge made before."""
-        key = (u, v) if u < v else (v, u)
-        if u == v or key in self._edge_set:
-            return None
-        self._edge_set.add(key)
-        return key
-
     def add_edge(self, u: int, v: int) -> None:
-        if self._new_edge(u, v):
-            super().add_edge(u, v)
+        key = (u, v) if u < v else (v, u)
+        if u != v and key not in self._edge_set:
+            self._edge_set.add(key)
+            self.edges.append((u, v, math.dist(self.coords[u], self.coords[v])))
 
     def add_planar(self, surf: FoldedSurface, q: PlanePoint, kind: str) -> int:
         i = self.add_vertex(q, kind)
@@ -103,9 +99,10 @@ class FoldingGraph(SteinerGraph):
         self, surf: FoldedSurface, u: int, qu: PlanePoint, v: int, qv: PlanePoint
     ) -> None:
         """Edge between the planar points qu, qv of u, v on ``surf``, weighed in the plane."""
-        key = self._new_edge(u, v)
-        if key is None:
+        key = (u, v) if u < v else (v, u)
+        if u == v or key in self._edge_set:
             return
+        self._edge_set.add(key)
         if u > v:
             u, v, qu, qv = v, u, qv, qu
         self.planar[key] = (surf, qu, qv)
@@ -137,23 +134,22 @@ class SecondaryBp:
 
 @dataclass
 class SurfaceGadget:
-    """Planar construction data for one folded surface."""
+    """Planar construction data for one folded surface that holds an input."""
 
     surface: FoldedSurface
-    degenerate: bool
-    vertex_images: list[PlanePoint] = field(default_factory=list)
-    secondary: list[SecondaryBp] = field(default_factory=list)
-    ell_a: PlanePoint | None = None
-    ell_b: PlanePoint | None = None
-    ell_steiner: list[PlanePoint] = field(default_factory=list)
-    r_local: int = -1
-    eps_int: float = 0.25
-    lam: float = 1.25
+    vertex_images: list[PlanePoint]
+    secondary: list[SecondaryBp]
+    ell_a: PlanePoint
+    ell_b: PlanePoint
+    ell_steiner: list[PlanePoint]
+    r_local: int
+    eps_int: float
+    lam: float
 
     def core_instance(self) -> CoreInstance | None:
         """The recursive triangle over the cross line; None if it has zero width."""
         a, b = self.ell_a, self.ell_b
-        if self.degenerate or dist(a, b) < 1e-12 * a[0]:
+        if math.dist(a, b) < 1e-12 * a[0]:
             return None
         eps_core = max(self.eps_int, self.surface.total_angle**2)
         return CoreInstance((0.0, 0.0), a, b, tuple(self.ell_steiner), eps_core, self.lam)
@@ -171,7 +167,7 @@ def _nearest_steiner(steiner: list[PlanePoint], q: PlanePoint) -> int:
     dx, dy = bx - ax, by - ay
     t = ((q[0] - ax) * dx + (q[1] - ay) * dy) / (dx * dx + dy * dy) * (len(steiner) - 1)
     lo = min(max(math.floor(t), 0), len(steiner) - 2)
-    return min((lo, lo + 1), key=lambda i: (dist(steiner[i], q), i))
+    return lo if math.dist(steiner[lo], q) <= math.dist(steiner[lo + 1], q) else lo + 1
 
 
 def build_gadget(
@@ -180,20 +176,19 @@ def build_gadget(
     """Planar gadget for one surface.
 
     ``input_locals`` lists the sub-path vertex indices holding input
-    points (the root excluded).  Without any the gadget degenerates to
-    the direct spoke plus the sub-path, mirroring the phase-1 graph, and
-    its vertices are not unfolded.
+    points (the root excluded), at least one: a surface without any gets
+    no gadget, only its phase-1 edges (``assemble_slt``).
     """
     if len(surf.verts) < 2:
         raise EmptySurface(f"surface {surf.index} has no edges")
     if not 0.0 < eps_int <= 0.25:
         raise EpsOutOfRange(f"eps_int={eps_int} outside (0, 1/4]")
     if not input_locals:
-        return SurfaceGadget(surf, True)
+        raise ValueError(f"surface {surf.index} holds no input")
     imgs = [unfold_vertex(surf, j) for j in range(len(surf.verts))]
 
-    subpath = Polyline(surf.verts)
-    total_len = subpath.total_length
+    cum_len = Polyline(surf.verts).cum_len
+    total_len = cum_len[-1]
     theta_count = math.ceil(math.sqrt(1.0 / eps_int))
 
     r_local = min(input_locals, key=lambda j: (surf.vertex_radius(j), j))
@@ -226,15 +221,18 @@ def build_gadget(
         rr = c / math.cos(ang - phi)  # where the ray meets the line
         return (rr * math.cos(ang), rr * math.sin(ang))
 
-    # Secondary break points at arc q*W/theta for q = 1..theta.
+    # Secondary break points at arc q*W/theta for q = 1..theta.  The arcs grow
+    # with q, so one sweep finds each one's segment j as Polyline.locate does.
     secondary: list[SecondaryBp] = []
     vtol = 1e-12 * total_len
+    j, last = 0, len(cum_len) - 2
     for q in range(1, theta_count + 1):
         # q*W/theta may round past W at q == theta
         arc = q * total_len / theta_count if q < theta_count else total_len
-        pos = subpath.locate(arc)
-        j, t = pos.segment_index, pos.t
-        seg_len = subpath.cum_len[j + 1] - subpath.cum_len[j]
+        while j < last and cum_len[j + 1] <= arc:
+            j += 1
+        t = arc - cum_len[j]
+        seg_len = cum_len[j + 1] - cum_len[j]
         at_vertex = -1
         frac = t / seg_len if seg_len > 0 else 0.0
         if t <= vtol:
@@ -245,14 +243,13 @@ def build_gadget(
             point = surf.verts[at_vertex]
             plane = imgs[at_vertex]
         else:
-            point = subpath.point_at(pos)
+            point = tuple(a + frac * (b - a) for a, b in zip(surf.verts[j], surf.verts[j + 1]))
             a, b = imgs[j], imgs[j + 1]
             plane = (a[0] + frac * (b[0] - a[0]), a[1] + frac * (b[1] - a[1]))
         steiner_idx = _nearest_steiner(steiner, project(plane))
         secondary.append(SecondaryBp(arc, j, frac, point, plane, at_vertex, steiner_idx))
 
-    return SurfaceGadget(surf, False, imgs, secondary, ell_a, ell_b, steiner, r_local,
-                         eps_int, lam)
+    return SurfaceGadget(surf, imgs, secondary, ell_a, ell_b, steiner, r_local, eps_int, lam)
 
 
 def gadget_inputs(surf: FoldedSurface, sub: SubdividedPath, root: int) -> list[int]:
@@ -306,10 +303,16 @@ def assemble_slt(
             if vertex_of[h] < 0:
                 vertex_of[h] = G.add_vertex(hverts[h], "break")
         vids = [vertex_of[h] for h in surf.hstar]
-        gadget = build_gadget(surf, gadget_inputs(surf, sub, pts.root), eps_int, lam)
-        core = _realize(G, gadget, vids, root_id)
+        inputs = gadget_inputs(surf, sub, pts.root)
+        if not inputs:  # no gadget: the phase-1 sub-path and spoke alone
+            for u, v in zip(vids, vids[1:]):
+                G.add_edge(u, v)
+            if vids[0] != root_id:
+                G.add_edge(root_id, vids[0])
+            continue
+        core = _realize(G, build_gadget(surf, inputs, eps_int, lam), vids, root_id)
         cores += core is not None
-        zero_width += core is None and not gadget.degenerate
+        zero_width += core is None
 
     dists, parent = dijkstra(G.n, adjacency(G.n, G.edges), root_id)
     tree_graph, tree, input_vertices = _prune(G, dists, parent, input_ids, root_id)
@@ -358,11 +361,6 @@ def _realize(
         chain.append(vids[j + 1])
         for u, v in zip(chain, chain[1:]):
             G.add_edge(u, v)
-
-    if gadget.degenerate:
-        if vids[0] != root_id:
-            G.add_edge(root_id, vids[0])  # phase-1 spoke
-        return None
 
     # The portals: a vertex per Steiner point, r's own at r's image.
     r_id, r_img = vids[gadget.r_local], gadget.vertex_images[gadget.r_local]
@@ -414,7 +412,8 @@ def _prune(
 
     Kept gadget vertices are lifted onto their surfaces, a kept core path
     is expanded into its apices and grid vertex, and each gadget edge
-    becomes the polyline through its bends.  Lifted points that
+    becomes the polyline through its bends; its ends are kept vertices
+    already, so only the bends are lifted for it.  Lifted points that
     coincide exactly share one vertex, so paths are added in order of root
     distance and an edge that would close a cycle is left out: the result
     stays a spanning tree.  Returns it with each target's vertex in it.
@@ -473,8 +472,7 @@ def _prune(
     for _, _, a, b, seg in steps:
         chain = [a]
         if seg is not None:
-            for bend in lift_segment(*seg).vertices[1:-1]:
-                chain.append(add(bend, "bend"))
+            chain.extend(add(lift(seg[0], q), "bend") for q in ray_crossings(*seg))
             comp.extend(range(len(comp), sub.n))
         chain.append(b)
         for u, v in zip(chain, chain[1:]):

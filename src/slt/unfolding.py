@@ -16,14 +16,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import AngleOutOfRange, DegenerateRay
-from .geometry import (
-    COINCIDENT_TOL,
-    PlanePoint,
-    Point,
-    Polyline,
-    dist,
-    points_close,
-)
+from .geometry import COINCIDENT_TOL, PlanePoint, Point, Polyline, points_close
 from .breakpoints import SubdividedPath
 
 #: Surfaces are split into pieces of at most this angle when they would
@@ -77,7 +70,7 @@ class FoldedSurface:
         return self.cum_angle[-1]
 
     def vertex_radius(self, j: int) -> float:
-        return dist(self.apex, self.verts[j])
+        return math.dist(self.apex, self.verts[j])
 
     def cone_frame(self, j: int):
         """Orthonormal in-plane frame (e1, e2) of cone j, cached."""
@@ -244,33 +237,37 @@ def lift(surf: FoldedSurface, q: PlanePoint) -> Point:
     return tuple(si + c * e1i + d * e2i for si, e1i, e2i in zip(s, e1, e2))
 
 
+def ray_crossings(surf: FoldedSurface, q1: PlanePoint, q2: PlanePoint) -> list[PlanePoint]:
+    """Where the planar segment q1q2 crosses the glued boundary rays, from q1 on.
+
+    These are the bends of its lift; a segment from or to the origin has none.
+    """
+    if q1 == (0.0, 0.0) or q2 == (0.0, 0.0):
+        return []
+    t1, t2 = math.atan2(q1[1], q1[0]), math.atan2(q2[1], q2[0])
+    lo, hi = min(t1, t2), max(t1, t2)
+    dx, dy = q2[0] - q1[0], q2[1] - q1[1]
+    crossings: list[tuple[float, PlanePoint]] = []
+    for theta in surf.cum_angle[1:-1]:
+        if not lo + 1e-15 < theta < hi - 1e-15:
+            continue
+        ex, ey = math.cos(theta), math.sin(theta)
+        denom = ex * dy - ey * dx
+        if denom == 0.0:
+            continue
+        t = (ey * q1[0] - ex * q1[1]) / denom
+        if 0.0 < t < 1.0:
+            crossings.append((t, (q1[0] + t * dx, q1[1] + t * dy)))
+    return [p for _, p in sorted(crossings, key=lambda c: c[0])]
+
+
 def lift_segment(surf: FoldedSurface, q1: PlanePoint, q2: PlanePoint) -> Polyline:
     """Lift of the planar segment q1q2: a polyline bending at cone rays.
 
-    Interior vertices are the crossings of the segment with the glued
-    boundary rays; the lifted polyline has the same length as the planar
-    segment.
+    Interior vertices are the lifted ``ray_crossings``; the lifted polyline
+    has the same length as the planar segment.
     """
     if q1 == q2:
         return Polyline((lift(surf, q1),))
-    t1 = math.atan2(q1[1], q1[0]) if q1 != (0.0, 0.0) else None
-    t2 = math.atan2(q2[1], q2[0]) if q2 != (0.0, 0.0) else None
-    crossings: list[tuple[float, PlanePoint]] = []
-    if t1 is not None and t2 is not None:
-        lo, hi = min(t1, t2), max(t1, t2)
-        dx, dy = q2[0] - q1[0], q2[1] - q1[1]
-        for theta in surf.cum_angle[1:-1]:
-            if not lo + 1e-15 < theta < hi - 1e-15:
-                continue
-            ex, ey = math.cos(theta), math.sin(theta)
-            denom = ex * dy - ey * dx
-            if denom == 0.0:
-                continue
-            t = (ey * q1[0] - ex * q1[1]) / denom
-            if 0.0 < t < 1.0:
-                crossings.append((t, (q1[0] + t * dx, q1[1] + t * dy)))
-    crossings.sort(key=lambda c: c[0])
-    pts = [lift(surf, q1)]
-    pts.extend(lift(surf, p) for _, p in crossings)
-    pts.append(lift(surf, q2))
-    return Polyline(tuple(pts))
+    bends = (lift(surf, p) for p in ray_crossings(surf, q1, q2))
+    return Polyline((lift(surf, q1), *bends, lift(surf, q2)))

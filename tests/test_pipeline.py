@@ -16,7 +16,9 @@ from slt.mst_path import PointCloud, dfs_hamiltonian, euclidean_mst
 from slt.pipeline import (
     FoldingGraph, _prune, _realize, assemble_slt, build_gadget, gadget_inputs
 )
-from slt.unfolding import FoldedSurface, build_surfaces, lift, lift_segment, unfold_vertex
+from slt.unfolding import (
+    FoldedSurface, build_surfaces, lift, lift_segment, ray_crossings, unfold_vertex
+)
 
 
 def circle_cloud(eps, dim=2, seed=None):
@@ -67,44 +69,55 @@ def test_gadget_empty_surface_is_degenerate():
     inputs_of = _input_locals(pc, surfs)
     empties = [f for f in surfs if not inputs_of[f.index]]
     assert empties, "expected at least one surface without input points"
-    g = build_gadget(empties[0], [], 0.04)
-    assert g.degenerate
-    assert g.ell_steiner == []
+    # such a surface gets no gadget, only its phase-1 edges
+    with pytest.raises(ValueError, match="holds no input"):
+        build_gadget(empties[0], [], 0.04)
 
 
 def test_degenerate_gadget_still_checks_its_surface_and_eps():
-    # A gadget without inputs returns before unfolding, after both checks.
+    # A surface without inputs is refused after both checks, in their order.
     pc = random_cloud(12, 3, 3)
     surfs, _ = surfaces_and_sub(pc, 0.04)
     inputs_of = _input_locals(pc, surfs)
     empty = next(f for f in surfs if not inputs_of[f.index] and f.index >= 2)
-    assert build_gadget(empty, [], 0.04).vertex_images == []
     with pytest.raises(EpsOutOfRange):
         build_gadget(empty, [], 0.3)
     point = FoldedSurface(empty.index, empty.apex, empty.verts[:1], (), (0.0,), False)
     with pytest.raises(EmptySurface):
         build_gadget(point, [], 0.04)
+    with pytest.raises(EmptySurface):
+        build_gadget(point, [], 0.3)
 
 
-def test_empty_surface_spoke_in_full_graph():
-    # a surface without inputs contributes its sub-path plus one direct
-    # spoke from the root to its first break point
+def test_empty_surface_spoke_in_full_graph(monkeypatch):
+    # In the graph assemble_slt solves, a surface without inputs
+    # contributes its sub-path plus one direct spoke from the root to its
+    # first break point, and no gadget vertex.
+    import slt.pipeline
+
     pc = random_cloud(12, 3, 3)
-    surfs, sub = surfaces_and_sub(pc, 0.04)
+    surfs, _ = surfaces_and_sub(pc, 0.04 / 8)
     inputs_of = _input_locals(pc, surfs)
-    empty = next(f for f in surfs if not inputs_of[f.index] and f.index >= 2)
-    G = FoldingGraph()
-    root_id = G.add_vertex(pc.points[0], "input")
-    vids = [G.add_vertex(v, "break") for v in empty.verts]
-    gadget = build_gadget(empty, [], 0.04)
-    _realize(G, gadget, vids, root_id)
-    assert any(
-        (u == root_id and v == vids[0]) or (v == root_id and u == vids[0])
-        for u, v, _ in G.edges
-    )
-    # and the sub-path edges are present
-    for a, b in zip(vids, vids[1:]):
-        assert any((u, v) in ((a, b), (b, a)) for u, v, _ in G.edges)
+    graphs = []
+    prune = slt.pipeline._prune
+
+    def recording(G, *args):
+        graphs.append(G)
+        return prune(G, *args)
+
+    monkeypatch.setattr(slt.pipeline, "_prune", recording)
+    assemble_slt(pc, 0.04)
+    [G] = graphs
+    edges = {frozenset((u, v)) for u, v, _ in G.edges}
+    gadget_surfaces = {f.index for f in G.surface.values()}
+    empties = [f for f in surfs if not inputs_of[f.index] and f.index >= 2]
+    assert empties
+    for f in empties:
+        vids = [G.coords.index(v) for v in f.verts]
+        assert frozenset((pc.root, vids[0])) in edges
+        # and the sub-path edges are present
+        assert all(frozenset(e) in edges for e in zip(vids, vids[1:]) if e[0] != e[1])
+        assert f.index not in gadget_surfaces
 
 
 def _input_locals(pc, surfs):
@@ -227,6 +240,78 @@ def test_lift_segment_length_preservation_in_pipeline():
             q2 = (b[1] * math.cos(b[0]), b[1] * math.sin(b[0]))
             poly = lift_segment(f, q1, q2)
             assert poly.total_length == pytest.approx(dist(q1, q2), rel=1e-9, abs=1e-12)
+
+
+def test_gadgets_only_where_an_input_is_and_each_point_lifted_once(monkeypatch):
+    # build_gadget runs once per surface holding an input, and every lifted
+    # point (kept gadget vertex, placed core stop, bend) is lifted once.
+    import slt.pipeline
+    import slt.unfolding
+
+    built, lifted = [], []
+    build, real_lift = slt.pipeline.build_gadget, slt.unfolding.lift
+
+    def counting_build(surf, *args):
+        built.append(surf.index)
+        return build(surf, *args)
+
+    def counting_lift(surf, q):
+        lifted.append((surf.index, q))
+        return real_lift(surf, q)
+
+    monkeypatch.setattr(slt.pipeline, "build_gadget", counting_build)
+    for module in (slt.pipeline, slt.unfolding):
+        monkeypatch.setattr(module, "lift", counting_lift)
+    g, _, rep = assemble_slt(random_cloud(60, 5, 7), 0.04)
+    flags = rep.flags
+    assert len(built) == len(set(built)) == flags["cores"] + flags["zero_width_cores"]
+    assert 0 < len(built) < flags["surfaces"]
+    assert len(set(lifted)) == len(lifted)
+    kinds = Counter(g.kinds)
+    assert len(lifted) == kinds["ell_steiner"] + kinds["core_apex"] + kinds["bend"]
+    assert kinds["bend"] > 0 and kinds["core_apex"] > 0
+
+
+def test_lift_segment_is_its_lifted_ends_around_the_lifted_crossings():
+    # lift_segment's vertices are lift(q1), the lifted ray_crossings and
+    # lift(q2), bit for bit; the crossings lie on the glued rays strictly
+    # between q1's and q2's, ordered from q1.
+    rng = random.Random(3)
+    surfs = [f for _, f, _ in _wide_and_flat_surfaces()]
+    surfs += [f for _, f, _, _ in _random_surfaces() if f.index % 7 == 2]
+    bent = 0
+
+    def polar(r, a):
+        return (r * math.cos(a), r * math.sin(a))
+
+    for f in surfs:
+        total = f.total_angle
+        rays = f.cum_angle[1:-1]
+        segments = [(polar(1 + rng.random(), rng.random() * total),
+                     polar(1 + rng.random(), rng.random() * total)) for _ in range(3)]
+        q = polar(1.5, 0.5 * total)
+        segments += [(q, q), ((0.0, 0.0), q), (q, (0.0, 0.0))]
+        segments += [(polar(2.0, 0.0), polar(1.0, a)) for a in rays[:2]]  # ends on a ray
+        for q1, q2 in segments:
+            poly = lift_segment(f, q1, q2)
+            if q1 == q2:
+                assert poly.vertices == (lift(f, q1),)
+                continue
+            crossings = ray_crossings(f, q1, q2)
+            assert poly.vertices == (lift(f, q1), *(lift(f, p) for p in crossings), lift(f, q2))
+            if (0.0, 0.0) in (q1, q2):
+                assert crossings == []
+                continue
+            lo, hi = sorted(math.atan2(p[1], p[0]) for p in (q1, q2))
+            angles = [math.atan2(p[1], p[0]) for p in crossings]
+            assert len(crossings) == sum(lo + 1e-12 < a < hi - 1e-12 for a in rays) or any(
+                abs(a - b) <= 1e-12 for a in rays for b in (lo, hi)
+            )
+            assert all(min(abs(a - b) for b in rays) <= 1e-12 for a in angles)
+            gaps = [dist(q1, p) for p in crossings]
+            assert gaps == sorted(gaps)
+            bent += bool(crossings)
+    assert bent > 0
 
 
 @pytest.mark.parametrize("d", [2, 4, 8])
@@ -439,8 +524,10 @@ def test_portals_meet_the_grid_by_integers():
     wide = [(pc, f, inputs, e) for pc, f, inputs in _wide_and_flat_surfaces() for e in (0.04, 0.005)]
     hung = 0
     for pc, f, inputs, eps_int in wide + list(_random_surfaces()):
+        if not inputs:
+            continue
         g = build_gadget(f, inputs, eps_int)
-        inst = None if g.degenerate else g.core_instance()
+        inst = g.core_instance()
         if inst is None:
             continue
         m = len(g.ell_steiner) - 1
@@ -481,9 +568,9 @@ def test_contracted_cores_keep_the_core_shortest_paths():
     seen = Counter()
     cases = [(pc, f, inputs, e) for pc, f, inputs in _wide_and_flat_surfaces() for e in (0.04, 0.005)]
     for pc, f, inputs, eps_int in cases + list(_random_surfaces()):
-        g = build_gadget(f, inputs, eps_int)
-        if g.degenerate:
+        if not inputs:
             continue
+        g = build_gadget(f, inputs, eps_int)
         # without connectors and sub-path edges, only the gadget's core is left
         G, vids = _alone(pc, f, dataclasses.replace(g, secondary=[]))
         edges = [(u, v, w) for u, v, w in G.edges if not {u, v} <= set(vids)]
