@@ -78,6 +78,14 @@ def _apex_height(alpha: float, lam: float, i: int) -> float:
     return (math.sin(alpha / 2.0) / (1 << i)) / math.tan(alpha * lam**i / 2.0)
 
 
+def _check_dimension(d: int) -> None:
+    """Reject a d the pyramid does not build: its base spanner has cone
+    axes for 2-d and 3-d bases, so d is 3 or 4."""
+    if d not in (3, 4):
+        error = DimensionTooSmall if d < 3 else SltError
+        raise error(f"pyramid construction supports d = 3 and 4, got d = {d}")
+
+
 def pyramid_points(d: int, n: int, eps: float) -> tuple[Point, ...]:
     """Input of the pyramid build: the apex, then the n base grid points.
 
@@ -85,6 +93,7 @@ def pyramid_points(d: int, n: int, eps: float) -> tuple[Point, ...]:
     centre, where ``build_pyramid_core`` puts it; ``slt gen grid`` writes
     this layout and ``assemble_pyramid`` accepts only it.
     """
+    _check_dimension(d)
     apex = (_apex_height(math.sqrt(eps), 1.0, 0),) + (0.0,) * (d - 1)
     return (apex,) + grid_points(d, eps, GridSpec.for_points(n, d))
 
@@ -165,7 +174,7 @@ def _bounded_dist(adj, src, dst, cap):
 def _cone_axes(dim: int) -> tuple[np.ndarray, float]:
     """Unit axes covering the direction sphere, with their covering radius.
 
-    Cached per dimension, read-only: the 3-d radius takes a convex hull.
+    Cached per dimension, read-only.
     """
     if dim == 2:
         count = 64
@@ -174,7 +183,9 @@ def _cone_axes(dim: int) -> tuple[np.ndarray, float]:
         radius = math.pi / count  # exact for evenly spaced directions
     elif dim == 3:
         axes = _fibonacci_sphere(768)
-        radius = _covering_radius(axes)
+        # _covering_radius(axes), stored so that no build takes a convex
+        # hull; the tests certify it.
+        radius = 0.09845185752037204
     else:
         raise DimensionTooSmall(
             f"cone spanner supports base dimensions 2 and 3, got {dim}"
@@ -205,7 +216,7 @@ def _covering_radius(axes: np.ndarray) -> float:
     normals (the triangles' circumcentres), at the angle between normal
     and facet vertex.
     """
-    # Imported here: it takes 0.1 s, and only 3-d bases (d = 4) need it.
+    # The tests' reference for the stored radius; no build calls it.
     from scipy.spatial import ConvexHull
 
     hull = ConvexHull(axes)
@@ -213,6 +224,68 @@ def _covering_radius(axes: np.ndarray) -> float:
     corner = axes[hull.simplices[:, 0]]
     sin = np.linalg.norm(np.cross(normals, corner), axis=1)
     return float(np.arctan2(sin, np.einsum("ij,ij->i", normals, corner)).max())
+
+
+def _pairs_within(pts: np.ndarray, reach: float) -> np.ndarray:
+    """Every pair of rows of ``pts`` at most ``reach`` apart, as (i, j) rows.
+
+    Fixed-radius near neighbours by cell buckets (Bentley, Stanat and
+    Williams, IPL 1977).  The cells are ``reach`` wide, so a pair within
+    reach lies in one cell or in two adjacent ones.  Points are sorted by
+    cell key, and each point meets the later points of its own cell and
+    the points of the cells at the lexicographically positive half of the
+    3^dim - 1 neighbour offsets, each unordered pair of cells once.  Along
+    the last axis three neighbouring cells have consecutive keys, so every
+    row of offsets is one range of the sorted points.  A candidate is kept
+    when its squared distance, summed over the axes in order, is at most
+    ``reach``^2.  Returns the pairs in no particular order.
+
+    The width has margins of 2^-40 of ``reach`` and 2^-48 of the extent,
+    above the rounding of the cell coordinates (at most 2^-51 of the
+    extent between two points), so points within reach are never two
+    cells apart.  Each axis' occupied cells are renumbered, adjacent ones
+    kept adjacent and the others two apart, so the keys stay below
+    (2n + 1)^dim however small ``reach`` is.  A zero width (a zero reach
+    over one repeated point) becomes 1: one cell.
+    """
+    if not reach >= 0.0:
+        raise ValueError(f"reach must be nonnegative, got {reach}")
+    n, dim = pts.shape
+    if n < 2:
+        return np.empty((0, 2), dtype=np.intp)
+    rel = pts - pts.min(axis=0)
+    width = reach * (1.0 + 2.0**-40) + float(rel.max()) * 2.0**-48 or 1.0
+    cell = np.empty((dim, n), dtype=np.intp)
+    for a in range(dim):
+        values, inverse = np.unique(np.floor(rel[:, a] / width), return_inverse=True)
+        step = np.where(np.diff(values) == 1.0, 1, 2)
+        cell[a] = np.concatenate(([1], 1 + np.cumsum(step)))[inverse]
+    dims = cell.max(axis=1) + 2
+    key = np.ravel_multi_index(cell, dims)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    # Per sorted point, one range [lo, hi) of partners per row of offsets:
+    # its own cell after it and the next cell, then each positive row.
+    lo = [np.arange(1, n + 1)]
+    hi = [np.searchsorted(key, key + 1, side="right")]
+    strides = np.cumprod(dims[:0:-1])[::-1].tolist()
+    for row in itertools.product((-1, 0, 1), repeat=dim - 1):
+        if row > (0,) * (dim - 1):
+            shift = sum(o * s for o, s in zip(row, strides))
+            lo.append(np.searchsorted(key, key + (shift - 1), side="left"))
+            hi.append(np.searchsorted(key, key + (shift + 1), side="right"))
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    size = hi - lo
+    i = np.repeat(np.tile(np.arange(n), len(size) // n), size)
+    j = np.arange(len(i)) + np.repeat(lo - (np.cumsum(size) - size), size)
+    d2 = np.zeros(len(i))
+    for a in range(dim):
+        col = pts[order, a]
+        x = col[j] - col[i]
+        x *= x
+        d2 += x
+    near = d2 <= reach * reach
+    return np.column_stack((order[i[near]], order[j[near]]))
 
 
 #: Directions per block of the cone product: 1,024 x 768 float32 is 3 MB.
@@ -234,17 +307,16 @@ def yao_spanner(points: np.ndarray, reach: float) -> np.ndarray:
     past the diameter gives the full Yao graph, a 5/4-spanner.  Returns the
     edges as an (m, 2) index array, each row (lo, hi), sorted.
 
-    Memory is O(pairs + block x cones): the directions meet the axes
-    ``_CONE_BLOCK`` at a time, and each row's product is the same in any
-    block, so the cones do not depend on the block size.
+    Memory is O(candidates + block x cones).  The candidates are the
+    pairs in neighbouring cells of ``_pairs_within``, 6.6 times the pairs
+    within reach on the d=4 eps=0.04 base.  The directions meet the
+    axes ``_CONE_BLOCK`` at a time, and each row's product is the same in
+    any block, so the cones do not depend on the block size.
     """
-    # Imported here, as ConvexHull is: ``import slt`` leaves scipy unloaded.
-    from scipy.spatial import cKDTree
-
     pts = np.ascontiguousarray(points, dtype=np.float64)
     n, dim = pts.shape
     axes, _ = _cone_axes(dim)
-    pairs = cKDTree(pts).query_pairs(reach, output_type="ndarray")
+    pairs = _pairs_within(pts, reach)
     src, dst = np.concatenate([pairs, pairs[:, ::-1]]).T
     diff = pts[dst] - pts[src]
     d2 = np.einsum("ij,ij->i", diff, diff)
@@ -302,8 +374,7 @@ def build_pyramid_core(d: int, eps: float, grid: GridSpec, lam: float = 1.25):
     each is a sum of k + 1 edge lengths, about 1 in all, so they differ
     by a few ulps of 1, while 1e-6 R > 9e-8 eps (2^k < 4 / sqrt(eps)).
     """
-    if d < 3:
-        raise DimensionTooSmall("pyramid construction needs d >= 3")
+    _check_dimension(d)
     if not 0.0 < eps < math.pi**2:
         raise EpsOutOfRange(f"eps={eps} outside (0, pi^2)")
     alpha = math.sqrt(eps)

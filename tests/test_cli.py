@@ -209,6 +209,29 @@ def test_import_leaves_scipy_unloaded():
     assert proc.stdout.split() == ["False", "True", "True"]
 
 
+def test_pyramid_builds_leave_scipy_spatial_unloaded(tmp_path):
+    # The base pairs come from cell buckets and the cone radius is stored,
+    # so no pyramid build needs a k-d tree or a convex hull.
+    code = ("import sys; from slt.pyramid import GridSpec, build_pyramid_core; "
+            "build_pyramid_core(3, 0.09, GridSpec.for_points(64, 3)); "
+            "build_pyramid_core(4, 0.09, GridSpec.for_points(216, 4)); "
+            "print('scipy' in sys.modules, 'scipy.spatial' in sys.modules)")
+    proc = run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False"]
+    pts, tree = tmp_path / "grid.json", tmp_path / "tree.json"
+    assert run(["gen", "grid", "--dim", 4, "--n", 216, "--eps", 0.09, "--output", pts]) == 0
+    # -X importtime names on stderr every module the command imports.
+    proc = run_python(["-X", "importtime", "-m", "slt", "build", "--method", "pyramid",
+                       "--eps", "0.09", "--input", str(pts), "--output", str(tree)])
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "slt.pyramid" in imported and "scipy.sparse" in imported
+    assert not [m for m in imported if m.startswith("scipy.spatial")]
+    assert tree.exists()
+
+
 def test_import_builds_no_cone_table():
     # The cone axes are built on first use, per dimension.
     code = "import slt.cli, slt.pyramid as p; print(p._cone_axes.cache_info().currsize)"
@@ -260,6 +283,24 @@ def test_pyramid_method_rejects_mismatched_input(tmp_path, capsys):
     # eps mismatch: layout check must fail with a constraint error
     assert run(["build", "--method", "pyramid", "--eps", 0.04, "--input", pts]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("d", [2, 5])
+def test_pyramid_dimension_outside_3_and_4_exits_1(tmp_path, capsys, d):
+    # gen grid refuses before writing, and build refuses the file a grid
+    # generator without the check wrote: the apex, then the base grid.
+    from slt.pyramid import GridSpec, _apex_height, grid_points
+
+    pts = tmp_path / "grid.json"
+    assert run(["gen", "grid", "--dim", d, "--n", 16, "--eps", 0.09, "--output", pts]) == 1
+    assert not pts.exists()
+    assert f"supports d = 3 and 4, got d = {d}" in capsys.readouterr().err
+    apex = (_apex_height(0.3, 1.0, 0),) + (0.0,) * (d - 1)
+    write_points(pts, (apex,) + grid_points(d, 0.09, GridSpec.for_points(16, d)), 0)
+    assert run(["build", "--method", "pyramid", "--eps", 0.09, "--input", pts]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"supports d = 3 and 4, got d = {d}" in captured.err
 
 
 def test_malformed_json_exit_two(tmp_path, capsys):

@@ -10,14 +10,16 @@ import pytest
 import slt.mst_path
 import slt.pyramid
 from slt.core2d import CoreInstance, build_core
-from slt.errors import DimensionTooSmall
+from slt.errors import DimensionTooSmall, SltError
 from slt.geometry import dist
 from slt.metrics import adjacency, dijkstra, oracle_spt
 from slt.mst_path import PointCloud, euclidean_mst
 from slt.pyramid import (
     GridSpec,
     _cone_axes,
+    _covering_radius,
     _fibonacci_sphere,
+    _pairs_within,
     build_pyramid_core,
     greedy_spanner,
     grid_points,
@@ -199,6 +201,61 @@ def lattice_cloud(rng, n, dim):
     return np.stack(np.unravel_index(cells, (side,) * dim), axis=1).astype(float)
 
 
+def pair_keys(pairs, n):
+    """The pairs as sorted keys lo * n + hi, for comparison."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    return np.unique(pairs.min(axis=1) * n + pairs.max(axis=1))
+
+
+def brute_pairs(pts, reach):
+    """Every pair i < j whose squared distance, summed over the axes in
+    order, is at most reach^2."""
+    i, j = np.triu_indices(len(pts), 1)
+    d2 = np.zeros(len(i))
+    for a in range(pts.shape[1]):
+        d2 += (pts[j, a] - pts[i, a]) ** 2
+    near = d2 <= reach * reach
+    return pair_keys(np.column_stack((i[near], j[near])), len(pts))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 60, 700])
+@pytest.mark.parametrize("cloud", ["uniform", "lattice"])
+def test_pairs_within_are_the_pairs_at_most_reach_apart(dim, n, cloud):
+    # The cell buckets against all pairs and against a k-d tree's
+    # query_pairs, at reaches on the lattice distances 1 and 2 (and
+    # sqrt(2), sqrt(3)), between them, and past the diameter.
+    from scipy.spatial import cKDTree
+
+    rng = np.random.default_rng([dim, n, 7])
+    if cloud == "uniform":
+        pts = rng.random((n, dim))
+        reaches = [0.0, 0.05, 0.17, 0.5]
+    else:
+        pts = lattice_cloud(rng, n, dim)
+        reaches = [0.0, 0.5, 1.0, math.sqrt(2.0), math.sqrt(3.0), 2.0, 2.5]
+    for reach in reaches + [past_diameter(pts)]:
+        pairs = _pairs_within(pts, reach)
+        keys = pair_keys(pairs, n)
+        assert pairs.shape == (len(keys), 2)
+        assert np.array_equal(keys, brute_pairs(pts, reach))
+        tree_pairs = cKDTree(pts).query_pairs(reach, output_type="ndarray")
+        assert np.array_equal(keys, pair_keys(tree_pairs, n))
+    assert len(_pairs_within(pts, past_diameter(pts))) == n * (n - 1) // 2
+
+
+def test_pairs_within_at_a_reach_far_below_the_extent():
+    # A cluster 1e-9 apart and one point 1e9 away: 1e18 reaches across,
+    # far more cells than int64 keys can number; the cells are renumbered.
+    rng = np.random.default_rng(3)
+    pts = np.concatenate([lattice_cloud(rng, 200, 3) * 1e-9, [[1e9, -1e9, 1e9]]])
+    for reach in (1e-9, 2.5e-9, 1e-6):
+        keys = pair_keys(_pairs_within(pts, reach), len(pts))
+        assert len(keys) and np.array_equal(keys, brute_pairs(pts, reach))
+    with pytest.raises(ValueError):
+        _pairs_within(pts, -1.0)
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("n", [2, 3, 41, 400, 1500])
 @pytest.mark.parametrize("cloud", ["uniform", "lattice"])
@@ -300,6 +357,12 @@ def test_cone_covering_radius_verified():
         assert np.allclose(norms, 1.0, rtol=1e-12)
 
 
+def test_stored_cone_radius_is_the_hull_radius():
+    # The builds read the stored radius; _covering_radius computes it.
+    axes, radius = _cone_axes(3)
+    assert radius == pytest.approx(_covering_radius(axes), rel=1e-12)
+
+
 def test_cone_covering_radius_is_exact():
     from scipy.spatial import ConvexHull
 
@@ -355,6 +418,16 @@ def test_mst_lower_bound_value():
 def test_dimension_too_small():
     with pytest.raises(DimensionTooSmall):
         build_pyramid_core(2, 0.04, GridSpec.for_points(16, 3))
+
+
+@pytest.mark.parametrize("d", [5, 6])
+def test_dimension_past_4_is_refused_before_any_work(monkeypatch, d):
+    # No cone axes for a 4-d base: refused before the lattice is built.
+    monkeypatch.setattr(slt.pyramid, "SteinerGraph", None)
+    with pytest.raises(SltError, match=f"supports d = 3 and 4, got d = {d}"):
+        build_pyramid_core(d, 0.09, GridSpec.for_points(16, d))
+    with pytest.raises(SltError, match="supports d = 3 and 4"):
+        pyramid_points(d, 16, 0.09)
 
 
 def test_children_count_and_levels():
