@@ -22,36 +22,13 @@ from .errors import (
     SltError,
     Unreachable,
 )
-from .geometry import (
-    ArcPosition,
-    Point,
-    Polyline,
-    angle_at_apex,
-    dist,
-    point_at_arc,
-)
+from .geometry import ArcPosition, Point, Polyline, angle_at_apex, dist
 from .mst_path import HamPath, PointCloud, Tree, dfs_hamiltonian, euclidean_mst
 from .breakpoints import BreakpointSet, SubdividedPath, select_breakpoints, subdivide
-from .unfolding import (
-    Cone,
-    FoldedSurface,
-    build_surfaces,
-    lift,
-    lift_segment,
-    unfold,
-    unfold_vertex,
-)
-from .core2d import CoreGraph, CoreInstance, build_core, core2d_points, core_metrics, core_spt
+from .unfolding import Cone, FoldedSurface, build_surfaces, lift, lift_segment, unfold_vertex
+from .core2d import CoreGraph, CoreInstance, build_core, core2d_points, core_spt
 from .pipeline import SteinerGraph, SurfaceGadget, assemble_core2d, assemble_slt, build_gadget
-from .metrics import (
-    SltReport,
-    floyd_warshall,
-    kruskal_mst,
-    measure,
-    oracle_spt,
-    root_paths,
-    root_stretch,
-)
+from .metrics import SltReport, measure, root_paths, root_stretch
 
 __version__ = "0.1.0"
 
@@ -61,8 +38,6 @@ _PYRAMID_NAMES = frozenset({
     "GridSpec",
     "assemble_pyramid",
     "build_pyramid_core",
-    "greedy_spanner",
-    "pyramid_mst_lower_bound",
     "pyramid_points",
     "yao_spanner",
 })

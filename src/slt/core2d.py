@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from .errors import AngleOverflow, Disconnected, EpsOutOfRange
 from .geometry import PlanePoint, angle_at_apex, dist
 from .metrics import adjacency, dijkstra
-from .mst_path import PointCloud, Tree, euclidean_mst
+from .mst_path import Tree
 
 _ISO_TOL = 1e-9
 
@@ -325,75 +325,3 @@ def core_spt(g: CoreGraph):
     return Tree(g.n, tree_edges, root), dists
 
 
-@dataclass
-class CoreReport:
-    tree_weight: float
-    level_totals: list[float]
-    level_bounds: list[float]
-    chain_total: float
-    chain_bound: float
-    slack: list[float]
-    slack_bounds: list[float]
-    per_point_stretch: list[float]
-    grid_stretch: list[float]
-    max_stretch: float
-    mst_weight: float
-    lightness: float
-    lightness_bound: float
-
-
-def core_metrics(g: CoreGraph, tree: Tree, dists: list[float]) -> CoreReport:
-    """Weights, per-level bounds, slack and stretch of the core SPT."""
-    alpha, lam, k = g.alpha, g.lam, g.k
-    level_totals = [(1 << (i + 1)) * g.chain[i] for i in range(k + 1)]
-    level_bounds = [4.0 / lam**i for i in range(k + 1)]
-    chain_total = sum(level_totals)
-    chain_bound = 4.0 * lam / (lam - 1.0)
-
-    # Slack per chain edge: length minus the size of its y-projection.
-    slack = []
-    ys = {}
-    for v in range(g.n):
-        lvl = g.levels[v]
-        if lvl >= 0:
-            ys.setdefault(lvl, g.coords[v][1])
-    for i in range(k + 1):
-        y_hi = ys[i]
-        y_lo = ys.get(i + 1, 0.0)
-        slack.append(g.chain[i] - (y_hi - y_lo))
-    slack_bounds = [(alpha**2 / 4.0) * (lam / 2.0) ** i for i in range(k + 1)]
-
-    s = g.coords[g.root]
-    per_point = []
-    for v in g.input_ids:
-        dv = dist(s, g.coords[v])
-        per_point.append(dists[v] / dv if dv > 0 else 1.0)
-    grid_stretch = [
-        dists[v] / dist(s, g.coords[v]) for v in g.grid_ids if dist(s, g.coords[v]) > 0
-    ]
-    max_stretch = max(per_point) if per_point else 1.0
-
-    input_points = tuple(g.coords[v] for v in g.input_ids)
-    tree_weight = tree.weight
-    if input_points:
-        mst_weight = euclidean_mst(PointCloud((s,) + input_points, 0)).weight
-        lightness_val = tree_weight / mst_weight
-    else:
-        mst_weight = float("nan")
-        lightness_val = float("nan")
-    lightness_bound = (chain_bound + g.base_path_weight) / math.cos(alpha / 2.0)
-    return CoreReport(
-        tree_weight,
-        level_totals,
-        level_bounds,
-        chain_total,
-        chain_bound,
-        slack,
-        slack_bounds,
-        per_point,
-        grid_stretch,
-        max_stretch,
-        mst_weight,
-        lightness_val,
-        lightness_bound,
-    )

@@ -111,8 +111,3 @@ class Polyline:
             return a
         f = pos.t / seg
         return tuple(ai + f * (bi - ai) for ai, bi in zip(a, b))
-
-
-def point_at_arc(path: Polyline, arc: float) -> Point:
-    """Linear interpolation of the polyline at the given arc length."""
-    return path.point_at(path.locate(arc))

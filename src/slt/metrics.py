@@ -1,5 +1,5 @@
-"""Shortest-path and MST oracles, root-stretch measurement, the build report
-and the collector pause every build runs under."""
+"""The shortest-path kernel, root-stretch measurement, the build report and
+the collector pause every build runs under."""
 from __future__ import annotations
 
 import functools
@@ -8,9 +8,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from heapq import heappop, heappush
 
-import numpy as np
-
-from .errors import Disconnected, Unreachable
+from .errors import Unreachable
 from .geometry import Point, dist
 from .mst_path import Tree
 
@@ -68,63 +66,6 @@ def dijkstra(n: int, adj: list[list[tuple[int, float]]], source: int):
                 parent[u] = v
                 heappush(heap, (nd, u))
     return dist_arr, parent
-
-
-def oracle_spt(n: int, edges, source: int):
-    """Dijkstra SPT over an undirected weighted edge list."""
-    dist_arr, parent = dijkstra(n, adjacency(n, edges), source)
-    if any(math.isinf(d) for d in dist_arr):
-        raise Disconnected("graph is not connected")
-    return dist_arr, parent
-
-
-def floyd_warshall(n: int, edges) -> np.ndarray:
-    """All-pairs shortest distances; independent check for Dijkstra."""
-    d = np.full((n, n), np.inf)
-    np.fill_diagonal(d, 0.0)
-    for u, v, w in edges:
-        if w < d[u, v]:
-            d[u, v] = w
-            d[v, u] = w
-    for k in range(n):
-        d = np.minimum(d, d[:, k : k + 1] + d[k : k + 1, :])
-    return d
-
-
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        self.parent[ry] = rx
-        return True
-
-
-def kruskal_mst(points: tuple[Point, ...], root: int = 0) -> Tree:
-    """Independent MST oracle: sort all pairs, grow with union-find."""
-    n = len(points)
-    pairs = sorted(
-        (dist(points[i], points[j]), i, j) for i in range(n) for j in range(i + 1, n)
-    )
-    uf = _UnionFind(n)
-    edges = []
-    for w, i, j in pairs:
-        if uf.union(i, j):
-            edges.append((i, j, w))
-            if len(edges) == n - 1:
-                break
-    return Tree(n, tuple(edges), root)
 
 
 def tree_distances(tree: Tree, source: int):

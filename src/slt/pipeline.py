@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .breakpoints import SubdividedPath, select_breakpoints, subdivide
-from .core2d import CoreChain, CoreInstance, build_core, core_metrics, core_spt, portal_grid
+from .core2d import CoreChain, CoreInstance, build_core, core_spt, portal_grid
 from .errors import EmptySurface, EpsOutOfRange, SltError
 from .geometry import PlanePoint, Point, Polyline, dist
 from .metrics import adjacency, collector_paused, dijkstra, measure, root_paths
@@ -502,7 +502,7 @@ def assemble_core2d(pts: PointCloud, eps: float, lam: float = 1.25):
     lo = min(base, key=lambda p: p[0])
     hi = max(base, key=lambda p: p[0])
     g = build_core(CoreInstance(pts.points[pts.root], lo, hi, tuple(base), eps, lam))
-    core_tree, dists = core_spt(g)
+    core_tree, _ = core_spt(g)
     graph = SteinerGraph()
     for i in range(g.n):
         graph.add_vertex(g.plane_coords(i), _CORE_KINDS[g.kinds[i]])
@@ -517,7 +517,7 @@ def assemble_core2d(pts: PointCloud, eps: float, lam: float = 1.25):
         tree, graph.coords, vertex_of, eps, mst.weight,
         {
             "levels": g.k,
-            "chain_total": core_metrics(g, core_tree, dists).chain_total,
+            "chain_total": sum([(1 << (i + 1)) * g.chain[i] for i in range(g.k + 1)]),
             "level_angles": [g.alpha * g.lam**i for i in range(g.k + 1)],
         },
     )

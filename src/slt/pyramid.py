@@ -15,7 +15,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from heapq import heappop, heappush
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -115,53 +114,6 @@ def assemble_pyramid(pts: PointCloud, eps: float, lam: float = 1.25):
     return build_pyramid_core(d, eps, GridSpec.for_points(n, d), lam)
 
 
-def pyramid_mst_lower_bound(grid: GridSpec, d: int, eps: float) -> float:
-    """Lower bound on the MST weight of the grid instance."""
-    if grid.n < 2:
-        raise ValueError("bound needs at least 2 grid points")
-    return grid.n * math.sqrt(eps / d) / (2.0 * grid.n ** (1.0 / (d - 1)))
-
-
-def greedy_spanner(pts: list[Point], t: float) -> list[tuple[int, int, float]]:
-    """Classic greedy t-spanner: keep a pair iff the graph cannot match it.
-
-    Quadratic pair enumeration with a bounded Dijkstra per pair; meant for
-    desk-scale point counts.
-    """
-    if t <= 1.0:
-        raise ValueError("t must exceed 1")
-    n = len(pts)
-    pairs = sorted(
-        (dist(pts[i], pts[j]), i, j) for i in range(n) for j in range(i + 1, n)
-    )
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    edges: list[tuple[int, int, float]] = []
-    for w, i, j in pairs:
-        if _bounded_dist(adj, i, j, t * w) <= t * w:
-            continue
-        adj[i].append((j, w))
-        adj[j].append((i, w))
-        edges.append((i, j, w))
-    return edges
-
-
-def _bounded_dist(adj, src, dst, cap):
-    best = {src: 0.0}
-    heap = [(0.0, src)]
-    while heap:
-        d0, v = heappop(heap)
-        if v == dst:
-            return d0
-        if d0 > best.get(v, math.inf) or d0 > cap:
-            continue
-        for u, w in adj[v]:
-            nd = d0 + w
-            if nd <= cap and nd < best.get(u, math.inf):
-                best[u] = nd
-                heappush(heap, (nd, u))
-    return math.inf
-
-
 # --- Yao-style cone spanner -------------------------------------------------
 #
 # Correctness rests on the standard argument: if every point assigns each
@@ -183,13 +135,12 @@ def _cone_axes(dim: int) -> tuple[np.ndarray, float]:
         radius = math.pi / count  # exact for evenly spaced directions
     elif dim == 3:
         axes = _fibonacci_sphere(768)
-        # _covering_radius(axes), stored so that no build takes a convex
-        # hull; the tests certify it.
+        # _covering_radius(axes) of tests/oracles.py, stored so that no
+        # build takes a convex hull; the tests certify it.
         radius = 0.09845185752037204
     else:
-        raise DimensionTooSmall(
-            f"cone spanner supports base dimensions 2 and 3, got {dim}"
-        )
+        error = DimensionTooSmall if dim < 2 else SltError
+        raise error(f"cone spanner supports base dimensions 2 and 3, got {dim}")
     limit = math.asin((1.0 - 1.0 / SPANNER_T) / 2.0)
     if radius >= limit:
         raise AngleOverflow(
@@ -206,24 +157,6 @@ def _fibonacci_sphere(count: int) -> np.ndarray:
     return np.stack(
         [np.sin(phi) * np.cos(lam), np.sin(phi) * np.sin(lam), np.cos(phi)], axis=1
     )
-
-
-def _covering_radius(axes: np.ndarray) -> float:
-    """Largest angle from any direction to its nearest axis, exactly.
-
-    The facets of the axes' convex hull are their spherical Delaunay
-    triangles, so the farthest directions are the facets' outward unit
-    normals (the triangles' circumcentres), at the angle between normal
-    and facet vertex.
-    """
-    # The tests' reference for the stored radius; no build calls it.
-    from scipy.spatial import ConvexHull
-
-    hull = ConvexHull(axes)
-    normals = hull.equations[:, :3]
-    corner = axes[hull.simplices[:, 0]]
-    sin = np.linalg.norm(np.cross(normals, corner), axis=1)
-    return float(np.arctan2(sin, np.einsum("ij,ij->i", normals, corner)).max())
 
 
 def _pairs_within(pts: np.ndarray, reach: float) -> np.ndarray:

@@ -194,19 +194,6 @@ def _split_by_angle(angles: list[float]) -> list[tuple[int, int]]:
     return parts
 
 
-def unfold(surf: FoldedSurface, cone_index: int, r: float, theta_local: float) -> PlanePoint:
-    """Planar image of the point at local polar (r, theta) in one cone."""
-    angle = surf.angles[cone_index]
-    if not -1e-9 <= theta_local <= angle + 1e-9:
-        raise AngleOutOfRange(
-            f"theta={theta_local} outside cone {cone_index} of angle {angle}"
-        )
-    if r < 0.0:
-        raise ValueError("radius must be nonnegative")
-    theta = surf.cum_angle[cone_index] + theta_local
-    return (r * math.cos(theta), r * math.sin(theta))
-
-
 def unfold_vertex(surf: FoldedSurface, j: int) -> PlanePoint:
     """Planar image of sub-path vertex j."""
     r = surf.vertex_radius(j)

@@ -15,16 +15,19 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from oracles import (
+    core_metrics, floyd_warshall, kruskal_mst, oracle_spt, pyramid_mst_lower_bound
+)
 
 import slt
 from slt.breakpoints import select_breakpoints, subdivide
 from slt.cli import run_cli
-from slt.core2d import CoreInstance, build_core, core_metrics, core_spt
+from slt.core2d import CoreInstance, build_core, core_spt
 from slt.geometry import dist
-from slt.metrics import floyd_warshall, kruskal_mst, oracle_spt, tree_distances
+from slt.metrics import tree_distances
 from slt.mst_path import PointCloud, dfs_hamiltonian, euclidean_mst
 from slt.pipeline import assemble_slt
-from slt.pyramid import GridSpec, build_pyramid_core, greedy_spanner, pyramid_mst_lower_bound
+from slt.pyramid import GridSpec, build_pyramid_core, yao_spanner
 from slt.unfolding import build_surfaces, unfold_vertex
 
 DIMS = range(2, 9)
@@ -250,10 +253,12 @@ def test_criterion_8_pyramid():
                     assert total <= bound + 1e-9
                 bound = pyramid_mst_lower_bound(grid, d, eps)
                 assert rep.mst_weight > bound
-        # exhaustive spanner check at desk scale
+        # exhaustive spanner check at desk scale: the full Yao graph (a
+        # reach past the unit square's diameter), as the base spanner builds it
         rng = random.Random(88)
         pts = [(rng.random(), rng.random()) for _ in range(40)]
-        edges = greedy_spanner(pts, 1.25)
+        pairs = yao_spanner(np.array(pts), 2.0).tolist()
+        edges = [(i, j, dist(pts[i], pts[j])) for i, j in pairs]
         n = len(pts)
         for src in range(n):
             dists, _ = oracle_spt(n, edges, src)

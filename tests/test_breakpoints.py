@@ -2,10 +2,11 @@ import math
 import random
 
 import pytest
+from oracles import point_at_arc
 
 from slt.breakpoints import select_breakpoints, subdivide
 from slt.errors import EpsOutOfRange
-from slt.geometry import dist, point_at_arc
+from slt.geometry import dist
 from slt.mst_path import PointCloud, dfs_hamiltonian, euclidean_mst
 
 

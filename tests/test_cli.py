@@ -209,6 +209,35 @@ def test_import_leaves_scipy_unloaded():
     assert proc.stdout.split() == ["False", "True", "True"]
 
 
+# Names that left the package: deleted, or moved to tests/oracles.py.
+GONE_NAMES = ["CoreReport", "_UnionFind", "_bounded_dist", "_covering_radius", "core_metrics",
+              "floyd_warshall", "greedy_spanner", "kruskal_mst", "oracle_spt", "point_at_arc",
+              "pyramid_mst_lower_bound", "unfold"]
+
+_NAMES_CHILD = """
+import ast, importlib, json, pkgutil, sys, slt
+exported = set(slt._PYRAMID_NAMES)
+for node in ast.walk(ast.parse(open(slt.__file__).read())):
+    if isinstance(node, ast.ImportFrom):
+        exported.update(alias.asname or alias.name for alias in node.names)
+modules = [slt] + [importlib.import_module("slt." + m.name)
+                   for m in pkgutil.iter_modules(slt.__path__) if m.name != "__main__"]
+print(json.dumps([
+    sorted(name for name in exported if not hasattr(slt, name)),
+    sorted(f"{mod.__name__}.{name}" for mod in modules for name in sys.argv[1:]
+           if hasattr(mod, name)),
+]))
+"""
+
+
+def test_every_exported_name_resolves_and_no_gone_name_remains():
+    # In a fresh process, so the lazy pyramid names are first resolved here:
+    # a stale entry would raise only when a caller first asked for it.
+    proc = run_python(["-c", _NAMES_CHILD, *GONE_NAMES])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], []]
+
+
 def test_pyramid_builds_leave_scipy_spatial_unloaded(tmp_path):
     # The base pairs come from cell buckets and the cone radius is stored,
     # so no pyramid build needs a k-d tree or a convex hull.

@@ -1,19 +1,23 @@
 import math
 
 import pytest
+from oracles import core_metrics
 
+import slt.pipeline
 from slt.core2d import (
     CoreChain,
     CoreInstance,
     build_core,
+    core2d_points,
     core_layout,
-    core_metrics,
     core_spt,
     levels_for_eps,
     portal_grid,
 )
 from slt.errors import AngleOverflow, EpsOutOfRange
 from slt.geometry import angle_at_apex, dist
+from slt.mst_path import PointCloud
+from slt.pipeline import assemble_core2d
 
 
 def built(eps, n_base=8, lam=1.25):
@@ -223,3 +227,23 @@ def test_layout_spt_is_the_core_spt(eps, n_base):
         assert point[y] == grid or frozenset((point[y], grid)) in edges
         d += dist(g.coords[point[y]], g.coords[grid])
         assert chain.dists[-1] + d == pytest.approx(dists[v], rel=1e-12)
+
+
+@pytest.mark.parametrize("eps,n_base,scale", [
+    *((eps, n_base, 1.0) for eps in (0.25, 0.09, 0.04, 0.01) for n_base in (4, 12, 64)),
+    (0.04, 12, 2.0),  # the golden core2d instance, scaled by 2
+])
+def test_assembled_chain_total_is_the_core_metrics_one(monkeypatch, eps, n_base, scale):
+    # The core2d build computes chain_total itself, without core_metrics and
+    # its second MST, summing the same level totals in the same order.
+    cores = []
+
+    def record(inst):
+        cores.append(build_core(inst))
+        return cores[-1]
+
+    monkeypatch.setattr(slt.pipeline, "build_core", record)
+    pts = tuple(tuple(scale * x for x in p) for p in core2d_points(eps, n_base))
+    _, _, report = assemble_core2d(PointCloud(pts, 0), eps)
+    (g,) = cores
+    assert report.flags["chain_total"] == core_metrics(g, *core_spt(g)).chain_total

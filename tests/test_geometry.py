@@ -3,15 +3,11 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import point_at_arc
 
 from slt.breakpoints import SubdividedPath
 from slt.errors import AngleOutOfRange, DegenerateRay, DimensionMismatch
-from slt.geometry import (
-    Polyline,
-    angle_at_apex,
-    dist,
-    point_at_arc,
-)
+from slt.geometry import Polyline, angle_at_apex, dist
 from slt.unfolding import FoldedSurface, build_surfaces, lift
 
 coord = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False)

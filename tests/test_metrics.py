@@ -4,16 +4,11 @@ import random
 
 import numpy as np
 import pytest
+from oracles import floyd_warshall, kruskal_mst, oracle_spt
 
 from slt.cli import canonical_dumps, run_cli, write_points
 from slt.errors import Disconnected, Unreachable
-from slt.metrics import (
-    floyd_warshall,
-    kruskal_mst,
-    oracle_spt,
-    root_paths,
-    root_stretch,
-)
+from slt.metrics import root_paths, root_stretch
 from slt.mst_path import PointCloud, Tree, euclidean_mst
 
 

@@ -4,10 +4,10 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from oracles import kruskal_mst
 
 import slt.mst_path
 from slt.errors import DuplicatePoints
-from slt.metrics import kruskal_mst
 from slt.mst_path import PointCloud, dfs_hamiltonian, euclidean_mst
 
 

@@ -39,3 +39,30 @@ def test_every_imported_dependency_is_declared():
             if normalized(name) not in declared:
                 missing.setdefault(name, []).append(path.name)
     assert not missing, f"imported but not in pyproject dependencies: {missing}"
+
+
+def test_every_library_function_is_used():
+    # A top-level function or class that no other module of the library
+    # imports, and that its own module never names, runs in tests alone: its
+    # place is tests/oracles.py.  The re-exports of __init__.py are no use.
+    sources = {path.stem: ast.parse(path.read_text(), str(path))
+               for path in sorted((ROOT / "src" / "slt").glob("*.py"))
+               if path.name != "__init__.py"}
+    assert sources
+    imported = set()
+    for module, tree in sources.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                source = node.module.removeprefix("slt.") if node.level == 0 else node.module
+                imported.update((source, alias.name) for alias in node.names)
+    unused = []
+    for module, tree in sources.items():
+        for definition in tree.body:
+            if not isinstance(definition, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            named = any(isinstance(node, ast.Name) and node.id == definition.name
+                        for other in tree.body if other is not definition
+                        for node in ast.walk(other))
+            if not named and (module, definition.name) not in imported:
+                unused.append(f"{module}.{definition.name}")
+    assert not unused, f"defined in src/slt but used by no library module: {unused}"

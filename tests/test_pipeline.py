@@ -5,13 +5,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from oracles import oracle_spt
 
 from slt.breakpoints import select_breakpoints, subdivide
 from slt.cli import run_cli, write_points, write_tree
 from slt.core2d import CoreChain, build_core, core_layout, core_spt, levels_for_eps, portal_grid
 from slt.errors import EmptySurface, EpsOutOfRange
 from slt.geometry import angle_at_apex, dist
-from slt.metrics import adjacency, dijkstra, oracle_spt, tree_distances
+from slt.metrics import adjacency, dijkstra, tree_distances
 from slt.mst_path import PointCloud, dfs_hamiltonian, euclidean_mst
 from slt.pipeline import (
     FoldingGraph, _prune, _realize, assemble_slt, build_gadget, gadget_inputs

@@ -6,24 +6,22 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import _covering_radius, oracle_spt, pyramid_mst_lower_bound
 
 import slt.mst_path
 import slt.pyramid
 from slt.core2d import CoreInstance, build_core
 from slt.errors import DimensionTooSmall, SltError
 from slt.geometry import dist
-from slt.metrics import adjacency, dijkstra, oracle_spt
+from slt.metrics import adjacency, dijkstra
 from slt.mst_path import PointCloud, euclidean_mst
 from slt.pyramid import (
     GridSpec,
     _cone_axes,
-    _covering_radius,
     _fibonacci_sphere,
     _pairs_within,
     build_pyramid_core,
-    greedy_spanner,
     grid_points,
-    pyramid_mst_lower_bound,
     pyramid_points,
     yao_spanner,
 )
@@ -132,13 +130,19 @@ def all_pairs_ratio(pts, edges):
     return worst
 
 
+def full_yao(pts):
+    """The full Yao graph of ``pts`` (a reach past their diameter), weighted."""
+    reach = 2.0 * max(dist(p, q) for p in pts for q in pts)
+    return [(i, j, dist(pts[i], pts[j])) for i, j in yao_spanner(np.array(pts), reach).tolist()]
+
+
 def test_greedy_two_points():
-    edges = greedy_spanner([(0.0, 0.0), (1.0, 2.0)], T)
+    edges = full_yao([(0.0, 0.0), (1.0, 2.0)])
     assert len(edges) == 1
 
 
 def test_greedy_three_collinear():
-    edges = greedy_spanner([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], T)
+    edges = full_yao([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
     assert len(edges) == 2
     assert all(w == 1.0 for _, _, w in edges)
 
@@ -148,7 +152,7 @@ def test_greedy_is_spanner_small(seed):
     rng = random.Random(seed)
     n = rng.randrange(5, 41)
     pts = [(rng.random(), rng.random()) for _ in range(n)]
-    edges = greedy_spanner(pts, T)
+    edges = full_yao(pts)
     assert all_pairs_ratio(pts, edges) <= T + 1e-12
 
 
@@ -418,6 +422,15 @@ def test_mst_lower_bound_value():
 def test_dimension_too_small():
     with pytest.raises(DimensionTooSmall):
         build_pyramid_core(2, 0.04, GridSpec.for_points(16, 3))
+
+
+def test_yao_base_dimension_past_3_is_not_too_small():
+    rng = np.random.default_rng(0)
+    with pytest.raises(SltError, match="base dimensions 2 and 3, got 4") as err:
+        yao_spanner(rng.random((5, 4)), 1.0)
+    assert not isinstance(err.value, DimensionTooSmall)
+    with pytest.raises(DimensionTooSmall):
+        yao_spanner(rng.random((5, 1)), 1.0)
 
 
 @pytest.mark.parametrize("d", [5, 6])

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from oracles import unfold
 
 from slt.breakpoints import select_breakpoints, subdivide
 from slt.errors import AngleOutOfRange, DegenerateRay
@@ -11,7 +12,6 @@ from slt.unfolding import (
     build_surfaces,
     lift,
     lift_segment,
-    unfold,
     unfold_vertex,
 )
 
