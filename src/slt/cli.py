@@ -17,7 +17,7 @@ from .breakpoints import select_breakpoints, subdivide
 from .core2d import build_core, core2d_points, core_spt
 from .errors import MalformedFile, MalformedTree, SltError
 from .metrics import collector_paused, measure
-from .mst_path import PointCloud, Tree, dfs_hamiltonian, euclidean_mst
+from .mst_path import PointCloud, Tree, dfs_hamiltonian, euclidean_mst, euclidean_mst_weight
 from .pipeline import SteinerGraph, assemble_core2d, assemble_slt, build_gadget, gadget_inputs
 from .unfolding import build_surfaces, unfold_vertex
 
@@ -374,8 +374,8 @@ def _verified_report(args):
         tuple((u, v, math.dist(coords[u], coords[v])) for u, v in edges),
         root,
     )
-    report = measure(tree, coords, vertex_of, args.eps, euclidean_mst(pc).weight,
-                     {"verified": True})
+    mst_weight = euclidean_mst_weight(pc.points, pc.root)
+    report = measure(tree, coords, vertex_of, args.eps, mst_weight, {"verified": True})
     return pc, report
 
 

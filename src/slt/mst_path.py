@@ -1,6 +1,14 @@
-"""Euclidean MST (Prim, O(n^2)) and its DFS-order Hamiltonian path."""
+"""Euclidean MST and its DFS-order Hamiltonian path; the MST weight alone.
+
+``euclidean_mst`` is Prim's tree, O(n^2), whose edges and tie rule the
+folding path follows.  ``euclidean_mst_weight`` gives only the weight, for
+the reports' lightness: up to 4 dimensions and from 500 points it takes
+Kruskal over the pairs within a local reach, found by cell buckets, and
+Borůvka for the rest.
+"""
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -149,11 +157,15 @@ def euclidean_mst(pts: PointCloud) -> Tree:
     square and add one coordinate at a time, in the same order, then take
     the square root, so they give the same floats and the same tree.
     """
-    n = pts.n
+    return Tree(pts.n, _prim(pts.points, pts.root), pts.root)
+
+
+def _prim(points, root: int) -> tuple[tuple[int, int, float], ...]:
+    """The edges of ``euclidean_mst`` over ``points``, which must be distinct."""
+    n = len(points)
     if n == 1:
-        return Tree(1, (), pts.root)
-    coords = np.asarray(pts.points, dtype=float)
-    root = pts.root
+        return ()
+    coords = np.asarray(points, dtype=float)
     # Distances come from coordinate differences, never from the Gram form
     # |x|^2+|y|^2-2x.y, which cancels for a cluster far from the origin or
     # from the root.
@@ -181,13 +193,8 @@ def euclidean_mst(pts: PointCloud) -> Tree:
         tree_nan[v] = np.nan
         if dist_rows is not None:
             return dist_rows[v] + tree_nan
-        d = np.zeros(n)
-        diff = np.empty(n)
-        for x in columns:  # as the full matrix is built; squares drop the sign
-            np.subtract(x, x[v], out=diff)
-            diff *= diff
-            d += diff
-        np.sqrt(d, out=d)
+        # As the full matrix is built; squares drop the sign.
+        d = np.sqrt(_squared_rows(columns, [v])[0])
         d += tree_nan
         return d
 
@@ -197,7 +204,6 @@ def euclidean_mst(pts: PointCloud) -> Tree:
     best_from[d < best] = root
     np.fmin(best, d, out=best)
     edges = []
-    points = pts.points
     for _ in range(n - 1):
         v = int(best.argmin())
         w = best[v]
@@ -218,7 +224,229 @@ def euclidean_mst(pts: PointCloud) -> Tree:
             f = int(best_from[t])
             if (min(t, v), max(t, v)) < (min(t, f), max(t, f)):
                 best_from[t] = v
-    return Tree(n, tuple(edges), root)
+    return tuple(edges)
+
+
+def _pairs_within(pts: np.ndarray, reach: float) -> np.ndarray:
+    """Every pair of rows of ``pts`` at most ``reach`` apart, as (i, j) rows.
+
+    Fixed-radius near neighbours by cell buckets (Bentley, Stanat and
+    Williams, IPL 1977).  The cells are ``reach`` wide, so a pair within
+    reach lies in one cell or in two adjacent ones.  Points are sorted by
+    cell key, and each point meets the later points of its own cell and
+    the points of the cells at the lexicographically positive half of the
+    3^dim - 1 neighbour offsets, each unordered pair of cells once.  Along
+    the last axis three neighbouring cells have consecutive keys, so every
+    row of offsets is one range of the sorted points.  A candidate is kept
+    when its squared distance, summed over the axes in order, is at most
+    ``reach``^2.  Returns the pairs in no particular order.
+
+    The width has margins of 2^-40 of ``reach`` and 2^-48 of the extent,
+    above the rounding of the cell coordinates (at most 2^-51 of the
+    extent between two points), so points within reach are never two
+    cells apart.  Each axis' occupied cells are renumbered, adjacent ones
+    kept adjacent and the others two apart, so the keys stay below
+    (2n + 1)^dim however small ``reach`` is.  A zero width (a zero reach
+    over one repeated point) becomes 1: one cell.
+    """
+    if not reach >= 0.0:
+        raise ValueError(f"reach must be nonnegative, got {reach}")
+    n, dim = pts.shape
+    if n < 2:
+        return np.empty((0, 2), dtype=np.intp)
+    rel = pts - pts.min(axis=0)
+    width = reach * (1.0 + 2.0**-40) + float(rel.max()) * 2.0**-48 or 1.0
+    cell = np.empty((dim, n), dtype=np.intp)
+    for a in range(dim):
+        values, inverse = np.unique(np.floor(rel[:, a] / width), return_inverse=True)
+        step = np.where(np.diff(values) == 1.0, 1, 2)
+        cell[a] = np.concatenate(([1], 1 + np.cumsum(step)))[inverse]
+    dims = cell.max(axis=1) + 2
+    key = np.ravel_multi_index(cell, dims)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    # Per sorted point, one range [lo, hi) of partners per row of offsets:
+    # its own cell after it and the next cell, then each positive row.
+    lo = [np.arange(1, n + 1)]
+    hi = [np.searchsorted(key, key + 1, side="right")]
+    strides = np.cumprod(dims[:0:-1])[::-1].tolist()
+    for row in itertools.product((-1, 0, 1), repeat=dim - 1):
+        if row > (0,) * (dim - 1):
+            shift = sum(o * s for o, s in zip(row, strides))
+            lo.append(np.searchsorted(key, key + (shift - 1), side="left"))
+            hi.append(np.searchsorted(key, key + (shift + 1), side="right"))
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    size = hi - lo
+    i = np.repeat(np.tile(np.arange(n), len(size) // n), size)
+    j = np.arange(len(i)) + np.repeat(lo - (np.cumsum(size) - size), size)
+    d2 = np.zeros(len(i))
+    for a in range(dim):
+        col = pts[order, a]
+        x = col[j] - col[i]
+        x *= x
+        d2 += x
+    near = d2 <= reach * reach
+    return np.column_stack((order[i[near]], order[j[near]]))
+
+
+#: Largest dimension and smallest size at which ``euclidean_mst_weight``
+#: takes the local candidate graph.  Outside them Prim is faster: the cell
+#: neighbourhoods grow as 3^d, and small inputs pay the fixed costs.
+_LOCAL_MAX_DIM = 4
+_LOCAL_MIN_N = 500
+
+#: Points whose median nearest-neighbour distance sets the first reach.
+_REACH_SAMPLE = 64
+
+#: Reach shrink within which ``_pairs_within`` returns every pair by ``math.dist``.
+_REACH_SAFE = 1.0 - 2.0**-40
+
+#: Borůvka row entries that cost as much as one pair within reach.
+_PAIR_COST = 64
+
+#: Most pairs per point that a reach may be grown to, about: each holds
+#: 150 to 600 bytes of temporaries in ``_pairs_within``.
+_PAIRS_PER_POINT = 16
+
+
+def euclidean_mst_weight(points, root: int = 0, prim: Tree | None = None) -> float:
+    """Weight of a Euclidean minimum spanning tree of distinct ``points``.
+
+    Edges are ordered by (``math.dist`` length, lower index, higher index).
+    Kruskal (Proc. AMS 1956) over the pairs within a reach picks exactly
+    the MST edges no longer than it, and the components left join by their
+    lightest outside edges (Borůvka), which the cut property puts in the
+    MST.  So this is the weight of Kruskal's tree in that order, summed as
+    ``Tree.weight`` sums.  Prim (``euclidean_mst``) may take an edge within
+    its relative ``_TIE`` of a lighter one, so the two can differ in the
+    last bits.  Below ``_LOCAL_MIN_N`` points, above ``_LOCAL_MAX_DIM``
+    dimensions, or where ``_local_mst_lengths`` finds Borůvka too costly,
+    it is the weight of Prim's tree from ``root``, or of ``prim`` if the
+    caller has that tree already.
+    """
+    lengths = None
+    if len(points[0]) <= _LOCAL_MAX_DIM and len(points) >= _LOCAL_MIN_N:
+        lengths = _local_mst_lengths(points)
+    if lengths is None:
+        return (prim or Tree(len(points), _prim(points, root), root)).weight
+    return math.fsum(sorted(lengths))
+
+
+def _local_mst_lengths(points) -> list[float] | None:
+    """The MST's edge lengths, by Kruskal within a reach, then Borůvka.
+
+    - The first reach is 1.01 times the median nearest-neighbour distance
+      of at most ``_REACH_SAMPLE`` sampled points.  Each round takes the
+      pairs within reach whose ends are not yet joined, and keeps those no
+      longer than ``_REACH_SAFE`` times the reach: ``_pairs_within`` finds
+      every one of them.
+    - The reach doubles while Borůvka's rows would cost more than the
+      pairs within twice the reach: a row per point outside the largest
+      component for about log2(components) rounds, against about 2^dim
+      times the pairs now, ``_PAIR_COST`` row entries each.  So it grows
+      while many points are left, and not for the far apex of a lattice.
+      It grows to at most about ``_PAIRS_PER_POINT`` pairs per point.
+      Past that, if Borůvka would take more rows than Prim's n, as for
+      many far clusters, it returns None: Prim is cheaper.
+    - Each Borůvka round takes, for every component but the largest, its
+      lightest edge to another component, from distance rows in blocks of
+      ``_GRAM_BLOCK`` entries.  The columns within a relative ``_TIE`` of a
+      row's minimum go to ``math.dist``, so the rows' rounding picks no edge.
+
+    The points are first scaled by a power of two, which is exact, so the
+    squared distances neither overflow nor underflow.
+    """
+    n, dim = len(points), len(points[0])
+    arr = np.asarray(points, dtype=float)
+    exp = math.frexp(float(np.ptp(arr, axis=0).max()))[1]
+    arr = np.ldexp(arr, -exp)
+    columns = np.ascontiguousarray(arr.T)
+    d2 = _squared_rows(columns, np.arange(0, n, -(-n // _REACH_SAMPLE)))
+    d2[d2 == 0.0] = np.inf  # each sampled point's own column
+    reach = 1.01 * math.sqrt(float(np.median(d2.min(axis=1))))
+    at = points.__getitem__
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    lengths = []
+
+    def join(ws, los, his):
+        for w, i, j in zip(ws, los, his):
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[ri] = rj
+                lengths.append(w)
+
+    label = np.arange(n)
+    while True:
+        pairs = _pairs_within(arr, reach)
+        lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+        cross = label[lo] != label[hi]
+        lo, hi = lo[cross], hi[cross]
+        w = np.fromiter(map(math.dist, map(at, lo.tolist()), map(at, hi.tolist())),
+                        float, len(lo))
+        sure = w <= math.ldexp(reach * _REACH_SAFE, exp)
+        w, lo, hi = w[sure], lo[sure], hi[sure]
+        order = np.lexsort((hi, lo, w))
+        join(w[order].tolist(), lo[order].tolist(), hi[order].tolist())
+        components = n - len(lengths)
+        if components == 1:
+            return lengths
+        label = _roots(parent)
+        outside = n - int(np.bincount(label).max())
+        rows = outside * math.log2(components)
+        more = 2**dim * max(len(pairs), n)
+        if rows * n <= _PAIR_COST * more:
+            break
+        if more > _PAIRS_PER_POINT * n:
+            if rows > n:
+                return None
+            break
+        reach *= 2.0
+    while len(lengths) < n - 1:
+        lightest = {}
+        outside = np.flatnonzero(label != np.bincount(label).argmax())
+        step = max(1, _GRAM_BLOCK // n)
+        for s in range(0, len(outside), step):
+            block = outside[s : s + step]
+            d2 = _squared_rows(columns, block)
+            d2[label[block][:, None] == label] = np.inf
+            near = d2.min(axis=1)
+            near += near * _TIE
+            ii, jj = np.nonzero(d2 <= near[:, None])
+            for i, j in zip(block[ii].tolist(), jj.tolist()):
+                key = (math.dist(at(i), at(j)), min(i, j), max(i, j))
+                c = int(label[i])
+                if c not in lightest or key < lightest[c]:
+                    lightest[c] = key
+        join(*zip(*sorted(lightest.values())))
+        label = _roots(parent)
+    return lengths
+
+
+def _squared_rows(columns: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Squared distances of the points ``rows`` to all, as ``_prim`` sums them."""
+    d2 = np.zeros((len(rows), columns.shape[1]))
+    diff = np.empty_like(d2)
+    for x in columns:
+        np.subtract.outer(x[rows], x, out=diff)
+        diff *= diff
+        d2 += diff
+    return d2
+
+
+def _roots(parent: list[int]) -> np.ndarray:
+    """Each point's union-find root, by pointer jumping."""
+    root = np.array(parent)
+    while True:
+        up = root[root]
+        if np.array_equal(up, root):
+            return root
+        root = up
 
 
 def dfs_hamiltonian(tree: Tree, pts: PointCloud) -> HamPath:

@@ -24,7 +24,8 @@ from .core2d import levels_for_eps
 from .errors import AngleOverflow, DimensionTooSmall, EpsOutOfRange, SltError
 from .geometry import Point, dist
 from .metrics import collector_paused, measure, root_paths
-from .mst_path import PointCloud, Tree, euclidean_mst
+from .mst_path import PointCloud, Tree, _pairs_within, euclidean_mst_weight
+from .mst_path import euclidean_mst  # noqa: F401  not called; perfbench's layer trace wraps it
 from .pipeline import SteinerGraph
 
 SPANNER_T = 1.25
@@ -157,68 +158,6 @@ def _fibonacci_sphere(count: int) -> np.ndarray:
     return np.stack(
         [np.sin(phi) * np.cos(lam), np.sin(phi) * np.sin(lam), np.cos(phi)], axis=1
     )
-
-
-def _pairs_within(pts: np.ndarray, reach: float) -> np.ndarray:
-    """Every pair of rows of ``pts`` at most ``reach`` apart, as (i, j) rows.
-
-    Fixed-radius near neighbours by cell buckets (Bentley, Stanat and
-    Williams, IPL 1977).  The cells are ``reach`` wide, so a pair within
-    reach lies in one cell or in two adjacent ones.  Points are sorted by
-    cell key, and each point meets the later points of its own cell and
-    the points of the cells at the lexicographically positive half of the
-    3^dim - 1 neighbour offsets, each unordered pair of cells once.  Along
-    the last axis three neighbouring cells have consecutive keys, so every
-    row of offsets is one range of the sorted points.  A candidate is kept
-    when its squared distance, summed over the axes in order, is at most
-    ``reach``^2.  Returns the pairs in no particular order.
-
-    The width has margins of 2^-40 of ``reach`` and 2^-48 of the extent,
-    above the rounding of the cell coordinates (at most 2^-51 of the
-    extent between two points), so points within reach are never two
-    cells apart.  Each axis' occupied cells are renumbered, adjacent ones
-    kept adjacent and the others two apart, so the keys stay below
-    (2n + 1)^dim however small ``reach`` is.  A zero width (a zero reach
-    over one repeated point) becomes 1: one cell.
-    """
-    if not reach >= 0.0:
-        raise ValueError(f"reach must be nonnegative, got {reach}")
-    n, dim = pts.shape
-    if n < 2:
-        return np.empty((0, 2), dtype=np.intp)
-    rel = pts - pts.min(axis=0)
-    width = reach * (1.0 + 2.0**-40) + float(rel.max()) * 2.0**-48 or 1.0
-    cell = np.empty((dim, n), dtype=np.intp)
-    for a in range(dim):
-        values, inverse = np.unique(np.floor(rel[:, a] / width), return_inverse=True)
-        step = np.where(np.diff(values) == 1.0, 1, 2)
-        cell[a] = np.concatenate(([1], 1 + np.cumsum(step)))[inverse]
-    dims = cell.max(axis=1) + 2
-    key = np.ravel_multi_index(cell, dims)
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    # Per sorted point, one range [lo, hi) of partners per row of offsets:
-    # its own cell after it and the next cell, then each positive row.
-    lo = [np.arange(1, n + 1)]
-    hi = [np.searchsorted(key, key + 1, side="right")]
-    strides = np.cumprod(dims[:0:-1])[::-1].tolist()
-    for row in itertools.product((-1, 0, 1), repeat=dim - 1):
-        if row > (0,) * (dim - 1):
-            shift = sum(o * s for o, s in zip(row, strides))
-            lo.append(np.searchsorted(key, key + (shift - 1), side="left"))
-            hi.append(np.searchsorted(key, key + (shift + 1), side="right"))
-    lo, hi = np.concatenate(lo), np.concatenate(hi)
-    size = hi - lo
-    i = np.repeat(np.tile(np.arange(n), len(size) // n), size)
-    j = np.arange(len(i)) + np.repeat(lo - (np.cumsum(size) - size), size)
-    d2 = np.zeros(len(i))
-    for a in range(dim):
-        col = pts[order, a]
-        x = col[j] - col[i]
-        x *= x
-        d2 += x
-    near = d2 <= reach * reach
-    return np.column_stack((order[i[near]], order[j[near]]))
 
 
 #: Directions per block of the cone product: 1,024 x 768 float32 is 3 MB.
@@ -406,9 +345,8 @@ def build_pyramid_core(d: int, eps: float, grid: GridSpec, lam: float = 1.25):
             graph.add_edge(new_id[parent[v]], new_id[v])
     tree = Tree(graph.n, tuple(graph.edges), apex_id)
 
-    mst = euclidean_mst(PointCloud((apex,) + inputs, 0))
     report = measure(
-        tree, graph.coords, [apex_id] + input_ids, eps, mst.weight,
+        tree, graph.coords, [apex_id] + input_ids, eps, euclidean_mst_weight((apex,) + inputs),
         {
             "levels": k,
             "level_angles": [alpha * lam**i for i in range(k + 1)],

@@ -1,14 +1,19 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from oracles import kruskal_mst
 
 import slt.mst_path
 from slt.errors import DuplicatePoints
-from slt.mst_path import PointCloud, dfs_hamiltonian, euclidean_mst
+from slt.mst_path import PointCloud, dfs_hamiltonian, euclidean_mst, euclidean_mst_weight
+from slt.pyramid import GridSpec, pyramid_points
 
 
 def random_cloud(n, d, seed):
@@ -166,3 +171,114 @@ def test_duplicates_found_in_any_block(monkeypatch):
     with pytest.raises(DuplicatePoints) as rows:
         PointCloud(tuple(pts))
     assert rows.value.pairs == whole.value.pairs == [(3, 61), (3, 63), (40, 62), (61, 63)]
+
+
+def reference_weight(pts):
+    """Kruskal's weight; above 1,500 points Prim's, as Kruskal's list of
+    every pair would take gigabytes."""
+    if len(pts) <= 1500:
+        return kruskal_mst(pts).weight
+    return euclidean_mst(PointCloud(pts)).weight
+
+
+def assert_mst_weight(pts):
+    pts = tuple(map(tuple, np.asarray(pts, dtype=float).tolist()))
+    want = reference_weight(pts)
+    got = euclidean_mst_weight(pts)
+    assert got == want or abs(got - want) <= 1e-15 * want, (got, want)
+
+
+def regime_points(d, eps):
+    m = math.ceil(GridSpec.regime_min(d, eps) ** (1.0 / (d - 1)))
+    return pyramid_points(d, m ** (d - 1), eps)
+
+
+def lattice(rng, n, dim):
+    side = math.ceil((2 * n) ** (1.0 / dim)) + 1
+    cells = rng.choice(side**dim, size=n, replace=False)
+    return np.stack(np.unravel_index(cells, (side,) * dim), axis=1)
+
+
+@pytest.mark.parametrize("d,eps", [(3, 0.09), (3, 0.04), (4, 0.09), (4, 0.04)])
+def test_mst_weight_on_the_criterion_8_grids(d, eps):
+    assert_mst_weight(regime_points(d, eps))
+
+
+@pytest.mark.parametrize("kind", ["lattice", "uniform"])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("n", [300, 800, 6000])
+def test_mst_weight_on_clouds(kind, dim, n):
+    # 300 points take Prim, 800 and 6,000 the local candidate graph.
+    rng = np.random.default_rng([dim, n])
+    assert_mst_weight(lattice(rng, n, dim) if kind == "lattice" else rng.random((n, dim)))
+
+
+def test_mst_weight_joins_far_clusters():
+    # Each cluster is whole before the reach nears the gap: the rows of
+    # the smaller ones find the joining edges.
+    rng = np.random.default_rng(7)
+    clusters = [rng.random((300, 3)), rng.random((250, 3)) + 1e4, rng.random((8, 3)) - 1e3]
+    assert_mst_weight(np.concatenate(clusters))
+
+
+def test_mst_weight_of_many_far_clusters_is_prims(monkeypatch):
+    # 64 clusters: after the growth cap, Borůvka would take more rows than
+    # Prim, so Prim gives the weight.
+    calls = []
+    real = slt.mst_path._prim
+    monkeypatch.setattr(slt.mst_path, "_prim", lambda *a: calls.append(a) or real(*a))
+    rng = np.random.default_rng(4)
+    centres = rng.random((64, 1, 3)) * 1e3
+    assert_mst_weight((centres + rng.random((64, 10, 3))).reshape(-1, 3))
+    assert len(calls) == 1
+
+
+def test_mst_weight_of_a_tiny_cluster_and_a_far_point():
+    cluster = np.stack(np.unravel_index(np.arange(512), (8, 8, 8)), axis=1) * 1.25e-10
+    assert_mst_weight(np.concatenate([cluster, [[1e9, 0.0, 0.0]]]))
+
+
+def test_mst_weight_of_collinear_points():
+    rng = np.random.default_rng(3)
+    steps = np.cumsum(rng.choice([0.5, 1.0, 1.5], size=700))
+    assert_mst_weight(np.outer(steps, [1.0, -2.0, 0.5]))
+    assert_mst_weight(np.outer(np.arange(700.0), [0.0, 1.0]))
+
+
+def test_mst_weight_of_one_and_two_points():
+    assert euclidean_mst_weight(((1.0, 2.0),)) == 0.0
+    assert euclidean_mst_weight(((0.0, 0.0), (3.0, 4.0))) == 5.0
+
+
+def test_mst_weight_reach_grows_only_while_many_points_are_left(monkeypatch):
+    # A uniform cloud's first reach leaves most points outside the largest
+    # component, so the reach doubles; on the pyramid grid it leaves only
+    # the apex, which one Borůvka row joins.
+    reaches = []
+    real = slt.mst_path._pairs_within
+
+    def record(pts, reach):
+        reaches.append(reach)
+        return real(pts, reach)
+
+    monkeypatch.setattr(slt.mst_path, "_pairs_within", record)
+    rng = np.random.default_rng(11)
+    euclidean_mst_weight(tuple(map(tuple, rng.random((2000, 3)).tolist())))
+    assert len(reaches) >= 2 and reaches[1] == 2 * reaches[0]
+    reaches.clear()
+    euclidean_mst_weight(regime_points(4, 0.09))
+    assert len(reaches) == 1
+
+
+def test_mst_weight_leaves_scipy_unloaded():
+    # slt verify of a large low-dimensional tree takes this path.
+    code = ("import sys, random; from slt.mst_path import euclidean_mst_weight; "
+            "rng = random.Random(5); "
+            "w = euclidean_mst_weight([(rng.random(), rng.random(), rng.random()) "
+            "for _ in range(2000)]); print(w > 0, 'scipy' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(slt.mst_path.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False"]

@@ -14,12 +14,11 @@ from slt.core2d import CoreInstance, build_core
 from slt.errors import DimensionTooSmall, SltError
 from slt.geometry import dist
 from slt.metrics import adjacency, dijkstra
-from slt.mst_path import PointCloud, euclidean_mst
+from slt.mst_path import PointCloud, _pairs_within, euclidean_mst
 from slt.pyramid import (
     GridSpec,
     _cone_axes,
     _fibonacci_sphere,
-    _pairs_within,
     build_pyramid_core,
     grid_points,
     pyramid_points,
@@ -136,19 +135,19 @@ def full_yao(pts):
     return [(i, j, dist(pts[i], pts[j])) for i, j in yao_spanner(np.array(pts), reach).tolist()]
 
 
-def test_greedy_two_points():
+def test_full_yao_two_points():
     edges = full_yao([(0.0, 0.0), (1.0, 2.0)])
     assert len(edges) == 1
 
 
-def test_greedy_three_collinear():
+def test_full_yao_three_collinear():
     edges = full_yao([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
     assert len(edges) == 2
     assert all(w == 1.0 for _, _, w in edges)
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_greedy_is_spanner_small(seed):
+def test_full_yao_is_spanner_small(seed):
     rng = random.Random(seed)
     n = rng.randrange(5, 41)
     pts = [(rng.random(), rng.random()) for _ in range(n)]
