@@ -21,6 +21,7 @@ every point of the sub-path is within that arc of b_{i+1}, so
 r_min >= |b_{i+1}| (1 - sqrt(eps)).  The bound is on the sine sum, not on
 the total angle: an L-path at eps = 1/4 subtends pi/6 > 1/2.  Since asin
 is superadditive on [0, 1], the total angle is at most 2 asin(constant).
+The truncated tail obeys the same constant (``build_surfaces``).
 """
 from __future__ import annotations
 
@@ -70,7 +71,7 @@ class SubdividedPath:
 
 
 def select_breakpoints(H: HamPath, eps: float) -> BreakpointSet:
-    """Place break points on H for the given eps in (0, 1).
+    """Place break points on H for eps in (0, 1/4]: every surface then spans <= pi/3.
 
     The first break point is the root; the second is the far endpoint of
     the first path edge (from the root the defining equation has no
@@ -78,8 +79,8 @@ def select_breakpoints(H: HamPath, eps: float) -> BreakpointSet:
     If the equation has no further root before the path ends, the final
     vertex becomes a truncated break point.
     """
-    if not 0.0 < eps < 1.0:
-        raise EpsOutOfRange(f"eps={eps} outside (0, 1)")
+    if not 0.0 < eps <= 0.25:
+        raise EpsOutOfRange(f"eps={eps} outside (0, 1/4]")
     path = H.geometry
     s = path.vertices[0]
     total = path.total_length
@@ -224,22 +225,16 @@ def _bisect_on_segment(s, p0, dp, a, sq, t0, seg_len):
 
 def _solve_on_segment(a, b, c, eps, t0, seg_len):
     """Smallest t in [t0, seg_len] with (a+t)^2 = eps*(t^2+2bt+c), a+t >= 0."""
-    qa = 1.0 - eps
+    qa = 1.0 - eps  # at least 3/4
     qb = 2.0 * (a - eps * b)
     qc = a * a - eps * c
-    if abs(qa) < 1e-14:
-        # Linear fallback; cannot occur for eps < 1 but kept for safety.
-        if qb == 0.0:
-            return None
-        roots = (-qc / qb,)
-    else:
-        disc = qb * qb - 4.0 * qa * qc
-        if disc < 0.0:
-            return None
-        sd = math.sqrt(disc)
-        r1 = (-qb - sd) / (2.0 * qa)
-        r2 = (-qb + sd) / (2.0 * qa)
-        roots = (r2, r1) if r2 < r1 else (r1, r2)
+    disc = qb * qb - 4.0 * qa * qc
+    if disc < 0.0:
+        return None
+    sd = math.sqrt(disc)
+    r1 = (-qb - sd) / (2.0 * qa)
+    r2 = (-qb + sd) / (2.0 * qa)
+    roots = (r2, r1) if r2 < r1 else (r1, r2)
     lo = max(t0, -a)
     tol = 1e-12 * max(seg_len, 1.0)
     for t in roots:

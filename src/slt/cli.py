@@ -13,13 +13,13 @@ import os
 import random
 import sys
 
-from .breakpoints import select_breakpoints, subdivide
 from .core2d import build_core, core2d_points, core_spt
 from .errors import MalformedFile, MalformedTree, SltError
 from .metrics import collector_paused, measure
-from .mst_path import PointCloud, Tree, dfs_hamiltonian, euclidean_mst, euclidean_mst_weight
-from .pipeline import SteinerGraph, assemble_core2d, assemble_slt, build_gadget, gadget_inputs
-from .unfolding import build_surfaces, unfold_vertex
+from .mst_path import PointCloud, Tree, euclidean_mst_weight
+from .pipeline import SteinerGraph, _front_end, assemble_core2d, assemble_slt, build_gadget
+from .pipeline import gadget_inputs
+from .unfolding import unfold_vertex
 
 
 def canonical_dumps(obj) -> str:
@@ -280,13 +280,8 @@ def render_tree_svg(coords, kinds, edges, path):
 
 
 def render_surfaces_svg(pc: PointCloud, eps: float, gamma: float, path):
-    """Unfolded planar gadget of every surface, laid out side by side."""
-    eps_int = eps / gamma
-    mst = euclidean_mst(pc)
-    ham = dfs_hamiltonian(mst, pc)
-    bps = select_breakpoints(ham, eps_int)
-    sub = subdivide(ham, bps)
-    surfaces = build_surfaces(sub, pc.points[pc.root])
+    """The gadget ``assemble_slt`` builds on each unfolded surface, side by side."""
+    eps_int, _, _, sub, surfaces = _front_end(pc, eps, gamma)
     cv = _Canvas(size=1200.0)
     offset = 0.0
     for surf in surfaces:

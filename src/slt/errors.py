@@ -30,7 +30,8 @@ class EpsOutOfRange(SltError):
 
 
 class AngleOverflow(SltError):
-    """The recursive apex angle reached pi/2 before the last level."""
+    """An angle reached its bound: a core's recursive apex angle pi/2
+    before the last level, or a folded surface's total angle pi."""
 
 
 class DimensionTooSmall(SltError):

@@ -1,5 +1,8 @@
-"""Euclidean MST and its DFS-order Hamiltonian path; the MST weight alone.
+"""Point clouds, their Euclidean MST and its DFS-order Hamiltonian path.
 
+``PointCloud`` rejects coinciding inputs once, so every build after it
+tells vertices apart by id: it sorts the points along one fixed direction
+and tests only the pairs within a rounding-safe window of each other.
 ``euclidean_mst`` is Prim's tree, O(n^2), whose edges and tie rule the
 folding path follows.  ``euclidean_mst_weight`` gives only the weight, for
 the reports' lightness: up to 4 dimensions and from 500 points it takes
@@ -8,6 +11,7 @@ Borůvka for the rest.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -46,7 +50,7 @@ class PointCloud:
             raise ValueError("coordinates must be finite")
         if not 0 <= self.root < len(self.points):
             raise ValueError(f"root index {self.root} out of range")
-        dup = _duplicate_pairs(arr, self.root)
+        dup = _duplicate_pairs(arr)
         if dup:
             raise DuplicatePoints(dup)
 
@@ -59,54 +63,81 @@ class PointCloud:
         return len(self.points[0])
 
 
-def _moved_near_origin(arr: np.ndarray, root: int) -> np.ndarray:
-    """The points moved by the root, rounded to a power of two >= 2 x extent.
+@functools.cache
+def _direction(d: int) -> np.ndarray:
+    """Square roots of the first d primes, scaled to sum to about 1.
 
-    A cloud far from the origin then lies near it, so the Gram form
-    |x|^2+|y|^2-2x.y does not cancel.  A cloud whose root is within the
-    cloud's extent of the origin is not moved and keeps its exact ties.
+    They are linearly independent over the rationals (Besicovitch, 1940),
+    so no integer vector but 0 is orthogonal to the unrounded direction:
+    the points of an integer lattice do not tie.  Positive and summing to
+    about 1, they keep every projection within the largest |coordinate|.
     """
-    _, exp = np.frexp(np.ptp(arr, axis=0).max())
-    unit = np.ldexp(1.0, exp + 1)
-    return arr - np.round(arr[root] / unit) * unit
+    primes: list[int] = []
+    k = 2
+    while len(primes) < d:
+        if all(k % p for p in itertools.takewhile(lambda p: p * p <= k, primes)):
+            primes.append(k)
+        k += 1
+    u = np.sqrt(np.array(primes, dtype=float))
+    u /= u.sum()
+    u.flags.writeable = False
+    return u
 
 
-#: Elements per Gram block of the duplicate prefilter: 2 MB per float64 array.
-_GRAM_BLOCK = 1 << 18
+#: Candidate pairs per block of the duplicate check: 0.5 MB per index array.
+_PAIR_BLOCK = 1 << 16
 
 
-def _duplicate_pairs(points, root):
-    """Index pairs of points that coincide within COINCIDENT_TOL in every coordinate.
+def _duplicate_pairs(points) -> list[tuple[int, int]]:
+    """Sorted pairs (i, j), i < j, of points within COINCIDENT_TOL in every coordinate.
 
-    Squared-distance prefilter via the Gram form of the points moved near
-    the origin, in blocks of whole rows of at most ``_GRAM_BLOCK`` elements
-    (one row if a row is longer), exact max-coordinate check only on the
-    candidates.  The pairs come out in row order whatever the block size.
+    Sorted by the projection p = x.u onto ``_direction(d)``, each point meets
+    only the later ones up to fl(p + w), w = S (tol + 4 d eps M): S sums u's
+    coordinates, M is the largest |coordinate| and eps = 2^-52.  Those get
+    the exact test max|x - y| < tol.  No pair within tol is missed, barring
+    overflow.  With e = 2^-53 and d <= 2^32:
+    - exactly, |x.u - y.u| <= S max|x - y| <= min(S tol, 2 S M);
+    - each p, summed coordinate by coordinate, is within gamma_d S M of x.u,
+      gamma_d = d e / (1 - d e) (Higham, *Accuracy and Stability of
+      Numerical Algorithms*, 2nd ed., 2002, §3.1), and 2 gamma_d <= 2.01 d e;
+    - w is at least (1 - 4e) S (tol + 8 d e M) after its four roundings, and
+      fl(p + w) - p >= (1 - e) w - e |p| with |p| <= (1 + gamma_d) S M, so
+      the window reaches (1 - 5e) S tol + (8d - 1.01) e S M, which is at
+      least min(S tol, 2 S M) + (8d - 11.01) e S M, past p: more than the
+      2.01 d e S M that rounding can add to a pair's projected distance, if d >= 2.
+    The candidates come in blocks of whole sorted positions, at most
+    ``_PAIR_BLOCK`` pairs or one position's, so memory stays O(n + block).
     """
     arr = np.asarray(points, dtype=float)
     n, d = arr.shape
     tol = COINCIDENT_TOL
-    pairs = []
-    chunk = max(1, _GRAM_BLOCK // n)
-    shifted = _moved_near_origin(arr, root)
-    sq = np.einsum("ij,ij->i", shifted, shifted)
-    # Shrunk by the Gram form's rounding bound, (2d+4) ulp of |x|^2+|y|^2,
-    # so no pair within tol can fall outside the prefilter.
-    sq *= 1.0 - (2 * d + 4) * np.finfo(float).eps
-    thresh = d * tol * tol
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        gram2 = shifted[lo:hi] @ shifted.T
-        gram2 *= 2.0
-        d2 = sq[lo:hi, None] + sq[None, :]
-        d2 -= gram2
-        ii, jj = np.nonzero(d2 < thresh)
-        ii += lo
-        upper = ii < jj  # drops the diagonal, which always passes the prefilter
-        for i, j in zip(ii[upper].tolist(), jj[upper].tolist()):
-            if np.max(np.abs(arr[i] - arr[j])) < tol:
-                pairs.append((i, j))
-    return pairs
+    u = _direction(d)
+    columns = np.ascontiguousarray(arr.T)
+    proj = columns[0] * u[0]
+    for x, uk in zip(columns[1:], u[1:].tolist()):
+        proj += x * uk
+    order = np.argsort(proj, kind="stable")
+    proj = proj[order]
+    width = math.fsum(u.tolist()) * (tol + 4 * d * np.finfo(float).eps * float(np.abs(arr).max()))
+    # Sorted position a meets positions a + 1 .. a + count[a].
+    count = np.searchsorted(proj, proj + width, side="right") - np.arange(1, n + 1)
+    total = np.cumsum(count)
+    found = []
+    start = 0
+    while start < n:
+        stop = np.searchsorted(total, total[start] - count[start] + _PAIR_BLOCK, side="right")
+        stop = max(int(stop), start + 1)
+        size = count[start:stop]
+        a = np.repeat(np.arange(start, stop), size)
+        i = order[a]
+        a += 1 + np.arange(len(a)) - np.repeat(np.cumsum(size) - size, size)
+        j = order[a]
+        near = np.ones(len(a), dtype=bool)
+        for x in columns:
+            near &= np.abs(x[i] - x[j]) < tol
+        found.append(np.column_stack((np.minimum(i, j)[near], np.maximum(i, j)[near])))
+        start = stop
+    return sorted(map(tuple, np.concatenate(found).tolist()))
 
 
 @dataclass(frozen=True)
@@ -300,6 +331,9 @@ _REACH_SAMPLE = 64
 
 #: Reach shrink within which ``_pairs_within`` returns every pair by ``math.dist``.
 _REACH_SAFE = 1.0 - 2.0**-40
+
+#: Elements per block of Borůvka's distance rows: 2 MB per float64 array.
+_GRAM_BLOCK = 1 << 18
 
 #: Borůvka row entries that cost as much as one pair within reach.
 _PAIR_COST = 64

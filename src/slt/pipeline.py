@@ -17,6 +17,8 @@ isometric, so that is the length of its lift).  The tree is the union of
 shortest paths from the root to the input points.  Only its gadget
 vertices and the bends of its gadget edges are lifted, each once; a kept
 core path gets its apices (``CoreChain.path``) and grid vertex only then.
+Every vertex keeps its id through the lift: no two are merged by their
+coordinates.
 
 ``assemble_core2d`` runs the recursive triangle core alone on a 2-d instance
 and returns the same (graph, tree, report) triple as ``assemble_slt``.  It
@@ -260,6 +262,27 @@ def gadget_inputs(surf: FoldedSurface, sub: SubdividedPath, root: int) -> list[i
     return [j for j, i in enumerate(index) if i >= 0 and i != root]
 
 
+def _front_end(pts: PointCloud, eps: float, gamma: float):
+    """Check the parameters and run the folding method up to its surfaces.
+
+    Returns (eps_int, MST, break points, subdivided path, surfaces), with
+    eps_int = eps/gamma.  ``assemble_slt`` and ``slt render --surfaces``
+    both start here, so they accept and reject the same parameters.
+    """
+    if pts.n < 2:
+        raise ValueError("need at least two points")
+    if not 0.0 < eps <= 0.25:
+        raise EpsOutOfRange(f"eps={eps} outside (0, 1/4]")
+    if gamma < 1.0:
+        raise ValueError("gamma must be at least 1")
+    eps_int = eps / gamma
+    mst = euclidean_mst(pts)
+    ham = dfs_hamiltonian(mst, pts)
+    bps = select_breakpoints(ham, eps_int)
+    sub = subdivide(ham, bps)
+    return eps_int, mst, bps, sub, build_surfaces(sub, pts.points[pts.root])
+
+
 @collector_paused
 def assemble_slt(
     pts: PointCloud,
@@ -275,20 +298,8 @@ def assemble_slt(
     the internal parameter eps/gamma.  The report measures the returned
     tree (see ``measure``).
     """
-    if pts.n < 2:
-        raise ValueError("need at least two points")
-    if not 0.0 < eps <= 0.25:
-        raise EpsOutOfRange(f"eps={eps} outside (0, 1/4]")
-    if gamma < 1.0:
-        raise ValueError("gamma must be at least 1")
-    eps_int = eps / gamma
-
-    mst = euclidean_mst(pts)
-    ham = dfs_hamiltonian(mst, pts)
-    bps = select_breakpoints(ham, eps_int)
-    sub = subdivide(ham, bps)
+    eps_int, mst, bps, sub, surfaces = _front_end(pts, eps, gamma)
     s = pts.points[pts.root]
-    surfaces = build_surfaces(sub, s)
 
     # Input i is vertex i; a break point between inputs gets its id on first use.
     G = FoldingGraph()
@@ -400,11 +411,6 @@ def _realize(
     return inst
 
 
-# Where lifted points coincide, the vertex keeps the kind listed first.
-_KINDS = ("input", "break", "secondary_break", "ell_steiner", "grid", "core_apex", "bend")
-_KIND_RANK = {kind: rank for rank, kind in enumerate(_KINDS)}
-
-
 def _prune(
     G: FoldingGraph, dists: list[float], parent: list[int], targets: list[int], root_id: int
 ):
@@ -413,24 +419,15 @@ def _prune(
     Kept gadget vertices are lifted onto their surfaces, a kept core path
     is expanded into its apices and grid vertex, and each gadget edge
     becomes the polyline through its bends; its ends are kept vertices
-    already, so only the bends are lifted for it.  Lifted points that
-    coincide exactly share one vertex, so paths are added in order of root
-    distance and an edge that would close a cycle is left out: the result
-    stays a spanning tree.  Returns it with each target's vertex in it.
+    already, so only the bends are lifted for it.  Every vertex keeps its
+    own id, even where two lifts land on one point: each hangs off its
+    parent by one edge, one core-path stop or one bend, so the result is
+    a spanning tree.  Edges and bends are added in order of root distance.
+    Returns it with each target's vertex in it.
     """
     used = root_paths(parent, root_id, targets)
     sub = SteinerGraph()
-    at: dict[Point, int] = {}  # lifted point -> its vertex in sub
-
-    def add(p: Point, kind: str) -> int:
-        i = at.get(p)
-        if i is None:
-            i = at[p] = sub.add_vertex(p, kind)
-        elif _KIND_RANK[kind] < _KIND_RANK[sub.kinds[i]]:
-            sub.kinds[i] = kind
-        return i
-
-    new = {old: add(G.point(old), G.kinds[old]) for old in used}
+    new = {old: sub.add_vertex(G.point(old), G.kinds[old]) for old in used}
     # Each kept vertex hangs off its parent by an edge, planar or straight,
     # or by a core path, whose stops are placed once per (surface, key).
     steps = []  # (root distance, order, parent in sub, vertex in sub, planar segment)
@@ -456,30 +453,19 @@ def _prune(
         for key in core.path(j, placed) + ([] if on_grid else [(-1, j)]):
             if key not in placed:
                 q = core.point(key)
-                b = add(lift(surf, q), "ell_steiner" if key[0] < 0 else "core_apex")
+                b = sub.add_vertex(lift(surf, q), "ell_steiner" if key[0] < 0 else "core_apex")
                 steps.append((core.dists[key[0]], G.n + len(steps), a, b, (surf, qa, q)))
                 placed[key] = b, q
             a, qa = placed[key]
         steps.append((dists[old], old, a, new[old], (surf, qa, q_end)))
     steps.sort(key=lambda step: step[:2])
-    comp = list(range(sub.n))  # union-find over sub's vertices
-
-    def find(x: int) -> int:
-        while comp[x] != x:
-            comp[x] = x = comp[comp[x]]
-        return x
-
     for _, _, a, b, seg in steps:
-        chain = [a]
         if seg is not None:
-            chain.extend(add(lift(seg[0], q), "bend") for q in ray_crossings(*seg))
-            comp.extend(range(len(comp), sub.n))
-        chain.append(b)
-        for u, v in zip(chain, chain[1:]):
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                comp[ru] = rv
-                sub.add_edge(u, v)
+            for q in ray_crossings(*seg):
+                bend = sub.add_vertex(lift(seg[0], q), "bend")
+                sub.add_edge(a, bend)
+                a = bend
+        sub.add_edge(a, b)
     tree = Tree(sub.n, tuple(sub.edges), new[root_id])
     return sub, tree, [new[t] for t in targets]
 

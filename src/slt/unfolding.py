@@ -15,13 +15,9 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import AngleOutOfRange, DegenerateRay
+from .errors import AngleOutOfRange, AngleOverflow, DegenerateRay
 from .geometry import COINCIDENT_TOL, PlanePoint, Point, Polyline, points_close
 from .breakpoints import SubdividedPath
-
-#: Surfaces are split into pieces of at most this angle when they would
-#: otherwise reach pi (possible only for the truncated tail at large eps).
-_MAX_SPLIT_ANGLE = math.pi / 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,9 +96,17 @@ def build_surfaces(sub: SubdividedPath, s: Point) -> list[FoldedSurface]:
 
     The first surface is the root edge itself: a single zero-angle cone.
     A path vertex coinciding with the root anywhere else is rejected.
-    Surfaces whose total angle reaches pi are split greedily at cone
-    boundaries into pieces of angle at most pi/2; the pieces inherit the
-    truncated flag.
+
+    Every surface spans at most pi/3, so it unfolds without overlap.  By
+    the angle lemma (``breakpoints``), the half-angle sines of a surface
+    from b_i to b_{i+1} sum to at most c = sqrt(eps) / (2 (1 - sqrt(eps))).
+    The truncated tail from b_i to the path's end e obeys the same c: the
+    gap arc(b_i, q) - sqrt(eps) |q| grows along the path and has no zero
+    on the tail, so the tail's length L is below sqrt(eps) |e|, and its
+    points are at least |e| - L > |e| (1 - sqrt(eps)) from the root.
+    ``select_breakpoints`` takes eps <= 1/4, so c <= 1/2, and as asin is
+    superadditive on [0, 1] the total angle is at most 2 asin(1/2) = pi/3.
+    A surface that reaches pi - 1e-9 all the same raises ``AngleOverflow``.
     """
     if not points_close(sub.hstar.vertices[0], s):
         raise ValueError("path does not start at the root")
@@ -113,7 +117,6 @@ def build_surfaces(sub: SubdividedPath, s: Point) -> list[FoldedSurface]:
             f"path vertex {1 + int(np.argmax(near_root[1:]))} lies at the root"
         )
     edge_angles = all_angles.tolist()
-    root_edge = bool(near_root[0])
     bp = sub.bp_vertex
     last_seg = len(bp) - 2
     surfaces: list[FoldedSurface] = []
@@ -122,7 +125,7 @@ def build_surfaces(sub: SubdividedPath, s: Point) -> list[FoldedSurface]:
         run: list[int] = []
         angles: list[float] = []
         for j in range(vstart, vend):
-            if j == 0 and root_edge:
+            if j == 0:  # the root edge
                 run = [j, j + 1]
                 angles.append(0.0)
                 continue
@@ -140,23 +143,10 @@ def build_surfaces(sub: SubdividedPath, s: Point) -> list[FoldedSurface]:
             angles = [0.0]
         truncated = sub.truncated and i == last_seg
         cum = tuple(accumulate(angles, initial=0.0))
-        if cum[-1] < math.pi - 1e-9:
-            pieces = [(run, angles, cum)]
-        else:
-            pieces = [
-                (run[lo : hi + 1], angles[lo:hi], tuple(accumulate(angles[lo:hi], initial=0.0)))
-                for lo, hi in _split_by_angle(angles)
-            ]
-        # Numbered as assembled, so surface numbers stay consecutive
-        # across split pieces.
-        for idx, piece_angles, piece_cum in pieces:
-            verts = tuple(hverts[j] for j in idx)
-            number = len(surfaces) + 1
-            surfaces.append(
-                FoldedSurface(
-                    number, s, verts, tuple(piece_angles), piece_cum, truncated, tuple(idx)
-                )
-            )
+        if cum[-1] >= math.pi - 1e-9:
+            raise AngleOverflow(f"surface {i + 1} spans {cum[-1]!r} rad, not below pi")
+        verts = tuple(hverts[j] for j in run)
+        surfaces.append(FoldedSurface(i + 1, s, verts, tuple(angles), cum, truncated, tuple(run)))
     return surfaces
 
 
@@ -177,21 +167,6 @@ def _vertex_angles(verts: tuple[Point, ...], s: Point):
     ang = 2.0 * np.arctan2(chord, cochord)
     ang[near_root[1:] | near_root[:-1]] = 0.0
     return ang, near_root
-
-
-def _split_by_angle(angles: list[float]) -> list[tuple[int, int]]:
-    """Greedy cone index ranges [lo, hi) of angle at most _MAX_SPLIT_ANGLE."""
-    parts: list[tuple[int, int]] = []
-    lo = 0
-    acc = 0.0
-    for i, a in enumerate(angles):
-        if i > lo and acc + a > _MAX_SPLIT_ANGLE:
-            parts.append((lo, i))
-            lo = i
-            acc = 0.0
-        acc += a
-    parts.append((lo, len(angles)))
-    return parts
 
 
 def unfold_vertex(surf: FoldedSurface, j: int) -> PlanePoint:

@@ -1,7 +1,9 @@
 """Reference code the tests compare the library against; no build runs it.
 
 Shortest paths (a Dijkstra SPT that insists on a connected graph, and
-Floyd-Warshall), Kruskal's MST, a polyline's point at an arc length, a
+Floyd-Warshall), Kruskal's MST, the pairs of coinciding points (with a
+cloud on which the duplicate check's sort finds no order), a polyline's
+point at an arc length, a
 cone's planar unfolding, the convex-hull covering radius of the cone axes,
 a lower bound on the pyramid instance's MST weight, and the core's
 per-level weights, slack and stretch against the paper's bounds.
@@ -15,9 +17,9 @@ import numpy as np
 
 from slt.core2d import CoreGraph
 from slt.errors import AngleOutOfRange, Disconnected
-from slt.geometry import PlanePoint, Point, Polyline, dist
+from slt.geometry import COINCIDENT_TOL, PlanePoint, Point, Polyline, dist
 from slt.metrics import adjacency, dijkstra
-from slt.mst_path import PointCloud, Tree, euclidean_mst
+from slt.mst_path import PointCloud, Tree, _direction, euclidean_mst
 from slt.pyramid import GridSpec
 from slt.unfolding import FoldedSurface
 
@@ -77,6 +79,28 @@ def kruskal_mst(points: tuple[Point, ...], root: int = 0) -> Tree:
             if len(edges) == n - 1:
                 break
     return Tree(n, tuple(edges), root)
+
+
+def duplicate_pairs(points) -> list[tuple[int, int]]:
+    """Every pair (i, j), i < j, within COINCIDENT_TOL in each coordinate, in row order.
+
+    Brute force: each point against every later one, O(n^2 d).
+    """
+    arr = np.asarray(points, dtype=float)
+    pairs = []
+    for i in range(len(arr) - 1):
+        near = np.abs(arr[i + 1 :] - arr[i]).max(axis=1) < COINCIDENT_TOL
+        pairs.extend((i, i + 1 + j) for j in np.flatnonzero(near).tolist())
+    return pairs
+
+
+def hyperplane_cloud(side: int) -> np.ndarray:
+    """side^2 points of R^4, unit-spaced, on the hyperplane orthogonal to the
+    duplicate check's sort direction: all project within rounding of 0."""
+    u = _direction(4)
+    a, b = np.meshgrid(np.arange(float(side)), np.arange(float(side)), indexing="ij")
+    a, b = a.ravel(), b.ravel()
+    return np.column_stack((a * u[1], -a * u[0], b * u[3], -b * u[2]))
 
 
 def point_at_arc(path: Polyline, arc: float) -> Point:

@@ -100,7 +100,7 @@ def test_monotone_and_separated(seed):
 
 def test_eps_out_of_range():
     H = ham_for([(0.0, 0.0), (1.0, 0.0)])
-    for eps in (0.0, 1.0, -0.5, 2.0):
+    for eps in (0.0, 0.3, 0.81, 1.0, -0.5, 2.0):
         with pytest.raises(EpsOutOfRange):
             select_breakpoints(H, eps)
 

@@ -212,7 +212,8 @@ def test_import_leaves_scipy_unloaded():
 # Names that left the package: deleted, or moved to tests/oracles.py.
 GONE_NAMES = ["CoreReport", "_UnionFind", "_bounded_dist", "_covering_radius", "core_metrics",
               "floyd_warshall", "greedy_spanner", "kruskal_mst", "oracle_spt", "point_at_arc",
-              "pyramid_mst_lower_bound", "unfold"]
+              "pyramid_mst_lower_bound", "unfold", "_moved_near_origin", "_KIND_RANK", "_KINDS",
+              "_split_by_angle", "_MAX_SPLIT_ANGLE"]
 
 _NAMES_CHILD = """
 import ast, importlib, json, pkgutil, sys, slt
@@ -451,6 +452,22 @@ def test_render_surfaces_svg(tmp_path, capsys):
                 "--output", svg]) == 0
     text = svg.read_text()
     assert "stroke-dasharray" in text  # surface boundaries are dashed
+
+
+@pytest.mark.parametrize("option,value,fault", [
+    ("--gamma", 0, "gamma must be at least 1"),
+    ("--gamma", 0.5, "gamma must be at least 1"),
+    ("--eps", 0.5, "eps=0.5 outside (0, 1/4]"),
+])
+def test_render_surfaces_rejects_what_build_rejects(tmp_path, capsys, option, value, fault):
+    pts, svg = tmp_path / "pts.json", tmp_path / "surf.svg"
+    run(["gen", "random", "--n", 8, "--dim", 3, "--seed", 3, "--output", pts])
+    capsys.readouterr()
+    for command in (["build", "--eps", 0.04], ["render", "--surfaces", "--output", svg]):
+        assert run([*command, "--input", pts, option, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and fault in err and "Traceback" not in err
+    assert not svg.exists()
 
 
 def test_canonical_json_sorted_keys():

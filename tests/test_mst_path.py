@@ -8,10 +8,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import kruskal_mst
+from oracles import duplicate_pairs, hyperplane_cloud, kruskal_mst
 
 import slt.mst_path
 from slt.errors import DuplicatePoints
+from slt.geometry import COINCIDENT_TOL
 from slt.mst_path import PointCloud, dfs_hamiltonian, euclidean_mst, euclidean_mst_weight
 from slt.pyramid import GridSpec, pyramid_points
 
@@ -53,7 +54,7 @@ def test_prim_matches_kruskal_far_from_root(offset):
 
 @pytest.mark.parametrize("offset,scale", [(1e9, 1.0), (0.0, 1e6)])
 def test_exact_duplicates_found_at_any_scale(offset, scale):
-    # The duplicate prefilter must allow for the Gram form's rounding.
+    # Exact duplicates project alike, however far from the origin.
     for seed in range(50):
         pts = shifted_cloud(seed, offset, scale)
         pts.append(pts[seed])
@@ -162,15 +163,93 @@ def test_root_respected():
 
 
 def test_duplicates_found_in_any_block(monkeypatch):
-    # One row per Gram block finds the same pairs, in the same order.
+    # One sorted position per candidate block finds the same pairs, in the
+    # same order; so do small blocks on a cloud whose every pair is a candidate.
     pts = shifted_cloud(0, n=61)
     pts += [pts[3], pts[40], pts[3]]
     with pytest.raises(DuplicatePoints) as whole:
         PointCloud(tuple(pts))
-    monkeypatch.setattr(slt.mst_path, "_GRAM_BLOCK", 1)
-    with pytest.raises(DuplicatePoints) as rows:
-        PointCloud(tuple(pts))
-    assert rows.value.pairs == whole.value.pairs == [(3, 61), (3, 63), (40, 62), (61, 63)]
+    flat = hyperplane_cloud(12)
+    u = slt.mst_path._direction(4)  # all project far inside the window
+    assert np.ptp(flat @ u) < 0.01 * math.fsum(u.tolist()) * COINCIDENT_TOL
+    flat = np.concatenate([flat, flat[[5, 90, 5]] + COINCIDENT_TOL / 2])
+    want = duplicate_pairs(flat)
+    assert want == [(5, 144), (5, 146), (90, 145), (144, 146)]
+    assert slt.mst_path._duplicate_pairs(flat) == want
+    for block in (1, 7, 1000):
+        monkeypatch.setattr(slt.mst_path, "_PAIR_BLOCK", block)
+        with pytest.raises(DuplicatePoints) as rows:
+            PointCloud(tuple(pts))
+        assert rows.value.pairs == whole.value.pairs == [(3, 61), (3, 63), (40, 62), (61, 63)]
+        assert slt.mst_path._duplicate_pairs(flat) == want
+
+
+def tol_offset_cloud(base):
+    # Each point of a base cloud, then moved by f * tol along one axis and
+    # along all axes, for f = 0.9, 1.0, 1.1: the test is strict.
+    rng = np.random.default_rng(5)
+    origin = base + rng.random((20, 3))
+    moved = [origin]
+    for f in (0.9, 1.0, 1.1):
+        moved.append(origin + [f * COINCIDENT_TOL, 0.0, 0.0])
+        moved.append(origin + f * COINCIDENT_TOL)
+    return np.concatenate(moved)
+
+
+def ulp_twin_cloud():
+    # Between 4096 and 8192 one ulp is 9.1e-13, just under the tolerance,
+    # and each projection's rounding is about as large: a window without
+    # the rounding term misses some of these twins.
+    rng = np.random.default_rng(11)
+    base = 4096.0 * (1.0 + rng.random((300, 3)))
+    return np.concatenate([base, np.nextafter(base, rng.choice([-np.inf, np.inf], (300, 3)))])
+
+
+def far_cloud(offset, scale, seed):
+    pts = shifted_cloud(seed, offset, scale)
+    return pts + [pts[seed]]
+
+
+DUPLICATE_CLOUDS = {
+    "tol offsets at 0": lambda: tol_offset_cloud(0.0),
+    "tol offsets at 1": lambda: tol_offset_cloud(1.0),
+    "tol offsets at 1000": lambda: tol_offset_cloud(1000.0),
+    "one-ulp twins at 4096": ulp_twin_cloud,
+    "1e9 offset": lambda: np.concatenate([far_cloud(1e9, 1.0, s) for s in range(50)]),
+    "1e6 scale": lambda: np.concatenate([far_cloud(0.0, 1e6, s) for s in range(50)]),
+    "2^-30": lambda: shifted_cloud(0, scale=2.0**-30, n=200),
+    "2^-40": lambda: shifted_cloud(0, scale=2.0**-40, n=200),
+    "2-d lattice": lambda: np.stack(np.unravel_index(np.arange(1600), (40, 40)), axis=1),
+    "3-d lattice": lambda: np.stack(np.unravel_index(np.arange(1728), (12, 12, 12)), axis=1),
+    "within tol pairwise": lambda: 0.5 + 0.45 * COINCIDENT_TOL * np.random.default_rng(2).random(
+        (60, 3)),
+    "hyperplane, every pair a candidate": lambda: hyperplane_cloud(60),
+    **{f"criterion 8, d={d} eps={eps}": (lambda d=d, eps=eps: regime_points(d, eps))
+       for d, eps in [(3, 0.09), (3, 0.04), (4, 0.09), (4, 0.04)]},
+}
+
+
+@pytest.mark.parametrize("name", DUPLICATE_CLOUDS)
+def test_duplicate_pairs_match_brute_force(name):
+    pts = np.asarray(DUPLICATE_CLOUDS[name](), dtype=float)
+    want = duplicate_pairs(pts)
+    assert slt.mst_path._duplicate_pairs(pts) == want
+    if want:
+        with pytest.raises(DuplicatePoints) as e:
+            PointCloud(tuple(map(tuple, pts.tolist())))
+        assert e.value.pairs == want
+
+
+def test_duplicate_pairs_cover_every_kind_of_cloud():
+    # The oracle clouds hold pairs just inside and just outside the
+    # tolerance, and clouds where every pair coincides.
+    for base in ("0", "1", "1000"):
+        pairs = set(duplicate_pairs(DUPLICATE_CLOUDS["tol offsets at " + base]()))
+        assert all((i, 20 + i) in pairs and (i, 100 + i) not in pairs for i in range(20))
+    counts = {name: len(duplicate_pairs(DUPLICATE_CLOUDS[name]())) for name in
+              ("one-ulp twins at 4096", "2^-40", "within tol pairwise", "2-d lattice")}
+    assert counts == {"one-ulp twins at 4096": 300, "2^-40": 200 * 199 // 2,
+                      "within tol pairwise": 60 * 59 // 2, "2-d lattice": 0}
 
 
 def reference_weight(pts):

@@ -615,9 +615,9 @@ def test_contracted_cores_keep_the_core_shortest_paths():
 
 
 def test_coinciding_lifts_still_give_a_spanning_tree():
-    # Gadget vertices a and b sit at one planar point, so their lifts share
-    # one returned vertex x.  a hangs off the root and b off c, which closes
-    # the cycle root-x-c once lifted; one edge of it must be left out.
+    # Gadget vertices a and b sit at one planar point.  a hangs off the
+    # root and b off c; once lifted they stay two vertices at one point,
+    # each on its own root path, so no edge closes a cycle or is left out.
     pc = random_cloud(12, 3, 3)
     surfs, _ = surfaces_and_sub(pc, 0.04)
     f = next(f for f in surfs if f.index >= 2 and f.total_angle > 1e-6)
@@ -638,8 +638,8 @@ def test_coinciding_lifts_still_give_a_spanning_tree():
     dists, parent = dijkstra(G.n, adjacency(G.n, G.edges), root)
     assert (parent[a], parent[b], parent[far[1]]) == (root, c, b)
     sub, tree, _ = _prune(G, dists, parent, far, root)
-    assert sub.coords.count(lift(f, q)) == 1
-    assert len(tree.edges) == sub.n - 1 == len(G.edges) - 1
+    assert sub.coords.count(lift(f, q)) == 2
+    assert len(tree.edges) == sub.n - 1 == len(G.edges)
     assert not any(math.isinf(x) for x in tree_distances(tree, tree.root))
 
 

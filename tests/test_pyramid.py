@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import _covering_radius, oracle_spt, pyramid_mst_lower_bound
+from oracles import _covering_radius, hyperplane_cloud, oracle_spt, pyramid_mst_lower_bound
 
 import slt.mst_path
 import slt.pyramid
@@ -316,12 +316,16 @@ def traced_peak(call) -> float:
 
 def test_pyramid_temporaries_are_bounded():
     # Unblocked, these peaks were 120, 96 and 122 MB: the cone product of
-    # every directed pair at once, the duplicate prefilter's 4e6-element
-    # Gram blocks and, in the build, the cone product again.
+    # every directed pair at once, the 4e6-element Gram blocks of the
+    # duplicate check before it sorted and, in the build, the cone product
+    # again.  On the hyperplane cloud all 6.5e6 pairs are candidates of the
+    # duplicate check's sort window, which it takes in blocks.
     pts, _, reach, _ = regime_base(4, 0.09)
     assert traced_peak(lambda: yao_spanner(pts, reach)) < 16
     cloud = pyramid_points(4, 5832, 0.04)
     assert traced_peak(lambda: PointCloud(cloud, 0)) < 16
+    flat = tuple(map(tuple, hyperplane_cloud(60).tolist()))
+    assert traced_peak(lambda: PointCloud(flat, 0)) < 16
     grid = regime_grid(4, 0.09)
     assert traced_peak(lambda: build_pyramid_core(4, 0.09, grid)) < 32
 

@@ -101,13 +101,15 @@ def test_unfold_apex_and_first_ray():
 
 
 def test_unfold_diagonal_point():
-    # cone from (1,0,0) to (1,1,0): far vertex lands at (1,1) in the plane
+    # cone from (2,0,0) to (2,1,0), one truncated surface at eps 1/4 (the
+    # break point would lie 2/sqrt(3) up): far vertex lands at (2,1)
     surfs, _, _ = surfaces_for(
-        [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 0.0)], 0.81
+        [(0.0, 0.0, 0.0), (2.0, 0.0, 0.0), (2.0, 1.0, 0.0)], 0.25
     )
     s2 = surfs[1]
+    assert s2.truncated and len(s2.verts) == 2
     img = unfold_vertex(s2, len(s2.verts) - 1)
-    assert img[0] == pytest.approx(1.0, rel=1e-12)
+    assert img[0] == pytest.approx(2.0, rel=1e-12)
     assert img[1] == pytest.approx(1.0, rel=1e-12)
 
 
@@ -234,21 +236,27 @@ def test_lift_segment_degenerate_point():
     assert poly.total_length == 0.0
 
 
-def test_splitting_keeps_pieces_under_half_pi():
-    # At large eps the truncated tail can wind beyond pi; the builder must
-    # split it into unfoldable pieces.
+def test_surfaces_stay_within_the_angle_lemma():
+    # At eps 1/4, the largest eps select_breakpoints takes, the half-angle
+    # sines of every surface, the truncated tail included, sum to at most
+    # c = 1/2, so no surface spans more than 2 asin(c) = pi/3.  On a circle
+    # around the root the path winds once around it.
+    eps = 0.25
+    c = math.sqrt(eps) / (2.0 * (1.0 - math.sqrt(eps)))
     m = 40
-    pts = [(1.0, 0.0)] + [
-        (math.cos(2 * math.pi * j / m), math.sin(2 * math.pi * j / m))
-        for j in range(1, m)
+    circle = [(0.0, 0.0)] + [
+        (math.cos(2 * math.pi * j / m), math.sin(2 * math.pi * j / m)) for j in range(m)
     ]
-    pts.insert(0, (0.0, 0.0))
-    surfs, H, B = surfaces_for(pts, 0.81)
-    assert any(f.truncated for f in surfs)
-    for f in surfs:
-        assert f.total_angle < math.pi
-        if f.truncated:
-            assert f.total_angle <= math.pi / 2 + max(c.angle for c in f.cones)
-    # pieces chain: consecutive split surfaces share a boundary vertex
-    for a, b in zip(surfs, surfs[1:]):
-        assert a.verts[-1] == b.verts[0]
+    clouds = [circle]
+    for seed in range(40):
+        rng = random.Random(seed)
+        d = 2 + seed % 2
+        clouds.append([tuple(rng.random() for _ in range(d)) for _ in range(rng.randrange(3, 60))])
+    truncated = 0
+    for pts in clouds:
+        surfs, _, _ = surfaces_for(pts, eps)
+        for f in surfs[1:]:
+            truncated += f.truncated
+            assert sum(math.sin(a / 2.0) for a in f.angles) <= c + 1e-9
+            assert f.total_angle <= 2.0 * math.asin(c) + 1e-9
+    assert truncated > 0
