@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import AngleOverflow, Disconnected, EpsOutOfRange
 from .geometry import PlanePoint, angle_at_apex, dist
@@ -58,7 +59,7 @@ class CoreInstance:
             if off > _ISO_TOL * max(ab, la):
                 raise ValueError("base point off the base segment")
 
-    @property
+    @cached_property  # the checks above and the core's levels both read it
     def apex_angle(self) -> float:
         return angle_at_apex(self.apex, self.base_a, self.base_b)
 

@@ -47,7 +47,11 @@ def adjacency(n: int, edges) -> list[list[tuple[int, float]]]:
 def dijkstra(n: int, adj: list[list[tuple[int, float]]], source: int):
     """Nonnegative-weight shortest paths; ties broken by vertex index.
 
-    Returns (dist array, parent array); unreachable vertices keep inf / -1.
+    Vertices are settled in (distance, index) order.  A vertex's distance
+    is the least float sum d(v) + w over its neighbours v settled before
+    it, and its parent is the lowest-index such v whose sum equals that
+    distance; a neighbour settled later never changes either.  Returns
+    (dist array, parent array); unreachable vertices keep inf / -1.
     """
     dist_arr = [math.inf] * n
     parent = [-1] * n

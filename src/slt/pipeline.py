@@ -1,9 +1,11 @@
 """End-to-end assembly of the Steiner shallow-light tree in R^d.
 
 Per surface that holds an input (any other adds only its sub-path and
-spoke): secondary break points along the sub-path, a cross line through
-the input r closest to the root, Steiner points on that line, a recursive
-triangle core feeding them, and connector edges back to the path.  The
+spoke, or only the spoke where no root path can use the sub-path, and
+that only if a kept edge made its break point's vertex): secondary break
+points along the sub-path, a cross line through the input r closest to
+the root, Steiner points on that line, a recursive triangle core feeding
+them, and connector edges back to the path.  The
 core is contracted to its portals, the Steiner points and r.  Where a
 portal meets the core's grid is integer arithmetic, and every grid vertex
 is equally far from the root, so each portal hangs off the root by one
@@ -77,6 +79,8 @@ class FoldingGraph(SteinerGraph):
     one Steiner point, and its connectors repeat sub-path edges), but for
     the root's edges in ``core_paths``, each its own core path: (surface,
     CoreChain, grid vertex, whether the portal is on it, portal point).
+    It holds no phase-1 segment that no root path can use, and no break
+    point that only such segments touch (``assemble_slt``).
     """
 
     def __init__(self):
@@ -121,7 +125,7 @@ class FoldingGraph(SteinerGraph):
         return self.coords[v] if surf is None else lift(surf, self.coords[v])
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SecondaryBp:
     """A secondary break point on the sub-path of one surface."""
 
@@ -245,7 +249,7 @@ def build_gadget(
             point = surf.verts[at_vertex]
             plane = imgs[at_vertex]
         else:
-            point = tuple(a + frac * (b - a) for a, b in zip(surf.verts[j], surf.verts[j + 1]))
+            point = tuple([a + frac * (b - a) for a, b in zip(surf.verts[j], surf.verts[j + 1])])
             a, b = imgs[j], imgs[j + 1]
             plane = (a[0] + frac * (b[0] - a[0]), a[1] + frac * (b[1] - a[1]))
         steiner_idx = _nearest_steiner(steiner, project(plane))
@@ -283,6 +287,31 @@ def _front_end(pts: PointCloud, eps: float, gamma: float):
     return eps_int, mst, bps, sub, build_surfaces(sub, pts.points[pts.root])
 
 
+# Relative margin delta by which a phase-1 segment must miss both triangle
+# inequalities through the root to be left out; see ``assemble_slt``.
+_CUT_MARGIN = 2.0**-30
+
+
+def _relay_only(s: Point, surfaces: list[FoldedSurface], inputs_of: list[list[int]], i: int) -> bool:
+    """Whether no root path can use surface i's phase-1 segment ab.
+
+    Surface i is not the root surface, holds no input and has the two
+    vertices a, b; the next surface starts at b and holds no input
+    either, so b has a spoke of its own; and |sa| + |ab| and |sb| + |ab|
+    exceed |sb| and |sa| by the relative margin ``_CUT_MARGIN``.  A
+    segment into a gadget's start is always kept: that start has no
+    spoke.
+    """
+    surf = surfaces[i]
+    if i == 0 or i + 1 == len(surfaces) or len(surf.hstar) != 2:
+        return False
+    if inputs_of[i + 1] or surfaces[i + 1].hstar[0] != surf.hstar[1]:
+        return False
+    a, b = surf.verts
+    sa, sb, ab = math.dist(s, a), math.dist(s, b), math.dist(a, b)
+    return sa + ab > sb * (1.0 + _CUT_MARGIN) and sb + ab > sa * (1.0 + _CUT_MARGIN)
+
+
 @collector_paused
 def assemble_slt(
     pts: PointCloud,
@@ -297,6 +326,30 @@ def assemble_slt(
     pruned.  Stretch is controlled by running the folding machinery at
     the internal parameter eps/gamma.  The report measures the returned
     tree (see ``measure``).
+
+    The graph leaves out the phase-1 segments no root path can use
+    (``_relay_only``); a break point gets a vertex only when a kept edge
+    touches it, and its spoke only if it has a vertex.  The tree is the
+    one the full graph gives.  Every edge weighs at least the distance
+    between its ends in R^d: unfolding is isometric, so a gadget edge
+    weighs the length of its lift, and a core path is a planar path.
+    So every graph path from the root s to a vertex v is at least |sv|
+    long, and a vertex with a spoke has d(v) <= |sv|.  A left-out segment
+    ab has a spoke at each end that has a vertex (a's from its own
+    surface, b's from the next, which holds no input either), and the
+    margin delta asks |sa| + |ab| > |sb| (1 + delta) and the same with
+    a and b swapped.  In floats, a root path of k edges carries at most
+    about k u relative error, u = 2^-53, so fl(d(a) + |ab|) >=
+    (|sa| + |ab|)(1 - (k+1) u) > |sb| (1 + delta)(1 - (k+1) u) >= |sb|
+    >= d(b) while (k+1) u <= delta / (1 + delta): with delta = 2^-30,
+    while the graph has fewer than about 2^23 edges.  So the relaxation
+    a -> b is never shorter than d(b) nor tied with it, and neither is
+    b -> a; by ``dijkstra``'s tie rule no distance or parent changes.  A
+    break point left with its spoke alone is a leaf off the root and no
+    target.  Vertices are made in the same relative order, so the heap
+    order, the tie rule and ``_prune``'s sort, and with them the
+    numbering of the tree, are unchanged.  Points on a ray from the root
+    miss the margin and keep the full graph.
     """
     eps_int, mst, bps, sub, surfaces = _front_end(pts, eps, gamma)
     s = pts.points[pts.root]
@@ -308,13 +361,19 @@ def assemble_slt(
     vertex_of = list(sub.input_index)
     hverts = sub.hstar.vertices
     cores = zero_width = 0
+    inputs_of = [gadget_inputs(surf, sub, pts.root) for surf in surfaces]
 
-    for surf in surfaces:
+    for i, surf in enumerate(surfaces):
+        inputs = inputs_of[i]
+        if not inputs and _relay_only(s, surfaces, inputs_of, i):
+            a = vertex_of[surf.hstar[0]]
+            if a >= 0:  # a kept segment made a's vertex: it keeps its spoke
+                G.add_edge(root_id, a)
+            continue
         for h in surf.hstar:
             if vertex_of[h] < 0:
                 vertex_of[h] = G.add_vertex(hverts[h], "break")
         vids = [vertex_of[h] for h in surf.hstar]
-        inputs = gadget_inputs(surf, sub, pts.root)
         if not inputs:  # no gadget: the phase-1 sub-path and spoke alone
             for u, v in zip(vids, vids[1:]):
                 G.add_edge(u, v)

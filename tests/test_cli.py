@@ -530,6 +530,29 @@ GOLDEN_TREES = [
 ]
 
 
+# The criterion-10 folding instance, n=500 in R^8 at eps 0.04: its tree file's
+# sha256 and numbering-free fingerprint.
+FOLDING_D8 = (
+    ["random", "--n", 500, "--dim", 8, "--seed", 1], ["--eps", 0.04],
+    "cf8a1a19c5de5cc3fa4a3a8d4876c6f9f4454a8b84195be3a515428be546b5fa",
+    "3c4ffceca794b3554d636cf365bdb43428f33505a5d29d27c38ced89b63d725a",
+)
+
+
+def test_folding_d8_tree_is_pinned_and_its_graph_left_small(tmp_path, capsys):
+    # The graph the shortest paths run on leaves out the phase-1 segments no
+    # root path can use: 19,214 vertices and 30,500 edges with them.
+    gen, build, sha, fingerprint = FOLDING_D8
+    pts, tree = tmp_path / "pts.json", tmp_path / "tree.json"
+    assert run(["gen", *gen, "--output", pts]) == 0
+    assert run(["build", *build, "--input", pts, "--output", tree]) == 0
+    flags = json.loads(capsys.readouterr().out)["flags"]
+    assert hashlib.sha256(tree.read_bytes()).hexdigest() == sha
+    assert tree_fingerprint(tree) == fingerprint
+    assert flags["graph_vertices"] <= 16_500
+    assert flags["graph_edges"] <= 24_600
+
+
 @pytest.mark.parametrize("gen,build,sha", GOLDEN_TREES, ids=["folding", "core2d", "pyramid"])
 def test_build_writes_the_golden_tree(tmp_path, capsys, gen, build, sha):
     pts, tree = tmp_path / "pts.json", tmp_path / "tree.json"

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import random
 from collections import Counter
@@ -90,35 +91,62 @@ def test_degenerate_gadget_still_checks_its_surface_and_eps():
         build_gadget(point, [], 0.3)
 
 
-def test_empty_surface_spoke_in_full_graph(monkeypatch):
-    # In the graph assemble_slt solves, a surface without inputs
-    # contributes its sub-path plus one direct spoke from the root to its
-    # first break point, and no gadget vertex.
+def _cut_test_clouds():
+    rng = random.Random(11)
+    clouds = {
+        f"random-d{d}": PointCloud(tuple(tuple(rng.random() for _ in range(d)) for _ in range(40)))
+        for d in (2, 3, 5, 8)
+    }
+    clouds["ray"] = PointCloud(tuple((0.37 * t, 0.21 * t, 0.05 * t) for t in range(30)))
+    clouds["two-rays"] = PointCloud(
+        ((0.0, 0.0),) + tuple((t, 0.5 * t) for t in range(1, 15))
+        + tuple((-0.3 * t, 1.0 * t) for t in range(1, 15))
+    )
+    clouds["near-collinear"] = PointCloud(
+        tuple((float(t), 1e-3 * rng.random(), 1e-3 * rng.random()) for t in range(30))
+    )
+    clouds["lattice-5x5"] = PointCloud(tuple((float(i), float(j)) for i in range(5) for j in range(5)))
+    clouds["lattice-3x3x3"] = PointCloud(
+        tuple((float(i), float(j), float(k)) for i in range(3) for j in range(3) for k in range(3))
+    )
+    clouds["circle-40"] = PointCloud(((0.0, 0.0),) + tuple(
+        (math.cos(2 * math.pi * j / 40), math.sin(2 * math.pi * j / 40)) for j in range(40)
+    ))
+    return clouds
+
+
+def test_left_out_relays_change_no_tree(tmp_path, capsys, monkeypatch):
+    # assemble_slt leaves out the phase-1 segments no root path can use; with
+    # an infinite margin it keeps every one, which is the full graph.  Both
+    # give the same tree file, and reports that differ only in graph size.
     import slt.pipeline
 
-    pc = random_cloud(12, 3, 3)
-    surfs, _ = surfaces_and_sub(pc, 0.04 / 8)
-    inputs_of = _input_locals(pc, surfs)
-    graphs = []
-    prune = slt.pipeline._prune
+    default = slt.pipeline._CUT_MARGIN
+    sizes = ("graph_vertices", "graph_edges", "pruned_vertices")
 
-    def recording(G, *args):
-        graphs.append(G)
-        return prune(G, *args)
+    def build(pts, eps, margin):
+        monkeypatch.setattr(slt.pipeline, "_CUT_MARGIN", margin)
+        tree = tmp_path / "tree.json"
+        assert run_cli(["build", "--eps", str(eps), "--input", str(pts), "--output", str(tree)]) == 0
+        return tree.read_bytes(), json.loads(capsys.readouterr().out)
 
-    monkeypatch.setattr(slt.pipeline, "_prune", recording)
-    assemble_slt(pc, 0.04)
-    [G] = graphs
-    edges = {frozenset((u, v)) for u, v, _ in G.edges}
-    gadget_surfaces = {f.index for f in G.surface.values()}
-    empties = [f for f in surfs if not inputs_of[f.index] and f.index >= 2]
-    assert empties
-    for f in empties:
-        vids = [G.coords.index(v) for v in f.verts]
-        assert frozenset((pc.root, vids[0])) in edges
-        # and the sub-path edges are present
-        assert all(frozenset(e) in edges for e in zip(vids, vids[1:]) if e[0] != e[1])
-        assert f.index not in gadget_surfaces
+    def without_sizes(report):
+        return {**report, "flags": {k: v for k, v in report["flags"].items() if k not in sizes}}
+
+    kept = {}
+    for name, pc in _cut_test_clouds().items():
+        pts = tmp_path / f"{name}.json"
+        write_points(pts, pc.points, pc.root)
+        for eps in (0.25, 0.09, 0.04):
+            cut_tree, cut = build(pts, eps, default)
+            full_tree, full = build(pts, eps, math.inf)
+            assert cut_tree == full_tree, (name, eps)
+            assert without_sizes(cut) == without_sizes(full), (name, eps)
+            assert all(cut["flags"][k] <= full["flags"][k] for k in sizes), (name, eps)
+            kept[name, eps] = cut["flags"]["graph_vertices"] == full["flags"]["graph_vertices"]
+    # Points on a ray from the root miss the margin: the whole graph is kept.
+    assert all(kept["ray", eps] for eps in (0.25, 0.09, 0.04))
+    assert not any(kept["random-d3", eps] for eps in (0.25, 0.09, 0.04))
 
 
 def _input_locals(pc, surfs):
