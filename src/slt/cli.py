@@ -18,7 +18,7 @@ from .errors import MalformedFile, MalformedTree, SltError
 from .metrics import collector_paused, measure
 from .mst_path import PointCloud, Tree, euclidean_mst_weight
 from .pipeline import SteinerGraph, _front_end, assemble_core2d, assemble_slt, build_gadget
-from .pipeline import gadget_inputs
+from .pipeline import surface_inputs
 from .unfolding import unfold_vertex
 
 
@@ -284,7 +284,7 @@ def render_surfaces_svg(pc: PointCloud, eps: float, gamma: float, path):
     eps_int, _, _, sub, surfaces = _front_end(pc, eps, gamma)
     cv = _Canvas(size=1200.0)
     offset = 0.0
-    for surf in surfaces:
+    for surf, inputs in zip(surfaces, surface_inputs(surfaces, sub, pc.root)):
         imgs = [unfold_vertex(surf, j) for j in range(len(surf.verts))]
         rmax = max(surf.vertex_radius(j) for j in range(len(surf.verts)))
         shift = lambda q: (q[0] + offset, q[1])  # noqa: E731
@@ -296,7 +296,6 @@ def render_surfaces_svg(pc: PointCloud, eps: float, gamma: float, path):
         for q in imgs:
             cv.dot(shift(q), fill="black", r=2.0)
         cv.dot(origin, fill="black", r=2.5)
-        inputs = gadget_inputs(surf, sub, pc.root)
         if inputs:
             gadget = build_gadget(surf, inputs, eps_int)
             cv.line(shift(gadget.ell_a), shift(gadget.ell_b), stroke="#888888")

@@ -38,17 +38,17 @@ def angle_at_apex(s: Point, u: Point, v: Point) -> float:
     """
     if not len(s) == len(u) == len(v):
         raise DimensionMismatch(f"dimensions {len(s)}, {len(u)} and {len(v)} differ")
-    a = tuple(x - y for x, y in zip(u, s))
-    b = tuple(x - y for x, y in zip(v, s))
-    na = math.sqrt(sum(x * x for x in a))
-    nb = math.sqrt(sum(x * x for x in b))
+    a = [x - y for x, y in zip(u, s)]
+    b = [x - y for x, y in zip(v, s)]
+    na = math.sqrt(sum([x * x for x in a]))
+    nb = math.sqrt(sum([x * x for x in b]))
     if na < COINCIDENT_TOL or nb < COINCIDENT_TOL:
         raise DegenerateRay("ray endpoint coincides with apex")
     ia, ib = 1.0 / na, 1.0 / nb
-    a = tuple(ia * x for x in a)
-    b = tuple(ib * x for x in b)
+    a = [ia * x for x in a]
+    b = [ib * x for x in b]
     chord = math.dist(a, b)
-    cochord = math.sqrt(sum((x + y) * (x + y) for x, y in zip(a, b)))
+    cochord = math.sqrt(sum([(x + y) * (x + y) for x, y in zip(a, b)]))
     return 2.0 * math.atan2(chord, cochord)
 
 

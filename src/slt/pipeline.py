@@ -29,15 +29,16 @@ lives here, not in ``core2d``, because it needs ``SteinerGraph``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import accumulate
 
 from .breakpoints import SubdividedPath, select_breakpoints, subdivide
 from .core2d import CoreChain, CoreInstance, build_core, core_spt, portal_grid
 from .errors import EmptySurface, EpsOutOfRange, SltError
-from .geometry import PlanePoint, Point, Polyline, dist
+from .geometry import PlanePoint, Point
 from .metrics import adjacency, collector_paused, dijkstra, measure, root_paths
 from .mst_path import PointCloud, Tree, dfs_hamiltonian, euclidean_mst, euclidean_mst_weight
-from .unfolding import FoldedSurface, build_surfaces, lift, ray_crossings, unfold_vertex
+from .unfolding import FoldedSurface, build_surfaces, lift, ray_crossings
 from .unfolding import lift_segment  # noqa: F401  not called; perfbench's layer trace wraps it
 
 
@@ -96,11 +97,6 @@ class FoldingGraph(SteinerGraph):
             self._edge_set.add(key)
             self.edges.append((u, v, math.dist(self.coords[u], self.coords[v])))
 
-    def add_planar(self, surf: FoldedSurface, q: PlanePoint, kind: str) -> int:
-        i = self.add_vertex(q, kind)
-        self.surface[i] = surf
-        return i
-
     def add_gadget_edge(
         self, surf: FoldedSurface, u: int, qu: PlanePoint, v: int, qv: PlanePoint
     ) -> None:
@@ -119,11 +115,6 @@ class FoldingGraph(SteinerGraph):
         self.edges.append((u, v, w))
         self.core_paths.setdefault((u, v), []).append((w, path))
 
-    def point(self, v: int) -> Point:
-        """R^d coordinates of vertex v; a gadget vertex is lifted onto its surface."""
-        surf = self.surface.get(v)
-        return self.coords[v] if surf is None else lift(surf, self.coords[v])
-
 
 @dataclass(slots=True)
 class SecondaryBp:
@@ -131,7 +122,6 @@ class SecondaryBp:
 
     arc: float
     edge: int  # sub-path edge index
-    frac: float  # position within the edge
     point: Point
     plane: PlanePoint
     at_vertex: int  # local vertex index if it coincides with one, else -1
@@ -152,28 +142,22 @@ class SurfaceGadget:
     eps_int: float
     lam: float
 
-    def core_instance(self) -> CoreInstance | None:
-        """The recursive triangle over the cross line; None if it has zero width."""
+    def core_triangle(self) -> CoreInstance | None:
+        """The recursive triangle over the cross line; None if it has zero width.
+
+        It holds no base points: ``CoreChain.of`` reads only the triangle,
+        and ``build_gadget`` puts the Steiner points on its base.
+        """
         a, b = self.ell_a, self.ell_b
         if math.dist(a, b) < 1e-12 * a[0]:
             return None
         eps_core = max(self.eps_int, self.surface.total_angle**2)
-        return CoreInstance((0.0, 0.0), a, b, tuple(self.ell_steiner), eps_core, self.lam)
+        return CoreInstance((0.0, 0.0), a, b, (), eps_core, self.lam)
 
-
-def _nearest_steiner(steiner: list[PlanePoint], q: PlanePoint) -> int:
-    """Index of the Steiner point nearest q, the lower index on a tie.
-
-    The points are equally spaced on one line and q lies on it, so the
-    nearest is one of the two around q's parameter along the line.
-    """
-    if len(steiner) == 1:
-        return 0
-    (ax, ay), (bx, by) = steiner[0], steiner[-1]
-    dx, dy = bx - ax, by - ay
-    t = ((q[0] - ax) * dx + (q[1] - ay) * dy) / (dx * dx + dy * dy) * (len(steiner) - 1)
-    lo = min(max(math.floor(t), 0), len(steiner) - 2)
-    return lo if math.dist(steiner[lo], q) <= math.dist(steiner[lo + 1], q) else lo + 1
+    def core_instance(self) -> CoreInstance | None:
+        """The core triangle with the Steiner points on its base, checked there."""
+        tri = self.core_triangle()
+        return None if tri is None else replace(tri, base_points=tuple(self.ell_steiner))
 
 
 def build_gadget(
@@ -185,25 +169,29 @@ def build_gadget(
     points (the root excluded), at least one: a surface without any gets
     no gadget, only its phase-1 edges (``assemble_slt``).
     """
-    if len(surf.verts) < 2:
+    verts = surf.verts
+    if len(verts) < 2:
         raise EmptySurface(f"surface {surf.index} has no edges")
     if not 0.0 < eps_int <= 0.25:
         raise EpsOutOfRange(f"eps_int={eps_int} outside (0, 1/4]")
     if not input_locals:
         raise ValueError(f"surface {surf.index} holds no input")
-    imgs = [unfold_vertex(surf, j) for j in range(len(surf.verts))]
+    # As unfold_vertex: each vertex at its radius on its boundary ray.
+    radius = [math.dist(surf.apex, v) for v in verts]
+    imgs = [(r * math.cos(t), r * math.sin(t))
+            for r, t in zip(radius, surf.cum_angle, strict=True)]
 
-    cum_len = Polyline(surf.verts).cum_len
+    cum_len = list(accumulate(map(math.dist, verts, verts[1:]), initial=0.0))
     total_len = cum_len[-1]
-    theta_count = math.ceil(math.sqrt(1.0 / eps_int))
+    theta_count = math.ceil(math.sqrt(1.0 / eps_int))  # at least 2, as eps_int <= 1/4
 
-    r_local = min(input_locals, key=lambda j: (surf.vertex_radius(j), j))
+    r_local = min(input_locals, key=lambda j: (radius[j], j))
     r_img = imgs[r_local]
-    r_rad = surf.vertex_radius(r_local)
-    total_angle = surf.total_angle
+    total_angle = surf.cum_angle[-1]
 
-    if total_angle < 1e-9:
-        ell_a = ell_b = (r_rad, 0.0)
+    flat = total_angle < 1e-9
+    if flat:
+        ell_a = ell_b = (radius[r_local], 0.0)
         steiner = [ell_a]
     else:
         phi = 0.5 * total_angle
@@ -217,18 +205,16 @@ def build_gadget(
                 ell_a[1] + (ell_b[1] - ell_a[1]) * q / (theta_count - 1),
             )
             for q in range(theta_count)
-        ] if theta_count > 1 else [ell_a]
-
-    def project(q: PlanePoint) -> PlanePoint:
-        # Intersection of line(root, q) with the cross line.
-        if total_angle < 1e-9:
-            return (r_rad, 0.0)
-        ang = math.atan2(q[1], q[0])
-        rr = c / math.cos(ang - phi)  # where the ray meets the line
-        return (rr * math.cos(ang), rr * math.sin(ang))
+        ]
+        (ax, ay), (bx, by) = steiner[0], steiner[-1]
+        dx, dy = bx - ax, by - ay
+        span, m = dx * dx + dy * dy, theta_count - 1
 
     # Secondary break points at arc q*W/theta for q = 1..theta.  The arcs grow
     # with q, so one sweep finds each one's segment j as Polyline.locate does.
+    # Each takes the Steiner point nearest its central projection onto the
+    # cross line, the lower index on a tie: the points are equally spaced,
+    # so that is one of the two around the projection's parameter.
     secondary: list[SecondaryBp] = []
     vtol = 1e-12 * total_len
     j, last = 0, len(cum_len) - 2
@@ -246,39 +232,63 @@ def build_gadget(
         elif t >= seg_len - vtol:
             at_vertex, frac = j + 1, 1.0
         if at_vertex >= 0:
-            point = surf.verts[at_vertex]
+            point = verts[at_vertex]
             plane = imgs[at_vertex]
         else:
-            point = tuple([a + frac * (b - a) for a, b in zip(surf.verts[j], surf.verts[j + 1])])
+            point = tuple([a + frac * (b - a) for a, b in zip(verts[j], verts[j + 1])])
             a, b = imgs[j], imgs[j + 1]
             plane = (a[0] + frac * (b[0] - a[0]), a[1] + frac * (b[1] - a[1]))
-        steiner_idx = _nearest_steiner(steiner, project(plane))
-        secondary.append(SecondaryBp(arc, j, frac, point, plane, at_vertex, steiner_idx))
+        if flat:
+            nearest = 0
+        else:
+            ang = math.atan2(plane[1], plane[0])
+            rr = c / math.cos(ang - phi)  # where the ray meets the line
+            p = (rr * math.cos(ang), rr * math.sin(ang))
+            lo = math.floor(((p[0] - ax) * dx + (p[1] - ay) * dy) / span * m)
+            lo = 0 if lo < 0 else m - 1 if lo > m - 1 else lo
+            nearest = lo if math.dist(steiner[lo], p) <= math.dist(steiner[lo + 1], p) else lo + 1
+        secondary.append(SecondaryBp(arc, j, point, plane, at_vertex, nearest))
 
     return SurfaceGadget(surf, imgs, secondary, ell_a, ell_b, steiner, r_local, eps_int, lam)
 
 
-def gadget_inputs(surf: FoldedSurface, sub: SubdividedPath, root: int) -> list[int]:
-    """Local indices of the surface's inputs but the root; none on the root surface."""
-    index = [sub.input_index[h] for h in surf.hstar]
-    if index[0] == root:
-        return []
-    return [j for j, i in enumerate(index) if i >= 0 and i != root]
+def surface_inputs(
+    surfaces: list[FoldedSurface], sub: SubdividedPath, root: int
+) -> list[list[int]]:
+    """Per surface, the local indices of its inputs but the root; none on the root surface.
+
+    A surface's path positions run from its first vertex's to its last's,
+    so one count over the path tells which surfaces hold an input at all.
+    """
+    index = sub.input_index
+    held = [i >= 0 and i != root for i in index]
+    before = list(accumulate(held, initial=0))  # inputs held before each position
+    out: list[list[int]] = []
+    for surf in surfaces:
+        hs = surf.hstar
+        if before[hs[-1] + 1] == before[hs[0]] or index[hs[0]] == root:
+            out.append([])
+        else:
+            out.append([j for j, h in enumerate(hs) if held[h]])
+    return out
 
 
-def _front_end(pts: PointCloud, eps: float, gamma: float):
+def _front_end(pts: PointCloud, eps: float, gamma: float, lam: float = 1.25):
     """Check the parameters and run the folding method up to its surfaces.
 
     Returns (eps_int, MST, break points, subdivided path, surfaces), with
     eps_int = eps/gamma.  ``assemble_slt`` and ``slt render --surfaces``
-    both start here, so they accept and reject the same parameters.
+    both start here, so they accept and reject the same parameters, on
+    any input: lam as well, which only a gadget's core reads.
     """
     if pts.n < 2:
         raise ValueError("need at least two points")
     if not 0.0 < eps <= 0.25:
         raise EpsOutOfRange(f"eps={eps} outside (0, 1/4]")
-    if gamma < 1.0:
-        raise ValueError("gamma must be at least 1")
+    if not 1.0 <= gamma < math.inf:
+        raise ValueError(f"gamma must be at least 1 and finite, got {gamma}")
+    if not 1.0 < lam < 2.0:
+        raise ValueError(f"lambda={lam} outside (1, 2)")
     eps_int = eps / gamma
     mst = euclidean_mst(pts)
     ham = dfs_hamiltonian(mst, pts)
@@ -351,17 +361,19 @@ def assemble_slt(
     numbering of the tree, are unchanged.  Points on a ray from the root
     miss the margin and keep the full graph.
     """
-    eps_int, mst, bps, sub, surfaces = _front_end(pts, eps, gamma)
+    eps_int, mst, bps, sub, surfaces = _front_end(pts, eps, gamma, lam)
     s = pts.points[pts.root]
 
     # Input i is vertex i; a break point between inputs gets its id on first use.
     G = FoldingGraph()
-    input_ids = [G.add_vertex(p, "input") for p in pts.points]
+    G.coords.extend(pts.points)
+    G.kinds.extend(["input"] * pts.n)
+    input_ids = list(range(pts.n))
     root_id = pts.root
     vertex_of = list(sub.input_index)
     hverts = sub.hstar.vertices
     cores = zero_width = 0
-    inputs_of = [gadget_inputs(surf, sub, pts.root) for surf in surfaces]
+    inputs_of = surface_inputs(surfaces, sub, root_id)
 
     for i, surf in enumerate(surfaces):
         inputs = inputs_of[i]
@@ -370,10 +382,14 @@ def assemble_slt(
             if a >= 0:  # a kept segment made a's vertex: it keeps its spoke
                 G.add_edge(root_id, a)
             continue
+        vids = []
         for h in surf.hstar:
-            if vertex_of[h] < 0:
-                vertex_of[h] = G.add_vertex(hverts[h], "break")
-        vids = [vertex_of[h] for h in surf.hstar]
+            v = vertex_of[h]
+            if v < 0:
+                v = vertex_of[h] = len(G.coords)
+                G.coords.append(hverts[h])
+                G.kinds.append("break")
+            vids.append(v)
         if not inputs:  # no gadget: the phase-1 sub-path and spoke alone
             for u, v in zip(vids, vids[1:]):
                 G.add_edge(u, v)
@@ -387,13 +403,13 @@ def assemble_slt(
     dists, parent = dijkstra(G.n, adjacency(G.n, G.edges), root_id)
     tree_graph, tree, input_vertices = _prune(G, dists, parent, input_ids, root_id)
 
-    phase1 = sub.hstar.total_length + math.fsum(dist(s, q) for q in bps.points[1:])
+    phase1 = sub.hstar.total_length + math.fsum([math.dist(s, q) for q in bps.points[1:]])
     report = measure(
         tree, tree_graph.coords, input_vertices, eps, euclidean_mst_weight(pts.points, prim=mst),
         {
             "gamma": gamma,
             "phase1_weight": phase1,
-            "surface_angles": [f.total_angle for f in surfaces],
+            "surface_angles": [f.cum_angle[-1] for f in surfaces],
             "truncated_surfaces": sum(1 for f in surfaces if f.truncated),
             "surfaces": len(surfaces),
             "cores": cores,
@@ -411,63 +427,83 @@ def _realize(
     gadget: SurfaceGadget,
     vids: list[int],
     root_id: int,
-) -> CoreInstance | None:
-    """Add the surface's sub-path and its planar gadget to the graph; return its core."""
-    surf = gadget.surface
+) -> CoreChain | None:
+    """Add the surface's sub-path and its planar gadget to the graph; return its core.
 
-    # Sub-path edges, with secondary break points inserted as vertices.
+    Vertices go straight into the graph's lists; edges are added by
+    ``add_edge``, ``add_gadget_edge`` and ``add_core_path``.
+    """
+    surf = gadget.surface
+    coords, kinds = G.coords, G.kinds
+    add_edge, link = G.add_edge, G.add_gadget_edge
+
+    # The sub-path, with secondary break points inserted as vertices.  Their
+    # arcs grow, so they come in order along it.
     sec_ids: list[int] = []
-    per_edge: dict[int, list[tuple[float, int]]] = {}
+    prev, j = vids[0], 0  # the last vertex along the sub-path, and its edge
     for sb in gadget.secondary:
         if sb.at_vertex >= 0:
             sec_ids.append(vids[sb.at_vertex])
             continue
-        vid = G.add_vertex(sb.point, "secondary_break")
+        vid = len(coords)
+        coords.append(sb.point)
+        kinds.append("secondary_break")
         sec_ids.append(vid)
-        per_edge.setdefault(sb.edge, []).append((sb.frac, vid))
-    for j in range(len(surf.verts) - 1):
-        chain = [vids[j]]
-        chain.extend(v for _, v in sorted(per_edge.get(j, ())))
-        chain.append(vids[j + 1])
-        for u, v in zip(chain, chain[1:]):
-            G.add_edge(u, v)
+        while j < sb.edge:
+            j += 1
+            add_edge(prev, vids[j])
+            prev = vids[j]
+        add_edge(prev, vid)
+        prev = vid
+    while j < len(vids) - 1:
+        j += 1
+        add_edge(prev, vids[j])
+        prev = vids[j]
 
     # The portals: a vertex per Steiner point, r's own at r's image.
     r_id, r_img = vids[gadget.r_local], gadget.vertex_images[gadget.r_local]
-    near = 1e-12 * math.hypot(*r_img)  # coincidence, relative to the gadget
+    rx, ry = r_img
+    near = 1e-12 * math.hypot(rx, ry)  # coincidence, relative to the gadget
     ids, plane = [], []
     for q in gadget.ell_steiner:
-        at_r = math.hypot(q[0] - r_img[0], q[1] - r_img[1]) <= near
-        ids.append(r_id if at_r else G.add_planar(surf, q, "ell_steiner"))
-        plane.append(r_img if at_r else q)
-    inst = gadget.core_instance()
-    if inst is None:
+        if math.hypot(q[0] - rx, q[1] - ry) <= near:
+            ids.append(r_id)
+            plane.append(r_img)
+        else:
+            v = len(coords)
+            G.surface[v] = surf
+            ids.append(v)
+            coords.append(q)
+            kinds.append("ell_steiner")
+            plane.append(q)
+    core = None
+    tri = gadget.core_triangle()
+    if tri is None:
         # Zero-width triangle: single spoke from the root to the line point.
-        G.add_gadget_edge(surf, root_id, (0.0, 0.0), ids[0], plane[0])
+        link(surf, root_id, (0.0, 0.0), ids[0], plane[0])
     else:
-        core = CoreChain.of(inst)
+        core = CoreChain.of(tri)
+        m, k = len(ids) - 1, core.k
         dx, dy = gadget.ell_b[0] - gadget.ell_a[0], gadget.ell_b[1] - gadget.ell_a[1]
-
-        def side(q: PlanePoint) -> float:  # its sign tells the side of r
-            return (q[0] - r_img[0]) * dx + (q[1] - r_img[1]) * dy
-
         for x, v in enumerate(ids):
-            (on, u), qv = portal_grid(x, len(ids) - 1, core.k), plane[x]
+            (on, u), qv = portal_grid(x, m, k), plane[x]
             qu = plane[u] if u >= 0 else core.point((-1, -1 - u))
-            if on < 0 and side(qu) * side(qv) < 0.0:
+            # The signs tell the sides of r along the line.
+            if on < 0 and ((qu[0] - rx) * dx + (qu[1] - ry) * dy) * (
+                    (qv[0] - rx) * dx + (qv[1] - ry) * dy) < 0.0:
                 # r lies on the cross line: a base edge running past its
                 # image is split there, which joins r to the line.
-                G.add_gadget_edge(surf, r_id, r_img, v, qv)
+                link(surf, r_id, r_img, v, qv)
                 v, qv = r_id, r_img
             if u >= 0:
-                G.add_gadget_edge(surf, ids[u], qu, v, qv)
+                link(surf, ids[u], qu, v, qv)
             else:
                 w = core.dists[-1] + math.dist(qu, qv)
                 G.add_core_path(root_id, v, w, (surf, core, -1 - u, on >= 0, qv))
     for sb, vid in zip(gadget.secondary, sec_ids):
         x = sb.steiner
-        G.add_gadget_edge(surf, ids[x], plane[x], vid, sb.plane)
-    return inst
+        link(surf, ids[x], plane[x], vid, sb.plane)
+    return core
 
 
 def _prune(
@@ -486,46 +522,61 @@ def _prune(
     """
     used = root_paths(parent, root_id, targets)
     sub = SteinerGraph()
-    new = {old: sub.add_vertex(G.point(old), G.kinds[old]) for old in used}
+    coords, surface_of, n_old = G.coords, G.surface, G.n
+    sub_coords, sub_kinds, sub_edges = sub.coords, sub.kinds, sub.edges
+    new = {}
+    for old in used:
+        surf = surface_of.get(old)
+        new[old] = len(sub_coords)
+        sub_coords.append(coords[old] if surf is None else lift(surf, coords[old]))
+        sub_kinds.append(G.kinds[old])
     # Each kept vertex hangs off its parent by an edge, planar or straight,
     # or by a core path, whose stops are placed once per (surface, key).
-    steps = []  # (root distance, order, parent in sub, vertex in sub, planar segment)
+    # (root distance, order, parent in sub, vertex in sub, planar segment);
+    # no two share the first two, so they sort by those alone.
+    steps = []
     paths = []  # (surface index, grid vertex, vertex, core path) per kept core path
     for old in used:
         p = parent[old]
         if p == -1:
             continue
-        path = next((c for w, c in G.core_paths.get((p, old), ()) if w == dists[old]), None)
-        if path is not None:
-            paths.append((path[0].index, path[2], old, path))
-            continue
+        if p == root_id:  # every core path starts at the root
+            path = next((c for w, c in G.core_paths.get((p, old), ()) if w == dists[old]), None)
+            if path is not None:
+                paths.append((path[0].index, path[2], old, path))
+                continue
         seg = G.planar.get((p, old) if p < old else (old, p))
         if seg is not None and p > old:
             seg = (seg[0], seg[2], seg[1])
         steps.append((dists[old], old, new[p], new[old], seg))
     # By surface and ascending grid vertex: the order in which the tie rule
     # of ``CoreChain.path`` shares apices, whatever the vertex numbering.
+    paths.sort()
     made = {}  # surface index -> {key: (vertex in sub, planar point)}
-    for index, j, old, (surf, core, _, on_grid, q_end) in sorted(paths, key=lambda c: c[:3]):
+    for index, j, old, (surf, core, _, on_grid, q_end) in paths:
         placed = made.setdefault(index, {})
         a, qa = new[root_id], (0.0, 0.0)
         for key in core.path(j, placed) + ([] if on_grid else [(-1, j)]):
             if key not in placed:
                 q = core.point(key)
-                b = sub.add_vertex(lift(surf, q), "ell_steiner" if key[0] < 0 else "core_apex")
-                steps.append((core.dists[key[0]], G.n + len(steps), a, b, (surf, qa, q)))
+                b = len(sub_coords)
+                sub_coords.append(lift(surf, q))
+                sub_kinds.append("ell_steiner" if key[0] < 0 else "core_apex")
+                steps.append((core.dists[key[0]], n_old + len(steps), a, b, (surf, qa, q)))
                 placed[key] = b, q
             a, qa = placed[key]
         steps.append((dists[old], old, a, new[old], (surf, qa, q_end)))
-    steps.sort(key=lambda step: step[:2])
+    steps.sort()
     for _, _, a, b, seg in steps:
         if seg is not None:
             for q in ray_crossings(*seg):
-                bend = sub.add_vertex(lift(seg[0], q), "bend")
-                sub.add_edge(a, bend)
+                bend = len(sub_coords)
+                sub_coords.append(lift(seg[0], q))
+                sub_kinds.append("bend")
+                sub_edges.append((a, bend, math.dist(sub_coords[a], sub_coords[bend])))
                 a = bend
-        sub.add_edge(a, b)
-    tree = Tree(sub.n, tuple(sub.edges), new[root_id])
+        sub_edges.append((a, b, math.dist(sub_coords[a], sub_coords[b])))
+    tree = Tree(sub.n, tuple(sub_edges), new[root_id])
     return sub, tree, [new[t] for t in targets]
 
 

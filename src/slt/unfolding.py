@@ -30,13 +30,16 @@ class Cone:
     angle: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class FoldedSurface:
     """A run of cones glued along shared rays, ready to unfold.
 
     Cone j spans verts[j] to verts[j+1] at the apex with angle angles[j];
     the root surface's single zero-angle cone lies along its far ray.  The
-    Cone records are made on first use, since most surfaces are never lifted.
+    Cone records and each cone's in-plane frame are made on first use,
+    since most surfaces are never lifted.  Not frozen: a build makes one
+    per break point, and a frozen init sets every field through
+    ``object.__setattr__``.
     """
 
     index: int  # 1-based surface number along the path
@@ -47,18 +50,16 @@ class FoldedSurface:
     truncated: bool
     hstar: tuple[int, ...] = ()  # hstar vertex index of each of verts
     _cones: tuple[Cone, ...] | None = dataclasses_field(default=None, compare=False, repr=False)
-    _frames: dict | None = dataclasses_field(default=None, compare=False, repr=False)
+    # (e1, e2) per cone once ``lift`` has needed it, else None
+    _frames: list | None = dataclasses_field(default=None, compare=False, repr=False)
 
     @property
     def cones(self) -> tuple[Cone, ...]:
         cones = self._cones
         if cones is None:
-            s, v = self.apex, self.verts
-            if points_close(v[0], s):  # root edge
-                cones = (Cone(s, v[1], v[1], self.angles[0]),)
-            else:
-                cones = tuple(Cone(s, v[j], v[j + 1], a) for j, a in enumerate(self.angles))
-            object.__setattr__(self, "_cones", cones)
+            s = self.apex
+            cones = tuple(Cone(s, *_cone_rays(self, j), a) for j, a in enumerate(self.angles))
+            self._cones = cones
         return cones
 
     @property
@@ -68,27 +69,29 @@ class FoldedSurface:
     def vertex_radius(self, j: int) -> float:
         return math.dist(self.apex, self.verts[j])
 
-    def cone_frame(self, j: int):
-        """Orthonormal in-plane frame (e1, e2) of cone j, cached."""
-        frames = self._frames
-        if frames is None:
-            frames = {}
-            object.__setattr__(self, "_frames", frames)
-        frame = frames.get(j)
-        if frame is None:
-            cone = self.cones[j]
-            s = self.apex
-            a = tuple(x - y for x, y in zip(cone.ray_a, s))
-            na = math.sqrt(sum(x * x for x in a))
-            e1 = tuple(x / na for x in a)
-            b = tuple(x - y for x, y in zip(cone.ray_b, s))
-            proj = sum(x * y for x, y in zip(b, e1))
-            w = tuple(x - proj * y for x, y in zip(b, e1))
-            nw = math.sqrt(sum(x * x for x in w))
-            e2 = tuple(x / nw for x in w) if nw > COINCIDENT_TOL * max(proj, 1e-300) else None
-            frame = (e1, e2)
-            frames[j] = frame
-        return frame
+
+def _cone_rays(surf: FoldedSurface, j: int) -> tuple[Point, Point]:
+    """A point on each boundary ray of cone j.
+
+    The root surface's one cone, the root edge, lies along its far ray.
+    """
+    v = surf.verts
+    return (v[1], v[1]) if points_close(v[0], surf.apex) else (v[j], v[j + 1])
+
+
+def _cone_frame(surf: FoldedSurface, j: int):
+    """Orthonormal in-plane frame (e1, e2) of cone j; e2 is None for a cone along one ray."""
+    ray_a, ray_b = _cone_rays(surf, j)
+    s = surf.apex
+    a = [x - y for x, y in zip(ray_a, s)]
+    na = math.sqrt(sum([x * x for x in a]))
+    e1 = tuple([x / na for x in a])
+    b = [x - y for x, y in zip(ray_b, s)]
+    proj = sum([x * y for x, y in zip(b, e1)])
+    w = [x - proj * y for x, y in zip(b, e1)]
+    nw = math.sqrt(sum([x * x for x in w]))
+    e2 = tuple([x / nw for x in w]) if nw > COINCIDENT_TOL * max(proj, 1e-300) else None
+    return e1, e2
 
 
 def build_surfaces(sub: SubdividedPath, s: Point) -> list[FoldedSurface]:
@@ -145,7 +148,7 @@ def build_surfaces(sub: SubdividedPath, s: Point) -> list[FoldedSurface]:
         cum = tuple(accumulate(angles, initial=0.0))
         if cum[-1] >= math.pi - 1e-9:
             raise AngleOverflow(f"surface {i + 1} spans {cum[-1]!r} rad, not below pi")
-        verts = tuple(hverts[j] for j in run)
+        verts = tuple([hverts[j] for j in run])
         surfaces.append(FoldedSurface(i + 1, s, verts, tuple(angles), cum, truncated, tuple(run)))
     return surfaces
 
@@ -183,20 +186,32 @@ def lift(surf: FoldedSurface, q: PlanePoint) -> Point:
     if r == 0.0:
         return surf.apex
     theta = math.atan2(y, x)
-    total = surf.total_angle
+    cum, angles = surf.cum_angle, surf.angles
+    total = cum[-1]
     if theta < -1e-9 or theta > total + 1e-9:
         raise AngleOutOfRange(f"polar angle {theta} outside [0, {total}]")
-    theta = min(max(theta, 0.0), total)
-    j = bisect_right(surf.cum_angle, theta) - 1
-    j = min(j, len(surf.angles) - 1)
-    local = min(max(theta - surf.cum_angle[j], 0.0), surf.angles[j])
-    e1, e2 = surf.cone_frame(j)
+    # min(max(theta, 0.0), total), and the same clamp for local below
+    theta = 0.0 if 0.0 > theta else theta
+    theta = total if total < theta else theta
+    j = bisect_right(cum, theta) - 1
+    if j >= len(angles):
+        j = len(angles) - 1
+    local = theta - cum[j]
+    local = 0.0 if 0.0 > local else local
+    local = angles[j] if angles[j] < local else local
+    frames = surf._frames
+    if frames is None:
+        frames = surf._frames = [None] * len(angles)
+    frame = frames[j]
+    if frame is None:
+        frame = frames[j] = _cone_frame(surf, j)
+    e1, e2 = frame
     s = surf.apex
     if e2 is None or local == 0.0:
-        return tuple(si + r * e1i for si, e1i in zip(s, e1))
+        return tuple([si + r * e1i for si, e1i in zip(s, e1)])
     c = r * math.cos(local)
     d = r * math.sin(local)
-    return tuple(si + c * e1i + d * e2i for si, e1i, e2i in zip(s, e1, e2))
+    return tuple([si + c * e1i + d * e2i for si, e1i, e2i in zip(s, e1, e2)])
 
 
 def ray_crossings(surf: FoldedSurface, q1: PlanePoint, q2: PlanePoint) -> list[PlanePoint]:
@@ -204,13 +219,14 @@ def ray_crossings(surf: FoldedSurface, q1: PlanePoint, q2: PlanePoint) -> list[P
 
     These are the bends of its lift; a segment from or to the origin has none.
     """
-    if q1 == (0.0, 0.0) or q2 == (0.0, 0.0):
+    rays = surf.cum_angle[1:-1]
+    if not rays or q1 == (0.0, 0.0) or q2 == (0.0, 0.0):
         return []
     t1, t2 = math.atan2(q1[1], q1[0]), math.atan2(q2[1], q2[0])
     lo, hi = min(t1, t2), max(t1, t2)
     dx, dy = q2[0] - q1[0], q2[1] - q1[1]
     crossings: list[tuple[float, PlanePoint]] = []
-    for theta in surf.cum_angle[1:-1]:
+    for theta in rays:
         if not lo + 1e-15 < theta < hi - 1e-15:
             continue
         ex, ey = math.cos(theta), math.sin(theta)

@@ -470,6 +470,26 @@ def test_render_surfaces_rejects_what_build_rejects(tmp_path, capsys, option, va
     assert not svg.exists()
 
 
+@pytest.mark.parametrize("n", [2, 30])
+def test_lambda_and_gamma_are_checked_on_any_input(tmp_path, capsys, n):
+    # lambda reaches only a gadget's core, and gamma only eps/gamma: both are
+    # checked before any work, so on any input the error names its parameter.
+    pts, svg = tmp_path / "pts.json", tmp_path / "surf.svg"
+    run(["gen", "random", "--n", n, "--dim", 3, "--seed", 3, "--output", pts])
+    capsys.readouterr()
+    cases = [(["build", "--eps", 0.04, "--lambda", lam], f"lambda={lam} outside (1, 2)")
+             for lam in ("2.5", "1.0", "nan")]
+    for gamma in ("inf", "nan"):
+        fault = f"gamma must be at least 1 and finite, got {gamma}"
+        cases += [(["build", "--eps", 0.04, "--gamma", gamma], fault),
+                  (["render", "--surfaces", "--output", svg, "--gamma", gamma], fault)]
+    for command, fault in cases:
+        assert run([*command, "--input", pts]) == 1, command
+        err = capsys.readouterr().err
+        assert err == f"error: {fault}\n", command
+    assert not svg.exists()
+
+
 def test_canonical_json_sorted_keys():
     s = canonical_dumps({"b": 1, "a": [2.5, 1e-9]})
     assert s.index('"a"') < s.index('"b"')

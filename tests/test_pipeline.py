@@ -16,7 +16,7 @@ from slt.geometry import angle_at_apex, dist
 from slt.metrics import adjacency, dijkstra, tree_distances
 from slt.mst_path import PointCloud, dfs_hamiltonian, euclidean_mst
 from slt.pipeline import (
-    FoldingGraph, _prune, _realize, assemble_slt, build_gadget, gadget_inputs
+    FoldingGraph, _prune, _realize, assemble_slt, build_gadget, surface_inputs
 )
 from slt.unfolding import (
     FoldedSurface, build_surfaces, lift, lift_segment, ray_crossings, unfold_vertex
@@ -542,8 +542,8 @@ def _random_surfaces():
             for seed in range(2):
                 pc = random_cloud(30, d, 100 * d + seed)
                 surfs, sub = surfaces_and_sub(pc, eps / 8)
-                for f in surfs:
-                    yield pc, f, gadget_inputs(f, sub, pc.root), eps / 8
+                for f, inputs in zip(surfs, surface_inputs(surfs, sub, pc.root)):
+                    yield pc, f, inputs, eps / 8
 
 
 def test_portals_meet_the_grid_by_integers():
@@ -566,6 +566,12 @@ def test_portals_meet_the_grid_by_integers():
     assert hung > 0
 
 
+def _add_planar(G, surf, q, kind):
+    """A gadget vertex at the planar point q of surf, as ``_realize`` adds one."""
+    G.surface[G.n] = surf
+    return G.add_vertex(q, kind)
+
+
 @pytest.mark.parametrize("j", [1, 2])
 @pytest.mark.parametrize("first", ["j", "j+1"])
 def test_core_paths_into_adjacent_grid_vertices_share_an_apex(j, first):
@@ -581,7 +587,7 @@ def test_core_paths_into_adjacent_grid_vertices_share_an_apex(j, first):
     root = G.add_vertex(s, "input")
     for grid in (j, j + 1) if first == "j" else (j + 1, j):
         q = core.point((-1, grid))
-        v = G.add_planar(surf, q, "ell_steiner")
+        v = _add_planar(G, surf, q, "ell_steiner")
         G.add_core_path(root, v, core.dists[-1], (surf, core, grid, True, q))
     dists, parent = dijkstra(G.n, adjacency(G.n, G.edges), root)
     sub, tree, _ = _prune(G, dists, parent, [1, 2], root)
@@ -655,9 +661,9 @@ def test_coinciding_lifts_still_give_a_spanning_tree():
     G = FoldingGraph()
     root = G.add_vertex(pc.points[pc.root], "input")
     far = [G.add_vertex(v, "break") for v in f.verts[:2]]
-    a = G.add_planar(f, q, "ell_steiner")
-    b = G.add_planar(f, q, "ell_steiner")
-    c = G.add_planar(f, qc, "core_apex")
+    a = _add_planar(G, f, q, "ell_steiner")
+    b = _add_planar(G, f, q, "ell_steiner")
+    c = _add_planar(G, f, qc, "core_apex")
     G.add_gadget_edge(f, root, (0.0, 0.0), a, q)
     G.add_gadget_edge(f, a, q, far[0], img0)
     G.add_gadget_edge(f, root, (0.0, 0.0), c, qc)
@@ -691,3 +697,96 @@ def test_scale_invariance():
                 assert rep.max_stretch <= 1.09 + 1e-12
                 assert rep.max_stretch == pytest.approx(ref.max_stretch, rel=rel), (d, seed, scale)
                 assert rep.lightness == pytest.approx(ref.lightness, rel=rel), (d, seed, scale)
+
+
+# Small folding inputs whose tree file sha256 was computed before the gadget
+# stage, the surfaces and the lift were rewritten to skip per-element calls,
+# with the branches of the rewritten code that each reaches.
+FOLDING_PINS = [
+    ((("gen", "random", "--n", 8, "--dim", 2, "--seed", 18), 0.25),
+     "da648f140e2a2e03f324056daa27938b06e6abd7a15293bce9731f8d27731ded",
+     {"portal at r", "r joined", "secondary at a vertex", "several inputs", "two in a row"}),
+    ((tuple((float(t), 0.0) for t in range(6)), 0.25),
+     "38ba26402b4008a333478ab5f27f7a5d54c99283d103adff1c22f6bb2024d822",
+     {"zero width", "portal at r", "secondary at a vertex", "two in a row"}),
+]
+
+
+def test_folding_pins_reach_every_rewritten_branch(tmp_path, capsys, monkeypatch):
+    import hashlib
+
+    import slt.pipeline
+
+    real_build, real_realize = slt.pipeline.build_gadget, slt.pipeline._realize
+    real_link = FoldingGraph.add_gadget_edge
+    hit, built, joins = set(), [], []
+
+    def build(surf, inputs, *args):
+        gadget = real_build(surf, inputs, *args)
+        built.append(surf.index)
+        if len(inputs) > 1:
+            hit.add("several inputs")
+        if any(sb.at_vertex >= 0 for sb in gadget.secondary):
+            hit.add("secondary at a vertex")
+        return gadget
+
+    def realize(G, gadget, vids, root_id):
+        r_img = gadget.vertex_images[gadget.r_local]
+        at_r = any(dist(q, r_img) <= 1e-12 * math.hypot(*r_img) for q in gadget.ell_steiner)
+        if at_r:
+            hit.add("portal at r")
+        joins.append(None if at_r else (vids[gadget.r_local], r_img))
+        core = real_realize(G, gadget, vids, root_id)
+        if core is None:
+            hit.add("zero width")
+        return core
+
+    def link(G, surf, u, qu, v, qv):
+        # Without a portal at r, only a split base edge links from r itself.
+        if joins[-1] == (u, qu):
+            hit.add("r joined")
+        return real_link(G, surf, u, qu, v, qv)
+
+    monkeypatch.setattr(slt.pipeline, "build_gadget", build)
+    monkeypatch.setattr(slt.pipeline, "_realize", realize)
+    monkeypatch.setattr(FoldingGraph, "add_gadget_edge", link)
+    reached = set()
+    for (points, eps), sha, branches in FOLDING_PINS:
+        pts, tree = tmp_path / "pts.json", tmp_path / "tree.json"
+        if points[0] == "gen":
+            assert run_cli([str(a) for a in (*points, "--output", pts)]) == 0
+        else:
+            write_points(pts, points, 0)
+        hit.clear(), built.clear()
+        assert run_cli(["build", "--eps", str(eps), "--input", str(pts), "--output", str(tree)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(tree.read_bytes()).hexdigest() == sha
+        if any(b - a == 1 for a, b in zip(built, built[1:])):
+            hit.add("two in a row")
+        assert hit == branches, points
+        reached |= hit
+    assert reached == {"zero width", "portal at r", "r joined", "secondary at a vertex",
+                       "several inputs", "two in a row"}
+
+
+def test_a_folding_build_leaves_the_base_points_unchecked(monkeypatch):
+    # build_gadget puts the Steiner points on the core's base, and the core
+    # chain reads only the triangle, so a build checks no base point.  A
+    # CoreInstance with base points still checks each.
+    import slt.core2d
+
+    calls = []
+    real = slt.core2d._dist_to_segment
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(slt.core2d, "_dist_to_segment", counting)
+    _, _, rep = assemble_slt(random_cloud(60, 5, 7), 0.04)
+    assert rep.flags["cores"] > 0 and calls == []
+    inst = slt.core2d.CoreInstance.canonical(0.04, 3)
+    calls.clear()
+    with pytest.raises(ValueError, match="base point off the base segment"):
+        dataclasses.replace(inst, base_points=inst.base_points + ((0.0, 0.01),))
+    assert len(calls) == 4
