@@ -5,8 +5,6 @@ stay within a 1+eps factor of Euclidean distance while the total weight
 stays within O(sqrt(1/eps)) of the minimum spanning tree.
 """
 
-import importlib
-
 from .errors import (
     AngleOutOfRange,
     AngleOverflow,
@@ -31,22 +29,6 @@ from .unfolding import Cone, FoldedSurface, build_surfaces, lift, lift_segment, 
 from .core2d import CoreGraph, CoreInstance, build_core, core2d_points, core_spt
 from .pipeline import SteinerGraph, SurfaceGadget, assemble_core2d, assemble_slt, build_gadget
 from .metrics import SltReport, measure, root_paths, root_stretch
+from .pyramid import GridSpec, assemble_pyramid, build_pyramid_core, pyramid_points, yao_spanner
 
 __version__ = "0.1.0"
-
-# The pyramid imports scipy, which takes longer to load than the rest of
-# the package: its names are resolved on first use.
-_PYRAMID_NAMES = frozenset({
-    "GridSpec",
-    "assemble_pyramid",
-    "build_pyramid_core",
-    "pyramid_points",
-    "yao_spanner",
-})
-
-
-def __getattr__(name: str):
-    if name == "pyramid" or name in _PYRAMID_NAMES:
-        pyramid = importlib.import_module(".pyramid", __name__)
-        return pyramid if name == "pyramid" else getattr(pyramid, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -19,6 +19,7 @@ from .metrics import collector_paused, measure
 from .mst_path import PointCloud, Tree, euclidean_mst_weight
 from .pipeline import SteinerGraph, _front_end, assemble_core2d, assemble_slt, build_gadget
 from .pipeline import surface_inputs
+from .pyramid import assemble_pyramid, pyramid_points
 from .unfolding import unfold_vertex
 
 
@@ -180,8 +181,6 @@ def gen_circle(eps: float):
 
 
 def gen_grid(d: int, n: int, eps: float):
-    from .pyramid import pyramid_points  # loads scipy, so only when asked for
-
     return pyramid_points(d, n, eps), 0
 
 
@@ -279,9 +278,9 @@ def render_tree_svg(coords, kinds, edges, path):
         fh.write(cv.render())
 
 
-def render_surfaces_svg(pc: PointCloud, eps: float, gamma: float, path):
+def render_surfaces_svg(pc: PointCloud, eps: float, gamma: float, lam: float, path):
     """The gadget ``assemble_slt`` builds on each unfolded surface, side by side."""
-    eps_int, _, _, sub, surfaces = _front_end(pc, eps, gamma)
+    eps_int, _, _, sub, surfaces = _front_end(pc, eps, gamma, lam)
     cv = _Canvas(size=1200.0)
     offset = 0.0
     for surf, inputs in zip(surfaces, surface_inputs(surfaces, sub, pc.root)):
@@ -297,7 +296,7 @@ def render_surfaces_svg(pc: PointCloud, eps: float, gamma: float, path):
             cv.dot(shift(q), fill="black", r=2.0)
         cv.dot(origin, fill="black", r=2.5)
         if inputs:
-            gadget = build_gadget(surf, inputs, eps_int)
+            gadget = build_gadget(surf, inputs, eps_int, lam)
             cv.line(shift(gadget.ell_a), shift(gadget.ell_b), stroke="#888888")
             for q in gadget.ell_steiner:
                 cv.dot(shift(q), fill="#777777", r=1.5)
@@ -338,8 +337,6 @@ def _cmd_build(args) -> int:
     elif args.method == "core2d":
         graph, tree, report = assemble_core2d(pc, args.eps, args.lam)
     elif args.method == "pyramid":
-        from .pyramid import assemble_pyramid  # loads scipy, so only when asked for
-
         graph, tree, report = assemble_pyramid(pc, args.eps, args.lam)
     else:
         raise SltError(f"unknown method {args.method!r}")
@@ -401,7 +398,7 @@ def _cmd_render(args) -> int:
     if pc.dim == 2 and not args.surfaces and args.tree is None:
         render_tree_svg(list(pc.points), ["input"] * pc.n, [], args.output)
         return 0
-    render_surfaces_svg(pc, args.eps, args.gamma, args.output)
+    render_surfaces_svg(pc, args.eps, args.gamma, args.lam, args.output)
     return 0
 
 
@@ -446,6 +443,7 @@ def _parser() -> argparse.ArgumentParser:
     r.add_argument("--tree")
     r.add_argument("--eps", type=float, default=0.04)
     r.add_argument("--gamma", type=float, default=8.0)
+    r.add_argument("--lambda", dest="lam", type=float, default=1.25)
     r.add_argument("--surfaces", action="store_true")
     r.add_argument("--output", required=True)
     r.set_defaults(func=_cmd_render)

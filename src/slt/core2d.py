@@ -20,7 +20,7 @@ from functools import cached_property
 
 from .errors import AngleOverflow, Disconnected, EpsOutOfRange
 from .geometry import PlanePoint, angle_at_apex, dist
-from .metrics import adjacency, dijkstra
+from .metrics import dijkstra, edge_table
 from .mst_path import Tree
 
 _ISO_TOL = 1e-9
@@ -315,7 +315,9 @@ def build_core(inst: CoreInstance) -> CoreGraph:
 def core_spt(g: CoreGraph):
     """Shortest-path tree of the core graph from the apex."""
     root = g.root
-    dists, parent = dijkstra(g.n, adjacency(g.n, g.edges), root)
+    edges = edge_table(g.edges)
+    dists, parent = dijkstra(g.n, edges[:, :2], edges[:, 2], root)
+    dists, parent = dists.tolist(), parent.tolist()
     if any(math.isinf(d) for d in dists):
         raise Disconnected("core graph is not connected")
     tree_edges = tuple(

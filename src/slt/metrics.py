@@ -1,12 +1,21 @@
 """The shortest-path kernel, root-stretch measurement, the build report and
-the collector pause every build runs under."""
+the collector pause every build runs under.
+
+``dijkstra`` is the one shortest-path kernel: folding, core2d and the
+pyramid each end with its tree from the root.  It runs Bellman-Ford
+rounds in numpy and gives a binary-heap Dijkstra's distances and parents,
+ties included; the heap itself is the tests' oracle.
+"""
 from __future__ import annotations
 
 import functools
 import gc
 import math
 from dataclasses import asdict, dataclass, field
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
+from itertools import chain
+
+import numpy as np
 
 from .errors import Unreachable
 from .geometry import Point, dist
@@ -44,32 +53,104 @@ def adjacency(n: int, edges) -> list[list[tuple[int, float]]]:
     return adj
 
 
-def dijkstra(n: int, adj: list[list[tuple[int, float]]], source: int):
-    """Nonnegative-weight shortest paths; ties broken by vertex index.
+def edge_table(edges) -> np.ndarray:
+    """Edges (u, v, w) as an (m, 3) float array: ``dijkstra`` takes its columns."""
+    return np.fromiter(chain.from_iterable(edges), np.float64, 3 * len(edges)).reshape(-1, 3)
 
-    Vertices are settled in (distance, index) order.  A vertex's distance
-    is the least float sum d(v) + w over its neighbours v settled before
-    it, and its parent is the lowest-index such v whose sum equals that
-    distance; a neighbour settled later never changes either.  Returns
-    (dist array, parent array); unreachable vertices keep inf / -1.
+
+def dijkstra(n: int, ends, weights, source: int):
+    """Nonnegative-weight shortest paths from ``source``, with the heap's tie rule.
+
+    ``ends`` is an (m, 2) array of undirected edges and ``weights`` their
+    (m,) weights, all at least 0.  Returns (dists, parent) as arrays;
+    unreachable vertices get inf and -1.  Both equal what a binary-heap
+    Dijkstra gives (the tests' oracle), which settles the least
+    (distance, index) among the vertices it has reached and offers
+    fl(d(u) + w) from each settled u.
+
+    Distances.  Full Bellman-Ford rounds offer every edge's sum
+    fl(d(u) + w) to both ends at once, until a round lowers nothing.  As
+    w >= 0 and fl(a + w) is monotone in a, fl(d(u) + w) >= d(u): a
+    neighbour settled after v offers v nothing below d(v), so the heap's
+    d is a fixed point of a round.  No round goes below it (monotony
+    again, by induction over rounds), and after k rounds every vertex k
+    edges deep in the heap's tree holds its d.  So the rounds end on the
+    heap's d, after at most the tree's hop depth + 1 of them.
+
+    Parents.  A vertex's parent is the lowest-index neighbour u settled
+    before it with fl(d(u) + w) == d(v).  Every such u with d(u) < d(v)
+    is settled before v.  An edge whose weight rounds to nothing against
+    d(u) joins two vertices of equal distance, and there the heap's order
+    is not (d(u), u) < (d(v), v): a vertex reached only through such an
+    edge enters late, so a higher index can be settled first.  For those
+    edges alone the heap's order is replayed (``_settled_first``), so
+    every parent is the heap's.
     """
-    dist_arr = [math.inf] * n
-    parent = [-1] * n
-    dist_arr[source] = 0.0
-    heap = [(0.0, source)]
-    done = [False] * n
+    ends = np.asarray(ends, dtype=np.intp).reshape(-1, 2)
+    weights = np.asarray(weights, dtype=np.float64)
+    tail = np.concatenate([ends[:, 0], ends[:, 1]])
+    head = np.concatenate([ends[:, 1], ends[:, 0]])
+    w = np.concatenate([weights, weights])
+    dists = np.full(n, math.inf)
+    dists[source] = 0.0
+    lowered = True
+    while lowered:
+        cand, at_head, lowered = _relax(dists, tail, head, w)
+    tight = (cand == at_head) & (at_head < math.inf)
+    before = dists[tail] < at_head
+    strict = tight & before
+    parent = np.full(n, n, dtype=np.intp)
+    np.minimum.at(parent, head[strict], tail[strict])
+    level = tight & ~before & (tail != head)
+    if level.any():
+        seeded = parent < n
+        seeded[source] = True
+        first = _settled_first(dists, tail[level].tolist(), head[level].tolist(), seeded)
+        np.minimum.at(parent, head[level][first], tail[level][first])
+    parent[parent == n] = -1
+    return dists, parent
+
+
+def _relax(dists, tail, head, w):
+    """One Bellman-Ford round over the directed edges tail -> head.
+
+    Lowers ``dists`` in place to the least sum offered to each head, and
+    returns the sums, the heads' distances before the round and whether
+    any fell.  After a round that lowers nothing, those are the fixed
+    point's.
+    """
+    cand = dists[tail] + w
+    at_head = dists[head]
+    lower = cand < at_head
+    lowered = bool(lower.any())
+    if lowered:
+        np.minimum.at(dists, head[lower], cand[lower])
+    return cand, at_head, lowered
+
+
+def _settled_first(dists, tails, heads, seeded) -> list[bool]:
+    """Per edge tail -> head of equal distance: is the tail settled first?
+
+    Replays the heap's order on the ends of these edges: a vertex enters
+    when ``seeded`` (reached from a lower distance, or the source) or when
+    a neighbour across one of these edges is settled, and the lowest
+    (distance, index) entered is settled next.
+    """
+    out: dict[int, list[int]] = {}
+    for u, v in zip(tails, heads):
+        out.setdefault(u, []).append(v)
+    heap = [(dists[v], v) for v in out if seeded[v]]
+    heapify(heap)
+    rank: dict[int, int] = {}
     while heap:
         d, v = heappop(heap)
-        if done[v]:
+        if v in rank:
             continue
-        done[v] = True
-        for u, w in adj[v]:
-            nd = d + w
-            if nd < dist_arr[u] or (nd == dist_arr[u] and not done[u] and v < parent[u]):
-                dist_arr[u] = nd
-                parent[u] = v
-                heappush(heap, (nd, u))
-    return dist_arr, parent
+        rank[v] = len(rank)
+        for u in out[v]:
+            if u not in rank:
+                heappush(heap, (d, u))
+    return [rank[u] < rank[v] for u, v in zip(tails, heads)]
 
 
 def tree_distances(tree: Tree, source: int):

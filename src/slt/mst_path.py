@@ -289,9 +289,11 @@ def _pairs_within(pts: np.ndarray, reach: float) -> np.ndarray:
     width = reach * (1.0 + 2.0**-40) + float(rel.max()) * 2.0**-48 or 1.0
     cell = np.empty((dim, n), dtype=np.intp)
     for a in range(dim):
-        values, inverse = np.unique(np.floor(rel[:, a] / width), return_inverse=True)
-        step = np.where(np.diff(values) == 1.0, 1, 2)
-        cell[a] = np.concatenate(([1], 1 + np.cumsum(step)))[inverse]
+        # Along the sorted cells, a step of 0, 1 or 2 between neighbours.
+        floor = np.floor(rel[:, a] / width)
+        by_cell = np.argsort(floor)
+        step = np.minimum(np.diff(floor[by_cell]), 2.0).astype(np.intp)
+        cell[a, by_cell] = np.concatenate(([1], 1 + np.cumsum(step)))
     dims = cell.max(axis=1) + 2
     key = np.ravel_multi_index(cell, dims)
     order = np.argsort(key, kind="stable")
@@ -397,7 +399,10 @@ def _local_mst_lengths(points) -> list[float] | None:
     columns = np.ascontiguousarray(arr.T)
     d2 = _squared_rows(columns, np.arange(0, n, -(-n // _REACH_SAMPLE)))
     d2[d2 == 0.0] = np.inf  # each sampled point's own column
-    reach = 1.01 * math.sqrt(float(np.median(d2.min(axis=1))))
+    nearest = np.sort(d2.min(axis=1))
+    half = len(nearest) // 2  # the median, as np.median takes it
+    median = nearest[half] if len(nearest) % 2 else (nearest[half - 1] + nearest[half]) / 2
+    reach = 1.01 * math.sqrt(float(median))
     at = points.__getitem__
     parent = list(range(n))
 

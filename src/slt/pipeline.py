@@ -36,7 +36,7 @@ from .breakpoints import SubdividedPath, select_breakpoints, subdivide
 from .core2d import CoreChain, CoreInstance, build_core, core_spt, portal_grid
 from .errors import EmptySurface, EpsOutOfRange, SltError
 from .geometry import PlanePoint, Point
-from .metrics import adjacency, collector_paused, dijkstra, measure, root_paths
+from .metrics import collector_paused, dijkstra, edge_table, measure, root_paths
 from .mst_path import PointCloud, Tree, dfs_hamiltonian, euclidean_mst, euclidean_mst_weight
 from .unfolding import FoldedSurface, build_surfaces, lift, ray_crossings
 from .unfolding import lift_segment  # noqa: F401  not called; perfbench's layer trace wraps it
@@ -354,11 +354,12 @@ def assemble_slt(
     >= d(b) while (k+1) u <= delta / (1 + delta): with delta = 2^-30,
     while the graph has fewer than about 2^23 edges.  So the relaxation
     a -> b is never shorter than d(b) nor tied with it, and neither is
-    b -> a; by ``dijkstra``'s tie rule no distance or parent changes.  A
-    break point left with its spoke alone is a leaf off the root and no
-    target.  Vertices are made in the same relative order, so the heap
-    order, the tie rule and ``_prune``'s sort, and with them the
-    numbering of the tree, are unchanged.  Points on a ray from the root
+    b -> a.  ``dijkstra`` gives each vertex the least sum and, as parent,
+    the lowest-index neighbour settled first whose sum equals it, so no
+    distance or parent changes.  A break point left with its spoke alone
+    is a leaf off the root and no target.  Vertices are made in the same
+    relative order, so the settling order, the tie rule and ``_prune``'s
+    sort, and with them the numbering of the tree, are unchanged.  Points on a ray from the root
     miss the margin and keep the full graph.
     """
     eps_int, mst, bps, sub, surfaces = _front_end(pts, eps, gamma, lam)
@@ -400,8 +401,11 @@ def assemble_slt(
         cores += core is not None
         zero_width += core is None
 
-    dists, parent = dijkstra(G.n, adjacency(G.n, G.edges), root_id)
-    tree_graph, tree, input_vertices = _prune(G, dists, parent, input_ids, root_id)
+    edges = edge_table(G.edges)
+    dists, parent = dijkstra(G.n, edges[:, :2], edges[:, 2], root_id)
+    tree_graph, tree, input_vertices = _prune(
+        G, dists.tolist(), parent.tolist(), input_ids, root_id
+    )
 
     phase1 = sub.hstar.total_length + math.fsum([math.dist(s, q) for q in bps.points[1:]])
     report = measure(

@@ -17,13 +17,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra as sparse_dijkstra
 
 from .core2d import levels_for_eps
 from .errors import AngleOverflow, DimensionTooSmall, EpsOutOfRange, SltError
 from .geometry import Point, dist
-from .metrics import collector_paused, measure, root_paths
+from .metrics import collector_paused, dijkstra, measure, root_paths
 from .mst_path import PointCloud, Tree, _pairs_within, euclidean_mst_weight
 from .mst_path import euclidean_mst  # noqa: F401  not called; perfbench's layer trace wraps it
 from .pipeline import SteinerGraph
@@ -205,7 +203,9 @@ def yao_spanner(points: np.ndarray, reach: float) -> np.ndarray:
     order = np.lexsort((dst, d2, slot))
     first = order[np.flatnonzero(np.diff(slot[order], prepend=-1))]
     us, vs = src[first], dst[first]
-    key = np.unique(np.minimum(us, vs) * n + np.maximum(us, vs))
+    # Sorted and deduplicated: ``np.unique`` would import numpy.ma on first use.
+    key = np.sort(np.minimum(us, vs) * n + np.maximum(us, vs))
+    key = key[np.diff(key, prepend=-1) != 0]
     return np.column_stack(np.divmod(key, n))
 
 
@@ -303,7 +303,7 @@ def build_pyramid_core(d: int, eps: float, grid: GridSpec, lam: float = 1.25):
     cell_corners = np.stack(shifted, axis=-1)
     joins.append((np.broadcast_to(level[..., None], cell_corners.shape), cell_corners))
 
-    # The search graph's edges, as the columns of one sparse matrix.
+    # The search graph's edges: the apex tree level by level, then the base spanner.
     us: list[int] = []
     vs: list[int] = []
     ws: list[float] = []
@@ -325,18 +325,11 @@ def build_pyramid_core(d: int, eps: float, grid: GridSpec, lam: float = 1.25):
     base_points = [G.coords[i] for i in base_ids.tolist()]
     reach = SPANNER_T * side * math.sqrt(dim) / (2 * two_k) * (1.0 + 1e-6)
     span_edges, span_w = base_spanner(base_points, reach)
-    ends = base_ids[span_edges]
-    src = np.concatenate([us, ends[:, 0]])
-    dst = np.concatenate([vs, ends[:, 1]])
-    weight = np.concatenate([ws, span_w])
-    rows, cols = np.concatenate([src, dst]), np.concatenate([dst, src])
-    search = csr_matrix((np.concatenate([weight, weight]), (rows, cols)), shape=(G.n, G.n))
-    _, parents = sparse_dijkstra(
-        search, directed=False, indices=apex_id, return_predecessors=True
-    )
+    ends = np.concatenate([np.column_stack([us, vs]), base_ids[span_edges]])
+    _, parent = dijkstra(G.n, ends, np.concatenate([ws, span_w]), apex_id)
     # The tree keeps the vertices on the apex's paths to the grid points,
     # in their order: the apex and the grid points keep their ids.
-    parent = parents.tolist()
+    parent = parent.tolist()
     kept = root_paths(parent, apex_id, input_ids)
     graph = SteinerGraph()
     new_id = {v: graph.add_vertex(G.coords[v], G.kinds[v]) for v in kept}

@@ -1,7 +1,7 @@
 """Reference code the tests compare the library against; no build runs it.
 
-Shortest paths (a Dijkstra SPT that insists on a connected graph, and
-Floyd-Warshall), Kruskal's MST, the pairs of coinciding points (with a
+Shortest paths (a binary-heap Dijkstra, the SPT it gives on a connected
+graph, and Floyd-Warshall), Kruskal's MST, the pairs of coinciding points (with a
 cloud on which the duplicate check's sort finds no order), a polyline's
 point at an arc length, a
 cone's planar unfolding, the convex-hull covering radius of the cone axes,
@@ -12,21 +12,51 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 import numpy as np
 
 from slt.core2d import CoreGraph
 from slt.errors import AngleOutOfRange, Disconnected
 from slt.geometry import COINCIDENT_TOL, PlanePoint, Point, Polyline, dist
-from slt.metrics import adjacency, dijkstra
+from slt.metrics import adjacency
 from slt.mst_path import PointCloud, Tree, _direction, euclidean_mst
 from slt.pyramid import GridSpec
 from slt.unfolding import FoldedSurface
 
 
+def heap_dijkstra(n: int, adj: list[list[tuple[int, float]]], source: int):
+    """Nonnegative-weight shortest paths; ties broken by vertex index.
+
+    Vertices are settled in (distance, index) order among those reached.
+    A vertex's distance is the least float sum d(v) + w over its
+    neighbours v settled before it, and its parent is the lowest-index
+    such v whose sum equals that distance; a neighbour settled later never
+    changes either.  Returns (dist list, parent list); unreachable
+    vertices keep inf / -1.  ``slt.metrics.dijkstra`` must agree with it.
+    """
+    dist_arr = [math.inf] * n
+    parent = [-1] * n
+    dist_arr[source] = 0.0
+    heap = [(0.0, source)]
+    done = [False] * n
+    while heap:
+        d, v = heappop(heap)
+        if done[v]:
+            continue
+        done[v] = True
+        for u, w in adj[v]:
+            nd = d + w
+            if nd < dist_arr[u] or (nd == dist_arr[u] and not done[u] and v < parent[u]):
+                dist_arr[u] = nd
+                parent[u] = v
+                heappush(heap, (nd, u))
+    return dist_arr, parent
+
+
 def oracle_spt(n: int, edges, source: int):
-    """Dijkstra SPT over an undirected weighted edge list."""
-    dist_arr, parent = dijkstra(n, adjacency(n, edges), source)
+    """Heap Dijkstra SPT over an undirected weighted edge list."""
+    dist_arr, parent = heap_dijkstra(n, adjacency(n, edges), source)
     if any(math.isinf(d) for d in dist_arr):
         raise Disconnected("graph is not connected")
     return dist_arr, parent

@@ -199,14 +199,43 @@ def test_python_dash_m_runs_the_cli(tmp_path):
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy is most of the package's start-up time and only the pyramid
-    # uses it, so it loads with the first pyramid name a caller asks for.
-    code = ("import sys, slt, slt.cli; print('scipy' in sys.modules); "
-            "from slt import build_pyramid_core; print('scipy' in sys.modules, "
-            "build_pyramid_core is sys.modules['slt.pyramid'].build_pyramid_core)")
+    # No build needs scipy: the package imports numpy alone, and a folding,
+    # a core2d and a pyramid build leave scipy unloaded.
+    code = ("import sys, slt, slt.cli; "
+            "from slt import PointCloud, assemble_core2d, assemble_slt, core2d_points; "
+            "from slt.pyramid import GridSpec, build_pyramid_core; "
+            "assemble_slt(PointCloud(((0.0, 0.0, 0.0), (1.0, 0.5, 0.0), (0.5, 1.0, 1.0))), 0.04); "
+            "assemble_core2d(PointCloud(core2d_points(0.04, 12)), 0.04); "
+            "build_pyramid_core(3, 0.09, GridSpec.for_points(64, 3)); "
+            "print('scipy' in sys.modules, "
+            "slt.build_pyramid_core is sys.modules['slt.pyramid'].build_pyramid_core)")
     proc = run_python(["-c", code])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True", "True"]
+    assert proc.stdout.split() == ["False", "True"]
+
+
+_IMPORTED_DURING_BUILDS = """
+import math, random, sys, slt, slt.cli, slt.pyramid as p
+m = math.ceil(p.GridSpec.regime_min(4, 0.09) ** (1 / 3))
+before = set(sys.modules)
+p.build_pyramid_core(4, 0.09, p.GridSpec.for_points(m ** 3, 4))
+pyramid = sorted(set(sys.modules) - before)
+rng = random.Random(1)
+pc = slt.PointCloud(tuple(tuple(rng.random() for _ in range(3)) for _ in range(600)))
+before = set(sys.modules)
+slt.assemble_slt(pc, 0.04)
+print(pyramid, sorted(set(sys.modules) - before))
+"""
+
+
+def test_builds_import_nothing():
+    # A module a build imports lazily is paid inside the build's time: numpy
+    # loads numpy.ma on the first np.unique or np.median.  The pyramid-d4
+    # build and a folding build that takes the local MST path (n=600, d=3),
+    # each the first of its kind in a fresh process, import no module.
+    proc = run_python(["-c", _IMPORTED_DURING_BUILDS])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]", "[]"]
 
 
 # Names that left the package: deleted, or moved to tests/oracles.py.
@@ -217,7 +246,7 @@ GONE_NAMES = ["CoreReport", "_UnionFind", "_bounded_dist", "_covering_radius", "
 
 _NAMES_CHILD = """
 import ast, importlib, json, pkgutil, sys, slt
-exported = set(slt._PYRAMID_NAMES)
+exported = set()
 for node in ast.walk(ast.parse(open(slt.__file__).read())):
     if isinstance(node, ast.ImportFrom):
         exported.update(alias.asname or alias.name for alias in node.names)
@@ -232,23 +261,24 @@ print(json.dumps([
 
 
 def test_every_exported_name_resolves_and_no_gone_name_remains():
-    # In a fresh process, so the lazy pyramid names are first resolved here:
-    # a stale entry would raise only when a caller first asked for it.
+    # In a fresh process, so that every name resolves from the package's
+    # own imports.
     proc = run_python(["-c", _NAMES_CHILD, *GONE_NAMES])
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[], []]
 
 
 def test_pyramid_builds_leave_scipy_spatial_unloaded(tmp_path):
-    # The base pairs come from cell buckets and the cone radius is stored,
-    # so no pyramid build needs a k-d tree or a convex hull.
+    # The base pairs come from cell buckets, the cone radius is stored and
+    # the shortest paths are numpy rounds, so no pyramid build loads any
+    # part of scipy, in the library or through the command line.
     code = ("import sys; from slt.pyramid import GridSpec, build_pyramid_core; "
             "build_pyramid_core(3, 0.09, GridSpec.for_points(64, 3)); "
             "build_pyramid_core(4, 0.09, GridSpec.for_points(216, 4)); "
             "print('scipy' in sys.modules, 'scipy.spatial' in sys.modules)")
     proc = run_python(["-c", code])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True", "False"]
+    assert proc.stdout.split() == ["False", "False"]
     pts, tree = tmp_path / "grid.json", tmp_path / "tree.json"
     assert run(["gen", "grid", "--dim", 4, "--n", 216, "--eps", 0.09, "--output", pts]) == 0
     # -X importtime names on stderr every module the command imports.
@@ -257,8 +287,8 @@ def test_pyramid_builds_leave_scipy_spatial_unloaded(tmp_path):
     assert proc.returncode == 0, proc.stderr
     imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
                 if line.startswith("import time:")]
-    assert "slt.pyramid" in imported and "scipy.sparse" in imported
-    assert not [m for m in imported if m.startswith("scipy.spatial")]
+    assert "slt.pyramid" in imported
+    assert not [m for m in imported if m.split(".")[0] == "scipy"]
     assert tree.exists()
 
 
@@ -517,6 +547,46 @@ def test_render_surfaces_draws_the_gadgets_the_build_makes(tmp_path, capsys, mon
     assert cross_lines == len(built) > 0
 
 
+def test_render_surfaces_draws_the_cores_at_the_build_lambda(tmp_path, capsys, monkeypatch):
+    # --lambda reaches every core render draws: the same core triangles,
+    # with the same apices level by level, as build --lambda 1.5 makes.
+    import slt.cli
+    import slt.pipeline
+
+    pts, svg = tmp_path / "pts.json", tmp_path / "surf.svg"
+    run(["gen", "random", "--n", 20, "--dim", 3, "--seed", 5, "--output", pts])
+    built, drawn = [], []
+    real_gadget, real_core = slt.pipeline.build_gadget, slt.cli.build_core
+
+    def gadget(*args, **kwargs):
+        built.append(real_gadget(*args, **kwargs))
+        return built[-1]
+
+    def core(inst):
+        drawn.append(real_core(inst))
+        return drawn[-1]
+
+    monkeypatch.setattr(slt.pipeline, "build_gadget", gadget)
+    assert run(["build", "--eps", 0.04, "--lambda", 1.5, "--input", pts]) == 0
+    monkeypatch.setattr(slt.cli, "build_core", core)
+    assert run(["render", "--input", pts, "--surfaces", "--eps", 0.04, "--lambda", 1.5,
+                "--output", svg]) == 0
+    capsys.readouterr()
+    cores = [real_core(inst) for inst in (g.core_instance() for g in built) if inst is not None]
+    assert len(cores) > 0 and all(c.lam == 1.5 for c in drawn)
+    assert [(c.levels, c.coords) for c in drawn] == [(c.levels, c.coords) for c in cores]
+
+
+def test_render_surfaces_rejects_the_lambda_build_rejects(tmp_path, capsys):
+    pts, svg = tmp_path / "pts.json", tmp_path / "surf.svg"
+    run(["gen", "random", "--n", 8, "--dim", 3, "--seed", 3, "--output", pts])
+    capsys.readouterr()
+    for command in (["build"], ["render", "--surfaces", "--output", svg]):
+        assert run([*command, "--input", pts, "--eps", 0.04, "--lambda", 2.5]) == 1
+        assert capsys.readouterr().err == "error: lambda=2.5 outside (1, 2)\n"
+    assert not svg.exists()
+
+
 def test_verify_rejects_many_triangles_in_linear_time(tmp_path, capsys):
     # Every third edge closes a cycle; each must be told from a duplicate
     # without rescanning the edges before it.
@@ -546,7 +616,7 @@ GOLDEN_TREES = [
     (["core", "--eps", 0.04, "--n", 12], ["--method", "core2d", "--eps", 0.04],
      "cceb266c37735e3572ea88374df2d92d0cf2db9c305acfff79a9bd2a7adbb040"),
     (["grid", "--dim", 3, "--n", 64, "--eps", 0.04], ["--method", "pyramid", "--eps", 0.04],
-     "cc52fa7b16c47b51ff814d206ac084bf87b9d9859bfcbb2821788793d60f6f58"),
+     "191b17976385864c334de5763a27757001b167bd41e6e82691d4bde29e1f145b"),
 ]
 
 
@@ -625,15 +695,15 @@ def test_folding_golden_tree_whatever_its_vertex_numbering(tmp_path, capsys):
 
 
 def test_pyramid_golden_tree_is_the_full_tree_cut_to_its_input_paths(tmp_path, capsys):
-    # The fingerprint of the full shortest-path tree this instance had
-    # (tree file sha256 7f02b6bac206bb9b49f19e7a19b4e24aba215135759fc09c3faa62784da3b94c,
-    # 630 vertices) after removing every vertex off the root's paths to the
-    # inputs: 213 vertices are left.
+    # The search graph's shortest-path tree by ``dijkstra``'s tie rule, with
+    # every vertex off the root's paths to the inputs removed: 213 vertices
+    # are left.  scipy's tie rule gave a tree of as many vertices, the same
+    # stretch, lightness within 3e-16 relative and fingerprint d6e1e435...
     pts, tree = tmp_path / "pts.json", tmp_path / "tree.json"
     assert run(["gen", "grid", "--dim", 3, "--n", 64, "--eps", 0.04, "--output", pts]) == 0
     assert run(["build", "--method", "pyramid", "--eps", 0.04, "--input", pts, "--output", tree]) == 0
     capsys.readouterr()
     assert len(json.loads(tree.read_text())["vertices"]) == 213
     assert tree_fingerprint(tree) == (
-        "d6e1e4356ec2825635ca8ed0ef12faa111f946342d004c6845edfcb90cceb149"
+        "22221db2405e787e5540e8d52374a8ee31d3a69878e6314f93333ac4aab57d63"
     )

@@ -2,13 +2,22 @@ import json
 import math
 import random
 
+import dataclasses
+
 import numpy as np
 import pytest
-from oracles import floyd_warshall, kruskal_mst, oracle_spt
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import floyd_warshall, heap_dijkstra, kruskal_mst, oracle_spt
 
+import slt.core2d
+import slt.metrics
+import slt.pipeline
+import slt.pyramid
 from slt.cli import canonical_dumps, run_cli, write_points
+from slt.core2d import CoreInstance, build_core, core_spt
 from slt.errors import Disconnected, Unreachable
-from slt.metrics import root_paths, root_stretch
+from slt.metrics import adjacency, dijkstra, edge_table, root_paths, root_stretch
 from slt.mst_path import PointCloud, Tree, euclidean_mst
 
 
@@ -30,6 +39,13 @@ def test_spt_disconnected_raises():
         oracle_spt(3, [(0, 1, 1.0)], 0)
 
 
+def kernel(n, edges, source):
+    """``dijkstra`` over an edge list (u, v, w), as lists."""
+    table = edge_table(edges)
+    dists, parent = dijkstra(n, table[:, :2], table[:, 2], source)
+    return dists.tolist(), parent.tolist()
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_dijkstra_matches_floyd_warshall(seed):
     rng = random.Random(seed)
@@ -43,8 +59,152 @@ def test_dijkstra_matches_floyd_warshall(seed):
             edges.append((min(u, v), max(u, v), rng.random() + 0.01))
     fw = floyd_warshall(n, edges)
     for src in range(0, n, max(1, n // 5)):
-        dists, _ = oracle_spt(n, edges, src)
+        dists, _ = kernel(n, edges, src)
         assert np.allclose(dists, fw[src], rtol=1e-12, atol=0)
+        assert dists == oracle_spt(n, edges, src)[0]
+
+
+# Few distinct weights, so that many sums tie; 0 and 1 against 2^53 add
+# nothing to a distance, 2^53 + 2 is the next float.
+WEIGHTS = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 0.1, 0.2, 0.3, 2.0**53])
+
+
+@st.composite
+def random_graphs(draw):
+    n = draw(st.integers(1, 30))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex, WEIGHTS), max_size=4 * n))
+    return n, edges, draw(vertex)
+
+
+@st.composite
+def lattices(draw):
+    a, b = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    diagonal = draw(st.booleans())
+    edges = []
+    for x in range(a):
+        for y in range(b):
+            v = x * b + y
+            if x + 1 < a:
+                edges.append((v, v + b, 1.0))
+            if y + 1 < b:
+                edges.append((v, v + 1, 1.0))
+            if diagonal and x + 1 < a and y + 1 < b:
+                edges.append((v, v + b + 1, math.sqrt(2.0)))
+    return a * b, edges, draw(st.integers(0, a * b - 1))
+
+
+@st.composite
+def chains(draw):
+    n = draw(st.integers(2, 300))
+    order = draw(st.permutations(range(n)))
+    edges = [(u, v, draw(WEIGHTS)) for u, v in zip(order, order[1:])]
+    return n, edges, draw(st.sampled_from([order[0], order[-1], order[n // 2]]))
+
+
+@st.composite
+def disconnected(draw):
+    n, edges, source = draw(random_graphs())
+    m, more, _ = draw(random_graphs())
+    return n + m, edges + [(u + n, v + n, w) for u, v, w in more], source
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(random_graphs(), lattices(), chains(), disconnected()))
+def test_dijkstra_matches_the_heap(graph):
+    # Distances and parents, ties and unreachable vertices (inf, -1) included.
+    n, edges, source = graph
+    dists, parent = kernel(n, edges, source)
+    assert (dists, parent) == heap_dijkstra(n, adjacency(n, edges), source)
+    lost = [v for v in range(n) if math.isinf(dists[v])]
+    assert all(parent[v] == -1 for v in lost)
+    if lost:
+        with pytest.raises(Unreachable):
+            root_paths(parent, source, lost[:1])
+
+
+def test_an_edge_that_adds_nothing_keeps_the_heap_parent():
+    # 2 is at 2^53 and 1 hangs off it by a weight that rounds to nothing:
+    # fl(d(2) + 1) == d(2) == d(1).  The heap settles 2 first and gives 1
+    # the parent 2, though (d(2), 2) > (d(1), 1).
+    edges = [(0, 2, 2.0**53), (1, 2, 1.0)]
+    dists, parent = kernel(3, edges, 0)
+    assert dists == [0.0, 2.0**53, 2.0**53]
+    assert parent == [-1, 2, 0]
+    assert (dists, parent) == heap_dijkstra(3, adjacency(3, edges), 0)
+
+
+def test_core_spt_raises_on_a_disconnected_core():
+    g = build_core(CoreInstance.canonical(0.09, 4))
+    last = g.n - 1
+    cut = dataclasses.replace(g, edges=[e for e in g.edges if last not in e[:2]])
+    with pytest.raises(Disconnected):
+        core_spt(cut)
+
+
+def _hop_depth(parent) -> int:
+    """Edges on the longest root path of a parent array; unreached vertices skipped."""
+    depth = {}
+    for v in range(len(parent)):
+        walk = []
+        while v not in depth and v >= 0:
+            walk.append(v)
+            v = parent[v]
+        d = depth.get(v, -1)
+        for u in reversed(walk):
+            d += 1
+            depth[u] = d
+    return max(depth.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(random_graphs(), lattices(), chains()))
+def test_rounds_stay_within_the_hop_depth(graph):
+    n, edges, source = graph
+    rounds = []
+    real = slt.metrics._relax
+
+    def counted(*args):
+        rounds.append(1)
+        return real(*args)
+
+    slt.metrics._relax = counted
+    try:
+        _, parent = kernel(n, edges, source)
+    finally:
+        slt.metrics._relax = real
+    assert 1 <= len(rounds) <= _hop_depth(parent) + 1
+
+
+def test_rounds_stay_within_the_hop_depth_in_every_build(monkeypatch):
+    # One folding, one core2d and one pyramid build; each solve's rounds
+    # against its own tree's depth.
+    seen = []
+    relax = slt.metrics._relax
+
+    def counted(*args):
+        seen[-1][0] += 1
+        return relax(*args)
+
+    def spied(real):
+        def solve(*args):
+            seen.append([0, 0])
+            dists, parent = real(*args)
+            seen[-1][1] = _hop_depth(parent.tolist())
+            return dists, parent
+        return solve
+
+    monkeypatch.setattr(slt.metrics, "_relax", counted)
+    for module in (slt.pipeline, slt.pyramid, slt.core2d):
+        monkeypatch.setattr(module, "dijkstra", spied(module.dijkstra))
+    rng = random.Random(3)
+    slt.pipeline.assemble_slt(
+        PointCloud(tuple((rng.random(), rng.random(), rng.random()) for _ in range(40))), 0.04
+    )
+    core_spt(build_core(CoreInstance.canonical(0.04, 12)))
+    slt.pyramid.build_pyramid_core(3, 0.09, slt.pyramid.GridSpec.for_points(64, 3))
+    assert len(seen) == 3
+    assert all(1 <= rounds <= depth + 1 for rounds, depth in seen), seen
 
 
 def test_root_paths_keeps_the_walks_to_the_targets_in_ascending_order():

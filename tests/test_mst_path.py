@@ -350,8 +350,9 @@ def test_mst_weight_reach_grows_only_while_many_points_are_left(monkeypatch):
 
 
 def test_mst_weight_leaves_scipy_unloaded():
-    # slt verify of a large low-dimensional tree takes this path.
-    code = ("import sys, random; from slt.mst_path import euclidean_mst_weight; "
+    # slt verify of a large low-dimensional tree takes this path; neither it
+    # nor the whole package, the pyramid included, loads scipy.
+    code = ("import sys, random, slt; from slt.mst_path import euclidean_mst_weight; "
             "rng = random.Random(5); "
             "w = euclidean_mst_weight([(rng.random(), rng.random(), rng.random()) "
             "for _ in range(2000)]); print(w > 0, 'scipy' in sys.modules)")

@@ -6,14 +6,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import _covering_radius, hyperplane_cloud, oracle_spt, pyramid_mst_lower_bound
+from oracles import (
+    _covering_radius, heap_dijkstra, hyperplane_cloud, oracle_spt, pyramid_mst_lower_bound
+)
 
 import slt.mst_path
 import slt.pyramid
 from slt.core2d import CoreInstance, build_core
 from slt.errors import DimensionTooSmall, SltError
 from slt.geometry import dist
-from slt.metrics import adjacency, dijkstra
+from slt.metrics import adjacency
 from slt.mst_path import PointCloud, _pairs_within, euclidean_mst
 from slt.pyramid import (
     GridSpec,
@@ -164,7 +166,7 @@ def local_ratio(pts, edges, reach):
     adj = adjacency(n, edges)
     worst = 0.0
     for src in range(n):
-        dists, _ = dijkstra(n, adj, src)
+        dists, _ = heap_dijkstra(n, adj, src)
         for v in range(src + 1, n):
             d = dist(tuple(pts[src]), tuple(pts[v]))
             if d <= reach:
@@ -515,10 +517,12 @@ def test_base_points_within_cube():
         assert all(abs(x) <= side / 2 for x in p[1:])
 
 
-@pytest.mark.parametrize("d,eps,n,vertices", [(4, 0.09, 200, 665), (3, 0.04, 64, 213), (4, 0.25, 8, 25)])
+@pytest.mark.parametrize("d,eps,n,vertices", [(4, 0.09, 200, 658), (3, 0.04, 64, 213), (4, 0.25, 8, 25)])
 def test_tree_keeps_only_the_paths_to_the_grid_points(d, eps, n, vertices):
     # Off the regime most of the corner lattice is on no such path: the
-    # full shortest-path trees held 1,506, 630 and 198 vertices here.
+    # full shortest-path trees held 1,506, 630 and 198 vertices here.  (The
+    # first tree had 665 vertices under scipy's tie rule; ``dijkstra``'s
+    # lowest-index parents share more of the paths.)
     G, tree, rep = build_pyramid_core(d, eps, GridSpec.for_points(n, d))
     assert G.n == tree.n == len(tree.edges) + 1 == vertices
     assert G.kinds[: n + 1] == ["input"] * (n + 1)
