@@ -577,9 +577,11 @@ def test_render_surfaces_draws_the_cores_at_the_build_lambda(tmp_path, capsys, m
     assert [(c.levels, c.coords) for c in drawn] == [(c.levels, c.coords) for c in cores]
 
 
-def test_render_surfaces_rejects_the_lambda_build_rejects(tmp_path, capsys):
+@pytest.mark.parametrize("n", [2, 8])
+def test_render_surfaces_rejects_the_lambda_build_rejects(tmp_path, capsys, n):
+    # Checked before any work: two points make no gadget core to reject it.
     pts, svg = tmp_path / "pts.json", tmp_path / "surf.svg"
-    run(["gen", "random", "--n", 8, "--dim", 3, "--seed", 3, "--output", pts])
+    run(["gen", "random", "--n", n, "--dim", 3, "--seed", 3, "--output", pts])
     capsys.readouterr()
     for command in (["build"], ["render", "--surfaces", "--output", svg]):
         assert run([*command, "--input", pts, "--eps", 0.04, "--lambda", 2.5]) == 1
@@ -697,8 +699,7 @@ def test_folding_golden_tree_whatever_its_vertex_numbering(tmp_path, capsys):
 def test_pyramid_golden_tree_is_the_full_tree_cut_to_its_input_paths(tmp_path, capsys):
     # The search graph's shortest-path tree by ``dijkstra``'s tie rule, with
     # every vertex off the root's paths to the inputs removed: 213 vertices
-    # are left.  scipy's tie rule gave a tree of as many vertices, the same
-    # stretch, lightness within 3e-16 relative and fingerprint d6e1e435...
+    # are left.
     pts, tree = tmp_path / "pts.json", tmp_path / "tree.json"
     assert run(["gen", "grid", "--dim", 3, "--n", 64, "--eps", 0.04, "--output", pts]) == 0
     assert run(["build", "--method", "pyramid", "--eps", 0.04, "--input", pts, "--output", tree]) == 0

@@ -520,9 +520,7 @@ def test_base_points_within_cube():
 @pytest.mark.parametrize("d,eps,n,vertices", [(4, 0.09, 200, 658), (3, 0.04, 64, 213), (4, 0.25, 8, 25)])
 def test_tree_keeps_only_the_paths_to_the_grid_points(d, eps, n, vertices):
     # Off the regime most of the corner lattice is on no such path: the
-    # full shortest-path trees held 1,506, 630 and 198 vertices here.  (The
-    # first tree had 665 vertices under scipy's tie rule; ``dijkstra``'s
-    # lowest-index parents share more of the paths.)
+    # full shortest-path trees held 1,506, 630 and 198 vertices here.
     G, tree, rep = build_pyramid_core(d, eps, GridSpec.for_points(n, d))
     assert G.n == tree.n == len(tree.edges) + 1 == vertices
     assert G.kinds[: n + 1] == ["input"] * (n + 1)
