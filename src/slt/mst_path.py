@@ -289,7 +289,8 @@ def _pairs_within(pts: np.ndarray, reach: float) -> np.ndarray:
     width = reach * (1.0 + 2.0**-40) + float(rel.max()) * 2.0**-48 or 1.0
     cell = np.empty((dim, n), dtype=np.intp)
     for a in range(dim):
-        # Along the sorted cells, a step of 0, 1 or 2 between neighbours.
+        # Along the sorted cells, a step of 0, 1 or 2 between neighbours: a sort,
+        # as np.unique's first call would import numpy.ma inside the build.
         floor = np.floor(rel[:, a] / width)
         by_cell = np.argsort(floor)
         step = np.minimum(np.diff(floor[by_cell]), 2.0).astype(np.intp)
@@ -400,7 +401,7 @@ def _local_mst_lengths(points) -> list[float] | None:
     d2 = _squared_rows(columns, np.arange(0, n, -(-n // _REACH_SAMPLE)))
     d2[d2 == 0.0] = np.inf  # each sampled point's own column
     nearest = np.sort(d2.min(axis=1))
-    half = len(nearest) // 2  # the median, as np.median takes it
+    half = len(nearest) // 2  # the median as np.median takes it, without numpy.ma
     median = nearest[half] if len(nearest) % 2 else (nearest[half - 1] + nearest[half]) / 2
     reach = 1.01 * math.sqrt(float(median))
     at = points.__getitem__

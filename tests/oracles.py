@@ -1,12 +1,12 @@
 """Reference code the tests compare the library against; no build runs it.
 
 Shortest paths (a binary-heap Dijkstra, the SPT it gives on a connected
-graph, and Floyd-Warshall), Kruskal's MST, the pairs of coinciding points (with a
-cloud on which the duplicate check's sort finds no order), a polyline's
-point at an arc length, a
-cone's planar unfolding, the convex-hull covering radius of the cone axes,
-a lower bound on the pyramid instance's MST weight, and the core's
-per-level weights, slack and stretch against the paper's bounds.
+graph, and Floyd-Warshall), Kruskal's MST, the pairs of coinciding points
+(with a cloud on which the duplicate check's sort finds no order), a
+polyline's point at an arc length, a cone's planar unfolding, the
+convex-hull covering radius of the cone axes, a lower bound on the
+pyramid instance's MST weight, and the core's per-level weights, slack
+and stretch against the paper's bounds.
 """
 from __future__ import annotations
 
