@@ -317,7 +317,6 @@ def core_spt(g: CoreGraph):
     root = g.root
     edges = edge_table(g.edges)
     dists, parent = dijkstra(g.n, edges[:, :2], edges[:, 2], root)
-    dists, parent = dists.tolist(), parent.tolist()
     if any(math.isinf(d) for d in dists):
         raise Disconnected("core graph is not connected")
     tree_edges = tuple(

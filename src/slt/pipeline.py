@@ -403,9 +403,7 @@ def assemble_slt(
 
     edges = edge_table(G.edges)
     dists, parent = dijkstra(G.n, edges[:, :2], edges[:, 2], root_id)
-    tree_graph, tree, input_vertices = _prune(
-        G, dists.tolist(), parent.tolist(), input_ids, root_id
-    )
+    tree_graph, tree, input_vertices = _prune(G, dists, parent, input_ids, root_id)
 
     phase1 = sub.hstar.total_length + math.fsum([math.dist(s, q) for q in bps.points[1:]])
     report = measure(

@@ -329,7 +329,6 @@ def build_pyramid_core(d: int, eps: float, grid: GridSpec, lam: float = 1.25):
     _, parent = dijkstra(G.n, ends, np.concatenate([ws, span_w]), apex_id)
     # The tree keeps the vertices on the apex's paths to the grid points,
     # in their order: the apex and the grid points keep their ids.
-    parent = parent.tolist()
     kept = root_paths(parent, apex_id, input_ids)
     graph = SteinerGraph()
     new_id = {v: graph.add_vertex(G.coords[v], G.kinds[v]) for v in kept}

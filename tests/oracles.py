@@ -1,7 +1,8 @@
 """Reference code the tests compare the library against; no build runs it.
 
 Shortest paths (a binary-heap Dijkstra, the SPT it gives on a connected
-graph, and Floyd-Warshall), Kruskal's MST, the pairs of coinciding points
+graph, and Floyd-Warshall, with the library's kernel over the same edge
+lists), Kruskal's MST, the pairs of coinciding points
 (with a cloud on which the duplicate check's sort finds no order), a
 polyline's point at an arc length, a cone's planar unfolding, the
 convex-hull covering radius of the cone axes, a lower bound on the
@@ -19,7 +20,7 @@ import numpy as np
 from slt.core2d import CoreGraph
 from slt.errors import AngleOutOfRange, Disconnected
 from slt.geometry import COINCIDENT_TOL, PlanePoint, Point, Polyline, dist
-from slt.metrics import adjacency
+from slt.metrics import adjacency, dijkstra, edge_table
 from slt.mst_path import PointCloud, Tree, _direction, euclidean_mst
 from slt.pyramid import GridSpec
 from slt.unfolding import FoldedSurface
@@ -60,6 +61,12 @@ def oracle_spt(n: int, edges, source: int):
     if any(math.isinf(d) for d in dist_arr):
         raise Disconnected("graph is not connected")
     return dist_arr, parent
+
+
+def kernel_spt(n: int, edges, source: int):
+    """``slt.metrics.dijkstra`` over an edge list (u, v, w), as a build calls it."""
+    table = edge_table(edges)
+    return dijkstra(n, table[:, :2], table[:, 2], source)
 
 
 def floyd_warshall(n: int, edges) -> np.ndarray:

@@ -224,18 +224,23 @@ rng = random.Random(1)
 pc = slt.PointCloud(tuple(tuple(rng.random() for _ in range(3)) for _ in range(600)))
 before = set(sys.modules)
 slt.assemble_slt(pc, 0.04)
-print(pyramid, sorted(set(sys.modules) - before))
+folding = sorted(set(sys.modules) - before)
+ray = slt.PointCloud(tuple((0.37 * t, 0.21 * t, 0.05 * t) for t in range(300)))
+before = set(sys.modules)
+slt.assemble_slt(ray, 0.09)
+print(pyramid, folding, sorted(set(sys.modules) - before))
 """
 
 
 def test_builds_import_nothing():
     # A module a build imports lazily is paid inside the build's time: numpy
     # loads numpy.ma on the first np.unique or np.median.  The pyramid-d4
-    # build and a folding build that takes the local MST path (n=600, d=3),
+    # build, a folding build that takes the local MST path (n=600, d=3) and
+    # one along a ray, whose deep tree ends its shortest paths in a heap,
     # each the first of its kind in a fresh process, import no module.
     proc = run_python(["-c", _IMPORTED_DURING_BUILDS])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["[]", "[]"]
+    assert proc.stdout.split() == ["[]", "[]", "[]"]
 
 
 # Names that left the package: deleted, or moved to tests/oracles.py.

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import floyd_warshall, heap_dijkstra, kruskal_mst, oracle_spt
+from oracles import floyd_warshall, heap_dijkstra, kernel_spt, kruskal_mst, oracle_spt
 
 import slt.core2d
 import slt.metrics
@@ -17,7 +17,7 @@ import slt.pyramid
 from slt.cli import canonical_dumps, run_cli, write_points
 from slt.core2d import CoreInstance, build_core, core_spt
 from slt.errors import Disconnected, Unreachable
-from slt.metrics import adjacency, dijkstra, edge_table, root_paths, root_stretch
+from slt.metrics import adjacency, root_paths, root_stretch
 from slt.mst_path import PointCloud, Tree, euclidean_mst
 
 
@@ -39,13 +39,6 @@ def test_spt_disconnected_raises():
         oracle_spt(3, [(0, 1, 1.0)], 0)
 
 
-def kernel(n, edges, source):
-    """``dijkstra`` over an edge list (u, v, w), as lists."""
-    table = edge_table(edges)
-    dists, parent = dijkstra(n, table[:, :2], table[:, 2], source)
-    return dists.tolist(), parent.tolist()
-
-
 @pytest.mark.parametrize("seed", range(6))
 def test_dijkstra_matches_floyd_warshall(seed):
     rng = random.Random(seed)
@@ -59,7 +52,7 @@ def test_dijkstra_matches_floyd_warshall(seed):
             edges.append((min(u, v), max(u, v), rng.random() + 0.01))
     fw = floyd_warshall(n, edges)
     for src in range(0, n, max(1, n // 5)):
-        dists, _ = kernel(n, edges, src)
+        dists, _ = kernel_spt(n, edges, src)
         assert np.allclose(dists, fw[src], rtol=1e-12, atol=0)
         assert dists == oracle_spt(n, edges, src)[0]
 
@@ -114,7 +107,7 @@ def disconnected(draw):
 def test_dijkstra_matches_the_heap(graph):
     # Distances and parents, ties and unreachable vertices (inf, -1) included.
     n, edges, source = graph
-    dists, parent = kernel(n, edges, source)
+    dists, parent = kernel_spt(n, edges, source)
     assert (dists, parent) == heap_dijkstra(n, adjacency(n, edges), source)
     lost = [v for v in range(n) if math.isinf(dists[v])]
     assert all(parent[v] == -1 for v in lost)
@@ -128,7 +121,7 @@ def test_an_edge_that_adds_nothing_keeps_the_heap_parent():
     # fl(d(2) + 1) == d(2) == d(1).  The heap settles 2 first and gives 1
     # the parent 2, though (d(2), 2) > (d(1), 1).
     edges = [(0, 2, 2.0**53), (1, 2, 1.0)]
-    dists, parent = kernel(3, edges, 0)
+    dists, parent = kernel_spt(3, edges, 0)
     assert dists == [0.0, 2.0**53, 2.0**53]
     assert parent == [-1, 2, 0]
     assert (dists, parent) == heap_dijkstra(3, adjacency(3, edges), 0)
@@ -170,7 +163,7 @@ def test_rounds_stay_within_the_hop_depth(graph):
 
     slt.metrics._relax = counted
     try:
-        _, parent = kernel(n, edges, source)
+        _, parent = kernel_spt(n, edges, source)
     finally:
         slt.metrics._relax = real
     assert 1 <= len(rounds) <= _hop_depth(parent) + 1
@@ -190,7 +183,7 @@ def test_rounds_stay_within_the_hop_depth_in_every_build(monkeypatch):
         def solve(*args):
             seen.append([0, 0])
             dists, parent = real(*args)
-            seen[-1][1] = _hop_depth(parent.tolist())
+            seen[-1][1] = _hop_depth(parent)
             return dists, parent
         return solve
 
@@ -205,6 +198,37 @@ def test_rounds_stay_within_the_hop_depth_in_every_build(monkeypatch):
     slt.pyramid.build_pyramid_core(3, 0.09, slt.pyramid.GridSpec.for_points(64, 3))
     assert len(seen) == 3
     assert all(1 <= rounds <= depth + 1 for rounds, depth in seen), seen
+
+
+def test_a_deep_tree_stops_the_rounds_and_keeps_the_heap_tree(monkeypatch):
+    # Points along a ray from the root give a hop per point, and sums that
+    # differ in their last bits lower vertices again and again: the rounds
+    # stop at 2 log2(2m), and the heap finishes on the heap's tree.
+    solves, rounds, settles = [], [], []
+    real, relax, settle = slt.pipeline.dijkstra, slt.metrics._relax, slt.metrics._settle
+
+    def solve(n, ends, weights, source):
+        out = real(n, ends, weights, source)
+        solves.append((n, ends.tolist(), weights.tolist(), source, out))
+        return out
+
+    def counted(*args):
+        rounds.append(1)
+        return relax(*args)
+
+    def settled(*args):
+        settles.append(1)
+        return settle(*args)
+
+    monkeypatch.setattr(slt.pipeline, "dijkstra", solve)
+    monkeypatch.setattr(slt.metrics, "_relax", counted)
+    monkeypatch.setattr(slt.metrics, "_settle", settled)
+    slt.pipeline.assemble_slt(PointCloud(tuple((0.37 * t, 0.21 * t, 0.05 * t) for t in range(300))), 0.09)
+    (n, ends, weights, source, (dists, parent)), = solves
+    edges = [(int(u), int(v), w) for (u, v), w in zip(ends, weights)]
+    assert (dists, parent) == heap_dijkstra(n, adjacency(n, edges), source)
+    assert len(rounds) == 2 * (2 * len(edges)).bit_length() and settles == [1]
+    assert _hop_depth(parent) > 2 * len(rounds)
 
 
 def test_root_paths_keeps_the_walks_to_the_targets_in_ascending_order():

@@ -6,14 +6,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from oracles import oracle_spt
+from oracles import kernel_spt, oracle_spt
 
 from slt.breakpoints import select_breakpoints, subdivide
 from slt.cli import run_cli, write_points, write_tree
 from slt.core2d import CoreChain, build_core, core_layout, core_spt, levels_for_eps, portal_grid
 from slt.errors import EmptySurface, EpsOutOfRange
 from slt.geometry import angle_at_apex, dist
-from slt.metrics import dijkstra, edge_table, tree_distances
+from slt.metrics import tree_distances
 from slt.mst_path import PointCloud, dfs_hamiltonian, euclidean_mst
 from slt.pipeline import (
     FoldingGraph, _prune, _realize, assemble_slt, build_gadget, surface_inputs
@@ -37,13 +37,6 @@ def circle_cloud(eps, dim=2, seed=None):
         arr = arr @ q.T
         pts = [tuple(map(float, row)) for row in arr]
     return PointCloud(tuple(pts), 0)
-
-
-def _spt(n, edges, root):
-    """The build's shortest-path step over an edge list: distance and parent lists."""
-    table = edge_table(edges)
-    dists, parent = dijkstra(n, table[:, :2], table[:, 2], root)
-    return dists.tolist(), parent.tolist()
 
 
 def random_cloud(n, d, seed):
@@ -596,7 +589,7 @@ def test_core_paths_into_adjacent_grid_vertices_share_an_apex(j, first):
         q = core.point((-1, grid))
         v = _add_planar(G, surf, q, "ell_steiner")
         G.add_core_path(root, v, core.dists[-1], (surf, core, grid, True, q))
-    dists, parent = _spt(G.n, G.edges, root)
+    dists, parent = kernel_spt(G.n, G.edges, root)
     sub, tree, _ = _prune(G, dists, parent, [1, 2], root)
     apices = {sub.coords[v] for v in range(sub.n) if sub.kinds[v] == "core_apex"}
     assert apices == {lift(surf, core.point((i, j >> (k - i)))) for i in range(1, k + 1)}
@@ -616,7 +609,7 @@ def test_contracted_cores_keep_the_core_shortest_paths():
         # without connectors and sub-path edges, only the gadget's core is left
         G, vids = _alone(pc, f, dataclasses.replace(g, secondary=[]))
         edges = [(u, v, w) for u, v, w in G.edges if not {u, v} <= set(vids)]
-        dists, _ = _spt(G.n, edges, 0)
+        dists, _ = kernel_spt(G.n, edges, 0)
         r_id, r_img = vids[g.r_local], g.vertex_images[g.r_local]
         portal = {G.coords[v]: v for v in G.surface}
         ids = [portal.get(q, r_id) for q in g.ell_steiner]  # r's vertex at r's image
@@ -676,7 +669,7 @@ def test_coinciding_lifts_still_give_a_spanning_tree():
     G.add_gadget_edge(f, root, (0.0, 0.0), c, qc)
     G.add_gadget_edge(f, c, qc, b, q)
     G.add_gadget_edge(f, b, q, far[1], img1)
-    dists, parent = _spt(G.n, G.edges, root)
+    dists, parent = kernel_spt(G.n, G.edges, root)
     assert (parent[a], parent[b], parent[far[1]]) == (root, c, b)
     sub, tree, _ = _prune(G, dists, parent, far, root)
     assert sub.coords.count(lift(f, q)) == 2
