@@ -98,6 +98,11 @@ def regime_grid(d, eps):
 def regime_base(d, eps):
     """A regime grid build: its base points (without their x_0 = 0), spanner
     edges and reach, and the returned graph."""
+    return captured_base(d, eps, regime_grid(d, eps))
+
+
+def captured_base(d, eps, grid):
+    """The base points, spanner edges and reach of a build, and its graph."""
     seen = {}
     real = slt.pyramid.base_spanner
 
@@ -109,7 +114,7 @@ def regime_base(d, eps):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(slt.pyramid, "base_spanner", record)
-        G, _, _ = build_pyramid_core(d, eps, regime_grid(d, eps))
+        G, _, _ = build_pyramid_core(d, eps, grid)
     return seen["points"], seen["edges"], seen["reach"], G
 
 
@@ -285,6 +290,93 @@ def test_yao_matches_the_per_point_scan_on_the_d3_regime_base():
         pts, edges, reach, G = regime_base(3, eps)
         assert np.array_equal(edges, within(pts, yao_oracle(pts), reach))
         assert_no_long_base_edge(G, reach)
+
+
+def cone_spy(monkeypatch):
+    """Record the rows and cones of every call of the cone product."""
+    calls = []
+    real = slt.pyramid._cones
+
+    def record(rows, axes):
+        cones = real(rows, axes)
+        calls.append((rows.copy(), cones))
+        return cones
+
+    monkeypatch.setattr(slt.pyramid, "_cones", record)
+    return calls
+
+
+def distinct_directions(pts, reach):
+    """The distinct float32 direction rows of the directed pairs within reach,
+    as their bit patterns."""
+    pairs = _pairs_within(pts, reach)
+    src, dst = np.concatenate([pairs, pairs[:, ::-1]]).T
+    rows = (pts[dst] - pts[src]).astype(np.float32).view(np.uint32)
+    return np.unique(rows, axis=0)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_cones_do_not_depend_on_the_block(monkeypatch, dim):
+    # Thousands of distinct directions, in blocks of 7 and of 1,024: the
+    # cones, and so the edges, are the same, and the oracle's.
+    pts = lattice_cloud(np.random.default_rng([dim, 11]), 400, dim)
+    reach = past_diameter(pts)
+    expected = within(pts, yao_oracle(pts), reach)
+    calls = cone_spy(monkeypatch)
+    for block in (7, 1024):
+        monkeypatch.setattr(slt.pyramid, "_CONE_BLOCK", block)
+        assert np.array_equal(yao_spanner(pts, reach), expected)
+    (rows_7, cones_7), (rows_1024, cones_1024) = calls
+    assert len(rows_7) > 1024
+    assert np.array_equal(rows_7, rows_1024) and np.array_equal(cones_7, cones_1024)
+
+
+def test_a_tie_in_one_cone_keeps_the_lower_index():
+    # From the origin, A and B are 3,425 apart squared, in 2-d cone 12.  Each
+    # of them sees a nearer point (its blocker, in another cone of the
+    # origin) in its cone towards the origin, so an edge to the origin comes
+    # from the origin's cone 12 alone: it goes to whichever of A and B has
+    # the lower index.
+    origin, a, b = (0.0, 0.0), (17.0, 56.0), (20.0, 55.0)
+    block_a, block_b = (16.5, 54.5), (11.5, 27.5)
+    axes, _ = _cone_axes(2)
+    cone = lambda x: int(np.argmax(np.float32(x) @ axes.T.astype(np.float32)))
+    assert cone(a) == cone(b) == 12
+    assert np.einsum("i,i", a, a) == np.einsum("i,i", b, b)
+    for near, block in ((a, block_a), (b, block_b)):
+        assert cone(block) != 12
+        assert cone(np.subtract(block, near)) == cone(np.negative(near))
+        assert dist(block, near) < dist(origin, near)
+    for first, second in ((a, b), (b, a)):
+        pts = np.array([origin, first, second, block_a, block_b])
+        edges = yao_spanner(pts, past_diameter(pts))
+        assert np.array_equal(edges, yao_oracle(pts))
+        assert [0, 1] in edges.tolist() and [0, 2] not in edges.tolist()
+
+
+def test_a_reach_below_every_gap_gives_no_edge():
+    rng = np.random.default_rng(5)
+    for dim in (2, 3):
+        pts = rng.random((50, dim))
+        gap = min(dist(p, q) for p, q in itertools.combinations(pts.tolist(), 2))
+        for reach in (0.0, gap / 2):
+            edges = yao_spanner(pts, reach)
+            assert edges.dtype == np.int64 and edges.shape == (0, 2)
+    # The golden grid's base has no pair within the build's reach.
+    pts, edges, reach, _ = captured_base(3, 0.04, GridSpec.for_points(64, 3))
+    assert edges.dtype == np.int64 and edges.shape == (0, 2)
+    assert len(_pairs_within(pts, reach)) == 0
+
+
+def test_the_cone_product_sees_each_distinct_direction_once(monkeypatch):
+    pts, edges, reach, _ = regime_base(4, 0.09)
+    calls = cone_spy(monkeypatch)
+    assert np.array_equal(yao_spanner(pts, reach), edges)
+    [(rows, _)] = calls
+    assert len(rows) == 7_074
+    bits = rows.view(np.uint32)
+    assert np.array_equal(np.unique(bits, axis=0), distinct_directions(pts, reach))
+    assert len(np.unique(bits, axis=0)) == len(rows)
 
 
 # Edge count and sha256 of the full Yao graph's edge array cut to the
