@@ -158,7 +158,7 @@ def _fibonacci_sphere(count: int) -> np.ndarray:
     )
 
 
-#: Directions per block of the cone product: 1,024 x 768 float32 is 3 MB.
+#: Distinct direction rows per block of the cone product: 1,024 x 768 float32 is 3 MB.
 _CONE_BLOCK = 1024
 
 
@@ -192,22 +192,24 @@ def yao_spanner(points: np.ndarray, reach: float) -> np.ndarray:
     past the diameter gives the full Yao graph, a 5/4-spanner.  Returns the
     edges as an (m, 2) int64 array, each row (lo, hi), sorted.
 
-    The product is taken once per distinct float32 direction row: one
-    ``lexsort`` of the rows' bit patterns groups them, the distinct rows
-    meet the axes ``_CONE_BLOCK`` at a time, and the cones are scattered
-    back.  A row's product depends on that row alone, so the cones do not
-    depend on the grouping or the block size.  Then one integer sort of
-    the (source, cone) slots finds the slots that more than one pair
-    fills, and only those rows are ordered by squared length and index.
+    The cone of a row is the float32 ``argmax`` over the axes, taken once
+    per distinct row (``_cones``): one ``lexsort`` of the m directed
+    pairs' float32 bit patterns groups equal rows, the distinct rows meet
+    the axes, and each pair takes its row's cone.  A row's product depends
+    on that row alone, so no cone depends on the grouping.  Then one
+    integer sort of the (source, cone) slots leaves a slot with one
+    candidate as it is, and only the contested slots take their least d2
+    and, among equal ones, their least index, by two minimum reductions.
 
-    The only caller is the pyramid base, a lattice, where few rows are
-    distinct: 7,074 of the 38,448 directed pairs at d=4 eps 0.09, and 504
-    rows in contested slots.  On a cloud whose directions rarely repeat,
-    the grouping sort is paid on top of the full product.  Memory is
-    O(candidates + block x cones).  The candidates are the pairs in
-    neighbouring cells of ``_pairs_within``, 6.6 times the pairs within
-    reach on the d=4 eps=0.04 base; the sorts hold a few index arrays of
-    the pairs within reach.
+    Cost: the sorts are O(m log m) time and hold O(m) index and bit arrays
+    (m x dim uint32); the product is O(distinct rows x cones) time and
+    O(``_CONE_BLOCK`` x cones) memory.  The only caller is the pyramid
+    base, a lattice, where few rows are distinct and few slots contested:
+    7,074 rows of 38,448 and 504 contested rows at d=4 eps 0.09.  On a
+    cloud whose directions rarely repeat the grouping sort comes on top of
+    the full product.  The candidates of ``_pairs_within`` are the pairs
+    in neighbouring cells, 6.6 times the pairs within reach on the d=4
+    eps=0.04 base.
     """
     pts = np.ascontiguousarray(points, dtype=np.float64)
     n, dim = pts.shape
