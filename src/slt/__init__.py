@@ -21,9 +21,7 @@ from .errors import (
     Unreachable,
 )
 from .geometry import ArcPosition, Point, Polyline, angle_at_apex, dist
-from .mst_path import (
-    HamPath, PointCloud, Tree, dfs_hamiltonian, euclidean_mst, euclidean_mst_weight,
-)
+from .mst_path import HamPath, PointCloud, Tree, dfs_hamiltonian, euclidean_mst
 from .breakpoints import BreakpointSet, SubdividedPath, select_breakpoints, subdivide
 from .unfolding import Cone, FoldedSurface, build_surfaces, lift, lift_segment, unfold_vertex
 from .core2d import CoreGraph, CoreInstance, build_core, core2d_points, core_spt

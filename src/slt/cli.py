@@ -16,7 +16,7 @@ import sys
 from .core2d import build_core, core2d_points, core_spt
 from .errors import MalformedFile, MalformedTree, SltError
 from .metrics import collector_paused, measure
-from .mst_path import PointCloud, Tree, euclidean_mst_weight
+from .mst_path import PointCloud, Tree, euclidean_mst
 from .pipeline import SteinerGraph, _front_end, assemble_core2d, assemble_slt, build_gadget
 from .pipeline import surface_inputs
 from .pyramid import assemble_pyramid, pyramid_points
@@ -365,7 +365,7 @@ def _verified_report(args):
         tuple((u, v, math.dist(coords[u], coords[v])) for u, v in edges),
         root,
     )
-    mst_weight = euclidean_mst_weight(pc.points, pc.root)
+    mst_weight = euclidean_mst(pc).weight
     report = measure(tree, coords, vertex_of, args.eps, mst_weight, {"verified": True})
     return pc, report
 

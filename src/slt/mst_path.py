@@ -3,11 +3,10 @@
 ``PointCloud`` rejects coinciding inputs once, so every build after it
 tells vertices apart by id: it sorts the points along one fixed direction
 and tests only the pairs within a rounding-safe window of each other.
-``euclidean_mst`` is Prim's tree, O(n^2), whose edges and tie rule the
-folding path follows.  ``euclidean_mst_weight`` gives only the weight, for
-the reports' lightness: up to 4 dimensions and from 500 points it takes
-Kruskal over the pairs within a local reach, found by cell buckets, and
-Borůvka for the rest.
+``euclidean_mst`` is the package's one MST: folding follows its edges and
+every report divides by its weight.  Up to 4 dimensions and from 500
+points it takes Kruskal over the pairs within a local reach, found by cell
+buckets, and Borůvka for the rest; otherwise Prim's tree, O(n^2).
 """
 from __future__ import annotations
 
@@ -166,15 +165,45 @@ class HamPath:
         return self.geometry.total_length
 
 
-#: Relative difference within which candidate edge weights count as equal.
+#: Relative difference within which Prim takes candidate edge weights as equal.
 _TIE = 1e-12
 
-#: Largest n for which ``euclidean_mst`` holds the full distance matrix (8 MB).
+#: Largest n for which ``_prim`` holds the full distance matrix (8 MB).
 _FULL_MATRIX_MAX = 1024
+
+#: Largest dimension and smallest size at which ``euclidean_mst`` takes the
+#: local candidate graph.  Outside them Prim is faster: the cell
+#: neighbourhoods grow as 3^d, and small inputs pay the fixed costs.
+_LOCAL_MAX_DIM = 4
+_LOCAL_MIN_N = 500
 
 
 def euclidean_mst(pts: PointCloud) -> Tree:
-    """Minimum spanning tree of the complete Euclidean graph (Prim).
+    """Minimum spanning tree of the complete Euclidean graph.
+
+    Up to ``_LOCAL_MAX_DIM`` dimensions and from ``_LOCAL_MIN_N`` points,
+    ``_local_mst``'s tree; otherwise, or where that finds Borůvka too
+    costly, ``_prim``'s from the root.  Where distances nearly tie the two
+    can differ, as Prim's tie window is not the local path's exact order.
+    """
+    edges = None
+    if pts.dim <= _LOCAL_MAX_DIM and pts.n >= _LOCAL_MIN_N:
+        edges = _local_mst(pts.points)
+    if edges is None:
+        edges = _prim(pts.points, pts.root)
+    return Tree(pts.n, edges, pts.root)
+
+
+def _scaled_columns(points) -> np.ndarray:
+    """The coordinate columns times 2^-e, 2^e the least power of two above
+    the largest extent: exact barring underflow, and no square overflows."""
+    arr = np.asarray(points, dtype=float)
+    exp = math.frexp(float(np.ptp(arr, axis=0).max()))[1]
+    return np.ascontiguousarray(np.ldexp(arr, -exp).T)
+
+
+def _prim(points, root: int) -> tuple[tuple[int, int, float], ...]:
+    """Prim's tree over distinct ``points`` from ``root``, O(n^2).
 
     Each outside vertex is a candidate through its nearest tree vertex
     (equal distances: the smaller edge pair).  The next edge is the
@@ -182,25 +211,20 @@ def euclidean_mst(pts: PointCloud) -> Tree:
     candidates within a relative ``_TIE`` of the lightest, so edges of
     equal length are chosen by index, not by the rounding of their lengths.
 
-    Up to ``_FULL_MATRIX_MAX`` points the distances come from one full
-    matrix, built in blocks of 64 rows; beyond, each row is computed when
-    its vertex joins the tree, in O(n) memory.  Both paths subtract,
-    square and add one coordinate at a time, in the same order, then take
-    the square root, so they give the same floats and the same tree.
+    The distances come from ``_scaled_columns``.  Up to
+    ``_FULL_MATRIX_MAX`` points they come from one full matrix, built in
+    blocks of 64 rows; beyond, each row is computed when its vertex joins
+    the tree, in O(n) memory.  Both paths subtract, square and add one
+    coordinate at a time, in the same order, then take the square root, so
+    they give the same floats and the same tree.
     """
-    return Tree(pts.n, _prim(pts.points, pts.root), pts.root)
-
-
-def _prim(points, root: int) -> tuple[tuple[int, int, float], ...]:
-    """The edges of ``euclidean_mst`` over ``points``, which must be distinct."""
     n = len(points)
     if n == 1:
         return ()
-    coords = np.asarray(points, dtype=float)
     # Distances come from coordinate differences, never from the Gram form
     # |x|^2+|y|^2-2x.y, which cancels for a cluster far from the origin or
     # from the root.
-    columns = np.ascontiguousarray(coords.T)
+    columns = _scaled_columns(points)
     dist_rows = None
     if n <= _FULL_MATRIX_MAX:  # full matrix, for cheap row lookups
         dist_rows = np.empty((n, n))
@@ -258,8 +282,8 @@ def _prim(points, root: int) -> tuple[tuple[int, int, float], ...]:
     return tuple(edges)
 
 
-def _pairs_within(pts: np.ndarray, reach: float) -> np.ndarray:
-    """Every pair of rows of ``pts`` at most ``reach`` apart, as (i, j) rows.
+def _pairs_within(pts: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair of rows of ``pts`` at most ``reach`` apart, as (i, j) rows, and their d2.
 
     Fixed-radius near neighbours by cell buckets (Bentley, Stanat and
     Williams, IPL 1977).  The cells are ``reach`` wide, so a pair within
@@ -270,7 +294,7 @@ def _pairs_within(pts: np.ndarray, reach: float) -> np.ndarray:
     the last axis three neighbouring cells have consecutive keys, so every
     row of offsets is one range of the sorted points.  A candidate is kept
     when its squared distance, summed over the axes in order, is at most
-    ``reach``^2.  Returns the pairs in no particular order.
+    ``reach``^2.  Returns the pairs in no particular order, and their d2.
 
     The width has margins of 2^-40 of ``reach`` and 2^-48 of the extent,
     above the rounding of the cell coordinates (at most 2^-51 of the
@@ -284,7 +308,7 @@ def _pairs_within(pts: np.ndarray, reach: float) -> np.ndarray:
         raise ValueError(f"reach must be nonnegative, got {reach}")
     n, dim = pts.shape
     if n < 2:
-        return np.empty((0, 2), dtype=np.intp)
+        return np.empty((0, 2), dtype=np.intp), np.empty(0)
     rel = pts - pts.min(axis=0)
     width = reach * (1.0 + 2.0**-40) + float(rel.max()) * 2.0**-48 or 1.0
     cell = np.empty((dim, n), dtype=np.intp)
@@ -320,20 +344,11 @@ def _pairs_within(pts: np.ndarray, reach: float) -> np.ndarray:
         x *= x
         d2 += x
     near = d2 <= reach * reach
-    return np.column_stack((order[i[near]], order[j[near]]))
+    return np.column_stack((order[i[near]], order[j[near]])), d2[near]
 
-
-#: Largest dimension and smallest size at which ``euclidean_mst_weight``
-#: takes the local candidate graph.  Outside them Prim is faster: the cell
-#: neighbourhoods grow as 3^d, and small inputs pay the fixed costs.
-_LOCAL_MAX_DIM = 4
-_LOCAL_MIN_N = 500
 
 #: Points whose median nearest-neighbour distance sets the first reach.
 _REACH_SAMPLE = 64
-
-#: Reach shrink within which ``_pairs_within`` returns every pair by ``math.dist``.
-_REACH_SAFE = 1.0 - 2.0**-40
 
 #: Elements per block of Borůvka's distance rows: 2 MB per float64 array.
 _GRAM_BLOCK = 1 << 18
@@ -346,37 +361,23 @@ _PAIR_COST = 64
 _PAIRS_PER_POINT = 16
 
 
-def euclidean_mst_weight(points, root: int = 0, prim: Tree | None = None) -> float:
-    """Weight of a Euclidean minimum spanning tree of distinct ``points``.
+def _local_mst(points) -> tuple[tuple[int, int, float], ...] | None:
+    """The MST's edges, by Kruskal within a reach, then Borůvka.
 
-    Edges are ordered by (``math.dist`` length, lower index, higher index).
-    Kruskal (Proc. AMS 1956) over the pairs within a reach picks exactly
-    the MST edges no longer than it, and the components left join by their
-    lightest outside edges (Borůvka), which the cut property puts in the
-    MST.  So this is the weight of Kruskal's tree in that order, summed as
-    ``Tree.weight`` sums.  Prim (``euclidean_mst``) may take an edge within
-    its relative ``_TIE`` of a lighter one, so the two can differ in the
-    last bits.  Below ``_LOCAL_MIN_N`` points, above ``_LOCAL_MAX_DIM``
-    dimensions, or where ``_local_mst_lengths`` finds Borůvka too costly,
-    it is the weight of Prim's tree from ``root``, or of ``prim`` if the
-    caller has that tree already.
-    """
-    lengths = None
-    if len(points[0]) <= _LOCAL_MAX_DIM and len(points) >= _LOCAL_MIN_N:
-        lengths = _local_mst_lengths(points)
-    if lengths is None:
-        return (prim or Tree(len(points), _prim(points, root), root)).weight
-    return math.fsum(sorted(lengths))
-
-
-def _local_mst_lengths(points) -> list[float] | None:
-    """The MST's edge lengths, by Kruskal within a reach, then Borůvka.
+    Pairs are ordered by (d2, lower index, higher index), d2 the squared
+    distance summed axis by axis over ``_scaled_columns`` as
+    ``_pairs_within`` and ``_squared_rows`` sum it.  The order is strict,
+    so its MST is unique: Kruskal (Proc. AMS 1956) over the pairs with
+    d2 <= fl(reach^2) picks exactly its edges among them, and the cut
+    property puts each component's least outside edge in it (Borůvka).
 
     - The first reach is 1.01 times the median nearest-neighbour distance
-      of at most ``_REACH_SAMPLE`` sampled points.  Each round takes the
-      pairs within reach whose ends are not yet joined, and keeps those no
-      longer than ``_REACH_SAFE`` times the reach: ``_pairs_within`` finds
-      every one of them.
+      of at most ``_REACH_SAMPLE`` sampled points.  Each round joins, in
+      order, the pairs from ``_pairs_within`` whose ends are not yet
+      joined.  Those hold every pair with d2 <= fl(reach^2): for dim <= 4
+      and u = 2^-53, d2 is within 6u of the squared distance (3u per
+      square, 3u for the sum), so such a pair lies within reach (1 + 4u)
+      < reach (1 + 2^-40), and the cells' margin already covers it.
     - The reach doubles while Borůvka's rows would cost more than the
       pairs within twice the reach: a row per point outside the largest
       component for about log2(components) rounds, against about 2^dim
@@ -385,26 +386,22 @@ def _local_mst_lengths(points) -> list[float] | None:
       It grows to at most about ``_PAIRS_PER_POINT`` pairs per point.
       Past that, if Borůvka would take more rows than Prim's n, as for
       many far clusters, it returns None: Prim is cheaper.
-    - Each Borůvka round takes, for every component but the largest, its
-      lightest edge to another component, from distance rows in blocks of
-      ``_GRAM_BLOCK`` entries.  The columns within a relative ``_TIE`` of a
-      row's minimum go to ``math.dist``, so the rows' rounding picks no edge.
+    - Each Borůvka round takes, for every point outside the largest
+      component, its row's least d2 to another component at its least
+      column, the row's least pair in the order; one ``lexsort`` then gives
+      each component its least (d2, lo, hi).  The rows come in blocks of
+      ``_GRAM_BLOCK`` entries.
 
-    The points are first scaled by a power of two, which is exact, so the
-    squared distances neither overflow nor underflow.
+    Only the n - 1 chosen edges are weighed, by ``math.dist``.
     """
     n, dim = len(points), len(points[0])
-    arr = np.asarray(points, dtype=float)
-    exp = math.frexp(float(np.ptp(arr, axis=0).max()))[1]
-    arr = np.ldexp(arr, -exp)
-    columns = np.ascontiguousarray(arr.T)
+    columns = _scaled_columns(points)
     d2 = _squared_rows(columns, np.arange(0, n, -(-n // _REACH_SAMPLE)))
     d2[d2 == 0.0] = np.inf  # each sampled point's own column
     nearest = np.sort(d2.min(axis=1))
     half = len(nearest) // 2  # the median as np.median takes it, without numpy.ma
     median = nearest[half] if len(nearest) % 2 else (nearest[half - 1] + nearest[half]) / 2
     reach = 1.01 * math.sqrt(float(median))
-    at = points.__getitem__
     parent = list(range(n))
 
     def find(x):
@@ -412,30 +409,26 @@ def _local_mst_lengths(points) -> list[float] | None:
             parent[x] = x = parent[parent[x]]
         return x
 
-    lengths = []
+    chosen = []
 
-    def join(ws, los, his):
-        for w, i, j in zip(ws, los, his):
+    def join(los, his):
+        for i, j in zip(los.tolist(), his.tolist()):
             ri, rj = find(i), find(j)
             if ri != rj:
                 parent[ri] = rj
-                lengths.append(w)
+                chosen.append((i, j))
 
     label = np.arange(n)
     while True:
-        pairs = _pairs_within(arr, reach)
+        pairs, d2 = _pairs_within(columns.T, reach)
         lo, hi = pairs.min(axis=1), pairs.max(axis=1)
         cross = label[lo] != label[hi]
-        lo, hi = lo[cross], hi[cross]
-        w = np.fromiter(map(math.dist, map(at, lo.tolist()), map(at, hi.tolist())),
-                        float, len(lo))
-        sure = w <= math.ldexp(reach * _REACH_SAFE, exp)
-        w, lo, hi = w[sure], lo[sure], hi[sure]
-        order = np.lexsort((hi, lo, w))
-        join(w[order].tolist(), lo[order].tolist(), hi[order].tolist())
-        components = n - len(lengths)
+        lo, hi, d2 = lo[cross], hi[cross], d2[cross]
+        order = np.lexsort((hi, lo, d2))
+        join(lo[order], hi[order])
+        components = n - len(chosen)
         if components == 1:
-            return lengths
+            break
         label = _roots(parent)
         outside = n - int(np.bincount(label).max())
         rows = outside * math.log2(components)
@@ -447,25 +440,26 @@ def _local_mst_lengths(points) -> list[float] | None:
                 return None
             break
         reach *= 2.0
-    while len(lengths) < n - 1:
-        lightest = {}
+    while len(chosen) < n - 1:
         outside = np.flatnonzero(label != np.bincount(label).argmax())
+        near = np.empty(len(outside))
+        col = np.empty(len(outside), dtype=np.intp)
         step = max(1, _GRAM_BLOCK // n)
         for s in range(0, len(outside), step):
             block = outside[s : s + step]
             d2 = _squared_rows(columns, block)
             d2[label[block][:, None] == label] = np.inf
-            near = d2.min(axis=1)
-            near += near * _TIE
-            ii, jj = np.nonzero(d2 <= near[:, None])
-            for i, j in zip(block[ii].tolist(), jj.tolist()):
-                key = (math.dist(at(i), at(j)), min(i, j), max(i, j))
-                c = int(label[i])
-                if c not in lightest or key < lightest[c]:
-                    lightest[c] = key
-        join(*zip(*sorted(lightest.values())))
+            col[s : s + step] = j = d2.argmin(axis=1)
+            near[s : s + step] = d2[np.arange(len(block)), j]
+        lo, hi = np.minimum(outside, col), np.maximum(outside, col)
+        comp = label[outside]
+        order = np.lexsort((hi, lo, near, comp))
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = comp[order[1:]] != comp[order[:-1]]
+        order = order[first]
+        join(lo[order], hi[order])
         label = _roots(parent)
-    return lengths
+    return tuple((i, j, math.dist(points[i], points[j])) for i, j in chosen)
 
 
 def _squared_rows(columns: np.ndarray, rows: np.ndarray) -> np.ndarray:

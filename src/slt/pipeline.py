@@ -37,7 +37,7 @@ from .core2d import CoreChain, CoreInstance, build_core, core_spt, portal_grid
 from .errors import EmptySurface, EpsOutOfRange, SltError
 from .geometry import PlanePoint, Point
 from .metrics import collector_paused, dijkstra, edge_table, measure, root_paths
-from .mst_path import PointCloud, Tree, dfs_hamiltonian, euclidean_mst, euclidean_mst_weight
+from .mst_path import PointCloud, Tree, dfs_hamiltonian, euclidean_mst
 from .unfolding import FoldedSurface, build_surfaces, lift, ray_crossings
 from .unfolding import lift_segment  # noqa: F401  not called; perfbench's layer trace wraps it
 
@@ -407,7 +407,7 @@ def assemble_slt(
 
     phase1 = sub.hstar.total_length + math.fsum([math.dist(s, q) for q in bps.points[1:]])
     report = measure(
-        tree, tree_graph.coords, input_vertices, eps, euclidean_mst_weight(pts.points, prim=mst),
+        tree, tree_graph.coords, input_vertices, eps, mst.weight,
         {
             "gamma": gamma,
             "phase1_weight": phase1,
@@ -611,7 +611,7 @@ def assemble_core2d(pts: PointCloud, eps: float, lam: float = 1.25):
     base_ids = iter(g.input_ids)
     vertex_of = [g.root if i == pts.root else next(base_ids) for i in range(pts.n)]
     report = measure(
-        tree, graph.coords, vertex_of, eps, euclidean_mst_weight(pts.points, pts.root),
+        tree, graph.coords, vertex_of, eps, euclidean_mst(pts).weight,
         {
             "levels": g.k,
             "chain_total": sum([(1 << (i + 1)) * g.chain[i] for i in range(g.k + 1)]),

@@ -22,8 +22,7 @@ from .core2d import levels_for_eps
 from .errors import AngleOverflow, DimensionTooSmall, EpsOutOfRange, SltError
 from .geometry import Point, dist
 from .metrics import collector_paused, dijkstra, measure, root_paths
-from .mst_path import PointCloud, Tree, _pairs_within, euclidean_mst_weight
-from .mst_path import euclidean_mst  # noqa: F401  not called; perfbench's layer trace wraps it
+from .mst_path import PointCloud, Tree, _pairs_within, euclidean_mst
 from .pipeline import SteinerGraph
 
 SPANNER_T = 1.25
@@ -214,7 +213,7 @@ def yao_spanner(points: np.ndarray, reach: float) -> np.ndarray:
     pts = np.ascontiguousarray(points, dtype=np.float64)
     n, dim = pts.shape
     axes, _ = _cone_axes(dim)
-    pairs = _pairs_within(pts, reach)
+    pairs, _ = _pairs_within(pts, reach)
     src, dst = np.concatenate([pairs, pairs[:, ::-1]]).T
     diff = pts[dst] - pts[src]
     d2 = np.einsum("ij,ij->i", diff, diff)
@@ -381,8 +380,9 @@ def build_pyramid_core(d: int, eps: float, grid: GridSpec, lam: float = 1.25):
             graph.add_edge(new_id[parent[v]], new_id[v])
     tree = Tree(graph.n, tuple(graph.edges), apex_id)
 
+    mst = euclidean_mst(PointCloud((apex,) + inputs))
     report = measure(
-        tree, graph.coords, [apex_id] + input_ids, eps, euclidean_mst_weight((apex,) + inputs),
+        tree, graph.coords, [apex_id] + input_ids, eps, mst.weight,
         {
             "levels": k,
             "level_angles": [alpha * lam**i for i in range(k + 1)],

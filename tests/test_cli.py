@@ -666,12 +666,14 @@ def _scaled_core(pts):
 
 
 REPORT_CASES = [(gen, build, None) for gen, build, _ in GOLDEN_TREES] + [
-    (GOLDEN_TREES[1][0], GOLDEN_TREES[1][1], _scaled_core)
+    (GOLDEN_TREES[1][0], GOLDEN_TREES[1][1], _scaled_core),
+    # A tie-heavy lattice whose 730 points in d=3 take the local MST.
+    (["grid", "--dim", 3, "--n", 729, "--eps", 0.09], ["--eps", 0.09], None),
 ]
 
 
 @pytest.mark.parametrize("gen,build,edit", REPORT_CASES,
-                         ids=["folding", "core2d", "pyramid", "core2d-scaled"])
+                         ids=["folding", "core2d", "pyramid", "core2d-scaled", "folding-grid"])
 def test_build_report_equals_verify(tmp_path, capsys, gen, build, edit):
     # Every method measures the tree it returns as verify measures the file.
     pts, tree = tmp_path / "pts.json", tmp_path / "tree.json"

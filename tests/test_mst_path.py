@@ -13,7 +13,8 @@ from oracles import duplicate_pairs, hyperplane_cloud, kruskal_mst
 import slt.mst_path
 from slt.errors import DuplicatePoints
 from slt.geometry import COINCIDENT_TOL
-from slt.mst_path import PointCloud, dfs_hamiltonian, euclidean_mst, euclidean_mst_weight
+from slt.mst_path import PointCloud, Tree, dfs_hamiltonian, euclidean_mst
+from slt.pipeline import assemble_slt
 from slt.pyramid import GridSpec, pyramid_points
 
 
@@ -257,13 +258,13 @@ def reference_weight(pts):
     every pair would take gigabytes."""
     if len(pts) <= 1500:
         return kruskal_mst(pts).weight
-    return euclidean_mst(PointCloud(pts)).weight
+    return Tree(len(pts), slt.mst_path._prim(pts, 0), 0).weight
 
 
 def assert_mst_weight(pts):
     pts = tuple(map(tuple, np.asarray(pts, dtype=float).tolist()))
     want = reference_weight(pts)
-    got = euclidean_mst_weight(pts)
+    got = euclidean_mst(PointCloud(pts)).weight
     assert got == want or abs(got - want) <= 1e-15 * want, (got, want)
 
 
@@ -325,8 +326,8 @@ def test_mst_weight_of_collinear_points():
 
 
 def test_mst_weight_of_one_and_two_points():
-    assert euclidean_mst_weight(((1.0, 2.0),)) == 0.0
-    assert euclidean_mst_weight(((0.0, 0.0), (3.0, 4.0))) == 5.0
+    assert euclidean_mst(PointCloud(((1.0, 2.0),))).weight == 0.0
+    assert euclidean_mst(PointCloud(((0.0, 0.0), (3.0, 4.0)))).weight == 5.0
 
 
 def test_mst_weight_reach_grows_only_while_many_points_are_left(monkeypatch):
@@ -342,23 +343,63 @@ def test_mst_weight_reach_grows_only_while_many_points_are_left(monkeypatch):
 
     monkeypatch.setattr(slt.mst_path, "_pairs_within", record)
     rng = np.random.default_rng(11)
-    euclidean_mst_weight(tuple(map(tuple, rng.random((2000, 3)).tolist())))
+    euclidean_mst(PointCloud(tuple(map(tuple, rng.random((2000, 3)).tolist()))))
     assert len(reaches) >= 2 and reaches[1] == 2 * reaches[0]
     reaches.clear()
-    euclidean_mst_weight(regime_points(4, 0.09))
+    euclidean_mst(PointCloud(regime_points(4, 0.09)))
     assert len(reaches) == 1
 
 
 def test_mst_weight_leaves_scipy_unloaded():
     # slt verify of a large low-dimensional tree takes this path; neither it
     # nor the whole package, the pyramid included, loads scipy.
-    code = ("import sys, random, slt; from slt.mst_path import euclidean_mst_weight; "
+    code = ("import sys, random, slt; from slt.mst_path import PointCloud, euclidean_mst; "
             "rng = random.Random(5); "
-            "w = euclidean_mst_weight([(rng.random(), rng.random(), rng.random()) "
-            "for _ in range(2000)]); print(w > 0, 'scipy' in sys.modules)")
+            "w = euclidean_mst(PointCloud(tuple((rng.random(), rng.random(), rng.random()) "
+            "for _ in range(2000)))).weight; print(w > 0, 'scipy' in sys.modules)")
     src = os.path.dirname(os.path.dirname(os.path.abspath(slt.mst_path.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["True", "False"]
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+def test_prim_tree_does_not_overflow(scale):
+    # Squared differences of 1e160 overflow, unless the coordinates are
+    # first scaled by a power of two.
+    rng = random.Random(3)
+    pts = [tuple(rng.random() for _ in range(3)) for _ in range(40)]
+    want = [(u, v) for u, v, _ in euclidean_mst(PointCloud(tuple(pts))).edges]
+    big = euclidean_mst(PointCloud(tuple(tuple(scale * x for x in p) for p in pts)))
+    assert [(u, v) for u, v, _ in big.edges] == want
+
+
+@pytest.mark.parametrize("kind", ["lattice", "uniform"])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("n", [500, 2000])
+def test_local_mst_is_prims_tree(monkeypatch, kind, dim, n):
+    # Where no two distances nearly tie, Prim's window is the exact order:
+    # integer lattices tie exactly, uniform clouds not at all.  The growth
+    # cap only picks the cheaper path; lifted, the sparse d=4 lattice of
+    # 2,000 points runs the local path too.
+    monkeypatch.setattr(slt.mst_path, "_PAIRS_PER_POINT", math.inf)
+    rng = np.random.default_rng([dim, n, 1])
+    cloud = lattice(rng, n, dim) if kind == "lattice" else rng.random((n, dim))
+    pts = tuple(map(tuple, cloud.astype(float).tolist()))
+    local = slt.mst_path._local_mst(pts)
+    assert local is not None
+    assert edge_set(Tree(n, local, 0)) == edge_set(Tree(n, slt.mst_path._prim(pts, 0), 0))
+
+
+@pytest.mark.parametrize("n,dim,calls", [(600, 3, 0), (600, 5, 1), (499, 3, 1)])
+def test_a_folding_build_takes_one_mst(monkeypatch, n, dim, calls):
+    # In d <= 4 from 500 points the local tree, else Prim's; the report
+    # takes the tree's weight, so no second MST runs.
+    seen = []
+    real = slt.mst_path._prim
+    monkeypatch.setattr(slt.mst_path, "_prim", lambda *a: seen.append(a) or real(*a))
+    rng = np.random.default_rng([n, dim])
+    assemble_slt(PointCloud(tuple(map(tuple, rng.random((n, dim)).tolist()))), 0.25)
+    assert len(seen) == calls

@@ -245,13 +245,17 @@ def test_pairs_within_are_the_pairs_at_most_reach_apart(dim, n, cloud):
         pts = lattice_cloud(rng, n, dim)
         reaches = [0.0, 0.5, 1.0, math.sqrt(2.0), math.sqrt(3.0), 2.0, 2.5]
     for reach in reaches + [past_diameter(pts)]:
-        pairs = _pairs_within(pts, reach)
+        pairs, d2 = _pairs_within(pts, reach)
         keys = pair_keys(pairs, n)
         assert pairs.shape == (len(keys), 2)
         assert np.array_equal(keys, brute_pairs(pts, reach))
+        want = np.zeros(len(pairs))
+        for a in range(dim):  # summed axis by axis, as the MST orders pairs
+            want += (pts[pairs[:, 1], a] - pts[pairs[:, 0], a]) ** 2
+        assert np.array_equal(d2, want)
         tree_pairs = cKDTree(pts).query_pairs(reach, output_type="ndarray")
         assert np.array_equal(keys, pair_keys(tree_pairs, n))
-    assert len(_pairs_within(pts, past_diameter(pts))) == n * (n - 1) // 2
+    assert len(_pairs_within(pts, past_diameter(pts))[0]) == n * (n - 1) // 2
 
 
 def test_pairs_within_at_a_reach_far_below_the_extent():
@@ -260,7 +264,7 @@ def test_pairs_within_at_a_reach_far_below_the_extent():
     rng = np.random.default_rng(3)
     pts = np.concatenate([lattice_cloud(rng, 200, 3) * 1e-9, [[1e9, -1e9, 1e9]]])
     for reach in (1e-9, 2.5e-9, 1e-6):
-        keys = pair_keys(_pairs_within(pts, reach), len(pts))
+        keys = pair_keys(_pairs_within(pts, reach)[0], len(pts))
         assert len(keys) and np.array_equal(keys, brute_pairs(pts, reach))
     with pytest.raises(ValueError):
         _pairs_within(pts, -1.0)
@@ -309,7 +313,7 @@ def cone_spy(monkeypatch):
 def distinct_directions(pts, reach):
     """The distinct float32 direction rows of the directed pairs within reach,
     as their bit patterns."""
-    pairs = _pairs_within(pts, reach)
+    pairs, _ = _pairs_within(pts, reach)
     src, dst = np.concatenate([pairs, pairs[:, ::-1]]).T
     rows = (pts[dst] - pts[src]).astype(np.float32).view(np.uint32)
     return np.unique(rows, axis=0)
@@ -365,7 +369,7 @@ def test_a_reach_below_every_gap_gives_no_edge():
     # The golden grid's base has no pair within the build's reach.
     pts, edges, reach, _ = captured_base(3, 0.04, GridSpec.for_points(64, 3))
     assert edges.dtype == np.int64 and edges.shape == (0, 2)
-    assert len(_pairs_within(pts, reach)) == 0
+    assert len(_pairs_within(pts, reach)[0]) == 0
 
 
 def test_the_cone_product_sees_each_distinct_direction_once(monkeypatch):
