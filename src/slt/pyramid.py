@@ -213,10 +213,10 @@ def yao_spanner(points: np.ndarray, reach: float) -> np.ndarray:
     pts = np.ascontiguousarray(points, dtype=np.float64)
     n, dim = pts.shape
     axes, _ = _cone_axes(dim)
-    pairs, _ = _pairs_within(pts, reach)
+    pairs, d2 = _pairs_within(pts, reach)
     src, dst = np.concatenate([pairs, pairs[:, ::-1]]).T
     diff = pts[dst] - pts[src]
-    d2 = np.einsum("ij,ij->i", diff, diff)
+    d2 = np.concatenate([d2, d2])
     if np.any(d2 == 0.0):
         raise ValueError("yao_spanner needs distinct points")
     # The float32 rows sorted by bit pattern; ``first`` marks the first of each run.

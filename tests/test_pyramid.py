@@ -16,7 +16,7 @@ from slt.core2d import CoreInstance, build_core
 from slt.errors import DimensionTooSmall, SltError
 from slt.geometry import dist
 from slt.metrics import adjacency
-from slt.mst_path import PointCloud, _pairs_within, euclidean_mst
+from slt.mst_path import PointCloud, _pairs_within
 from slt.pyramid import (
     GridSpec,
     _cone_axes,
@@ -438,13 +438,14 @@ def mst_clouds():
 
 def test_mst_rows_do_not_depend_on_the_path(monkeypatch):
     # The full matrix and the row-at-a-time path compute the same floats,
-    # so Prim breaks every tie the same way on both.
+    # so Prim breaks every tie the same way on both.  Prim is called
+    # directly: euclidean_mst takes the local path on the d=4 grid.
     for arr in mst_clouds():
-        cloud = PointCloud(tuple(map(tuple, arr.tolist())), 0)
-        monkeypatch.setattr(slt.mst_path, "_FULL_MATRIX_MAX", cloud.n)
-        full = euclidean_mst(cloud)
+        points = tuple(map(tuple, arr.tolist()))
+        monkeypatch.setattr(slt.mst_path, "_FULL_MATRIX_MAX", len(points))
+        full = slt.mst_path._prim(points, 0)
         monkeypatch.setattr(slt.mst_path, "_FULL_MATRIX_MAX", 0)
-        assert euclidean_mst(cloud).edges == full.edges
+        assert slt.mst_path._prim(points, 0) == full
 
 
 def test_yao_rejects_repeated_points():
