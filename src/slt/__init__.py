@@ -25,7 +25,7 @@ from .mst_path import HamPath, PointCloud, Tree, dfs_hamiltonian, euclidean_mst
 from .breakpoints import BreakpointSet, SubdividedPath, select_breakpoints, subdivide
 from .unfolding import Cone, FoldedSurface, build_surfaces, lift, lift_segment, unfold_vertex
 from .core2d import CoreGraph, CoreInstance, build_core, core2d_points, core_spt
-from .pipeline import SteinerGraph, SurfaceGadget, assemble_core2d, assemble_slt, build_gadget
+from .pipeline import Gadgets, SteinerGraph, assemble_core2d, assemble_slt, build_gadget
 from .metrics import SltReport, measure, root_paths, root_stretch
 from .pyramid import GridSpec, assemble_pyramid, build_pyramid_core, pyramid_points, yao_spanner
 

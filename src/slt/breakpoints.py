@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EpsOutOfRange
-from .geometry import ArcPosition, Point, Polyline
+from .geometry import ArcPosition, Point, Polyline, each
 from .mst_path import HamPath
 
 _RESIDUAL_TOL = 1e-9
@@ -145,6 +145,8 @@ def _crossings(path: Polyline, sq: float, cur: tuple[int, float, float]):
     b = np.einsum("ij,ij->i", u, rel)
     c = np.einsum("ij,ij->i", rel, rel)
     end_dist = np.sqrt(np.maximum(lens * lens + 2.0 * b * lens + c, 0.0)).tolist()
+    # The same, as math.dist through the end's coordinates p0 + (p1 - p0).
+    end_far = each(math.hypot, *(arr[:-1] + seg - np.asarray(s, dtype=float)).T).tolist()
     sqrt_c = np.sqrt(c).tolist()
     seg_lens, diffs, b, c = lens.tolist(), seg.tolist(), b.tolist(), c.tolist()
     eps = sq * sq
@@ -172,7 +174,7 @@ def _crossings(path: Polyline, sq: float, cur: tuple[int, float, float]):
             # the quadratic form t^2 + 2bt + c cancels catastrophically near
             # the closest approach.  At t = L the factor is exactly 1.
             p0, dp = verts[j], diffs[j]
-            ghi = (a + seg_len) - sq * math.dist(s, [x + d for x, d in zip(p0, dp)])
+            ghi = (a + seg_len) - sq * end_far[j]
             if ghi < 0.0:
                 continue  # confirmed: no crossing in this segment
             t = _solve_on_segment(a, b[j], c[j], eps, t0, seg_len)

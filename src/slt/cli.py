@@ -281,9 +281,11 @@ def render_tree_svg(coords, kinds, edges, path):
 def render_surfaces_svg(pc: PointCloud, eps: float, gamma: float, lam: float, path):
     """The gadget ``assemble_slt`` builds on each unfolded surface, side by side."""
     eps_int, _, _, sub, surfaces = _front_end(pc, eps, gamma, lam)
+    gadgets = build_gadget(surfaces, surface_inputs(surfaces, sub, pc.root), eps_int, lam)
+    row = dict(zip(gadgets.surface.tolist(), range(len(gadgets))))
     cv = _Canvas(size=1200.0)
     offset = 0.0
-    for surf, inputs in zip(surfaces, surface_inputs(surfaces, sub, pc.root)):
+    for i, surf in enumerate(surfaces):
         imgs = [unfold_vertex(surf, j) for j in range(len(surf.verts))]
         rmax = max(surf.vertex_radius(j) for j in range(len(surf.verts)))
         shift = lambda q: (q[0] + offset, q[1])  # noqa: E731
@@ -295,12 +297,12 @@ def render_surfaces_svg(pc: PointCloud, eps: float, gamma: float, lam: float, pa
         for q in imgs:
             cv.dot(shift(q), fill="black", r=2.0)
         cv.dot(origin, fill="black", r=2.5)
-        if inputs:
-            gadget = build_gadget(surf, inputs, eps_int, lam)
-            cv.line(shift(gadget.ell_a), shift(gadget.ell_b), stroke="#888888")
-            for q in gadget.ell_steiner:
+        if i in row:
+            g = row[i]
+            cv.line(shift(gadgets.ell_a[g].tolist()), shift(gadgets.ell_b[g].tolist()), stroke="#888888")
+            for q in gadgets.ell_steiner[g, :1 if gadgets.flat[g] else None].tolist():
                 cv.dot(shift(q), fill="#777777", r=1.5)
-            inst = gadget.core_instance()
+            inst = gadgets.core_instance(g)
             if inst is not None:
                 core = build_core(inst)
                 for u, v, _ in core_spt(core)[0].edges:

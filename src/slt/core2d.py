@@ -13,14 +13,15 @@ the caller's plane on demand.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
+import numpy as np
+
 from .errors import AngleOverflow, Disconnected, EpsOutOfRange
-from .geometry import PlanePoint, angle_at_apex, dist
-from .metrics import dijkstra, edge_table
+from .geometry import COINCIDENT_TOL, PlanePoint, angle_at_apex, dist, each
+from .metrics import dijkstra
 from .mst_path import Tree
 
 _ISO_TOL = 1e-9
@@ -147,34 +148,6 @@ class CoreGraph:
         return self.frame.to_plane(self.coords[i])
 
 
-def _make_frame(inst: CoreInstance) -> Frame:
-    o = (
-        0.5 * (inst.base_a[0] + inst.base_b[0]),
-        0.5 * (inst.base_a[1] + inst.base_b[1]),
-    )
-    abx, aby = inst.base_b[0] - inst.base_a[0], inst.base_b[1] - inst.base_a[1]
-    w = math.hypot(abx, aby)
-    ex = (abx / w, aby / w)
-    sy = (inst.apex[0] - o[0], inst.apex[1] - o[1])
-    proj = sy[0] * ex[0] + sy[1] * ex[1]
-    wy = (sy[0] - proj * ex[0], sy[1] - proj * ex[1])
-    ny = math.hypot(*wy)
-    ey = (wy[0] / ny, wy[1] / ny)
-    return Frame(o, ex, ey, 1.0 / dist(inst.apex, inst.base_a))
-
-
-def _levels(inst: CoreInstance):
-    """Frame, canonical x of base_a and base_b, k, and apex height per level (0: the root)."""
-    frame = _make_frame(inst)
-    alpha, lam, k = inst.apex_angle, inst.lam, inst.k
-    if alpha * lam**k >= math.pi / 2.0:
-        raise AngleOverflow(f"final apex angle {alpha * lam**k:.4f} reaches pi/2 at level {k}")
-    xa, xb = frame.to_canonical(inst.base_a)[0], frame.to_canonical(inst.base_b)[0]
-    heights = [frame.to_canonical(inst.apex)[1]] + [
-        (xb - xa) / (1 << (i + 1)) / math.tan(alpha * lam**i / 2.0) for i in range(1, k + 1)]
-    return frame, xa, xb, k, heights
-
-
 def _grid_x(xa: float, xb: float, i: int, j: int) -> float:
     """Canonical x of the j-th of the 2^i + 1 equally spaced points from xa to xb."""
     f = j / (1 << i)
@@ -187,7 +160,8 @@ def core_layout(inst: CoreInstance):
     Returns the frame, the apices per level (level 0 holds the root), the
     grid, the base points and the grid vertex each sits on (-1 if none).
     """
-    frame, xa, xb, k, heights = _levels(inst)
+    chain = CoreChain.of(inst)
+    frame, xa, xb, k, heights = chain.frame, chain.xa, chain.xb, chain.k, chain.heights
     xs = [[_grid_x(xa, xb, i, j) for j in range((1 << i) + 1)] for i in range(k + 1)]
     apices = [[frame.to_canonical(inst.apex)]] + [
         [(0.5 * (x0 + x1), h) for x0, x1 in zip(xi, xi[1:])] for xi, h in zip(xs[1:], heights[1:])]
@@ -233,11 +207,8 @@ class CoreChain:
 
     @classmethod
     def of(cls, inst: CoreInstance) -> "CoreChain":
-        frame, xa, xb, k, heights = _levels(inst)
-        dx = [(xb - xa) / (1 << (i + 2)) for i in range(k)] + [(xb - xa) / (1 << (k + 1))]
-        legs = map(math.hypot, dx, [hi - lo for hi, lo in zip(heights, heights[1:] + [0.0])])
-        dists = [0.0] + [d / frame.scale for d in itertools.accumulate(legs)]
-        return cls(frame, xa, xb, k, tuple(dists), tuple(heights))
+        one = [np.array([p], dtype=float) for p in (inst.apex, inst.base_a, inst.base_b)]
+        return core_chains(*one, np.array([inst.eps]), inst.lam).chain(0)
 
     def point(self, key: tuple[int, int]) -> PlanePoint:
         i, j = key
@@ -259,6 +230,103 @@ class CoreChain:
                  for a in (j - 1, j) if 0 <= a < 1 << k}
         a = max(depth, key=lambda a: (depth[a], a))
         return [(i, a >> (k - i)) for i in range(1, k + 1)]
+
+
+@dataclass
+class CoreChains:
+    """The ``CoreChain`` of many triangles, one row each, as arrays.
+
+    ``heights`` and ``dists`` are padded past level k + 1; ``chain(i)``
+    is row i's ``CoreChain``.
+    """
+
+    origin: np.ndarray  # (c, 2): the frame's origin, ex and ey
+    ex: np.ndarray
+    ey: np.ndarray
+    scale: np.ndarray  # (c,)
+    xa: np.ndarray
+    xb: np.ndarray
+    k: np.ndarray
+    dists: np.ndarray  # (c, K + 2)
+    heights: np.ndarray  # (c, K + 2)
+
+    def chain(self, i: int) -> CoreChain:
+        k = int(self.k[i])
+        frame = Frame(tuple(self.origin[i].tolist()), tuple(self.ex[i].tolist()),
+                      tuple(self.ey[i].tolist()), float(self.scale[i]))
+        return CoreChain(frame, float(self.xa[i]), float(self.xb[i]), k,
+                         tuple(self.dists[i, :k + 2].tolist()), tuple(self.heights[i, :k + 1].tolist()))
+
+    def grid_points(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """``chain(i).point((-1, j))`` for each pair of rows i and grid vertices j."""
+        f = j / np.left_shift(1, self.k[i])
+        x = (self.xa[i] * (1.0 - f) + self.xb[i] * f) / self.scale[i]
+        y = 0.0 / self.scale[i]
+        o, ex, ey = self.origin[i], self.ex[i], self.ey[i]
+        return np.stack([o[:, 0] + x * ex[:, 0] + y * ey[:, 0],
+                         o[:, 1] + x * ex[:, 1] + y * ey[:, 1]], axis=-1)
+
+
+def core_chains(apex: np.ndarray, base_a: np.ndarray, base_b: np.ndarray, eps: np.ndarray,
+                lam: float) -> CoreChains:
+    """The ``CoreChain`` of ``CoreInstance(apex, a, b, (), eps, lam)`` for every row.
+
+    Row by row the floats are those of one triangle at a time: numpy does
+    the elementwise arithmetic in the same order, and every libm call is
+    made once per element (``each``).  The checks of ``CoreInstance``
+    run on every row, and the first faulty row raises its error: the
+    instance's own, or ``AngleOverflow`` where the last level's apex
+    angle reaches pi/2.
+    """
+    (sx, sy), (ax, ay), (bx, by) = apex.T, base_a.T, base_b.T
+    la, lb = each(math.hypot, sx - ax, sy - ay), each(math.hypot, sx - bx, sy - by)
+    # angle_at_apex: the half-angle chord form on the unit directions
+    (pa, qa), (pb, qb) = (ax - sx, ay - sy), (bx - sx, by - sy)
+    na, nb = np.sqrt(pa * pa + qa * qa), np.sqrt(pb * pb + qb * qb)
+    ray = (na < COINCIDENT_TOL) | (nb < COINCIDENT_TOL)
+    ia, ib = 1.0 / np.where(ray, 1.0, na), 1.0 / np.where(ray, 1.0, nb)
+    pa, qa, pb, qb = ia * pa, ia * qa, ib * pb, ib * qb
+    cochord = np.sqrt((pa + pb) * (pa + pb) + (qa + qb) * (qa + qb))
+    alpha = 2.0 * each(math.atan2, each(math.hypot, pa - pb, qa - qb), cochord)
+    eps_ok = (0.0 < eps) & (eps < math.pi / 4)
+    k = np.ceil(0.5 * each(math.log2, 1.0 / np.where(eps_ok, eps, 0.25))).astype(int) + 1  # levels_for_eps
+    top = int(k.max(initial=0))
+    lam_pow = np.array([lam**i for i in range(top + 1)])
+    overflow = alpha * lam_pow[k] >= math.pi / 2.0
+    fault = (~eps_ok | (not 1.0 < lam < 2.0) | (np.abs(la - lb) > _ISO_TOL * np.maximum(la, lb))
+             | ray | (alpha > np.sqrt(eps) + _ISO_TOL) | overflow)
+    if fault.any():
+        i = int(np.argmax(fault))
+        CoreInstance(*(tuple(p[i].tolist()) for p in (apex, base_a, base_b)), (), float(eps[i]), lam)
+        raise AngleOverflow(f"final apex angle {alpha[i] * lam_pow[k[i]]:.4f} reaches pi/2 at level {k[i]}")
+    # The frame: origin at the base's midpoint, ex along the base, ey toward the apex.
+    ox, oy = 0.5 * (ax + bx), 0.5 * (ay + by)
+    abx, aby = bx - ax, by - ay
+    w = each(math.hypot, abx, aby)
+    exx, exy = abx / w, aby / w
+    hx, hy = sx - ox, sy - oy
+    proj = hx * exx + hy * exy
+    wx, wy = hx - proj * exx, hy - proj * exy
+    ny = each(math.hypot, wx, wy)
+    eyx, eyy = wx / ny, wy / ny
+    scale = 1.0 / la
+    # The canonical base ends and the apex height per level (0: the root).
+    xa = ((ax - ox) * exx + (ay - oy) * exy) * scale
+    xb = ((bx - ox) * exx + (by - oy) * exy) * scale
+    span = xb - xa
+    heights = np.zeros((len(k), top + 2))
+    heights[:, 0] = (hx * eyx + hy * eyy) * scale
+    for i in range(1, top + 1):
+        at = np.flatnonzero(k >= i)
+        heights[at, i] = span[at] / (1 << (i + 1)) / each(math.tan, alpha[at] * lam_pow[i] / 2.0)
+    # Every path to a level is equally long: the legs per level, the last one to the grid.
+    dx = span[:, None] / np.left_shift(1, np.arange(top + 1) + 2)
+    dx[np.arange(len(k)), k] = span / np.left_shift(1, k + 1)
+    legs = each(math.hypot, dx, heights[:, :-1] - heights[:, 1:])
+    dists = np.zeros_like(heights)
+    dists[:, 1:] = np.cumsum(legs, axis=1) / scale[:, None]
+    return CoreChains(np.stack([ox, oy], -1), np.stack([exx, exy], -1), np.stack([eyx, eyy], -1),
+                      scale, xa, xb, k, dists, heights)
 
 
 def build_core(inst: CoreInstance) -> CoreGraph:
@@ -315,7 +383,7 @@ def build_core(inst: CoreInstance) -> CoreGraph:
 def core_spt(g: CoreGraph):
     """Shortest-path tree of the core graph from the apex."""
     root = g.root
-    edges = edge_table(g.edges)
+    edges = np.array(g.edges, dtype=float).reshape(-1, 3)
     dists, parent = dijkstra(g.n, edges[:, :2], edges[:, 2], root)
     if any(math.isinf(d) for d in dists):
         raise Disconnected("core graph is not connected")

@@ -9,6 +9,8 @@ import math
 from dataclasses import dataclass, field
 from itertools import accumulate
 
+import numpy as np
+
 from .errors import DegenerateRay, DimensionMismatch
 
 Point = tuple[float, ...]
@@ -23,6 +25,17 @@ def dist(p: Point, q: Point) -> float:
     if len(p) != len(q):
         raise DimensionMismatch(f"dimensions {len(p)} and {len(q)} differ")
     return math.dist(p, q)
+
+
+def each(fn, *arrays) -> np.ndarray:
+    """``fn`` over the elements of equally shaped arrays, one call per element.
+
+    Batches call libm (cos, atan2, hypot, ...) through it to get a loop's
+    floats, which numpy's own versions may miss by an ulp.
+    """
+    shape = np.shape(arrays[0])
+    cols = [np.ravel(a).tolist() for a in arrays]
+    return np.fromiter(map(fn, *cols), np.float64, len(cols[0])).reshape(shape)
 
 
 def points_close(p: Point, q: Point) -> bool:

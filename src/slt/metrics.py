@@ -12,9 +12,8 @@ from __future__ import annotations
 import functools
 import gc
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from heapq import heapify, heappop, heappush
-from itertools import chain
 
 import numpy as np
 
@@ -52,11 +51,6 @@ def adjacency(n: int, edges) -> list[list[tuple[int, float]]]:
         adj[u].append((v, w))
         adj[v].append((u, w))
     return adj
-
-
-def edge_table(edges) -> np.ndarray:
-    """Edges (u, v, w) as an (m, 3) float array: ``dijkstra`` takes its columns."""
-    return np.fromiter(chain.from_iterable(edges), np.float64, 3 * len(edges)).reshape(-1, 3)
 
 
 def dijkstra(n: int, ends, weights, source: int):
@@ -271,7 +265,11 @@ class SltReport:
     flags: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        """The report as plain data, its lists and ``flags`` copied one level deep."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["per_point_stretch"] = list(self.per_point_stretch)
+        out["flags"] = {k: list(v) if isinstance(v, list) else v for k, v in self.flags.items()}
+        return out
 
 
 def measure(

@@ -22,6 +22,13 @@ core path gets its apices (``CoreChain.path``) and grid vertex only then.
 Every vertex keeps its id through the lift: no two are merged by their
 coordinates.
 
+The gadgets of a build are made at once, as arrays over (gadget, secondary)
+and (gadget, Steiner point) (``build_gadget``), and the graph in one pass
+over them (``_realize``).  That gives the floats, vertices and edges, in
+their order, that one surface and one element at a time gives: numpy does
+the elementwise arithmetic in the same order, every libm function is
+called once per element (``each``), and no sum is reassociated.
+
 ``assemble_core2d`` runs the recursive triangle core alone on a 2-d instance
 and returns the same (graph, tree, report) triple as ``assemble_slt``.  It
 lives here, not in ``core2d``, because it needs ``SteinerGraph``.
@@ -29,14 +36,17 @@ lives here, not in ``core2d``, because it needs ``SteinerGraph``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import dataclass
 from itertools import accumulate
 
+import numpy as np
+
 from .breakpoints import SubdividedPath, select_breakpoints, subdivide
-from .core2d import CoreChain, CoreInstance, build_core, core_spt, portal_grid
+from .core2d import CoreChain, CoreChains, CoreInstance, build_core, core_chains, core_spt, portal_grid
 from .errors import EmptySurface, EpsOutOfRange, SltError
-from .geometry import PlanePoint, Point
-from .metrics import collector_paused, dijkstra, edge_table, measure, root_paths
+from .geometry import Point, each
+from .metrics import collector_paused, dijkstra, measure, root_paths
 from .mst_path import PointCloud, Tree, dfs_hamiltonian, euclidean_mst
 from .unfolding import FoldedSurface, build_surfaces, lift, ray_crossings
 from .unfolding import lift_segment  # noqa: F401  not called; perfbench's layer trace wraps it
@@ -68,188 +78,193 @@ class SteinerGraph:
         self.edges.append((u, v, math.dist(self.coords[u], self.coords[v])))
 
 
-class FoldingGraph(SteinerGraph):
-    """The folding graph before lifting.
+@dataclass
+class FoldingGraph:
+    """The folding graph before lifting, its edges as arrays.
 
     Shared vertices (input points, break points, secondary break points)
-    hold R^d coordinates.  A gadget vertex holds a planar point of the
-    surface in ``surface``.  ``planar`` maps the key (lo, hi) of a gadget
-    edge to its surface and the planar points of lo and hi; every other
-    edge is straight in R^d.  Two vertices get at most one edge, and a
-    vertex none to itself (on a surface along one ray, r's vertex is the
-    one Steiner point, and its connectors repeat sub-path edges), but for
-    the root's edges in ``core_paths``, each its own core path: (surface,
-    CoreChain, grid vertex, whether the portal is on it, portal point).
-    It holds no phase-1 segment that no root path can use, and no break
-    point that only such segments touch (``assemble_slt``).
+    hold R^d coordinates.  A portal holds a planar point of the surface of
+    gadget ``vertex_gadget[v]`` (-1 for every other vertex).  Edge e joins
+    ``ends[e]`` and weighs ``weights[e]``; it is straight in R^d, or, where
+    ``edge_gadget[e]`` names a gadget, either planar on that gadget's
+    surface between the planar points ``edge_plane[e]`` of its ends, or,
+    where ``edge_grid[e]`` >= 0, a core path from the root through the
+    gadget's core (``chain``) to that grid vertex, on it or not
+    (``edge_on``), ending at ``edge_plane[e, 2:]``.  Two vertices get at
+    most one edge but core paths, and a vertex none to itself.  It holds
+    no phase-1 segment that no root path can use, and no break point that
+    only such segments touch (``assemble_slt``).
     """
 
-    def __init__(self):
-        super().__init__()
-        self.surface: dict[int, FoldedSurface] = {}
-        self.planar: dict[tuple[int, int], tuple[FoldedSurface, PlanePoint, PlanePoint]] = {}
-        self.core_paths: dict[tuple[int, int], list[tuple[float, tuple]]] = {}
-        self._edge_set: set[tuple[int, int]] = set()
+    coords: list
+    kinds: list[str]
+    ends: np.ndarray  # (m, 2)
+    weights: np.ndarray  # (m,)
+    surfaces: list[FoldedSurface]  # per gadget
+    chain: Callable[[int], CoreChain]  # per gadget with a core
+    vertex_gadget: np.ndarray  # (n,)
+    edge_gadget: np.ndarray  # (m,)
+    edge_plane: np.ndarray  # (m, 4)
+    edge_grid: np.ndarray  # (m,)
+    edge_on: np.ndarray  # (m,)
 
-    def add_edge(self, u: int, v: int) -> None:
-        key = (u, v) if u < v else (v, u)
-        if u != v and key not in self._edge_set:
-            self._edge_set.add(key)
-            self.edges.append((u, v, math.dist(self.coords[u], self.coords[v])))
-
-    def add_gadget_edge(
-        self, surf: FoldedSurface, u: int, qu: PlanePoint, v: int, qv: PlanePoint
-    ) -> None:
-        """Edge between the planar points qu, qv of u, v on ``surf``, weighed in the plane."""
-        key = (u, v) if u < v else (v, u)
-        if u == v or key in self._edge_set:
-            return
-        self._edge_set.add(key)
-        if u > v:
-            u, v, qu, qv = v, u, qv, qu
-        self.planar[key] = (surf, qu, qv)
-        self.edges.append((u, v, math.dist(qu, qv)))
-
-    def add_core_path(self, u: int, v: int, w: float, path: tuple) -> None:
-        """Edge u-v, maybe parallel to another, for a path through an unbuilt core."""
-        self.edges.append((u, v, w))
-        self.core_paths.setdefault((u, v), []).append((w, path))
-
-
-@dataclass(slots=True)
-class SecondaryBp:
-    """A secondary break point on the sub-path of one surface."""
-
-    arc: float
-    edge: int  # sub-path edge index
-    point: Point
-    plane: PlanePoint
-    at_vertex: int  # local vertex index if it coincides with one, else -1
-    steiner: int  # index of the nearest Steiner point on the cross line
+    @property
+    def n(self) -> int:
+        return len(self.coords)
 
 
 @dataclass
-class SurfaceGadget:
-    """Planar construction data for one folded surface that holds an input."""
+class Gadgets:
+    """The planar gadgets of every surface that holds an input, one row each.
 
-    surface: FoldedSurface
-    vertex_images: list[PlanePoint]
-    secondary: list[SecondaryBp]
-    ell_a: PlanePoint
-    ell_b: PlanePoint
-    ell_steiner: list[PlanePoint]
-    r_local: int
+    Row g is on ``surfaces[g]``, surface ``surface[g]`` of the build; the
+    first ``n_verts[g]`` columns of ``verts`` (R^d) and ``vertex_images``
+    (planar) are its vertices, the last repeated after them.  Every row
+    has theta secondary break points, columns q = 0..theta-1 at arc
+    (q + 1) W / theta, each on sub-path edge ``edge`` or at vertex
+    ``at_vertex`` (-1 if at none) and fed by Steiner point ``steiner``;
+    and theta Steiner points from ``ell_a`` to ``ell_b``.  A surface
+    along one ray (``flat``) has one Steiner point, its column 0, and no
+    core; the rows in ``core`` have their cores in ``chains``, in order.
+    """
+
+    surfaces: list[FoldedSurface]
+    surface: np.ndarray  # (G,)
+    n_verts: np.ndarray  # (G,)
+    verts: np.ndarray  # (G, L, d)
+    vertex_images: np.ndarray  # (G, L, 2)
+    r_local: np.ndarray  # (G,) the input closest to the root
+    ell_a: np.ndarray  # (G, 2)
+    ell_b: np.ndarray  # (G, 2)
+    flat: np.ndarray  # (G,)
+    arc: np.ndarray  # (G, theta)
+    edge: np.ndarray  # (G, theta)
+    at_vertex: np.ndarray  # (G, theta)
+    point: np.ndarray  # (G, theta, d)
+    plane: np.ndarray  # (G, theta, 2)
+    steiner: np.ndarray  # (G, theta)
+    ell_steiner: np.ndarray  # (G, theta, 2)
+    core: np.ndarray  # (G,)
+    eps_core: np.ndarray  # (G,)
     eps_int: float
     lam: float
+    chains: CoreChains
 
-    def core_triangle(self) -> CoreInstance | None:
-        """The recursive triangle over the cross line; None if it has zero width.
+    def __len__(self) -> int:
+        return len(self.surfaces)
 
-        It holds no base points: ``CoreChain.of`` reads only the triangle,
-        and ``build_gadget`` puts the Steiner points on its base.
-        """
-        a, b = self.ell_a, self.ell_b
-        if math.dist(a, b) < 1e-12 * a[0]:
+    def chain(self, g: int) -> CoreChain:
+        return self.chains.chain(int(np.count_nonzero(self.core[:g])))
+
+    def core_instance(self, g: int) -> CoreInstance | None:
+        """Row g's core triangle with its Steiner points on the base; None if it has none."""
+        if not self.core[g]:
             return None
-        eps_core = max(self.eps_int, self.surface.total_angle**2)
-        return CoreInstance((0.0, 0.0), a, b, (), eps_core, self.lam)
-
-    def core_instance(self) -> CoreInstance | None:
-        """The core triangle with the Steiner points on its base, checked there."""
-        tri = self.core_triangle()
-        return None if tri is None else replace(tri, base_points=tuple(self.ell_steiner))
+        a, b = tuple(self.ell_a[g].tolist()), tuple(self.ell_b[g].tolist())
+        base = tuple(map(tuple, self.ell_steiner[g].tolist()))
+        return CoreInstance((0.0, 0.0), a, b, base, float(self.eps_core[g]), self.lam)
 
 
 def build_gadget(
-    surf: FoldedSurface, input_locals: list[int], eps_int: float, lam: float = 1.25
-) -> SurfaceGadget:
-    """Planar gadget for one surface.
+    surfaces: list[FoldedSurface], inputs_of: list[list[int]], eps_int: float, lam: float = 1.25
+) -> Gadgets:
+    """Planar gadgets of every surface that holds an input, at once.
 
-    ``input_locals`` lists the sub-path vertex indices holding input
-    points (the root excluded), at least one: a surface without any gets
-    no gadget, only its phase-1 edges (``assemble_slt``).
+    ``inputs_of`` lists per surface the sub-path vertex indices holding
+    input points (the root excluded); a surface without any gets no
+    gadget, only its phase-1 edges (``assemble_slt``).  The floats are
+    those of one surface at a time: each vertex at its radius on its
+    boundary ray, r the input closest to the root (the lower index on a
+    tie), the cross line through r normal to the surface's bisector, and
+    each secondary fed by the Steiner point nearest its central
+    projection onto that line (the lower on a tie).  Elementwise
+    arithmetic runs in numpy in the same order, libm once per element
+    (``each``), and no sum is reassociated.
     """
-    verts = surf.verts
-    if len(verts) < 2:
-        raise EmptySurface(f"surface {surf.index} has no edges")
+    rows = [i for i, inputs in enumerate(inputs_of) if inputs]
+    gs = [surfaces[i] for i in rows]
+    nv = np.array([len(f.verts) for f in gs], dtype=int)
+    if (nv < 2).any():
+        raise EmptySurface(f"surface {gs[int(np.argmax(nv < 2))].index} has no edges")
     if not 0.0 < eps_int <= 0.25:
         raise EpsOutOfRange(f"eps_int={eps_int} outside (0, 1/4]")
-    if not input_locals:
-        raise ValueError(f"surface {surf.index} holds no input")
-    # As unfold_vertex: each vertex at its radius on its boundary ray.
-    radius = [math.dist(surf.apex, v) for v in verts]
-    imgs = [(r * math.cos(t), r * math.sin(t))
-            for r, t in zip(radius, surf.cum_angle, strict=True)]
+    theta = math.ceil(math.sqrt(1.0 / eps_int))  # at least 2, as eps_int <= 1/4
+    G, L, m = len(gs), int(nv.max(initial=2)), theta - 1
+    s = surfaces[0].apex  # every surface's apex is the root
+    flat_verts = np.array([v for f in gs for v in f.verts], dtype=float).reshape(-1, len(s))
+    start = np.cumsum(nv) - nv
+    at = start[:, None] + np.minimum(np.arange(L), nv[:, None] - 1)  # (G, L) flat index
+    g_ = np.arange(G)[:, None]
+    verts = flat_verts[at]
+    radius = each(math.hypot, *(flat_verts - s).T)[at]
+    angle = np.array([t for f in gs for t in f.cum_angle])
+    imgs = np.stack([radius * each(math.cos, angle)[at], radius * each(math.sin, angle)[at]], -1)
+    seg = each(math.hypot, *np.diff(flat_verts, axis=0).T) if G else np.zeros(1)
+    cum = np.zeros((G, L))
+    inner = np.arange(L - 1) < nv[:, None] - 1
+    cum[:, 1:] = np.cumsum(np.where(inner, seg[np.minimum(at[:, :-1], len(seg) - 1)], 0.0), axis=1)
+    total = cum[:, -1]
 
-    cum_len = list(accumulate(map(math.dist, verts, verts[1:]), initial=0.0))
-    total_len = cum_len[-1]
-    theta_count = math.ceil(math.sqrt(1.0 / eps_int))  # at least 2, as eps_int <= 1/4
+    held = np.zeros((G, L), dtype=bool)
+    held[np.repeat(np.arange(G), [len(inputs_of[i]) for i in rows]),
+         [j for i in rows for j in inputs_of[i]]] = True
+    r_local = np.where(held, radius, np.inf).argmin(axis=1)
+    (rx, ry), T = imgs[np.arange(G), r_local].T, angle[start + nv - 1]
+    flat = T < 1e-9
+    phi = 0.5 * T
+    cos_phi, sin_phi = each(math.cos, phi), each(math.sin, phi)
+    c = rx * cos_phi + ry * sin_phi
+    t_ell = np.where(flat, radius[np.arange(G), r_local], c / cos_phi)
+    ell_a = np.stack([t_ell, np.zeros(G)], -1)
+    ell_b = np.where(flat[:, None], ell_a,
+                     np.stack([t_ell * each(math.cos, T), t_ell * each(math.sin, T)], -1))
+    steiner = ell_a[:, None] + (ell_b - ell_a)[:, None] * np.arange(theta)[:, None] / m
+    (ax, ay), (bx, by) = steiner[:, 0].T, steiner[:, -1].T
+    dx, dy = bx - ax, by - ay
+    span = dx * dx + dy * dy
 
-    r_local = min(input_locals, key=lambda j: (radius[j], j))
-    r_img = imgs[r_local]
-    total_angle = surf.cum_angle[-1]
+    # Secondary break points at arc q*W/theta for q = 1..theta (q*W/theta
+    # may round past W at q == theta), each on the segment j that
+    # Polyline.locate finds: the number of vertices 1..last at or before it.
+    q = np.arange(1, theta + 1)
+    arc = q * total[:, None] / theta
+    arc[:, -1] = total
+    before = (cum[:, None, 1:-1] <= arc[:, :, None]) & (np.arange(1, L - 1) <= nv[:, None, None] - 2)
+    j = before.sum(axis=2)
+    cj, cj1 = cum[g_, j], cum[g_, j + 1]
+    t, seg_len = arc - cj, cj1 - cj
+    vtol = 1e-12 * total[:, None]
+    frac = np.where(seg_len > 0, t / np.where(seg_len > 0, seg_len, 1.0), 0.0)
+    at_vertex = np.where(t <= vtol, j, np.where(t >= seg_len - vtol, j + 1, -1))
+    va, vb, ia, ib = verts[g_, j], verts[g_, j + 1], imgs[g_, j], imgs[g_, j + 1]
+    on_vertex = (at_vertex >= 0)[..., None]
+    point = np.where(on_vertex, verts[g_, at_vertex], va + frac[..., None] * (vb - va))
+    plane = np.where(on_vertex, imgs[g_, at_vertex], ia + frac[..., None] * (ib - ia))
 
-    flat = total_angle < 1e-9
-    if flat:
-        ell_a = ell_b = (radius[r_local], 0.0)
-        steiner = [ell_a]
-    else:
-        phi = 0.5 * total_angle
-        c = r_img[0] * math.cos(phi) + r_img[1] * math.sin(phi)
-        t_ell = c / math.cos(phi)
-        ell_a = (t_ell, 0.0)
-        ell_b = (t_ell * math.cos(total_angle), t_ell * math.sin(total_angle))
-        steiner = [
-            (
-                ell_a[0] + (ell_b[0] - ell_a[0]) * q / (theta_count - 1),
-                ell_a[1] + (ell_b[1] - ell_a[1]) * q / (theta_count - 1),
-            )
-            for q in range(theta_count)
-        ]
-        (ax, ay), (bx, by) = steiner[0], steiner[-1]
-        dx, dy = bx - ax, by - ay
-        span, m = dx * dx + dy * dy, theta_count - 1
-
-    # Secondary break points at arc q*W/theta for q = 1..theta.  The arcs grow
-    # with q, so one sweep finds each one's segment j as Polyline.locate does.
-    # Each takes the Steiner point nearest its central projection onto the
+    # Each takes the Steiner point nearest where the ray through it meets the
     # cross line, the lower index on a tie: the points are equally spaced,
-    # so that is one of the two around the projection's parameter.
-    secondary: list[SecondaryBp] = []
-    vtol = 1e-12 * total_len
-    j, last = 0, len(cum_len) - 2
-    for q in range(1, theta_count + 1):
-        # q*W/theta may round past W at q == theta
-        arc = q * total_len / theta_count if q < theta_count else total_len
-        while j < last and cum_len[j + 1] <= arc:
-            j += 1
-        t = arc - cum_len[j]
-        seg_len = cum_len[j + 1] - cum_len[j]
-        at_vertex = -1
-        frac = t / seg_len if seg_len > 0 else 0.0
-        if t <= vtol:
-            at_vertex, frac = j, 0.0
-        elif t >= seg_len - vtol:
-            at_vertex, frac = j + 1, 1.0
-        if at_vertex >= 0:
-            point = verts[at_vertex]
-            plane = imgs[at_vertex]
-        else:
-            point = tuple([a + frac * (b - a) for a, b in zip(verts[j], verts[j + 1])])
-            a, b = imgs[j], imgs[j + 1]
-            plane = (a[0] + frac * (b[0] - a[0]), a[1] + frac * (b[1] - a[1]))
-        if flat:
-            nearest = 0
-        else:
-            ang = math.atan2(plane[1], plane[0])
-            rr = c / math.cos(ang - phi)  # where the ray meets the line
-            p = (rr * math.cos(ang), rr * math.sin(ang))
-            lo = math.floor(((p[0] - ax) * dx + (p[1] - ay) * dy) / span * m)
-            lo = 0 if lo < 0 else m - 1 if lo > m - 1 else lo
-            nearest = lo if math.dist(steiner[lo], p) <= math.dist(steiner[lo + 1], p) else lo + 1
-        secondary.append(SecondaryBp(arc, j, point, plane, at_vertex, nearest))
+    # so that is one of the two around the meeting point's parameter.
+    nearest = np.zeros((G, theta), dtype=int)
+    w = np.flatnonzero(~flat)
+    if len(w):
+        px, py = plane[w, :, 0], plane[w, :, 1]
+        ang = each(math.atan2, py, px)
+        rr = c[w, None] / each(math.cos, ang - phi[w, None])
+        px, py = rr * each(math.cos, ang), rr * each(math.sin, ang)
+        lo = np.floor(((px - ax[w, None]) * dx[w, None] + (py - ay[w, None]) * dy[w, None])
+                      / span[w, None] * m)
+        lo = np.clip(lo, 0, m - 1).astype(int)
+        ww = w[:, None]
+        d_lo = each(math.hypot, steiner[ww, lo, 0] - px, steiner[ww, lo, 1] - py)
+        d_hi = each(math.hypot, steiner[ww, lo + 1, 0] - px, steiner[ww, lo + 1, 1] - py)
+        nearest[w] = np.where(d_lo <= d_hi, lo, lo + 1)
 
-    return SurfaceGadget(surf, imgs, secondary, ell_a, ell_b, steiner, r_local, eps_int, lam)
+    # The recursive triangle over the cross line; none where it has zero width.
+    core = ~(each(math.hypot, *(ell_a - ell_b).T) < 1e-12 * ell_a[:, 0])
+    eps_core = np.maximum(eps_int, each(pow, T, np.full(G, 2)))
+    chains = core_chains(np.zeros((np.count_nonzero(core), 2)), ell_a[core], ell_b[core], eps_core[core], lam)
+    return Gadgets(gs, np.array(rows, dtype=int), nv, verts, imgs, r_local, ell_a, ell_b, flat,
+                   arc, j, at_vertex, point, plane, nearest, steiner, core, eps_core, eps_int, lam, chains)
 
 
 def surface_inputs(
@@ -364,46 +379,12 @@ def assemble_slt(
     """
     eps_int, mst, bps, sub, surfaces = _front_end(pts, eps, gamma, lam)
     s = pts.points[pts.root]
-
-    # Input i is vertex i; a break point between inputs gets its id on first use.
-    G = FoldingGraph()
-    G.coords.extend(pts.points)
-    G.kinds.extend(["input"] * pts.n)
-    input_ids = list(range(pts.n))
-    root_id = pts.root
-    vertex_of = list(sub.input_index)
-    hverts = sub.hstar.vertices
-    cores = zero_width = 0
-    inputs_of = surface_inputs(surfaces, sub, root_id)
-
-    for i, surf in enumerate(surfaces):
-        inputs = inputs_of[i]
-        if not inputs and _relay_only(s, surfaces, inputs_of, i):
-            a = vertex_of[surf.hstar[0]]
-            if a >= 0:  # a kept segment made a's vertex: it keeps its spoke
-                G.add_edge(root_id, a)
-            continue
-        vids = []
-        for h in surf.hstar:
-            v = vertex_of[h]
-            if v < 0:
-                v = vertex_of[h] = len(G.coords)
-                G.coords.append(hverts[h])
-                G.kinds.append("break")
-            vids.append(v)
-        if not inputs:  # no gadget: the phase-1 sub-path and spoke alone
-            for u, v in zip(vids, vids[1:]):
-                G.add_edge(u, v)
-            if vids[0] != root_id:
-                G.add_edge(root_id, vids[0])
-            continue
-        core = _realize(G, build_gadget(surf, inputs, eps_int, lam), vids, root_id)
-        cores += core is not None
-        zero_width += core is None
-
-    edges = edge_table(G.edges)
-    dists, parent = dijkstra(G.n, edges[:, :2], edges[:, 2], root_id)
-    tree_graph, tree, input_vertices = _prune(G, dists, parent, input_ids, root_id)
+    inputs_of = surface_inputs(surfaces, sub, pts.root)
+    gadgets = build_gadget(surfaces, inputs_of, eps_int, lam)
+    G = _realize(pts, sub, surfaces, inputs_of, gadgets)
+    dists, parent = dijkstra(G.n, G.ends, G.weights, pts.root)
+    tree_graph, tree, input_vertices = _prune(G, dists, parent, list(range(pts.n)), pts.root)
+    cores = int(np.count_nonzero(gadgets.core))
 
     phase1 = sub.hstar.total_length + math.fsum([math.dist(s, q) for q in bps.points[1:]])
     report = measure(
@@ -415,9 +396,9 @@ def assemble_slt(
             "truncated_surfaces": sum(1 for f in surfaces if f.truncated),
             "surfaces": len(surfaces),
             "cores": cores,
-            "zero_width_cores": zero_width,
+            "zero_width_cores": len(gadgets) - cores,
             "graph_vertices": G.n,
-            "graph_edges": len(G.edges),
+            "graph_edges": len(G.weights),
             "pruned_vertices": G.n - tree_graph.n,
         },
     )
@@ -425,87 +406,159 @@ def assemble_slt(
 
 
 def _realize(
-    G: FoldingGraph,
-    gadget: SurfaceGadget,
-    vids: list[int],
-    root_id: int,
-) -> CoreChain | None:
-    """Add the surface's sub-path and its planar gadget to the graph; return its core.
+    pts: PointCloud, sub: SubdividedPath, surfaces: list[FoldedSurface],
+    inputs_of: list[list[int]], gad: Gadgets,
+) -> FoldingGraph:
+    """The folding graph: every surface's sub-path, and the gadgets ``gad``.
 
-    Vertices go straight into the graph's lists; edges are added by
-    ``add_edge``, ``add_gadget_edge`` and ``add_core_path``.
+    Input i is vertex i.  Then, surface by surface, come its new break
+    points, its gadget's secondary break points that no vertex holds and
+    its portals, one per Steiner point but one at r's image, which is r.
+    Edges come in the same order.  A surface without a gadget adds its
+    sub-path and spoke, or its spoke alone (``_relay_only``).  A gadget
+    adds its sub-path through its secondaries; then per Steiner point x,
+    where a base edge of its core tree runs past r's image, the planar
+    edge that splits it at r, and x's edge to the portal next to it along
+    the base or its core path from the root (``portal_grid``); then each
+    secondary's edge to its Steiner point.  A pair's first edge wins (a
+    portal at r repeats sub-path edges), core paths aside.
     """
-    surf = gadget.surface
-    coords, kinds = G.coords, G.kinds
-    add_edge, link = G.add_edge, G.add_gadget_edge
+    root_id, s = pts.root, pts.points[pts.root]
+    G, theta = gad.at_vertex.shape
+    nv, L = gad.n_verts, gad.verts.shape[1]
+    g_, x_ = np.arange(G)[:, None], np.arange(theta)
+    r_img = gad.vertex_images[np.arange(G), gad.r_local]
+    near = 1e-12 * each(math.hypot, *r_img.T)  # coincidence, relative to the gadget
+    off = gad.ell_steiner - r_img[:, None]
+    at_r = each(math.hypot, off[..., 0], off[..., 1]) <= near[:, None]
+    new_sec = gad.at_vertex < 0
+    new_portal = (x_ < np.where(gad.flat, 1, theta)[:, None]) & ~at_r
+    sec_pts = list(map(tuple, gad.point[new_sec].tolist()))
+    portal_pts = list(map(tuple, gad.ell_steiner[new_portal].tolist()))
+    sec_at, portal_at = ([0] + np.cumsum(c.sum(1)).tolist() for c in (new_sec, new_portal))
 
-    # The sub-path, with secondary break points inserted as vertices.  Their
-    # arcs grow, so they come in order along it.
-    sec_ids: list[int] = []
-    prev, j = vids[0], 0  # the last vertex along the sub-path, and its edge
-    for sb in gadget.secondary:
-        if sb.at_vertex >= 0:
-            sec_ids.append(vids[sb.at_vertex])
+    coords, kinds = list(pts.points), ["input"] * pts.n
+    vertex_of, hverts = list(sub.input_index), sub.hstar.vertices
+    straight = []  # (surface, u, v) of each edge outside the gadgets
+    path_ids, first_new = [], []  # per gadget
+    for i, surf in enumerate(surfaces):
+        inputs = inputs_of[i]
+        if not inputs and _relay_only(s, surfaces, inputs_of, i):
+            a = vertex_of[surf.hstar[0]]
+            if a >= 0:  # a kept segment made a's vertex: it keeps its spoke
+                straight.append((i, root_id, a))
             continue
-        vid = len(coords)
-        coords.append(sb.point)
-        kinds.append("secondary_break")
-        sec_ids.append(vid)
-        while j < sb.edge:
-            j += 1
-            add_edge(prev, vids[j])
-            prev = vids[j]
-        add_edge(prev, vid)
-        prev = vid
-    while j < len(vids) - 1:
-        j += 1
-        add_edge(prev, vids[j])
-        prev = vids[j]
+        vids = []
+        for h in surf.hstar:
+            v = vertex_of[h]
+            if v < 0:
+                v = vertex_of[h] = len(coords)
+                coords.append(hverts[h])
+                kinds.append("break")
+            vids.append(v)
+        if not inputs:  # no gadget: the phase-1 sub-path and spoke alone
+            straight += [(i, u, v) for u, v in zip(vids, vids[1:])]
+            if vids[0] != root_id:
+                straight.append((i, root_id, vids[0]))
+            continue
+        g = len(first_new)
+        path_ids += vids
+        first_new.append(len(coords))
+        coords += sec_pts[sec_at[g]:sec_at[g + 1]]
+        coords += portal_pts[portal_at[g]:portal_at[g + 1]]
+        kinds += ["secondary_break"] * (sec_at[g + 1] - sec_at[g])
+        kinds += ["ell_steiner"] * (portal_at[g + 1] - portal_at[g])
+    n = len(coords)
 
-    # The portals: a vertex per Steiner point, r's own at r's image.
-    r_id, r_img = vids[gadget.r_local], gadget.vertex_images[gadget.r_local]
-    rx, ry = r_img
-    near = 1e-12 * math.hypot(rx, ry)  # coincidence, relative to the gadget
-    ids, plane = [], []
-    for q in gadget.ell_steiner:
-        if math.hypot(q[0] - rx, q[1] - ry) <= near:
-            ids.append(r_id)
-            plane.append(r_img)
-        else:
-            v = len(coords)
-            G.surface[v] = surf
-            ids.append(v)
-            coords.append(q)
-            kinds.append("ell_steiner")
-            plane.append(q)
-    core = None
-    tri = gadget.core_triangle()
-    if tri is None:
-        # Zero-width triangle: single spoke from the root to the line point.
-        link(surf, root_id, (0.0, 0.0), ids[0], plane[0])
-    else:
-        core = CoreChain.of(tri)
-        m, k = len(ids) - 1, core.k
-        dx, dy = gadget.ell_b[0] - gadget.ell_a[0], gadget.ell_b[1] - gadget.ell_a[1]
-        for x, v in enumerate(ids):
-            (on, u), qv = portal_grid(x, m, k), plane[x]
-            qu = plane[u] if u >= 0 else core.point((-1, -1 - u))
-            # The signs tell the sides of r along the line.
-            if on < 0 and ((qu[0] - rx) * dx + (qu[1] - ry) * dy) * (
-                    (qv[0] - rx) * dx + (qv[1] - ry) * dy) < 0.0:
-                # r lies on the cross line: a base edge running past its
-                # image is split there, which joins r to the line.
-                link(surf, r_id, r_img, v, qv)
-                v, qv = r_id, r_img
-            if u >= 0:
-                link(surf, ids[u], qu, v, qv)
-            else:
-                w = core.dists[-1] + math.dist(qu, qv)
-                G.add_core_path(root_id, v, w, (surf, core, -1 - u, on >= 0, qv))
-    for sb, vid in zip(gadget.secondary, sec_ids):
-        x = sb.steiner
-        link(surf, ids[x], plane[x], vid, sb.plane)
-    return core
+    vid = np.array(path_ids, dtype=int)[(np.cumsum(nv) - nv)[:, None]
+                                        + np.minimum(np.arange(L), nv[:, None] - 1)]
+    base = np.array(first_new, dtype=int)[:, None]
+    n_sec = new_sec.sum(1)[:, None]
+    sec_id = np.where(new_sec, base + np.cumsum(new_sec, 1) - 1, vid[g_, np.maximum(gad.at_vertex, 0)])
+    r_id = vid[np.arange(G), gad.r_local][:, None]
+    ids = np.where(at_r, r_id, base + n_sec + np.cumsum(new_portal, 1) - 1)  # per Steiner point
+    qp = np.where(at_r[..., None], r_img[:, None], gad.ell_steiner)  # its vertex's planar point
+    vertex_gadget = np.full(n, -1)
+    vertex_gadget[ids[new_portal]] = np.broadcast_to(g_, ids.shape)[new_portal]
+
+    def block(ok, u, v, w, plane, gadget=g_, grid=-1, on=False):
+        """Edge fields over (gadget, slot), ``ok`` where a slot holds an edge."""
+        return [ok, *(np.broadcast_to(f, ok.shape) for f in (u, v, w, gadget, grid, on)),
+                np.broadcast_to(plane, ok.shape + (4,))]
+
+    def planar(ok, u, qu, v, qv):
+        """Planar edges u-v between qu and qv, the lower id first."""
+        u, v, qu, qv = *np.broadcast_arrays(u, v), *np.broadcast_arrays(qu, qv)
+        w = np.zeros(ok.shape)
+        w[ok] = each(math.hypot, *(qu - qv)[ok].T)
+        swap = (u > v)[..., None]
+        plane = np.concatenate([np.where(swap, qv, qu), np.where(swap, qu, qv)], -1)
+        return block(ok, np.minimum(u, v), np.maximum(u, v), w, plane)
+
+    # The sub-path through the secondaries: vertex j, then those on edge j.
+    last = L * (theta + 1)
+    order = np.argsort(np.concatenate([
+        np.where(np.arange(L) < nv[:, None], np.arange(L) * (theta + 1), last),
+        np.where(new_sec, gad.edge * (theta + 1) + 1 + x_, last)], 1), 1, kind="stable")
+    seq = np.take_along_axis(np.concatenate([vid, sec_id], 1), order, 1)
+    stops = np.take_along_axis(np.concatenate([gad.verts, gad.point], 1), order[..., None], 1)
+    ok = np.arange(L + theta - 1) < nv[:, None] + n_sec - 1
+    w = np.zeros(ok.shape)
+    w[ok] = each(math.hypot, *(stops[:, 1:] - stops[:, :-1])[ok].T)
+    path = block(ok, seq[:, :-1], seq[:, 1:], w, 0.0, gadget=-1)
+
+    # Where each Steiner point meets its core's grid: one table per level count.
+    core, chains = gad.core[:, None], gad.chains
+    row = np.cumsum(gad.core) - 1  # in chains
+    k = np.zeros(G, dtype=int)
+    k[gad.core] = chains.k
+    on, via = np.full((G, theta), -1), np.zeros((G, theta), dtype=int)
+    for level in sorted(set(k[gad.core].tolist())):
+        rows = gad.core & (k == level)
+        on[rows], via[rows] = np.array([portal_grid(x, theta - 1, level) for x in range(theta)]).T
+    qu = qp[g_, np.maximum(via, 0)]
+    grid = core & (via < 0)
+    at_grid = np.nonzero(grid)
+    qu[at_grid] = chains.grid_points(row[at_grid[0]], -1 - via[at_grid])
+    # The signs tell the sides of r along the line: a base edge running past
+    # r's image is split there, which joins r to the line.
+    (rx, ry), (dx, dy) = r_img.T[:, :, None], (gad.ell_b - gad.ell_a).T[:, :, None]
+    join = core & (on < 0) & (((qu[..., 0] - rx) * dx + (qu[..., 1] - ry) * dy)
+                              * ((qp[..., 0] - rx) * dx + (qp[..., 1] - ry) * dy) < 0.0)
+    joins = planar(join, r_id, r_img[:, None], ids, qp)
+    v, qv = np.where(join, r_id, ids), np.where(join[..., None], r_img[:, None], qp)
+    # Then x's edge from the portal next to it, or from the root where the
+    # core has zero width; or else its core path.
+    spoke = ~core & (x_ == 0)
+    links = planar((core & (via >= 0)) | spoke, np.where(spoke, root_id, ids[g_, np.maximum(via, 0)]),
+                   np.where(spoke[..., None], 0.0, qu), v, qv)
+    w = np.zeros(grid.shape)
+    w[grid] = chains.dists[row[at_grid[0]], k[at_grid[0]] + 1] + each(math.hypot, *(qu - qv)[grid].T)
+    cores = block(grid, root_id, v, w, np.concatenate([qu, qv], -1), grid=-1 - via, on=on >= 0)
+    secondaries = planar(np.ones((G, theta), bool), ids[g_, gad.steiner], qp[g_, gad.steiner],
+                         sec_id, gad.plane)
+
+    # Each gadget's slots in order, every gadget at its surface's turn.
+    per_x = [np.stack(f, 2).reshape((G, 3 * theta) + f[0].shape[2:]) for f in zip(joins, links, cores)]
+    ok, *fields = [np.concatenate(f, 1) for f in zip(path, per_x, secondaries)]
+    at_surface, su, sv = np.array(straight, dtype=int).reshape(-1, 3).T
+    m0 = len(straight)
+    outside = (su, sv, [math.dist(coords[a], coords[b]) for _, a, b in straight],
+               np.full(m0, -1), np.full(m0, -1), np.zeros(m0, bool), np.zeros((m0, 4)))
+    turn = np.argsort(np.concatenate([at_surface, np.broadcast_to(gad.surface[:, None], ok.shape)[ok]]),
+                      kind="stable")
+    u, v, w, gadget, grid, on, plane = (np.concatenate([x, f[ok]])[turn] for x, f in zip(outside, fields))
+    # A pair's first edge wins, and no vertex gets an edge to itself; core
+    # paths are all kept.  (np.unique would import numpy.ma inside the build.)
+    plain = np.flatnonzero(grid < 0)
+    pair = (np.minimum(u, v) * n + np.maximum(u, v))[plain]
+    by_pair = np.argsort(pair, kind="stable")
+    pair = pair[by_pair]
+    keep = grid >= 0
+    keep[plain[by_pair[np.r_[True, pair[1:] != pair[:-1]]]]] = True
+    keep &= u != v
+    return FoldingGraph(coords, kinds, np.stack([u, v], 1)[keep], w[keep], gad.surfaces, gad.chain,
+                        vertex_gadget, gadget[keep], plane[keep], grid[keep], on[keep])
 
 
 def _prune(
@@ -524,33 +577,53 @@ def _prune(
     """
     used = root_paths(parent, root_id, targets)
     sub = SteinerGraph()
-    coords, surface_of, n_old = G.coords, G.surface, G.n
+    coords, n_old = G.coords, G.n
     sub_coords, sub_kinds, sub_edges = sub.coords, sub.kinds, sub.edges
     new = {}
-    for old in used:
-        surf = surface_of.get(old)
+    for old, g in zip(used, G.vertex_gadget[used].tolist()):
         new[old] = len(sub_coords)
-        sub_coords.append(coords[old] if surf is None else lift(surf, coords[old]))
+        sub_coords.append(coords[old] if g < 0 else lift(G.surfaces[g], coords[old]))
         sub_kinds.append(G.kinds[old])
     # Each kept vertex hangs off its parent by an edge, planar or straight,
     # or by a core path, whose stops are placed once per (surface, key).
+    # Of a pair's edges, in order (one that is not a core path, and core
+    # paths from the root), a vertex takes the first core path as long as
+    # its root distance, else the other edge.
+    kept = np.zeros(n_old, dtype=bool)
+    kept[used] = True
+    between = np.flatnonzero(kept[G.ends[:, 0]] & kept[G.ends[:, 1]])
+    ends = G.ends[between]
+    keys = ends.min(1) * n_old + ends.max(1)
+    by_key = np.argsort(keys, kind="stable")
+    child = [v for v in used if parent[v] != -1]
+    up = [parent[v] for v in child]
+    pairs = np.minimum(child, up) * n_old + np.maximum(child, up)
+    lo, hi = (np.searchsorted(keys[by_key], pairs, side).tolist() for side in ("left", "right"))
+    by_key = by_key.tolist()
+    weight, gadget, grid, on, plane = (x[between].tolist() for x in (
+        G.weights, G.edge_gadget, G.edge_grid, G.edge_on, G.edge_plane))
     # (root distance, order, parent in sub, vertex in sub, planar segment);
     # no two share the first two, so they sort by those alone.
     steps = []
     paths = []  # (surface index, grid vertex, vertex, core path) per kept core path
-    for old in used:
-        p = parent[old]
-        if p == -1:
+    for old, p, a, b in zip(child, up, lo, hi):
+        edge = path = None
+        for e in by_key[a:b]:
+            if grid[e] < 0:
+                edge = e
+            elif path is None and weight[e] == dists[old]:
+                path = e
+        if path is not None:
+            surf, j = G.surfaces[gadget[path]], grid[path]
+            core_path = (surf, G.chain(gadget[path]), j, on[path], tuple(plane[path][2:]))
+            paths.append((surf.index, j, old, core_path))
             continue
-        if p == root_id:  # every core path starts at the root
-            path = next((c for w, c in G.core_paths.get((p, old), ()) if w == dists[old]), None)
-            if path is not None:
-                paths.append((path[0].index, path[2], old, path))
-                continue
-        seg = G.planar.get((p, old) if p < old else (old, p))
-        if seg is not None and p > old:
-            seg = (seg[0], seg[2], seg[1])
+        seg = None
+        if gadget[edge] >= 0:
+            qa, qb = tuple(plane[edge][:2]), tuple(plane[edge][2:])
+            seg = (G.surfaces[gadget[edge]], *((qb, qa) if p > old else (qa, qb)))
         steps.append((dists[old], old, new[p], new[old], seg))
+
     # By surface and ascending grid vertex: the order in which the tie rule
     # of ``CoreChain.path`` shares apices, whatever the vertex numbering.
     paths.sort()
@@ -580,6 +653,8 @@ def _prune(
         sub_edges.append((a, b, math.dist(sub_coords[a], sub_coords[b])))
     tree = Tree(sub.n, tuple(sub_edges), new[root_id])
     return sub, tree, [new[t] for t in targets]
+
+
 
 
 _CORE_KINDS = {"root": "input", "apex": "core_apex", "grid": "grid", "input": "input"}

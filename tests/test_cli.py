@@ -548,8 +548,11 @@ def test_render_surfaces_draws_the_gadgets_the_build_makes(tmp_path, capsys, mon
     monkeypatch.undo()
     assert run(["render", "--input", pts, "--surfaces", "--eps", 0.04, "--output", svg]) == 0
     capsys.readouterr()
-    cross_lines = svg.read_text().count('stroke="#888888"')
-    assert cross_lines == len(built) > 0
+    [gadgets] = built  # one batch per build
+    text = svg.read_text()
+    assert text.count('stroke="#888888"') == len(gadgets) > 0  # a cross line per gadget
+    steiner = sum(1 if flat else gadgets.ell_steiner.shape[1] for flat in gadgets.flat.tolist())
+    assert text.count('fill="#777777"') == steiner
 
 
 def test_render_surfaces_draws_the_cores_at_the_build_lambda(tmp_path, capsys, monkeypatch):
@@ -577,7 +580,8 @@ def test_render_surfaces_draws_the_cores_at_the_build_lambda(tmp_path, capsys, m
     assert run(["render", "--input", pts, "--surfaces", "--eps", 0.04, "--lambda", 1.5,
                 "--output", svg]) == 0
     capsys.readouterr()
-    cores = [real_core(inst) for inst in (g.core_instance() for g in built) if inst is not None]
+    [gadgets] = built
+    cores = [real_core(inst) for inst in map(gadgets.core_instance, range(len(gadgets))) if inst is not None]
     assert len(cores) > 0 and all(c.lam == 1.5 for c in drawn)
     assert [(c.levels, c.coords) for c in drawn] == [(c.levels, c.coords) for c in cores]
 
@@ -689,6 +693,40 @@ def test_build_report_equals_verify(tmp_path, capsys, gen, build, edit):
     for key in ("n", "d", "eps", "mst_weight", "tree_weight", "lightness",
                 "per_point_stretch", "max_stretch"):
         assert built[key] == verified[key], key
+
+
+@pytest.mark.parametrize("gen,build,edit", REPORT_CASES,
+                         ids=["folding", "core2d", "pyramid", "core2d-scaled", "folding-grid"])
+def test_report_dict_is_the_dataclass_dict(tmp_path, capsys, monkeypatch, gen, build, edit):
+    # as_dict builds the dict that dataclasses.asdict gave, byte for byte in
+    # canonical JSON, for every build and verify report; its lists are copies.
+    import dataclasses
+
+    from slt.metrics import SltReport
+
+    real, seen = SltReport.as_dict, []
+
+    def as_dict(report):
+        out, before = real(report), canonical_dumps(dataclasses.asdict(report))
+        assert canonical_dumps(out) == before
+        out["flags"]["added"] = True
+        lists = [out["per_point_stretch"]] + [v for v in out["flags"].values() if isinstance(v, list)]
+        for copied in lists:
+            copied.append(None)
+        assert canonical_dumps(dataclasses.asdict(report)) == before
+        seen.append(len(lists))
+        return real(report)
+
+    monkeypatch.setattr(SltReport, "as_dict", as_dict)
+    pts, tree = tmp_path / "pts.json", tmp_path / "tree.json"
+    assert run(["gen", *gen, "--output", pts]) == 0
+    if edit is not None:
+        edit(pts)
+    assert run(["build", *build, "--input", pts, "--output", tree]) == 0
+    eps = build[build.index("--eps") + 1]
+    assert run(["verify", "--input", pts, "--tree", tree, "--eps", eps]) == 0
+    capsys.readouterr()
+    assert len(seen) == 2 and seen[0] > 1
 
 
 def test_folding_golden_tree_whatever_its_vertex_numbering(tmp_path, capsys):

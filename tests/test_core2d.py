@@ -1,7 +1,9 @@
 import math
+import random
 
+import numpy as np
 import pytest
-from oracles import core_metrics
+from oracles import chain_bits, core_metrics, scalar_chain
 
 import slt.pipeline
 from slt.core2d import (
@@ -9,12 +11,13 @@ from slt.core2d import (
     CoreInstance,
     build_core,
     core2d_points,
+    core_chains,
     core_layout,
     core_spt,
     levels_for_eps,
     portal_grid,
 )
-from slt.errors import AngleOverflow, EpsOutOfRange
+from slt.errors import AngleOverflow, EpsOutOfRange, SltError
 from slt.geometry import angle_at_apex, dist
 from slt.mst_path import PointCloud
 from slt.pipeline import assemble_core2d
@@ -247,3 +250,68 @@ def test_assembled_chain_total_is_the_core_metrics_one(monkeypatch, eps, n_base,
     _, _, report = assemble_core2d(PointCloud(pts, 0), eps)
     (g,) = cores
     assert report.flags["chain_total"] == core_metrics(g, *core_spt(g)).chain_total
+
+
+def _triangle(t, angle):
+    """Base ends of the isosceles triangle with legs t at the origin, as a folding gadget's."""
+    return (t, 0.0), (t * math.cos(angle), t * math.sin(angle))
+
+
+def test_core_chains_are_one_triangle_at_a_time_bit_for_bit():
+    # Legs from 1e-6 to 1e6 and apex angles from 1e-8 to 0.6 rad, so the
+    # rows take from 1 to 8 levels, those whose last level would reach
+    # pi/2 left out; apices at the origin, as a folding gadget's, and the
+    # triangle turned and moved.  Grid points by index arrays too.
+    rng = random.Random(7)
+    for lam, moved in ((1.25, False), (1.5, False), (1.25, True)):
+        rows, one = [], []
+        while len(rows) < 300:
+            t, angle = 10.0 ** rng.uniform(-6, 6), 10.0 ** rng.uniform(-8, math.log10(0.6))
+            corners = ((0.0, 0.0), *_triangle(t, angle))
+            if moved:
+                c, s = math.cos(rng.uniform(0, 6.3)), math.sin(rng.uniform(0, 6.3))
+                dx, dy = rng.uniform(-5, 5), rng.uniform(-5, 5)
+                corners = tuple((c * x - s * y + dx, s * x + c * y + dy) for x, y in corners)
+            row = (*corners, max(rng.choice([0.25, 0.04, 0.005, 1e-4]), angle * angle))
+            try:
+                inst = CoreInstance(*row[:3], (), row[3], lam)
+            except ValueError:  # a moved triangle no longer isosceles, or too wide
+                continue
+            if inst.apex_angle * lam**inst.k < math.pi / 2:
+                rows.append(row)
+                one.append(scalar_chain(inst))
+        apex, a, b, eps = (np.array(col) for col in zip(*rows))
+        chains = core_chains(apex, a, b, eps, lam)
+        assert [chain_bits(chains.chain(i)) for i in range(len(rows))] == list(map(chain_bits, one))
+        assert [chain_bits(CoreChain.of(CoreInstance(*row[:3], (), row[3], lam))) for row in rows] == list(
+            map(chain_bits, one))
+        assert len(set(chains.k.tolist())) >= 5
+        i = np.repeat(np.arange(len(rows)), 3)
+        j = np.array([[0, (1 << c.k) // 3, 1 << c.k] for c in one]).reshape(-1)
+        points = chains.grid_points(i, j).tolist()
+        assert points == [list(one[r].point((-1, c))) for r, c in zip(i.tolist(), j.tolist())]
+
+
+@pytest.mark.parametrize("fault", ["eps", "lambda", "isosceles", "angle", "ray", "overflow"])
+def test_core_chains_raise_the_first_faulty_triangles_error(fault):
+    # Each row passes every check but the faulty one's; a batch raises what
+    # that row raises built alone, ahead of a later faulty row.
+    good = (*_triangle(1.0, 0.1), 0.04)
+    bad = {
+        "eps": (*_triangle(1.0, 0.1), 0.8),
+        "lambda": good,
+        "isosceles": ((1.0, 0.0), (1.1 * math.cos(0.1), 1.1 * math.sin(0.1)), 0.04),
+        "angle": (*_triangle(1.0, 0.3), 0.04),
+        "ray": ((1e-13, 0.0), (1e-13, 0.0), 0.04),
+        "overflow": (*_triangle(1.0, 0.8), 0.7),
+    }[fault]
+    lam = 2.5 if fault == "lambda" else 1.9 if fault == "overflow" else 1.25
+    with pytest.raises(SltError if fault in ("eps", "ray", "overflow") else ValueError) as alone:
+        scalar_chain(CoreInstance((0.0, 0.0), *bad[:2], (), bad[2], lam))
+    rows = [good, bad, (*_triangle(1.0, 0.5), 0.04), good]
+    a, b, eps = (np.array(col) for col in zip(*rows))
+    for chains in (lambda: core_chains(np.zeros((4, 2)), a, b, eps, lam),
+                   lambda: CoreChain.of(CoreInstance((0.0, 0.0), *bad[:2], (), bad[2], lam))):
+        with pytest.raises(type(alone.value)) as batch:
+            chains()
+        assert str(batch.value) == str(alone.value)

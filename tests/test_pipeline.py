@@ -3,21 +3,25 @@ import json
 import math
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from oracles import kernel_spt, oracle_spt
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (
+    PlanarGraph, as_folding_graph, chain_bits, gadget_row, kernel_spt, loop_folding_graph, oracle_spt,
+    realize, surface_gadget,
+)
 
 from slt.breakpoints import select_breakpoints, subdivide
-from slt.cli import run_cli, write_points, write_tree
+from slt.cli import gen_random, run_cli, write_points, write_tree
 from slt.core2d import CoreChain, build_core, core_layout, core_spt, levels_for_eps, portal_grid
 from slt.errors import EmptySurface, EpsOutOfRange
 from slt.geometry import angle_at_apex, dist
 from slt.metrics import tree_distances
 from slt.mst_path import PointCloud, dfs_hamiltonian, euclidean_mst
-from slt.pipeline import (
-    FoldingGraph, _prune, _realize, assemble_slt, build_gadget, surface_inputs
-)
+from slt.pipeline import _front_end, _prune, _realize, assemble_slt, build_gadget, surface_inputs
 from slt.unfolding import (
     FoldedSurface, build_surfaces, lift, lift_segment, ray_crossings, unfold_vertex
 )
@@ -65,6 +69,11 @@ def surfaces_and_sub(pc, eps_int):
     return build_surfaces(sub, pc.points[pc.root]), sub
 
 
+def one_gadget(surf, inputs, eps_int, lam=1.25):
+    """The batch's gadget on one surface, as the per-surface oracle's record."""
+    return gadget_row(build_gadget([surf], [inputs], eps_int, lam), 0)
+
+
 def test_gadget_empty_surface_is_degenerate():
     pc = random_cloud(12, 3, 3)
     surfs, sub = surfaces_and_sub(pc, 0.04)
@@ -72,23 +81,26 @@ def test_gadget_empty_surface_is_degenerate():
     empties = [f for f in surfs if not inputs_of[f.index]]
     assert empties, "expected at least one surface without input points"
     # such a surface gets no gadget, only its phase-1 edges
+    gadgets = build_gadget(surfs, [inputs_of[f.index] for f in surfs], 0.04)
+    assert gadgets.surface.tolist() == [i for i, f in enumerate(surfs) if inputs_of[f.index]]
+    assert not any(f in gadgets.surfaces for f in empties)
     with pytest.raises(ValueError, match="holds no input"):
-        build_gadget(empties[0], [], 0.04)
+        surface_gadget(empties[0], [], 0.04)
 
 
 def test_degenerate_gadget_still_checks_its_surface_and_eps():
-    # A surface without inputs is refused after both checks, in their order.
+    # A surface is checked before eps_int, which is checked with no gadget to build.
     pc = random_cloud(12, 3, 3)
     surfs, _ = surfaces_and_sub(pc, 0.04)
     inputs_of = _input_locals(pc, surfs)
     empty = next(f for f in surfs if not inputs_of[f.index] and f.index >= 2)
     with pytest.raises(EpsOutOfRange):
-        build_gadget(empty, [], 0.3)
+        build_gadget([empty], [[]], 0.3)
     point = FoldedSurface(empty.index, empty.apex, empty.verts[:1], (), (0.0,), False)
     with pytest.raises(EmptySurface):
-        build_gadget(point, [], 0.04)
+        build_gadget([point], [[0]], 0.04)
     with pytest.raises(EmptySurface):
-        build_gadget(point, [], 0.3)
+        build_gadget([empty, point], [[], [0]], 0.3)
 
 
 def _cut_test_clouds():
@@ -169,7 +181,7 @@ def test_gadget_counts_at_eps_004():
     surfs, _ = surfaces_and_sub(pc, 0.04)
     inputs_of = _input_locals(pc, surfs)
     f = next(f for f in surfs if inputs_of[f.index] and f.index >= 2)
-    g = build_gadget(f, inputs_of[f.index], 0.04)
+    g = one_gadget(f, inputs_of[f.index], 0.04)
     assert len(g.secondary) == 5
     assert len(g.ell_steiner) == 5
     spacing = [b.arc for b in g.secondary]
@@ -190,7 +202,7 @@ def test_gadget_line_geometry():
     f = next(
         f for f in surfs if inputs_of[f.index] and f.index >= 2 and f.total_angle > 1e-6
     )
-    g = build_gadget(f, inputs_of[f.index], 0.04)
+    g = one_gadget(f, inputs_of[f.index], 0.04)
     # isosceles: both line endpoints equidistant from the origin
     ra = math.hypot(*g.ell_a)
     rb = math.hypot(*g.ell_b)
@@ -211,7 +223,7 @@ def test_single_input_direct_path_bound():
     surfs, _ = surfaces_and_sub(pc, 0.04)
     inputs_of = _input_locals(pc, surfs)
     f = next(f for f in surfs if inputs_of[f.index] and f.index >= 2)
-    g = build_gadget(f, inputs_of[f.index], 0.04)
+    g = one_gadget(f, inputs_of[f.index], 0.04)
     # the cross line meets the ray through v where its normal component is r's
     phi = f.total_angle / 2
     r_img = g.vertex_images[g.r_local]
@@ -272,17 +284,19 @@ def test_lift_segment_length_preservation_in_pipeline():
 
 
 def test_gadgets_only_where_an_input_is_and_each_point_lifted_once(monkeypatch):
-    # build_gadget runs once per surface holding an input, and every lifted
-    # point (kept gadget vertex, placed core stop, bend) is lifted once.
+    # build_gadget runs once per build and makes one gadget per surface
+    # holding an input, and every lifted point (kept gadget vertex, placed
+    # core stop, bend) is lifted once.
     import slt.pipeline
     import slt.unfolding
 
-    built, lifted = [], []
+    calls, lifted = [], []
     build, real_lift = slt.pipeline.build_gadget, slt.unfolding.lift
 
-    def counting_build(surf, *args):
-        built.append(surf.index)
-        return build(surf, *args)
+    def counting_build(surfaces, inputs_of, *args):
+        gadgets = build(surfaces, inputs_of, *args)
+        calls.append((gadgets, surfaces, inputs_of))
+        return gadgets
 
     def counting_lift(surf, q):
         lifted.append((surf.index, q))
@@ -293,6 +307,10 @@ def test_gadgets_only_where_an_input_is_and_each_point_lifted_once(monkeypatch):
         monkeypatch.setattr(module, "lift", counting_lift)
     g, _, rep = assemble_slt(random_cloud(60, 5, 7), 0.04)
     flags = rep.flags
+    [(gadgets, surfaces, inputs_of)] = calls
+    built = [f.index for f in gadgets.surfaces]
+    assert gadgets.surface.tolist() == [i for i, inputs in enumerate(inputs_of) if inputs]
+    assert built == [surfaces[i].index for i in gadgets.surface.tolist()]
     assert len(built) == len(set(built)) == flags["cores"] + flags["zero_width_cores"]
     assert 0 < len(built) < flags["surfaces"]
     assert len(set(lifted)) == len(lifted)
@@ -428,11 +446,11 @@ def test_lifted_tree_matches_reported_stretch(tmp_path, d):
 
 
 def _alone(pc, f, g):
-    """Surface f's sub-path and gadget g in a graph of their own, rooted at 0."""
-    G = FoldingGraph()
+    """Surface f's sub-path and gadget g in a graph of their own, rooted at 0, one at a time."""
+    G = PlanarGraph()
     G.add_vertex(pc.points[pc.root], "input")
     vids = [G.add_vertex(v, "break") for v in f.verts]
-    _realize(G, g, vids, 0)
+    realize(G, g, vids, 0)
     return G, vids
 
 
@@ -466,7 +484,7 @@ def test_r_joins_the_cross_line_where_a_base_edge_passes_it():
     for f in surfs:
         if f.index < 2 or not inputs_of[f.index]:
             continue
-        g = build_gadget(f, inputs_of[f.index], 0.04 / 8)
+        g = one_gadget(f, inputs_of[f.index], 0.04 / 8)
         if g.core_instance() is None:
             continue
         core, _, parent, plane = _full_core(g)
@@ -510,12 +528,12 @@ def test_r_at_an_end_of_the_cross_line_takes_the_steiner_point(r_first):
         verts = verts[::-1]
     angles = tuple(angle_at_apex(s, a, b) for a, b in zip(verts, verts[1:]))
     surf = FoldedSurface(2, s, verts, angles, (0.0, angles[0], angles[0] + angles[1]), False)
-    g = build_gadget(surf, [0, 2], 0.04)
+    g = one_gadget(surf, [0, 2], 0.04)
     assert g.r_local == (0 if r_first else 2) and g.core_instance() is not None
-    G = FoldingGraph()
+    G = PlanarGraph()
     root = G.add_vertex(s, "input")
     vids = [G.add_vertex(v, "input" if j != 1 else "break") for j, v in enumerate(verts)]
-    _realize(G, g, vids, root)
+    realize(G, g, vids, root)
     r_id, r_img = vids[g.r_local], g.vertex_images[g.r_local]
     assert not any(dist(G.coords[v], r_img) <= 1e-9 for v in G.surface)
     assert len(G.surface) == len(g.ell_steiner) - 1  # every portal but the one at r
@@ -555,7 +573,7 @@ def test_portals_meet_the_grid_by_integers():
     for pc, f, inputs, eps_int in wide + list(_random_surfaces()):
         if not inputs:
             continue
-        g = build_gadget(f, inputs, eps_int)
+        g = one_gadget(f, inputs, eps_int)
         inst = g.core_instance()
         if inst is None:
             continue
@@ -567,7 +585,7 @@ def test_portals_meet_the_grid_by_integers():
 
 
 def _add_planar(G, surf, q, kind):
-    """A gadget vertex at the planar point q of surf, as ``_realize`` adds one."""
+    """A gadget vertex at the planar point q of surf, as ``realize`` adds one."""
     G.surface[G.n] = surf
     return G.add_vertex(q, kind)
 
@@ -581,16 +599,16 @@ def test_core_paths_into_adjacent_grid_vertices_share_an_apex(j, first):
     s, verts = (0.0, 0.0), ((1.0, 0.0), (1.2, 0.1), (1.4, 0.25))
     angles = tuple(angle_at_apex(s, a, b) for a, b in zip(verts, verts[1:]))
     surf = FoldedSurface(2, s, verts, angles, (0.0, angles[0], angles[0] + angles[1]), False)
-    core = CoreChain.of(build_gadget(surf, [0, 2], 0.04).core_instance())
+    core = CoreChain.of(one_gadget(surf, [0, 2], 0.04).core_instance())
     k = core.k
-    G = FoldingGraph()
+    G = PlanarGraph()
     root = G.add_vertex(s, "input")
     for grid in (j, j + 1) if first == "j" else (j + 1, j):
         q = core.point((-1, grid))
         v = _add_planar(G, surf, q, "ell_steiner")
         G.add_core_path(root, v, core.dists[-1], (surf, core, grid, True, q))
     dists, parent = kernel_spt(G.n, G.edges, root)
-    sub, tree, _ = _prune(G, dists, parent, [1, 2], root)
+    sub, tree, _ = _prune(as_folding_graph(G), dists, parent, [1, 2], root)
     apices = {sub.coords[v] for v in range(sub.n) if sub.kinds[v] == "core_apex"}
     assert apices == {lift(surf, core.point((i, j >> (k - i)))) for i in range(1, k + 1)}
     assert len(tree.edges) == sub.n - 1
@@ -605,7 +623,7 @@ def test_contracted_cores_keep_the_core_shortest_paths():
     for pc, f, inputs, eps_int in cases + list(_random_surfaces()):
         if not inputs:
             continue
-        g = build_gadget(f, inputs, eps_int)
+        g = one_gadget(f, inputs, eps_int)
         # without connectors and sub-path edges, only the gadget's core is left
         G, vids = _alone(pc, f, dataclasses.replace(g, secondary=[]))
         edges = [(u, v, w) for u, v, w in G.edges if not {u, v} <= set(vids)]
@@ -658,7 +676,7 @@ def test_coinciding_lifts_still_give_a_spanning_tree():
     img0, img1 = unfold_vertex(f, 0), unfold_vertex(f, 1)
     q = (0.5 * img0[0], 0.5 * img0[1])
     qc = (0.5 * img1[0], 0.5 * img1[1])
-    G = FoldingGraph()
+    G = PlanarGraph()
     root = G.add_vertex(pc.points[pc.root], "input")
     far = [G.add_vertex(v, "break") for v in f.verts[:2]]
     a = _add_planar(G, f, q, "ell_steiner")
@@ -671,7 +689,7 @@ def test_coinciding_lifts_still_give_a_spanning_tree():
     G.add_gadget_edge(f, b, q, far[1], img1)
     dists, parent = kernel_spt(G.n, G.edges, root)
     assert (parent[a], parent[b], parent[far[1]]) == (root, c, b)
-    sub, tree, _ = _prune(G, dists, parent, far, root)
+    sub, tree, _ = _prune(as_folding_graph(G), dists, parent, far, root)
     assert sub.coords.count(lift(f, q)) == 2
     assert len(tree.edges) == sub.n - 1 == len(G.edges)
     assert not any(math.isinf(x) for x in tree_distances(tree, tree.root))
@@ -713,43 +731,50 @@ FOLDING_PINS = [
 
 
 def test_folding_pins_reach_every_rewritten_branch(tmp_path, capsys, monkeypatch):
+    # Each branch is read off the batch of gadgets and the graph it makes.
     import hashlib
 
     import slt.pipeline
 
     real_build, real_realize = slt.pipeline.build_gadget, slt.pipeline._realize
-    real_link = FoldingGraph.add_gadget_edge
-    hit, built, joins = set(), [], []
+    hit = set()
 
-    def build(surf, inputs, *args):
-        gadget = real_build(surf, inputs, *args)
-        built.append(surf.index)
-        if len(inputs) > 1:
+    def build(surfaces, inputs_of, *args):
+        gadgets = real_build(surfaces, inputs_of, *args)
+        rows = gadgets.surface.tolist()
+        if any(len(inputs_of[i]) > 1 for i in rows):
             hit.add("several inputs")
-        if any(sb.at_vertex >= 0 for sb in gadget.secondary):
+        if (gadgets.at_vertex >= 0).any():
             hit.add("secondary at a vertex")
-        return gadget
-
-    def realize(G, gadget, vids, root_id):
-        r_img = gadget.vertex_images[gadget.r_local]
-        at_r = any(dist(q, r_img) <= 1e-12 * math.hypot(*r_img) for q in gadget.ell_steiner)
-        if at_r:
-            hit.add("portal at r")
-        joins.append(None if at_r else (vids[gadget.r_local], r_img))
-        core = real_realize(G, gadget, vids, root_id)
-        if core is None:
+        if not gadgets.core.all():
             hit.add("zero width")
-        return core
+        if any(b - a == 1 for a, b in zip(rows, rows[1:])):
+            hit.add("two in a row")
+        return gadgets
 
-    def link(G, surf, u, qu, v, qv):
-        # Without a portal at r, only a split base edge links from r itself.
-        if joins[-1] == (u, qu):
-            hit.add("r joined")
-        return real_link(G, surf, u, qu, v, qv)
+    def realize(pts, sub, surfaces, inputs_of, gadgets):
+        G = real_realize(pts, sub, surfaces, inputs_of, gadgets)
+        for g, surf in enumerate(gadgets.surfaces):
+            r_local = int(gadgets.r_local[g])
+            r_img = gadgets.vertex_images[g, r_local].tolist()
+            steiner = gadgets.ell_steiner[g, :1 if gadgets.flat[g] else None].tolist()
+            if any(dist(q, r_img) <= 1e-12 * math.hypot(*r_img) for q in steiner):
+                hit.add("portal at r")
+                continue
+            # Without a portal at r, r's vertex meets a portal only by a
+            # secondary at r's vertex, or once a split base edge joins it.
+            r_id = sub.input_index[surf.hstar[r_local]]
+            portals = np.flatnonzero(G.vertex_gadget == g).tolist()  # by Steiner point
+            fed = {portals[x] for x, at in zip(gadgets.steiner[g].tolist(), gadgets.at_vertex[g].tolist())
+                   if at == r_local}
+            for (u, v), e_g, grid in zip(G.ends.tolist(), G.edge_gadget.tolist(), G.edge_grid.tolist()):
+                other = v if u == r_id else u if v == r_id else None
+                if other is not None and e_g == g and (grid >= 0 or other in portals and other not in fed):
+                    hit.add("r joined")
+        return G
 
     monkeypatch.setattr(slt.pipeline, "build_gadget", build)
     monkeypatch.setattr(slt.pipeline, "_realize", realize)
-    monkeypatch.setattr(FoldingGraph, "add_gadget_edge", link)
     reached = set()
     for (points, eps), sha, branches in FOLDING_PINS:
         pts, tree = tmp_path / "pts.json", tmp_path / "tree.json"
@@ -757,16 +782,103 @@ def test_folding_pins_reach_every_rewritten_branch(tmp_path, capsys, monkeypatch
             assert run_cli([str(a) for a in (*points, "--output", pts)]) == 0
         else:
             write_points(pts, points, 0)
-        hit.clear(), built.clear()
+        hit.clear()
         assert run_cli(["build", "--eps", str(eps), "--input", str(pts), "--output", str(tree)]) == 0
         capsys.readouterr()
         assert hashlib.sha256(tree.read_bytes()).hexdigest() == sha
-        if any(b - a == 1 for a, b in zip(built, built[1:])):
-            hit.add("two in a row")
         assert hit == branches, points
         reached |= hit
     assert reached == {"zero width", "portal at r", "r joined", "secondary at a vertex",
                        "several inputs", "two in a row"}
+
+
+def _batch_graph(pc, eps, gamma=8.0, lam=1.25):
+    """The folding graph ``assemble_slt`` solves, and its gadgets."""
+    eps_int, _, _, sub, surfaces = _front_end(pc, eps, gamma, lam)
+    inputs_of = surface_inputs(surfaces, sub, pc.root)
+    gadgets = build_gadget(surfaces, inputs_of, eps_int, lam)
+    return _realize(pc, sub, surfaces, inputs_of, gadgets), gadgets
+
+
+def assert_same_graph(batch, loop):
+    """Bit for bit: vertices, edges in order, planar segments, core paths, portal surfaces."""
+    def hexed(coords):
+        return [tuple(float(x).hex() for x in p) for p in coords]
+
+    assert hexed(batch.coords) == hexed(loop.coords)
+    assert batch.kinds == loop.kinds
+    for name in ("ends", "weights", "vertex_gadget", "edge_gadget", "edge_plane", "edge_grid", "edge_on"):
+        b, o = getattr(batch, name), getattr(loop, name)
+        assert b.shape == o.shape and b.astype(o.dtype).tobytes() == o.tobytes(), name
+    assert batch.surfaces == loop.surfaces
+    for g in sorted(set(batch.edge_gadget[batch.edge_grid >= 0].tolist())):
+        assert chain_bits(batch.chain(g)) == chain_bits(loop.chain(g)), g
+
+
+def _exact_cases():
+    rng = random.Random(24)
+    clouds = [(name, pc, eps) for name, pc in _cut_test_clouds().items() for eps in (0.25, 0.09, 0.04)]
+    for i, ((points, eps), _, _) in enumerate(FOLDING_PINS):
+        if points[0] == "gen":  # ("gen", "random", "--n", n, "--dim", d, "--seed", seed)
+            points = gen_random(points[3], points[5], points[7])[0]
+        clouds.append((f"pin-{i}", PointCloud(points), eps))
+    clouds += [("ray-2d", PointCloud(tuple((0.3 * t, 0.7 * t) for t in range(25))), eps)
+               for eps in (0.25, 0.09, 0.04)]
+    clouds += [(f"uniform-d{d}", PointCloud(tuple(tuple(rng.random() for _ in range(d))
+                                                  for _ in range(60))), eps)
+               for d in (2, 3, 5, 8) for eps in (0.25, 0.09, 0.04)]
+    return [pytest.param(pc, eps, id=f"{name}-{eps}") for name, pc, eps in clouds]
+
+
+@pytest.mark.parametrize("pc,eps", _exact_cases())
+def test_batched_folding_graph_is_the_loop_bit_for_bit(pc, eps):
+    # The batch of gadgets and its graph against the per-surface oracle:
+    # every gadget row, every vertex and edge in order, bit for bit.
+    batch, gadgets = _batch_graph(pc, eps)
+    loop, surfaces, rows = loop_folding_graph(pc, eps)
+    assert [gadget_row(gadgets, g) for g in range(len(gadgets))] == rows
+    assert_same_graph(batch, as_folding_graph(loop))
+
+
+def _surface_alone(f, inputs, eps_int):
+    """Surface f's sub-path and gadget in a graph of their own, by the batch and the loop.
+
+    Vertex 0 is the root and vertex j + 1 is f's vertex j, all inputs.
+    """
+    verts = f.verts
+    f = dataclasses.replace(f, hstar=tuple(range(1, len(verts) + 1)))
+    pc = PointCloud((f.apex,) + verts)
+    sub = SimpleNamespace(input_index=tuple(range(pc.n)), hstar=SimpleNamespace(vertices=pc.points))
+    batch = _realize(pc, sub, [f], [inputs], build_gadget([f], [inputs], eps_int))
+    G = PlanarGraph()
+    for p in pc.points:
+        G.add_vertex(p, "input")
+    realize(G, surface_gadget(f, inputs, eps_int), list(range(1, pc.n)), 0)
+    return batch, as_folding_graph(G)
+
+
+def test_batched_gadget_on_made_surfaces_is_the_loop_bit_for_bit():
+    # The wide and flat surfaces, and r on either end of the cross line:
+    # cores shallower than eps_int asks for, zero width, a portal at r.
+    s, verts = (0.0, 0.0), ((1.0, 0.0), (1.2, 0.1), (1.4, 0.25))
+    surfaces = [(f, inputs) for _, f, inputs in _wide_and_flat_surfaces()]
+    for vs in (verts, verts[::-1]):
+        angles = tuple(angle_at_apex(s, a, b) for a, b in zip(vs, vs[1:]))
+        surfaces.append((FoldedSurface(2, s, vs, angles, (0.0, angles[0], angles[0] + angles[1]), False),
+                         [0, 2]))
+    for f, inputs in surfaces:
+        for eps_int in (0.04, 0.005):
+            for held in (inputs, inputs[1:], inputs[-1:]):
+                assert_same_graph(*_surface_alone(f, held, eps_int))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5), st.sampled_from([0.25, 0.09, 0.04]), st.integers(2, 14), st.integers(0, 2**32))
+def test_batched_folding_graph_is_the_loop_on_small_clouds(d, eps, n, seed):
+    rng = random.Random(seed)
+    pc = PointCloud(tuple(tuple(rng.random() for _ in range(d)) for _ in range(n)))
+    batch, _ = _batch_graph(pc, eps)
+    assert_same_graph(batch, as_folding_graph(loop_folding_graph(pc, eps)[0]))
 
 
 def test_a_folding_build_leaves_the_base_points_unchecked(monkeypatch):
