@@ -218,18 +218,27 @@ class CoreChain:
         return self.frame.to_plane((x, self.heights[i]))
 
     def path(self, j: int, placed) -> list[tuple[int, int]]:
-        """Keys of the apices on a shortest path from the root to grid vertex j.
+        """Keys of the apices on a shortest path from the root to grid vertex j (``apex_path``)."""
+        return apex_path(self.k, j, placed)
 
-        The tie rule: apices j - 1 and j are equally far from the root and
-        from grid vertex j.  Take the one whose chain has the deepest apex
-        in ``placed``, else the higher index.  Paths taken by ascending grid
-        vertex then share what they can: j + 1 takes apex j from j's path.
-        """
-        k = self.k
-        depth = {a: next((i for i in range(k, 0, -1) if (i, a >> (k - i)) in placed), 0)
-                 for a in (j - 1, j) if 0 <= a < 1 << k}
-        a = max(depth, key=lambda a: (depth[a], a))
-        return [(i, a >> (k - i)) for i in range(1, k + 1)]
+
+def apex_path(k: int, j: int, placed) -> list[tuple[int, int]]:
+    """Keys of the apices on a shortest path from a k-level core's root to grid vertex j.
+
+    The tie rule: apices j - 1 and j are equally far from the root and
+    from grid vertex j.  Take the one whose chain has the deepest apex in
+    ``placed``, else the higher index.  Paths taken by ascending grid
+    vertex then share what they can: j + 1 takes apex j from j's path.
+    """
+    best = top = -1
+    for a in (j - 1, j):  # ascending, so a tie in depth keeps the higher index
+        if 0 <= a < 1 << k:
+            depth = k
+            while depth and (depth, a >> (k - depth)) not in placed:
+                depth -= 1
+            if depth >= top:
+                best, top = a, depth
+    return [(i, best >> (k - i)) for i in range(1, k + 1)]
 
 
 @dataclass
@@ -257,11 +266,18 @@ class CoreChains:
         return CoreChain(frame, float(self.xa[i]), float(self.xb[i]), k,
                          tuple(self.dists[i, :k + 2].tolist()), tuple(self.heights[i, :k + 1].tolist()))
 
-    def grid_points(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """``chain(i).point((-1, j))`` for each pair of rows i and grid vertices j."""
-        f = j / np.left_shift(1, self.k[i])
-        x = (self.xa[i] * (1.0 - f) + self.xb[i] * f) / self.scale[i]
-        y = 0.0 / self.scale[i]
+    def points(self, i: np.ndarray, level: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """``chain(i).point((level, j))`` for each row i and key (level, j); level -1 is the grid."""
+        grid = level < 0
+        shift = np.left_shift(1, np.where(grid, self.k[i], level))
+        xa, xb = self.xa[i], self.xb[i]
+
+        def grid_x(j):
+            f = j / shift
+            return xa * (1.0 - f) + xb * f
+
+        x = np.where(grid, grid_x(j), 0.5 * (grid_x(j) + grid_x(j + 1))) / self.scale[i]
+        y = np.where(grid, 0.0, self.heights[i, np.maximum(level, 0)]) / self.scale[i]
         o, ex, ey = self.origin[i], self.ex[i], self.ey[i]
         return np.stack([o[:, 0] + x * ex[:, 0] + y * ey[:, 0],
                          o[:, 1] + x * ex[:, 1] + y * ey[:, 1]], axis=-1)

@@ -38,6 +38,18 @@ def each(fn, *arrays) -> np.ndarray:
     return np.fromiter(map(fn, *cols), np.float64, len(cols[0])).reshape(shape)
 
 
+def sum_columns(x: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, column by column from 0.0, left to right.
+
+    That is Python 3.11's ``sum`` of a row's floats, which numpy's own
+    reductions, pairwise, may miss by an ulp.
+    """
+    out = np.zeros(x.shape[:-1])
+    for k in range(x.shape[-1]):
+        out = out + x[..., k]
+    return out
+
+
 def points_close(p: Point, q: Point) -> bool:
     """Coincidence test: max coordinate difference below COINCIDENT_TOL."""
     return len(p) == len(q) and max(abs(a - b) for a, b in zip(p, q)) < COINCIDENT_TOL

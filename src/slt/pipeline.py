@@ -23,11 +23,15 @@ Every vertex keeps its id through the lift: no two are merged by their
 coordinates.
 
 The gadgets of a build are made at once, as arrays over (gadget, secondary)
-and (gadget, Steiner point) (``build_gadget``), and the graph in one pass
-over them (``_realize``).  That gives the floats, vertices and edges, in
-their order, that one surface and one element at a time gives: numpy does
-the elementwise arithmetic in the same order, every libm function is
-called once per element (``each``), and no sum is reassociated.
+and (gadget, Steiner point) (``build_gadget``), the graph in one pass
+over them (``_realize``), and the kept tree is lifted in one batch
+(``_prune``: one ``SurfaceRows.lift`` for its portals, core stops and
+bends, one ``SurfaceRows.crossings`` for its bends).  That gives the
+floats, vertices and edges, in their order, that one surface, element
+and point at a time gives: numpy does the elementwise arithmetic in the
+same order, a coordinate sum runs column by column (``sum_columns``),
+every libm function is called once per element (``each``), and no sum
+is reassociated.
 
 ``assemble_core2d`` runs the recursive triangle core alone on a 2-d instance
 and returns the same (graph, tree, report) triple as ``assemble_slt``.  It
@@ -36,20 +40,21 @@ lives here, not in ``core2d``, because it needs ``SteinerGraph``.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
 from .breakpoints import SubdividedPath, select_breakpoints, subdivide
-from .core2d import CoreChain, CoreChains, CoreInstance, build_core, core_chains, core_spt, portal_grid
+from .core2d import (
+    CoreChain, CoreChains, CoreInstance, apex_path, build_core, core_chains, core_spt, portal_grid
+)
 from .errors import EmptySurface, EpsOutOfRange, SltError
 from .geometry import Point, each
 from .metrics import collector_paused, dijkstra, measure, root_paths
 from .mst_path import PointCloud, Tree, dfs_hamiltonian, euclidean_mst
-from .unfolding import FoldedSurface, build_surfaces, lift, ray_crossings
-from .unfolding import lift_segment  # noqa: F401  not called; perfbench's layer trace wraps it
+from .unfolding import FoldedSurface, SurfaceRows, build_surfaces
+from .unfolding import lift, lift_segment  # noqa: F401  not called; perfbench's layer trace wraps them
 
 
 class SteinerGraph:
@@ -80,28 +85,32 @@ class SteinerGraph:
 
 @dataclass
 class FoldingGraph:
-    """The folding graph before lifting, its edges as arrays.
+    """The folding graph before lifting, its vertices and edges as arrays.
 
     Shared vertices (input points, break points, secondary break points)
-    hold R^d coordinates.  A portal holds a planar point of the surface of
-    gadget ``vertex_gadget[v]`` (-1 for every other vertex).  Edge e joins
-    ``ends[e]`` and weighs ``weights[e]``; it is straight in R^d, or, where
-    ``edge_gadget[e]`` names a gadget, either planar on that gadget's
-    surface between the planar points ``edge_plane[e]`` of its ends, or,
-    where ``edge_grid[e]`` >= 0, a core path from the root through the
-    gadget's core (``chain``) to that grid vertex, on it or not
-    (``edge_on``), ending at ``edge_plane[e, 2:]``.  Two vertices get at
-    most one edge but core paths, and a vertex none to itself.  It holds
-    no phase-1 segment that no root path can use, and no break point that
-    only such segments touch (``assemble_slt``).
+    hold R^d points in ``points``.  A portal holds a planar point of the
+    surface of gadget ``vertex_gadget[v]`` (-1 for every other vertex) in
+    ``plane``; each array is nan where the other holds the point.  Edge e
+    joins ``ends[e]`` and weighs ``weights[e]``; it is straight in R^d,
+    or, where ``edge_gadget[e]`` names a gadget, either planar on that
+    gadget's surface between the planar points ``edge_plane[e]`` of its
+    ends (the lower id's first), or, where ``edge_grid[e]`` >= 0, a core
+    path from the root through the gadget's core (row ``chain_row[g]`` of
+    ``chains``) to that grid vertex, on it or not (``edge_on``), ending
+    at ``edge_plane[e, 2:]``.  Two vertices get at most one edge but core
+    paths, and a vertex none to itself.  It holds no phase-1 segment that
+    no root path can use, and no break point that only such segments
+    touch (``assemble_slt``).
     """
 
-    coords: list
+    points: np.ndarray  # (n, d)
+    plane: np.ndarray  # (n, 2)
     kinds: list[str]
     ends: np.ndarray  # (m, 2)
     weights: np.ndarray  # (m,)
-    surfaces: list[FoldedSurface]  # per gadget
-    chain: Callable[[int], CoreChain]  # per gadget with a core
+    rows: SurfaceRows  # a gadget's surface per row
+    chains: CoreChains
+    chain_row: np.ndarray  # (G,) -1 for a gadget without a core
     vertex_gadget: np.ndarray  # (n,)
     edge_gadget: np.ndarray  # (m,)
     edge_plane: np.ndarray  # (m, 4)
@@ -110,28 +119,31 @@ class FoldingGraph:
 
     @property
     def n(self) -> int:
-        return len(self.coords)
+        return len(self.points)
+
+    def chain(self, g: int) -> CoreChain:
+        return self.chains.chain(int(self.chain_row[g]))
 
 
 @dataclass
 class Gadgets:
     """The planar gadgets of every surface that holds an input, one row each.
 
-    Row g is on ``surfaces[g]``, surface ``surface[g]`` of the build; the
-    first ``n_verts[g]`` columns of ``verts`` (R^d) and ``vertex_images``
-    (planar) are its vertices, the last repeated after them.  Every row
-    has theta secondary break points, columns q = 0..theta-1 at arc
-    (q + 1) W / theta, each on sub-path edge ``edge`` or at vertex
-    ``at_vertex`` (-1 if at none) and fed by Steiner point ``steiner``;
-    and theta Steiner points from ``ell_a`` to ``ell_b``.  A surface
-    along one ray (``flat``) has one Steiner point, its column 0, and no
-    core; the rows in ``core`` have their cores in ``chains``, in order.
+    Row g is on ``surfaces[g]``, surface ``surface[g]`` of the build, and
+    is row g of ``rows``; the first ``rows.n_verts[g]`` columns of
+    ``vertex_images`` are its vertices' planar images, the last repeated
+    after them.  Every row has theta secondary break points, columns
+    q = 0..theta-1 at arc (q + 1) W / theta, each on sub-path edge
+    ``edge`` or at vertex ``at_vertex`` (-1 if at none) and fed by
+    Steiner point ``steiner``; and theta Steiner points from ``ell_a`` to
+    ``ell_b``.  A surface along one ray (``flat``) has one Steiner point,
+    its column 0, and no core; the rows in ``core`` have their cores in
+    ``chains``, in order.
     """
 
     surfaces: list[FoldedSurface]
     surface: np.ndarray  # (G,)
-    n_verts: np.ndarray  # (G,)
-    verts: np.ndarray  # (G, L, d)
+    rows: SurfaceRows
     vertex_images: np.ndarray  # (G, L, 2)
     r_local: np.ndarray  # (G,) the input closest to the root
     ell_a: np.ndarray  # (G, 2)
@@ -189,27 +201,23 @@ def build_gadget(
     if not 0.0 < eps_int <= 0.25:
         raise EpsOutOfRange(f"eps_int={eps_int} outside (0, 1/4]")
     theta = math.ceil(math.sqrt(1.0 / eps_int))  # at least 2, as eps_int <= 1/4
-    G, L, m = len(gs), int(nv.max(initial=2)), theta - 1
-    s = surfaces[0].apex  # every surface's apex is the root
-    flat_verts = np.array([v for f in gs for v in f.verts], dtype=float).reshape(-1, len(s))
-    start = np.cumsum(nv) - nv
-    at = start[:, None] + np.minimum(np.arange(L), nv[:, None] - 1)  # (G, L) flat index
+    surface_rows = SurfaceRows.of(surfaces[0].apex, gs)  # every surface's apex is the root
+    verts, angle = surface_rows.verts, surface_rows.cum_angle
+    G, L, m = len(gs), verts.shape[1], theta - 1
     g_ = np.arange(G)[:, None]
-    verts = flat_verts[at]
-    radius = each(math.hypot, *(flat_verts - s).T)[at]
-    angle = np.array([t for f in gs for t in f.cum_angle])
-    imgs = np.stack([radius * each(math.cos, angle)[at], radius * each(math.sin, angle)[at]], -1)
-    seg = each(math.hypot, *np.diff(flat_verts, axis=0).T) if G else np.zeros(1)
+    radius = each(math.hypot, *np.moveaxis(verts - surface_rows.apex, -1, 0))
+    imgs = np.stack([radius * each(math.cos, angle), radius * each(math.sin, angle)], -1)
+    seg = each(math.hypot, *np.moveaxis(np.diff(verts, axis=1), -1, 0))
     cum = np.zeros((G, L))
     inner = np.arange(L - 1) < nv[:, None] - 1
-    cum[:, 1:] = np.cumsum(np.where(inner, seg[np.minimum(at[:, :-1], len(seg) - 1)], 0.0), axis=1)
+    cum[:, 1:] = np.cumsum(np.where(inner, seg, 0.0), axis=1)
     total = cum[:, -1]
 
     held = np.zeros((G, L), dtype=bool)
     held[np.repeat(np.arange(G), [len(inputs_of[i]) for i in rows]),
          [j for i in rows for j in inputs_of[i]]] = True
     r_local = np.where(held, radius, np.inf).argmin(axis=1)
-    (rx, ry), T = imgs[np.arange(G), r_local].T, angle[start + nv - 1]
+    (rx, ry), T = imgs[np.arange(G), r_local].T, angle[:, -1]
     flat = T < 1e-9
     phi = 0.5 * T
     cos_phi, sin_phi = each(math.cos, phi), each(math.sin, phi)
@@ -263,7 +271,7 @@ def build_gadget(
     core = ~(each(math.hypot, *(ell_a - ell_b).T) < 1e-12 * ell_a[:, 0])
     eps_core = np.maximum(eps_int, each(pow, T, np.full(G, 2)))
     chains = core_chains(np.zeros((np.count_nonzero(core), 2)), ell_a[core], ell_b[core], eps_core[core], lam)
-    return Gadgets(gs, np.array(rows, dtype=int), nv, verts, imgs, r_local, ell_a, ell_b, flat,
+    return Gadgets(gs, np.array(rows, dtype=int), surface_rows, imgs, r_local, ell_a, ell_b, flat,
                    arc, j, at_vertex, point, plane, nearest, steiner, core, eps_core, eps_int, lam, chains)
 
 
@@ -317,8 +325,8 @@ def _front_end(pts: PointCloud, eps: float, gamma: float, lam: float = 1.25):
 _CUT_MARGIN = 2.0**-30
 
 
-def _relay_only(s: Point, surfaces: list[FoldedSurface], inputs_of: list[list[int]], i: int) -> bool:
-    """Whether no root path can use surface i's phase-1 segment ab.
+def _relay_only(s: Point, surfaces: list[FoldedSurface], inputs_of: list[list[int]]) -> list[bool]:
+    """Per surface, whether no root path can use its phase-1 segment ab.
 
     Surface i is not the root surface, holds no input and has the two
     vertices a, b; the next surface starts at b and holds no input
@@ -327,14 +335,18 @@ def _relay_only(s: Point, surfaces: list[FoldedSurface], inputs_of: list[list[in
     segment into a gadget's start is always kept: that start has no
     spoke.
     """
-    surf = surfaces[i]
-    if i == 0 or i + 1 == len(surfaces) or len(surf.hstar) != 2:
-        return False
-    if inputs_of[i + 1] or surfaces[i + 1].hstar[0] != surf.hstar[1]:
-        return False
-    a, b = surf.verts
-    sa, sb, ab = math.dist(s, a), math.dist(s, b), math.dist(a, b)
-    return sa + ab > sb * (1.0 + _CUT_MARGIN) and sb + ab > sa * (1.0 + _CUT_MARGIN)
+    out = [False] * len(surfaces)
+    grow = 1.0 + _CUT_MARGIN
+    for i in range(1, len(surfaces) - 1):
+        surf = surfaces[i]
+        if inputs_of[i] or inputs_of[i + 1] or len(surf.hstar) != 2:
+            continue
+        if surfaces[i + 1].hstar[0] != surf.hstar[1]:
+            continue
+        a, b = surf.verts
+        sa, sb, ab = math.dist(s, a), math.dist(s, b), math.dist(a, b)
+        out[i] = sa + ab > sb * grow and sb + ab > sa * grow
+    return out
 
 
 @collector_paused
@@ -425,7 +437,7 @@ def _realize(
     """
     root_id, s = pts.root, pts.points[pts.root]
     G, theta = gad.at_vertex.shape
-    nv, L = gad.n_verts, gad.verts.shape[1]
+    nv, L = gad.rows.n_verts, gad.rows.verts.shape[1]
     g_, x_ = np.arange(G)[:, None], np.arange(theta)
     r_img = gad.vertex_images[np.arange(G), gad.r_local]
     near = 1e-12 * each(math.hypot, *r_img.T)  # coincidence, relative to the gadget
@@ -433,17 +445,14 @@ def _realize(
     at_r = each(math.hypot, off[..., 0], off[..., 1]) <= near[:, None]
     new_sec = gad.at_vertex < 0
     new_portal = (x_ < np.where(gad.flat, 1, theta)[:, None]) & ~at_r
-    sec_pts = list(map(tuple, gad.point[new_sec].tolist()))
-    portal_pts = list(map(tuple, gad.ell_steiner[new_portal].tolist()))
-    sec_at, portal_at = ([0] + np.cumsum(c.sum(1)).tolist() for c in (new_sec, new_portal))
+    sec_count, portal_count = new_sec.sum(1).tolist(), new_portal.sum(1).tolist()
 
-    coords, kinds = list(pts.points), ["input"] * pts.n
-    vertex_of, hverts = list(sub.input_index), sub.hstar.vertices
+    n, kinds = pts.n, ["input"] * pts.n
+    vertex_of, breaks = list(sub.input_index), []  # breaks: (vertex, hstar index)
     straight = []  # (surface, u, v) of each edge outside the gadgets
     path_ids, first_new = [], []  # per gadget
-    for i, surf in enumerate(surfaces):
-        inputs = inputs_of[i]
-        if not inputs and _relay_only(s, surfaces, inputs_of, i):
+    for i, (surf, relay) in enumerate(zip(surfaces, _relay_only(s, surfaces, inputs_of))):
+        if relay:
             a = vertex_of[surf.hstar[0]]
             if a >= 0:  # a kept segment made a's vertex: it keeps its spoke
                 straight.append((i, root_id, a))
@@ -452,23 +461,22 @@ def _realize(
         for h in surf.hstar:
             v = vertex_of[h]
             if v < 0:
-                v = vertex_of[h] = len(coords)
-                coords.append(hverts[h])
+                v = vertex_of[h] = n
+                n += 1
+                breaks.append((v, h))
                 kinds.append("break")
             vids.append(v)
-        if not inputs:  # no gadget: the phase-1 sub-path and spoke alone
+        if not inputs_of[i]:  # no gadget: the phase-1 sub-path and spoke alone
             straight += [(i, u, v) for u, v in zip(vids, vids[1:])]
             if vids[0] != root_id:
                 straight.append((i, root_id, vids[0]))
             continue
         g = len(first_new)
         path_ids += vids
-        first_new.append(len(coords))
-        coords += sec_pts[sec_at[g]:sec_at[g + 1]]
-        coords += portal_pts[portal_at[g]:portal_at[g + 1]]
-        kinds += ["secondary_break"] * (sec_at[g + 1] - sec_at[g])
-        kinds += ["ell_steiner"] * (portal_at[g + 1] - portal_at[g])
-    n = len(coords)
+        first_new.append(n)
+        n += sec_count[g] + portal_count[g]
+        kinds += ["secondary_break"] * sec_count[g]
+        kinds += ["ell_steiner"] * portal_count[g]
 
     vid = np.array(path_ids, dtype=int)[(np.cumsum(nv) - nv)[:, None]
                                         + np.minimum(np.arange(L), nv[:, None] - 1)]
@@ -480,6 +488,11 @@ def _realize(
     qp = np.where(at_r[..., None], r_img[:, None], gad.ell_steiner)  # its vertex's planar point
     vertex_gadget = np.full(n, -1)
     vertex_gadget[ids[new_portal]] = np.broadcast_to(g_, ids.shape)[new_portal]
+    points = np.full((n, pts.dim), np.nan)  # a portal's is its lift, made only if it is kept
+    points[:pts.n] = pts.points
+    hverts = sub.hstar.vertices
+    points[[v for v, _ in breaks]] = np.array([hverts[h] for _, h in breaks], float).reshape(-1, pts.dim)
+    points[sec_id[new_sec]] = gad.point[new_sec]
 
     def block(ok, u, v, w, plane, gadget=g_, grid=-1, on=False):
         """Edge fields over (gadget, slot), ``ok`` where a slot holds an edge."""
@@ -501,7 +514,7 @@ def _realize(
         np.where(np.arange(L) < nv[:, None], np.arange(L) * (theta + 1), last),
         np.where(new_sec, gad.edge * (theta + 1) + 1 + x_, last)], 1), 1, kind="stable")
     seq = np.take_along_axis(np.concatenate([vid, sec_id], 1), order, 1)
-    stops = np.take_along_axis(np.concatenate([gad.verts, gad.point], 1), order[..., None], 1)
+    stops = np.take_along_axis(np.concatenate([gad.rows.verts, gad.point], 1), order[..., None], 1)
     ok = np.arange(L + theta - 1) < nv[:, None] + n_sec - 1
     w = np.zeros(ok.shape)
     w[ok] = each(math.hypot, *(stops[:, 1:] - stops[:, :-1])[ok].T)
@@ -519,7 +532,7 @@ def _realize(
     qu = qp[g_, np.maximum(via, 0)]
     grid = core & (via < 0)
     at_grid = np.nonzero(grid)
-    qu[at_grid] = chains.grid_points(row[at_grid[0]], -1 - via[at_grid])
+    qu[at_grid] = chains.points(row[at_grid[0]], np.full(len(at_grid[0]), -1), -1 - via[at_grid])
     # The signs tell the sides of r along the line: a base edge running past
     # r's image is split there, which joins r to the line.
     (rx, ry), (dx, dy) = r_img.T[:, :, None], (gad.ell_b - gad.ell_a).T[:, :, None]
@@ -543,11 +556,12 @@ def _realize(
     ok, *fields = [np.concatenate(f, 1) for f in zip(path, per_x, secondaries)]
     at_surface, su, sv = np.array(straight, dtype=int).reshape(-1, 3).T
     m0 = len(straight)
-    outside = (su, sv, [math.dist(coords[a], coords[b]) for _, a, b in straight],
+    outside = (su, sv, each(math.hypot, *(points[su] - points[sv]).T),
                np.full(m0, -1), np.full(m0, -1), np.zeros(m0, bool), np.zeros((m0, 4)))
     turn = np.argsort(np.concatenate([at_surface, np.broadcast_to(gad.surface[:, None], ok.shape)[ok]]),
                       kind="stable")
-    u, v, w, gadget, grid, on, plane = (np.concatenate([x, f[ok]])[turn] for x, f in zip(outside, fields))
+    u, v, w, gadget, grid, on, edge_plane = (np.concatenate([x, f[ok]])[turn]
+                                             for x, f in zip(outside, fields))
     # A pair's first edge wins, and no vertex gets an edge to itself; core
     # paths are all kept.  (np.unique would import numpy.ma inside the build.)
     plain = np.flatnonzero(grid < 0)
@@ -557,8 +571,11 @@ def _realize(
     keep = grid >= 0
     keep[plain[by_pair[np.r_[True, pair[1:] != pair[:-1]]]]] = True
     keep &= u != v
-    return FoldingGraph(coords, kinds, np.stack([u, v], 1)[keep], w[keep], gad.surfaces, gad.chain,
-                        vertex_gadget, gadget[keep], plane[keep], grid[keep], on[keep])
+    plane = np.full((n, 2), np.nan)
+    plane[ids[new_portal]] = gad.ell_steiner[new_portal]
+    return FoldingGraph(points, plane, kinds, np.stack([u, v], 1)[keep], w[keep], gad.rows, chains,
+                        np.where(gad.core, row, -1), vertex_gadget, gadget[keep], edge_plane[keep],
+                        grid[keep], on[keep])
 
 
 def _prune(
@@ -566,95 +583,104 @@ def _prune(
 ):
     """Union of root paths to the targets, lifted into a fresh SteinerGraph.
 
-    Kept gadget vertices are lifted onto their surfaces, a kept core path
-    is expanded into its apices and grid vertex, and each gadget edge
-    becomes the polyline through its bends; its ends are kept vertices
-    already, so only the bends are lifted for it.  Every vertex keeps its
-    own id, even where two lifts land on one point: each hangs off its
-    parent by one edge, one core-path stop or one bend, so the result is
-    a spanning tree.  Edges and bends are added in order of root distance.
-    Returns it with each target's vertex in it.
+    Every kept vertex keeps its own id, even where two lifts land on one
+    point, and hangs off its parent by one edge, one core-path stop or
+    one bend, so the result is a spanning tree.  The kept vertices come
+    first, in id order; then the stops of the kept core paths, each
+    path's apices (``apex_path``, which shares apices by ascending grid
+    vertex per surface) and its grid vertex; then the bends.  Edges come
+    in order of root distance, each planar one through its bends, which
+    are numbered in that order.  Which vertices and stops exist, and in
+    what order, is decided here one kept core path at a time; their
+    points are then placed at once: the portals, stops and bends are
+    lifted in one ``SurfaceRows.lift``, the bends found by one
+    ``SurfaceRows.crossings`` over every kept planar edge, and the edges
+    weighed by one hypot each.  Returns the graph, its tree and each
+    target's vertex in it.
     """
     used = root_paths(parent, root_id, targets)
-    sub = SteinerGraph()
-    coords, n_old = G.coords, G.n
-    sub_coords, sub_kinds, sub_edges = sub.coords, sub.kinds, sub.edges
-    new = {}
-    for old, g in zip(used, G.vertex_gadget[used].tolist()):
-        new[old] = len(sub_coords)
-        sub_coords.append(coords[old] if g < 0 else lift(G.surfaces[g], coords[old]))
-        sub_kinds.append(G.kinds[old])
-    # Each kept vertex hangs off its parent by an edge, planar or straight,
-    # or by a core path, whose stops are placed once per (surface, key).
-    # Of a pair's edges, in order (one that is not a core path, and core
-    # paths from the root), a vertex takes the first core path as long as
-    # its root distance, else the other edge.
-    kept = np.zeros(n_old, dtype=bool)
-    kept[used] = True
-    between = np.flatnonzero(kept[G.ends[:, 0]] & kept[G.ends[:, 1]])
-    ends = G.ends[between]
-    keys = ends.min(1) * n_old + ends.max(1)
-    by_key = np.argsort(keys, kind="stable")
-    child = [v for v in used if parent[v] != -1]
-    up = [parent[v] for v in child]
-    pairs = np.minimum(child, up) * n_old + np.maximum(child, up)
-    lo, hi = (np.searchsorted(keys[by_key], pairs, side).tolist() for side in ("left", "right"))
-    by_key = by_key.tolist()
-    weight, gadget, grid, on, plane = (x[between].tolist() for x in (
-        G.weights, G.edge_gadget, G.edge_grid, G.edge_on, G.edge_plane))
-    # (root distance, order, parent in sub, vertex in sub, planar segment);
-    # no two share the first two, so they sort by those alone.
-    steps = []
-    paths = []  # (surface index, grid vertex, vertex, core path) per kept core path
-    for old, p, a, b in zip(child, up, lo, hi):
-        edge = path = None
-        for e in by_key[a:b]:
-            if grid[e] < 0:
-                edge = e
-            elif path is None and weight[e] == dists[old]:
-                path = e
-        if path is not None:
-            surf, j = G.surfaces[gadget[path]], grid[path]
-            core_path = (surf, G.chain(gadget[path]), j, on[path], tuple(plane[path][2:]))
-            paths.append((surf.index, j, old, core_path))
-            continue
-        seg = None
-        if gadget[edge] >= 0:
-            qa, qb = tuple(plane[edge][:2]), tuple(plane[edge][2:])
-            seg = (G.surfaces[gadget[edge]], *((qb, qa) if p > old else (qa, qb)))
-        steps.append((dists[old], old, new[p], new[old], seg))
+    n_old, n_used = G.n, len(used)
+    new, up = np.full(n_old, -1), np.full(n_old, -1)
+    new[used] = np.arange(n_used)
+    up[used] = [parent[v] for v in used]
+    # Each kept vertex hangs off its parent by the first core path between
+    # them, in edge order, as long as its root distance, else by their edge.
+    u, v = G.ends.T
+    child = np.where(up[u] == v, u, np.where(up[v] == u, v, -1))
+    e = np.flatnonzero(child >= 0)
+    c = child[e]
+    dist = np.array([dists[x] for x in c.tolist()])
+    via = (G.edge_grid[e] >= 0) & (G.weights[e] == dist)
+    take = via | (G.edge_grid[e] < 0)
+    e, c, dist, via = e[take], c[take], dist[take], via[take]
+    pick = np.lexsort((e, ~via, c))
+    pick = pick[np.r_[True, c[pick][1:] != c[pick][:-1]]]
+    e, c, dist, via = e[pick], c[pick], dist[pick], via[pick]
 
-    # By surface and ascending grid vertex: the order in which the tie rule
-    # of ``CoreChain.path`` shares apices, whatever the vertex numbering.
-    paths.sort()
-    made = {}  # surface index -> {key: (vertex in sub, planar point)}
-    for index, j, old, (surf, core, _, on_grid, q_end) in paths:
-        placed = made.setdefault(index, {})
-        a, qa = new[root_id], (0.0, 0.0)
-        for key in core.path(j, placed) + ([] if on_grid else [(-1, j)]):
+    # The core paths by surface and ascending grid vertex: the order in
+    # which apex_path's tie rule shares apices, whatever the numbering.
+    by = np.lexsort((c[via], G.edge_grid[e[via]], G.edge_gadget[e[via]]))
+    path_e, path_c = e[via][by], c[via][by]
+    path_g = G.edge_gadget[path_e]
+    stops, last, made = [], [], {}  # stops: (gadget, level, index, previous stop or -1)
+    for g, k, j, on_grid in zip(path_g.tolist(), G.chains.k[G.chain_row[path_g]].tolist(),
+                                G.edge_grid[path_e].tolist(), G.edge_on[path_e].tolist()):
+        placed, at = made.setdefault(g, {}), -1
+        for key in apex_path(k, j, placed) + ([] if on_grid else [(-1, j)]):
             if key not in placed:
-                q = core.point(key)
-                b = len(sub_coords)
-                sub_coords.append(lift(surf, q))
-                sub_kinds.append("ell_steiner" if key[0] < 0 else "core_apex")
-                steps.append((core.dists[key[0]], n_old + len(steps), a, b, (surf, qa, q)))
-                placed[key] = b, q
-            a, qa = placed[key]
-        steps.append((dists[old], old, a, new[old], (surf, qa, q_end)))
-    steps.sort()
-    for _, _, a, b, seg in steps:
-        if seg is not None:
-            for q in ray_crossings(*seg):
-                bend = len(sub_coords)
-                sub_coords.append(lift(seg[0], q))
-                sub_kinds.append("bend")
-                sub_edges.append((a, bend, math.dist(sub_coords[a], sub_coords[bend])))
-                a = bend
-        sub_edges.append((a, b, math.dist(sub_coords[a], sub_coords[b])))
-    tree = Tree(sub.n, tuple(sub_edges), new[root_id])
-    return sub, tree, [new[t] for t in targets]
+                placed[key] = len(stops)
+                stops.append((g, *key, at))
+            at = placed[key]
+        last.append(at)
+    stop_g, level, index, before = np.array(stops, dtype=int).reshape(-1, 4).T
+    stop_row, ns = G.chain_row[stop_g], len(stops)
+    stop_q = G.chains.points(stop_row, level, index)
+    last = np.array(last, dtype=int)
 
+    # Steps: (root distance, order, from, to, gadget, q1, q2) into each
+    # kept vertex but the root and into each stop, no two alike in the
+    # first two; a stop orders after every vertex.  A planar step runs
+    # from q1 to q2 on its gadget's surface.
+    plain = ~via
+    pc, pe = c[plain], e[plain]
+    flip = (up[pc] > pc)[:, None]  # an edge's planar points come lower id first
+    q = G.edge_plane[pe]
+    edges = (dist[plain], pc, new[up[pc]], new[pc], G.edge_gadget[pe],
+             np.where(flip, q[:, 2:], q[:, :2]), np.where(flip, q[:, :2], q[:, 2:]))
+    into_stops = (G.chains.dists[stop_row, np.where(level < 0, G.chains.k[stop_row] + 1, level)],
+                  n_old + np.arange(ns), np.where(before < 0, new[root_id], n_used + before),
+                  n_used + np.arange(ns), stop_g,
+                  np.where((before < 0)[:, None], 0.0, stop_q[np.maximum(before, 0)]), stop_q)
+    off_stops = (dist[via][by], path_c, n_used + last, new[path_c], path_g, stop_q[last],
+                 G.edge_plane[path_e, 2:])
+    dist, order, a, b, gadget, q1, q2 = map(np.concatenate, zip(edges, into_stops, off_stops))
+    steps = np.lexsort((order, dist))
+    a, b, gadget, q1, q2 = a[steps], b[steps], gadget[steps], q1[steps], q2[steps]
+    planar = np.flatnonzero(gadget >= 0)
+    seg, bends = G.rows.crossings(gadget[planar], q1[planar], q2[planar])
+    bent = planar[seg]  # the step of each bend
 
+    used_g = G.vertex_gadget[used]
+    portal = np.flatnonzero(used_g >= 0)
+    lifted = G.rows.lift(np.concatenate([used_g[portal], stop_g, gadget[bent]]),
+                         np.concatenate([G.plane[used][portal], stop_q, bends]))
+    points = np.concatenate([G.points[used], lifted[len(portal):]])
+    points[portal] = lifted[:len(portal)]
+
+    # Each step's edges: from its start through its bends to its end.
+    count = np.bincount(bent, minlength=len(steps))
+    first = n_used + ns + np.cumsum(count) - count
+    step = np.repeat(np.arange(len(steps)), count + 1)
+    at = np.arange(len(step)) - (np.cumsum(count + 1) - count - 1)[step]
+    eu = np.where(at == 0, a[step], first[step] + at - 1)
+    ev = np.where(at == count[step], b[step], first[step] + at)
+    sub = SteinerGraph()
+    sub.coords = list(map(tuple, points.tolist()))
+    sub.kinds = [G.kinds[v] for v in used]
+    sub.kinds += ["ell_steiner" if i < 0 else "core_apex" for i in level.tolist()] + ["bend"] * len(seg)
+    sub.edges = list(zip(eu.tolist(), ev.tolist(), each(math.hypot, *(points[eu] - points[ev]).T).tolist()))
+    tree = Tree(sub.n, tuple(sub.edges), int(new[root_id]))
+    return sub, tree, new[targets].tolist()
 
 
 _CORE_KINDS = {"root": "input", "apex": "core_apex", "grid": "grid", "input": "input"}

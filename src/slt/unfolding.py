@@ -9,14 +9,13 @@ the map is injective and preserves lengths within every cone.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field as dataclasses_field
 from itertools import accumulate
 
 import numpy as np
 
 from .errors import AngleOutOfRange, AngleOverflow, DegenerateRay
-from .geometry import COINCIDENT_TOL, PlanePoint, Point, Polyline, points_close
+from .geometry import COINCIDENT_TOL, PlanePoint, Point, Polyline, each, points_close, sum_columns
 from .breakpoints import SubdividedPath
 
 
@@ -36,10 +35,9 @@ class FoldedSurface:
 
     Cone j spans verts[j] to verts[j+1] at the apex with angle angles[j];
     the root surface's single zero-angle cone lies along its far ray.  The
-    Cone records and each cone's in-plane frame are made on first use,
-    since most surfaces are never lifted.  Not frozen: a build makes one
-    per break point, and a frozen init sets every field through
-    ``object.__setattr__``.
+    Cone records are made on first use, since most surfaces never need
+    them.  Not frozen: a build makes one per break point, and a frozen
+    init sets every field through ``object.__setattr__``.
     """
 
     index: int  # 1-based surface number along the path
@@ -50,8 +48,6 @@ class FoldedSurface:
     truncated: bool
     hstar: tuple[int, ...] = ()  # hstar vertex index of each of verts
     _cones: tuple[Cone, ...] | None = dataclasses_field(default=None, compare=False, repr=False)
-    # (e1, e2) per cone once ``lift`` has needed it, else None
-    _frames: list | None = dataclasses_field(default=None, compare=False, repr=False)
 
     @property
     def cones(self) -> tuple[Cone, ...]:
@@ -77,21 +73,6 @@ def _cone_rays(surf: FoldedSurface, j: int) -> tuple[Point, Point]:
     """
     v = surf.verts
     return (v[1], v[1]) if points_close(v[0], surf.apex) else (v[j], v[j + 1])
-
-
-def _cone_frame(surf: FoldedSurface, j: int):
-    """Orthonormal in-plane frame (e1, e2) of cone j; e2 is None for a cone along one ray."""
-    ray_a, ray_b = _cone_rays(surf, j)
-    s = surf.apex
-    a = [x - y for x, y in zip(ray_a, s)]
-    na = math.sqrt(sum([x * x for x in a]))
-    e1 = tuple([x / na for x in a])
-    b = [x - y for x, y in zip(ray_b, s)]
-    proj = sum([x * y for x, y in zip(b, e1)])
-    w = [x - proj * y for x, y in zip(b, e1)]
-    nw = math.sqrt(sum([x * x for x in w]))
-    e2 = tuple([x / nw for x in w]) if nw > COINCIDENT_TOL * max(proj, 1e-300) else None
-    return e1, e2
 
 
 def build_surfaces(sub: SubdividedPath, s: Point) -> list[FoldedSurface]:
@@ -179,64 +160,123 @@ def unfold_vertex(surf: FoldedSurface, j: int) -> PlanePoint:
     return (r * math.cos(theta), r * math.sin(theta))
 
 
+@dataclass
+class SurfaceRows:
+    """Folded surfaces around one apex as rows of arrays, to lift many points at once.
+
+    Row i has ``n_verts[i]`` vertices: the first n_verts[i] columns of
+    ``verts`` (R^d) and ``cum_angle`` hold them and their cumulative
+    angles, the last repeated after them, and ``angles[i, j]`` is the
+    angle of cone j.  ``lift`` and ``crossings`` give, row by row, the
+    floats of one surface and one point at a time: numpy does the
+    elementwise arithmetic in the same order, a coordinate sum runs
+    column by column (``sum_columns``), and libm is called once per
+    element (``each``).
+    """
+
+    apex: np.ndarray  # (d,)
+    verts: np.ndarray  # (S, L, d)
+    n_verts: np.ndarray  # (S,)
+    cum_angle: np.ndarray  # (S, L)
+    angles: np.ndarray  # (S, L - 1)
+
+    @classmethod
+    def of(cls, apex: Point, surfaces: list[FoldedSurface]) -> "SurfaceRows":
+        """The rows of ``surfaces``, each of at least two vertices, around ``apex``."""
+        nv = np.array([len(f.verts) for f in surfaces], dtype=int)
+        width = int(nv.max(initial=2))
+        start = np.cumsum(nv) - nv
+        at = start[:, None] + np.minimum(np.arange(width), nv[:, None] - 1)
+        cone = (start - np.arange(len(nv)))[:, None] + np.minimum(np.arange(width - 1), nv[:, None] - 2)
+        verts = np.array([v for f in surfaces for v in f.verts], dtype=float).reshape(-1, len(apex))
+        cum = np.array([t for f in surfaces for t in f.cum_angle], dtype=float)
+        angles = np.array([a for f in surfaces for a in f.angles], dtype=float)
+        return cls(np.array(apex, dtype=float), verts[at], nv, cum[at], angles[cone])
+
+    def lift(self, row: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """Each planar point q[i] (m, 2) mapped back onto surface row[i] in R^d: (m, d).
+
+        The point's polar angle is clamped to its surface and then to the
+        cone it falls in, and it is placed in that cone's orthonormal frame
+        (e1 along the cone's first ray, e2 towards its second; none for a
+        cone along one ray).  The root surface's one cone lies along its
+        far ray.  The first point whose angle lies outside its surface by
+        more than 1e-9 raises ``AngleOutOfRange``.
+        """
+        x, y = q[:, 0], q[:, 1]
+        r, theta = each(math.hypot, x, y), each(math.atan2, y, x)
+        cum = self.cum_angle[row]
+        total = cum[:, -1]
+        bad = (r != 0.0) & ((theta < -1e-9) | (theta > total + 1e-9))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise AngleOutOfRange(f"polar angle {float(theta[i])} outside [0, {float(total[i])}]")
+        theta = np.where(0.0 > theta, 0.0, theta)
+        theta = np.where(total < theta, total, theta)
+        j = np.minimum((cum <= theta[:, None]).sum(1), self.n_verts[row] - 1) - 1
+        local = theta - cum[np.arange(len(row)), j]
+        local = np.where(0.0 > local, 0.0, local)
+        angle = self.angles[row, j]
+        local = np.where(angle < local, angle, local)
+        v, s = self.verts, self.apex
+        on_ray = np.abs(v[row, 0] - s).max(1) < COINCIDENT_TOL  # the root surface
+        a = v[row, np.where(on_ray, 1, j)] - s
+        e1 = a / np.sqrt(sum_columns(a * a))[:, None]
+        b = v[row, np.where(on_ray, 1, j + 1)] - s
+        proj = sum_columns(b * e1)
+        w = b - proj[:, None] * e1
+        nw = np.sqrt(sum_columns(w * w))
+        bent = (nw > COINCIDENT_TOL * np.maximum(proj, 1e-300)) & (local != 0.0)
+        out = s + r[:, None] * e1
+        if bent.any():
+            rb, lb = r[bent], local[bent]
+            c, d = rb * each(math.cos, lb), rb * each(math.sin, lb)
+            out[bent] = s + c[:, None] * e1[bent] + d[:, None] * (w[bent] / nw[bent, None])
+        out[r == 0.0] = s
+        return out
+
+    def crossings(self, row: np.ndarray, q1: np.ndarray, q2: np.ndarray):
+        """Where each planar segment q1[i] q2[i] crosses the glued rays of surface row[i].
+
+        These are the bends of its lift; a segment from or to the origin
+        has none.  Returns the segment index (k,) and point (k, 2) of every
+        crossing, by segment and, within one, by the parameter t along it
+        from q1 (a stable sort, so rays in order on a tie).
+        """
+        (x1, y1), (x2, y2) = q1.T, q2.T
+        t1, t2 = each(math.atan2, y1, x1), each(math.atan2, y2, x2)
+        lo, hi = np.minimum(t1, t2), np.maximum(t1, t2)
+        dx, dy = x2 - x1, y2 - y1
+        rays = self.cum_angle[row, 1:-1]
+        ends = ((x1 != 0.0) | (y1 != 0.0)) & ((x2 != 0.0) | (y2 != 0.0))
+        seg, col = np.nonzero((np.arange(rays.shape[1]) < self.n_verts[row, None] - 2) & ends[:, None]
+                              & (lo[:, None] + 1e-15 < rays) & (rays < hi[:, None] - 1e-15))
+        theta = rays[seg, col]
+        ex, ey = each(math.cos, theta), each(math.sin, theta)
+        denom = ex * dy[seg] - ey * dx[seg]
+        t = (ey * x1[seg] - ex * y1[seg]) / np.where(denom == 0.0, 1.0, denom)
+        hit = (denom != 0.0) & (0.0 < t) & (t < 1.0)
+        seg, t = seg[hit], t[hit]
+        order = np.lexsort((t, seg))
+        seg, t = seg[order], t[order]
+        return seg, np.stack([x1[seg] + t * dx[seg], y1[seg] + t * dy[seg]], -1)
+
+
 def lift(surf: FoldedSurface, q: PlanePoint) -> Point:
-    """Map a planar point back onto the surface in R^d."""
-    x, y = q
-    r = math.hypot(x, y)
-    if r == 0.0:
-        return surf.apex
-    theta = math.atan2(y, x)
-    cum, angles = surf.cum_angle, surf.angles
-    total = cum[-1]
-    if theta < -1e-9 or theta > total + 1e-9:
-        raise AngleOutOfRange(f"polar angle {theta} outside [0, {total}]")
-    # min(max(theta, 0.0), total), and the same clamp for local below
-    theta = 0.0 if 0.0 > theta else theta
-    theta = total if total < theta else theta
-    j = bisect_right(cum, theta) - 1
-    if j >= len(angles):
-        j = len(angles) - 1
-    local = theta - cum[j]
-    local = 0.0 if 0.0 > local else local
-    local = angles[j] if angles[j] < local else local
-    frames = surf._frames
-    if frames is None:
-        frames = surf._frames = [None] * len(angles)
-    frame = frames[j]
-    if frame is None:
-        frame = frames[j] = _cone_frame(surf, j)
-    e1, e2 = frame
-    s = surf.apex
-    if e2 is None or local == 0.0:
-        return tuple([si + r * e1i for si, e1i in zip(s, e1)])
-    c = r * math.cos(local)
-    d = r * math.sin(local)
-    return tuple([si + c * e1i + d * e2i for si, e1i, e2i in zip(s, e1, e2)])
+    """Map a planar point back onto the surface in R^d: ``SurfaceRows.lift`` of one point."""
+    rows = SurfaceRows.of(surf.apex, [surf])
+    return tuple(rows.lift(np.zeros(1, dtype=int), np.array([q], dtype=float))[0].tolist())
 
 
 def ray_crossings(surf: FoldedSurface, q1: PlanePoint, q2: PlanePoint) -> list[PlanePoint]:
     """Where the planar segment q1q2 crosses the glued boundary rays, from q1 on.
 
-    These are the bends of its lift; a segment from or to the origin has none.
+    These are the bends of its lift; a segment from or to the origin has
+    none.  ``SurfaceRows.crossings`` of one segment.
     """
-    rays = surf.cum_angle[1:-1]
-    if not rays or q1 == (0.0, 0.0) or q2 == (0.0, 0.0):
-        return []
-    t1, t2 = math.atan2(q1[1], q1[0]), math.atan2(q2[1], q2[0])
-    lo, hi = min(t1, t2), max(t1, t2)
-    dx, dy = q2[0] - q1[0], q2[1] - q1[1]
-    crossings: list[tuple[float, PlanePoint]] = []
-    for theta in rays:
-        if not lo + 1e-15 < theta < hi - 1e-15:
-            continue
-        ex, ey = math.cos(theta), math.sin(theta)
-        denom = ex * dy - ey * dx
-        if denom == 0.0:
-            continue
-        t = (ey * q1[0] - ex * q1[1]) / denom
-        if 0.0 < t < 1.0:
-            crossings.append((t, (q1[0] + t * dx, q1[1] + t * dy)))
-    return [p for _, p in sorted(crossings, key=lambda c: c[0])]
+    rows = SurfaceRows.of(surf.apex, [surf])
+    _, points = rows.crossings(np.zeros(1, dtype=int), np.array([q1], float), np.array([q2], float))
+    return list(map(tuple, points.tolist()))
 
 
 def lift_segment(surf: FoldedSurface, q1: PlanePoint, q2: PlanePoint) -> Polyline:

@@ -7,26 +7,29 @@ lists), Kruskal's MST, the pairs of coinciding points
 polyline's point at an arc length, a cone's planar unfolding, the
 convex-hull covering radius of the cone axes, a lower bound on the
 pyramid instance's MST weight, the core's per-level weights, slack
-and stretch against the paper's bounds, and the folding graph built one
-surface and one element at a time.
+and stretch against the paper's bounds, the folding graph built one
+surface and one element at a time, and its tree lifted one vertex, stop
+and bend at a time.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 from itertools import accumulate
 
 import numpy as np
 
-from slt.core2d import CoreChain, CoreGraph, CoreInstance, Frame, portal_grid
+from slt import pipeline
+from slt.core2d import CoreChain, CoreChains, CoreGraph, CoreInstance, Frame, portal_grid
 from slt.errors import AngleOutOfRange, AngleOverflow, Disconnected, EmptySurface, EpsOutOfRange
 from slt.geometry import COINCIDENT_TOL, PlanePoint, Point, Polyline, dist
-from slt.metrics import adjacency, dijkstra
+from slt.metrics import adjacency, dijkstra, root_paths
 from slt.mst_path import PointCloud, Tree, _direction, euclidean_mst
-from slt.pipeline import FoldingGraph, Gadgets, SteinerGraph, _front_end, _relay_only, surface_inputs
+from slt.pipeline import FoldingGraph, Gadgets, SteinerGraph, _front_end, surface_inputs
 from slt.pyramid import GridSpec
-from slt.unfolding import FoldedSurface
+from slt.unfolding import FoldedSurface, SurfaceRows, _cone_rays
 
 
 def heap_dijkstra(n: int, adj: list[list[tuple[int, float]]], source: int):
@@ -159,6 +162,80 @@ def unfold(surf: FoldedSurface, cone_index: int, r: float, theta_local: float) -
         raise ValueError("radius must be nonnegative")
     theta = surf.cum_angle[cone_index] + theta_local
     return (r * math.cos(theta), r * math.sin(theta))
+
+
+def _left_to_right(xs) -> float:
+    """Python 3.11's ``sum`` of floats: from 0.0, one addition at a time."""
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
+def cone_frame(surf: FoldedSurface, j: int):
+    """Orthonormal in-plane frame (e1, e2) of cone j; e2 is None for a cone along one ray."""
+    ray_a, ray_b = _cone_rays(surf, j)
+    s = surf.apex
+    a = [x - y for x, y in zip(ray_a, s)]
+    na = math.sqrt(_left_to_right([x * x for x in a]))
+    e1 = tuple([x / na for x in a])
+    b = [x - y for x, y in zip(ray_b, s)]
+    proj = _left_to_right([x * y for x, y in zip(b, e1)])
+    w = [x - proj * y for x, y in zip(b, e1)]
+    nw = math.sqrt(_left_to_right([x * x for x in w]))
+    e2 = tuple([x / nw for x in w]) if nw > COINCIDENT_TOL * max(proj, 1e-300) else None
+    return e1, e2
+
+
+def scalar_lift(surf: FoldedSurface, q: PlanePoint) -> Point:
+    """``slt.unfolding.lift`` one point at a time: a planar point back onto the surface in R^d."""
+    x, y = q
+    r = math.hypot(x, y)
+    if r == 0.0:
+        return surf.apex
+    theta = math.atan2(y, x)
+    cum, angles = surf.cum_angle, surf.angles
+    total = cum[-1]
+    if theta < -1e-9 or theta > total + 1e-9:
+        raise AngleOutOfRange(f"polar angle {theta} outside [0, {total}]")
+    # min(max(theta, 0.0), total), and the same clamp for local below
+    theta = 0.0 if 0.0 > theta else theta
+    theta = total if total < theta else theta
+    j = bisect_right(cum, theta) - 1
+    if j >= len(angles):
+        j = len(angles) - 1
+    local = theta - cum[j]
+    local = 0.0 if 0.0 > local else local
+    local = angles[j] if angles[j] < local else local
+    e1, e2 = cone_frame(surf, j)
+    s = surf.apex
+    if e2 is None or local == 0.0:
+        return tuple([si + r * e1i for si, e1i in zip(s, e1)])
+    c = r * math.cos(local)
+    d = r * math.sin(local)
+    return tuple([si + c * e1i + d * e2i for si, e1i, e2i in zip(s, e1, e2)])
+
+
+def scalar_ray_crossings(surf: FoldedSurface, q1: PlanePoint, q2: PlanePoint) -> list[PlanePoint]:
+    """``slt.unfolding.ray_crossings`` one ray at a time: the bends of q1q2's lift, from q1 on."""
+    rays = surf.cum_angle[1:-1]
+    if not rays or q1 == (0.0, 0.0) or q2 == (0.0, 0.0):
+        return []
+    t1, t2 = math.atan2(q1[1], q1[0]), math.atan2(q2[1], q2[0])
+    lo, hi = min(t1, t2), max(t1, t2)
+    dx, dy = q2[0] - q1[0], q2[1] - q1[1]
+    crossings: list[tuple[float, PlanePoint]] = []
+    for theta in rays:
+        if not lo + 1e-15 < theta < hi - 1e-15:
+            continue
+        ex, ey = math.cos(theta), math.sin(theta)
+        denom = ex * dy - ey * dx
+        if denom == 0.0:
+            continue
+        t = (ey * q1[0] - ex * q1[1]) / denom
+        if 0.0 < t < 1.0:
+            crossings.append((t, (q1[0] + t * dx, q1[1] + t * dy)))
+    return [p for _, p in sorted(crossings, key=lambda c: c[0])]
 
 
 def _covering_radius(axes: np.ndarray) -> float:
@@ -430,7 +507,7 @@ def surface_gadget(
 
 def gadget_row(gad: Gadgets, g: int) -> SurfaceGadget:
     """Row g of a batch of gadgets as one ``SurfaceGadget``."""
-    n, steiner = int(gad.n_verts[g]), gad.ell_steiner[g, :1 if gad.flat[g] else None]
+    n, steiner = int(gad.rows.n_verts[g]), gad.ell_steiner[g, :1 if gad.flat[g] else None]
     secondary = [SecondaryBp(*row) for row in zip(
         gad.arc[g].tolist(), gad.edge[g].tolist(), map(tuple, gad.point[g].tolist()),
         map(tuple, gad.plane[g].tolist()), gad.at_vertex[g].tolist(), gad.steiner[g].tolist())]
@@ -506,6 +583,19 @@ def realize(G: PlanarGraph, gadget: SurfaceGadget, vids: list[int], root_id: int
     return core
 
 
+def relay_only(s: Point, surfaces: list[FoldedSurface], inputs_of: list[list[int]], i: int) -> bool:
+    """``slt.pipeline._relay_only`` of surface i alone: whether no root path can use its segment."""
+    surf = surfaces[i]
+    if i == 0 or i + 1 == len(surfaces) or len(surf.hstar) != 2:
+        return False
+    if inputs_of[i + 1] or surfaces[i + 1].hstar[0] != surf.hstar[1]:
+        return False
+    a, b = surf.verts
+    sa, sb, ab = math.dist(s, a), math.dist(s, b), math.dist(a, b)
+    margin = pipeline._CUT_MARGIN
+    return sa + ab > sb * (1.0 + margin) and sb + ab > sa * (1.0 + margin)
+
+
 def loop_folding_graph(pts: PointCloud, eps: float, gamma: float = 8.0, lam: float = 1.25):
     """``assemble_slt``'s graph, a gadget at a time: (graph, surfaces, gadgets)."""
     eps_int, _, _, sub, surfaces = _front_end(pts, eps, gamma, lam)
@@ -519,7 +609,7 @@ def loop_folding_graph(pts: PointCloud, eps: float, gamma: float = 8.0, lam: flo
     gadgets = []
     for i, surf in enumerate(surfaces):
         inputs = inputs_of[i]
-        if not inputs and _relay_only(s, surfaces, inputs_of, i):
+        if not inputs and relay_only(s, surfaces, inputs_of, i):
             a = vertex_of[surf.hstar[0]]
             if a >= 0:
                 G.add_edge(root_id, a)
@@ -554,9 +644,15 @@ def as_folding_graph(G: PlanarGraph) -> FoldingGraph:
             chains[record[0].index] = record[1]
     order = sorted(surfaces)
     gadget = {index: g for g, index in enumerate(order)}
+    d = len(G.coords[0])  # the root's
+    points, plane = np.full((G.n, d), np.nan), np.full((G.n, 2), np.nan)
     vertex_gadget = np.full(G.n, -1)
-    for v, f in G.surface.items():
-        vertex_gadget[v] = gadget[f.index]
+    for v, p in enumerate(G.coords):
+        if v in G.surface:
+            vertex_gadget[v] = gadget[G.surface[v].index]
+            plane[v] = p
+        else:
+            points[v] = p
     m = len(G.edges)
     edge_gadget, edge_grid = np.full(m, -1), np.full(m, -1)
     edge_plane, edge_on = np.zeros((m, 4)), np.zeros(m, dtype=bool)
@@ -571,9 +667,131 @@ def as_folding_graph(G: PlanarGraph) -> FoldingGraph:
             edge_plane[e] = [*core.point((-1, j)), *q_end]
             edge_grid[e], edge_on[e] = j, on
     ends = np.array([(u, v) for u, v, _ in G.edges], dtype=int).reshape(-1, 2)
-    return FoldingGraph(list(G.coords), list(G.kinds), ends, np.array([w for *_, w in G.edges]),
-                        [surfaces[i] for i in order], lambda g: chains[order[g]], vertex_gadget,
+    cored = [i for i in order if i in chains]
+    chain_row = np.array([cored.index(i) if i in chains else -1 for i in order], dtype=int)
+    apex = surfaces[order[0]].apex if order else G.coords[0]
+    return FoldingGraph(points, plane, list(G.kinds), ends, np.array([w for *_, w in G.edges]),
+                        SurfaceRows.of(apex, [surfaces[i] for i in order]),
+                        stack_chains([chains[i] for i in cored]), chain_row, vertex_gadget,
                         edge_gadget, edge_plane, edge_grid, edge_on)
+
+
+def stack_chains(chains: list[CoreChain]) -> CoreChains:
+    """``CoreChain`` objects as the rows of one ``CoreChains``, which gives each back as ``chain(i)``."""
+    top = max((c.k for c in chains), default=0)
+    dists, heights = np.zeros((len(chains), top + 2)), np.zeros((len(chains), top + 2))
+    for i, c in enumerate(chains):
+        dists[i, :c.k + 2], heights[i, :c.k + 1] = c.dists, c.heights
+
+    def column(values, *shape):
+        return np.array(values, dtype=float).reshape(len(chains), *shape)
+
+    frames = [c.frame for c in chains]
+    return CoreChains(column([f.origin for f in frames], 2), column([f.ex for f in frames], 2),
+                      column([f.ey for f in frames], 2), column([f.scale for f in frames]),
+                      column([c.xa for c in chains]), column([c.xb for c in chains]),
+                      np.array([c.k for c in chains], dtype=int), dists, heights)
+
+
+def loop_prune(G: FoldingGraph, surfaces: list[FoldedSurface], dists: list[float], parent: list[int],
+               targets: list[int], root_id: int):
+    """``slt.pipeline._prune`` one vertex, stop and bend at a time; ``surfaces`` per gadget.
+
+    Kept gadget vertices are lifted onto their surfaces, a kept core path
+    is expanded into its apices and grid vertex, and each gadget edge
+    becomes the polyline through its bends; its ends are kept vertices
+    already, so only the bends are lifted for it.  Edges and bends are
+    added in order of root distance.
+    """
+    used = root_paths(parent, root_id, targets)
+    sub = SteinerGraph()
+    n_old = G.n
+    sub_coords, sub_kinds, sub_edges = sub.coords, sub.kinds, sub.edges
+    new = {}
+    for old, g in zip(used, G.vertex_gadget[used].tolist()):
+        new[old] = len(sub_coords)
+        q = tuple((G.points if g < 0 else G.plane)[old].tolist())
+        sub_coords.append(q if g < 0 else scalar_lift(surfaces[g], q))
+        sub_kinds.append(G.kinds[old])
+    # Of a pair's edges, in order (one that is not a core path, and core
+    # paths from the root), a vertex takes the first core path as long as
+    # its root distance, else the other edge.
+    kept = np.zeros(n_old, dtype=bool)
+    kept[used] = True
+    between = np.flatnonzero(kept[G.ends[:, 0]] & kept[G.ends[:, 1]])
+    ends = G.ends[between]
+    keys = ends.min(1) * n_old + ends.max(1)
+    by_key = np.argsort(keys, kind="stable")
+    child = [v for v in used if parent[v] != -1]
+    up = [parent[v] for v in child]
+    pairs = np.minimum(child, up) * n_old + np.maximum(child, up)
+    lo, hi = (np.searchsorted(keys[by_key], pairs, side).tolist() for side in ("left", "right"))
+    by_key = by_key.tolist()
+    weight, gadget, grid, on, plane = (x[between].tolist() for x in (
+        G.weights, G.edge_gadget, G.edge_grid, G.edge_on, G.edge_plane))
+    # (root distance, order, parent in sub, vertex in sub, planar segment);
+    # no two share the first two, so they sort by those alone.
+    steps = []
+    paths = []  # (surface index, grid vertex, vertex, core path) per kept core path
+    for old, p, a, b in zip(child, up, lo, hi):
+        edge = path = None
+        for e in by_key[a:b]:
+            if grid[e] < 0:
+                edge = e
+            elif path is None and weight[e] == dists[old]:
+                path = e
+        if path is not None:
+            surf, j = surfaces[gadget[path]], grid[path]
+            core_path = (surf, G.chain(gadget[path]), j, on[path], tuple(plane[path][2:]))
+            paths.append((surf.index, j, old, core_path))
+            continue
+        seg = None
+        if gadget[edge] >= 0:
+            qa, qb = tuple(plane[edge][:2]), tuple(plane[edge][2:])
+            seg = (surfaces[gadget[edge]], *((qb, qa) if p > old else (qa, qb)))
+        steps.append((dists[old], old, new[p], new[old], seg))
+
+    # By surface and ascending grid vertex: the order in which the tie rule
+    # of ``scalar_apex_path`` shares apices, whatever the vertex numbering.
+    paths.sort()
+    made = {}  # surface index -> {key: (vertex in sub, planar point)}
+    for index, j, old, (surf, core, _, on_grid, q_end) in paths:
+        placed = made.setdefault(index, {})
+        a, qa = new[root_id], (0.0, 0.0)
+        for key in scalar_apex_path(core.k, j, placed) + ([] if on_grid else [(-1, j)]):
+            if key not in placed:
+                q = core.point(key)
+                b = len(sub_coords)
+                sub_coords.append(scalar_lift(surf, q))
+                sub_kinds.append("ell_steiner" if key[0] < 0 else "core_apex")
+                steps.append((core.dists[key[0]], n_old + len(steps), a, b, (surf, qa, q)))
+                placed[key] = b, q
+            a, qa = placed[key]
+        steps.append((dists[old], old, a, new[old], (surf, qa, q_end)))
+    steps.sort()
+    for _, _, a, b, seg in steps:
+        if seg is not None:
+            for q in scalar_ray_crossings(*seg):
+                bend = len(sub_coords)
+                sub_coords.append(scalar_lift(seg[0], q))
+                sub_kinds.append("bend")
+                sub_edges.append((a, bend, math.dist(sub_coords[a], sub_coords[bend])))
+                a = bend
+        sub_edges.append((a, b, math.dist(sub_coords[a], sub_coords[b])))
+    tree = Tree(sub.n, tuple(sub_edges), new[root_id])
+    return sub, tree, [new[t] for t in targets]
+
+
+def scalar_apex_path(k: int, j: int, placed) -> list[tuple[int, int]]:
+    """``slt.core2d.apex_path`` as a max over a dict: the apex keys from the root to grid vertex j.
+
+    Of apices j - 1 and j, the one whose chain has the deepest apex in
+    ``placed``, else the higher index.
+    """
+    depth = {a: next((i for i in range(k, 0, -1) if (i, a >> (k - i)) in placed), 0)
+             for a in (j - 1, j) if 0 <= a < 1 << k}
+    a = max(depth, key=lambda a: (depth[a], a))
+    return [(i, a >> (k - i)) for i in range(1, k + 1)]
 
 
 def scalar_chain(inst: CoreInstance) -> CoreChain:

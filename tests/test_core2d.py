@@ -3,12 +3,13 @@ import random
 
 import numpy as np
 import pytest
-from oracles import chain_bits, core_metrics, scalar_chain
+from oracles import chain_bits, core_metrics, scalar_apex_path, scalar_chain
 
 import slt.pipeline
 from slt.core2d import (
     CoreChain,
     CoreInstance,
+    apex_path,
     build_core,
     core2d_points,
     core_chains,
@@ -261,7 +262,7 @@ def test_core_chains_are_one_triangle_at_a_time_bit_for_bit():
     # Legs from 1e-6 to 1e6 and apex angles from 1e-8 to 0.6 rad, so the
     # rows take from 1 to 8 levels, those whose last level would reach
     # pi/2 left out; apices at the origin, as a folding gadget's, and the
-    # triangle turned and moved.  Grid points by index arrays too.
+    # triangle turned and moved.  Grid points and apices by index arrays too.
     rng = random.Random(7)
     for lam, moved in ((1.25, False), (1.5, False), (1.25, True)):
         rows, one = [], []
@@ -286,10 +287,31 @@ def test_core_chains_are_one_triangle_at_a_time_bit_for_bit():
         assert [chain_bits(CoreChain.of(CoreInstance(*row[:3], (), row[3], lam))) for row in rows] == list(
             map(chain_bits, one))
         assert len(set(chains.k.tolist())) >= 5
-        i = np.repeat(np.arange(len(rows)), 3)
-        j = np.array([[0, (1 << c.k) // 3, 1 << c.k] for c in one]).reshape(-1)
-        points = chains.grid_points(i, j).tolist()
-        assert points == [list(one[r].point((-1, c))) for r, c in zip(i.tolist(), j.tolist())]
+        keys = [(r, (-1, j)) for r, c in enumerate(one) for j in (0, (1 << c.k) // 3, 1 << c.k)]
+        keys += [(r, (level, j)) for r, c in enumerate(one) for level in range(1, c.k + 1)
+                 for j in (0, (1 << level) // 3, (1 << level) - 1)]
+        i, level, j = (np.array(col) for col in zip(*((r, *key) for r, key in keys)))
+        points = chains.points(i, level, j).tolist()
+        assert points == [list(one[r].point(key)) for r, key in keys]
+
+
+def test_apex_path_is_the_tie_rule():
+    # Every grid vertex of cores with 1 to 6 levels, against placed sets
+    # that are empty, random, or the apices of paths already taken, in
+    # ascending and in random grid order: the deepest placed apex wins,
+    # and on a tie in depth the higher index.
+    rng = random.Random(11)
+    for k in range(1, 7):
+        for _ in range(30):
+            placed = {(i, rng.randrange(1 << i)) for i in range(1, k + 1) for _ in range(rng.randrange(3))}
+            for j in range((1 << k) + 1):
+                assert apex_path(k, j, placed) == scalar_apex_path(k, j, placed)
+        for order in (range((1 << k) + 1), rng.sample(range((1 << k) + 1), (1 << k) + 1)):
+            placed = set()
+            for j in order:
+                path = apex_path(k, j, placed)
+                assert path == scalar_apex_path(k, j, placed)
+                placed.update(path)
 
 
 @pytest.mark.parametrize("fault", ["eps", "lambda", "isosceles", "angle", "ray", "overflow"])

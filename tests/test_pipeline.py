@@ -2,7 +2,9 @@ import dataclasses
 import json
 import math
 import random
+import tempfile
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,20 +12,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
-    PlanarGraph, as_folding_graph, chain_bits, gadget_row, kernel_spt, loop_folding_graph, oracle_spt,
-    realize, surface_gadget,
+    PlanarGraph, as_folding_graph, chain_bits, gadget_row, kernel_spt, loop_folding_graph, loop_prune,
+    oracle_spt, realize, scalar_lift, scalar_ray_crossings, surface_gadget,
 )
 
 from slt.breakpoints import select_breakpoints, subdivide
-from slt.cli import gen_random, run_cli, write_points, write_tree
+from slt.cli import canonical_dumps, gen_random, run_cli, write_points, write_tree
 from slt.core2d import CoreChain, build_core, core_layout, core_spt, levels_for_eps, portal_grid
-from slt.errors import EmptySurface, EpsOutOfRange
+from slt.errors import AngleOutOfRange, EmptySurface, EpsOutOfRange
 from slt.geometry import angle_at_apex, dist
 from slt.metrics import tree_distances
 from slt.mst_path import PointCloud, dfs_hamiltonian, euclidean_mst
 from slt.pipeline import _front_end, _prune, _realize, assemble_slt, build_gadget, surface_inputs
 from slt.unfolding import (
-    FoldedSurface, build_surfaces, lift, lift_segment, ray_crossings, unfold_vertex
+    FoldedSurface, SurfaceRows, build_surfaces, lift, lift_segment, ray_crossings, unfold_vertex
 )
 
 
@@ -286,25 +288,23 @@ def test_lift_segment_length_preservation_in_pipeline():
 def test_gadgets_only_where_an_input_is_and_each_point_lifted_once(monkeypatch):
     # build_gadget runs once per build and makes one gadget per surface
     # holding an input, and every lifted point (kept gadget vertex, placed
-    # core stop, bend) is lifted once.
+    # core stop, bend) is lifted once, all in one batch.
     import slt.pipeline
-    import slt.unfolding
 
-    calls, lifted = [], []
-    build, real_lift = slt.pipeline.build_gadget, slt.unfolding.lift
+    calls, lifts = [], []
+    build, real_lift = slt.pipeline.build_gadget, SurfaceRows.lift
 
     def counting_build(surfaces, inputs_of, *args):
         gadgets = build(surfaces, inputs_of, *args)
         calls.append((gadgets, surfaces, inputs_of))
         return gadgets
 
-    def counting_lift(surf, q):
-        lifted.append((surf.index, q))
-        return real_lift(surf, q)
+    def counting_lift(rows, row, q):
+        lifts.append(list(zip(row.tolist(), map(tuple, q.tolist()))))
+        return real_lift(rows, row, q)
 
     monkeypatch.setattr(slt.pipeline, "build_gadget", counting_build)
-    for module in (slt.pipeline, slt.unfolding):
-        monkeypatch.setattr(module, "lift", counting_lift)
+    monkeypatch.setattr(SurfaceRows, "lift", counting_lift)
     g, _, rep = assemble_slt(random_cloud(60, 5, 7), 0.04)
     flags = rep.flags
     [(gadgets, surfaces, inputs_of)] = calls
@@ -313,6 +313,7 @@ def test_gadgets_only_where_an_input_is_and_each_point_lifted_once(monkeypatch):
     assert built == [surfaces[i].index for i in gadgets.surface.tolist()]
     assert len(built) == len(set(built)) == flags["cores"] + flags["zero_width_cores"]
     assert 0 < len(built) < flags["surfaces"]
+    [lifted] = lifts
     assert len(set(lifted)) == len(lifted)
     kinds = Counter(g.kinds)
     assert len(lifted) == kinds["ell_steiner"] + kinds["core_apex"] + kinds["bend"]
@@ -801,16 +802,15 @@ def _batch_graph(pc, eps, gamma=8.0, lam=1.25):
 
 
 def assert_same_graph(batch, loop):
-    """Bit for bit: vertices, edges in order, planar segments, core paths, portal surfaces."""
-    def hexed(coords):
-        return [tuple(float(x).hex() for x in p) for p in coords]
-
-    assert hexed(batch.coords) == hexed(loop.coords)
+    """Bit for bit: vertices, edges in order, planar segments, core paths, gadget surfaces."""
     assert batch.kinds == loop.kinds
-    for name in ("ends", "weights", "vertex_gadget", "edge_gadget", "edge_plane", "edge_grid", "edge_on"):
+    for name in ("points", "plane", "ends", "weights", "vertex_gadget", "edge_gadget", "edge_plane",
+                 "edge_grid", "edge_on"):
         b, o = getattr(batch, name), getattr(loop, name)
         assert b.shape == o.shape and b.astype(o.dtype).tobytes() == o.tobytes(), name
-    assert batch.surfaces == loop.surfaces
+    for name in ("apex", "verts", "n_verts", "cum_angle", "angles"):
+        b, o = getattr(batch.rows, name), getattr(loop.rows, name)
+        assert b.shape == o.shape and b.tobytes() == o.tobytes(), name
     for g in sorted(set(batch.edge_gadget[batch.edge_grid >= 0].tolist())):
         assert chain_bits(batch.chain(g)) == chain_bits(loop.chain(g)), g
 
@@ -879,6 +879,125 @@ def test_batched_folding_graph_is_the_loop_on_small_clouds(d, eps, n, seed):
     pc = PointCloud(tuple(tuple(rng.random() for _ in range(d)) for _ in range(n)))
     batch, _ = _batch_graph(pc, eps)
     assert_same_graph(batch, as_folding_graph(loop_folding_graph(pc, eps)[0]))
+
+
+def _with_loop_prune(pc, eps, monkeypatch):
+    """``assemble_slt`` twice: as it is, and with the oracle's one-at-a-time ``_prune``."""
+    import slt.pipeline
+
+    batch = assemble_slt(pc, eps)
+    made, real_build = [], slt.pipeline.build_gadget
+
+    def build(*args):
+        made.append(real_build(*args))
+        return made[-1]
+
+    monkeypatch.setattr(slt.pipeline, "build_gadget", build)
+    monkeypatch.setattr(slt.pipeline, "_prune", lambda G, *args: loop_prune(G, made[-1].surfaces, *args))
+    return batch, assemble_slt(pc, eps)
+
+
+def assert_same_tree(batch, loop, tmp_path):
+    """Bit for bit: the tree file, the kinds, the edges in order with their weights, the report."""
+    (g1, t1, r1), (g2, t2, r2) = batch, loop
+    write_tree(tmp_path / "batch.json", g1, t1)
+    write_tree(tmp_path / "loop.json", g2, t2)
+    assert (tmp_path / "batch.json").read_bytes() == (tmp_path / "loop.json").read_bytes()
+    assert g1.kinds == g2.kinds and t1.root == t2.root
+    assert [(u, v, w.hex()) for u, v, w in g1.edges] == [(u, v, w.hex()) for u, v, w in g2.edges]
+    assert [(u, v, w.hex()) for u, v, w in t1.edges] == [(u, v, w.hex()) for u, v, w in t2.edges]
+    assert canonical_dumps(r1.as_dict()) == canonical_dumps(r2.as_dict())
+
+
+@pytest.mark.parametrize("pc,eps", _exact_cases())
+def test_batched_prune_is_the_loop_bit_for_bit(pc, eps, monkeypatch, tmp_path):
+    # The tree lifted at once against the one-vertex-at-a-time oracle.
+    assert_same_tree(*_with_loop_prune(pc, eps, monkeypatch), tmp_path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5), st.sampled_from([0.25, 0.09, 0.04]), st.integers(2, 14), st.integers(0, 2**32))
+def test_batched_prune_is_the_loop_on_small_clouds(d, eps, n, seed):
+    rng = random.Random(seed)
+    pc = PointCloud(tuple(tuple(rng.random() for _ in range(d)) for _ in range(n)))
+    with pytest.MonkeyPatch.context() as monkeypatch, tempfile.TemporaryDirectory() as tmp:
+        assert_same_tree(*_with_loop_prune(pc, eps, monkeypatch), Path(tmp))
+
+
+def _lift_test_surfaces():
+    """Per cloud, its surfaces: random clouds in d = 2, 3, 5, 8, a near-collinear one, the made ones."""
+    out = []
+    for d in (2, 3, 5, 8):
+        for eps in (0.25, 0.04):
+            surfs, _ = surfaces_and_sub(random_cloud(40, d, 7 * d), eps / 8)
+            out.append(surfs)
+    rng = random.Random(3)
+    near = PointCloud(tuple((float(t), 1e-3 * rng.random(), 1e-3 * rng.random()) for t in range(30)))
+    out.append(surfaces_and_sub(near, 0.04 / 8)[0])
+    out += [[f] for _, f, _ in _wide_and_flat_surfaces()]
+    return out
+
+
+_LIFT_SURFACES = _lift_test_surfaces()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, len(_LIFT_SURFACES) - 1), st.integers(1, 40), st.integers(0, 2**32),
+       st.sampled_from([0.0, 0.05, 0.5]))
+def test_batched_lift_and_crossings_are_the_scalar_code_bit_for_bit(cloud, m, seed, off):
+    # Rows on random surfaces of one cloud (a build's root surface among
+    # them): polar angles inside, on a ray, at either end and (with
+    # probability ``off``) past an end, within the 1e-9 slack or beyond
+    # it; the origin, signed zeros too; segments across rays and from the
+    # origin.  The batch gives the scalar lift's and ray_crossings'
+    # floats, or raises what the first faulty row does.
+    surfaces = _LIFT_SURFACES[cloud]
+    rng = random.Random(seed)
+
+    def point(f):
+        total, u = f.total_angle, rng.random()
+        if u < 0.05:
+            return rng.choice([(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)])
+        if u < off:
+            a = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-17, -1) + (total if u > off / 2 else 0.0)
+        else:
+            a = rng.choice([0.0, total, rng.choice(f.cum_angle), rng.uniform(0.0, total),
+                            rng.uniform(0.0, total)])
+        r = 10.0 ** rng.uniform(-3, 3)
+        return (r * math.cos(a), r * math.sin(a))
+
+    row = [rng.randrange(len(surfaces)) for _ in range(m)]
+    q1 = [point(surfaces[i]) for i in row]
+    q2 = [point(surfaces[i]) for i in row]
+    rows = SurfaceRows.of(surfaces[0].apex, surfaces)
+    want, fault = [], None
+    for i, q in zip(row, q1):
+        try:
+            want.append(scalar_lift(surfaces[i], q))
+        except AngleOutOfRange as err:
+            fault = (i, q, str(err))
+            break
+    if fault is None:
+        assert list(map(hexed, rows.lift(np.array(row), np.array(q1)).tolist())) == list(map(hexed, want))
+        assert [hexed(lift(surfaces[i], q)) for i, q in zip(row, q1)] == list(map(hexed, want))
+    else:
+        i, q, message = fault
+        for batch in (lambda: rows.lift(np.array(row), np.array(q1)), lambda: lift(surfaces[i], q)):
+            with pytest.raises(AngleOutOfRange) as err:
+                batch()
+            assert str(err.value) == message
+    seg, bends = rows.crossings(np.array(row), np.array(q1), np.array(q2))
+    want = [(k, p) for k, (i, a, b) in enumerate(zip(row, q1, q2))
+            for p in scalar_ray_crossings(surfaces[i], a, b)]
+    assert [(k, hexed(p)) for k, p in zip(seg.tolist(), bends.tolist())] == [(k, hexed(p)) for k, p in want]
+    for i, a, b in zip(row, q1, q2):
+        assert list(map(hexed, ray_crossings(surfaces[i], a, b))) == list(map(hexed, scalar_ray_crossings(
+            surfaces[i], a, b)))
+
+
+def hexed(p):
+    """A point's coordinates as hex strings, to compare floats bit for bit."""
+    return tuple(float(x).hex() for x in p)
 
 
 def test_a_folding_build_leaves_the_base_points_unchecked(monkeypatch):
