@@ -93,7 +93,7 @@ def select_breakpoints(H: HamPath, eps: float) -> BreakpointSet:
     positions.append(_vertex_position(path, 1))
     points = [_point_at(path, p) for p in positions]
     truncated = False
-    guard = 1e-12 * max(total, 1.0)
+    guard = 1e-12 * total
     roots = _crossings(path, sq, positions[-1])
     while positions[-1][2] < total - guard:
         found = next(roots, None)
@@ -151,7 +151,7 @@ def _crossings(path: Polyline, sq: float, cur: tuple[int, float, float]):
     seg_lens, diffs, b, c = lens.tolist(), seg.tolist(), b.tolist(), c.tolist()
     eps = sq * sq
     margin_scale = 1e-7 * sq
-    end_tol = 1e-15 * max(path.total_length, 1.0)
+    end_tol = 1e-15 * path.total_length
     cur_seg, cur_t, cur_arc = cur
     while True:
         found = None
@@ -238,7 +238,7 @@ def _solve_on_segment(a, b, c, eps, t0, seg_len):
     r2 = (-qb + sd) / (2.0 * qa)
     roots = (r2, r1) if r2 < r1 else (r1, r2)
     lo = max(t0, -a)
-    tol = 1e-12 * max(seg_len, 1.0)
+    tol = 1e-12 * seg_len
     for t in roots:
         if lo - tol <= t <= seg_len + tol:
             return min(max(t, lo), seg_len)
@@ -249,7 +249,7 @@ def subdivide(H: HamPath, B: BreakpointSet) -> SubdividedPath:
     """Insert the break points as vertices of H, preserving length."""
     path = H.geometry
     total = path.total_length
-    tol = 1e-12 * max(total, 1.0)
+    tol = 1e-12 * total
 
     verts: list[Point] = []
     input_index: list[int] = []

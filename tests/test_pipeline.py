@@ -705,12 +705,20 @@ def test_scale_invariance():
     # comes from an absolute tolerance.  Decimal scales also round every
     # coordinate by an ulp, which the break point recurrence amplifies: a
     # one-ulp nudge of every coordinate moves max_stretch by 4e-10 on the
-    # d=2 seed 4 cloud, and scaling it by 1e6 by 4.1e-9.
+    # d=2 seed 4 cloud, and scaling it by 1e6 by 4.1e-9.  At 2^-25 every
+    # cloud builds the tree of scale 1, and so does d=3 seed 0 at 2^-30,
+    # whose graph once grew from 660 to 677 vertices there.
     for d in (2, 3, 5):
         for seed in range(12):
             rng = random.Random(seed)
             base = [tuple(rng.random() for _ in range(d)) for _ in range(30)]
             _, _, ref = assemble_slt(_scaled(base, 1.0), 0.09)
+            exact = (2.0**-25, 2.0**-30) if (d, seed) == (3, 0) else (2.0**-25,)
+            for scale in exact:
+                _, _, rep = assemble_slt(_scaled(base, scale), 0.09)
+                for key in ("max_stretch", "lightness"):
+                    assert getattr(rep, key) == getattr(ref, key), (d, seed, scale, key)
+                assert rep.flags["graph_vertices"] == ref.flags["graph_vertices"], (d, seed, scale)
             for scale, rel in ((2.0**-20, 1e-12), (2.0**20, 1e-12), (1e-6, 1e-8), (1e6, 1e-8)):
                 _, _, rep = assemble_slt(_scaled(base, scale), 0.09)
                 assert rep.max_stretch <= 1.09 + 1e-12
