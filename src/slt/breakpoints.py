@@ -10,6 +10,18 @@ function has exactly one zero crossing; it is found per segment with a
 closed-form quadratic solve, falling back to monotone bisection where the
 quadratic form is too ill-conditioned to certify the root.
 
+Each crossing starts the next, so the search is one scalar loop over
+per-segment floats computed once; it records only each crossing's segment
+and offset.  After the loop, every break point is placed and every
+quadratic root's residual checked in one batch.  At the first residual
+that fails, the loop re-enters from the crossing before it and takes that
+crossing by bisection, as a one-at-a-time search would have.  The batch
+keeps the loop's floats: numpy does the elementwise arithmetic in the
+same order, libm is called once per element (``geometry.each``),
+``math.dist`` is ``hypot`` over coordinate differences, and no sum is
+reassociated.  ``subdivide`` then merges the break points' arc lengths
+with the path's in one pass of array code.
+
 Angle lemma.  On the sub-path from b_i to b_{i+1} (not truncated), the
 cones at s with angles theta_j satisfy
 
@@ -31,43 +43,52 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EpsOutOfRange
-from .geometry import ArcPosition, Point, Polyline, each
+from .geometry import each
 from .mst_path import HamPath
 
 _RESIDUAL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BreakpointSet:
     """Ordered break points on H; the last one may be truncated.
 
-    ``raw_positions`` holds each break point's (segment index, offset,
-    arc length) as a plain tuple, which the cyclic garbage collector stops
-    tracking; ``ArcPosition(*p)`` turns one into a record.
+    Break point i lies on path segment ``segment[i]`` at offset ``t[i]``
+    from its start, at arc length ``arc[i]``, at ``points[i]``.
     """
 
-    raw_positions: tuple[tuple[int, float, float], ...]
-    points: tuple[Point, ...]
+    segment: np.ndarray  # (k,)
+    t: np.ndarray  # (k,)
+    arc: np.ndarray  # (k,)
+    points: np.ndarray  # (k, d)
     eps: float
     truncated: bool
 
     def __len__(self) -> int:
-        return len(self.raw_positions)
+        return len(self.arc)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubdividedPath:
     """H with its break points inserted as vertices.
 
-    Segment i runs from hstar vertex bp_vertex[i] to bp_vertex[i + 1].
+    Segment i runs from vertex bp_vertex[i] to bp_vertex[i + 1].
     """
 
-    hstar: Polyline
-    #: hstar vertex index of each break point
-    bp_vertex: tuple[int, ...]
-    #: original input index per hstar vertex, or -1 for a Steiner vertex
-    input_index: tuple[int, ...]
+    points: np.ndarray  # (V, d) the vertices, break points among them
+    #: vertex index of each break point
+    bp_vertex: np.ndarray
+    #: original input index per vertex, or -1 for a Steiner vertex
+    input_index: np.ndarray
     truncated: bool
+
+    @property
+    def total_length(self) -> float:
+        """The sum of the edge lengths, added from the root on."""
+        if len(self.points) < 2:
+            return 0.0
+        lengths = each(math.hypot, *np.diff(self.points, axis=0).T)
+        return float(np.cumsum(lengths)[-1])
 
 
 def select_breakpoints(H: HamPath, eps: float) -> BreakpointSet:
@@ -82,200 +103,200 @@ def select_breakpoints(H: HamPath, eps: float) -> BreakpointSet:
     if not 0.0 < eps <= 0.25:
         raise EpsOutOfRange(f"eps={eps} outside (0, 1/4]")
     path = H.geometry
-    s = path.vertices[0]
-    total = path.total_length
+    arr = np.asarray(path.vertices, dtype=float)
+    if len(arr) == 1:
+        return BreakpointSet(np.zeros(1, dtype=int), np.zeros(1), np.zeros(1), arr, eps, False)
+    cum = np.array(path.cum_len)
     sq = math.sqrt(eps)
-
-    positions = [(0, 0.0, 0.0)]
-    if len(path.vertices) == 1:
-        return BreakpointSet(tuple(positions), (s,), eps, False)
-
-    positions.append(_vertex_position(path, 1))
-    points = [_point_at(path, p) for p in positions]
-    truncated = False
-    guard = 1e-12 * total
-    roots = _crossings(path, sq, positions[-1])
-    while positions[-1][2] < total - guard:
-        found = next(roots, None)
-        if found is None:
-            last = _vertex_position(path, len(path.vertices) - 1)
-            positions.append(last)
-            points.append(_point_at(path, last))
-            truncated = True
-            break
-        nxt, point = found
-        if nxt[2] - positions[-1][2] < guard:
-            raise ValueError(
-                "degenerate break point spacing: path passes through the root"
-            )
-        positions.append(nxt)
-        points.append(point)
-    return BreakpointSet(tuple(positions), tuple(points), eps, truncated)
-
-
-def _vertex_position(path: Polyline, j: int) -> tuple[int, float, float]:
-    if j == len(path.vertices) - 1 and j > 0:
-        seg = j - 1
-        return (seg, path.cum_len[j] - path.cum_len[seg], path.cum_len[j])
-    return (j, 0.0, path.cum_len[j])
-
-
-def _point_at(path: Polyline, pos: tuple[int, float, float]) -> Point:
-    return path.point_at(ArcPosition(*pos))
-
-
-def _crossings(path: Polyline, sq: float, cur: tuple[int, float, float]):
-    """Successive break points after ``cur``, each with its coordinates.
-
-    Each is the first point q after the previous one where
-    arc(prev, q) = sq * dist(s, q); the generator ends when the path ends
-    first.
-    """
-    s = path.vertices[0]
-    verts = path.vertices
-    cum = path.cum_len
-    # Per-segment data: coordinate differences, the direction dot b and
-    # squared root distance c at the segment start, and the quadratic-form
-    # root distance of the segment end (used only by the no-root screen).
-    arr = np.asarray(verts, dtype=float)
-    rel = arr[:-1] - np.asarray(s, dtype=float)
-    seg = np.diff(arr, axis=0)
-    lens = np.array(cum[1:]) - np.array(cum[:-1])
-    u = seg / np.where(lens == 0.0, 1.0, lens)[:, None]
+    s = arr[0]
+    diffs = np.diff(arr, axis=0)
+    lens = cum[1:] - cum[:-1]
+    # Per segment: the direction dot b and squared root distance c at its
+    # start, the quadratic-form root distance of its end (used only by the
+    # no-root screen), and the same through the end's coordinates
+    # p0 + (p1 - p0).
+    rel = arr[:-1] - s
+    u = diffs / np.where(lens == 0.0, 1.0, lens)[:, None]
     b = np.einsum("ij,ij->i", u, rel)
     c = np.einsum("ij,ij->i", rel, rel)
-    end_dist = np.sqrt(np.maximum(lens * lens + 2.0 * b * lens + c, 0.0)).tolist()
-    # The same, as math.dist through the end's coordinates p0 + (p1 - p0).
-    end_far = each(math.hypot, *(arr[:-1] + seg - np.asarray(s, dtype=float)).T).tolist()
-    sqrt_c = np.sqrt(c).tolist()
-    seg_lens, diffs, b, c = lens.tolist(), seg.tolist(), b.tolist(), c.tolist()
-    eps = sq * sq
-    margin_scale = 1e-7 * sq
-    end_tol = 1e-15 * path.total_length
-    cur_seg, cur_t, cur_arc = cur
+    end_dist = np.sqrt(np.maximum(lens * lens + 2.0 * b * lens + c, 0.0))
+    end_far = each(math.hypot, *(arr[:-1] + diffs - s).T)
+    segments = (cum.tolist(), lens.tolist(), b.tolist(), c.tolist(), end_dist.tolist(),
+                end_far.tolist(), np.sqrt(c).tolist(), path.vertices, diffs.tolist())
+
+    start = _vertex_position(segments[0], 1)
+    found: list = []  # per crossing: segment, t, from the quadratic, position (segment, t, arc)
+    # A round scans at most ``limit`` crossings: all at first, a few after
+    # a failed residual, twice as many after each round without one.
+    checked, cur, bisect, limit = 0, start, False, math.inf
     while True:
-        found = None
-        for j in range(cur_seg, len(seg_lens)):
-            seg_len = seg_lens[j]
+        end = _scan(cur, bisect, limit, found, sq, *segments)
+        new = np.array(found[6 * checked:], dtype=float).reshape(-1, 6)
+        j, t, quad = new[:, 0].astype(int), new[:, 1], new[:, 2] != 0.0
+        # Each quadratic root's residual, at its point p0 + (t/L) (p1 - p0).
+        dd = each(math.hypot, *(arr[j] + (t / lens[j])[:, None] * diffs[j] - s).T)
+        a = cum[j] - np.concatenate([[cur[2]], new[:-1, 5]])
+        bad = quad & (np.abs((a + t) - sq * dd) > _RESIDUAL_TOL * np.maximum(sq * dd, 1e-300))
+        if bad.any():  # re-enter at the first, by bisection
+            k, bisect, limit = checked + int(np.argmax(bad)), True, 8
+            del found[6 * k:]
+        elif end == "more":
+            k, bisect, limit = len(found) // 6, False, 2 * limit
+        else:
+            break
+        cur, checked = (start if k == 0 else tuple(found[6 * k - 3:6 * k])), k
+    if end == "spacing":
+        raise ValueError("degenerate break point spacing: path passes through the root")
+    tail = [_vertex_position(segments[0], len(arr) - 1)] if end == "truncated" else []
+    seg, t, arc = np.concatenate([[(0, 0.0, 0.0), start], np.array(found, dtype=float).reshape(-1, 6)[:, 3:],
+                                  np.reshape(tail, (-1, 3))]).T
+    seg = seg.astype(int)
+    # Polyline.point_at of each: p0 + (t/L) (p1 - p0), or p0 where L is 0.
+    flat = lens[seg] == 0.0
+    f = t / np.where(flat, 1.0, lens[seg])
+    points = np.where(flat[:, None], arr[seg], arr[seg] + f[:, None] * diffs[seg])
+    return BreakpointSet(seg, t, arc, points, eps, end == "truncated")
+
+
+def _vertex_position(cum: list[float], j: int) -> tuple[int, float, float]:
+    """(segment, offset, arc) of path vertex j: the last one ends the last segment."""
+    if j == len(cum) - 1 and j > 0:
+        return (j - 1, cum[j] - cum[j - 1], cum[j])
+    return (j, 0.0, cum[j])
+
+
+def _scan(cur, bisect, limit, found, sq, cum, lens, b, c, end_dist, end_far, sqrt_c, verts, diffs) -> str:
+    """Extend ``found`` by up to ``limit`` successive crossings after position ``cur``.
+
+    Each is the first point q after the previous one where
+    arc(prev, q) = sq * dist(s, q): on a segment, the smallest t in
+    [t0, L] with (a+t)^2 = eps (t^2 + 2bt + c) and a+t >= 0, a being the
+    arc from the previous crossing to the segment's start; with
+    ``bisect``, the first is taken by bisection.  Returns "end" at the
+    path's end, "truncated" where the path ends before the next crossing,
+    "spacing" after a crossing that lies within the spacing guard of the
+    one before, and "more" after ``limit`` crossings.
+    """
+    total = cum[-1]
+    guard, end_tol = 1e-12 * total, 1e-15 * total
+    eps, margin_scale = sq * sq, 1e-7 * sq
+    qa = 1.0 - eps  # at least 3/4
+    last = len(lens) - 1
+    cur_seg, cur_t, cur_arc = cur
+    while cur_arc < total - guard:
+        for j in range(cur_seg, last + 1):
+            seg_len = lens[j]
             if seg_len == 0.0:
                 continue
             t0 = cur_t if j == cur_seg else 0.0
             if t0 >= seg_len:
                 continue
             a = cum[j] - cur_arc  # arc from cur to segment start
-
             # Cheap no-root screen on the quadratic form, with a margin wide
             # enough to absorb its cancellation error near the closest approach.
             margin = margin_scale * (abs(a) + seg_len + sqrt_c[j] + 1.0)
             if (a + seg_len) - sq * end_dist[j] < -margin:
                 continue  # g is increasing: no crossing before the segment end
-
-            # Evaluation through point coordinates, p0 + (t/L) * (p1 - p0):
-            # the quadratic form t^2 + 2bt + c cancels catastrophically near
-            # the closest approach.  At t = L the factor is exactly 1.
-            p0, dp = verts[j], diffs[j]
-            ghi = (a + seg_len) - sq * end_far[j]
-            if ghi < 0.0:
+            if (a + seg_len) - sq * end_far[j] < 0.0:
                 continue  # confirmed: no crossing in this segment
-            t = _solve_on_segment(a, b[j], c[j], eps, t0, seg_len)
-            if t is not None:
-                f = t / seg_len
-                q = [x + f * d for x, d in zip(p0, dp)]
-                dd = math.dist(s, q)
-                if abs((a + t) - sq * dd) > _RESIDUAL_TOL * max(sq * dd, 1e-300):
-                    t = None
-            if t is None:
-                t, q = _bisect_on_segment(s, p0, dp, a, sq, t0, seg_len)
-            if t >= seg_len - end_tol:
-                pos = _vertex_position(path, j + 1)
-                found = (pos, _point_at(path, pos))
-            else:
-                found = ((j, t, cum[j] + t), tuple(q))
+            t = None
+            if not bisect:  # the quadratic's smaller root in range, clamped to it
+                qb = 2.0 * (a - eps * b[j])
+                disc = qb * qb - 4.0 * qa * (a * a - eps * c[j])
+                if disc >= 0.0:
+                    sd = math.sqrt(disc)
+                    r1, r2 = (-qb - sd) / (2.0 * qa), (-qb + sd) / (2.0 * qa)
+                    lo = -a if -a > t0 else t0
+                    tol = 1e-12 * seg_len
+                    for r in ((r2, r1) if r2 < r1 else (r1, r2)):
+                        if lo - tol <= r <= seg_len + tol:
+                            r = lo if lo > r else r
+                            t = seg_len if seg_len < r else r
+                            break
+            quad = t is not None
+            if not quad:
+                t = _bisect_on_segment(verts[0], verts[j], diffs[j], a, sq, t0, seg_len)
+                bisect = False
             break
-        if found is None:
-            return
-        yield found
-        cur_seg, cur_t, cur_arc = found[0]
+        else:
+            return "truncated"
+        if t >= seg_len - end_tol:  # the segment's end vertex
+            arc = cum[j + 1]
+            cur_seg, cur_t = (j, seg_len) if j == last else (j + 1, 0.0)
+        else:
+            arc = cum[j] + t
+            cur_seg, cur_t = j, t
+        found.extend((j, t, quad, cur_seg, cur_t, arc))
+        if arc - cur_arc < guard:
+            return "spacing"
+        limit -= 1
+        if limit == 0:
+            return "more"
+        cur_arc = arc
+    return "end"
 
 
 def _gap_at(s, p0, dp, a, sq, seg_len, t):
-    """g(t) = arc - sq * dist(s, q) at offset t, with the point q."""
+    """g(t) = arc - sq * dist(s, q) at offset t, for the point q = p0 + (t/L) dp."""
     f = t / seg_len
-    q = [x + f * d for x, d in zip(p0, dp)]
-    return (a + t) - sq * math.dist(s, q), q
+    return (a + t) - sq * math.dist(s, [x + f * d for x, d in zip(p0, dp)])
 
 
 def _bisect_on_segment(s, p0, dp, a, sq, t0, seg_len):
-    """Monotone bisection fallback: the crossing in [t0, seg_len] and its point."""
-    glo, q = _gap_at(s, p0, dp, a, sq, seg_len, t0)
-    if glo >= 0.0:
-        return t0, q  # crossing collapsed onto the interval start
+    """Monotone bisection fallback: the crossing's offset in [t0, seg_len]."""
+    if _gap_at(s, p0, dp, a, sq, seg_len, t0) >= 0.0:
+        return t0  # crossing collapsed onto the interval start
     lo, hi = t0, seg_len
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        gm, qm = _gap_at(s, p0, dp, a, sq, seg_len, mid)
-        if gm < 0.0:
+        if _gap_at(s, p0, dp, a, sq, seg_len, mid) < 0.0:
             lo = mid
         else:
-            hi, q = mid, qm
+            hi = mid
         if hi - lo <= 1e-16 * seg_len:
             break
-    # q is the point at hi unless hi is still seg_len, where the caller
-    # takes the segment's end vertex instead.
-    return hi, q
-
-
-def _solve_on_segment(a, b, c, eps, t0, seg_len):
-    """Smallest t in [t0, seg_len] with (a+t)^2 = eps*(t^2+2bt+c), a+t >= 0."""
-    qa = 1.0 - eps  # at least 3/4
-    qb = 2.0 * (a - eps * b)
-    qc = a * a - eps * c
-    disc = qb * qb - 4.0 * qa * qc
-    if disc < 0.0:
-        return None
-    sd = math.sqrt(disc)
-    r1 = (-qb - sd) / (2.0 * qa)
-    r2 = (-qb + sd) / (2.0 * qa)
-    roots = (r2, r1) if r2 < r1 else (r1, r2)
-    lo = max(t0, -a)
-    tol = 1e-12 * seg_len
-    for t in roots:
-        if lo - tol <= t <= seg_len + tol:
-            return min(max(t, lo), seg_len)
-    return None
+    return hi
 
 
 def subdivide(H: HamPath, B: BreakpointSet) -> SubdividedPath:
-    """Insert the break points as vertices of H, preserving length."""
+    """Insert the break points as vertices of H, preserving length.
+
+    One merge of the break points' arc lengths with the path's: walking
+    the path, the break points before a vertex (by more than a tolerance)
+    are inserted ahead of it, and the next one within the tolerance of it
+    becomes that vertex; any left over go after the last vertex.
+    """
     path = H.geometry
-    total = path.total_length
-    tol = 1e-12 * total
-
-    verts: list[Point] = []
-    input_index: list[int] = []
-    bp_vertex: list[int] = []  # hstar vertex index of each break point
-
-    arcs = [p[2] for p in B.raw_positions]
-    nbp = len(arcs)
-    bi = 0
-    for v, arc_v, idx in zip(path.vertices, path.cum_len, H.order):
-        # Break points strictly inside the previous edge.
-        while bi < nbp and arcs[bi] < arc_v - tol:
-            bp_vertex.append(len(verts))
-            verts.append(B.points[bi])
-            input_index.append(-1)
-            bi += 1
-        if bi < nbp and abs(arcs[bi] - arc_v) <= tol:
-            bp_vertex.append(len(verts))
-            bi += 1
-        verts.append(v)
-        input_index.append(idx)
-    while bi < nbp:  # safety: trailing break points
-        bp_vertex.append(len(verts))
-        verts.append(B.points[bi])
-        input_index.append(-1)
-        bi += 1
-
-    return SubdividedPath(
-        Polyline(tuple(verts)), tuple(bp_vertex), tuple(input_index), B.truncated
-    )
+    cum = np.array(path.cum_len)
+    tol = 1e-12 * path.total_length
+    arcs, nbp, nv = B.arc, len(B), len(cum)
+    # How many break points the walk has passed before vertex p's match:
+    # those inserted ahead of it, or passed at an earlier vertex.  A
+    # vertex matches at most one, so the count settles within a few rounds.
+    ahead = np.searchsorted(arcs, cum - tol, side="left")
+    passed = ahead
+    while True:
+        at = np.minimum(passed, nbp - 1)
+        match = (passed < nbp) & (np.abs(arcs[at] - cum) <= tol)
+        after = passed + match
+        settled = np.maximum(ahead, np.concatenate([[0], after[:-1]]))
+        if (settled == passed).all():
+            break
+        passed = settled
+    matched = np.zeros(nbp, dtype=bool)
+    matched[passed[match]] = True
+    # Each other break point goes ahead of the first vertex that passes it.
+    free = np.flatnonzero(~matched)
+    before = np.searchsorted(passed, free, side="right")
+    free_at = before + np.arange(len(free))
+    vertex_at = np.arange(nv) + np.searchsorted(before, np.arange(nv), side="right")
+    n = nv + len(free)
+    points = np.empty((n, B.points.shape[1]))
+    points[vertex_at] = np.asarray(path.vertices, dtype=float)
+    points[free_at] = B.points[free]
+    input_index = np.full(n, -1)
+    input_index[vertex_at] = H.order
+    bp_vertex = np.empty(nbp, dtype=int)
+    bp_vertex[free] = free_at
+    bp_vertex[passed[match]] = vertex_at[match]
+    return SubdividedPath(points, bp_vertex, input_index, B.truncated)

@@ -53,7 +53,7 @@ from .errors import EmptySurface, EpsOutOfRange, SltError
 from .geometry import Point, each
 from .metrics import collector_paused, dijkstra, measure, root_paths
 from .mst_path import PointCloud, Tree, dfs_hamiltonian, euclidean_mst
-from .unfolding import FoldedSurface, SurfaceRows, build_surfaces
+from .unfolding import SurfaceRows, Surfaces, build_surfaces
 from .unfolding import lift, lift_segment  # noqa: F401  not called; perfbench's layer trace wraps them
 
 
@@ -83,12 +83,17 @@ class SteinerGraph:
         self.edges.append((u, v, math.dist(self.coords[u], self.coords[v])))
 
 
+#: The kinds of a folding tree's vertices, by code; the graph's are the first four.
+KINDS = ("input", "break", "secondary_break", "ell_steiner", "core_apex", "bend")
+
+
 @dataclass
 class FoldingGraph:
     """The folding graph before lifting, its vertices and edges as arrays.
 
-    Shared vertices (input points, break points, secondary break points)
-    hold R^d points in ``points``.  A portal holds a planar point of the
+    Vertex v is of kind ``KINDS[kind[v]]``.  Shared vertices (input
+    points, break points, secondary break points) hold R^d points in
+    ``points``.  A portal holds a planar point of the
     surface of gadget ``vertex_gadget[v]`` (-1 for every other vertex) in
     ``plane``; each array is nan where the other holds the point.  Edge e
     joins ``ends[e]`` and weighs ``weights[e]``; it is straight in R^d,
@@ -105,7 +110,7 @@ class FoldingGraph:
 
     points: np.ndarray  # (n, d)
     plane: np.ndarray  # (n, 2)
-    kinds: list[str]
+    kind: np.ndarray  # (n,)
     ends: np.ndarray  # (m, 2)
     weights: np.ndarray  # (m,)
     rows: SurfaceRows  # a gadget's surface per row
@@ -129,8 +134,8 @@ class FoldingGraph:
 class Gadgets:
     """The planar gadgets of every surface that holds an input, one row each.
 
-    Row g is on ``surfaces[g]``, surface ``surface[g]`` of the build, and
-    is row g of ``rows``; the first ``rows.n_verts[g]`` columns of
+    Row g is on surface ``surface[g]`` of the build, and is row g of
+    ``rows``; the first ``rows.n_verts[g]`` columns of
     ``vertex_images`` are its vertices' planar images, the last repeated
     after them.  Every row has theta secondary break points, columns
     q = 0..theta-1 at arc (q + 1) W / theta, each on sub-path edge
@@ -141,7 +146,6 @@ class Gadgets:
     ``chains``, in order.
     """
 
-    surfaces: list[FoldedSurface]
     surface: np.ndarray  # (G,)
     rows: SurfaceRows
     vertex_images: np.ndarray  # (G, L, 2)
@@ -163,7 +167,7 @@ class Gadgets:
     chains: CoreChains
 
     def __len__(self) -> int:
-        return len(self.surfaces)
+        return len(self.surface)
 
     def chain(self, g: int) -> CoreChain:
         return self.chains.chain(int(np.count_nonzero(self.core[:g])))
@@ -177,13 +181,11 @@ class Gadgets:
         return CoreInstance((0.0, 0.0), a, b, base, float(self.eps_core[g]), self.lam)
 
 
-def build_gadget(
-    surfaces: list[FoldedSurface], inputs_of: list[list[int]], eps_int: float, lam: float = 1.25
-) -> Gadgets:
+def build_gadget(surfaces: Surfaces, held: np.ndarray, eps_int: float, lam: float = 1.25) -> Gadgets:
     """Planar gadgets of every surface that holds an input, at once.
 
-    ``inputs_of`` lists per surface the sub-path vertex indices holding
-    input points (the root excluded); a surface without any gets no
+    ``held`` marks the surfaces' vertex slots that hold input points (the
+    root excluded, ``surface_inputs``); a surface without any gets no
     gadget, only its phase-1 edges (``assemble_slt``).  The floats are
     those of one surface at a time: each vertex at its radius on its
     boundary ray, r the input closest to the root (the lower index on a
@@ -193,17 +195,17 @@ def build_gadget(
     arithmetic runs in numpy in the same order, libm once per element
     (``each``), and no sum is reassociated.
     """
-    rows = [i for i, inputs in enumerate(inputs_of) if inputs]
-    gs = [surfaces[i] for i in rows]
-    nv = np.array([len(f.verts) for f in gs], dtype=int)
+    held_before = np.concatenate([[0], np.cumsum(held)])
+    rows = np.flatnonzero(held_before[surfaces.start[1:]] > held_before[surfaces.start[:-1]])
+    nv = surfaces.n_verts[rows]
     if (nv < 2).any():
-        raise EmptySurface(f"surface {gs[int(np.argmax(nv < 2))].index} has no edges")
+        raise EmptySurface(f"surface {rows[int(np.argmax(nv < 2))] + 1} has no edges")
     if not 0.0 < eps_int <= 0.25:
         raise EpsOutOfRange(f"eps_int={eps_int} outside (0, 1/4]")
     theta = math.ceil(math.sqrt(1.0 / eps_int))  # at least 2, as eps_int <= 1/4
-    surface_rows = SurfaceRows.of(surfaces[0].apex, gs)  # every surface's apex is the root
+    surface_rows = surfaces.rows(rows)
     verts, angle = surface_rows.verts, surface_rows.cum_angle
-    G, L, m = len(gs), verts.shape[1], theta - 1
+    G, L, m = len(rows), verts.shape[1], theta - 1
     g_ = np.arange(G)[:, None]
     radius = each(math.hypot, *np.moveaxis(verts - surface_rows.apex, -1, 0))
     imgs = np.stack([radius * each(math.cos, angle), radius * each(math.sin, angle)], -1)
@@ -213,9 +215,8 @@ def build_gadget(
     cum[:, 1:] = np.cumsum(np.where(inner, seg, 0.0), axis=1)
     total = cum[:, -1]
 
-    held = np.zeros((G, L), dtype=bool)
-    held[np.repeat(np.arange(G), [len(inputs_of[i]) for i in rows]),
-         [j for i in rows for j in inputs_of[i]]] = True
+    col = np.arange(L)
+    held = (col < nv[:, None]) & held[surfaces.start[rows, None] + np.minimum(col, nv[:, None] - 1)]
     r_local = np.where(held, radius, np.inf).argmin(axis=1)
     (rx, ry), T = imgs[np.arange(G), r_local].T, angle[:, -1]
     flat = T < 1e-9
@@ -271,29 +272,15 @@ def build_gadget(
     core = ~(each(math.hypot, *(ell_a - ell_b).T) < 1e-12 * ell_a[:, 0])
     eps_core = np.maximum(eps_int, each(pow, T, np.full(G, 2)))
     chains = core_chains(np.zeros((np.count_nonzero(core), 2)), ell_a[core], ell_b[core], eps_core[core], lam)
-    return Gadgets(gs, np.array(rows, dtype=int), surface_rows, imgs, r_local, ell_a, ell_b, flat,
+    return Gadgets(rows, surface_rows, imgs, r_local, ell_a, ell_b, flat,
                    arc, j, at_vertex, point, plane, nearest, steiner, core, eps_core, eps_int, lam, chains)
 
 
-def surface_inputs(
-    surfaces: list[FoldedSurface], sub: SubdividedPath, root: int
-) -> list[list[int]]:
-    """Per surface, the local indices of its inputs but the root; none on the root surface.
-
-    A surface's path positions run from its first vertex's to its last's,
-    so one count over the path tells which surfaces hold an input at all.
-    """
-    index = sub.input_index
-    held = [i >= 0 and i != root for i in index]
-    before = list(accumulate(held, initial=0))  # inputs held before each position
-    out: list[list[int]] = []
-    for surf in surfaces:
-        hs = surf.hstar
-        if before[hs[-1] + 1] == before[hs[0]] or index[hs[0]] == root:
-            out.append([])
-        else:
-            out.append([j for j, h in enumerate(hs) if held[h]])
-    return out
+def surface_inputs(surfaces: Surfaces, sub: SubdividedPath, root: int) -> np.ndarray:
+    """Per vertex slot of the surfaces, whether it holds an input but the root; none on the root surface."""
+    index = sub.input_index[surfaces.hstar]
+    first = index[surfaces.start[:-1]]
+    return (index >= 0) & (index != root) & np.repeat(first != root, surfaces.n_verts)
 
 
 def _front_end(pts: PointCloud, eps: float, gamma: float, lam: float = 1.25):
@@ -325,25 +312,38 @@ def _front_end(pts: PointCloud, eps: float, gamma: float, lam: float = 1.25):
 _CUT_MARGIN = 2.0**-30
 
 
-def _relay_only(s: Point, surfaces: list[FoldedSurface], inputs_of: list[list[int]]) -> list[bool]:
+def _relay_only(surfaces: Surfaces, held: np.ndarray) -> np.ndarray:
     """Per surface, whether no root path can use its phase-1 segment ab.
 
     Surface i is not the root surface, holds no input and has the two
     vertices a, b; the next surface starts at b and holds no input
     either, so b has a spoke of its own; and |sa| + |ab| and |sb| + |ab|
-    exceed |sb| and |sa| by the relative margin ``_CUT_MARGIN``.  A
-    segment into a gadget's start is always kept: that start has no
-    spoke.
+    exceed |sb| and |sa| by the relative margin ``_CUT_MARGIN``, with
+    ``math.dist``'s lengths.  The rows' runs pick the candidates.  numpy's
+    lengths are within (d + 3) ulps of math.dist's, so where both sides
+    of a test differ by more than ``(d + 8) 1e-15`` of their lengths, and
+    no square under- or overflows, they decide it as math.dist would; the
+    rest take math.dist, one candidate at a time.  A segment into a
+    gadget's start is always kept: that start has no spoke.
     """
-    out = [False] * len(surfaces)
+    start, hs = surfaces.start, surfaces.hstar
+    held_before = np.concatenate([[0], np.cumsum(held)])
+    free = held_before[start[1:]] == held_before[start[:-1]]
+    pair = (surfaces.n_verts[1:-1] == 2) & (hs[start[2:-1]] == hs[start[1:-2] + 1])
+    cand = 1 + np.flatnonzero(free[1:-1] & free[2:] & pair)
+    a, b, s = surfaces.points[hs[start[cand]]], surfaces.points[hs[start[cand] + 1]], surfaces.apex
+    squares = [np.einsum("ij,ij->i", x, x) for x in (a - s, b - s, a - b)]
+    sa, sb, ab = map(np.sqrt, squares)
     grow = 1.0 + _CUT_MARGIN
-    for i in range(1, len(surfaces) - 1):
-        surf = surfaces[i]
-        if inputs_of[i] or inputs_of[i + 1] or len(surf.hstar) != 2:
-            continue
-        if surfaces[i + 1].hstar[0] != surf.hstar[1]:
-            continue
-        a, b = surf.verts
+    one, other = sa + ab - sb * grow, sb + ab - sa * grow
+    near = (len(s) + 8) * 1e-15 * (sa + sb + ab)
+    unsure = (np.abs(one) <= near) | (np.abs(other) <= near)
+    for sq in squares:
+        unsure |= ~((1e-290 < sq) & (sq < 1e290))
+    out = np.zeros(len(surfaces), dtype=bool)
+    out[cand] = (one > 0.0) & (other > 0.0)
+    s = s.tolist()
+    for i, a, b in zip(cand[unsure].tolist(), a[unsure].tolist(), b[unsure].tolist()):
         sa, sb, ab = math.dist(s, a), math.dist(s, b), math.dist(a, b)
         out[i] = sa + ab > sb * grow and sb + ab > sa * grow
     return out
@@ -390,22 +390,22 @@ def assemble_slt(
     miss the margin and keep the full graph.
     """
     eps_int, mst, bps, sub, surfaces = _front_end(pts, eps, gamma, lam)
-    s = pts.points[pts.root]
-    inputs_of = surface_inputs(surfaces, sub, pts.root)
-    gadgets = build_gadget(surfaces, inputs_of, eps_int, lam)
-    G = _realize(pts, sub, surfaces, inputs_of, gadgets)
+    s = np.array(pts.points[pts.root])
+    held = surface_inputs(surfaces, sub, pts.root)
+    gadgets = build_gadget(surfaces, held, eps_int, lam)
+    G = _realize(pts, sub, surfaces, held, gadgets)
     dists, parent = dijkstra(G.n, G.ends, G.weights, pts.root)
     tree_graph, tree, input_vertices = _prune(G, dists, parent, list(range(pts.n)), pts.root)
     cores = int(np.count_nonzero(gadgets.core))
 
-    phase1 = sub.hstar.total_length + math.fsum([math.dist(s, q) for q in bps.points[1:]])
+    phase1 = sub.total_length + math.fsum(each(math.hypot, *(bps.points[1:] - s).T).tolist())
     report = measure(
         tree, tree_graph.coords, input_vertices, eps, mst.weight,
         {
             "gamma": gamma,
             "phase1_weight": phase1,
-            "surface_angles": [f.cum_angle[-1] for f in surfaces],
-            "truncated_surfaces": sum(1 for f in surfaces if f.truncated),
+            "surface_angles": surfaces.total_angle.tolist(),
+            "truncated_surfaces": int(surfaces.truncated),
             "surfaces": len(surfaces),
             "cores": cores,
             "zero_width_cores": len(gadgets) - cores,
@@ -417,10 +417,8 @@ def assemble_slt(
     return tree_graph, tree, report
 
 
-def _realize(
-    pts: PointCloud, sub: SubdividedPath, surfaces: list[FoldedSurface],
-    inputs_of: list[list[int]], gad: Gadgets,
-) -> FoldingGraph:
+def _realize(pts: PointCloud, sub: SubdividedPath, surfaces: Surfaces, held: np.ndarray,
+             gad: Gadgets) -> FoldingGraph:
     """The folding graph: every surface's sub-path, and the gadgets ``gad``.
 
     Input i is vertex i.  Then, surface by surface, come its new break
@@ -435,7 +433,7 @@ def _realize(
     secondary's edge to its Steiner point.  A pair's first edge wins (a
     portal at r repeats sub-path edges), core paths aside.
     """
-    root_id, s = pts.root, pts.points[pts.root]
+    root_id = pts.root
     G, theta = gad.at_vertex.shape
     nv, L = gad.rows.n_verts, gad.rows.verts.shape[1]
     g_, x_ = np.arange(G)[:, None], np.arange(theta)
@@ -445,42 +443,47 @@ def _realize(
     at_r = each(math.hypot, off[..., 0], off[..., 1]) <= near[:, None]
     new_sec = gad.at_vertex < 0
     new_portal = (x_ < np.where(gad.flat, 1, theta)[:, None]) & ~at_r
-    sec_count, portal_count = new_sec.sum(1).tolist(), new_portal.sum(1).tolist()
 
-    n, kinds = pts.n, ["input"] * pts.n
-    vertex_of, breaks = list(sub.input_index), []  # breaks: (vertex, hstar index)
-    straight = []  # (surface, u, v) of each edge outside the gadgets
-    path_ids, first_new = [], []  # per gadget
-    for i, (surf, relay) in enumerate(zip(surfaces, _relay_only(s, surfaces, inputs_of))):
-        if relay:
-            a = vertex_of[surf.hstar[0]]
-            if a >= 0:  # a kept segment made a's vertex: it keeps its spoke
-                straight.append((i, root_id, a))
-            continue
-        vids = []
-        for h in surf.hstar:
-            v = vertex_of[h]
-            if v < 0:
-                v = vertex_of[h] = n
-                n += 1
-                breaks.append((v, h))
-                kinds.append("break")
-            vids.append(v)
-        if not inputs_of[i]:  # no gadget: the phase-1 sub-path and spoke alone
-            straight += [(i, u, v) for u, v in zip(vids, vids[1:])]
-            if vids[0] != root_id:
-                straight.append((i, root_id, vids[0]))
-            continue
-        g = len(first_new)
-        path_ids += vids
-        first_new.append(n)
-        n += sec_count[g] + portal_count[g]
-        kinds += ["secondary_break"] * sec_count[g]
-        kinds += ["ell_steiner"] * portal_count[g]
+    # The slots of the surfaces that add their sub-paths, in order; their
+    # path vertices run in path order, so a vertex's slots are adjacent,
+    # and a break point gets its vertex at its first.  Each surface makes
+    # its break points' vertices, then its gadget's secondaries and portals.
+    S, start, hs = len(surfaces), surfaces.start, surfaces.hstar
+    relay = _relay_only(surfaces, held)
+    slot_row = np.repeat(np.arange(S), surfaces.n_verts)
+    live = np.flatnonzero(~relay[slot_row])
+    h, row = hs[live], slot_row[live]
+    first = np.r_[True, h[1:] != h[:-1]]
+    index = sub.input_index[h]
+    made = first & (index < 0)
+    made_count = np.bincount(row[made], minlength=S)
+    count = made_count.copy()
+    count[gad.surface] += new_sec.sum(1) + new_portal.sum(1)
+    first_id = pts.n + np.cumsum(count) - count
+    n = pts.n + int(count.sum())
+    made_id = first_id[row[made]] + np.arange(len(row[made])) - (np.cumsum(made_count) - made_count)[row[made]]
+    index[made] = made_id
+    slot_id = np.full(len(hs), -1)
+    slot_id[live] = index[np.maximum.accumulate(np.where(first, np.arange(len(h)), 0))]
 
-    vid = np.array(path_ids, dtype=int)[(np.cumsum(nv) - nv)[:, None]
-                                        + np.minimum(np.arange(L), nv[:, None] - 1)]
-    base = np.array(first_new, dtype=int)[:, None]
+    # Outside the gadgets: a relayed segment's spoke, if a kept edge made
+    # its start's vertex; another surface's sub-path, then its spoke.
+    relayed = np.flatnonzero(relay)
+    a = hs[start[relayed]]
+    at = np.minimum(np.searchsorted(h, a), len(h) - 1)
+    a_id = np.where(sub.input_index[a] >= 0, sub.input_index[a],
+                    np.where((h[at] == a) & (live[at] < start[relayed]), slot_id[live[at]], -1))
+    plain = ~relay
+    plain[gad.surface] = False
+    k = np.flatnonzero(plain[slot_row[:-1]] & (slot_row[:-1] == slot_row[1:]))
+    spoke = np.flatnonzero(plain)
+    spoke = spoke[slot_id[start[spoke]] != root_id]
+    at_surface = np.concatenate([slot_row[k], spoke, relayed[a_id >= 0]])
+    su = np.concatenate([slot_id[k], np.full(len(spoke) + np.count_nonzero(a_id >= 0), root_id)])
+    sv = np.concatenate([slot_id[k + 1], slot_id[start[spoke]], a_id[a_id >= 0]])
+
+    vid = slot_id[start[gad.surface][:, None] + np.minimum(np.arange(L), nv[:, None] - 1)]
+    base = (first_id + made_count)[gad.surface][:, None]
     n_sec = new_sec.sum(1)[:, None]
     sec_id = np.where(new_sec, base + np.cumsum(new_sec, 1) - 1, vid[g_, np.maximum(gad.at_vertex, 0)])
     r_id = vid[np.arange(G), gad.r_local][:, None]
@@ -488,10 +491,11 @@ def _realize(
     qp = np.where(at_r[..., None], r_img[:, None], gad.ell_steiner)  # its vertex's planar point
     vertex_gadget = np.full(n, -1)
     vertex_gadget[ids[new_portal]] = np.broadcast_to(g_, ids.shape)[new_portal]
+    kind = np.full(n, 3)
+    kind[:pts.n], kind[made_id], kind[sec_id[new_sec]] = 0, 1, 2
     points = np.full((n, pts.dim), np.nan)  # a portal's is its lift, made only if it is kept
     points[:pts.n] = pts.points
-    hverts = sub.hstar.vertices
-    points[[v for v, _ in breaks]] = np.array([hverts[h] for _, h in breaks], float).reshape(-1, pts.dim)
+    points[made_id] = sub.points[h[made]]
     points[sec_id[new_sec]] = gad.point[new_sec]
 
     def block(ok, u, v, w, plane, gadget=g_, grid=-1, on=False):
@@ -554,8 +558,7 @@ def _realize(
     # Each gadget's slots in order, every gadget at its surface's turn.
     per_x = [np.stack(f, 2).reshape((G, 3 * theta) + f[0].shape[2:]) for f in zip(joins, links, cores)]
     ok, *fields = [np.concatenate(f, 1) for f in zip(path, per_x, secondaries)]
-    at_surface, su, sv = np.array(straight, dtype=int).reshape(-1, 3).T
-    m0 = len(straight)
+    m0 = len(su)
     outside = (su, sv, each(math.hypot, *(points[su] - points[sv]).T),
                np.full(m0, -1), np.full(m0, -1), np.zeros(m0, bool), np.zeros((m0, 4)))
     turn = np.argsort(np.concatenate([at_surface, np.broadcast_to(gad.surface[:, None], ok.shape)[ok]]),
@@ -573,7 +576,7 @@ def _realize(
     keep &= u != v
     plane = np.full((n, 2), np.nan)
     plane[ids[new_portal]] = gad.ell_steiner[new_portal]
-    return FoldingGraph(points, plane, kinds, np.stack([u, v], 1)[keep], w[keep], gad.rows, chains,
+    return FoldingGraph(points, plane, kind, np.stack([u, v], 1)[keep], w[keep], gad.rows, chains,
                         np.where(gad.core, row, -1), vertex_gadget, gadget[keep], edge_plane[keep],
                         grid[keep], on[keep])
 
@@ -676,7 +679,7 @@ def _prune(
     ev = np.where(at == count[step], b[step], first[step] + at)
     sub = SteinerGraph()
     sub.coords = list(map(tuple, points.tolist()))
-    sub.kinds = [G.kinds[v] for v in used]
+    sub.kinds = [KINDS[k] for k in G.kind[used].tolist()]
     sub.kinds += ["ell_steiner" if i < 0 else "core_apex" for i in level.tolist()] + ["bend"] * len(seg)
     sub.edges = list(zip(eu.tolist(), ev.tolist(), each(math.hypot, *(points[eu] - points[ev]).T).tolist()))
     tree = Tree(sub.n, tuple(sub.edges), int(new[root_id]))

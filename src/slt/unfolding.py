@@ -9,8 +9,7 @@ the map is injective and preserves lengths within every cone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclasses_field
-from itertools import accumulate
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,15 +28,14 @@ class Cone:
     angle: float
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class FoldedSurface:
-    """A run of cones glued along shared rays, ready to unfold.
+    """One surface as plain tuples: a run of cones glued along shared rays.
 
     Cone j spans verts[j] to verts[j+1] at the apex with angle angles[j];
-    the root surface's single zero-angle cone lies along its far ray.  The
-    Cone records are made on first use, since most surfaces never need
-    them.  Not frozen: a build makes one per break point, and a frozen
-    init sets every field through ``object.__setattr__``.
+    the root surface's single zero-angle cone lies along its far ray.  A
+    build keeps its surfaces as the rows of ``Surfaces``; this is one row
+    of them (``Surfaces[i]``), or a surface made by hand.
     """
 
     index: int  # 1-based surface number along the path
@@ -46,17 +44,14 @@ class FoldedSurface:
     angles: tuple[float, ...]  # per-cone angle
     cum_angle: tuple[float, ...]
     truncated: bool
-    hstar: tuple[int, ...] = ()  # hstar vertex index of each of verts
-    _cones: tuple[Cone, ...] | None = dataclasses_field(default=None, compare=False, repr=False)
+    hstar: tuple[int, ...] = ()  # sub-path vertex index of each of verts
 
     @property
     def cones(self) -> tuple[Cone, ...]:
-        cones = self._cones
-        if cones is None:
-            s = self.apex
-            cones = tuple(Cone(s, *_cone_rays(self, j), a) for j, a in enumerate(self.angles))
-            self._cones = cones
-        return cones
+        v, s = self.verts, self.apex
+        if points_close(v[0], s):  # the root surface's one cone, along its far ray
+            return (Cone(s, v[1], v[1], self.angles[0]),)
+        return tuple(Cone(s, v[j], v[j + 1], a) for j, a in enumerate(self.angles))
 
     @property
     def total_angle(self) -> float:
@@ -66,20 +61,76 @@ class FoldedSurface:
         return math.dist(self.apex, self.verts[j])
 
 
-def _cone_rays(surf: FoldedSurface, j: int) -> tuple[Point, Point]:
-    """A point on each boundary ray of cone j.
+@dataclass(eq=False)
+class Surfaces:
+    """The folded surfaces around one apex, as ragged rows over the sub-path.
 
-    The root surface's one cone, the root edge, lies along its far ray.
+    Surface i (number i + 1 along the path) holds the vertex slots
+    ``start[i]`` to ``start[i + 1] - 1``; slot k is sub-path vertex
+    ``hstar[k]``, at ``points[hstar[k]]``, on boundary ray k - start[i] at
+    cumulative angle ``cum_angle[k]``.  Cone j of surface i has angle
+    ``angles[start[i] - i + j]``.  Only the last surface may be
+    ``truncated``.
     """
-    v = surf.verts
-    return (v[1], v[1]) if points_close(v[0], surf.apex) else (v[j], v[j + 1])
+
+    apex: np.ndarray  # (d,)
+    points: np.ndarray  # (V, d)
+    start: np.ndarray  # (S + 1,)
+    hstar: np.ndarray  # (N,)
+    angles: np.ndarray  # (N - S,)
+    cum_angle: np.ndarray  # (N,)
+    truncated: bool
+
+    def __len__(self) -> int:
+        return len(self.start) - 1
+
+    @property
+    def n_verts(self) -> np.ndarray:
+        return np.diff(self.start)
+
+    @property
+    def total_angle(self) -> np.ndarray:
+        return self.cum_angle[self.start[1:] - 1]
+
+    @classmethod
+    def of(cls, apex: Point, surfaces: list[FoldedSurface]) -> "Surfaces":
+        """Surfaces made by hand as the rows of one record; slot k is point k."""
+        nv = [len(f.verts) for f in surfaces]
+        points = np.array([v for f in surfaces for v in f.verts], dtype=float).reshape(-1, len(apex))
+        return cls(np.array(apex, dtype=float), points, np.cumsum([0] + nv), np.arange(len(points)),
+                   np.array([a for f in surfaces for a in f.angles], dtype=float),
+                   np.array([t for f in surfaces for t in f.cum_angle], dtype=float),
+                   bool(surfaces) and surfaces[-1].truncated)
+
+    def rows(self, which: np.ndarray | None = None) -> "SurfaceRows":
+        """Surfaces ``which`` (all by default), each of at least two vertices, as padded rows."""
+        which = np.arange(len(self)) if which is None else which
+        nv, first = self.n_verts[which], self.start[which]
+        width = int(nv.max(initial=2))
+        at = first[:, None] + np.minimum(np.arange(width), nv[:, None] - 1)
+        cone = (first - which)[:, None] + np.minimum(np.arange(width - 1), nv[:, None] - 2)
+        return SurfaceRows(self.apex, self.points[self.hstar[at]], nv, self.cum_angle[at], self.angles[cone])
+
+    def __getitem__(self, i):
+        """Surface i as plain tuples; a slice gives a list of them."""
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]
+        a, b = self.start[i], self.start[i + 1]
+        hs = self.hstar[a:b]
+        return FoldedSurface(i + 1, tuple(self.apex.tolist()), tuple(map(tuple, self.points[hs].tolist())),
+                             tuple(self.angles[a - i:b - i - 1].tolist()), tuple(self.cum_angle[a:b].tolist()),
+                             self.truncated and i == len(self) - 1, tuple(hs.tolist()))
 
 
-def build_surfaces(sub: SubdividedPath, s: Point) -> list[FoldedSurface]:
+def build_surfaces(sub: SubdividedPath, s: Point) -> Surfaces:
     """One folded surface per sub-path between consecutive break points.
 
     The first surface is the root edge itself: a single zero-angle cone.
     A path vertex coinciding with the root anywhere else is rejected.
+    Each surface runs through the vertices of its sub-path, but that an
+    edge of zero length adds no cone and no vertex; a surface of such
+    edges alone is one zero-angle cone at its last vertex.
 
     Every surface spans at most pi/3, so it unfolds without overlap.  By
     the angle lemma (``breakpoints``), the half-angle sines of a surface
@@ -90,51 +141,61 @@ def build_surfaces(sub: SubdividedPath, s: Point) -> list[FoldedSurface]:
     points are at least |e| - L > |e| (1 - sqrt(eps)) from the root.
     ``select_breakpoints`` takes eps <= 1/4, so c <= 1/2, and as asin is
     superadditive on [0, 1] the total angle is at most 2 asin(1/2) = pi/3.
-    A surface that reaches pi - 1e-9 all the same raises ``AngleOverflow``.
+    A surface that reaches pi - 1e-9 all the same raises ``AngleOverflow``,
+    unless an edge of it reaches that angle first, which raises
+    ``DegenerateRay``; the first faulty surface raises.
+
+    The rows are made at once: the cumulative angles add one column of
+    cones at a time over the rows long enough, so each is the sum from
+    the row's first cone on, as one surface at a time adds them.
     """
-    if not points_close(sub.hstar.vertices[0], s):
+    P = sub.points
+    if not points_close(tuple(P[0].tolist()), s):
         raise ValueError("path does not start at the root")
-    hverts = sub.hstar.vertices
-    all_angles, near_root = _vertex_angles(hverts, s)
+    edge_angles, near_root = _vertex_angles(P, s)
     if near_root[1:].any():
         raise DegenerateRay(
             f"path vertex {1 + int(np.argmax(near_root[1:]))} lies at the root"
         )
-    edge_angles = all_angles.tolist()
     bp = sub.bp_vertex
-    last_seg = len(bp) - 2
-    surfaces: list[FoldedSurface] = []
-    for i, (vstart, vend) in enumerate(zip(bp, bp[1:])):
-        # The hstar vertices covered by the segment's cones, and their angles.
-        run: list[int] = []
-        angles: list[float] = []
-        for j in range(vstart, vend):
-            if j == 0:  # the root edge
-                run = [j, j + 1]
-                angles.append(0.0)
-                continue
-            if hverts[j] == hverts[j + 1]:
-                continue  # zero-length edge contributes nothing
-            ang = edge_angles[j]
-            if ang > math.pi - 1e-9:
-                raise DegenerateRay("path edge passes through the root")
-            if not run:
-                run.append(j)
-            run.append(j + 1)
-            angles.append(ang)
-        if not angles:
-            run = [vend] * 2
-            angles = [0.0]
-        truncated = sub.truncated and i == last_seg
-        cum = tuple(accumulate(angles, initial=0.0))
-        if cum[-1] >= math.pi - 1e-9:
-            raise AngleOverflow(f"surface {i + 1} spans {cum[-1]!r} rad, not below pi")
-        verts = tuple([hverts[j] for j in run])
-        surfaces.append(FoldedSurface(i + 1, s, verts, tuple(angles), cum, truncated, tuple(run)))
-    return surfaces
+    S = len(bp) - 1
+    # The edges each surface glues: all but those of zero length; the root
+    # edge's cone has angle 0.
+    live = (P[1:bp[-1] + 1] != P[:bp[-1]]).any(axis=1)
+    live[0] = True
+    edge = np.flatnonzero(live)
+    row = np.searchsorted(bp, edge, side="right") - 1
+    count = np.bincount(row, minlength=S)
+    cones = np.maximum(count, 1)
+    start = np.concatenate([[0], np.cumsum(cones + 1)])
+    first, cone0 = start[:-1], start[:-1] - np.arange(S)
+    rank = np.arange(len(edge)) - (np.cumsum(count) - count)[row]
+    hstar = np.empty(start[-1], dtype=int)
+    hstar[first[row] + 1 + rank] = edge + 1
+    hstar[first[row[rank == 0]]] = edge[rank == 0]
+    empty = np.flatnonzero(count == 0)
+    hstar[first[empty]] = hstar[first[empty] + 1] = bp[empty + 1]
+    angles = np.zeros(start[-1] - S)
+    angles[cone0[row] + rank] = edge_angles[edge]  # the root edge's is 0, as the root is its end
+    cum = np.zeros(start[-1])
+    longest = np.argsort(-cones, kind="stable")
+    for j in range(int(cones.max(initial=0))):
+        rows = longest[:np.count_nonzero(cones > j)]
+        cum[first[rows] + j + 1] = cum[first[rows] + j] + angles[cone0[rows] + j]
+
+    total = cum[start[1:] - 1]
+    flat_ray = np.zeros(S, dtype=bool)
+    flat_ray[row[(edge > 0) & (edge_angles[edge] > math.pi - 1e-9)]] = True
+    fault = flat_ray | (total >= math.pi - 1e-9)
+    if fault.any():
+        i = int(np.argmax(fault))
+        if flat_ray[i]:
+            raise DegenerateRay("path edge passes through the root")
+        raise AngleOverflow(f"surface {i + 1} spans {float(total[i])!r} rad, not below pi")
+    return Surfaces(np.array(s, dtype=float), P, start, hstar, angles, cum, sub.truncated)
 
 
-def _vertex_angles(verts: tuple[Point, ...], s: Point):
+def _vertex_angles(verts, s: Point):
     """Angle at s between consecutive rays, for every path edge at once.
 
     Same half-angle chord form as geometry.angle_at_apex; entry j is the
@@ -179,19 +240,6 @@ class SurfaceRows:
     n_verts: np.ndarray  # (S,)
     cum_angle: np.ndarray  # (S, L)
     angles: np.ndarray  # (S, L - 1)
-
-    @classmethod
-    def of(cls, apex: Point, surfaces: list[FoldedSurface]) -> "SurfaceRows":
-        """The rows of ``surfaces``, each of at least two vertices, around ``apex``."""
-        nv = np.array([len(f.verts) for f in surfaces], dtype=int)
-        width = int(nv.max(initial=2))
-        start = np.cumsum(nv) - nv
-        at = start[:, None] + np.minimum(np.arange(width), nv[:, None] - 1)
-        cone = (start - np.arange(len(nv)))[:, None] + np.minimum(np.arange(width - 1), nv[:, None] - 2)
-        verts = np.array([v for f in surfaces for v in f.verts], dtype=float).reshape(-1, len(apex))
-        cum = np.array([t for f in surfaces for t in f.cum_angle], dtype=float)
-        angles = np.array([a for f in surfaces for a in f.angles], dtype=float)
-        return cls(np.array(apex, dtype=float), verts[at], nv, cum[at], angles[cone])
 
     def lift(self, row: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Each planar point q[i] (m, 2) mapped back onto surface row[i] in R^d: (m, d).
@@ -264,7 +312,7 @@ class SurfaceRows:
 
 def lift(surf: FoldedSurface, q: PlanePoint) -> Point:
     """Map a planar point back onto the surface in R^d: ``SurfaceRows.lift`` of one point."""
-    rows = SurfaceRows.of(surf.apex, [surf])
+    rows = Surfaces.of(surf.apex, [surf]).rows()
     return tuple(rows.lift(np.zeros(1, dtype=int), np.array([q], dtype=float))[0].tolist())
 
 
@@ -274,7 +322,7 @@ def ray_crossings(surf: FoldedSurface, q1: PlanePoint, q2: PlanePoint) -> list[P
     These are the bends of its lift; a segment from or to the origin has
     none.  ``SurfaceRows.crossings`` of one segment.
     """
-    rows = SurfaceRows.of(surf.apex, [surf])
+    rows = Surfaces.of(surf.apex, [surf]).rows()
     _, points = rows.crossings(np.zeros(1, dtype=int), np.array([q1], float), np.array([q2], float))
     return list(map(tuple, points.tolist()))
 

@@ -23,13 +23,16 @@ import numpy as np
 
 from slt import pipeline
 from slt.core2d import CoreChain, CoreChains, CoreGraph, CoreInstance, Frame, portal_grid
-from slt.errors import AngleOutOfRange, AngleOverflow, Disconnected, EmptySurface, EpsOutOfRange
-from slt.geometry import COINCIDENT_TOL, PlanePoint, Point, Polyline, dist
+from slt.errors import (
+    AngleOutOfRange, AngleOverflow, DegenerateRay, Disconnected, EmptySurface, EpsOutOfRange
+)
+from slt.geometry import COINCIDENT_TOL, ArcPosition, PlanePoint, Point, Polyline, dist, each, points_close
 from slt.metrics import adjacency, dijkstra, root_paths
-from slt.mst_path import PointCloud, Tree, _direction, euclidean_mst
-from slt.pipeline import FoldingGraph, Gadgets, SteinerGraph, _front_end, surface_inputs
+from slt.mst_path import HamPath, PointCloud, Tree, _direction, dfs_hamiltonian, euclidean_mst
+from slt.breakpoints import BreakpointSet, SubdividedPath
+from slt.pipeline import KINDS, FoldingGraph, Gadgets, SteinerGraph
 from slt.pyramid import GridSpec
-from slt.unfolding import FoldedSurface, SurfaceRows, _cone_rays
+from slt.unfolding import FoldedSurface, Surfaces, _vertex_angles
 
 
 def heap_dijkstra(n: int, adj: list[list[tuple[int, float]]], source: int):
@@ -170,6 +173,12 @@ def _left_to_right(xs) -> float:
     for x in xs:
         total += x
     return total
+
+
+def _cone_rays(surf: FoldedSurface, j: int) -> tuple[Point, Point]:
+    """A point on each boundary ray of cone j; the root surface's one cone lies along its far ray."""
+    v = surf.verts
+    return (v[1], v[1]) if points_close(v[0], surf.apex) else (v[j], v[j + 1])
 
 
 def cone_frame(surf: FoldedSurface, j: int):
@@ -335,6 +344,406 @@ def core_metrics(g: CoreGraph, tree: Tree, dists: list[float]) -> CoreReport:
         lightness_val,
         lightness_bound,
     )
+
+
+# --- The folding front end one break point and one surface at a time --------
+#
+# ``slt.breakpoints`` and ``slt.unfolding`` place the break points, merge
+# them into the path and glue the surfaces as arrays; the code below does
+# it one crossing, vertex and surface at a time, as the package did
+# before, and the tests hold the two to the same floats.
+
+
+@dataclass(frozen=True)
+class LoopBreakpoints:
+    """Ordered break points on H; the last one may be truncated.
+
+    ``raw_positions`` holds each break point's (segment index, offset,
+    arc length) as a plain tuple, which the cyclic garbage collector stops
+    tracking; ``ArcPosition(*p)`` turns one into a record.
+    """
+
+    raw_positions: tuple[tuple[int, float, float], ...]
+    points: tuple[Point, ...]
+    eps: float
+    truncated: bool
+
+    def __len__(self) -> int:
+        return len(self.raw_positions)
+
+
+@dataclass(frozen=True)
+class LoopPath:
+    """H with its break points inserted as vertices.
+
+    Segment i runs from hstar vertex bp_vertex[i] to bp_vertex[i + 1].
+    """
+
+    hstar: Polyline
+    #: hstar vertex index of each break point
+    bp_vertex: tuple[int, ...]
+    #: original input index per hstar vertex, or -1 for a Steiner vertex
+    input_index: tuple[int, ...]
+    truncated: bool
+
+
+def loop_select_breakpoints(H: HamPath, eps: float) -> LoopBreakpoints:
+    """Place break points on H for eps in (0, 1/4]: every surface then spans <= pi/3.
+
+    The first break point is the root; the second is the far endpoint of
+    the first path edge (from the root the defining equation has no
+    solution, and the first edge spans a zero-angle surface on its own).
+    If the equation has no further root before the path ends, the final
+    vertex becomes a truncated break point.
+    """
+    if not 0.0 < eps <= 0.25:
+        raise EpsOutOfRange(f"eps={eps} outside (0, 1/4]")
+    path = H.geometry
+    s = path.vertices[0]
+    total = path.total_length
+    sq = math.sqrt(eps)
+
+    positions = [(0, 0.0, 0.0)]
+    if len(path.vertices) == 1:
+        return LoopBreakpoints(tuple(positions), (s,), eps, False)
+
+    positions.append(_loop_vertex_position(path, 1))
+    points = [_loop_point_at(path, p) for p in positions]
+    truncated = False
+    guard = 1e-12 * total
+    roots = _loop_crossings(path, sq, positions[-1])
+    while positions[-1][2] < total - guard:
+        found = next(roots, None)
+        if found is None:
+            last = _loop_vertex_position(path, len(path.vertices) - 1)
+            positions.append(last)
+            points.append(_loop_point_at(path, last))
+            truncated = True
+            break
+        nxt, point = found
+        if nxt[2] - positions[-1][2] < guard:
+            raise ValueError(
+                "degenerate break point spacing: path passes through the root"
+            )
+        positions.append(nxt)
+        points.append(point)
+    return LoopBreakpoints(tuple(positions), tuple(points), eps, truncated)
+
+
+def _loop_vertex_position(path: Polyline, j: int) -> tuple[int, float, float]:
+    if j == len(path.vertices) - 1 and j > 0:
+        seg = j - 1
+        return (seg, path.cum_len[j] - path.cum_len[seg], path.cum_len[j])
+    return (j, 0.0, path.cum_len[j])
+
+
+def _loop_point_at(path: Polyline, pos: tuple[int, float, float]) -> Point:
+    return path.point_at(ArcPosition(*pos))
+
+
+def _loop_crossings(path: Polyline, sq: float, cur: tuple[int, float, float]):
+    """Successive break points after ``cur``, each with its coordinates.
+
+    Each is the first point q after the previous one where
+    arc(prev, q) = sq * dist(s, q); the generator ends when the path ends
+    first.
+    """
+    s = path.vertices[0]
+    verts = path.vertices
+    cum = path.cum_len
+    # Per-segment data: coordinate differences, the direction dot b and
+    # squared root distance c at the segment start, and the quadratic-form
+    # root distance of the segment end (used only by the no-root screen).
+    arr = np.asarray(verts, dtype=float)
+    rel = arr[:-1] - np.asarray(s, dtype=float)
+    seg = np.diff(arr, axis=0)
+    lens = np.array(cum[1:]) - np.array(cum[:-1])
+    u = seg / np.where(lens == 0.0, 1.0, lens)[:, None]
+    b = np.einsum("ij,ij->i", u, rel)
+    c = np.einsum("ij,ij->i", rel, rel)
+    end_dist = np.sqrt(np.maximum(lens * lens + 2.0 * b * lens + c, 0.0)).tolist()
+    # The same, as math.dist through the end's coordinates p0 + (p1 - p0).
+    end_far = each(math.hypot, *(arr[:-1] + seg - np.asarray(s, dtype=float)).T).tolist()
+    sqrt_c = np.sqrt(c).tolist()
+    seg_lens, diffs, b, c = lens.tolist(), seg.tolist(), b.tolist(), c.tolist()
+    eps = sq * sq
+    margin_scale = 1e-7 * sq
+    end_tol = 1e-15 * path.total_length
+    cur_seg, cur_t, cur_arc = cur
+    while True:
+        found = None
+        for j in range(cur_seg, len(seg_lens)):
+            seg_len = seg_lens[j]
+            if seg_len == 0.0:
+                continue
+            t0 = cur_t if j == cur_seg else 0.0
+            if t0 >= seg_len:
+                continue
+            a = cum[j] - cur_arc  # arc from cur to segment start
+
+            # Cheap no-root screen on the quadratic form, with a margin wide
+            # enough to absorb its cancellation error near the closest approach.
+            margin = margin_scale * (abs(a) + seg_len + sqrt_c[j] + 1.0)
+            if (a + seg_len) - sq * end_dist[j] < -margin:
+                continue  # g is increasing: no crossing before the segment end
+
+            # Evaluation through point coordinates, p0 + (t/L) * (p1 - p0):
+            # the quadratic form t^2 + 2bt + c cancels catastrophically near
+            # the closest approach.  At t = L the factor is exactly 1.
+            p0, dp = verts[j], diffs[j]
+            ghi = (a + seg_len) - sq * end_far[j]
+            if ghi < 0.0:
+                continue  # confirmed: no crossing in this segment
+            t = _loop_solve_on_segment(a, b[j], c[j], eps, t0, seg_len)
+            if t is not None:
+                f = t / seg_len
+                q = [x + f * d for x, d in zip(p0, dp)]
+                dd = math.dist(s, q)
+                if abs((a + t) - sq * dd) > 1e-9 * max(sq * dd, 1e-300):
+                    t = None
+            if t is None:
+                t, q = _loop_bisect_on_segment(s, p0, dp, a, sq, t0, seg_len)
+            if t >= seg_len - end_tol:
+                pos = _loop_vertex_position(path, j + 1)
+                found = (pos, _loop_point_at(path, pos))
+            else:
+                found = ((j, t, cum[j] + t), tuple(q))
+            break
+        if found is None:
+            return
+        yield found
+        cur_seg, cur_t, cur_arc = found[0]
+
+
+def _loop_gap_at(s, p0, dp, a, sq, seg_len, t):
+    """g(t) = arc - sq * dist(s, q) at offset t, with the point q."""
+    f = t / seg_len
+    q = [x + f * d for x, d in zip(p0, dp)]
+    return (a + t) - sq * math.dist(s, q), q
+
+
+def _loop_bisect_on_segment(s, p0, dp, a, sq, t0, seg_len):
+    """Monotone bisection fallback: the crossing in [t0, seg_len] and its point."""
+    glo, q = _loop_gap_at(s, p0, dp, a, sq, seg_len, t0)
+    if glo >= 0.0:
+        return t0, q  # crossing collapsed onto the interval start
+    lo, hi = t0, seg_len
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        gm, qm = _loop_gap_at(s, p0, dp, a, sq, seg_len, mid)
+        if gm < 0.0:
+            lo = mid
+        else:
+            hi, q = mid, qm
+        if hi - lo <= 1e-16 * seg_len:
+            break
+    # q is the point at hi unless hi is still seg_len, where the caller
+    # takes the segment's end vertex instead.
+    return hi, q
+
+
+def _loop_solve_on_segment(a, b, c, eps, t0, seg_len):
+    """Smallest t in [t0, seg_len] with (a+t)^2 = eps*(t^2+2bt+c), a+t >= 0."""
+    qa = 1.0 - eps  # at least 3/4
+    qb = 2.0 * (a - eps * b)
+    qc = a * a - eps * c
+    disc = qb * qb - 4.0 * qa * qc
+    if disc < 0.0:
+        return None
+    sd = math.sqrt(disc)
+    r1 = (-qb - sd) / (2.0 * qa)
+    r2 = (-qb + sd) / (2.0 * qa)
+    roots = (r2, r1) if r2 < r1 else (r1, r2)
+    lo = max(t0, -a)
+    tol = 1e-12 * seg_len
+    for t in roots:
+        if lo - tol <= t <= seg_len + tol:
+            return min(max(t, lo), seg_len)
+    return None
+
+
+def loop_subdivide(H: HamPath, B: LoopBreakpoints) -> LoopPath:
+    """Insert the break points as vertices of H, preserving length."""
+    path = H.geometry
+    total = path.total_length
+    tol = 1e-12 * total
+
+    verts: list[Point] = []
+    input_index: list[int] = []
+    bp_vertex: list[int] = []  # hstar vertex index of each break point
+
+    arcs = [p[2] for p in B.raw_positions]
+    nbp = len(arcs)
+    bi = 0
+    for v, arc_v, idx in zip(path.vertices, path.cum_len, H.order):
+        # Break points strictly inside the previous edge.
+        while bi < nbp and arcs[bi] < arc_v - tol:
+            bp_vertex.append(len(verts))
+            verts.append(B.points[bi])
+            input_index.append(-1)
+            bi += 1
+        if bi < nbp and abs(arcs[bi] - arc_v) <= tol:
+            bp_vertex.append(len(verts))
+            bi += 1
+        verts.append(v)
+        input_index.append(idx)
+    while bi < nbp:  # safety: trailing break points
+        bp_vertex.append(len(verts))
+        verts.append(B.points[bi])
+        input_index.append(-1)
+        bi += 1
+
+    return LoopPath(
+        Polyline(tuple(verts)), tuple(bp_vertex), tuple(input_index), B.truncated
+    )
+
+
+def loop_build_surfaces(sub: LoopPath, s: Point) -> list[FoldedSurface]:
+    """One folded surface per sub-path between consecutive break points.
+
+    The first surface is the root edge itself: a single zero-angle cone.
+    A path vertex coinciding with the root anywhere else is rejected.
+
+    Every surface spans at most pi/3, so it unfolds without overlap.  By
+    the angle lemma (``breakpoints``), the half-angle sines of a surface
+    from b_i to b_{i+1} sum to at most c = sqrt(eps) / (2 (1 - sqrt(eps))).
+    The truncated tail from b_i to the path's end e obeys the same c: the
+    gap arc(b_i, q) - sqrt(eps) |q| grows along the path and has no zero
+    on the tail, so the tail's length L is below sqrt(eps) |e|, and its
+    points are at least |e| - L > |e| (1 - sqrt(eps)) from the root.
+    ``select_breakpoints`` takes eps <= 1/4, so c <= 1/2, and as asin is
+    superadditive on [0, 1] the total angle is at most 2 asin(1/2) = pi/3.
+    A surface that reaches pi - 1e-9 all the same raises ``AngleOverflow``.
+    """
+    if not points_close(sub.hstar.vertices[0], s):
+        raise ValueError("path does not start at the root")
+    hverts = sub.hstar.vertices
+    all_angles, near_root = _vertex_angles(hverts, s)
+    if near_root[1:].any():
+        raise DegenerateRay(
+            f"path vertex {1 + int(np.argmax(near_root[1:]))} lies at the root"
+        )
+    edge_angles = all_angles.tolist()
+    bp = sub.bp_vertex
+    last_seg = len(bp) - 2
+    surfaces: list[FoldedSurface] = []
+    for i, (vstart, vend) in enumerate(zip(bp, bp[1:])):
+        # The hstar vertices covered by the segment's cones, and their angles.
+        run: list[int] = []
+        angles: list[float] = []
+        for j in range(vstart, vend):
+            if j == 0:  # the root edge
+                run = [j, j + 1]
+                angles.append(0.0)
+                continue
+            if hverts[j] == hverts[j + 1]:
+                continue  # zero-length edge contributes nothing
+            ang = edge_angles[j]
+            if ang > math.pi - 1e-9:
+                raise DegenerateRay("path edge passes through the root")
+            if not run:
+                run.append(j)
+            run.append(j + 1)
+            angles.append(ang)
+        if not angles:
+            run = [vend] * 2
+            angles = [0.0]
+        truncated = sub.truncated and i == last_seg
+        cum = tuple(accumulate(angles, initial=0.0))
+        if cum[-1] >= math.pi - 1e-9:
+            raise AngleOverflow(f"surface {i + 1} spans {cum[-1]!r} rad, not below pi")
+        verts = tuple([hverts[j] for j in run])
+        surfaces.append(FoldedSurface(i + 1, s, verts, tuple(angles), cum, truncated, tuple(run)))
+    return surfaces
+
+
+def loop_surface_inputs(
+    surfaces: list[FoldedSurface], sub: LoopPath, root: int
+) -> list[list[int]]:
+    """Per surface, the local indices of its inputs but the root; none on the root surface.
+
+    A surface's path positions run from its first vertex's to its last's,
+    so one count over the path tells which surfaces hold an input at all.
+    """
+    index = sub.input_index
+    held = [i >= 0 and i != root for i in index]
+    before = list(accumulate(held, initial=0))  # inputs held before each position
+    out: list[list[int]] = []
+    for surf in surfaces:
+        hs = surf.hstar
+        if before[hs[-1] + 1] == before[hs[0]] or index[hs[0]] == root:
+            out.append([])
+        else:
+            out.append([j for j, h in enumerate(hs) if held[h]])
+    return out
+
+
+def loop_front_end(pts: PointCloud, eps: float, gamma: float = 8.0, lam: float = 1.25):
+    """``slt.pipeline._front_end`` one break point and one surface at a time."""
+    if pts.n < 2:
+        raise ValueError("need at least two points")
+    if not 0.0 < eps <= 0.25:
+        raise EpsOutOfRange(f"eps={eps} outside (0, 1/4]")
+    if not 1.0 <= gamma < math.inf:
+        raise ValueError(f"gamma must be at least 1 and finite, got {gamma}")
+    if not 1.0 < lam < 2.0:
+        raise ValueError(f"lambda={lam} outside (1, 2)")
+    eps_int = eps / gamma
+    mst = euclidean_mst(pts)
+    ham = dfs_hamiltonian(mst, pts)
+    bps = loop_select_breakpoints(ham, eps_int)
+    sub = loop_subdivide(ham, bps)
+    return eps_int, mst, bps, sub, loop_build_surfaces(sub, pts.points[pts.root])
+
+
+def as_breakpoints(B: LoopBreakpoints) -> BreakpointSet:
+    """The loop's break points as the library's record."""
+    seg, t, arc = (np.array(x) for x in zip(*B.raw_positions))
+    return BreakpointSet(seg.astype(int), t, arc, np.array(B.points, dtype=float), B.eps, B.truncated)
+
+
+def as_subdivided(sub: LoopPath) -> SubdividedPath:
+    """The loop's subdivided path as the library's record."""
+    return SubdividedPath(np.array(sub.hstar.vertices, dtype=float), np.array(sub.bp_vertex, dtype=int),
+                          np.array(sub.input_index, dtype=int), sub.truncated)
+
+
+def as_surfaces(surfaces: list[FoldedSurface], sub: LoopPath) -> Surfaces:
+    """The loop's surfaces over ``sub`` as the library's ragged record."""
+    made = Surfaces.of(surfaces[0].apex, surfaces)
+    return replace(made, points=np.array(sub.hstar.vertices, dtype=float),
+                   hstar=np.array([h for f in surfaces for h in f.hstar], dtype=int))
+
+
+def loop_front_end_stages():
+    """``slt.pipeline``'s three front-end stages, by name, run one element at a time.
+
+    Each returns the library's record of what the loop makes, so a build
+    can run on them; the loop's own records pass from stage to stage.
+    """
+    made = {}
+
+    def select(H, eps):
+        made["bps"] = loop_select_breakpoints(H, eps)
+        return as_breakpoints(made["bps"])
+
+    def subdivide(H, B):
+        made["sub"] = loop_subdivide(H, made["bps"])
+        return as_subdivided(made["sub"])
+
+    def surfaces(sub, s):
+        return as_surfaces(loop_build_surfaces(made["sub"], s), made["sub"])
+
+    return {"select_breakpoints": select, "subdivide": subdivide, "build_surfaces": surfaces}
+
+
+def made_surfaces(surfaces: list[FoldedSurface], inputs_of: list[list[int]]):
+    """Surfaces made by hand, and the slots of their inputs, as ``build_gadget`` takes them."""
+    held = np.zeros(sum(len(f.verts) for f in surfaces), dtype=bool)
+    start = np.cumsum([0] + [len(f.verts) for f in surfaces])
+    for first, inputs in zip(start.tolist(), inputs_of):
+        held[[first + j for j in inputs]] = True
+    return Surfaces.of(surfaces[0].apex, surfaces), held
 
 
 # --- The folding graph one surface and one element at a time ---------------
@@ -505,13 +914,13 @@ def surface_gadget(
     return SurfaceGadget(surf, imgs, secondary, ell_a, ell_b, steiner, r_local, eps_int, lam)
 
 
-def gadget_row(gad: Gadgets, g: int) -> SurfaceGadget:
-    """Row g of a batch of gadgets as one ``SurfaceGadget``."""
+def gadget_row(gad: Gadgets, surfaces: Surfaces, g: int) -> SurfaceGadget:
+    """Row g of a batch of gadgets on ``surfaces`` as one ``SurfaceGadget``."""
     n, steiner = int(gad.rows.n_verts[g]), gad.ell_steiner[g, :1 if gad.flat[g] else None]
     secondary = [SecondaryBp(*row) for row in zip(
         gad.arc[g].tolist(), gad.edge[g].tolist(), map(tuple, gad.point[g].tolist()),
         map(tuple, gad.plane[g].tolist()), gad.at_vertex[g].tolist(), gad.steiner[g].tolist())]
-    return SurfaceGadget(gad.surfaces[g], list(map(tuple, gad.vertex_images[g, :n].tolist())), secondary,
+    return SurfaceGadget(surfaces[int(gad.surface[g])], list(map(tuple, gad.vertex_images[g, :n].tolist())), secondary,
                          tuple(gad.ell_a[g].tolist()), tuple(gad.ell_b[g].tolist()),
                          list(map(tuple, steiner.tolist())), int(gad.r_local[g]),
                          gad.eps_int, gad.lam)
@@ -598,14 +1007,14 @@ def relay_only(s: Point, surfaces: list[FoldedSurface], inputs_of: list[list[int
 
 def loop_folding_graph(pts: PointCloud, eps: float, gamma: float = 8.0, lam: float = 1.25):
     """``assemble_slt``'s graph, a gadget at a time: (graph, surfaces, gadgets)."""
-    eps_int, _, _, sub, surfaces = _front_end(pts, eps, gamma, lam)
+    eps_int, _, _, sub, surfaces = loop_front_end(pts, eps, gamma, lam)
     s, root_id = pts.points[pts.root], pts.root
     G = PlanarGraph()
     G.coords.extend(pts.points)
     G.kinds.extend(["input"] * pts.n)
     vertex_of = list(sub.input_index)
     hverts = sub.hstar.vertices
-    inputs_of = surface_inputs(surfaces, sub, root_id)
+    inputs_of = loop_surface_inputs(surfaces, sub, root_id)
     gadgets = []
     for i, surf in enumerate(surfaces):
         inputs = inputs_of[i]
@@ -670,8 +1079,8 @@ def as_folding_graph(G: PlanarGraph) -> FoldingGraph:
     cored = [i for i in order if i in chains]
     chain_row = np.array([cored.index(i) if i in chains else -1 for i in order], dtype=int)
     apex = surfaces[order[0]].apex if order else G.coords[0]
-    return FoldingGraph(points, plane, list(G.kinds), ends, np.array([w for *_, w in G.edges]),
-                        SurfaceRows.of(apex, [surfaces[i] for i in order]),
+    return FoldingGraph(points, plane, np.array([KINDS.index(k) for k in G.kinds], dtype=int), ends,
+                        np.array([w for *_, w in G.edges]), Surfaces.of(apex, [surfaces[i] for i in order]).rows(),
                         stack_chains([chains[i] for i in cored]), chain_row, vertex_gadget,
                         edge_gadget, edge_plane, edge_grid, edge_on)
 
@@ -712,7 +1121,7 @@ def loop_prune(G: FoldingGraph, surfaces: list[FoldedSurface], dists: list[float
         new[old] = len(sub_coords)
         q = tuple((G.points if g < 0 else G.plane)[old].tolist())
         sub_coords.append(q if g < 0 else scalar_lift(surfaces[g], q))
-        sub_kinds.append(G.kinds[old])
+        sub_kinds.append(KINDS[G.kind[old]])
     # Of a pair's edges, in order (one that is not a core path, and core
     # paths from the root), a vertex takes the first core path as long as
     # its root distance, else the other edge.

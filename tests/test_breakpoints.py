@@ -42,7 +42,7 @@ def bisect_gap_zero(path, s, start_arc, sq, tol=1e-13):
 def test_single_edge_root_rule():
     H = ham_for([(0.0, 0.0), (4.0, 0.0)])
     B = select_breakpoints(H, 0.25)
-    assert [p for p in B.points] == [(0.0, 0.0), (4.0, 0.0)]
+    assert B.points.tolist() == [[0.0, 0.0], [4.0, 0.0]]
     assert not B.truncated
 
 
@@ -51,11 +51,11 @@ def test_l_path_closed_form():
     B = select_breakpoints(H, 0.25)
     want_t = 1.0 / math.sqrt(3.0)  # solves t = 0.5*sqrt(1+t^2)
     assert len(B.points) == 4
-    assert B.points[0] == (0.0, 0.0)
-    assert B.points[1] == (1.0, 0.0)
+    assert B.points[0].tolist() == [0.0, 0.0]
+    assert B.points[1].tolist() == [1.0, 0.0]
     assert B.points[2][0] == pytest.approx(1.0, abs=1e-15)
     assert B.points[2][1] == pytest.approx(want_t, rel=1e-12)
-    assert B.points[3] == (1.0, 1.0)
+    assert B.points[3].tolist() == [1.0, 1.0]
     assert B.truncated
 
 
@@ -63,7 +63,7 @@ def test_l_path_matches_bisection_oracle():
     H = ham_for([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)])
     B = select_breakpoints(H, 0.25)
     oracle = bisect_gap_zero(H.geometry, (0.0, 0.0), 1.0, 0.5)
-    assert B.raw_positions[2][2] == pytest.approx(oracle, rel=1e-9)
+    assert B.arc[2] == pytest.approx(oracle, rel=1e-9)
 
 
 @pytest.mark.parametrize("seed,eps", [(s, e) for s in range(6) for e in (0.25, 0.04)])
@@ -74,14 +74,14 @@ def test_defining_equation_residual(seed, eps):
     B = select_breakpoints(H, eps)
     s = pts[0]
     sq = math.sqrt(eps)
-    upper = len(B.raw_positions) - (2 if B.truncated else 1)
+    upper = len(B) - (2 if B.truncated else 1)
     for i in range(1, upper):
-        gap = B.raw_positions[i + 1][2] - B.raw_positions[i][2]
+        gap = B.arc[i + 1] - B.arc[i]
         want = sq * dist(s, B.points[i + 1])
         assert abs(gap - want) <= 1e-9 * want
     if B.truncated:
         # inequality direction is preserved at the truncated tail
-        gap = B.raw_positions[-1][2] - B.raw_positions[-2][2]
+        gap = B.arc[-1] - B.arc[-2]
         assert gap <= sq * dist(s, B.points[-1]) * (1 + 1e-9)
 
 
@@ -91,7 +91,7 @@ def test_monotone_and_separated(seed):
     pts = [tuple(rng.random() for _ in range(2)) for _ in range(40)]
     H = ham_for(pts)
     B = select_breakpoints(H, 0.09)
-    arcs = [p[2] for p in B.raw_positions]
+    arcs = B.arc.tolist()
     assert arcs[0] == 0.0
     assert arcs[-1] == pytest.approx(H.geometry.total_length, rel=1e-12)
     for a, b in zip(arcs, arcs[1:]):
@@ -109,16 +109,16 @@ def test_subdivide_verbatim_when_breakpoints_on_vertices():
     H = ham_for([(0.0, 0.0), (4.0, 0.0)])
     B = select_breakpoints(H, 0.25)
     sub = subdivide(H, B)
-    assert sub.hstar.vertices == H.geometry.vertices
+    assert sub.points.tolist() == [list(v) for v in H.geometry.vertices]
 
 
 def test_subdivide_l_path():
     H = ham_for([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)])
     B = select_breakpoints(H, 0.25)
     sub = subdivide(H, B)
-    assert len(sub.hstar.vertices) == 4
-    assert sub.hstar.vertices[2][1] == pytest.approx(1 / math.sqrt(3), rel=1e-12)
-    assert sub.input_index == (0, 1, -1, 2)
+    assert len(sub.points) == 4
+    assert sub.points[2][1] == pytest.approx(1 / math.sqrt(3), rel=1e-12)
+    assert sub.input_index.tolist() == [0, 1, -1, 2]
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -128,9 +128,9 @@ def test_subdivide_preserves_length(seed):
     H = ham_for(pts)
     B = select_breakpoints(H, 0.04)
     sub = subdivide(H, B)
-    assert sub.hstar.total_length == pytest.approx(H.geometry.total_length, rel=1e-12)
+    assert sub.total_length == pytest.approx(H.geometry.total_length, rel=1e-12)
     # every break point appears as a vertex
-    verts = set(sub.hstar.vertices)
+    verts = sub.points
     for p in B.points:
         assert any(dist(p, v) < 1e-9 for v in verts)
 
@@ -150,7 +150,7 @@ def test_phase1_weight_inequality_random(seed):
     s = pts[0]
     spokes = math.fsum(dist(s, q) for q in B.points[1:])
     slack = dist(s, B.points[-1]) if B.truncated else 0.0
-    hw = sub.hstar.total_length
+    hw = sub.total_length
     assert spokes <= hw / math.sqrt(eps) + slack + 1e-12 * hw
 
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -105,7 +106,7 @@ def test_rotate_antiparallel_rejected():
     # A path edge from (1, 0) to (-1, 0) spans antiparallel rays at the root.
     path = Polyline(((0.0, 0.0), (1.0, 0.0), (-1.0, 0.0)))
     with pytest.raises(DegenerateRay):
-        build_surfaces(SubdividedPath(path, (0, 2), (0, 1, 2), False), (0.0, 0.0))
+        build_surfaces(SubdividedPath(np.array(path.vertices), np.array([0, 2]), np.arange(3), False), (0.0, 0.0))
 
 
 def test_point_at_arc_straight():

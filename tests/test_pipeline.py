@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     PlanarGraph, as_folding_graph, chain_bits, gadget_row, kernel_spt, loop_folding_graph, loop_prune,
-    oracle_spt, realize, scalar_lift, scalar_ray_crossings, surface_gadget,
+    made_surfaces, oracle_spt, realize, scalar_lift, scalar_ray_crossings, surface_gadget,
 )
 
 from slt.breakpoints import select_breakpoints, subdivide
@@ -25,7 +25,7 @@ from slt.metrics import tree_distances
 from slt.mst_path import PointCloud, dfs_hamiltonian, euclidean_mst
 from slt.pipeline import _front_end, _prune, _realize, assemble_slt, build_gadget, surface_inputs
 from slt.unfolding import (
-    FoldedSurface, SurfaceRows, build_surfaces, lift, lift_segment, ray_crossings, unfold_vertex
+    FoldedSurface, SurfaceRows, Surfaces, build_surfaces, lift, lift_segment, ray_crossings, unfold_vertex
 )
 
 
@@ -71,9 +71,15 @@ def surfaces_and_sub(pc, eps_int):
     return build_surfaces(sub, pc.points[pc.root]), sub
 
 
+def inputs_by_surface(surfaces, held):
+    """Per surface, the local indices of the slots ``held`` marks."""
+    return [np.flatnonzero(held[a:b]).tolist() for a, b in zip(surfaces.start[:-1], surfaces.start[1:])]
+
+
 def one_gadget(surf, inputs, eps_int, lam=1.25):
     """The batch's gadget on one surface, as the per-surface oracle's record."""
-    return gadget_row(build_gadget([surf], [inputs], eps_int, lam), 0)
+    surfaces, held = made_surfaces([surf], [inputs])
+    return gadget_row(build_gadget(surfaces, held, eps_int, lam), surfaces, 0)
 
 
 def test_gadget_empty_surface_is_degenerate():
@@ -83,9 +89,9 @@ def test_gadget_empty_surface_is_degenerate():
     empties = [f for f in surfs if not inputs_of[f.index]]
     assert empties, "expected at least one surface without input points"
     # such a surface gets no gadget, only its phase-1 edges
-    gadgets = build_gadget(surfs, [inputs_of[f.index] for f in surfs], 0.04)
+    gadgets = build_gadget(*made_surfaces(list(surfs), [inputs_of[f.index] for f in surfs]), 0.04)
     assert gadgets.surface.tolist() == [i for i, f in enumerate(surfs) if inputs_of[f.index]]
-    assert not any(f in gadgets.surfaces for f in empties)
+    assert not any(f.index - 1 in gadgets.surface.tolist() for f in empties)
     with pytest.raises(ValueError, match="holds no input"):
         surface_gadget(empties[0], [], 0.04)
 
@@ -97,12 +103,12 @@ def test_degenerate_gadget_still_checks_its_surface_and_eps():
     inputs_of = _input_locals(pc, surfs)
     empty = next(f for f in surfs if not inputs_of[f.index] and f.index >= 2)
     with pytest.raises(EpsOutOfRange):
-        build_gadget([empty], [[]], 0.3)
+        build_gadget(*made_surfaces([empty], [[]]), 0.3)
     point = FoldedSurface(empty.index, empty.apex, empty.verts[:1], (), (0.0,), False)
     with pytest.raises(EmptySurface):
-        build_gadget([point], [[0]], 0.04)
+        build_gadget(*made_surfaces([point], [[0]]), 0.04)
     with pytest.raises(EmptySurface):
-        build_gadget([empty, point], [[], [0]], 0.3)
+        build_gadget(*made_surfaces([empty, point], [[], [0]]), 0.3)
 
 
 def _cut_test_clouds():
@@ -294,9 +300,9 @@ def test_gadgets_only_where_an_input_is_and_each_point_lifted_once(monkeypatch):
     calls, lifts = [], []
     build, real_lift = slt.pipeline.build_gadget, SurfaceRows.lift
 
-    def counting_build(surfaces, inputs_of, *args):
-        gadgets = build(surfaces, inputs_of, *args)
-        calls.append((gadgets, surfaces, inputs_of))
+    def counting_build(surfaces, held, *args):
+        gadgets = build(surfaces, held, *args)
+        calls.append((gadgets, surfaces, held))
         return gadgets
 
     def counting_lift(rows, row, q):
@@ -307,9 +313,9 @@ def test_gadgets_only_where_an_input_is_and_each_point_lifted_once(monkeypatch):
     monkeypatch.setattr(SurfaceRows, "lift", counting_lift)
     g, _, rep = assemble_slt(random_cloud(60, 5, 7), 0.04)
     flags = rep.flags
-    [(gadgets, surfaces, inputs_of)] = calls
-    built = [f.index for f in gadgets.surfaces]
-    assert gadgets.surface.tolist() == [i for i, inputs in enumerate(inputs_of) if inputs]
+    [(gadgets, surfaces, held)] = calls
+    built = [surfaces[i].index for i in gadgets.surface.tolist()]
+    assert gadgets.surface.tolist() == [i for i, inputs in enumerate(inputs_by_surface(surfaces, held)) if inputs]
     assert built == [surfaces[i].index for i in gadgets.surface.tolist()]
     assert len(built) == len(set(built)) == flags["cores"] + flags["zero_width_cores"]
     assert 0 < len(built) < flags["surfaces"]
@@ -561,7 +567,7 @@ def _random_surfaces():
             for seed in range(2):
                 pc = random_cloud(30, d, 100 * d + seed)
                 surfs, sub = surfaces_and_sub(pc, eps / 8)
-                for f, inputs in zip(surfs, surface_inputs(surfs, sub, pc.root)):
+                for f, inputs in zip(surfs, inputs_by_surface(surfs, surface_inputs(surfs, sub, pc.root))):
                     yield pc, f, inputs, eps / 8
 
 
@@ -748,9 +754,10 @@ def test_folding_pins_reach_every_rewritten_branch(tmp_path, capsys, monkeypatch
     real_build, real_realize = slt.pipeline.build_gadget, slt.pipeline._realize
     hit = set()
 
-    def build(surfaces, inputs_of, *args):
-        gadgets = real_build(surfaces, inputs_of, *args)
+    def build(surfaces, held, *args):
+        gadgets = real_build(surfaces, held, *args)
         rows = gadgets.surface.tolist()
+        inputs_of = inputs_by_surface(surfaces, held)
         if any(len(inputs_of[i]) > 1 for i in rows):
             hit.add("several inputs")
         if (gadgets.at_vertex >= 0).any():
@@ -761,9 +768,9 @@ def test_folding_pins_reach_every_rewritten_branch(tmp_path, capsys, monkeypatch
             hit.add("two in a row")
         return gadgets
 
-    def realize(pts, sub, surfaces, inputs_of, gadgets):
-        G = real_realize(pts, sub, surfaces, inputs_of, gadgets)
-        for g, surf in enumerate(gadgets.surfaces):
+    def realize(pts, sub, surfaces, held, gadgets):
+        G = real_realize(pts, sub, surfaces, held, gadgets)
+        for g, surf in enumerate(surfaces[i] for i in gadgets.surface.tolist()):
             r_local = int(gadgets.r_local[g])
             r_img = gadgets.vertex_images[g, r_local].tolist()
             steiner = gadgets.ell_steiner[g, :1 if gadgets.flat[g] else None].tolist()
@@ -804,15 +811,14 @@ def test_folding_pins_reach_every_rewritten_branch(tmp_path, capsys, monkeypatch
 def _batch_graph(pc, eps, gamma=8.0, lam=1.25):
     """The folding graph ``assemble_slt`` solves, and its gadgets."""
     eps_int, _, _, sub, surfaces = _front_end(pc, eps, gamma, lam)
-    inputs_of = surface_inputs(surfaces, sub, pc.root)
-    gadgets = build_gadget(surfaces, inputs_of, eps_int, lam)
-    return _realize(pc, sub, surfaces, inputs_of, gadgets), gadgets
+    held = surface_inputs(surfaces, sub, pc.root)
+    gadgets = build_gadget(surfaces, held, eps_int, lam)
+    return _realize(pc, sub, surfaces, held, gadgets), gadgets, surfaces
 
 
 def assert_same_graph(batch, loop):
     """Bit for bit: vertices, edges in order, planar segments, core paths, gadget surfaces."""
-    assert batch.kinds == loop.kinds
-    for name in ("points", "plane", "ends", "weights", "vertex_gadget", "edge_gadget", "edge_plane",
+    for name in ("kind", "points", "plane", "ends", "weights", "vertex_gadget", "edge_gadget", "edge_plane",
                  "edge_grid", "edge_on"):
         b, o = getattr(batch, name), getattr(loop, name)
         assert b.shape == o.shape and b.astype(o.dtype).tobytes() == o.tobytes(), name
@@ -842,9 +848,9 @@ def _exact_cases():
 def test_batched_folding_graph_is_the_loop_bit_for_bit(pc, eps):
     # The batch of gadgets and its graph against the per-surface oracle:
     # every gadget row, every vertex and edge in order, bit for bit.
-    batch, gadgets = _batch_graph(pc, eps)
-    loop, surfaces, rows = loop_folding_graph(pc, eps)
-    assert [gadget_row(gadgets, g) for g in range(len(gadgets))] == rows
+    batch, gadgets, surfaces = _batch_graph(pc, eps)
+    loop, _, rows = loop_folding_graph(pc, eps)
+    assert [gadget_row(gadgets, surfaces, g) for g in range(len(gadgets))] == rows
     assert_same_graph(batch, as_folding_graph(loop))
 
 
@@ -854,10 +860,11 @@ def _surface_alone(f, inputs, eps_int):
     Vertex 0 is the root and vertex j + 1 is f's vertex j, all inputs.
     """
     verts = f.verts
-    f = dataclasses.replace(f, hstar=tuple(range(1, len(verts) + 1)))
     pc = PointCloud((f.apex,) + verts)
-    sub = SimpleNamespace(input_index=tuple(range(pc.n)), hstar=SimpleNamespace(vertices=pc.points))
-    batch = _realize(pc, sub, [f], [inputs], build_gadget([f], [inputs], eps_int))
+    surfaces, held = made_surfaces([f], [inputs])
+    surfaces = dataclasses.replace(surfaces, points=np.array(pc.points), hstar=np.arange(1, pc.n))
+    sub = SimpleNamespace(input_index=np.arange(pc.n), points=np.array(pc.points))
+    batch = _realize(pc, sub, surfaces, held, build_gadget(surfaces, held, eps_int))
     G = PlanarGraph()
     for p in pc.points:
         G.add_vertex(p, "input")
@@ -885,7 +892,7 @@ def test_batched_gadget_on_made_surfaces_is_the_loop_bit_for_bit():
 def test_batched_folding_graph_is_the_loop_on_small_clouds(d, eps, n, seed):
     rng = random.Random(seed)
     pc = PointCloud(tuple(tuple(rng.random() for _ in range(d)) for _ in range(n)))
-    batch, _ = _batch_graph(pc, eps)
+    batch, _, _ = _batch_graph(pc, eps)
     assert_same_graph(batch, as_folding_graph(loop_folding_graph(pc, eps)[0]))
 
 
@@ -896,12 +903,13 @@ def _with_loop_prune(pc, eps, monkeypatch):
     batch = assemble_slt(pc, eps)
     made, real_build = [], slt.pipeline.build_gadget
 
-    def build(*args):
-        made.append(real_build(*args))
-        return made[-1]
+    def build(surfaces, *args):
+        gadgets = real_build(surfaces, *args)
+        made.append([surfaces[i] for i in gadgets.surface.tolist()])
+        return gadgets
 
     monkeypatch.setattr(slt.pipeline, "build_gadget", build)
-    monkeypatch.setattr(slt.pipeline, "_prune", lambda G, *args: loop_prune(G, made[-1].surfaces, *args))
+    monkeypatch.setattr(slt.pipeline, "_prune", lambda G, *args: loop_prune(G, made[-1], *args))
     return batch, assemble_slt(pc, eps)
 
 
@@ -938,10 +946,10 @@ def _lift_test_surfaces():
     for d in (2, 3, 5, 8):
         for eps in (0.25, 0.04):
             surfs, _ = surfaces_and_sub(random_cloud(40, d, 7 * d), eps / 8)
-            out.append(surfs)
+            out.append(list(surfs))
     rng = random.Random(3)
     near = PointCloud(tuple((float(t), 1e-3 * rng.random(), 1e-3 * rng.random()) for t in range(30)))
-    out.append(surfaces_and_sub(near, 0.04 / 8)[0])
+    out.append(list(surfaces_and_sub(near, 0.04 / 8)[0]))
     out += [[f] for _, f, _ in _wide_and_flat_surfaces()]
     return out
 
@@ -977,7 +985,7 @@ def test_batched_lift_and_crossings_are_the_scalar_code_bit_for_bit(cloud, m, se
     row = [rng.randrange(len(surfaces)) for _ in range(m)]
     q1 = [point(surfaces[i]) for i in row]
     q2 = [point(surfaces[i]) for i in row]
-    rows = SurfaceRows.of(surfaces[0].apex, surfaces)
+    rows = Surfaces.of(surfaces[0].apex, surfaces).rows()
     want, fault = [], None
     for i, q in zip(row, q1):
         try:

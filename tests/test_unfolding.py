@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from oracles import unfold
 
@@ -52,7 +53,7 @@ def test_vertex_at_root_rejected():
     from slt.breakpoints import SubdividedPath
 
     path = Polyline(((0.0, 0.0), (1.0, 0.0), (0.0, 0.0)))
-    sub = SubdividedPath(path, (0, 2), (0, 1, 2), False)  # one segment, vertices 0..2
+    sub = SubdividedPath(np.array(path.vertices), np.array([0, 2]), np.arange(3), False)  # one segment, vertices 0..2
     with pytest.raises(DegenerateRay):
         build_surfaces(sub, (0.0, 0.0))
 
