@@ -147,9 +147,9 @@ def select_breakpoints(H: HamPath, eps: float) -> BreakpointSet:
         cur, checked = (start if k == 0 else tuple(found[6 * k - 3:6 * k])), k
     if end == "spacing":
         raise ValueError("degenerate break point spacing: path passes through the root")
+    crossings = new if checked == 0 else np.array(found, dtype=float).reshape(-1, 6)
     tail = [_vertex_position(segments[0], len(arr) - 1)] if end == "truncated" else []
-    seg, t, arc = np.concatenate([[(0, 0.0, 0.0), start], np.array(found, dtype=float).reshape(-1, 6)[:, 3:],
-                                  np.reshape(tail, (-1, 3))]).T
+    seg, t, arc = np.concatenate([[(0, 0.0, 0.0), start], crossings[:, 3:], np.reshape(tail, (-1, 3))]).T
     seg = seg.astype(int)
     # Polyline.point_at of each: p0 + (t/L) (p1 - p0), or p0 where L is 0.
     flat = lens[seg] == 0.0

@@ -83,8 +83,8 @@ class SteinerGraph:
         self.edges.append((u, v, math.dist(self.coords[u], self.coords[v])))
 
 
-#: The kinds of a folding tree's vertices, by code; the graph's are the first four.
-KINDS = ("input", "break", "secondary_break", "ell_steiner", "core_apex", "bend")
+#: The kinds of a folding graph's vertices, by code.
+KINDS = ("input", "break", "secondary_break", "ell_steiner")
 
 
 @dataclass
@@ -452,16 +452,17 @@ def _realize(pts: PointCloud, sub: SubdividedPath, surfaces: Surfaces, held: np.
     relay = _relay_only(surfaces, held)
     slot_row = np.repeat(np.arange(S), surfaces.n_verts)
     live = np.flatnonzero(~relay[slot_row])
-    h, row = hs[live], slot_row[live]
+    h, h_row = hs[live], slot_row[live]
     first = np.r_[True, h[1:] != h[:-1]]
     index = sub.input_index[h]
     made = first & (index < 0)
-    made_count = np.bincount(row[made], minlength=S)
+    made_count = np.bincount(h_row[made], minlength=S)
     count = made_count.copy()
     count[gad.surface] += new_sec.sum(1) + new_portal.sum(1)
     first_id = pts.n + np.cumsum(count) - count
     n = pts.n + int(count.sum())
-    made_id = first_id[row[made]] + np.arange(len(row[made])) - (np.cumsum(made_count) - made_count)[row[made]]
+    made_row = h_row[made]
+    made_id = first_id[made_row] + np.arange(len(made_row)) - (np.cumsum(made_count) - made_count)[made_row]
     index[made] = made_id
     slot_id = np.full(len(hs), -1)
     slot_id[live] = index[np.maximum.accumulate(np.where(first, np.arange(len(h)), 0))]
@@ -470,17 +471,17 @@ def _realize(pts: PointCloud, sub: SubdividedPath, surfaces: Surfaces, held: np.
     # its start's vertex; another surface's sub-path, then its spoke.
     relayed = np.flatnonzero(relay)
     a = hs[start[relayed]]
-    at = np.minimum(np.searchsorted(h, a), len(h) - 1)
+    seen = np.minimum(np.searchsorted(h, a), len(h) - 1)
     a_id = np.where(sub.input_index[a] >= 0, sub.input_index[a],
-                    np.where((h[at] == a) & (live[at] < start[relayed]), slot_id[live[at]], -1))
+                    np.where((h[seen] == a) & (live[seen] < start[relayed]), slot_id[live[seen]], -1))
     plain = ~relay
     plain[gad.surface] = False
-    k = np.flatnonzero(plain[slot_row[:-1]] & (slot_row[:-1] == slot_row[1:]))
+    along = np.flatnonzero(plain[slot_row[:-1]] & (slot_row[:-1] == slot_row[1:]))
     spoke = np.flatnonzero(plain)
     spoke = spoke[slot_id[start[spoke]] != root_id]
-    at_surface = np.concatenate([slot_row[k], spoke, relayed[a_id >= 0]])
-    su = np.concatenate([slot_id[k], np.full(len(spoke) + np.count_nonzero(a_id >= 0), root_id)])
-    sv = np.concatenate([slot_id[k + 1], slot_id[start[spoke]], a_id[a_id >= 0]])
+    at_surface = np.concatenate([slot_row[along], spoke, relayed[a_id >= 0]])
+    su = np.concatenate([slot_id[along], np.full(len(spoke) + np.count_nonzero(a_id >= 0), root_id)])
+    sv = np.concatenate([slot_id[along + 1], slot_id[start[spoke]], a_id[a_id >= 0]])
 
     vid = slot_id[start[gad.surface][:, None] + np.minimum(np.arange(L), nv[:, None] - 1)]
     base = (first_id + made_count)[gad.surface][:, None]

@@ -5,6 +5,18 @@ path vertices.  Unfolding lays the cones flat side by side: the root maps
 to the origin, the first boundary ray to the positive x-axis, and angles
 accumulate counterclockwise.  As long as the total angle stays below pi
 the map is injective and preserves lengths within every cone.
+
+A build keeps its surfaces in one ``Surfaces`` record of ragged rows over
+the subdivided path: each surface is a run of path vertex indices with
+its cone angles and cumulative angles, all made at once from the path's
+per-edge angles (``build_surfaces``).  Only the surfaces that get gadgets
+are padded, into ``SurfaceRows``, to lift many points at once.  The
+floats are those of one surface and one point at a time: numpy does the
+elementwise arithmetic in the same order, libm is called once per
+element (``geometry.each``), and no sum is reassociated, so the
+cumulative angles add one column of cones at a time, each row from its
+first cone on.  ``FoldedSurface`` is one row as plain tuples, for
+``slt render --surfaces`` and the tests.
 """
 from __future__ import annotations
 
@@ -111,10 +123,8 @@ class Surfaces:
         cone = (first - which)[:, None] + np.minimum(np.arange(width - 1), nv[:, None] - 2)
         return SurfaceRows(self.apex, self.points[self.hstar[at]], nv, self.cum_angle[at], self.angles[cone])
 
-    def __getitem__(self, i):
-        """Surface i as plain tuples; a slice gives a list of them."""
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
+    def __getitem__(self, i: int) -> FoldedSurface:
+        """Surface i as plain tuples."""
         i = range(len(self))[i]
         a, b = self.start[i], self.start[i + 1]
         hs = self.hstar[a:b]

@@ -116,7 +116,7 @@ def test_unfold_diagonal_point():
 
 def test_lift_origin_is_root():
     surfs, _, _ = random_surfaces(1)
-    for f in surfs[:5]:
+    for f in list(surfs)[:5]:
         assert lift(f, (0.0, 0.0)) == f.apex
 
 
@@ -176,7 +176,7 @@ def test_source_isometry():
 def test_same_cone_isometry():
     rng = random.Random(17)
     surfs, _, _ = random_surfaces(11, d=4)
-    for f in surfs[:8]:
+    for f in list(surfs)[:8]:
         for j in range(len(f.cones)):
             cone = f.cones[j]
             if cone.angle < 1e-9:
@@ -256,7 +256,7 @@ def test_surfaces_stay_within_the_angle_lemma():
     truncated = 0
     for pts in clouds:
         surfs, _, _ = surfaces_for(pts, eps)
-        for f in surfs[1:]:
+        for f in list(surfs)[1:]:
             truncated += f.truncated
             assert sum(math.sin(a / 2.0) for a in f.angles) <= c + 1e-9
             assert f.total_angle <= 2.0 * math.asin(c) + 1e-9
