@@ -1,9 +1,12 @@
-"""Byte-identity manifest of folding builds.
+"""Byte-identity manifest of builds and of ``slt verify``.
 
-Each case pins the sha256 of the tree file ``write_tree`` writes and of
-``canonical_dumps(report.as_dict())``.  The pins were taken before the
-folding front end became array code, so any change to a float, a vertex
-or its numbering, or a report field on these inputs fails here.
+Each folding case pins the sha256 of the tree file ``write_tree`` writes
+and of ``canonical_dumps(report.as_dict())``.  The pins were taken before
+the folding front end became array code, so any change to a float, a
+vertex or its numbering, or a report field on these inputs fails here.
+The pyramid and core2d cases, and the ``slt verify`` reports, were pinned
+before the tree became one array record from build to file to
+``slt verify``.
 
 The inputs: perfbench's fold-d8 (seeds 1-3, both point sets) and
 fold-batch (seeds 1-2, passes 0-1) instances, made with the same
@@ -14,13 +17,16 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from slt.cli import canonical_dumps, write_tree
+from slt.cli import canonical_dumps, run_cli, write_points, write_tree
+from slt.core2d import core2d_points
 from slt.mst_path import PointCloud
-from slt.pipeline import assemble_slt
+from slt.pipeline import assemble_core2d, assemble_slt
+from slt.pyramid import GridSpec, assemble_pyramid, pyramid_points
 
 
 def uniform(seed: int, n: int, d: int, salt: tuple[int, ...] = ()) -> tuple:
@@ -419,4 +425,146 @@ PINS = {
     "two-points": (
         "27375e83a746c077fb8d89bdb71b1f2292527302665646e04cba392deeed3086",
         "69e711cd83f5e4b7c71b03d44a81a84adaf0567a118f4a84001957e404bf8979"),
+}
+
+
+# --- the other methods, and slt verify ---------------------------------------
+
+
+def method_cases():
+    """(id, method, points, eps) of every pinned pyramid and core2d build.
+
+    The root is point 0.  pyramid-d4 is perfbench's instance: the grid
+    ``perfbench/worker.py`` makes at d=4, eps 0.09.
+    """
+    for eps in (0.25, 0.09, 0.04):
+        yield f"pyramid/3/64/{eps}", "pyramid", pyramid_points(3, 64, eps), eps
+    m = math.ceil(GridSpec.regime_min(4, 0.09) ** (1.0 / 3.0))
+    yield "pyramid-d4", "pyramid", pyramid_points(4, m**3, 0.09), 0.09
+    for eps, n in itertools.product((0.25, 0.09, 0.04, 0.01), (4, 12, 64)):
+        yield f"core2d/{eps}/{n}", "core2d", core2d_points(eps, n), eps
+
+
+def verify_hash(points, root, eps, tree_path, tmp_path) -> str:
+    """sha256 of the report ``slt verify`` writes for the tree file against the points."""
+    pts, out = tmp_path / "points.json", tmp_path / "verify.json"
+    write_points(pts, points, root)
+    assert run_cli(["verify", "--input", str(pts), "--tree", str(tree_path),
+                    "--eps", repr(eps), "--output", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def test_method_manifest_covers_every_case():
+    assert [c[0] for c in method_cases()] == list(METHOD_PINS)
+
+
+@pytest.mark.parametrize("case", list(method_cases()), ids=lambda c: c[0])
+def test_method_build_and_verify_are_byte_identical_to_their_pins(case, tmp_path):
+    name, method, points, eps = case
+    assemble = assemble_pyramid if method == "pyramid" else assemble_core2d
+    graph, tree, report = assemble(PointCloud(points, 0), eps)
+    path = tmp_path / "tree.json"
+    write_tree(path, graph, tree)
+    got = (hashlib.sha256(path.read_bytes()).hexdigest(),
+           hashlib.sha256(canonical_dumps(report.as_dict()).encode()).hexdigest(),
+           verify_hash(points, 0, eps, path, tmp_path))
+    assert got == METHOD_PINS[name]
+
+
+#: The folding cases whose ``slt verify`` report is pinned as well.
+VERIFY_CASES = ("fold-d8/1/0", "fold-d8/1/1", "fold-d8/2/0", "fold-d8/2/1", "fold-d8/3/0",
+                "fold-d8/3/1", "ray", "lattice", "two-points")
+
+
+def test_verify_manifest_covers_every_case():
+    assert list(VERIFY_CASES) == list(VERIFY_PINS)
+
+
+@pytest.mark.parametrize("name", VERIFY_CASES)
+def test_verify_report_is_byte_identical_to_its_pin(name, tmp_path):
+    _, points, root, eps = next(c for c in cases() if c[0] == name)
+    path = tmp_path / "tree.json"
+    hashes(points, root, eps, path)
+    assert verify_hash(points, root, eps, path, tmp_path) == VERIFY_PINS[name]
+
+
+# id: (tree file sha256, report sha256, slt verify report sha256)
+METHOD_PINS = {
+    "pyramid/3/64/0.25": (
+        "b08624fbe64dd215d689773db333b3033cedae8d4f4db6b4d1043995c7304b32",
+        "626297685be5542e263dce9a22ab6b60f5d58515435193ffc2d35890859a3ac2",
+        "f2dbdcd414af1ca376c5bd2a43f9e6280a1f4acfd4bb877f2d2b3cee1c214ff7"),
+    "pyramid/3/64/0.09": (
+        "2edf822ea87ad922e606aacaed9d39816b5cfb980928c816d30d531f181f4a69",
+        "beb3c3662235902fda4af0c2ea2d8c27cb7769bce83e4f314daf3f44b14a7abc",
+        "7cc9cacb2060be14048f27dde87aeb866737a7c80a032f8ae33e79e25d387fa8"),
+    "pyramid/3/64/0.04": (
+        "191b17976385864c334de5763a27757001b167bd41e6e82691d4bde29e1f145b",
+        "82b1a8c6de25e5e9686e1f31d9b5f9602f8a457f32d67980683158e72e086787",
+        "b04d0730bcd03cf5d9fbbb67504380a33608d736ddad0741c3e92c4398757ae9"),
+    "pyramid-d4": (
+        "7726e9d28955fd581f95737adb84aae0877e58b11298f8991f8b48b1d4ed44c4",
+        "90c4c0ae57d31e23f029c876a18f4e20c239a9a8d9098b27c12c71f99fd36dde",
+        "5be03868f6fb9a4f519cf1109942eead25e9ae72d105943c2c6f591f1be30462"),
+    "core2d/0.25/4": (
+        "e95363e0d3720b1e9bd5ead2a65a2d81838ddba02f050517b048841cbb87619d",
+        "7ac0caf2df1e12599404293b572b8b24ebefa36bebb456b51c97fcbf9d8c1afa",
+        "e55c90c59fe512bf496c4690f66a6fd206d4fde5f1f922af10403b220eff75ad"),
+    "core2d/0.25/12": (
+        "cb6f1786282fc13d949e2c0370a75ea3bb34f2143a277519b906fb6a23fa594d",
+        "f8c884aad2f38c63d68af6395335f9309c0d71dc6d4f20f020534b0d05fb4003",
+        "0f5d443994ca2bd30f9f8bb02c1df8a6927fc89901ce4dbb30b7da1640426bcb"),
+    "core2d/0.25/64": (
+        "5d1363e251a1aa8b0934b3daa55309ec55b785e59821cce80baeda0d44495656",
+        "3876eee5c5ac346552fed64c63780b122d890e2f166ec0d96dac21f40a67e13e",
+        "5c7a8a2ea02e0c3f2be5486d3d95d98c5a1629a022164f17c729859344532d06"),
+    "core2d/0.09/4": (
+        "466bffe1c9a2315f52ee37878a72a73dbb08866afd57c5c2a15319bd6451dfd2",
+        "065d915414fc7e7c26ca1966b2b813613de96571d0b1de61f8544cc57781aa2d",
+        "c156085486d66cdba17f2e242b35451a2a787a9cc2f8def3524e58b9fffede42"),
+    "core2d/0.09/12": (
+        "e67edbf2251581241ef6170742dc5f8e4476bccdc31f5e22754fa9b260eb40d9",
+        "d6aa2f96ce9f980cb4f2fbd5cde274016b410d7857f59990c8018bc692524ca5",
+        "d95d35fa33d405061874203bfd5f13ed7e9a3ebd3f4bcda311b1b399c2302e20"),
+    "core2d/0.09/64": (
+        "b7a344de7149239a4d2bc9f60fa0daf748c34b48d765e430a957eb30da22bfd8",
+        "dc17e41e043bbff1decf6bc0c821f546aca6752b6ae7b7c08f64a1d8ee6d3f1f",
+        "35987957e070acfa56a2e6fed7984799b5154410cc2f5c8957608c498f4ed9d9"),
+    "core2d/0.04/4": (
+        "aec888e3bb226e8e360d0218c84a068b9ab417db0db34efc4f0d585ff339bf78",
+        "6cd91b16ce8794793b7503dce8aedd44ed20bbf6ddc84e956d99c67d300d4dc2",
+        "cf7ce022857e8f5877c4b6e58bf5ecc5174d2ae0359a27a609a9d71719b03b87"),
+    "core2d/0.04/12": (
+        "cceb266c37735e3572ea88374df2d92d0cf2db9c305acfff79a9bd2a7adbb040",
+        "a72706eff4dfa592c948e81321c8dcd218a9daee5ad9155a1e063b255bdf194e",
+        "af5c253ad1d81ac15c882b63eeff61fe535b27eb5bcf7cb051a59366534bb490"),
+    "core2d/0.04/64": (
+        "d65310eb40c8012487e6bd62c253162e7a18233b80c3c52388cb13689d75cd3d",
+        "077fdd4ba81eb7ce5bdfb0471110803882a7b81944011052af28640f323de890",
+        "d309fa6852099f81da4d4372770fb0cd38129ace6513eb0e895a08ce5d041e0c"),
+    "core2d/0.01/4": (
+        "75f63be235b561d7bec92692ca0440c854b78c7d4e1d1d66159c3afa6b60e425",
+        "867902180d06ddacb521a9f2f68527767bc18e15e14d45583d34b85dcf691d9b",
+        "40b1b40e95a79faafbce85d28570ab0743b18f589ae7850a96a729701f8fb71e"),
+    "core2d/0.01/12": (
+        "6c40068936b9e16c3a1121dd02a21c7e52e5055cbeef992688d5072c40303a34",
+        "86a3a8d5960fcc1a8ce1aad253f3a54fa503090ba2fa62ad5a0965a261b4ebf3",
+        "b5bade39a6648e6ac2310d41c0c99695fa0ce6393c17acfaca28beda2ddc4f58"),
+    "core2d/0.01/64": (
+        "915967830a0be25334a757c6e9f5d3bf3c5e31e7f5cbe85355331bac6ba0f9d3",
+        "5541629aa328413c75b65163b0aed0456ea0745967b19f8db29ad1645a3e180e",
+        "e35523e1fced56ad8ef9fa09df0c13d1dd8c38c9334a6f47acf934f885135805"),
+}
+
+# id: sha256 of the slt verify report of the case's tree file
+VERIFY_PINS = {
+    "fold-d8/1/0": "81f946f7eb4f7bada327e2809a4de4b5488f1e2964f4ce4dc4ee6a0ed4477140",
+    "fold-d8/1/1": "ed90086a0713abbb9aea984d93732ef456ec2061c081c671decc44884f26c2e0",
+    "fold-d8/2/0": "c44cf12146699fad67f7a5e3e810f3975addc4a845ba1ed21d0177ddcb14319e",
+    "fold-d8/2/1": "12da350bbe7aa9775b6fdd84132b14e4985c2b8f01cd102d6f082a29dcf58aab",
+    "fold-d8/3/0": "a88c40a50a031d093ecd5be20c8233872e94693a078d51fde03a808a65242809",
+    "fold-d8/3/1": "30238b5fc56718b9675611260ebe103c192173683ff40c2a28d5735f25c2310f",
+    "ray": "fd82768731ad075ea19fd0741e2c77117cfca9e900f33bd4ee165a01034e45bb",
+    "lattice": "3c7013d0a4357dbbd6273697d5501e1845bd0c79a766bdcaa9789a7ff84e1207",
+    "two-points": "e2e2f685a1a55653f7df80440279610069bceae6e5ac4b95feff817858991995",
 }
