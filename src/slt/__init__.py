@@ -21,12 +21,12 @@ from .errors import (
     Unreachable,
 )
 from .geometry import ArcPosition, Point, Polyline, angle_at_apex, dist
-from .mst_path import HamPath, PointCloud, Tree, dfs_hamiltonian, euclidean_mst
+from .mst_path import HamPath, PointCloud, SteinerGraph, Tree, dfs_hamiltonian, euclidean_mst
 from .breakpoints import BreakpointSet, SubdividedPath, select_breakpoints, subdivide
 from .unfolding import Surfaces, build_surfaces, lift, lift_segment, unfold_vertex
 from .core2d import CoreGraph, CoreInstance, build_core, core2d_points, core_spt
-from .pipeline import Gadgets, SteinerGraph, assemble_core2d, assemble_slt, build_gadget
-from .metrics import SltReport, measure, root_paths, root_stretch
+from .pipeline import Gadgets, assemble_core2d, assemble_slt, build_gadget
+from .metrics import SltReport, measure, root_paths
 from .pyramid import GridSpec, assemble_pyramid, build_pyramid_core, pyramid_points, yao_spanner
 
 __version__ = "0.1.0"

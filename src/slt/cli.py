@@ -7,18 +7,21 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
 import random
 import sys
 
+import numpy as np
+
 from .core2d import build_core, core2d_points, core_spt
 from .errors import MalformedFile, MalformedTree, SltError
+from .geometry import lengths
 from .metrics import collector_paused, measure
-from .mst_path import PointCloud, Tree, euclidean_mst
-from .pipeline import SteinerGraph, _front_end, assemble_core2d, assemble_slt, build_gadget
-from .pipeline import surface_inputs
+from .mst_path import PointCloud, SteinerGraph, Tree, euclidean_mst
+from .pipeline import _front_end, assemble_core2d, assemble_slt, build_gadget, surface_inputs
 from .pyramid import assemble_pyramid, pyramid_points
 from .unfolding import unfold_vertex
 
@@ -48,34 +51,36 @@ def _load_object(path, what: str) -> dict:
 def parse_points(path) -> PointCloud:
     data = _load_object(path, "points file")
     dim = _integer(data["dim"], "points file: dim")
-    pts = tuple(_float_rows(_list(data["points"], "points file: points"), "points file: point"))
+    pts = _float_rows(_list(data["points"], "points file: points"), "points file: point")
     bad = next((i for i, p in enumerate(pts) if len(p) != dim), None)
     if bad is not None:
         raise MalformedFile(f"points file: point {bad} has {len(pts[bad])} coordinates, "
                             f"not dim {dim}")
-    return PointCloud(pts, _integer(data["root"], "points file: root"))
+    return PointCloud(tuple(tuple(map(float, p)) for p in pts), _integer(data["root"], "points file: root"))
 
 
 def write_tree(path, graph: SteinerGraph, tree: Tree):
+    ends = np.sort(tree.edges, axis=1)
     data = {
         "vertices": [
-            {"id": i, "coords": list(graph.coords[i]), "kind": graph.kinds[i]}
-            for i in range(graph.n)
+            {"id": i, "coords": c, "kind": k}
+            for i, (c, k) in enumerate(zip(graph.coords.tolist(), graph.kinds))
         ],
-        "edges": sorted([min(u, v), max(u, v)] for u, v, _ in tree.edges),
+        "edges": ends[np.lexsort(ends.T[::-1])].tolist(),
         "root": tree.root,
     }
     with open(path, "w") as fh:
         fh.write(canonical_dumps(data))
 
 
-def parse_tree(path):
-    """Coordinates, kinds, edges and root of a tree file that is a tree.
+def parse_tree(path) -> tuple[SteinerGraph, Tree]:
+    """The vertex table and the tree of a tree file that is a tree: ``write_tree``'s inverse.
 
     Raises MalformedTree unless the vertex ids are 0..V-1 and the edges
     form a spanning tree of the vertices, MalformedFile on a coordinate
-    that is not a number, a vertex whose dimension differs from vertex 0's
-    or an id that is not an integer.
+    row that is not a list of numbers, a vertex whose dimension differs
+    from vertex 0's or an id that is not an integer.  Each edge weighs
+    the distance between its ends.
     """
     data = _load_object(path, "tree file")
     verts = _list(data["vertices"], "tree file: vertices")
@@ -90,23 +95,21 @@ def parse_tree(path):
     n = len(verts)
     if [v["id"] for v in verts] != list(range(n)):
         raise MalformedTree(f"vertex ids are not 0..{n - 1}")
-    coords = _float_rows((v["coords"] for v in verts), "tree file: vertex")
+    coords = _float_rows([v["coords"] for v in verts], "tree file: vertex")
     bad = next((i for i, c in enumerate(coords) if len(c) != len(coords[0])), None)
     if bad is not None:
         raise MalformedFile(f"tree file: vertex {bad} has {len(coords[bad])} coordinates, "
                             f"vertex 0 has {len(coords[0])}")
-    kinds = [v["kind"] for v in verts]
-    rows = _list(data["edges"], "tree file: edges")
-    try:
-        edges = [(u, v) for u, v in rows]
-    except (TypeError, ValueError):
-        edges = None
-    if edges is None or not all(type(u) is int and type(v) is int for u, v in edges):
-        bad = next(e for e in rows if type(e) is not list or [type(x) for x in e] != [int, int])
+    edges = _list(data["edges"], "tree file: edges")
+    if not (_types(edges) <= {list} and set(map(len, edges)) <= {2}
+            and _types(itertools.chain.from_iterable(edges)) <= {int}):
+        bad = next(e for e in edges if type(e) is not list or [type(x) for x in e] != [int, int])
         raise MalformedFile(f"tree file: edge {bad!r} is not a pair of integer vertex ids")
     root = _integer(data["root"], "tree file: root")
     _check_spanning_tree(n, edges, root)
-    return coords, kinds, edges, root
+    graph = SteinerGraph(np.array(coords, dtype=float), [v["kind"] for v in verts])
+    ends = np.array(edges, dtype=np.intp).reshape(-1, 2)
+    return graph, Tree(ends, lengths(graph.coords[ends[:, 0]], graph.coords[ends[:, 1]]), root)
 
 
 def _list(value, what: str) -> list:
@@ -121,15 +124,20 @@ def _integer(value, what: str) -> int:
     return value
 
 
-def _float_rows(rows, what: str) -> list[tuple[float, ...]]:
-    """Each row as a tuple of floats; MalformedFile names the first bad row."""
-    out = []
-    for i, row in enumerate(rows):
-        try:
-            out.append(tuple(map(float, row)))
-        except (TypeError, ValueError):
-            raise MalformedFile(f"{what} {i} is not a list of numbers: {row!r}") from None
-    return out
+def _types(values) -> set[type]:
+    return set(map(type, values))
+
+
+def _float_rows(rows: list, what: str) -> list:
+    """``rows`` if each is a JSON list of numbers; MalformedFile names the first that is not.
+
+    A number is an int or a float, and a bool is neither: JSON's true and
+    false are no coordinates.
+    """
+    if _types(rows) <= {list} and _types(itertools.chain.from_iterable(rows)) <= {int, float}:
+        return rows
+    bad = next(i for i, row in enumerate(rows) if type(row) is not list or not _types(row) <= {int, float})
+    raise MalformedFile(f"{what} {bad} is not a list of numbers: {rows[bad]!r}")
 
 
 def _check_spanning_tree(n: int, edges, root: int) -> None:
@@ -305,7 +313,7 @@ def render_surfaces_svg(pc: PointCloud, eps: float, gamma: float, lam: float, pa
             inst = gadgets.core_instance(g)
             if inst is not None:
                 core = build_core(inst)
-                for u, v, _ in core_spt(core)[0].edges:
+                for u, v in core_spt(core)[0].edges.tolist():
                     a, b = core.plane_coords(u), core.plane_coords(v)
                     cv.line(shift(a), shift(b), stroke="#aaaaaa")
         offset += 1.25 * rmax
@@ -352,23 +360,19 @@ def _cmd_build(args) -> int:
 def _verified_report(args):
     """The points and the report of the tree file measured against them."""
     pc = parse_points(args.input)
-    coords, kinds, edges, root = parse_tree(args.tree)
-    index = {c: i for i, (c, k) in enumerate(zip(coords, kinds)) if k == "input"}
+    graph, tree = parse_tree(args.tree)
+    coords = map(tuple, graph.coords.tolist())
+    index = {c: i for i, (c, k) in enumerate(zip(coords, graph.kinds)) if k == "input"}
     vertex_of = []
     for i, p in enumerate(pc.points):
         v = index.get(p)
         if v is None:
             raise SltError(f"tree does not contain input point {i} at {p}")
         vertex_of.append(v)
-    if vertex_of[pc.root] != root:
+    if vertex_of[pc.root] != tree.root:
         raise SltError("tree root does not match the input root")
-    tree = Tree(
-        len(coords),
-        tuple((u, v, math.dist(coords[u], coords[v])) for u, v in edges),
-        root,
-    )
     mst_weight = euclidean_mst(pc).weight
-    report = measure(tree, coords, vertex_of, args.eps, mst_weight, {"verified": True})
+    report = measure(graph, tree, vertex_of, args.eps, mst_weight, {"verified": True})
     return pc, report
 
 
@@ -392,9 +396,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_render(args) -> int:
     if args.tree:
-        coords, kinds, edges, _ = parse_tree(args.tree)
-        if len(coords[0]) == 2:
-            render_tree_svg(coords, kinds, edges, args.output)
+        graph, tree = parse_tree(args.tree)
+        if graph.coords.shape[1] == 2:
+            render_tree_svg(graph.coords.tolist(), graph.kinds, tree.edges.tolist(), args.output)
             return 0
     pc = parse_points(args.input)
     if pc.dim == 2 and not args.surfaces and args.tree is None:

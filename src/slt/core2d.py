@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AngleOverflow, Disconnected, EpsOutOfRange
-from .geometry import COINCIDENT_TOL, PlanePoint, angle_at_apex, dist, each
+from .geometry import COINCIDENT_TOL, PlanePoint, angle_at_apex, dist, each, lengths
 from .metrics import dijkstra
 from .mst_path import Tree
 
@@ -403,11 +403,9 @@ def core_spt(g: CoreGraph):
     dists, parent = dijkstra(g.n, edges[:, :2], edges[:, 2], root)
     if any(math.isinf(d) for d in dists):
         raise Disconnected("core graph is not connected")
-    tree_edges = tuple(
-        (parent[v], v, dist(g.coords[parent[v]], g.coords[v]))
-        for v in range(g.n)
-        if v != root
-    )
-    return Tree(g.n, tree_edges, root), dists
+    child = np.delete(np.arange(g.n), root)
+    up = np.array(parent)[child]
+    coords = np.array(g.coords)
+    return Tree(np.stack([up, child], 1), lengths(coords[up], coords[child]), root), dists
 
 

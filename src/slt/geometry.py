@@ -38,6 +38,16 @@ def each(fn, *arrays) -> np.ndarray:
     return np.fromiter(map(fn, *cols), np.float64, len(cols[0])).reshape(shape)
 
 
+def lengths(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per row, the distance between the points ``a`` and ``b``, (m, d) arrays each.
+
+    ``math.hypot`` of the numpy differences: the floats ``math.dist`` gives.
+    A difference that overflows is inf there too, so numpy's warning is off.
+    """
+    with np.errstate(over="ignore"):
+        return each(math.hypot, *(a - b).T)
+
+
 def sum_columns(x: np.ndarray) -> np.ndarray:
     """Sums over the last axis, column by column from 0.0, left to right.
 

@@ -2,10 +2,11 @@
 the collector pause every build runs under.
 
 ``dijkstra`` is the one shortest-path kernel: folding, core2d and the
-pyramid each end with its tree from the root.  It runs Bellman-Ford
-rounds in numpy, finishes a deep tree with a heap, and gives a
-binary-heap Dijkstra's distances and parents, ties included; that
-Dijkstra is the tests' oracle.
+pyramid each end with its tree from the root, and ``measure`` takes a
+returned tree's root distances from it.  It runs Bellman-Ford rounds in
+numpy, finishes a deep tree with a heap, and gives a binary-heap
+Dijkstra's distances and parents, ties included; that Dijkstra is the
+tests' oracle.
 """
 from __future__ import annotations
 
@@ -18,8 +19,8 @@ from heapq import heapify, heappop, heappush
 import numpy as np
 
 from .errors import Unreachable
-from .geometry import Point, dist
-from .mst_path import Tree
+from .geometry import lengths
+from .mst_path import SteinerGraph, Tree
 
 
 def collector_paused(build):
@@ -42,15 +43,6 @@ def collector_paused(build):
                 gc.enable()
 
     return paused
-
-
-def adjacency(n: int, edges) -> list[list[tuple[int, float]]]:
-    """Neighbour lists ``(vertex, weight)`` of an undirected edge list, in edge order."""
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for u, v, w in edges:
-        adj[u].append((v, w))
-        adj[v].append((u, w))
-    return adj
 
 
 def dijkstra(n: int, ends, weights, source: int):
@@ -90,6 +82,9 @@ def dijkstra(n: int, ends, weights, source: int):
     edge enters late, so a higher index can be settled first.  For those
     edges alone the heap's order is replayed (``_settled_first``), so
     every parent is the heap's.
+
+    A sum past the largest float is inf, as in Python, without numpy's
+    overflow warning: an edge that weighs inf reaches nothing.
     """
     ends = np.asarray(ends, dtype=np.intp).reshape(-1, 2)
     weights = np.asarray(weights, dtype=np.float64)
@@ -99,16 +94,17 @@ def dijkstra(n: int, ends, weights, source: int):
     dists = np.full(n, math.inf)
     dists[source] = 0.0
     rounds = 2 * len(tail).bit_length()
-    lowered = _relax(dists, tail, head, w)
-    while len(lowered):
-        rounds -= 1
-        if not rounds:
-            dists = _settle(dists, lowered, tail, head, w)
-            break
+    with np.errstate(over="ignore"):
         lowered = _relax(dists, tail, head, w)
-    at_tail = dists[tail]
-    at_head = dists[head]
-    tight = (at_tail + w == at_head) & (at_head < math.inf)
+        while len(lowered):
+            rounds -= 1
+            if not rounds:
+                dists = _settle(dists, lowered, tail, head, w)
+                break
+            lowered = _relax(dists, tail, head, w)
+        at_tail = dists[tail]
+        at_head = dists[head]
+        tight = (at_tail + w == at_head) & (at_head < math.inf)
     before = at_tail < at_head
     strict = tight & before
     parent = np.full(n, n, dtype=np.intp)
@@ -192,21 +188,6 @@ def _settled_first(dists, tails, heads, seeded) -> list[bool]:
     return [rank[u] < rank[v] for u, v in zip(tails, heads)]
 
 
-def tree_distances(tree: Tree, source: int):
-    """Exact path lengths from ``source`` within a tree."""
-    adj = adjacency(tree.n, tree.edges)
-    dist_arr = [math.inf] * tree.n
-    dist_arr[source] = 0.0
-    stack = [source]
-    while stack:
-        v = stack.pop()
-        for u, w in adj[v]:
-            if math.isinf(dist_arr[u]):
-                dist_arr[u] = dist_arr[v] + w
-                stack.append(u)
-    return dist_arr
-
-
 def root_paths(parent, root: int, targets) -> list[int]:
     """Ids of the vertices on the root's paths to the targets, ascending.
 
@@ -223,25 +204,6 @@ def root_paths(parent, root: int, targets) -> list[int]:
             if v < 0:
                 raise Unreachable(f"vertex {t} not reachable from the root")
     return [v for v in range(len(parent)) if on_path[v]]
-
-
-def root_stretch(
-    tree: Tree,
-    coords: list[Point],
-    source: int,
-    input_vertices: list[int],
-) -> list[float]:
-    """Per-point ratio of tree distance to Euclidean distance from the root."""
-    dist_arr = tree_distances(tree, source)
-    out = []
-    for v in input_vertices:
-        if math.isinf(dist_arr[v]):
-            raise Unreachable(f"vertex {v} not reachable from the root")
-        if v == source:
-            out.append(1.0)
-            continue
-        out.append(dist_arr[v] / dist(coords[source], coords[v]))
-    return out
 
 
 @dataclass
@@ -273,7 +235,7 @@ class SltReport:
 
 
 def measure(
-    tree: Tree, coords: list[Point], vertex_of: list[int], eps: float, mst_weight: float,
+    graph: SteinerGraph, tree: Tree, vertex_of: list[int], eps: float, mst_weight: float,
     flags: dict,
 ) -> SltReport:
     """The report of a returned tree, as ``slt verify`` measures it.
@@ -281,12 +243,32 @@ def measure(
     Input i is tree vertex ``vertex_of[i]`` and the root input is
     ``tree.root``: one stretch per input, in input order, from tree
     distances (the root's is 1.0), and the tree's weight against the MST's.
+
+    The tree distances are ``dijkstra``'s, and they are the floats of a
+    walk down the tree, d(v) = fl(d(p) + w) for the edge p-v of weight w
+    towards the root.  In a tree each vertex v but the root has exactly
+    one neighbour p towards the root.  Any other neighbour c offers
+    fl(d(c) + w'), which is at least d(c), which is at least d(v), as
+    w' >= 0 and rounding is monotone.  So the kernel's fixed point is
+    d(v) = fl(d(p) + w), the walk's value.  Its rounds are one vector add
+    per hop level, and a tree deeper than its round cap, such as points
+    on a ray, ends in the kernel's heap.
     """
-    per_point = root_stretch(tree, coords, tree.root, vertex_of)
+    dists, _ = dijkstra(graph.n, tree.edges, tree.weights, tree.root)
+    ids = np.array(vertex_of, dtype=np.intp)
+    d = np.array(dists)[ids]
+    cut_off = np.flatnonzero(d == math.inf)
+    if len(cut_off):
+        raise Unreachable(f"vertex {vertex_of[cut_off[0]]} not reachable from the root")
+    far = ids != tree.root
+    stretch = np.ones(len(ids))
+    with np.errstate(invalid="ignore"):  # inf / inf is nan, as in Python
+        stretch[far] = d[far] / lengths(graph.coords[ids[far]], graph.coords[tree.root])
+    per_point = stretch.tolist()
     weight = tree.weight
     return SltReport(
         n=len(vertex_of),
-        d=len(coords[tree.root]),
+        d=graph.coords.shape[1],
         eps=eps,
         mst_weight=mst_weight,
         tree_weight=weight,

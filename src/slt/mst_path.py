@@ -1,4 +1,5 @@
-"""Point clouds, their Euclidean MST and its DFS-order Hamiltonian path.
+"""Point clouds, the array records of a tree, the Euclidean MST and its
+DFS-order Hamiltonian path.
 
 ``PointCloud`` rejects coinciding inputs once, so every build after it
 tells vertices apart by id: it sorts the points along one fixed direction
@@ -7,6 +8,9 @@ and tests only the pairs within a rounding-safe window of each other.
 every report divides by its weight.  Up to 4 dimensions and from 500
 points it takes Kruskal over the pairs within a local reach, found by cell
 buckets, and Borůvka for the rest; otherwise Prim's tree, O(n^2).
+
+Every build, the tree file and ``slt verify`` share one pair of records:
+``SteinerGraph`` is the vertex table, ``Tree`` the topology over it.
 """
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DuplicatePoints
-from .geometry import COINCIDENT_TOL, Point, Polyline
+from .geometry import COINCIDENT_TOL, Point, Polyline, lengths
 
 
 @dataclass(frozen=True)
@@ -31,6 +35,8 @@ class PointCloud:
     def __post_init__(self):
         if not self.points:
             raise ValueError("empty point set")
+        if len(self.points) < 2:
+            raise ValueError("need at least two points")
         d = len(self.points[0])
         if d < 2:
             raise ValueError("dimension must be at least 2")
@@ -139,18 +145,38 @@ def _duplicate_pairs(points) -> list[tuple[int, int]]:
     return sorted(map(tuple, np.concatenate(found).tolist()))
 
 
-@dataclass(frozen=True)
-class Tree:
-    """Rooted spanning tree: n vertices, n-1 weighted edges."""
+@dataclass(frozen=True, eq=False)
+class SteinerGraph:
+    """The vertex table of a tree: vertex v is at ``coords[v]``, of kind ``kinds[v]``.
 
-    n: int
-    edges: tuple[tuple[int, int, float], ...]
+    Every build numbers its vertices as it makes them, and two vertices
+    may share a point.
+    """
+
+    coords: np.ndarray  # (n, d) float64
+    kinds: list[str]
+
+    @property
+    def n(self) -> int:
+        return len(self.coords)
+
+
+@dataclass(frozen=True, eq=False)
+class Tree:
+    """Rooted spanning tree on n vertices: edge e joins ``edges[e]`` and weighs ``weights[e]``."""
+
+    edges: np.ndarray  # (n - 1, 2) int
+    weights: np.ndarray  # (n - 1,) float64
     root: int
 
     @property
+    def n(self) -> int:
+        return len(self.edges) + 1
+
+    @property
     def weight(self) -> float:
-        # fsum over sorted weights: equal edge multisets sum to equal floats.
-        return math.fsum(sorted(w for _, _, w in self.edges))
+        # fsum is exactly rounded, so the edge order cannot change it.
+        return math.fsum(self.weights.tolist())
 
 
 @dataclass(frozen=True)
@@ -185,13 +211,15 @@ def euclidean_mst(pts: PointCloud) -> Tree:
     ``_local_mst``'s tree; otherwise, or where that finds Borůvka too
     costly, ``_prim``'s from the root.  Where distances nearly tie the two
     can differ, as Prim's tie window is not the local path's exact order.
+    Only the n - 1 chosen edges are weighed, by ``lengths``.
     """
     edges = None
     if pts.dim <= _LOCAL_MAX_DIM and pts.n >= _LOCAL_MIN_N:
         edges = _local_mst(pts.points)
     if edges is None:
         edges = _prim(pts.points, pts.root)
-    return Tree(pts.n, edges, pts.root)
+    points = np.array(pts.points, dtype=float)
+    return Tree(edges, lengths(points[edges[:, 0]], points[edges[:, 1]]), pts.root)
 
 
 def _scaled_columns(points) -> np.ndarray:
@@ -202,8 +230,8 @@ def _scaled_columns(points) -> np.ndarray:
     return np.ascontiguousarray(np.ldexp(arr, -exp).T)
 
 
-def _prim(points, root: int) -> tuple[tuple[int, int, float], ...]:
-    """Prim's tree over distinct ``points`` from ``root``, O(n^2).
+def _prim(points, root: int) -> np.ndarray:
+    """Prim's tree over distinct ``points`` from ``root``, O(n^2), as (u, v) rows.
 
     Each outside vertex is a candidate through its nearest tree vertex
     (equal distances: the smaller edge pair).  The next edge is the
@@ -219,8 +247,6 @@ def _prim(points, root: int) -> tuple[tuple[int, int, float], ...]:
     they give the same floats and the same tree.
     """
     n = len(points)
-    if n == 1:
-        return ()
     # Distances come from coordinate differences, never from the Gram form
     # |x|^2+|y|^2-2x.y, which cancels for a cluster far from the origin or
     # from the root.
@@ -266,9 +292,7 @@ def _prim(points, root: int) -> tuple[tuple[int, int, float], ...]:
         if len(ties) > 1:  # grids tie by the hundred: the pair order, vectorized
             src = best_from[ties]
             v = int(ties[(np.minimum(ties, src) * n + np.maximum(ties, src)).argmin()])
-        u = int(best_from[v])
-        # Store the canonical weight, not the row's rounding of it.
-        edges.append((u, v, math.dist(points[u], points[v])))
+        edges.append((int(best_from[v]), v))
         best[v] = np.inf
         d = row(v)
         # Equal-distance candidates may still prefer the new edge pair.
@@ -279,7 +303,7 @@ def _prim(points, root: int) -> tuple[tuple[int, int, float], ...]:
             f = int(best_from[t])
             if (min(t, v), max(t, v)) < (min(t, f), max(t, f)):
                 best_from[t] = v
-    return tuple(edges)
+    return np.array(edges, dtype=np.intp).reshape(-1, 2)
 
 
 def _pairs_within(pts: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray]:
@@ -361,8 +385,8 @@ _PAIR_COST = 64
 _PAIRS_PER_POINT = 16
 
 
-def _local_mst(points) -> tuple[tuple[int, int, float], ...] | None:
-    """The MST's edges, by Kruskal within a reach, then Borůvka.
+def _local_mst(points) -> np.ndarray | None:
+    """The MST's edges as (lo, hi) rows, by Kruskal within a reach, then Borůvka.
 
     Pairs are ordered by (d2, lower index, higher index), d2 the squared
     distance summed axis by axis over ``_scaled_columns`` as
@@ -391,8 +415,6 @@ def _local_mst(points) -> tuple[tuple[int, int, float], ...] | None:
       column, the row's least pair in the order; one ``lexsort`` then gives
       each component its least (d2, lo, hi).  The rows come in blocks of
       ``_GRAM_BLOCK`` entries.
-
-    Only the n - 1 chosen edges are weighed, by ``math.dist``.
     """
     n, dim = len(points), len(points[0])
     columns = _scaled_columns(points)
@@ -459,7 +481,7 @@ def _local_mst(points) -> tuple[tuple[int, int, float], ...] | None:
         order = order[first]
         join(lo[order], hi[order])
         label = _roots(parent)
-    return tuple((i, j, math.dist(points[i], points[j])) for i, j in chosen)
+    return np.array(chosen, dtype=np.intp)
 
 
 def _squared_rows(columns: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -488,7 +510,7 @@ def dfs_hamiltonian(tree: Tree, pts: PointCloud) -> HamPath:
     if tree.root != pts.root or tree.n != pts.n:
         raise ValueError("tree does not match the point cloud")
     children: list[list[int]] = [[] for _ in range(tree.n)]
-    for u, v, _ in tree.edges:
+    for u, v in tree.edges.tolist():
         children[u].append(v)
         children[v].append(u)
     order = []

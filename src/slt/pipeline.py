@@ -34,8 +34,7 @@ every libm function is called once per element (``each``), and no sum
 is reassociated.
 
 ``assemble_core2d`` runs the recursive triangle core alone on a 2-d instance
-and returns the same (graph, tree, report) triple as ``assemble_slt``.  It
-lives here, not in ``core2d``, because it needs ``SteinerGraph``.
+and returns the same (graph, tree, report) triple as ``assemble_slt``.
 """
 from __future__ import annotations
 
@@ -49,37 +48,11 @@ from .core2d import (
     CoreChain, CoreChains, CoreInstance, apex_path, build_core, core_chains, core_spt, portal_grid
 )
 from .errors import EmptySurface, EpsOutOfRange, SltError
-from .geometry import Point, each
+from .geometry import each, lengths
 from .metrics import collector_paused, dijkstra, measure, root_paths
-from .mst_path import PointCloud, Tree, dfs_hamiltonian, euclidean_mst
+from .mst_path import PointCloud, SteinerGraph, Tree, dfs_hamiltonian, euclidean_mst
 from .unfolding import SurfaceRows, Surfaces, build_surfaces
 from .unfolding import lift, lift_segment  # noqa: F401  not called; perfbench's layer trace wraps them
-
-
-class SteinerGraph:
-    """Weighted geometric graph over input and Steiner vertices.
-
-    A vertex is its position in ``coords`` and ``kinds``: every build
-    numbers its vertices as it makes them, and two vertices may share a
-    point.
-    """
-
-    def __init__(self):
-        self.coords: list[Point] = []
-        self.kinds: list[str] = []
-        self.edges: list[tuple[int, int, float]] = []
-
-    @property
-    def n(self) -> int:
-        return len(self.coords)
-
-    def add_vertex(self, p: Point, kind: str) -> int:
-        self.coords.append(p)
-        self.kinds.append(kind)
-        return len(self.coords) - 1
-
-    def add_edge(self, u: int, v: int) -> None:
-        self.edges.append((u, v, math.dist(self.coords[u], self.coords[v])))
 
 
 #: The kinds of a folding graph's vertices, by code.
@@ -290,8 +263,6 @@ def _front_end(pts: PointCloud, eps: float, gamma: float, lam: float = 1.25):
     both start here, so they accept and reject the same parameters, on
     any input: lam as well, which only a gadget's core reads.
     """
-    if pts.n < 2:
-        raise ValueError("need at least two points")
     if not 0.0 < eps <= 0.25:
         raise EpsOutOfRange(f"eps={eps} outside (0, 1/4]")
     if not 1.0 <= gamma < math.inf:
@@ -399,7 +370,7 @@ def assemble_slt(
 
     phase1 = sub.total_length + math.fsum(each(math.hypot, *(bps.points[1:] - s).T).tolist())
     report = measure(
-        tree, tree_graph.coords, input_vertices, eps, mst.weight,
+        tree_graph, tree, input_vertices, eps, mst.weight,
         {
             "gamma": gamma,
             "phase1_weight": phase1,
@@ -584,7 +555,7 @@ def _realize(pts: PointCloud, sub: SubdividedPath, surfaces: Surfaces, held: np.
 def _prune(
     G: FoldingGraph, dists: list[float], parent: list[int], targets: list[int], root_id: int
 ):
-    """Union of root paths to the targets, lifted into a fresh SteinerGraph.
+    """Union of root paths to the targets, lifted into a fresh graph and its tree.
 
     Every kept vertex keeps its own id, even where two lifts land on one
     point, and hangs off its parent by one edge, one core-path stop or
@@ -677,13 +648,10 @@ def _prune(
     at = np.arange(len(step)) - (np.cumsum(count + 1) - count - 1)[step]
     eu = np.where(at == 0, a[step], first[step] + at - 1)
     ev = np.where(at == count[step], b[step], first[step] + at)
-    sub = SteinerGraph()
-    sub.coords = list(map(tuple, points.tolist()))
-    sub.kinds = [KINDS[k] for k in G.kind[used].tolist()]
-    sub.kinds += ["ell_steiner" if i < 0 else "core_apex" for i in level.tolist()] + ["bend"] * len(seg)
-    sub.edges = list(zip(eu.tolist(), ev.tolist(), each(math.hypot, *(points[eu] - points[ev]).T).tolist()))
-    tree = Tree(sub.n, tuple(sub.edges), int(new[root_id]))
-    return sub, tree, new[targets].tolist()
+    kinds = [KINDS[k] for k in G.kind[used].tolist()]
+    kinds += ["ell_steiner" if i < 0 else "core_apex" for i in level.tolist()] + ["bend"] * len(seg)
+    tree = Tree(np.stack([eu, ev], 1), lengths(points[eu], points[ev]), int(new[root_id]))
+    return SteinerGraph(points, kinds), tree, new[targets].tolist()
 
 
 _CORE_KINDS = {"root": "input", "apex": "core_apex", "grid": "grid", "input": "input"}
@@ -705,17 +673,15 @@ def assemble_core2d(pts: PointCloud, eps: float, lam: float = 1.25):
     hi = max(base, key=lambda p: p[0])
     g = build_core(CoreInstance(pts.points[pts.root], lo, hi, tuple(base), eps, lam))
     core_tree, _ = core_spt(g)
-    graph = SteinerGraph()
-    for i in range(g.n):
-        graph.add_vertex(g.plane_coords(i), _CORE_KINDS[g.kinds[i]])
-    for u, v, _ in core_tree.edges:
-        graph.add_edge(u, v)
-    tree = Tree(graph.n, tuple(graph.edges), core_tree.root)
+    graph = SteinerGraph(np.array([g.plane_coords(i) for i in range(g.n)]),
+                         [_CORE_KINDS[k] for k in g.kinds])
+    u, v = core_tree.edges.T
+    tree = Tree(core_tree.edges, lengths(graph.coords[u], graph.coords[v]), core_tree.root)
     # The core numbers the root first and the base points in input order.
     base_ids = iter(g.input_ids)
     vertex_of = [g.root if i == pts.root else next(base_ids) for i in range(pts.n)]
     report = measure(
-        tree, graph.coords, vertex_of, eps, euclidean_mst(pts).weight,
+        graph, tree, vertex_of, eps, euclidean_mst(pts).weight,
         {
             "levels": g.k,
             "chain_total": sum([(1 << (i + 1)) * g.chain[i] for i in range(g.k + 1)]),

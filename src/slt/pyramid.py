@@ -20,10 +20,9 @@ import numpy as np
 
 from .core2d import levels_for_eps
 from .errors import AngleOverflow, DimensionTooSmall, EpsOutOfRange, SltError
-from .geometry import Point, dist
+from .geometry import Point, dist, lengths
 from .metrics import collector_paused, dijkstra, measure, root_paths
-from .mst_path import PointCloud, Tree, _pairs_within, euclidean_mst
-from .pipeline import SteinerGraph
+from .mst_path import PointCloud, SteinerGraph, Tree, _pairs_within, euclidean_mst
 
 SPANNER_T = 1.25
 
@@ -252,18 +251,22 @@ def yao_spanner(points: np.ndarray, reach: float) -> np.ndarray:
     return np.column_stack(np.divmod(key, n))
 
 
-def base_spanner(points: list[Point], reach: float) -> tuple[np.ndarray, list[float]]:
-    """Cone spanner over base points, for the pairs within ``reach``.
+def base_spanner(points: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray]:
+    """Cone spanner over base points, an (n, d) array, for the pairs within ``reach``.
 
     The points lie in the base hyperplane x_0 = 0; ``yao_spanner`` works on
     their remaining coordinates, and every pair within ``reach`` has a
     path of at most ``SPANNER_T`` times its length.  Returns the edges as
     an (m, 2) index array and their lengths, in edge order.
     """
-    edges = yao_spanner(np.delete(np.asarray(points, dtype=float), 0, axis=1), reach)
-    at = points.__getitem__
-    lengths = list(map(math.dist, map(at, edges[:, 0].tolist()), map(at, edges[:, 1].tolist())))
-    return edges, lengths
+    edges = yao_spanner(points[:, 1:], reach)
+    return edges, lengths(points[edges[:, 0]], points[edges[:, 1]])
+
+
+def _lattice(x0: float, axis: list[float], dim: int) -> np.ndarray:
+    """The points (x0, axis[i_1], ..., axis[i_dim]) over every index vector, lexicographically."""
+    index = np.indices((len(axis),) * dim).reshape(dim, -1).T
+    return np.column_stack([np.full(len(index), x0), np.array(axis)[index]])
 
 
 @collector_paused
@@ -303,86 +306,72 @@ def build_pyramid_core(d: int, eps: float, grid: GridSpec, lam: float = 1.25):
 
     inputs = grid_points(d, eps, grid)
     apex = (heights[0],) + (0.0,) * dim
+    n = len(inputs)
 
-    G = SteinerGraph()
-    apex_id = G.add_vertex(apex, "input")
-    input_ids = [G.add_vertex(p, "input") for p in inputs]
-
-    # Corner lattice of the level-k subdivision (the base Steiner grid), as
-    # vertex ids by corner index; integer congruences decide coincidences
-    # with grid cell centers.
+    # The search graph's vertices, each block in lexicographic order of its
+    # indices: the apex (0), the grid points (1..n), the corners of the
+    # level-k subdivision (the base Steiner grid) that are no grid cell
+    # centre, then the apices of levels 1..k.  Integer congruences decide
+    # which corners are centres: c/2^k == (i+0.5)/m on every axis, for one
+    # of the first n cells i (grid_points makes the centres in this order).
     m = grid.per_axis
     two_k = 1 << k
-    corner_coord = [-side / 2.0 + c * side / two_k for c in range(two_k + 1)]
-    # grid_points makes the cell centres in this order, the first grid.n of them.
-    center_of = dict(zip(itertools.product(range(m), repeat=dim), input_ids))
-    corner = np.empty((two_k + 1,) * dim, dtype=int)
-    for cvec in itertools.product(range(two_k + 1), repeat=dim):
-        # Coincidence with a cell center: c/2^k == (i+0.5)/m for all axes.
-        nums = [2 * c * m - two_k for c in cvec]
-        cell = tuple(x // (2 * two_k) if x >= 0 and x % (2 * two_k) == 0 else -1 for x in nums)
-        if cell in center_of:
-            corner[cvec] = center_of[cell]
-        else:
-            corner[cvec] = G.add_vertex((0.0,) + tuple(corner_coord[c] for c in cvec), "grid")
+    corners = _lattice(0.0, [-side / 2.0 + c * side / two_k for c in range(two_k + 1)], dim)
+    x = 2 * m * np.indices((two_k + 1,) * dim).reshape(dim, -1) - two_k
+    at_centre = ((x >= 0) & (x % (2 * two_k) == 0)).all(axis=0)
+    cell = np.ravel_multi_index(np.where(at_centre, x // (2 * two_k), 0), (m,) * dim)
+    at_centre &= cell < n
+    n_grid = len(corners) - int(np.count_nonzero(at_centre))
+    corner = np.where(at_centre, 1 + cell, n + np.cumsum(~at_centre)).reshape((two_k + 1,) * dim)
+    blocks = [np.array([apex]), np.array(inputs), corners[~at_centre]]
 
     # Apices per level, as vertex ids by cell index: cell j's parent is cell
     # j // 2, and each level-k apex joins the corners of its cell.  Each
     # entry of ``joins`` pairs the upper with the lower ends of one level.
-    level = np.full((1,) * dim, apex_id)
+    level = np.zeros((1,) * dim, dtype=np.intp)
     joins = []
     for i in range(1, k + 1):
         cells = 1 << i
         csize = side / cells
-        first = G.n
-        for jvec in itertools.product(range(cells), repeat=dim):
-            center = tuple(-side / 2.0 + (j + 0.5) * csize for j in jvec)
-            G.add_vertex((heights[i],) + center, "core_apex")
-        children = np.arange(first, G.n).reshape((cells,) * dim)
+        first = sum(map(len, blocks))
+        blocks.append(_lattice(heights[i], [-side / 2.0 + (j + 0.5) * csize for j in range(cells)], dim))
+        children = np.arange(first, first + cells**dim).reshape((cells,) * dim)
         joins.append((level[np.ix_(*[np.arange(cells) // 2] * dim)], children))
         level = children
+    coords = np.concatenate(blocks)
     offsets = itertools.product((0, 1), repeat=dim)
     shifted = [corner[tuple(slice(o, o + two_k) for o in off)] for off in offsets]
     cell_corners = np.stack(shifted, axis=-1)
     joins.append((np.broadcast_to(level[..., None], cell_corners.shape), cell_corners))
 
     # The search graph's edges: the apex tree level by level, then the base spanner.
-    us: list[int] = []
-    vs: list[int] = []
-    ws: list[float] = []
-    chain: list[float] = []
-    level_edge_totals: list[float] = []
+    ends, ws, chain, level_edge_totals = [], [], [], []
     for upper, lower in joins:
-        level_us, level_vs = upper.ravel().tolist(), lower.ravel().tolist()
-        level_ws = [dist(G.coords[u], G.coords[v]) for u, v in zip(level_us, level_vs)]
-        total = 0.0
-        for w in level_ws:  # in edge order; sum() may round differently
-            total += w
-        us += level_us
-        vs += level_vs
-        ws += level_ws
-        chain.append(max(level_ws))
-        level_edge_totals.append(total)
+        level_ends = np.column_stack([upper.ravel(), lower.ravel()])
+        level_ws = lengths(coords[level_ends[:, 0]], coords[level_ends[:, 1]])
+        ends.append(level_ends)
+        ws.append(level_ws)
+        chain.append(float(level_ws.max()))
+        level_edge_totals.append(float(np.cumsum(level_ws)[-1]))  # in edge order, as a loop adds
 
-    base_ids = np.array(input_ids + [i for i in corner.ravel().tolist() if i > len(inputs)])
-    base_points = [G.coords[i] for i in base_ids.tolist()]
+    base_ids = np.arange(1, n + 1 + n_grid)
     reach = SPANNER_T * side * math.sqrt(dim) / (2 * two_k) * (1.0 + 1e-6)
-    span_edges, span_w = base_spanner(base_points, reach)
-    ends = np.concatenate([np.column_stack([us, vs]), base_ids[span_edges]])
-    _, parent = dijkstra(G.n, ends, np.concatenate([ws, span_w]), apex_id)
+    span_edges, span_w = base_spanner(coords[base_ids], reach)
+    ends = np.concatenate(ends + [base_ids[span_edges]])
+    _, parent = dijkstra(len(coords), ends, np.concatenate(ws + [span_w]), 0)
     # The tree keeps the vertices on the apex's paths to the grid points,
     # in their order: the apex and the grid points keep their ids.
-    kept = root_paths(parent, apex_id, input_ids)
-    graph = SteinerGraph()
-    new_id = {v: graph.add_vertex(G.coords[v], G.kinds[v]) for v in kept}
-    for v in kept:
-        if v != apex_id:
-            graph.add_edge(new_id[parent[v]], new_id[v])
-    tree = Tree(graph.n, tuple(graph.edges), apex_id)
+    kept = np.array(root_paths(parent, 0, range(1, n + 1)))
+    new = np.empty(len(coords), dtype=np.intp)
+    new[kept] = np.arange(len(kept))
+    up = np.array(parent)[kept[1:]]
+    kinds = ["input"] * (n + 1) + ["grid"] * n_grid + ["core_apex"] * (len(coords) - n - 1 - n_grid)
+    graph = SteinerGraph(coords[kept], [kinds[v] for v in kept.tolist()])
+    tree = Tree(np.stack([new[up], new[kept[1:]]], 1), lengths(coords[up], coords[kept[1:]]), 0)
 
     mst = euclidean_mst(PointCloud((apex,) + inputs))
     report = measure(
-        tree, graph.coords, [apex_id] + input_ids, eps, mst.weight,
+        graph, tree, list(range(n + 1)), eps, mst.weight,
         {
             "levels": k,
             "level_angles": [alpha * lam**i for i in range(k + 1)],

@@ -2,7 +2,8 @@
 
 Shortest paths (a binary-heap Dijkstra, the SPT it gives on a connected
 graph, and Floyd-Warshall, with the library's kernel over the same edge
-lists), Kruskal's MST, the pairs of coinciding points
+lists), a tree's root distances and stretch by a walk over its neighbour
+lists, a graph grown one vertex and edge at a time, Kruskal's MST, the pairs of coinciding points
 (with a cloud on which the duplicate check's sort finds no order), a
 polyline's point at an arc length, a cone's planar unfolding, the
 convex-hull covering radius of the cone axes, a lower bound on the
@@ -27,12 +28,88 @@ from slt.errors import (
     AngleOutOfRange, AngleOverflow, DegenerateRay, Disconnected, EmptySurface, EpsOutOfRange
 )
 from slt.geometry import COINCIDENT_TOL, ArcPosition, PlanePoint, Point, Polyline, dist, each, points_close
-from slt.metrics import adjacency, dijkstra, root_paths
-from slt.mst_path import HamPath, PointCloud, Tree, _direction, dfs_hamiltonian, euclidean_mst
+from slt.metrics import dijkstra, root_paths
+from slt.mst_path import HamPath, PointCloud, SteinerGraph, Tree, _direction, dfs_hamiltonian, euclidean_mst
 from slt.breakpoints import BreakpointSet, SubdividedPath
-from slt.pipeline import KINDS, FoldingGraph, Gadgets, SteinerGraph
+from slt.pipeline import KINDS, FoldingGraph, Gadgets
 from slt.pyramid import GridSpec
 from slt.unfolding import FoldedSurface, Surfaces, _vertex_angles
+
+
+def adjacency(n: int, edges) -> list[list[tuple[int, float]]]:
+    """Neighbour lists ``(vertex, weight)`` of an undirected edge list (u, v, w), in edge order."""
+    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for u, v, w in edges:
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    return adj
+
+
+def triples(tree: Tree) -> list[tuple[int, int, float]]:
+    """The tree's edges as (u, v, weight) triples, in edge order."""
+    return list(zip(*tree.edges.T.tolist(), tree.weights.tolist()))
+
+
+def coord_tuples(graph: SteinerGraph) -> list[Point]:
+    """The graph's vertices as tuples of floats, in id order."""
+    return list(map(tuple, graph.coords.tolist()))
+
+
+def tree_distances(tree: Tree, source: int) -> list[float]:
+    """Path lengths from ``source`` within a tree, by a stack walk: d(v) = d(p) + w down each edge p-v.
+
+    A vertex is marked when first reached, not by a finite distance, so an
+    edge that weighs inf gives the vertices past it inf and ends.
+    """
+    adj = adjacency(tree.n, triples(tree))
+    dist_arr = [math.inf] * tree.n
+    dist_arr[source] = 0.0
+    seen = [False] * tree.n
+    seen[source] = True
+    stack = [source]
+    while stack:
+        v = stack.pop()
+        for u, w in adj[v]:
+            if not seen[u]:
+                seen[u] = True
+                dist_arr[u] = dist_arr[v] + w
+                stack.append(u)
+    return dist_arr
+
+
+def root_stretch(graph: SteinerGraph, tree: Tree, vertex_of: list[int]) -> list[float]:
+    """Per input vertex, its ``tree_distances`` over its distance to the root; the root's is 1.0."""
+    d, coords = tree_distances(tree, tree.root), coord_tuples(graph)
+    return [1.0 if v == tree.root else d[v] / math.dist(coords[tree.root], coords[v]) for v in vertex_of]
+
+
+class ListGraph:
+    """A graph grown one vertex and one edge at a time: ``coords`` and
+    ``kinds`` per vertex, ``edges`` as (u, v, weight), each weighing the
+    distance between its ends."""
+
+    def __init__(self):
+        self.coords: list[Point] = []
+        self.kinds: list[str] = []
+        self.edges: list[tuple[int, int, float]] = []
+
+    @property
+    def n(self) -> int:
+        return len(self.coords)
+
+    def add_vertex(self, p: Point, kind: str) -> int:
+        self.coords.append(p)
+        self.kinds.append(kind)
+        return len(self.coords) - 1
+
+    def add_edge(self, u: int, v: int) -> None:
+        self.edges.append((u, v, math.dist(self.coords[u], self.coords[v])))
+
+    def records(self, root: int) -> tuple[SteinerGraph, Tree]:
+        """The graph as the package's array records, its edges those of a tree from ``root``."""
+        ends = np.array([(u, v) for u, v, _ in self.edges], dtype=np.intp).reshape(-1, 2)
+        return (SteinerGraph(np.array(self.coords, dtype=float), list(self.kinds)),
+                Tree(ends, np.array([w for *_, w in self.edges]), root))
 
 
 def heap_dijkstra(n: int, adj: list[list[tuple[int, float]]], source: int):
@@ -118,13 +195,14 @@ def kruskal_mst(points: tuple[Point, ...], root: int = 0) -> Tree:
         (dist(points[i], points[j]), i, j) for i in range(n) for j in range(i + 1, n)
     )
     uf = _UnionFind(n)
-    edges = []
+    edges, weights = [], []
     for w, i, j in pairs:
         if uf.union(i, j):
-            edges.append((i, j, w))
+            edges.append((i, j))
+            weights.append(w)
             if len(edges) == n - 1:
                 break
-    return Tree(n, tuple(edges), root)
+    return Tree(np.array(edges, dtype=np.intp).reshape(-1, 2), np.array(weights), root)
 
 
 def duplicate_pairs(points) -> list[tuple[int, int]]:
@@ -754,7 +832,7 @@ def made_surfaces(surfaces: list[FoldedSurface], inputs_of: list[list[int]]):
 # floats, vertices and edges.
 
 
-class PlanarGraph(SteinerGraph):
+class PlanarGraph(ListGraph):
     """The folding graph with its edges added one at a time.
 
     ``planar`` maps the key (lo, hi) of a gadget edge to its surface and
@@ -1113,7 +1191,7 @@ def loop_prune(G: FoldingGraph, surfaces: list[FoldedSurface], dists: list[float
     added in order of root distance.
     """
     used = root_paths(parent, root_id, targets)
-    sub = SteinerGraph()
+    sub = ListGraph()
     n_old = G.n
     sub_coords, sub_kinds, sub_edges = sub.coords, sub.kinds, sub.edges
     new = {}
@@ -1187,8 +1265,7 @@ def loop_prune(G: FoldingGraph, surfaces: list[FoldedSurface], dists: list[float
                 sub_edges.append((a, bend, math.dist(sub_coords[a], sub_coords[bend])))
                 a = bend
         sub_edges.append((a, b, math.dist(sub_coords[a], sub_coords[b])))
-    tree = Tree(sub.n, tuple(sub_edges), new[root_id])
-    return sub, tree, [new[t] for t in targets]
+    return *sub.records(new[root_id]), [new[t] for t in targets]
 
 
 def scalar_apex_path(k: int, j: int, placed) -> list[tuple[int, int]]:

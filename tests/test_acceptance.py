@@ -16,7 +16,8 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 from oracles import (
-    core_metrics, floyd_warshall, kruskal_mst, oracle_spt, pyramid_mst_lower_bound
+    core_metrics, floyd_warshall, kruskal_mst, oracle_spt, pyramid_mst_lower_bound, tree_distances,
+    triples,
 )
 
 import slt
@@ -24,7 +25,6 @@ from slt.breakpoints import select_breakpoints, subdivide
 from slt.cli import run_cli
 from slt.core2d import CoreInstance, build_core, core_spt
 from slt.geometry import dist
-from slt.metrics import tree_distances
 from slt.mst_path import PointCloud, dfs_hamiltonian, euclidean_mst
 from slt.pipeline import assemble_slt
 from slt.pyramid import GridSpec, build_pyramid_core, yao_spanner
@@ -291,7 +291,7 @@ def test_criterion_9_oracle_equivalence():
         pc = PointCloud(suite_points(2, 10, 0.25, 0))
         g, tree, rep = assemble_slt(pc, 0.25)
         if g.n <= 200:
-            dists, _ = oracle_spt(g.n, g.edges, tree.root)
+            dists, _ = oracle_spt(g.n, triples(tree), tree.root)
             td = tree_distances(tree, tree.root)
             for v in range(g.n):
                 assert abs(td[v] - dists[v]) <= 1e-12 * max(dists[v], 1.0)

@@ -182,12 +182,12 @@ def test_verify_rejects_non_tree_exit_two(tmp_path, capsys, ids, edges, root, fa
     assert fault in captured.err
 
 
-def run_python(args):
+def run_python(args, timeout=60):
     """A fresh interpreter that imports this checkout's slt."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(slt.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout
     )
 
 
@@ -223,31 +223,38 @@ pyramid = sorted(set(sys.modules) - before)
 rng = random.Random(1)
 pc = slt.PointCloud(tuple(tuple(rng.random() for _ in range(3)) for _ in range(600)))
 before = set(sys.modules)
-slt.assemble_slt(pc, 0.04)
+graph, tree, report = slt.assemble_slt(pc, 0.04)
 folding = sorted(set(sys.modules) - before)
 ray = slt.PointCloud(tuple((0.37 * t, 0.21 * t, 0.05 * t) for t in range(300)))
 before = set(sys.modules)
 slt.assemble_slt(ray, 0.09)
 print(pyramid, folding, sorted(set(sys.modules) - before))
+for call in (lambda: slt.cli.write_tree(sys.argv[1], graph, tree),
+             lambda: slt.cli.parse_tree(sys.argv[1]),
+             lambda: slt.measure(graph, tree, list(range(pc.n)), 0.04, report.mst_weight, {})):
+    before = set(sys.modules)
+    call()
+    print(sorted(set(sys.modules) - before))
 """
 
 
-def test_builds_import_nothing():
+def test_builds_import_nothing(tmp_path):
     # A module a build imports lazily is paid inside the build's time: numpy
     # loads numpy.ma on the first np.unique or np.median.  The pyramid-d4
     # build, a folding build that takes the local MST path (n=600, d=3) and
     # one along a ray, whose deep tree ends its shortest paths in a heap,
-    # each the first of its kind in a fresh process, import no module.
-    proc = run_python(["-c", _IMPORTED_DURING_BUILDS])
+    # each the first of its kind in a fresh process, import no module; nor
+    # do the first write_tree, parse_tree and measure of the folding tree.
+    proc = run_python(["-c", _IMPORTED_DURING_BUILDS, str(tmp_path / "tree.json")])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["[]", "[]", "[]"]
+    assert proc.stdout.split() == ["[]"] * 6
 
 
 # Names that left the package: deleted, or moved to tests/oracles.py.
 GONE_NAMES = ["CoreReport", "_UnionFind", "_bounded_dist", "_covering_radius", "core_metrics",
               "floyd_warshall", "greedy_spanner", "kruskal_mst", "oracle_spt", "point_at_arc",
               "pyramid_mst_lower_bound", "unfold", "_moved_near_origin", "_KIND_RANK", "_KINDS",
-              "_split_by_angle", "_MAX_SPLIT_ANGLE"]
+              "_split_by_angle", "_MAX_SPLIT_ANGLE", "adjacency", "tree_distances", "root_stretch"]
 
 _NAMES_CHILD = """
 import ast, importlib, json, pkgutil, sys, slt
@@ -441,6 +448,82 @@ def test_malformed_structure_exit_two(tmp_path, capsys, which, field, value, fau
     captured = capsys.readouterr()
     assert captured.out == ""
     assert fault in captured.err
+
+
+@pytest.mark.parametrize("row", ["12", [True, False], {"3": 1, "4": 2}, [1.0, True]],
+                         ids=["string", "bools", "object", "one-bool"])
+@pytest.mark.parametrize("which,fault", [("points", "point 2"), ("tree", "vertex 2")],
+                         ids=["points", "tree"])
+def test_a_row_that_is_not_a_list_of_numbers_exit_two(tmp_path, capsys, which, fault, row):
+    # float() reads "12" as 12.0 and an object's keys as coordinates, and a
+    # bool is an int to Python: none is a coordinate row.
+    pts_file, tree_file = tmp_path / "pts.json", tmp_path / "tree.json"
+    write_points(pts_file, SQUARE, 0)
+    vertices = [{"id": i, "coords": list(p), "kind": "input"} for i, p in enumerate(SQUARE)]
+    tree_file.write_text(canonical_dumps(
+        {"vertices": vertices, "edges": [[0, 1], [0, 2], [0, 3]], "root": 0}
+    ))
+    bad = pts_file if which == "points" else tree_file
+    data = json.loads(bad.read_text())
+    if which == "points":
+        data["points"][2] = row
+    else:
+        data["vertices"][2]["coords"] = row
+    bad.write_text(canonical_dumps(data))
+    commands = [["verify", "--input", pts_file, "--tree", tree_file, "--eps", 0.25]]
+    if which == "points":
+        commands.append(["build", "--eps", 0.25, "--input", pts_file])
+    for command in commands:
+        assert run(command) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{fault} is not a list of numbers: {row!r}" in captured.err
+
+
+def test_integer_coordinates_stay_valid(tmp_path, capsys):
+    pts_file, tree_file = tmp_path / "pts.json", tmp_path / "tree.json"
+    pts_file.write_text(canonical_dumps({"dim": 2, "points": [[0, 0], [3, 4], [1.5, 0]], "root": 0}))
+    assert run(["build", "--eps", 0.25, "--input", pts_file, "--output", tree_file]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 3
+    assert json.loads(tree_file.read_text())["vertices"][1]["coords"] == [3.0, 4.0]
+    assert run(["verify", "--input", pts_file, "--tree", tree_file, "--eps", 0.25]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", [
+    ["build", "--method", "folding"], ["build", "--method", "core2d"],
+    ["build", "--method", "pyramid"], ["verify"], ["render"],
+])
+def test_one_point_exits_one(tmp_path, capsys, command):
+    pts_file, tree_file = tmp_path / "pts.json", tmp_path / "tree.json"
+    write_points(pts_file, ((0.0, 0.0),), 0)
+    tree_file.write_text(canonical_dumps(
+        {"vertices": [{"id": 0, "coords": [0.0, 0.0], "kind": "input"}], "edges": [], "root": 0}
+    ))
+    extra = {"build": [], "verify": ["--tree", tree_file], "render": ["--output", tmp_path / "out.svg"]}
+    assert run(command + ["--eps", 0.25, "--input", pts_file] + extra[command[0]]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: need at least two points\n"
+
+
+def test_verify_returns_on_an_edge_whose_length_overflows(tmp_path):
+    # Edge 2-3 runs from 1e308 to -1e308 and weighs inf: the vertices past
+    # it are never reached, and the inputs 0 and 1 are.
+    pts_file, tree_file = tmp_path / "pts.json", tmp_path / "tree.json"
+    write_points(pts_file, ((0.0, 0.0), (1.0, 0.0)), 0)
+    coords = [[0.0, 0.0], [1.0, 0.0], [1e308, 0.0], [-1e308, 0.0], [-1e308, 1.0]]
+    kinds = ["input", "input", "bend", "bend", "bend"]
+    tree_file.write_text(canonical_dumps({
+        "vertices": [{"id": i, "coords": c, "kind": k} for i, (c, k) in enumerate(zip(coords, kinds))],
+        "edges": [[0, 1], [0, 2], [2, 3], [3, 4]], "root": 0,
+    }))
+    proc = run_python(["-m", "slt", "verify", "--input", str(pts_file), "--tree", str(tree_file),
+                       "--eps", "0.25"], timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["tree_weight"] == report["lightness"] == math.inf
+    assert report["per_point_stretch"] == [1.0, 1.0]
 
 
 def test_duplicate_points_exit_one(tmp_path, capsys):

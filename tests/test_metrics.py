@@ -3,12 +3,16 @@ import math
 import random
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import floyd_warshall, heap_dijkstra, kernel_spt, kruskal_mst, oracle_spt
+from oracles import (
+    adjacency, floyd_warshall, heap_dijkstra, kernel_spt, kruskal_mst, oracle_spt, root_stretch,
+    tree_distances,
+)
 
 import slt.core2d
 import slt.metrics
@@ -17,8 +21,8 @@ import slt.pyramid
 from slt.cli import canonical_dumps, run_cli, write_points
 from slt.core2d import CoreInstance, build_core, core_spt
 from slt.errors import Disconnected, Unreachable
-from slt.metrics import adjacency, root_paths, root_stretch
-from slt.mst_path import PointCloud, Tree, euclidean_mst
+from slt.metrics import dijkstra, measure, root_paths
+from slt.mst_path import PointCloud, SteinerGraph, Tree, euclidean_mst
 
 
 def test_spt_path_graph_prefix_sums():
@@ -171,7 +175,8 @@ def test_rounds_stay_within_the_hop_depth(graph):
 
 def test_rounds_stay_within_the_hop_depth_in_every_build(monkeypatch):
     # One folding, one core2d and one pyramid build; each solve's rounds
-    # against its own tree's depth.
+    # against its own tree's depth, the solves of ``measure`` on the
+    # folding and pyramid trees included.
     seen = []
     relax = slt.metrics._relax
 
@@ -188,7 +193,7 @@ def test_rounds_stay_within_the_hop_depth_in_every_build(monkeypatch):
         return solve
 
     monkeypatch.setattr(slt.metrics, "_relax", counted)
-    for module in (slt.pipeline, slt.pyramid, slt.core2d):
+    for module in (slt.pipeline, slt.pyramid, slt.core2d, slt.metrics):
         monkeypatch.setattr(module, "dijkstra", spied(module.dijkstra))
     rng = random.Random(3)
     slt.pipeline.assemble_slt(
@@ -196,7 +201,7 @@ def test_rounds_stay_within_the_hop_depth_in_every_build(monkeypatch):
     )
     core_spt(build_core(CoreInstance.canonical(0.04, 12)))
     slt.pyramid.build_pyramid_core(3, 0.09, slt.pyramid.GridSpec.for_points(64, 3))
-    assert len(seen) == 3
+    assert len(seen) == 5
     assert all(1 <= rounds <= depth + 1 for rounds, depth in seen), seen
 
 
@@ -209,7 +214,8 @@ def test_a_deep_tree_stops_the_rounds_and_keeps_the_heap_tree(monkeypatch):
 
     def solve(n, ends, weights, source):
         out = real(n, ends, weights, source)
-        solves.append((n, ends.tolist(), weights.tolist(), source, out))
+        # The counts so far: ``measure``'s own solve of the tree comes later.
+        solves.append((n, ends.tolist(), weights.tolist(), source, out, len(rounds), len(settles)))
         return out
 
     def counted(*args):
@@ -224,11 +230,11 @@ def test_a_deep_tree_stops_the_rounds_and_keeps_the_heap_tree(monkeypatch):
     monkeypatch.setattr(slt.metrics, "_relax", counted)
     monkeypatch.setattr(slt.metrics, "_settle", settled)
     slt.pipeline.assemble_slt(PointCloud(tuple((0.37 * t, 0.21 * t, 0.05 * t) for t in range(300))), 0.09)
-    (n, ends, weights, source, (dists, parent)), = solves
+    (n, ends, weights, source, (dists, parent), n_rounds, n_settles), = solves
     edges = [(int(u), int(v), w) for (u, v), w in zip(ends, weights)]
     assert (dists, parent) == heap_dijkstra(n, adjacency(n, edges), source)
-    assert len(rounds) == 2 * (2 * len(edges)).bit_length() and settles == [1]
-    assert _hop_depth(parent) > 2 * len(rounds)
+    assert n_rounds == 2 * (2 * len(edges)).bit_length() and n_settles == 1
+    assert _hop_depth(parent) > 2 * n_rounds
 
 
 def test_root_paths_keeps_the_walks_to_the_targets_in_ascending_order():
@@ -246,18 +252,75 @@ def test_root_paths_keeps_the_walks_to_the_targets_in_ascending_order():
         root_paths(parent, 0, [1, 6])
 
 
+def _stretch(coords, edges, weights, vertex_of):
+    """``measure``'s per-point stretch of the tree from vertex 0."""
+    graph = SteinerGraph(np.array(coords), ["input"] * len(coords))
+    tree = Tree(np.array(edges).reshape(-1, 2), np.array(weights, dtype=float), 0)
+    return measure(graph, tree, vertex_of, 0.25, 1.0, {}).per_point_stretch
+
+
 def test_root_stretch_two_points():
-    tree = Tree(2, ((0, 1, 5.0),), 0)
-    coords = [(0.0, 0.0), (3.0, 4.0)]
-    assert root_stretch(tree, coords, 0, [0, 1]) == [1.0, 1.0]
+    assert _stretch([(0.0, 0.0), (3.0, 4.0)], [(0, 1)], [5.0], [0, 1]) == [1.0, 1.0]
 
 
 def test_root_stretch_star_is_one():
     rng = random.Random(4)
     coords = [(0.0, 0.0)] + [(rng.random() + 0.1, rng.random()) for _ in range(9)]
-    edges = tuple((0, i, math.dist(coords[0], coords[i])) for i in range(1, 10))
-    tree = Tree(10, edges, 0)
-    assert root_stretch(tree, coords, 0, list(range(10))) == [1.0] * 10
+    weights = [math.dist(coords[0], coords[i]) for i in range(1, 10)]
+    assert _stretch(coords, [(0, i) for i in range(1, 10)], weights, list(range(10))) == [1.0] * 10
+
+
+@st.composite
+def random_trees(draw):
+    """(coords, tree): n from 1 to 300, edges in random order, each flipped at random,
+    weights the distances between the ends or, at random, 0."""
+    n = draw(st.integers(1, 300))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    coords = np.array([(rng.random(), rng.random(), rng.random()) for _ in range(n)])
+    order = list(range(n))
+    rng.shuffle(order)
+    edges = [(order[rng.randrange(i)], order[i]) for i in range(1, n)]
+    rng.shuffle(edges)
+    edges = np.array([(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges], dtype=np.intp)
+    weights = np.array([0.0 if rng.random() < 0.1 else math.dist(coords[u], coords[v])
+                        for u, v in edges.tolist()])
+    return coords, Tree(edges.reshape(-1, 2), weights, order[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_trees())
+def test_the_kernel_gives_a_tree_walks_distances_and_stretch(case):
+    # The root distances are the walk's floats bit for bit, so the stretch
+    # ``measure`` takes from them is the walk's too.
+    coords, tree = case
+    dists, _ = dijkstra(tree.n, tree.edges, tree.weights, tree.root)
+    assert [d.hex() for d in dists] == [d.hex() for d in tree_distances(tree, tree.root)]
+    graph = SteinerGraph(coords, ["input"] * tree.n)
+    inputs = [v for v in range(tree.n) if v == tree.root or math.dist(coords[v], coords[tree.root]) > 0]
+    report = measure(graph, tree, inputs, 0.25, 1.0, {})
+    assert report.per_point_stretch == root_stretch(graph, tree, inputs)
+
+
+@pytest.mark.parametrize("shape", ["path", "star"])
+def test_the_kernel_gives_a_tree_walks_distances_on_a_deep_path_and_a_star(shape):
+    # A 20,000-vertex path outruns the rounds and ends in the heap.
+    n = 20_000
+    rng = np.random.default_rng(3)
+    ends = np.column_stack([np.arange(n - 1) if shape == "path" else np.zeros(n - 1, int), np.arange(1, n)])
+    tree = Tree(ends, rng.random(n - 1), 0)
+    dists, _ = dijkstra(n, tree.edges, tree.weights, 0)
+    assert dists == tree_distances(tree, 0)
+
+
+def test_an_edge_that_weighs_inf_cuts_off_the_vertices_past_it():
+    # 0 - 1 - 2 = 3 - 4 with edge 2-3 at inf: 3 and 4 are not reached, and
+    # no overflow warning is raised on the way.
+    tree = Tree(np.array([[0, 1], [1, 2], [2, 3], [3, 4]]), np.array([1.0, 1e308, math.inf, 1.0]), 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dists, parent = dijkstra(tree.n, tree.edges, tree.weights, 0)
+    assert dists == tree_distances(tree, 0) == [0.0, 1.0, 1e308, math.inf, math.inf]
+    assert parent[3:] == [-1, -1]
 
 
 def test_lightness_of_mst_is_one(tmp_path, capsys):
@@ -268,7 +331,7 @@ def test_lightness_of_mst_is_one(tmp_path, capsys):
     write_points(tmp_path / "pts.json", pts, 0)
     tree = {
         "vertices": [{"id": i, "coords": list(p), "kind": "input"} for i, p in enumerate(pts)],
-        "edges": [[u, v] for u, v, _ in mst.edges],
+        "edges": mst.edges.tolist(),
         "root": 0,
     }
     (tmp_path / "tree.json").write_text(canonical_dumps(tree))

@@ -8,12 +8,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import duplicate_pairs, hyperplane_cloud, kruskal_mst
+from oracles import duplicate_pairs, hyperplane_cloud, kruskal_mst, triples
 
 import slt.mst_path
 from slt.errors import DuplicatePoints
 from slt.geometry import COINCIDENT_TOL
-from slt.mst_path import PointCloud, Tree, dfs_hamiltonian, euclidean_mst
+from slt.mst_path import PointCloud, dfs_hamiltonian, euclidean_mst
 from slt.pipeline import assemble_slt
 from slt.pyramid import GridSpec, pyramid_points
 
@@ -29,7 +29,7 @@ def shifted_cloud(seed, offset=0.0, scale=1.0, n=60, d=3):
 
 
 def edge_set(tree):
-    return {(min(u, v), max(u, v)) for u, v, _ in tree.edges}
+    return {(min(u, v), max(u, v)) for u, v in tree.edges.tolist()}
 
 
 @pytest.mark.parametrize("offset", [1e8, 1e9])
@@ -151,7 +151,7 @@ def test_dfs_deterministic():
     pc = random_cloud(40, 3, 5)
     t1 = euclidean_mst(pc)
     t2 = euclidean_mst(pc)
-    assert t1.edges == t2.edges
+    assert t1.edges.tolist() == t2.edges.tolist()
     assert dfs_hamiltonian(t1, pc).order == dfs_hamiltonian(t2, pc).order
 
 
@@ -258,7 +258,7 @@ def reference_weight(pts):
     every pair would take gigabytes."""
     if len(pts) <= 1500:
         return kruskal_mst(pts).weight
-    return Tree(len(pts), slt.mst_path._prim(pts, 0), 0).weight
+    return math.fsum(math.dist(pts[u], pts[v]) for u, v in slt.mst_path._prim(pts, 0).tolist())
 
 
 def assert_mst_weight(pts):
@@ -326,7 +326,9 @@ def test_mst_weight_of_collinear_points():
 
 
 def test_mst_weight_of_one_and_two_points():
-    assert euclidean_mst(PointCloud(((1.0, 2.0),))).weight == 0.0
+    # One point is no instance: every method and slt verify reject it.
+    with pytest.raises(ValueError, match="need at least two points"):
+        PointCloud(((1.0, 2.0),))
     assert euclidean_mst(PointCloud(((0.0, 0.0), (3.0, 4.0)))).weight == 5.0
 
 
@@ -371,9 +373,9 @@ def test_prim_tree_does_not_overflow(scale):
     # first scaled by a power of two.
     rng = random.Random(3)
     pts = [tuple(rng.random() for _ in range(3)) for _ in range(40)]
-    want = [(u, v) for u, v, _ in euclidean_mst(PointCloud(tuple(pts))).edges]
+    want = euclidean_mst(PointCloud(tuple(pts))).edges.tolist()
     big = euclidean_mst(PointCloud(tuple(tuple(scale * x for x in p) for p in pts)))
-    assert [(u, v) for u, v, _ in big.edges] == want
+    assert big.edges.tolist() == want
 
 
 @pytest.mark.parametrize("kind", ["lattice", "uniform"])
@@ -390,7 +392,11 @@ def test_local_mst_is_prims_tree(monkeypatch, kind, dim, n):
     pts = tuple(map(tuple, cloud.astype(float).tolist()))
     local = slt.mst_path._local_mst(pts)
     assert local is not None
-    assert edge_set(Tree(n, local, 0)) == edge_set(Tree(n, slt.mst_path._prim(pts, 0), 0))
+    pairs = [{(min(u, v), max(u, v)) for u, v in e.tolist()} for e in (local, slt.mst_path._prim(pts, 0))]
+    assert pairs[0] == pairs[1]
+    # euclidean_mst takes these edges and weighs each as math.dist does.
+    want = [(u, v, math.dist(pts[u], pts[v])) for u, v in local.tolist()]
+    assert triples(euclidean_mst(PointCloud(pts))) == want
 
 
 @pytest.mark.parametrize("n,dim,calls", [(600, 3, 0), (600, 5, 1), (499, 3, 1)])

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
-    PlanarGraph, as_folding_graph, chain_bits, gadget_row, kernel_spt, loop_folding_graph, loop_prune,
-    made_surfaces, oracle_spt, realize, scalar_lift, scalar_ray_crossings, surface_gadget,
+    PlanarGraph, as_folding_graph, chain_bits, coord_tuples, gadget_row, kernel_spt, loop_folding_graph,
+    loop_prune, made_surfaces, oracle_spt, realize, scalar_lift, scalar_ray_crossings, surface_gadget,
+    tree_distances, triples,
 )
 
 from slt.breakpoints import select_breakpoints, subdivide
@@ -21,7 +22,6 @@ from slt.cli import canonical_dumps, gen_random, run_cli, write_points, write_tr
 from slt.core2d import CoreChain, build_core, core_layout, core_spt, levels_for_eps, portal_grid
 from slt.errors import AngleOutOfRange, EmptySurface, EpsOutOfRange
 from slt.geometry import angle_at_apex, dist
-from slt.metrics import tree_distances
 from slt.mst_path import PointCloud, dfs_hamiltonian, euclidean_mst
 from slt.pipeline import _front_end, _prune, _realize, assemble_slt, build_gadget, surface_inputs
 from slt.unfolding import (
@@ -259,8 +259,9 @@ def test_lifted_edges_preserve_length():
     pc = random_cloud(25, 4, 2)
     g, tree, rep = assemble_slt(pc, 0.09)
     # every edge weight equals the distance of its endpoints
-    for u, v, w in g.edges:
-        assert w == pytest.approx(dist(g.coords[u], g.coords[v]), rel=1e-12)
+    coords = coord_tuples(g)
+    for u, v, w in triples(tree):
+        assert w == pytest.approx(dist(coords[u], coords[v]), rel=1e-12)
 
 
 def test_planar_image_distance_matches_true_distance():
@@ -405,7 +406,7 @@ def test_spt_distances_match_all_pairs_oracle():
     pc = random_cloud(8, 2, 3)
     g, tree, rep = assemble_slt(pc, 0.25)
     # recompute on the pruned graph with the plain oracle
-    dists, _ = oracle_spt(g.n, g.edges, tree.root)
+    dists, _ = oracle_spt(g.n, triples(tree), tree.root)
     td = tree_distances(tree, tree.root)
     for v in range(g.n):
         assert td[v] == pytest.approx(dists[v], rel=1e-12, abs=1e-15)
@@ -415,7 +416,7 @@ def test_deterministic_rebuild():
     pc = random_cloud(25, 3, 14)
     g1, t1, r1 = assemble_slt(pc, 0.09)
     g2, t2, r2 = assemble_slt(pc, 0.09)
-    assert t1.edges == t2.edges
+    assert t1.edges.tolist() == t2.edges.tolist()
     assert r1.as_dict() == r2.as_dict()
 
 
@@ -443,7 +444,7 @@ def test_lifted_tree_matches_reported_stretch(tmp_path, d):
     s = pc.points[pc.root]
     for i, p in enumerate(pc.points):
         if i != pc.root:
-            lifted = td[g.coords.index(p)] / dist(s, p)
+            lifted = td[coord_tuples(g).index(p)] / dist(s, p)
             assert lifted == pytest.approx(rep.per_point_stretch[i], rel=1e-12, abs=0.0)
     pts_file, tree_file = tmp_path / "pts.json", tmp_path / "tree.json"
     write_points(pts_file, pc.points, pc.root)
@@ -469,7 +470,7 @@ def _full_core(g):
     """
     core = build_core(g.core_instance())
     tree, dists = core_spt(core)
-    parent = {v: u for u, v, _ in tree.edges}
+    parent = {v: u for u, v in tree.edges.tolist()}
     steiner = dict(zip(core.input_ids, g.ell_steiner))
 
     def plane(v):
@@ -616,7 +617,7 @@ def test_core_paths_into_adjacent_grid_vertices_share_an_apex(j, first):
         G.add_core_path(root, v, core.dists[-1], (surf, core, grid, True, q))
     dists, parent = kernel_spt(G.n, G.edges, root)
     sub, tree, _ = _prune(as_folding_graph(G), dists, parent, [1, 2], root)
-    apices = {sub.coords[v] for v in range(sub.n) if sub.kinds[v] == "core_apex"}
+    apices = {p for p, kind in zip(coord_tuples(sub), sub.kinds) if kind == "core_apex"}
     assert apices == {lift(surf, core.point((i, j >> (k - i)))) for i in range(1, k + 1)}
     assert len(tree.edges) == sub.n - 1
 
@@ -697,7 +698,7 @@ def test_coinciding_lifts_still_give_a_spanning_tree():
     dists, parent = kernel_spt(G.n, G.edges, root)
     assert (parent[a], parent[b], parent[far[1]]) == (root, c, b)
     sub, tree, _ = _prune(as_folding_graph(G), dists, parent, far, root)
-    assert sub.coords.count(lift(f, q)) == 2
+    assert coord_tuples(sub).count(lift(f, q)) == 2
     assert len(tree.edges) == sub.n - 1 == len(G.edges)
     assert not any(math.isinf(x) for x in tree_distances(tree, tree.root))
 
@@ -920,8 +921,8 @@ def assert_same_tree(batch, loop, tmp_path):
     write_tree(tmp_path / "loop.json", g2, t2)
     assert (tmp_path / "batch.json").read_bytes() == (tmp_path / "loop.json").read_bytes()
     assert g1.kinds == g2.kinds and t1.root == t2.root
-    assert [(u, v, w.hex()) for u, v, w in g1.edges] == [(u, v, w.hex()) for u, v, w in g2.edges]
-    assert [(u, v, w.hex()) for u, v, w in t1.edges] == [(u, v, w.hex()) for u, v, w in t2.edges]
+    assert g1.coords.tobytes() == g2.coords.tobytes()
+    assert [(u, v, w.hex()) for u, v, w in triples(t1)] == [(u, v, w.hex()) for u, v, w in triples(t2)]
     assert canonical_dumps(r1.as_dict()) == canonical_dumps(r2.as_dict())
 
 

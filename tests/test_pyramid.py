@@ -7,7 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 from oracles import (
-    _covering_radius, heap_dijkstra, hyperplane_cloud, oracle_spt, pyramid_mst_lower_bound
+    _covering_radius, adjacency, heap_dijkstra, hyperplane_cloud, oracle_spt, pyramid_mst_lower_bound,
+    tree_distances, triples,
 )
 
 import slt.mst_path
@@ -15,7 +16,6 @@ import slt.pyramid
 from slt.core2d import CoreInstance, build_core
 from slt.errors import DimensionTooSmall, SltError
 from slt.geometry import dist
-from slt.metrics import adjacency
 from slt.mst_path import PointCloud, _pairs_within
 from slt.pyramid import (
     GridSpec,
@@ -97,12 +97,12 @@ def regime_grid(d, eps):
 
 def regime_base(d, eps):
     """A regime grid build: its base points (without their x_0 = 0), spanner
-    edges and reach, and the returned graph."""
+    edges and reach, and the returned graph and tree."""
     return captured_base(d, eps, regime_grid(d, eps))
 
 
 def captured_base(d, eps, grid):
-    """The base points, spanner edges and reach of a build, and its graph."""
+    """The base points, spanner edges and reach of a build, and its graph and tree."""
     seen = {}
     real = slt.pyramid.base_spanner
 
@@ -114,13 +114,14 @@ def captured_base(d, eps, grid):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(slt.pyramid, "base_spanner", record)
-        G, _, _ = build_pyramid_core(d, eps, grid)
-    return seen["points"], seen["edges"], seen["reach"], G
+        built = build_pyramid_core(d, eps, grid)[:2]
+    return seen["points"], seen["edges"], seen["reach"], built
 
 
-def assert_no_long_base_edge(G, reach):
+def assert_no_long_base_edge(built, reach):
     # The base is x_0 = 0; every other vertex is an apex above it.
-    base = [w for u, v, w in G.edges if G.coords[u][0] == G.coords[v][0] == 0.0]
+    G, tree = built
+    base = [w for u, v, w in triples(tree) if G.coords[u][0] == G.coords[v][0] == 0.0]
     assert base and max(base) <= reach
 
 
@@ -445,7 +446,7 @@ def test_mst_rows_do_not_depend_on_the_path(monkeypatch):
         monkeypatch.setattr(slt.mst_path, "_FULL_MATRIX_MAX", len(points))
         full = slt.mst_path._prim(points, 0)
         monkeypatch.setattr(slt.mst_path, "_FULL_MATRIX_MAX", 0)
-        assert slt.mst_path._prim(points, 0) == full
+        assert slt.mst_path._prim(points, 0).tolist() == full.tolist()
 
 
 def test_yao_rejects_repeated_points():
@@ -495,7 +496,7 @@ def test_pyramid_type_invariants():
     # corners come from the cube, and every vertex lies over it.
     d, eps = 4, 0.25
     G, tree, _ = build_pyramid_core(d, eps, GridSpec.for_points(8, d))
-    apex = G.coords[tree.root]
+    apex = tuple(G.coords[tree.root].tolist())
     half_side = math.sin(math.sqrt(eps) / 2) / math.sqrt(d - 1)
     corners = [(0.0,) + c for c in itertools.product((-half_side, half_side), repeat=d - 1)]
     assert all(abs(x) <= half_side + 1e-15 for c in G.coords for x in c[1:])
@@ -549,7 +550,7 @@ def test_children_count_and_levels():
     G, tree, rep = build_pyramid_core(3, 0.04, GridSpec.for_points(64, 3))
     assert rep.flags["levels"] == 4
     apex_children = sum(
-        1 for u, v, _ in G.edges if u == tree.root and G.kinds[v] == "core_apex"
+        1 for u, v in tree.edges.tolist() if u == tree.root and G.kinds[v] == "core_apex"
     )
     assert apex_children == 4  # 2^(d-1) children per pyramid at d=3
 
@@ -576,8 +577,6 @@ def test_stretch_and_path_bound(d, eps, n):
     # root-to-input path lengths stay within the additive budget
     alpha = math.sqrt(eps)
     cap = math.cos(alpha / 2.0) + (17.0 / 16.0) * eps
-    from slt.metrics import tree_distances
-
     td = tree_distances(tree, tree.root)
     apex = G.coords[tree.root]
     for i, p in enumerate(G.coords):
@@ -622,7 +621,7 @@ def test_tree_keeps_only_the_paths_to_the_grid_points(d, eps, n, vertices):
     assert G.n == tree.n == len(tree.edges) + 1 == vertices
     assert G.kinds[: n + 1] == ["input"] * (n + 1)
     degree = [0] * G.n
-    for u, v, _ in tree.edges:
+    for u, v in tree.edges.tolist():
         degree[u] += 1
         degree[v] += 1
     leaves = [v for v in range(G.n) if degree[v] == 1 and v != tree.root]
@@ -634,7 +633,7 @@ def test_tree_keeps_only_the_paths_to_the_grid_points(d, eps, n, vertices):
 def test_points_and_build_put_the_apex_in_one_place(d, eps, n):
     # slt verify finds the inputs by their exact coordinates.
     G, tree, rep = build_pyramid_core(d, eps, GridSpec.for_points(n, d))
-    assert tuple(G.coords[: n + 1]) == pyramid_points(d, n, eps)
+    assert tuple(map(tuple, G.coords[: n + 1].tolist())) == pyramid_points(d, n, eps)
     assert tree.root == 0
     assert len(rep.per_point_stretch) == rep.n == n + 1
     assert rep.per_point_stretch[0] == 1.0
