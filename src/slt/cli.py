@@ -107,8 +107,8 @@ def parse_tree(path) -> tuple[SteinerGraph, Tree]:
         raise MalformedFile(f"tree file: edge {bad!r} is not a pair of integer vertex ids")
     root = _integer(data["root"], "tree file: root")
     _check_spanning_tree(n, edges, root)
-    graph = SteinerGraph(np.array(coords, dtype=float), [v["kind"] for v in verts])
-    ends = np.array(edges, dtype=np.intp).reshape(-1, 2)
+    graph = SteinerGraph(_array(coords, float, len(coords[0])), [v["kind"] for v in verts])
+    ends = _array(edges, np.intp, 2)
     return graph, Tree(ends, lengths(graph.coords[ends[:, 0]], graph.coords[ends[:, 1]]), root)
 
 
@@ -126,6 +126,11 @@ def _integer(value, what: str) -> int:
 
 def _types(values) -> set[type]:
     return set(map(type, values))
+
+
+def _array(rows: list, dtype, width: int) -> np.ndarray:
+    """Rows of ``width`` numbers each as one array, read in one pass."""
+    return np.fromiter(itertools.chain.from_iterable(rows), dtype, len(rows) * width).reshape(len(rows), width)
 
 
 def _float_rows(rows: list, what: str) -> list:
@@ -361,8 +366,8 @@ def _verified_report(args):
     """The points and the report of the tree file measured against them."""
     pc = parse_points(args.input)
     graph, tree = parse_tree(args.tree)
-    coords = map(tuple, graph.coords.tolist())
-    index = {c: i for i, (c, k) in enumerate(zip(coords, graph.kinds)) if k == "input"}
+    inputs = [i for i, k in enumerate(graph.kinds) if k == "input"]
+    index = dict(zip(map(tuple, graph.coords[inputs].tolist()), inputs))
     vertex_of = []
     for i, p in enumerate(pc.points):
         v = index.get(p)

@@ -42,9 +42,10 @@ def lengths(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per row, the distance between the points ``a`` and ``b``, (m, d) arrays each.
 
     ``math.hypot`` of the numpy differences: the floats ``math.dist`` gives.
-    A difference that overflows is inf there too, so numpy's warning is off.
+    A difference that overflows is inf there too, and inf - inf is nan, so
+    numpy's warnings are off.
     """
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         return each(math.hypot, *(a - b).T)
 
 

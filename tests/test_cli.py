@@ -493,7 +493,7 @@ def test_integer_coordinates_stay_valid(tmp_path, capsys):
 @pytest.mark.parametrize("command", [
     ["build", "--method", "folding"], ["build", "--method", "core2d"],
     ["build", "--method", "pyramid"], ["verify"], ["render"],
-])
+], ids=["folding", "core2d", "pyramid", "verify", "render"])
 def test_one_point_exits_one(tmp_path, capsys, command):
     pts_file, tree_file = tmp_path / "pts.json", tmp_path / "tree.json"
     write_points(pts_file, ((0.0, 0.0),), 0)
