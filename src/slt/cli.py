@@ -51,7 +51,7 @@ def _load_object(path, what: str) -> dict:
 def parse_points(path) -> PointCloud:
     data = _load_object(path, "points file")
     dim = _integer(data["dim"], "points file: dim")
-    pts = _float_rows(_list(data["points"], "points file: points"), "points file: point")
+    pts = _number_rows(_list(data["points"], "points file: points"), "points file: point")
     bad = next((i for i, p in enumerate(pts) if len(p) != dim), None)
     if bad is not None:
         raise MalformedFile(f"points file: point {bad} has {len(pts[bad])} coordinates, "
@@ -95,7 +95,7 @@ def parse_tree(path) -> tuple[SteinerGraph, Tree]:
     n = len(verts)
     if [v["id"] for v in verts] != list(range(n)):
         raise MalformedTree(f"vertex ids are not 0..{n - 1}")
-    coords = _float_rows([v["coords"] for v in verts], "tree file: vertex")
+    coords = _number_rows([v["coords"] for v in verts], "tree file: vertex")
     bad = next((i for i, c in enumerate(coords) if len(c) != len(coords[0])), None)
     if bad is not None:
         raise MalformedFile(f"tree file: vertex {bad} has {len(coords[bad])} coordinates, "
@@ -130,10 +130,11 @@ def _types(values) -> set[type]:
 
 def _array(rows: list, dtype, width: int) -> np.ndarray:
     """Rows of ``width`` numbers each as one array, read in one pass."""
-    return np.fromiter(itertools.chain.from_iterable(rows), dtype, len(rows) * width).reshape(len(rows), width)
+    flat = np.fromiter(itertools.chain.from_iterable(rows), dtype, len(rows) * width)
+    return flat.reshape(len(rows), width)
 
 
-def _float_rows(rows: list, what: str) -> list:
+def _number_rows(rows: list, what: str) -> list:
     """``rows`` if each is a JSON list of numbers; MalformedFile names the first that is not.
 
     A number is an int or a float, and a bool is neither: JSON's true and
