@@ -3,14 +3,14 @@
 Shortest paths (a binary-heap Dijkstra, the SPT it gives on a connected
 graph, and Floyd-Warshall, with the library's kernel over the same edge
 lists), a tree's root distances and stretch by a walk over its neighbour
-lists, a graph grown one vertex and edge at a time, Kruskal's MST, the pairs of coinciding points
-(with a cloud on which the duplicate check's sort finds no order), a
-polyline's point at an arc length, a cone's planar unfolding, the
-convex-hull covering radius of the cone axes, a lower bound on the
-pyramid instance's MST weight, the core's per-level weights, slack
-and stretch against the paper's bounds, the folding graph built one
-surface and one element at a time, and its tree lifted one vertex, stop
-and bend at a time.
+lists, a graph grown one vertex and edge at a time, Kruskal's MST, the
+pairs of coinciding points (with a cloud on which the duplicate check's
+sort finds no order), a polyline's point at an arc length, a cone's
+planar unfolding, the convex-hull covering radius of the cone axes, a
+lower bound on the pyramid instance's MST weight, the core's per-level
+weights, slack and stretch against the paper's bounds, the folding graph
+built one surface and one element at a time, and its tree lifted one
+vertex, stop and bend at a time.
 """
 from __future__ import annotations
 
