@@ -79,8 +79,8 @@ def parse_tree(path) -> tuple[SteinerGraph, Tree]:
     Raises MalformedTree unless the vertex ids are 0..V-1 and the edges
     form a spanning tree of the vertices, MalformedFile on a coordinate
     row that is not a list of numbers, a vertex whose dimension differs
-    from vertex 0's or an id that is not an integer.  Each edge weighs
-    the distance between its ends.
+    from vertex 0's, a coordinate that is not finite or an id that is not
+    an integer.  Each edge weighs the distance between its ends.
     """
     data = _load_object(path, "tree file")
     verts = _list(data["vertices"], "tree file: vertices")
@@ -100,6 +100,11 @@ def parse_tree(path) -> tuple[SteinerGraph, Tree]:
     if bad is not None:
         raise MalformedFile(f"tree file: vertex {bad} has {len(coords[bad])} coordinates, "
                             f"vertex 0 has {len(coords[0])}")
+    points = _array(coords, float, len(coords[0]))
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise MalformedFile(f"tree file: vertex {bad} has a coordinate that is not finite: {coords[bad]!r}")
     edges = _list(data["edges"], "tree file: edges")
     if not (_types(edges) <= {list} and set(map(len, edges)) <= {2}
             and _types(itertools.chain.from_iterable(edges)) <= {int}):
@@ -107,7 +112,7 @@ def parse_tree(path) -> tuple[SteinerGraph, Tree]:
         raise MalformedFile(f"tree file: edge {bad!r} is not a pair of integer vertex ids")
     root = _integer(data["root"], "tree file: root")
     _check_spanning_tree(n, edges, root)
-    graph = SteinerGraph(_array(coords, float, len(coords[0])), [v["kind"] for v in verts])
+    graph = SteinerGraph(points, [v["kind"] for v in verts])
     ends = _array(edges, np.intp, 2)
     return graph, Tree(ends, lengths(graph.coords[ends[:, 0]], graph.coords[ends[:, 1]]), root)
 
@@ -320,8 +325,7 @@ def render_surfaces_svg(pc: PointCloud, eps: float, gamma: float, lam: float, pa
             if inst is not None:
                 core = build_core(inst)
                 for u, v in core_spt(core)[0].edges.tolist():
-                    a, b = core.plane_coords(u), core.plane_coords(v)
-                    cv.line(shift(a), shift(b), stroke="#aaaaaa")
+                    cv.line(shift(core.plane[u].tolist()), shift(core.plane[v].tolist()), stroke="#aaaaaa")
         offset += 1.25 * rmax
     with open(path, "w") as fh:
         fh.write(cv.render())

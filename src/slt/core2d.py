@@ -7,9 +7,10 @@ level apices form a binary tree that, together with a path along the
 base line, carries shortest paths from the apex to every base point with
 constant lightness.
 
-Everything is computed in a canonical frame (base on the x-axis centered
-at the origin, apex on the positive y-axis, unit legs) and mapped back to
-the caller's plane on demand.
+The core is laid out in a canonical frame (base on the x-axis centered at
+the origin, apex on the positive y-axis, unit legs), where its edges are
+weighed; its apices and grid are mapped back to the caller's plane, and
+the root and the base points keep the caller's own coordinates.
 """
 from __future__ import annotations
 
@@ -98,39 +99,20 @@ def _dist_to_segment(p, a, b):
     return math.hypot(px - ax - t * dx, py - ay - t * dy)
 
 
-@dataclass(frozen=True)
-class Frame:
-    """Similarity transform between the caller's plane and the canonical frame."""
-
-    origin: PlanePoint
-    ex: PlanePoint
-    ey: PlanePoint
-    scale: float  # multiply caller lengths by this to get canonical lengths
-
-    def to_canonical(self, p: PlanePoint) -> PlanePoint:
-        dx, dy = p[0] - self.origin[0], p[1] - self.origin[1]
-        return (
-            (dx * self.ex[0] + dy * self.ex[1]) * self.scale,
-            (dx * self.ey[0] + dy * self.ey[1]) * self.scale,
-        )
-
-    def to_plane(self, q: PlanePoint) -> PlanePoint:
-        x, y = q[0] / self.scale, q[1] / self.scale
-        return (
-            self.origin[0] + x * self.ex[0] + y * self.ey[0],
-            self.origin[1] + x * self.ex[1] + y * self.ey[1],
-        )
-
-
 @dataclass
 class CoreGraph:
-    """Geometric graph of the recursive construction, in canonical coords."""
+    """Geometric graph of the recursive construction, in canonical coords.
+
+    ``plane`` holds the vertices in the caller's plane: the instance's own
+    points for the root and the base points, ``CoreChains.points`` for
+    the apices and the grid.
+    """
 
     coords: list[PlanePoint]
     kinds: list[str]  # root | apex | grid | input
     levels: list[int]  # apex level, -1 otherwise
     edges: list[tuple[int, int, float]]
-    frame: Frame
+    plane: np.ndarray  # (n, 2)
     alpha: float
     lam: float
     k: int
@@ -143,34 +125,6 @@ class CoreGraph:
     @property
     def n(self) -> int:
         return len(self.coords)
-
-    def plane_coords(self, i: int) -> PlanePoint:
-        return self.frame.to_plane(self.coords[i])
-
-
-def _grid_x(xa: float, xb: float, i: int, j: int) -> float:
-    """Canonical x of the j-th of the 2^i + 1 equally spaced points from xa to xb."""
-    f = j / (1 << i)
-    return xa * (1.0 - f) + xb * f
-
-
-def core_layout(inst: CoreInstance):
-    """Canonical frame and points of the core, placed as ``build_core`` places them.
-
-    Returns the frame, the apices per level (level 0 holds the root), the
-    grid, the base points and the grid vertex each sits on (-1 if none).
-    """
-    chain = CoreChain.of(inst)
-    frame, xa, xb, k, heights = chain.frame, chain.xa, chain.xb, chain.k, chain.heights
-    xs = [[_grid_x(xa, xb, i, j) for j in range((1 << i) + 1)] for i in range(k + 1)]
-    apices = [[frame.to_canonical(inst.apex)]] + [
-        [(0.5 * (x0 + x1), h) for x0, x1 in zip(xi, xi[1:])] for xi, h in zip(xs[1:], heights[1:])]
-    base = [frame.to_canonical(p) for p in inst.base_points]
-    xtol = 1e-12 * max(abs(xa), abs(xb), 1.0)
-    nearest = [round((q[0] - xa) / (xb - xa) * (1 << k)) if xb > xa else 0 for q in base]
-    on = [j if 0 <= j <= (1 << k) and abs(q[0] - xs[k][j]) <= xtol and abs(q[1]) <= xtol
-          else -1 for q, j in zip(base, nearest)]
-    return frame, apices, [(x, 0.0) for x in xs[k]], base, on
 
 
 def portal_grid(x: int, m: int, k: int) -> tuple[int, int]:
@@ -186,40 +140,6 @@ def portal_grid(x: int, m: int, k: int) -> tuple[int, int]:
         return j, -1 - j
     j, y = (j + 1, x + 1) if 2 * rem > m else (j, x - 1)
     return -1, (y if (y - x) * ((y << k) - j * m) <= 0 else -1 - j)  # y not past j
-
-
-@dataclass(frozen=True)
-class CoreChain:
-    """A core's shortest paths from its apex in closed form, without its graph.
-
-    The apices of a level share one height, and they and the grid are
-    equally spaced, so every path from the root to a level is equally
-    long.  A key names an apex (level, index) or grid vertex j as (-1, j);
-    ``point`` places it where ``core_layout`` does.
-    """
-
-    frame: Frame
-    xa: float
-    xb: float
-    k: int
-    dists: tuple[float, ...]  # root distance in the plane per level; k + 1 is the grid
-    heights: tuple[float, ...]  # canonical height of the apices per level
-
-    @classmethod
-    def of(cls, inst: CoreInstance) -> "CoreChain":
-        one = [np.array([p], dtype=float) for p in (inst.apex, inst.base_a, inst.base_b)]
-        return core_chains(*one, np.array([inst.eps]), inst.lam).chain(0)
-
-    def point(self, key: tuple[int, int]) -> PlanePoint:
-        i, j = key
-        if i < 0:
-            return self.frame.to_plane((_grid_x(self.xa, self.xb, self.k, j), 0.0))
-        x = 0.5 * (_grid_x(self.xa, self.xb, i, j) + _grid_x(self.xa, self.xb, i, j + 1))
-        return self.frame.to_plane((x, self.heights[i]))
-
-    def path(self, j: int, placed) -> list[tuple[int, int]]:
-        """Keys of the apices on a shortest path from the root to grid vertex j (``apex_path``)."""
-        return apex_path(self.k, j, placed)
 
 
 def apex_path(k: int, j: int, placed) -> list[tuple[int, int]]:
@@ -243,10 +163,16 @@ def apex_path(k: int, j: int, placed) -> list[tuple[int, int]]:
 
 @dataclass
 class CoreChains:
-    """The ``CoreChain`` of many triangles, one row each, as arrays.
+    """Cores' shortest paths from their apices in closed form, one row each, as arrays.
 
-    ``heights`` and ``dists`` are padded past level k + 1; ``chain(i)``
-    is row i's ``CoreChain``.
+    Row i's frame puts its triangle in the canonical one: the origin at
+    the base's midpoint, ``ex`` along the base, ``ey`` toward the apex,
+    lengths times ``scale`` (unit legs).  There the apices of a level
+    share one height (``heights``; level 0 is the root), and they and the
+    grid are equally spaced from ``xa`` to ``xb``, so every path from the
+    root to a level is equally long: ``dists`` in the caller's plane,
+    level k + 1 the grid.  A key names an apex (level, j) or grid vertex
+    j as (-1, j).  ``heights`` and ``dists`` are padded past level k + 1.
     """
 
     origin: np.ndarray  # (c, 2): the frame's origin, ex and ey
@@ -259,15 +185,22 @@ class CoreChains:
     dists: np.ndarray  # (c, K + 2)
     heights: np.ndarray  # (c, K + 2)
 
-    def chain(self, i: int) -> CoreChain:
-        k = int(self.k[i])
-        frame = Frame(tuple(self.origin[i].tolist()), tuple(self.ex[i].tolist()),
-                      tuple(self.ey[i].tolist()), float(self.scale[i]))
-        return CoreChain(frame, float(self.xa[i]), float(self.xb[i]), k,
-                         tuple(self.dists[i, :k + 2].tolist()), tuple(self.heights[i, :k + 1].tolist()))
+    def to_canonical(self, i: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """The points p, (m, 2), of rows i in their rows' canonical frames."""
+        o, ex, ey, scale = self.origin[i], self.ex[i], self.ey[i], self.scale[i]
+        dx, dy = p[:, 0] - o[:, 0], p[:, 1] - o[:, 1]
+        return np.stack([(dx * ex[:, 0] + dy * ex[:, 1]) * scale,
+                         (dx * ey[:, 0] + dy * ey[:, 1]) * scale], axis=-1)
 
-    def points(self, i: np.ndarray, level: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """``chain(i).point((level, j))`` for each row i and key (level, j); level -1 is the grid."""
+    def to_plane(self, i: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """The canonical points q, (m, 2), of rows i in the caller's plane."""
+        x, y = q[:, 0] / self.scale[i], q[:, 1] / self.scale[i]
+        o, ex, ey = self.origin[i], self.ex[i], self.ey[i]
+        return np.stack([o[:, 0] + x * ex[:, 0] + y * ey[:, 0],
+                         o[:, 1] + x * ex[:, 1] + y * ey[:, 1]], axis=-1)
+
+    def canonical(self, i: np.ndarray, level: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """The canonical point of each row i's key (level, j); the root's x is the base's midpoint."""
         grid = level < 0
         shift = np.left_shift(1, np.where(grid, self.k[i], level))
         xa, xb = self.xa[i], self.xb[i]
@@ -276,16 +209,17 @@ class CoreChains:
             f = j / shift
             return xa * (1.0 - f) + xb * f
 
-        x = np.where(grid, grid_x(j), 0.5 * (grid_x(j) + grid_x(j + 1))) / self.scale[i]
-        y = np.where(grid, 0.0, self.heights[i, np.maximum(level, 0)]) / self.scale[i]
-        o, ex, ey = self.origin[i], self.ex[i], self.ey[i]
-        return np.stack([o[:, 0] + x * ex[:, 0] + y * ey[:, 0],
-                         o[:, 1] + x * ex[:, 1] + y * ey[:, 1]], axis=-1)
+        return np.stack([np.where(grid, grid_x(j), 0.5 * (grid_x(j) + grid_x(j + 1))),
+                         np.where(grid, 0.0, self.heights[i, np.maximum(level, 0)])], axis=-1)
+
+    def points(self, i: np.ndarray, level: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """The point of each row i's key (level, j) in the caller's plane."""
+        return self.to_plane(i, self.canonical(i, level, j))
 
 
 def core_chains(apex: np.ndarray, base_a: np.ndarray, base_b: np.ndarray, eps: np.ndarray,
                 lam: float) -> CoreChains:
-    """The ``CoreChain`` of ``CoreInstance(apex, a, b, (), eps, lam)`` for every row.
+    """The chains of ``CoreInstance(apex, a, b, (), eps, lam)``, one row each.
 
     Row by row the floats are those of one triangle at a time: numpy does
     the elementwise arithmetic in the same order, and every libm call is
@@ -346,54 +280,54 @@ def core_chains(apex: np.ndarray, base_a: np.ndarray, base_b: np.ndarray, eps: n
 
 
 def build_core(inst: CoreInstance) -> CoreGraph:
-    """Erect the level apices, wire the binary tree and the base path."""
-    frame, apices, grid, base, on = core_layout(inst)
-    k = len(apices) - 1
-    coords = [q for level in apices for q in level] + grid
-    kinds = ["root"] + ["apex"] * (len(coords) - len(grid) - 1) + ["grid"] * len(grid)
-    levels = [i for i, level in enumerate(apices) for _ in level] + [-1] * len(grid)
-    grid_ids = list(range(len(coords) - len(grid), len(coords)))
+    """Erect the level apices, wire the binary tree and the base path.
 
-    input_ids = []
-    for q, j in zip(base, on):
-        if j >= 0:
-            kinds[grid_ids[j]] = "input"  # coincides with a grid vertex
-            input_ids.append(grid_ids[j])
-            continue
-        input_ids.append(len(coords))
-        coords.append(q)
-        kinds.append("input")
-        levels.append(-1)
+    The layout is the instance's row of ``core_chains``.  Apex j of level
+    i is vertex 2^i - 1 + j (level 0 the root), grid vertex j follows the
+    apices, and a base point off the grid follows the grid.
+    """
+    chains = core_chains(*(np.array([p], dtype=float) for p in (inst.apex, inst.base_a, inst.base_b)),
+                         np.array([inst.eps]), inst.lam)
+    k, xa, xb = int(chains.k[0]), float(chains.xa[0]), float(chains.xb[0])
+    level, j = np.array([(i, j) for i in range(k + 1) for j in range(1 << i)]
+                        + [(-1, j) for j in range((1 << k) + 1)]).T
+    row = np.zeros(len(level), dtype=int)
+    apex = np.array([inst.apex], dtype=float)
+    coords = chains.canonical(row, level, j)
+    coords[0] = chains.to_canonical(row[:1], apex)[0]
+    plane = chains.to_plane(row, coords)
+    plane[0] = apex[0]
 
-    edges: list[tuple[int, int, float]] = []
+    # A base point within 1e-12 of grid vertex j, in the canonical frame, is that vertex.
+    points = np.array(inst.base_points, dtype=float).reshape(-1, 2)
+    base = chains.to_canonical(np.zeros(len(points), dtype=int), points)
+    grid0, xtol = len(level) - (1 << k) - 1, 1e-12 * max(abs(xa), abs(xb), 1.0)
+    on = []
+    for x, y in base.tolist():
+        g = round((x - xa) / (xb - xa) * (1 << k)) if xb > xa else 0
+        on.append(g if 0 <= g <= 1 << k and abs(x - coords[grid0 + g, 0]) <= xtol and abs(y) <= xtol else -1)
+    on = np.array(on, dtype=int)
+    off = on < 0
+    input_ids = np.where(off, len(level) + np.cumsum(off) - 1, grid0 + on)
+    coords, plane = np.concatenate([coords, base[off]]), np.concatenate([plane, points[off]])
+    plane[input_ids] = points
+    kinds = ["root"] + ["apex"] * (grid0 - 1) + ["grid"] * (len(level) - grid0) + ["input"] * int(off.sum())
+    for v in input_ids.tolist():
+        kinds[v] = "input"
 
-    def connect(u: int, v: int):
-        edges.append((u, v, dist(coords[u], coords[v])))
-
-    chain = [0.0] * (k + 1)
-    for i in range(k):
-        for j in range(1 << i):
-            parent = (1 << i) - 1 + j  # apex j of level i
-            for child in ((1 << (i + 1)) - 1 + 2 * j, (1 << (i + 1)) + 2 * j):
-                connect(parent, child)
-                chain[i] = max(chain[i], dist(coords[parent], coords[child]))
-    for j in range(1 << k):
-        apex = (1 << k) - 1 + j
-        for g in (grid_ids[j], grid_ids[j + 1]):
-            connect(apex, g)
-            chain[k] = max(chain[k], dist(coords[apex], coords[g]))
-
-    base_ids = sorted(
-        (v for v in range(len(coords)) if levels[v] == -1 or kinds[v] == "input"),
-        key=lambda v: (coords[v][0], v),
-    )
-    base_path_weight = 0.0
-    for u, v in zip(base_ids, base_ids[1:]):
-        connect(u, v)
-        base_path_weight += edges[-1][2]
-
-    return CoreGraph(coords, kinds, levels, edges, frame, inst.apex_angle, inst.lam, k,
-                     chain, base_path_weight, 0, input_ids, grid_ids)
+    # Apex v's children are apices 2v + 1 and 2v + 2, and apex j of level
+    # k's are grid vertices j and j + 1; the base path joins the grid and
+    # the base points off it by x.
+    up = np.concatenate([np.arange(grid0 - 1) >> 1, np.repeat(np.arange(grid0 >> 1, grid0), 2)])
+    down = np.concatenate([np.arange(1, grid0), grid0 + ((np.arange(2 << k) + 1) >> 1)])
+    base_ids = grid0 + np.argsort(coords[grid0:, 0], kind="stable")
+    m = len(up)
+    up, down = np.concatenate([up, base_ids[:-1]]), np.concatenate([down, base_ids[1:]])
+    w = lengths(coords[up], coords[down])
+    chain = [float(w[:m][level[up[:m]] == i].max()) for i in range(k + 1)]
+    return CoreGraph(list(map(tuple, coords.tolist())), kinds, level.tolist() + [-1] * int(off.sum()),
+                     list(zip(up.tolist(), down.tolist(), w.tolist())), plane, inst.apex_angle, inst.lam, k,
+                     chain, float(np.cumsum(w[m:])[-1]), 0, input_ids.tolist(), list(range(grid0, len(level))))
 
 
 def core_spt(g: CoreGraph):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DuplicatePoints
+from .errors import DuplicatePoints, SltError
 from .geometry import COINCIDENT_TOL, Point, Polyline, lengths
 
 
@@ -175,8 +175,12 @@ class Tree:
 
     @property
     def weight(self) -> float:
-        # fsum is exactly rounded, so the edge order cannot change it.
-        return math.fsum(self.weights.tolist())
+        # fsum is exactly rounded, so the edge order cannot change it; it
+        # raises where finite weights sum past the largest float.
+        try:
+            return math.fsum(self.weights.tolist())
+        except OverflowError:
+            raise SltError("tree weight overflows: it passes the largest float") from None
 
 
 @dataclass(frozen=True)
@@ -226,7 +230,10 @@ def _scaled_columns(points) -> np.ndarray:
     """The coordinate columns times 2^-e, 2^e the least power of two above
     the largest extent: exact barring underflow, and no square overflows."""
     arr = np.asarray(points, dtype=float)
-    exp = math.frexp(float(np.ptp(arr, axis=0).max()))[1]
+    with np.errstate(over="ignore"):
+        extent = float(np.ptp(arr, axis=0).max())
+    # An extent past the largest float is inf; half of it is not.
+    exp = math.frexp(extent)[1] if extent < math.inf else math.frexp(float(np.ptp(0.5 * arr, axis=0).max()))[1] + 1
     return np.ascontiguousarray(np.ldexp(arr, -exp).T)
 
 

@@ -18,7 +18,7 @@ its surface and every gadget edge weighs its planar length (unfolding is
 isometric, so that is the length of its lift).  The tree is the union of
 shortest paths from the root to the input points.  Only its gadget
 vertices and the bends of its gadget edges are lifted, each once; a kept
-core path gets its apices (``CoreChain.path``) and grid vertex only then.
+core path gets its apices (``apex_path``) and grid vertex only then.
 Every vertex keeps its id through the lift: no two are merged by their
 coordinates.
 
@@ -44,9 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .breakpoints import SubdividedPath, select_breakpoints, subdivide
-from .core2d import (
-    CoreChain, CoreChains, CoreInstance, apex_path, build_core, core_chains, core_spt, portal_grid
-)
+from .core2d import CoreChains, CoreInstance, apex_path, build_core, core_chains, core_spt, portal_grid
 from .errors import EmptySurface, EpsOutOfRange, SltError
 from .geometry import each, lengths
 from .metrics import collector_paused, dijkstra, measure, root_paths
@@ -98,9 +96,6 @@ class FoldingGraph:
     def n(self) -> int:
         return len(self.points)
 
-    def chain(self, g: int) -> CoreChain:
-        return self.chains.chain(int(self.chain_row[g]))
-
 
 @dataclass
 class Gadgets:
@@ -140,9 +135,6 @@ class Gadgets:
 
     def __len__(self) -> int:
         return len(self.surface)
-
-    def chain(self, g: int) -> CoreChain:
-        return self.chains.chain(int(np.count_nonzero(self.core[:g])))
 
     def core_instance(self, g: int) -> CoreInstance | None:
         """Row g's core triangle with its Steiner points on the base; None if it has none."""
@@ -673,10 +665,9 @@ def assemble_core2d(pts: PointCloud, eps: float, lam: float = 1.25):
     hi = max(base, key=lambda p: p[0])
     g = build_core(CoreInstance(pts.points[pts.root], lo, hi, tuple(base), eps, lam))
     core_tree, _ = core_spt(g)
-    graph = SteinerGraph(np.array([g.plane_coords(i) for i in range(g.n)]),
-                         [_CORE_KINDS[k] for k in g.kinds])
+    graph = SteinerGraph(g.plane, [_CORE_KINDS[k] for k in g.kinds])
     u, v = core_tree.edges.T
-    tree = Tree(core_tree.edges, lengths(graph.coords[u], graph.coords[v]), core_tree.root)
+    tree = Tree(core_tree.edges, lengths(g.plane[u], g.plane[v]), core_tree.root)
     # The core numbers the root first and the base points in input order.
     base_ids = iter(g.input_ids)
     vertex_of = [g.root if i == pts.root else next(base_ids) for i in range(pts.n)]

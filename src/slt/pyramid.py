@@ -20,7 +20,7 @@ import numpy as np
 
 from .core2d import levels_for_eps
 from .errors import AngleOverflow, DimensionTooSmall, EpsOutOfRange, SltError
-from .geometry import Point, dist, lengths
+from .geometry import Point, lengths
 from .metrics import collector_paused, dijkstra, measure, root_paths
 from .mst_path import PointCloud, SteinerGraph, Tree, _pairs_within, euclidean_mst
 
@@ -97,16 +97,15 @@ def pyramid_points(d: int, n: int, eps: float) -> tuple[Point, ...]:
 def assemble_pyramid(pts: PointCloud, eps: float, lam: float = 1.25):
     """Pyramid build over a point set: returns (graph, tree, report).
 
-    The points must be ``pyramid_points(d, n - 1, eps)`` with the apex as
-    root, each within 1e-9 (relative) of its place; the build itself
-    regenerates the grid.
+    The points must be exactly ``pyramid_points(d, n - 1, eps)`` with
+    the apex as root: the build regenerates the grid, and its tree holds
+    those floats.
     """
     d, n = pts.dim, pts.n - 1
     expected = pyramid_points(d, n, eps)
     if pts.root != 0 or len(expected) != pts.n:
         raise SltError("input is not a pyramid grid instance")
-    scale = max(dist(expected[0], expected[1]), 1.0)
-    if any(dist(p, q) > 1e-9 * scale for p, q in zip(expected, pts.points)):
+    if tuple(map(tuple, pts.points)) != expected:
         raise SltError("input does not match the pyramid grid layout for this eps")
     return build_pyramid_core(d, eps, GridSpec.for_points(n, d), lam)
 

@@ -8,9 +8,10 @@ pairs of coinciding points (with a cloud on which the duplicate check's
 sort finds no order), a polyline's point at an arc length, a cone's
 planar unfolding, the convex-hull covering radius of the cone axes, a
 lower bound on the pyramid instance's MST weight, the core's per-level
-weights, slack and stretch against the paper's bounds, the folding graph
-built one surface and one element at a time, and its tree lifted one
-vertex, stop and bend at a time.
+weights, slack and stretch against the paper's bounds, a core's frame,
+levels and points one float at a time, the folding graph built one
+surface and one element at a time, and its tree lifted one vertex, stop
+and bend at a time.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from itertools import accumulate
 import numpy as np
 
 from slt import pipeline
-from slt.core2d import CoreChain, CoreChains, CoreGraph, CoreInstance, Frame, portal_grid
+from slt.core2d import CoreChains, CoreGraph, CoreInstance, portal_grid
 from slt.errors import (
     AngleOutOfRange, AngleOverflow, DegenerateRay, Disconnected, EmptySurface, EpsOutOfRange
 )
@@ -837,7 +838,7 @@ class PlanarGraph(ListGraph):
 
     ``planar`` maps the key (lo, hi) of a gadget edge to its surface and
     the planar points of lo and hi; ``core_paths`` maps the root's edge
-    (root, v) to its core paths (w, (surface, CoreChain, grid vertex,
+    (root, v) to its core paths (w, (surface, ScalarChain, grid vertex,
     whether the portal is on it, portal point)); ``surface`` maps a portal
     to its surface.  Two vertices get at most one edge but core paths,
     and a vertex none to itself; ``records`` tells each edge's kind.
@@ -1004,7 +1005,7 @@ def gadget_row(gad: Gadgets, surfaces: Surfaces, g: int) -> SurfaceGadget:
                          gad.eps_int, gad.lam)
 
 
-def realize(G: PlanarGraph, gadget: SurfaceGadget, vids: list[int], root_id: int) -> CoreChain | None:
+def realize(G: PlanarGraph, gadget: SurfaceGadget, vids: list[int], root_id: int) -> ScalarChain | None:
     """Add the surface's sub-path and its planar gadget to the graph; return its core."""
     surf = gadget.surface
     coords, kinds = G.coords, G.kinds
@@ -1049,7 +1050,7 @@ def realize(G: PlanarGraph, gadget: SurfaceGadget, vids: list[int], root_id: int
     if tri is None:
         link(surf, root_id, (0.0, 0.0), ids[0], plane[0])
     else:
-        core = CoreChain.of(tri)
+        core = scalar_chain(tri)
         m, k = len(ids) - 1, core.k
         dx, dy = gadget.ell_b[0] - gadget.ell_a[0], gadget.ell_b[1] - gadget.ell_a[1]
         for x, v in enumerate(ids):
@@ -1163,8 +1164,8 @@ def as_folding_graph(G: PlanarGraph) -> FoldingGraph:
                         edge_gadget, edge_plane, edge_grid, edge_on)
 
 
-def stack_chains(chains: list[CoreChain]) -> CoreChains:
-    """``CoreChain`` objects as the rows of one ``CoreChains``, which gives each back as ``chain(i)``."""
+def stack_chains(chains: list[ScalarChain]) -> CoreChains:
+    """``ScalarChain`` records as the rows of one ``CoreChains``, which ``chain_of`` reads back."""
     top = max((c.k for c in chains), default=0)
     dists, heights = np.zeros((len(chains), top + 2)), np.zeros((len(chains), top + 2))
     for i, c in enumerate(chains):
@@ -1173,9 +1174,8 @@ def stack_chains(chains: list[CoreChain]) -> CoreChains:
     def column(values, *shape):
         return np.array(values, dtype=float).reshape(len(chains), *shape)
 
-    frames = [c.frame for c in chains]
-    return CoreChains(column([f.origin for f in frames], 2), column([f.ex for f in frames], 2),
-                      column([f.ey for f in frames], 2), column([f.scale for f in frames]),
+    return CoreChains(column([c.origin for c in chains], 2), column([c.ex for c in chains], 2),
+                      column([c.ey for c in chains], 2), column([c.scale for c in chains]),
                       column([c.xa for c in chains]), column([c.xb for c in chains]),
                       np.array([c.k for c in chains], dtype=int), dists, heights)
 
@@ -1229,7 +1229,7 @@ def loop_prune(G: FoldingGraph, surfaces: list[FoldedSurface], dists: list[float
                 path = e
         if path is not None:
             surf, j = surfaces[gadget[path]], grid[path]
-            core_path = (surf, G.chain(gadget[path]), j, on[path], tuple(plane[path][2:]))
+            core_path = (surf, chain_of(G.chains, G.chain_row[gadget[path]]), j, on[path], tuple(plane[path][2:]))
             paths.append((surf.index, j, old, core_path))
             continue
         seg = None
@@ -1280,8 +1280,42 @@ def scalar_apex_path(k: int, j: int, placed) -> list[tuple[int, int]]:
     return [(i, a >> (k - i)) for i in range(1, k + 1)]
 
 
-def scalar_chain(inst: CoreInstance) -> CoreChain:
-    """``CoreChain.of`` one float at a time: the frame, the levels and the legs."""
+@dataclass(frozen=True)
+class ScalarChain:
+    """One core's chain in floats: its frame (``slt.core2d.CoreChains``' row) and levels.
+
+    ``point`` places a key (level, j), or grid vertex j as (-1, j), one
+    float at a time, as ``CoreChains.points`` places it.
+    """
+
+    origin: PlanePoint
+    ex: PlanePoint
+    ey: PlanePoint
+    scale: float
+    xa: float
+    xb: float
+    k: int
+    dists: tuple[float, ...]  # root distance in the plane per level; k + 1 is the grid
+    heights: tuple[float, ...]  # canonical height of the apices per level
+
+    def to_plane(self, q: PlanePoint) -> PlanePoint:
+        x, y = q[0] / self.scale, q[1] / self.scale
+        return (self.origin[0] + x * self.ex[0] + y * self.ey[0],
+                self.origin[1] + x * self.ex[1] + y * self.ey[1])
+
+    def point(self, key: tuple[int, int]) -> PlanePoint:
+        def grid_x(i, j):
+            f = j / (1 << i)
+            return self.xa * (1.0 - f) + self.xb * f
+
+        i, j = key
+        if i < 0:
+            return self.to_plane((grid_x(self.k, j), 0.0))
+        return self.to_plane((0.5 * (grid_x(i, j) + grid_x(i, j + 1)), self.heights[i]))
+
+
+def scalar_chain(inst: CoreInstance) -> ScalarChain:
+    """``slt.core2d.core_chains`` of one triangle, one float at a time: the frame, the levels and the legs."""
     o = (0.5 * (inst.base_a[0] + inst.base_b[0]), 0.5 * (inst.base_a[1] + inst.base_b[1]))
     abx, aby = inst.base_b[0] - inst.base_a[0], inst.base_b[1] - inst.base_a[1]
     w = math.hypot(abx, aby)
@@ -1290,21 +1324,33 @@ def scalar_chain(inst: CoreInstance) -> CoreChain:
     proj = sy[0] * ex[0] + sy[1] * ex[1]
     wy = (sy[0] - proj * ex[0], sy[1] - proj * ex[1])
     ny = math.hypot(*wy)
-    frame = Frame(o, ex, (wy[0] / ny, wy[1] / ny), 1.0 / dist(inst.apex, inst.base_a))
+    ey, scale = (wy[0] / ny, wy[1] / ny), 1.0 / dist(inst.apex, inst.base_a)
+
+    def canonical(p):
+        dx, dy = p[0] - o[0], p[1] - o[1]
+        return (dx * ex[0] + dy * ex[1]) * scale, (dx * ey[0] + dy * ey[1]) * scale
+
     alpha, lam, k = inst.apex_angle, inst.lam, inst.k
     if alpha * lam**k >= math.pi / 2.0:
         raise AngleOverflow(f"final apex angle {alpha * lam**k:.4f} reaches pi/2 at level {k}")
-    xa, xb = frame.to_canonical(inst.base_a)[0], frame.to_canonical(inst.base_b)[0]
-    heights = [frame.to_canonical(inst.apex)[1]] + [
+    xa, xb = canonical(inst.base_a)[0], canonical(inst.base_b)[0]
+    heights = [canonical(inst.apex)[1]] + [
         (xb - xa) / (1 << (i + 1)) / math.tan(alpha * lam**i / 2.0) for i in range(1, k + 1)]
     dx = [(xb - xa) / (1 << (i + 2)) for i in range(k)] + [(xb - xa) / (1 << (k + 1))]
     legs = map(math.hypot, dx, [hi - lo for hi, lo in zip(heights, heights[1:] + [0.0])])
-    dists = [0.0] + [d / frame.scale for d in accumulate(legs)]
-    return CoreChain(frame, xa, xb, k, tuple(dists), tuple(heights))
+    dists = [0.0] + [d / scale for d in accumulate(legs)]
+    return ScalarChain(o, ex, ey, scale, xa, xb, k, tuple(dists), tuple(heights))
 
 
-def chain_bits(chain: CoreChain) -> list:
-    """Every number of a ``CoreChain``, floats as hex, to compare chains bit for bit."""
-    f = chain.frame
-    return [chain.k] + [float(x).hex() for x in (*f.origin, *f.ex, *f.ey, f.scale, chain.xa, chain.xb,
+def chain_of(chains: CoreChains, i: int) -> ScalarChain:
+    """Row i of ``chains`` as a ``ScalarChain``."""
+    k = int(chains.k[i])
+    return ScalarChain(tuple(chains.origin[i].tolist()), tuple(chains.ex[i].tolist()), tuple(chains.ey[i].tolist()),
+                       float(chains.scale[i]), float(chains.xa[i]), float(chains.xb[i]), k,
+                       tuple(chains.dists[i, :k + 2].tolist()), tuple(chains.heights[i, :k + 1].tolist()))
+
+
+def chain_bits(chain: ScalarChain) -> list:
+    """Every number of a ``ScalarChain``, floats as hex, to compare chains bit for bit."""
+    return [chain.k] + [float(x).hex() for x in (*chain.origin, *chain.ex, *chain.ey, chain.scale, chain.xa, chain.xb,
                                                  *chain.dists, *chain.heights)]

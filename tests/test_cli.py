@@ -254,7 +254,8 @@ def test_builds_import_nothing(tmp_path):
 GONE_NAMES = ["CoreReport", "_UnionFind", "_bounded_dist", "_covering_radius", "core_metrics",
               "floyd_warshall", "greedy_spanner", "kruskal_mst", "oracle_spt", "point_at_arc",
               "pyramid_mst_lower_bound", "unfold", "_moved_near_origin", "_KIND_RANK", "_KINDS",
-              "_split_by_angle", "_MAX_SPLIT_ANGLE", "adjacency", "tree_distances", "root_stretch"]
+              "_split_by_angle", "_MAX_SPLIT_ANGLE", "adjacency", "tree_distances", "root_stretch",
+              "Frame", "CoreChain", "core_layout", "_grid_x"]
 
 _NAMES_CHILD = """
 import ast, importlib, json, pkgutil, sys, slt
@@ -324,15 +325,24 @@ def test_build_deterministic_bytes(tmp_path, capsys):
     assert out1 == out2
 
 
-def test_build_core2d_method(tmp_path, capsys):
+@pytest.mark.parametrize("eps,n,r", [(0.04, 12, 0), (0.04, 12, 1), (0.04, 4, 1), (0.09, 64, 1), (0.25, 64, 2),
+                                     (0.01, 12, 3)],
+                         ids=["canonical", "0.04-12-r1", "0.04-4-r1", "0.09-64-r1", "0.25-64-r2", "0.01-12-r3"])
+def test_build_core2d_method(tmp_path, capsys, eps, n, r):
+    # gen core's points moved by a similarity: turned by 0.37 r rad, scaled
+    # by 1 + 0.3 r and moved by (3.1 r, -1.7 r).  The tree keeps the input
+    # points' own coordinates, so verify finds each of them.
     pts = tmp_path / "core.json"
     tree = tmp_path / "tree.json"
-    assert run(["gen", "core", "--eps", 0.04, "--n", 12, "--output", pts]) == 0
-    assert run(["build", "--method", "core2d", "--eps", 0.04,
+    assert run(["gen", "core", "--eps", eps, "--n", n, "--output", pts]) == 0
+    c, s, scale = math.cos(0.37 * r), math.sin(0.37 * r), 1.0 + 0.3 * r
+    points = json.loads(pts.read_text())["points"]
+    write_points(pts, [(scale * (c * x - s * y) + 3.1 * r, scale * (s * x + c * y) - 1.7 * r) for x, y in points], 0)
+    assert run(["build", "--method", "core2d", "--eps", eps,
                 "--input", pts, "--output", tree]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["max_stretch"] <= 1.04
-    assert run(["verify", "--input", pts, "--tree", tree, "--eps", 0.04]) == 0
+    assert report["max_stretch"] <= 1.0 + eps
+    assert run(["verify", "--input", pts, "--tree", tree, "--eps", eps]) == 0
     capsys.readouterr()
 
 
@@ -355,6 +365,12 @@ def test_pyramid_method_rejects_mismatched_input(tmp_path, capsys):
     # eps mismatch: layout check must fail with a constraint error
     assert run(["build", "--method", "pyramid", "--eps", 0.04, "--input", pts]) == 1
     capsys.readouterr()
+    # the apex one ulp off its place: the build would put it at its place
+    doc = json.loads(pts.read_text())
+    doc["points"][0][0] = math.nextafter(doc["points"][0][0], math.inf)
+    pts.write_text(json.dumps(doc))
+    assert run(["build", "--method", "pyramid", "--eps", 0.09, "--input", pts]) == 1
+    assert "does not match the pyramid grid layout" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("d", [2, 5])
@@ -422,9 +438,11 @@ def test_non_numeric_coordinate_exit_two(tmp_path, capsys, which, fault, value):
         ("points", "points", [[0, 0], [1, 0], [0, 1, 2]],
          "points file: point 2 has 3 coordinates, not dim 2"),
         ("tree", "vertices", "dim", "tree file: vertex 2 has 3 coordinates, vertex 0 has 2"),
+        ("tree", "vertices", math.nan, "tree file: vertex 2 has a coordinate that is not finite: [0.0, nan]"),
+        ("tree", "vertices", -math.inf, "tree file: vertex 2 has a coordinate that is not finite: [0.0, -inf]"),
     ],
     ids=["null-root", "points-not-a-list", "edge-id", "vertex-id", "points-top-level",
-         "tree-top-level", "vertex-entry", "string-dim", "point-dim", "vertex-dim"],
+         "tree-top-level", "vertex-entry", "string-dim", "point-dim", "vertex-dim", "vertex-nan", "vertex-inf"],
 )
 def test_malformed_structure_exit_two(tmp_path, capsys, which, field, value, fault):
     pts_file, tree_file = tmp_path / "pts.json", tmp_path / "tree.json"
@@ -441,6 +459,8 @@ def test_malformed_structure_exit_two(tmp_path, capsys, which, field, value, fau
         data["vertices"][2]["id"] = "2"
     elif field == "vertices" and value == "dim":
         data["vertices"][2]["coords"].append(1.0)
+    elif field == "vertices" and isinstance(value, float):  # JSON's NaN and -Infinity, which json reads
+        data["vertices"][2]["coords"][1] = value
     else:
         data[field] = value
     bad.write_text(canonical_dumps(data))
@@ -524,6 +544,22 @@ def test_verify_returns_on_an_edge_whose_length_overflows(tmp_path):
     report = json.loads(proc.stdout)
     assert report["tree_weight"] == report["lightness"] == math.inf
     assert report["per_point_stretch"] == [1.0, 1.0]
+
+
+def test_verify_says_the_weight_overflows(tmp_path):
+    # Two edges of 1e308 each: their sum, and the MST's, passes the largest
+    # float, while every coordinate difference but the extent stays finite.
+    points = ((0.0, 0.0), (1e308, 0.0), (-1e308, 0.0))
+    pts_file, tree_file = tmp_path / "pts.json", tmp_path / "tree.json"
+    write_points(pts_file, points, 0)
+    tree_file.write_text(canonical_dumps({
+        "vertices": [{"id": i, "coords": list(p), "kind": "input"} for i, p in enumerate(points)],
+        "edges": [[0, 1], [0, 2]], "root": 0,
+    }))
+    proc = run_python(["-m", "slt", "verify", "--input", str(pts_file), "--tree", str(tree_file),
+                       "--eps", "0.25"], timeout=20)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.splitlines() == ["error: tree weight overflows: it passes the largest float"]
 
 
 def test_duplicate_points_exit_one(tmp_path, capsys):

@@ -3,17 +3,15 @@ import random
 
 import numpy as np
 import pytest
-from oracles import chain_bits, core_metrics, scalar_apex_path, scalar_chain
+from oracles import chain_bits, chain_of, core_metrics, scalar_apex_path, scalar_chain
 
 import slt.pipeline
 from slt.core2d import (
-    CoreChain,
     CoreInstance,
     apex_path,
     build_core,
     core2d_points,
     core_chains,
-    core_layout,
     core_spt,
     levels_for_eps,
     portal_grid,
@@ -22,6 +20,11 @@ from slt.errors import AngleOverflow, EpsOutOfRange, SltError
 from slt.geometry import angle_at_apex, dist
 from slt.mst_path import PointCloud
 from slt.pipeline import assemble_core2d
+
+
+def one_row(inst):
+    """``core_chains`` of the instance's triangle, its one row."""
+    return core_chains(*(np.array([p]) for p in (inst.apex, inst.base_a, inst.base_b)), np.array([inst.eps]), inst.lam)
 
 
 def built(eps, n_base=8, lam=1.25):
@@ -192,27 +195,35 @@ def test_rescaled_instance_matches_canonical():
 @pytest.mark.parametrize("eps", [0.25, 0.09, 0.04, 0.01])
 @pytest.mark.parametrize("n_base", [1, 2, 7, 31, 63])
 def test_layout_spt_is_the_core_spt(eps, n_base):
-    # The shortest-path tree read off the closed-form layout, CoreChain and
-    # portal_grid, against core_spt.  Symmetric instances put base points on
-    # grid vertices and halfway between them, where both ways along the base
-    # tie.  The base points are points 1..n of n + 2 equally spaced from
-    # base_a to base_b.
+    # The shortest-path tree read off the closed-form layout (core_chains,
+    # apex_path and portal_grid) against core_spt.  Symmetric instances put
+    # base points on grid vertices and halfway between them, where both ways
+    # along the base tie.  The base points are points 1..n of n + 2 equally
+    # spaced from base_a to base_b.
     inst = CoreInstance.canonical(eps, n_base)
     g = build_core(inst)
     _, dists = core_spt(g)
     edges = {frozenset((u, v)) for u, v, _ in g.edges}
-    chain, on = CoreChain.of(inst), core_layout(inst)[4]
+    chains, grid_of = one_row(inst), {v: j for j, v in enumerate(g.grid_ids)}
+    chain, on = chain_of(chains, 0), [grid_of.get(v, -1) for v in g.input_ids]
     k, m = g.k, n_base + 1
 
     def stop_id(key):
         i, j = key
         return g.grid_ids[j] if i < 0 else (1 << i) - 1 + j
 
+    def points(keys):
+        level, j = np.array(keys).T
+        return chains.points(np.zeros(len(keys), dtype=int), level, j)
+
     for j, v in enumerate(g.grid_ids):
-        path = [(0, 0)] + chain.path(j, set()) + [(-1, j)]
+        path = [(0, 0)] + apex_path(k, j, set()) + [(-1, j)]
         assert path[-2] == (k, min(j, (1 << k) - 1))  # the higher apex on a tie
         assert all(frozenset(map(stop_id, e)) in edges for e in zip(path, path[1:]))
-        assert all(chain.point(key) == g.plane_coords(stop_id(key)) for key in path[1:])
+        stops = [stop_id(key) for key in path[1:]]  # the core's vertices, mapped to the plane
+        plane = chains.to_plane(np.zeros(len(stops), dtype=int), np.array([g.coords[u] for u in stops]))
+        assert points(path[1:]).tolist() == plane.tolist()
+        assert all(g.plane[u].tolist() == q for u, q in zip(stops, plane.tolist()) if g.kinds[u] != "input")
         length = sum(dist(*map(chain.point, e)) for e in zip(path[1:], path[2:]))
         assert length + chain.dists[1] == pytest.approx(dists[v], rel=1e-12)
         assert chain.dists[-1] == pytest.approx(dists[v], rel=1e-12)
@@ -283,8 +294,8 @@ def test_core_chains_are_one_triangle_at_a_time_bit_for_bit():
                 one.append(scalar_chain(inst))
         apex, a, b, eps = (np.array(col) for col in zip(*rows))
         chains = core_chains(apex, a, b, eps, lam)
-        assert [chain_bits(chains.chain(i)) for i in range(len(rows))] == list(map(chain_bits, one))
-        assert [chain_bits(CoreChain.of(CoreInstance(*row[:3], (), row[3], lam))) for row in rows] == list(
+        assert [chain_bits(chain_of(chains, i)) for i in range(len(rows))] == list(map(chain_bits, one))
+        assert [chain_bits(chain_of(one_row(CoreInstance(*row[:3], (), row[3], lam)), 0)) for row in rows] == list(
             map(chain_bits, one))
         assert len(set(chains.k.tolist())) >= 5
         keys = [(r, (-1, j)) for r, c in enumerate(one) for j in (0, (1 << c.k) // 3, 1 << c.k)]
@@ -333,7 +344,7 @@ def test_core_chains_raise_the_first_faulty_triangles_error(fault):
     rows = [good, bad, (*_triangle(1.0, 0.5), 0.04), good]
     a, b, eps = (np.array(col) for col in zip(*rows))
     for chains in (lambda: core_chains(np.zeros((4, 2)), a, b, eps, lam),
-                   lambda: CoreChain.of(CoreInstance((0.0, 0.0), *bad[:2], (), bad[2], lam))):
+                   lambda: one_row(CoreInstance((0.0, 0.0), *bad[:2], (), bad[2], lam))):
         with pytest.raises(type(alone.value)) as batch:
             chains()
         assert str(batch.value) == str(alone.value)

@@ -12,14 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
-    PlanarGraph, as_folding_graph, chain_bits, coord_tuples, gadget_row, kernel_spt, loop_folding_graph,
-    loop_prune, made_surfaces, oracle_spt, realize, scalar_lift, scalar_ray_crossings, surface_gadget,
-    tree_distances, triples,
+    PlanarGraph, as_folding_graph, chain_bits, chain_of, coord_tuples, gadget_row, kernel_spt, loop_folding_graph,
+    loop_prune, made_surfaces, oracle_spt, realize, scalar_chain, scalar_lift, scalar_ray_crossings,
+    surface_gadget, tree_distances, triples,
 )
 
 from slt.breakpoints import select_breakpoints, subdivide
 from slt.cli import canonical_dumps, gen_random, run_cli, write_points, write_tree
-from slt.core2d import CoreChain, build_core, core_layout, core_spt, levels_for_eps, portal_grid
+from slt.core2d import apex_path, build_core, core_spt, levels_for_eps, portal_grid
 from slt.errors import AngleOutOfRange, EmptySurface, EpsOutOfRange
 from slt.geometry import angle_at_apex, dist
 from slt.mst_path import PointCloud, dfs_hamiltonian, euclidean_mst
@@ -465,18 +465,19 @@ def _alone(pc, f, g):
 def _full_core(g):
     """Gadget g's core built whole and solved.
 
-    Returns the core, its SPT distances, its tree parents and a function
-    giving the planar point of a core vertex.
+    Returns the core, its SPT distances, its tree parents, a function
+    giving the planar point of a core vertex, and the core's scale
+    (canonical lengths per planar length).
     """
-    core = build_core(g.core_instance())
+    inst = g.core_instance()
+    core = build_core(inst)
     tree, dists = core_spt(core)
     parent = {v: u for u, v in tree.edges.tolist()}
-    steiner = dict(zip(core.input_ids, g.ell_steiner))
 
     def plane(v):
-        return steiner.get(v) or core.plane_coords(v)
+        return tuple(core.plane[v].tolist())
 
-    return core, dists, parent, plane
+    return core, dists, parent, plane, 1.0 / dist(inst.apex, inst.base_a)
 
 
 def test_r_joins_the_cross_line_where_a_base_edge_passes_it():
@@ -495,7 +496,7 @@ def test_r_joins_the_cross_line_where_a_base_edge_passes_it():
         g = one_gadget(f, inputs_of[f.index], 0.04 / 8)
         if g.core_instance() is None:
             continue
-        core, _, parent, plane = _full_core(g)
+        core, _, parent, plane, _ = _full_core(g)
         r_img = g.vertex_images[g.r_local]
         ax, ay = g.ell_a
         dx, dy = g.ell_b[0] - ax, g.ell_b[1] - ay
@@ -548,7 +549,7 @@ def test_r_at_an_end_of_the_cross_line_takes_the_steiner_point(r_first):
     [(_, (_, core, j, on_grid, q_end))] = G.core_paths[(root, r_id)]
     k = core.k
     assert on_grid and j == (0 if r_first else 1 << k) and q_end == r_img
-    assert core.path(j, set())[-1] == (k, 0 if r_first else (1 << k) - 1)
+    assert apex_path(k, j, set())[-1] == (k, 0 if r_first else (1 << k) - 1)
 
 
 def _wide_and_flat_surfaces():
@@ -573,7 +574,7 @@ def _random_surfaces():
 
 
 def test_portals_meet_the_grid_by_integers():
-    # portal_grid puts each portal on the grid vertex core_layout finds by
+    # portal_grid puts each portal on the grid vertex build_core finds by
     # coordinates.  On the wide surface at a small eps_int the portals are
     # denser than the grid, and some portal hangs off its neighbour.
     wide = [(pc, f, inputs, e) for pc, f, inputs in _wide_and_flat_surfaces() for e in (0.04, 0.005)]
@@ -587,7 +588,9 @@ def test_portals_meet_the_grid_by_integers():
             continue
         m = len(g.ell_steiner) - 1
         feeds = [portal_grid(x, m, inst.k) for x in range(m + 1)]
-        assert [on for on, _ in feeds] == core_layout(inst)[4]
+        core = build_core(inst)
+        grid_of = {v: j for j, v in enumerate(core.grid_ids)}
+        assert [on for on, _ in feeds] == [grid_of.get(v, -1) for v in core.input_ids]
         hung += f is wide[0][1] and any(via >= 0 for _, via in feeds)
     assert hung > 0
 
@@ -607,7 +610,7 @@ def test_core_paths_into_adjacent_grid_vertices_share_an_apex(j, first):
     s, verts = (0.0, 0.0), ((1.0, 0.0), (1.2, 0.1), (1.4, 0.25))
     angles = tuple(angle_at_apex(s, a, b) for a, b in zip(verts, verts[1:]))
     surf = FoldedSurface(2, s, verts, angles, (0.0, angles[0], angles[0] + angles[1]), False)
-    core = CoreChain.of(one_gadget(surf, [0, 2], 0.04).core_instance())
+    core = scalar_chain(one_gadget(surf, [0, 2], 0.04).core_instance())
     k = core.k
     G = PlanarGraph()
     root = G.add_vertex(s, "input")
@@ -643,25 +646,25 @@ def test_contracted_cores_keep_the_core_shortest_paths():
             seen["zero width"] += 1
             assert ids == [r_id] and dists[r_id] == math.hypot(*g.ell_steiner[0])
             continue
-        core, core_dists, parent, plane = _full_core(g)
+        core, core_dists, parent, plane, scale = _full_core(g)
         seen["wide"] += core.k < levels_for_eps(eps_int)
         seen["r at an end"] += r_id in (ids[0], ids[-1])
         seen["on the grid"] += len(set(core.input_ids) & set(core.grid_ids))
         seen["off a neighbour"] += len(core.grid_ids) < len(ids)
         for v, cv in zip(ids, core.input_ids):
-            assert dists[v] == pytest.approx(core_dists[cv] / core.frame.scale, rel=1e-12)
+            assert dists[v] == pytest.approx(core_dists[cv] / scale, rel=1e-12)
         edges = {frozenset((u, v)) for u, v, _ in core.edges}
         for (_, v), paths in G.core_paths.items():
             for _, (_, chain, j, on_grid, q_end) in paths:
                 # the root's path to grid vertex j: edges of the core, as
                 # long as the core's SPT path, its apex by the tie rule
-                keys = chain.path(j, set())
+                keys = apex_path(chain.k, j, set())
                 c = core.grid_ids[j]
                 path = [core.root] + [(1 << i) - 1 + a for i, a in keys] + [c]
                 assert all(frozenset(e) in edges for e in zip(path, path[1:]))
                 assert keys[-1] == (core.k, min(j, (1 << core.k) - 1))
                 length = sum(dist(plane(a), plane(b)) for a, b in zip(path, path[1:]))
-                assert length == pytest.approx(core_dists[c] / core.frame.scale, rel=1e-12)
+                assert length == pytest.approx(core_dists[c] / scale, rel=1e-12)
                 assert all(chain.point(key) == plane(u) for key, u in zip(keys, path[1:]))
                 if v in ids:  # a portal on the tree, on c or one base edge from it
                     x = core.input_ids[ids.index(v)]
@@ -827,7 +830,8 @@ def assert_same_graph(batch, loop):
         b, o = getattr(batch.rows, name), getattr(loop.rows, name)
         assert b.shape == o.shape and b.tobytes() == o.tobytes(), name
     for g in sorted(set(batch.edge_gadget[batch.edge_grid >= 0].tolist())):
-        assert chain_bits(batch.chain(g)) == chain_bits(loop.chain(g)), g
+        rows = (chain_of(G.chains, G.chain_row[g]) for G in (batch, loop))
+        assert chain_bits(next(rows)) == chain_bits(next(rows)), g
 
 
 def _exact_cases():
